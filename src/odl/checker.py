@@ -9,12 +9,37 @@ initial values, notification values, and the summary must be numeric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .errors import CheckError
+from .evaluate import Closure, compile_expr
 from .parser import BUILTIN_FUNCTIONS
-from .syntax import Binary, Call, Expr, Ident, Literal, OracleDefinition, Unary
+from .syntax import (
+    Binary,
+    Call,
+    Expr,
+    Ident,
+    Literal,
+    OracleDefinition,
+    ScoringFunction,
+    Unary,
+)
 from .trace import Kind, Point2, TraceSchema, Value
+
+
+@dataclass(frozen=True)
+class CompiledFunction:
+    """A scoring function with its expressions compiled by `compile_expr`.
+
+    `notifications` flattens the bindings to (target, timer, value) in
+    declaration order.
+    """
+
+    fn: ScoringFunction
+    event: Closure
+    condition: Optional[Closure]
+    action: Optional[Closure]
+    notifications: tuple[tuple[str, str, Closure], ...]
 
 
 @dataclass(frozen=True)
@@ -23,11 +48,14 @@ class CheckedOracle:
 
     `timers` maps each scoring-function name to the timer names some
     notification targets at it (the timers its expressions may read).
+    `compiled` holds the scoring functions compiled, in declaration order;
+    the streaming engine runs these, the batch reference walks `od`.
     """
 
     od: OracleDefinition
     schema: TraceSchema
     timers: Mapping[str, frozenset[str]]
+    compiled: tuple[CompiledFunction, ...] = field(compare=False, repr=False)
 
 
 def _kind_of_value(value: Value) -> Kind:
@@ -270,8 +298,37 @@ def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
         if _infer(od.summary, summary_scope) is not Kind.NUMBER:
             raise CheckError("summary must be numeric")
 
+    timers = {name: frozenset(timers) for name, timers in available.items()}
+    field_names = frozenset(schema.names())
+    constant_values = od.constant_map()
     return CheckedOracle(
         od=od,
         schema=schema,
-        timers={name: frozenset(timers) for name, timers in available.items()},
+        timers=timers,
+        compiled=tuple(
+            _compile_function(fn, field_names, constant_values, timers[fn.name])
+            for fn in od.functions
+        ),
+    )
+
+
+def _compile_function(
+    fn: ScoringFunction,
+    fields: frozenset[str],
+    constants: Mapping[str, Value],
+    timers: frozenset[str],
+) -> CompiledFunction:
+    def compiled(expr: Expr) -> Closure:
+        return compile_expr(expr, fields, constants, timers)
+
+    return CompiledFunction(
+        fn=fn,
+        event=compiled(fn.event),
+        condition=None if fn.condition is None else compiled(fn.condition),
+        action=None if fn.action is None else compiled(fn.action),
+        notifications=tuple(
+            (notif.target, timer, compiled(value))
+            for notif in fn.notifications
+            for timer, value in notif.bindings
+        ),
     )

@@ -12,7 +12,7 @@ import glob
 import sys
 from pathlib import Path
 
-from .checker import check_od
+from .checker import CheckedOracle, check_od
 from .engine import report_to_json, report_to_text, score_trace
 from .errors import AnalysisError, OdlError
 from .parser import parse_od
@@ -22,12 +22,13 @@ from .rank import (
     read_ranks_csv,
     read_scores_csv,
     spearman,
+    spearman_matrix,
     write_matrix_csv,
     write_ranks_csv,
     write_scores_csv,
 )
 from .scenario import generate_trace, load_scenario
-from .trace import dump_trace, parse_trace
+from .trace import TraceSchema, dump_trace, parse_trace
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -76,10 +77,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     paths = sorted(glob.glob(args.traces))
     if not paths:
         raise AnalysisError(f"no trace files match {args.traces!r}")
+    checked: dict[TraceSchema, CheckedOracle] = {}
     rows = []
     for path in paths:
         trace = parse_trace(Path(path).read_text(encoding="utf-8"))
-        report = score_trace(check_od(od, trace.schema), trace)
+        if trace.schema not in checked:
+            checked[trace.schema] = check_od(od, trace.schema)
+        report = score_trace(checked[trace.schema], trace)
         solution, trace_id = _split_solution_trace(Path(path).stem)
         rows.append((solution, trace_id, report.summary))
     rows.sort(key=lambda row: (row[0], row[1]))
@@ -103,14 +107,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         _emit(f"{spearman(vectors[0], vectors[1])!r}\n", args.out)
         return 0
     names = [Path(path).stem for path in args.ranks_paths]
-    k = len(vectors)
-    matrix = [[1.0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            rho = spearman(vectors[i], vectors[j])
-            matrix[i][j] = rho
-            matrix[j][i] = rho
-    _emit(write_matrix_csv(names, matrix), args.out)
+    _emit(write_matrix_csv(names, spearman_matrix(vectors)), args.out)
     return 0
 
 

@@ -17,21 +17,26 @@ Each message is processed in three phases:
        message of the sequence where the condition holds.
      - all_sum: at every message where event and condition hold.
    Firing adds the action's value (0 when absent) to the score and queues
-   the function's notifications with values evaluated right there.
+   the function's notifications with values evaluated right there. A
+   non-finite action, notification value or score raises EvalError.
 3. Notification. Queued notifications set the targeted timers; the effect
    is visible from the next message onward, which makes the result
    independent of declaration order.
+
+Expressions run as the closures `check_od` compiled (`compile_expr`); only
+the summary, evaluated once per trace, walks the tree with `eval_expr`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isfinite
 
-from .checker import CheckedOracle
+from .checker import CheckedOracle, CompiledFunction
 from .errors import EngineError, EvalError
-from .evaluate import Env, eval_expr
-from .syntax import Frequency, ScoringFunction
+from .evaluate import Env, eval_expr, non_finite
+from .syntax import Frequency, format_expr
 from .trace import Trace, TraceMessage
 
 
@@ -61,13 +66,13 @@ class ScoreReport:
 
 class _FunctionState:
     __slots__ = (
-        "fn", "score", "fired_first", "in_sequence", "sequence_start",
+        "compiled", "score", "fired_first", "in_sequence", "sequence_start",
         "fired_this_sequence", "timers",
     )
 
-    def __init__(self, fn: ScoringFunction, timer_names: frozenset[str]):
-        self.fn = fn
-        self.score = fn.initial
+    def __init__(self, compiled: CompiledFunction, timer_names: frozenset[str]):
+        self.compiled = compiled
+        self.score = compiled.fn.initial
         self.fired_first = False
         self.in_sequence = False
         self.sequence_start = 0.0
@@ -77,33 +82,36 @@ class _FunctionState:
 
 def summarize(checked: CheckedOracle, scores: tuple[tuple[str, float], ...]) -> float:
     """Evaluate the summary over final scores; the default is their sum,
-    accumulated in declaration order."""
+    accumulated in declaration order. Once per trace, so it walks the tree."""
     od = checked.od
     if od.summary is None:
         total = 0.0
         for _, score in scores:
             total += score
-        return total
-    env = Env(constants=od.constant_map(), scores=dict(scores))
-    try:
-        result = eval_expr(od.summary, env)
-    except EvalError as exc:
-        raise EvalError(f"summary: {exc}") from exc
-    return float(result)
+    else:
+        env = Env(constants=od.constant_map(), scores=dict(scores))
+        try:
+            total = float(eval_expr(od.summary, env))
+        except EvalError as exc:
+            raise EvalError(f"summary: {exc}") from exc
+    if not isfinite(total):
+        raise non_finite("summary", total)
+    return total
 
 
 class ScoringEngine:
     """Feed messages in time order via step(), then finalize().
 
     One engine scores one trace; construct a fresh engine per trace. The
-    checked oracle itself is immutable and shareable.
+    checked oracle itself is immutable and shareable. The engine runs the
+    closures `check_od` compiled; it never walks an expression tree.
     """
 
     def __init__(self, checked: CheckedOracle):
         self._checked = checked
-        self._constants = checked.od.constant_map()
         self._states = [
-            _FunctionState(fn, checked.timers[fn.name]) for fn in checked.od.functions
+            _FunctionState(compiled, checked.timers[compiled.fn.name])
+            for compiled in checked.compiled
         ]
         self._prev_t: float | None = None
         self._index = 0
@@ -122,24 +130,21 @@ class ScoringEngine:
                 state.timers[name] -= dt
 
         # Phase 2: evaluate in declaration order, deferring notifications.
-        env = Env(fields={**message.values, "t": t}, constants=self._constants)
+        values = message.values
         queued: list[tuple[str, str, float]] = []
         for state in self._states:
-            fn = state.fn
-            env.timers = state.timers
-            env.seq_time = None
+            compiled = state.compiled
+            fn = compiled.fn
+            timers = state.timers
             try:
-                event_true = eval_expr(fn.event, env)
-                if event_true:
+                if compiled.event(values, t, timers, None):
                     if not state.in_sequence:
                         state.in_sequence = True
                         state.sequence_start = t
                         state.fired_this_sequence = False
                     cond_ok = True
-                    if fn.condition is not None:
-                        env.seq_time = t - state.sequence_start
-                        cond_ok = bool(eval_expr(fn.condition, env))
-                        env.seq_time = None
+                    if compiled.condition is not None:
+                        cond_ok = compiled.condition(values, t, timers, t - state.sequence_start)
                     if fn.frequency is Frequency.FIRST:
                         fire = cond_ok and not state.fired_first
                     elif fn.frequency is Frequency.ACTION_SUM:
@@ -155,14 +160,19 @@ class ScoringEngine:
                         elif fn.frequency is Frequency.ACTION_SUM and fn.condition is not None:
                             state.fired_this_sequence = True
                         delta = 0.0
-                        if fn.action is not None:
-                            delta = float(eval_expr(fn.action, env))
+                        if compiled.action is not None:
+                            delta = float(compiled.action(values, t, timers, None))
+                            if not isfinite(delta):
+                                raise non_finite(f"action '{format_expr(fn.action)}'", delta)
                         state.score += delta
+                        if not isfinite(state.score):
+                            raise non_finite("score", state.score)
                         dispatched: list[tuple[str, str, float]] = []
-                        for notif in fn.notifications:
-                            for timer, value_expr in notif.bindings:
-                                value = float(eval_expr(value_expr, env))
-                                dispatched.append((notif.target, timer, value))
+                        for target, timer, value_closure in compiled.notifications:
+                            value = float(value_closure(values, t, timers, None))
+                            if not isfinite(value):
+                                raise non_finite(f"notification value for '{target}.{timer}'", value)
+                            dispatched.append((target, timer, value))
                         queued.extend(dispatched)
                         self._firings.append(
                             Firing(self._index, fn.name, delta, tuple(dispatched))
@@ -176,7 +186,7 @@ class ScoringEngine:
 
         # Phase 3: apply notifications (overwrite semantics).
         if queued:
-            by_name = {state.fn.name: state for state in self._states}
+            by_name = {state.compiled.fn.name: state for state in self._states}
             for target, timer, value in queued:
                 by_name[target].timers[timer] = value
 
@@ -184,7 +194,7 @@ class ScoringEngine:
         self._index += 1
 
     def finalize(self) -> ScoreReport:
-        scores = tuple((state.fn.name, state.score) for state in self._states)
+        scores = tuple((state.compiled.fn.name, state.score) for state in self._states)
         return ScoreReport(
             scores=scores,
             summary=summarize(self._checked, scores),
@@ -207,7 +217,12 @@ def score_trace(checked: CheckedOracle, trace: Trace) -> ScoreReport:
 
 
 def report_to_json(report: ScoreReport, include_firings: bool = False) -> str:
-    """Machine-readable report; floats render via shortest round-trip repr."""
+    """Machine-readable report; floats render via shortest round-trip repr.
+
+    Scoring raises EvalError before a score turns non-finite, so a report
+    from score_trace always renders. As a backstop for reports built by
+    hand, NaN and infinities raise ValueError instead of being written as
+    `NaN`/`Infinity`, which are not JSON (RFC 8259 §6)."""
     obj: dict[str, object] = {
         "scores": {name: value for name, value in report.scores},
         "summary": report.summary,
@@ -225,7 +240,7 @@ def report_to_json(report: ScoreReport, include_firings: bool = False) -> str:
             }
             for f in report.firings
         ]
-    return json.dumps(obj)
+    return json.dumps(obj, allow_nan=False)
 
 
 def report_to_text(report: ScoreReport, include_firings: bool = False) -> str:

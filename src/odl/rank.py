@@ -27,7 +27,10 @@ def mean_scores(table: ScoreTable) -> dict[str, float]:
     for solution, scores in table.items():
         if not scores:
             raise AnalysisError(f"solution '{solution}' has no scores")
-        means[solution] = statistics.fmean(scores)
+        try:
+            means[solution] = statistics.fmean(scores)
+        except OverflowError:
+            raise AnalysisError(f"solution '{solution}': mean score overflows") from None
     return means
 
 
@@ -36,6 +39,9 @@ def rank_solutions(scores: Mapping[str, float]) -> dict[str, float]:
     average of the ranks they span, so ranks always sum to n(n-1)/2."""
     if not scores:
         raise AnalysisError("no solutions to rank")
+    for solution, score in sorted(scores.items()):
+        if not math.isfinite(score):
+            raise AnalysisError(f"solution '{solution}' has non-finite score {score!r}")
     ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     ranks: dict[str, float] = {}
     i = 0
@@ -102,7 +108,11 @@ def correlation_matrix(tables: Sequence[ScoreTable]) -> list[list[float]]:
     for table in tables[1:]:
         if set(table) != base:
             raise AnalysisError("score tables cover different solution ids")
-    ranks = [rank_solutions(mean_scores(table)) for table in tables]
+    return spearman_matrix([rank_solutions(mean_scores(table)) for table in tables])
+
+
+def spearman_matrix(ranks: Sequence[RankVector]) -> list[list[float]]:
+    """Pairwise Spearman matrix over rank vectors, one per oracle definition."""
     k = len(ranks)
     matrix = [[1.0] * k for _ in range(k)]
     for i in range(k):
@@ -138,6 +148,8 @@ def read_scores_csv(text: str) -> dict[str, list[float]]:
             score = float(row[2])
         except ValueError:
             raise AnalysisError(f"scores row {lineno}: bad score {row[2]!r}") from None
+        if not math.isfinite(score):
+            raise AnalysisError(f"scores row {lineno}: non-finite score {row[2]!r}")
         table.setdefault(row[0], []).append(score)
     if not table:
         raise AnalysisError("scores file has no rows")
@@ -164,9 +176,12 @@ def read_ranks_csv(text: str) -> dict[str, float]:
         if row[0] in ranks:
             raise AnalysisError(f"ranks row {lineno}: duplicate solution '{row[0]}'")
         try:
-            ranks[row[0]] = float(row[1])
+            rank = float(row[1])
         except ValueError:
             raise AnalysisError(f"ranks row {lineno}: bad rank {row[1]!r}") from None
+        if not math.isfinite(rank):
+            raise AnalysisError(f"ranks row {lineno}: non-finite rank {row[1]!r}")
+        ranks[row[0]] = rank
     if not ranks:
         raise AnalysisError("ranks file has no rows")
     return ranks

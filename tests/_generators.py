@@ -139,6 +139,23 @@ def _bool_expr(
     )
 
 
+def gen_expr(
+    rng: random.Random,
+    schema: TraceSchema,
+    constants: dict[str, Kind],
+    numbers: tuple[str, ...] = (),
+    depth: int = 3,
+) -> Expr:
+    """A well-kinded boolean or numeric expression over the schema fields,
+    `t` and the constants, plus the extra numeric names in `numbers` (such as
+    timers or seq_time)."""
+    vocab = _Vocab(schema, constants, None)
+    vocab.numbers += list(numbers)
+    if rng.random() < 0.5:
+        return _bool_expr(rng, vocab, depth)
+    return _num_expr(rng, vocab, depth)
+
+
 def gen_checkable_od(
     rng: random.Random,
     schema: TraceSchema,

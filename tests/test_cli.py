@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from odl import dump_trace, load_builtin, load_example_scenario
+from odl import check_od, dump_trace, load_builtin, load_example_scenario
+from odl import cli
 from odl.cli import main
 from _drive import drive, listing_suite
 
@@ -154,6 +155,36 @@ def test_batch_rows_and_single_equivalence(workspace, capsys):
         payload = json.loads(capsys.readouterr().out)
         solution, run = stem.split("__")
         assert f"{solution},{run},{payload['summary']!r}" in lines
+
+
+def test_overflow_exits_1(workspace, capsys):
+    od = workspace / "overflow.odl"
+    od.write_text(
+        "const x = 1e308;\n"
+        "f = scoring_function(event = collision, action = x * 10, frequency = all_sum);"
+    )
+    trace_path = workspace / "crash.jsonl"
+    trace_path.write_text(dump_trace(drive([{"t": 0.0, "collision": True}])))
+    for report in ("text", "machine"):
+        assert main(["score", "--od", str(od), "--trace", str(trace_path), "--report", report]) == 1
+        captured = capsys.readouterr()
+        assert "is non-finite (inf)" in captured.err
+        assert captured.out == ""
+
+
+def test_batch_checks_the_oracle_once_per_schema(workspace, monkeypatch):
+    calls = []
+
+    def counting_check_od(od, schema):
+        calls.append(schema)
+        return check_od(od, schema)
+
+    monkeypatch.setattr(cli, "check_od", counting_check_od)
+    for i in range(3):
+        (workspace / f"s{i}__r0.jsonl").write_text(dump_trace(drive([{"t": 0.0}])))
+    args = ["batch", "--od", str(workspace / "listing1.odl"), "--traces", str(workspace / "*__*.jsonl")]
+    assert main(args) == 0
+    assert len(calls) == 1
 
 
 def test_batch_without_matches_exits_1(workspace, capsys):

@@ -2,13 +2,25 @@
 plus the engine invariants that ride on the same corpus."""
 
 import random
+import sys
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _generators import gen_checkable_od, gen_schema, gen_trace
 from odl import (
+    BUILTIN_NAMES,
+    EvalError,
     Frequency,
     OracleDefinition,
     check_od,
     concat_traces,
+    generate_trace,
+    load_builtin,
+    load_example_scenario,
+    load_scenario,
     parse_od,
     parse_trace,
     reference_score,
@@ -152,3 +164,117 @@ def test_firing_log_consistency():
         for firing in report.firings:
             totals[firing.function] += firing.delta
         assert totals == report.score_map()
+
+
+def test_long_eventful_trace_all_bundled_oracles():
+    scenario = load_scenario(load_example_scenario("eventful"))
+    trace = generate_trace(replace(scenario, tick=0.01), seed=3)
+    assert len(trace.messages) >= 3000
+    for name in BUILTIN_NAMES:
+        checked = check_od(parse_od(load_builtin(name)), trace.schema)
+        report = score_trace(checked, trace)
+        assert report.firings, name
+        assert report == reference_score(checked, trace), name
+
+
+_ERROR_TRACE = (
+    '{"n0": "number", "b0": "boolean"}\n'
+    '{"t": 0, "n0": 1, "b0": true}\n'
+    '{"t": 1, "n0": 0, "b0": true}\n'
+    '{"t": 2, "n0": 0, "b0": false}\n'
+)
+
+_ERROR_CASES = [
+    (
+        "f = scoring_function(event = b0, action = 1 / n0, frequency = all_sum);",
+        r"^message 1 \(t=1.0\), function 'f': division by zero in '1.0 / n0'$",
+    ),
+    (
+        "f = scoring_function(event = b0, condition = 2 / (t - 1) > 0, frequency = first);",
+        r"^message 1 \(t=1.0\), function 'f': division by zero in '2.0 / \(t - 1.0\)'$",
+    ),
+    (
+        "const x = 1e308;\n"
+        "f = scoring_function(event = b0, action = x * 10, frequency = first);",
+        r"^message 0 \(t=0.0\), function 'f': action 'x \* 10.0' is non-finite \(inf\)$",
+    ),
+    (
+        "const x = 1e308;\n"
+        "f = scoring_function(event = b0, action = x, frequency = all_sum);",
+        r"^message 1 \(t=1.0\), function 'f': score is non-finite \(inf\)$",
+    ),
+    (
+        "const x = 1e308;\n"
+        "f = scoring_function(event = b0, frequency = first,"
+        " notifications = [(g, [(tm, -x * n0 * 10)])]);\n"
+        "g = scoring_function(event = tm > 0, frequency = first);",
+        r"^message 0 \(t=0.0\), function 'f': notification value for 'g.tm' is non-finite \(-inf\)$",
+    ),
+    (
+        "const x = 1e308;\n"
+        "f = scoring_function(event = b0, action = x, frequency = first);\n"
+        "g = scoring_function(event = b0, action = x, frequency = first);",
+        r"^summary is non-finite \(inf\)$",
+    ),
+    (
+        "const x = 1e308;\n"
+        "f = scoring_function(event = b0, action = x, frequency = first);\n"
+        "summary = f * 2 - f / 0.5;",
+        r"^summary is non-finite \(nan\)$",
+    ),
+]
+
+
+def test_evaluation_errors_identical_in_engine_and_reference():
+    trace = parse_trace(_ERROR_TRACE)
+    for source, message in _ERROR_CASES:
+        checked = check_od(parse_od(source), trace.schema)
+        with pytest.raises(EvalError, match=message) as streaming:
+            score_trace(checked, trace)
+        with pytest.raises(EvalError) as batch:
+            reference_score(checked, trace)
+        assert str(streaming.value) == str(batch.value), source
+
+
+def test_unreached_errors_raise_in_neither():
+    trace = parse_trace(_ERROR_TRACE)
+    for source in (
+        "f = scoring_function(event = b0 or (false and 1 / 0 > 0), action = 1, frequency = all_sum);",
+        "f = scoring_function(event = n0 > 0, action = 1 / n0, frequency = all_sum);",
+        "const x = 1e308;\n"
+        "f = scoring_function(event = n0 > 5, action = x * 10, frequency = all_sum);",
+    ):
+        checked = check_od(parse_od(source), trace.schema)
+        report = score_trace(checked, trace)
+        assert report == reference_score(checked, trace), source
+
+
+_NEAR_OVERFLOW_OD = """
+const x = 1;
+const y = 1;
+f = scoring_function(event = b0, action = x * n0 + y, frequency = all_sum,
+    notifications = [(g, [(tm, y * (n0 + 1) - x)])]);
+g = scoring_function(event = tm > x, action = y * 2, frequency = action_sum);
+summary = f * 2 - g;
+"""
+
+_huge = st.floats(min_value=1e300, max_value=sys.float_info.max)
+_magnitudes = _huge | _huge.map(lambda v: -v) | st.floats(min_value=-10.0, max_value=10.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_magnitudes, _magnitudes)
+def test_near_overflow_engine_equals_reference(x, y):
+    """Magnitudes near the largest double overflow in actions, scores,
+    notification values or the summary; engine and reference fail alike."""
+    trace = parse_trace(_ERROR_TRACE)
+    od = replace(parse_od(_NEAR_OVERFLOW_OD), constants=(("x", x), ("y", y)))
+    checked = check_od(od, trace.schema)
+    try:
+        streaming = score_trace(checked, trace)
+    except EvalError as exc:
+        with pytest.raises(EvalError) as batch:
+            reference_score(checked, trace)
+        assert str(batch.value) == str(exc)
+    else:
+        assert streaming == reference_score(checked, trace)

@@ -1,6 +1,7 @@
 """Streaming engine semantics: sequences, conditions, timers, summaries."""
 
 import json
+import math
 
 import pytest
 
@@ -10,6 +11,7 @@ from odl import (
     EvalError,
     GEN_SCHEMA,
     Kind,
+    ScoreReport,
     ScoringEngine,
     Trace,
     TraceMessage,
@@ -248,6 +250,12 @@ def test_evaluation_error_carries_message_context():
     trace = bool_trace([(0, True), (1, True)])
     with pytest.raises(EvalError, match=r"message 1 \(t=1.0\), function 'f'"):
         scored(source, trace)
+
+
+def test_report_to_json_refuses_non_finite_values():
+    report = ScoreReport(scores=(("f", math.inf),), summary=math.nan)
+    with pytest.raises(ValueError):
+        report_to_json(report)
 
 
 def test_determinism_bit_identical():

@@ -1,10 +1,15 @@
-"""Expression evaluation semantics."""
+"""Expression evaluation semantics, for the tree walker and the compiled
+closures."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odl import Env, EvalError, Point2, eval_expr, parse_od
+from _generators import gen_checkable_od, gen_expr, gen_schema, gen_trace
+from odl import Env, EvalError, Kind, Point2, eval_expr, format_expr, parse_od
+from odl.evaluate import compile_expr
 
 ENV = Env(
     fields={"speed": 25.0, "road_normal": 3.8, "position": Point2(0.0, 0.0), "t": 1.0},
@@ -104,3 +109,60 @@ def test_distance_symmetry_and_nonnegativity(ax, ay, bx, by):
 def test_distance_identity(x, y):
     env = Env(fields={"p": Point2(x, y)})
     assert eval_expr(expr("distance(p, p)"), env) == 0.0
+
+
+def test_compiled_closures_equal_tree_walk():
+    """compile_expr and eval_expr are two evaluators of one semantics: on
+    every expression of generated checkable definitions, and on generated
+    expressions that also read timers and seq_time, they agree exactly, in
+    value and in type."""
+    timer_values = [-1.5, -0.25, 0.0, 0.5, 2.0]
+    for i in range(200):
+        rng = random.Random(30_000 + i)
+        schema = gen_schema(rng)
+        od = gen_checkable_od(rng, schema)
+        trace = gen_trace(rng, schema, n_messages=6)
+        constants = od.constant_map()
+        timers = {f"tm{j}": rng.choice(timer_values) for j in range(5)}
+        expressions = []
+        for fn in od.functions:
+            expressions += [e for e in (fn.event, fn.condition, fn.action) if e is not None]
+            expressions += [value for n in fn.notifications for _, value in n.bindings]
+        kinds = {name: Kind.NUMBER for name in constants}
+        expressions += [
+            gen_expr(rng, schema, kinds, numbers=("tm0", "tm3", "seq_time")) for _ in range(5)
+        ]
+        for e in expressions:
+            compiled = compile_expr(e, schema.names(), constants, timers)
+            for message in trace.messages:
+                seq_time = rng.choice((0.0, 0.5, 1.5, 3.0))
+                env = Env(
+                    fields={**message.values, "t": message.t},
+                    constants=constants,
+                    timers=timers,
+                    seq_time=seq_time,
+                )
+                walked = eval_expr(e, env)
+                got = compiled(message.values, message.t, timers, seq_time)
+                assert got == walked and type(got) is type(walked), (i, format_expr(e))
+
+
+def test_compiled_errors_stay_lazy_and_match_tree_walk():
+    # 1 / 0 is over constants only, but folding it would raise at compile time.
+    division = compile_expr(expr("1 / 0"), (), {})
+    with pytest.raises(EvalError) as walked:
+        eval_expr(expr("1 / 0"), Env())
+    with pytest.raises(EvalError) as compiled:
+        division({}, 0.0, {}, None)
+    assert str(compiled.value) == str(walked.value) == "division by zero in '1.0 / 0.0'"
+    guarded = compile_expr(bool_expr("false and (1 / 0 > 0)"), (), {})
+    assert guarded({}, 0.0, {}, None) is False
+    assert compile_expr(bool_expr("true or (1 / 0 > 0)"), (), {})({}, 0.0, {}, None) is True
+
+
+def test_compiled_builtins_over_fields():
+    fields = {"a": 3.0, "b": -1.0, "c": 2.0, "p": Point2(3.0, 4.0), "t": 0.5}
+    for source in ("min(a, c, b)", "max(b, c, t, a)", "distance(point(0, 0), p)", "distance(p, p)"):
+        e = expr(source)
+        compiled = compile_expr(e, ("a", "b", "c", "p"), {})
+        assert compiled(fields, 0.5, {}, None) == eval_expr(e, Env(fields=fields)), source

@@ -38,6 +38,18 @@ def test_rank_solutions_examples():
     assert rank_solutions({c: 1.0 for c in "wxyz"}) == {c: 1.5 for c in "wxyz"}
 
 
+def test_rank_solutions_rejects_non_finite_scores():
+    # NaN compares unequal to itself, which once kept the tie loop from ending.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(AnalysisError, match=r"solution 's1' has non-finite score"):
+            rank_solutions({"s1": bad, "s2": 1.0})
+
+
+def test_mean_score_overflow_is_an_analysis_error():
+    with pytest.raises(AnalysisError, match="solution 'A': mean score overflows"):
+        mean_scores({"A": [1e308, 1e308]})
+
+
 def test_spearman_examples():
     a = {"A": 0.0, "B": 1.0, "C": 2.0}
     assert spearman(a, dict(a)) == 1.0
@@ -89,6 +101,9 @@ def test_scores_csv_round_trip():
         read_scores_csv("nope\n")
     with pytest.raises(AnalysisError, match="bad score"):
         read_scores_csv("solution,trace,score\na,b,xyz\n")
+    for bad in ("nan", "inf", "-Infinity"):
+        with pytest.raises(AnalysisError, match=f"scores row 3: non-finite score '{bad}'"):
+            read_scores_csv(f"solution,trace,score\na,b,1.0\na,c,{bad}\n")
 
 
 def test_ranks_csv_round_trip():
@@ -98,6 +113,9 @@ def test_ranks_csv_round_trip():
     assert text.splitlines()[1].startswith("best,")
     with pytest.raises(AnalysisError, match="duplicate solution"):
         read_ranks_csv("solution,rank\na,0.0\na,1.0\n")
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(AnalysisError, match=f"ranks row 2: non-finite rank '{bad}'"):
+            read_ranks_csv(f"solution,rank\na,{bad}\nb,1.0\n")
 
 
 def test_matrix_csv_layout():
