@@ -15,6 +15,7 @@ from .engine import (
     ScoringEngine,
     report_to_json,
     report_to_text,
+    score_messages,
     score_trace,
 )
 from .errors import (
@@ -76,6 +77,7 @@ from .trace import (
     dump_trace,
     duration,
     parse_trace,
+    read_trace,
 )
 
 __version__ = "0.1.0"
@@ -131,11 +133,13 @@ __all__ = [
     "parse_od",
     "parse_trace",
     "rank_solutions",
+    "read_trace",
     "read_ranks_csv",
     "read_scores_csv",
     "reference_score",
     "report_to_json",
     "report_to_text",
+    "score_messages",
     "score_trace",
     "spearman",
     "spearman_closed_form",

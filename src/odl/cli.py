@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import glob
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import IO, Iterator
 
 from .checker import CheckedOracle, check_od
-from .engine import report_to_json, report_to_text, score_trace
+from .engine import report_to_json, report_to_text, score_messages
 from .errors import AnalysisError, OdlError
 from .parser import parse_od
 from .rank import (
@@ -28,7 +30,24 @@ from .rank import (
     write_scores_csv,
 )
 from .scenario import generate_trace, load_scenario
-from .trace import TraceSchema, dump_trace, parse_trace
+from .trace import TraceSchema, dump_trace, read_trace
+
+
+@contextmanager
+def _open_input(path: str) -> Iterator[IO[str]]:
+    """Open an input file as UTF-8 text. Bytes that are not UTF-8 raise an
+    OdlError naming the file, not a traceback. The trace reader reports
+    them itself, because it decodes as it goes."""
+    with open(path, encoding="utf-8") as file:
+        try:
+            yield file
+        except UnicodeDecodeError as exc:
+            raise OdlError(f"{path}: file is not valid UTF-8: {exc}") from None
+
+
+def _read_input(path: str) -> str:
+    with _open_input(path) as file:
+        return file.read()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -47,10 +66,12 @@ def _split_solution_trace(stem: str) -> tuple[str, str]:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    od = parse_od(Path(args.od_path).read_text(encoding="utf-8"))
+    od = parse_od(_read_input(args.od_path))
     if args.trace:
-        trace = parse_trace(Path(args.trace).read_text(encoding="utf-8"))
-        check_od(od, trace.schema)
+        # Only the schema line is read; records are not checked.
+        with _open_input(args.trace) as lines:
+            schema, _ = read_trace(lines)
+        check_od(od, schema)
     else:
         print(
             "warning: no trace given; trace-field kinds were not verified",
@@ -61,9 +82,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    od = parse_od(Path(args.od).read_text(encoding="utf-8"))
-    trace = parse_trace(Path(args.trace).read_text(encoding="utf-8"))
-    report = score_trace(check_od(od, trace.schema), trace)
+    od = parse_od(_read_input(args.od))
+    with _open_input(args.trace) as lines:
+        schema, messages = read_trace(lines)
+        report = score_messages(check_od(od, schema), messages)
     if args.report == "machine":
         text = report_to_json(report, include_firings=args.log_firings) + "\n"
     else:
@@ -73,17 +95,18 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    od = parse_od(Path(args.od).read_text(encoding="utf-8"))
+    od = parse_od(_read_input(args.od))
     paths = sorted(glob.glob(args.traces))
     if not paths:
         raise AnalysisError(f"no trace files match {args.traces!r}")
     checked: dict[TraceSchema, CheckedOracle] = {}
     rows = []
     for path in paths:
-        trace = parse_trace(Path(path).read_text(encoding="utf-8"))
-        if trace.schema not in checked:
-            checked[trace.schema] = check_od(od, trace.schema)
-        report = score_trace(checked[trace.schema], trace)
+        with _open_input(path) as lines:
+            schema, messages = read_trace(lines)
+            if schema not in checked:
+                checked[schema] = check_od(od, schema)
+            report = score_messages(checked[schema], messages)
         solution, trace_id = _split_solution_trace(Path(path).stem)
         rows.append((solution, trace_id, report.summary))
     rows.sort(key=lambda row: (row[0], row[1]))
@@ -92,17 +115,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    table = read_scores_csv(Path(args.scores).read_text(encoding="utf-8"))
+    table = read_scores_csv(_read_input(args.scores))
     ranks = rank_solutions(mean_scores(table))
     _emit(write_ranks_csv(ranks), args.out)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    vectors = [
-        read_ranks_csv(Path(path).read_text(encoding="utf-8"))
-        for path in args.ranks_paths
-    ]
+    vectors = [read_ranks_csv(_read_input(path)) for path in args.ranks_paths]
     if len(vectors) == 2:
         _emit(f"{spearman(vectors[0], vectors[1])!r}\n", args.out)
         return 0
@@ -112,7 +132,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    scenario = load_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+    scenario = load_scenario(_read_input(args.scenario))
     trace = generate_trace(scenario, args.seed)
     _emit(dump_trace(trace), args.out)
     return 0

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import isfinite
+from typing import Iterable
 
 from .checker import CheckedOracle, CompiledFunction
 from .errors import EngineError, EvalError
@@ -207,13 +208,21 @@ def _require_matching_schema(checked: CheckedOracle, trace: Trace) -> None:
         raise EngineError("trace schema does not match the one the oracle was checked against")
 
 
-def score_trace(checked: CheckedOracle, trace: Trace) -> ScoreReport:
-    """Score one trace: init, fold step over messages, finalize."""
-    _require_matching_schema(checked, trace)
+def score_messages(checked: CheckedOracle, messages: Iterable[TraceMessage]) -> ScoreReport:
+    """Score messages of the schema `checked` was checked against, in time
+    order: init, fold step over them as they come, finalize. Only the firing
+    log grows with their number, so a `read_trace` iterator is scored
+    without holding the trace."""
     engine = ScoringEngine(checked)
-    for message in trace.messages:
+    for message in messages:
         engine.step(message)
     return engine.finalize()
+
+
+def score_trace(checked: CheckedOracle, trace: Trace) -> ScoreReport:
+    """Score one trace: score_messages over its messages."""
+    _require_matching_schema(checked, trace)
+    return score_messages(checked, trace.messages)
 
 
 def report_to_json(report: ScoreReport, include_firings: bool = False) -> str:

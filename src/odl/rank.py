@@ -60,6 +60,7 @@ def rank_solutions(scores: Mapping[str, float]) -> dict[str, float]:
 def spearman(a: RankVector, b: RankVector) -> float:
     """Tie-correct Spearman coefficient: Pearson correlation of the two rank
     vectors. Equals 1 - 6*sum(d^2)/(n(n^2-1)) when neither vector has ties.
+    A NaN or infinite rank is an AnalysisError, not a coefficient.
     """
     if set(a) != set(b):
         raise AnalysisError("rank vectors cover different solution ids")
@@ -67,6 +68,10 @@ def spearman(a: RankVector, b: RankVector) -> float:
     if n < 2:
         raise AnalysisError("need at least two solutions to correlate")
     ids = sorted(a)
+    for vector in (a, b):
+        for solution in ids:
+            if not math.isfinite(vector[solution]):
+                raise AnalysisError(f"solution '{solution}' has non-finite rank {vector[solution]!r}")
     xs = [a[i] for i in ids]
     ys = [b[i] for i in ids]
     mean_x = statistics.fmean(xs)

@@ -4,16 +4,21 @@ A trace file is UTF-8 text. Line 1 is a schema object mapping field names to
 one of "number" | "boolean" | "point2". Every following line is one record
 object carrying "t" (seconds) plus exactly the schema fields, in time order.
 Point values are two-element [x, y] arrays. All numbers must be finite.
+
+`read_trace` is the one reader and the only record check: it returns the
+schema and a lazy iterator of checked messages, so a trace can be scored
+without being held. `parse_trace` collects that iterator into a `Trace`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Mapping, Union
+from math import inf, isfinite
+from typing import IO, Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import TraceError
 
@@ -84,33 +89,49 @@ def _strict_json_object(line: str, lineno: int, what: str) -> dict:
         raise
     except json.JSONDecodeError as exc:
         raise TraceError(f"malformed {what}: {exc.msg}", line=lineno) from exc
+    except ValueError:
+        # The only other ValueError json raises: an integer literal longer
+        # than sys.get_int_max_str_digits() (Python 3.11, 3.10.7 and later).
+        raise TraceError(
+            f"malformed {what}: integer literal exceeds {sys.get_int_max_str_digits()} digits",
+            line=lineno,
+        ) from None
+    except RecursionError:
+        raise TraceError(f"malformed {what}: values nested too deeply", line=lineno) from None
     if not isinstance(obj, dict):
         raise TraceError(f"{what} must be a JSON object", line=lineno)
     return obj
 
 
 def _as_finite_number(value: object, where: str, lineno: int) -> float:
-    # bool is an int subclass; it must not pass as a number.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TraceError(f"{where} must be a number", line=lineno)
-    value = float(value)
-    if not math.isfinite(value):
+    # Decoded JSON holds exact types; bool is not int here, so it is refused.
+    if type(value) is not float:
+        if type(value) is not int:
+            raise TraceError(f"{where} must be a number", line=lineno)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise TraceError(f"{where} must be finite", line=lineno) from None
+    if not isfinite(value):
         raise TraceError(f"{where} must be finite", line=lineno)
     return value
 
 
-def _coerce(kind: Kind, raw: object, where: str, lineno: int) -> Value:
-    if kind is Kind.NUMBER:
-        return _as_finite_number(raw, where, lineno)
-    if kind is Kind.BOOLEAN:
-        if not isinstance(raw, bool):
-            raise TraceError(f"{where} must be true or false", line=lineno)
-        return raw
-    if not isinstance(raw, list) or len(raw) != 2:
+def _as_boolean(value: object, where: str, lineno: int) -> bool:
+    if type(value) is not bool:
+        raise TraceError(f"{where} must be true or false", line=lineno)
+    return value
+
+
+def _as_point(value: object, where: str, lineno: int) -> Point2:
+    if type(value) is not list or len(value) != 2:
         raise TraceError(f"{where} must be a two-element [x, y] array", line=lineno)
-    x = _as_finite_number(raw[0], f"{where}[0]", lineno)
-    y = _as_finite_number(raw[1], f"{where}[1]", lineno)
+    x = _as_finite_number(value[0], f"{where}[0]", lineno)
+    y = _as_finite_number(value[1], f"{where}[1]", lineno)
     return Point2(x, y)
+
+
+_COERCE = {Kind.NUMBER: _as_finite_number, Kind.BOOLEAN: _as_boolean, Kind.POINT2: _as_point}
 
 
 def _parse_schema(line: str, lineno: int) -> TraceSchema:
@@ -133,8 +154,112 @@ def _parse_schema(line: str, lineno: int) -> TraceSchema:
     return TraceSchema(tuple(fields))
 
 
+def _record_checker(schema: TraceSchema) -> Callable[[dict, int, int], tuple[float, dict[str, Value]]]:
+    """The record check for one schema: (decoded object, line, record number)
+    -> (t, values), or TraceError. The key set and one coercer per field are
+    computed here once, not once per record."""
+    keys = frozenset(("t", *schema.names()))
+    fields = tuple((name, _COERCE[kind], f"field '{name}'") for name, kind in schema.fields)
+
+    def check(obj: dict, lineno: int, record_no: int) -> tuple[float, dict[str, Value]]:
+        if "t" not in obj:
+            raise TraceError(f"record {record_no}: missing field 't'", line=lineno)
+        t = _as_finite_number(obj["t"], "field 't'", lineno)
+        if obj.keys() != keys:
+            for name in obj:
+                if name not in keys:
+                    raise TraceError(f"record {record_no}: unexpected field '{name}'", line=lineno)
+        try:
+            # Fields in schema order: the first missing or ill-kinded one raises.
+            values = {name: coerce(obj[name], where, lineno) for name, coerce, where in fields}
+        except KeyError as exc:
+            raise TraceError(f"record {record_no}: missing field '{exc.args[0]}'", line=lineno) from None
+        return t, values
+
+    return check
+
+
+# The C scanner behind json.loads, called directly: it skips no whitespace
+# and takes no hooks, so a line it does not take whole goes to the strict path.
+_scan = json.JSONDecoder().scan_once
+
+
+def _numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(1-based line number, line) with lines split exactly as str.splitlines()
+    splits the whole text. Files split on fewer characters (a form feed, for
+    one, is a line break to splitlines), so each piece is split again."""
+    lineno = 0
+    try:
+        for chunk in lines:
+            for line in chunk.splitlines() or ("",):
+                lineno += 1
+                yield lineno, line
+    except UnicodeDecodeError as exc:
+        # A file decodes ahead in blocks, so the offset in exc is not the
+        # file's; the bad bytes lie somewhere after the last line read.
+        after = f" after line {lineno}" if lineno else ""
+        bad = exc.object[exc.start : exc.end]
+        raise TraceError(f"trace file is not valid UTF-8{after}: {exc.reason} {bad!r}") from None
+
+
+def _messages(schema: TraceSchema, numbered: Iterator[tuple[int, str]]) -> Iterator[TraceMessage]:
+    check = _record_checker(schema)
+    record_no = 0
+    prev_t = -inf
+    for lineno, line in numbered:
+        # Fast path: plain decode and a quote count stand in for the strict
+        # decode. A record that passes check() has no string values, so its
+        # only quote characters are two per key plus any in values that a
+        # repeated key overwrote: the count is 2 * len(obj) exactly when no
+        # key repeats. Any refusal is decided again by the strict path, which
+        # raises the diagnostic.
+        record = None
+        try:
+            obj, end = _scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            pass
+        else:
+            if end == len(line) and type(obj) is dict and line.count('"') == 2 * len(obj):
+                try:
+                    record = check(obj, lineno, record_no + 1)
+                except TraceError:
+                    pass
+        if record is None:
+            if not line.strip():
+                continue
+            record = check(_strict_json_object(line, lineno, "record"), lineno, record_no + 1)
+        record_no += 1
+        t, values = record
+        if t < prev_t:
+            raise TraceError(
+                f"record {record_no}: decreasing timestamp {t!r} after {prev_t!r}",
+                line=lineno,
+            )
+        prev_t = t
+        yield TraceMessage(t, values)
+
+
+def read_trace(lines: Iterable[str]) -> tuple[TraceSchema, Iterator[TraceMessage]]:
+    """Read a trace from its lines: the schema at once, the records lazily.
+
+    `lines` is any iterable of text such as an open text file or
+    `text.splitlines()`; each item is split again at line breaks, so line
+    numbers are those of `text.splitlines()`. Records are checked as they
+    are yielded, so memory does not grow with the trace, and an error in a
+    record is raised when the iteration reaches it. Diagnostics name the
+    offending (1-based) file line.
+    """
+    numbered = _numbered_lines(lines)
+    for lineno, line in numbered:
+        if line.strip():
+            schema = _parse_schema(line, lineno)
+            return schema, _messages(schema, numbered)
+    raise TraceError("empty trace file: missing schema line")
+
+
 def parse_trace(source: Union[str, bytes, IO[str], IO[bytes]]) -> Trace:
-    """Parse a trace file, enforcing schema conformance and time monotonicity.
+    """Parse a whole trace file, enforcing schema conformance and time
+    monotonicity: read_trace over its lines, collected into a Trace.
 
     Diagnostics name the offending (1-based) file line.
     """
@@ -145,44 +270,7 @@ def parse_trace(source: Union[str, bytes, IO[str], IO[bytes]]) -> Trace:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TraceError(f"trace file is not valid UTF-8: {exc}") from exc
-
-    schema: TraceSchema | None = None
-    messages: list[TraceMessage] = []
-    prev_t: float | None = None
-    record_no = 0
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if schema is None:
-            schema = _parse_schema(line, lineno)
-            continue
-        record_no += 1
-        obj = _strict_json_object(line, lineno, "record")
-        if "t" not in obj:
-            raise TraceError(f"record {record_no}: missing field 't'", line=lineno)
-        t = _as_finite_number(obj["t"], "field 't'", lineno)
-        declared = schema.as_dict()
-        for name in obj:
-            if name != "t" and name not in declared:
-                raise TraceError(
-                    f"record {record_no}: unexpected field '{name}'", line=lineno
-                )
-        values: dict[str, Value] = {}
-        for name, kind in schema.fields:
-            if name not in obj:
-                raise TraceError(
-                    f"record {record_no}: missing field '{name}'", line=lineno
-                )
-            values[name] = _coerce(kind, obj[name], f"field '{name}'", lineno)
-        if prev_t is not None and t < prev_t:
-            raise TraceError(
-                f"record {record_no}: decreasing timestamp {t!r} after {prev_t!r}",
-                line=lineno,
-            )
-        prev_t = t
-        messages.append(TraceMessage(t=t, values=values))
-    if schema is None:
-        raise TraceError("empty trace file: missing schema line")
+    schema, messages = read_trace(source.splitlines())
     return Trace(schema=schema, messages=tuple(messages))
 
 

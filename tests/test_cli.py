@@ -263,3 +263,49 @@ def test_gen_stdout(workspace, capsys):
     assert main(["gen", "--scenario", str(workspace / "scenario.json"), "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith('{"speed": "number"')
+
+
+def test_check_reads_only_the_schema_line(workspace, capsys):
+    trace_path = workspace / "bad_records.jsonl"
+    trace_path.write_text(dump_trace(drive([{"t": 0.0}])) + "not a record\n")
+    assert main(["check", str(workspace / "listing1.odl"), "--trace", str(trace_path)]) == 0
+    assert capsys.readouterr().out.startswith("ok: 1 scoring function")
+
+
+def test_streaming_reports_errors_in_file_order(workspace, capsys):
+    # The evaluation error at message 0 comes before the bad record on line 3.
+    od = workspace / "divzero.odl"
+    od.write_text("f = scoring_function(event = collision, action = 1 / (t - t), frequency = all_sum);")
+    trace_path = workspace / "crash.jsonl"
+    trace_path.write_text(dump_trace(drive([{"t": 0.0, "collision": True}])) + "not a record\n")
+    assert main(["score", "--od", str(od), "--trace", str(trace_path)]) == 1
+    assert "message 0 (t=0.0), function 'f': division by zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, bad, expected",
+    [
+        (["check", "{bad}"], "listing1.odl", "{bad}: file is not valid UTF-8"),
+        (["check", "{od}", "--trace", "{bad}"], "t.jsonl", "trace file is not valid UTF-8"),
+        (["score", "--od", "{bad}", "--trace", "{trace}"], "listing1.odl", "{bad}: file is not valid UTF-8"),
+        (["score", "--od", "{od}", "--trace", "{bad}"], "t.jsonl", "trace file is not valid UTF-8"),
+        (["batch", "--od", "{bad}", "--traces", "{trace}"], "listing1.odl", "{bad}: file is not valid UTF-8"),
+        (["batch", "--od", "{od}", "--traces", "{bad}"], "t.jsonl", "trace file is not valid UTF-8"),
+        (["rank", "--scores", "{bad}"], "scores.csv", "{bad}: file is not valid UTF-8"),
+        (["compare", "{bad}", "{bad}"], "ranks.csv", "{bad}: file is not valid UTF-8"),
+        (["gen", "--scenario", "{bad}"], "scenario.json", "{bad}: file is not valid UTF-8"),
+    ],
+    ids=["check_od", "check_trace", "score_od", "score_trace", "batch_od", "batch_trace", "rank", "compare", "gen"],
+)
+def test_input_that_is_not_utf8_exits_1(workspace, capsys, command, bad, expected):
+    trace = workspace / "good.jsonl"
+    trace.write_text(dump_trace(drive([{"t": 0.0}])))
+    bad_path = workspace / "bad" / bad
+    bad_path.parent.mkdir()
+    # A valid first line, so the bad byte is met after reading has begun.
+    bad_path.write_bytes(b'{"speed": "number"}\n' + b"\xff\xfe\n")
+    names = {"bad": str(bad_path), "od": str(workspace / "listing1.odl"), "trace": str(trace)}
+    assert main([arg.format(**names) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + expected.format(**names))
+    assert "Traceback" not in err

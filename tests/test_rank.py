@@ -68,6 +68,16 @@ def test_spearman_errors():
         spearman({"A": 1.5, "B": 1.5}, {"A": 0.0, "B": 1.0})
 
 
+def test_spearman_rejects_non_finite_ranks():
+    # NaN once made the variance check pass and the result read 1.0.
+    good = {"a": 0.0, "b": 1.0, "c": 2.0}
+    for bad in (math.nan, math.inf, -math.inf):
+        ranks = {"a": bad, "b": 1.0, "c": 2.0}
+        for pair in ((ranks, good), (good, ranks)):
+            with pytest.raises(AnalysisError, match=r"solution 'a' has non-finite rank"):
+                spearman(*pair)
+
+
 def test_spearman_reversal_exact_with_ties():
     ranks = rank_solutions({"A": 3.0, "B": 2.0, "C": 2.0, "D": 1.0})
     reversed_ranks = {k: 3.0 - v for k, v in ranks.items()}
