@@ -38,7 +38,6 @@ from .rank import (
     read_ranks_csv,
     read_scores_csv,
     spearman,
-    spearman_closed_form,
     write_matrix_csv,
     write_ranks_csv,
     write_scores_csv,
@@ -142,7 +141,6 @@ __all__ = [
     "score_messages",
     "score_trace",
     "spearman",
-    "spearman_closed_form",
     "validate_scenario",
     "write_matrix_csv",
     "write_ranks_csv",

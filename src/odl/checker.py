@@ -4,16 +4,18 @@ Every identifier must resolve to a trace field, a constant, one of the
 function's own timers, seq_time (conditions only), or — in the summary — a
 scoring-function score. Events and conditions must be boolean; actions,
 initial values, notification values, and the summary must be numeric.
+A checked oracle carries its scoring program, which `check_od` generates
+and compiles once (`engine.generate_program`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
+from .engine import Program, generate_program
 from .errors import CheckError
-from .evaluate import Closure, compile_expr
-from .parser import BUILTIN_FUNCTIONS
+from .parser import BUILTIN_FUNCTIONS, MAX_NESTING, expression_height
 from .syntax import (
     Binary,
     Call,
@@ -21,25 +23,9 @@ from .syntax import (
     Ident,
     Literal,
     OracleDefinition,
-    ScoringFunction,
     Unary,
 )
 from .trace import Kind, Point2, TraceSchema, Value
-
-
-@dataclass(frozen=True)
-class CompiledFunction:
-    """A scoring function with its expressions compiled by `compile_expr`.
-
-    `notifications` flattens the bindings to (target, timer, value) in
-    declaration order.
-    """
-
-    fn: ScoringFunction
-    event: Closure
-    condition: Optional[Closure]
-    action: Optional[Closure]
-    notifications: tuple[tuple[str, str, Closure], ...]
 
 
 @dataclass(frozen=True)
@@ -48,14 +34,15 @@ class CheckedOracle:
 
     `timers` maps each scoring-function name to the timer names some
     notification targets at it (the timers its expressions may read).
-    `compiled` holds the scoring functions compiled, in declaration order;
-    the streaming engine runs these, the batch reference walks `od`.
+    `program` is the oracle's scoring program, generated and compiled once
+    by `engine.generate_program`; the streaming engine runs it, the batch
+    reference walks `od`.
     """
 
     od: OracleDefinition
     schema: TraceSchema
     timers: Mapping[str, frozenset[str]]
-    compiled: tuple[CompiledFunction, ...] = field(compare=False, repr=False)
+    program: Program = field(compare=False, repr=False)
 
 
 def _kind_of_value(value: Value) -> Kind:
@@ -189,6 +176,14 @@ def _infer(expr: Expr, scope: _Scope) -> Kind:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def _infer_top(expr: Expr, scope: _Scope) -> Kind:
+    """_infer for a whole expression. A tree built without the parser is
+    held to the parser's nesting limit too, which the generated code needs."""
+    if expression_height(expr) > MAX_NESTING:
+        raise CheckError(f"{scope.where}: expression nests deeper than {MAX_NESTING} levels")
+    return _infer(expr, scope)
+
+
 def _collect_timers(
     od: OracleDefinition,
     fields: Mapping[str, Kind],
@@ -259,13 +254,13 @@ def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
                 fn_name=fn.name,
             )
 
-        if _infer(fn.event, scope("event", timers=True, seq_time=False)) is not Kind.BOOLEAN:
+        if _infer_top(fn.event, scope("event", timers=True, seq_time=False)) is not Kind.BOOLEAN:
             raise CheckError(f"event of '{fn.name}' must be boolean")
         if fn.condition is not None:
-            if _infer(fn.condition, scope("condition", timers=True, seq_time=True)) is not Kind.BOOLEAN:
+            if _infer_top(fn.condition, scope("condition", timers=True, seq_time=True)) is not Kind.BOOLEAN:
                 raise CheckError(f"condition of '{fn.name}' must be boolean")
         if fn.action is not None:
-            if _infer(fn.action, scope("action", timers=False, seq_time=False)) is not Kind.NUMBER:
+            if _infer_top(fn.action, scope("action", timers=False, seq_time=False)) is not Kind.NUMBER:
                 raise CheckError(f"action of '{fn.name}' must be numeric")
         for notif in fn.notifications:
             for timer, value in notif.bindings:
@@ -274,7 +269,7 @@ def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
                     timers=False,
                     seq_time=False,
                 )
-                if _infer(value, value_scope) is not Kind.NUMBER:
+                if _infer_top(value, value_scope) is not Kind.NUMBER:
                     raise CheckError(
                         f"notification value for '{notif.target}.{timer}' in "
                         f"'{fn.name}' must be numeric"
@@ -295,40 +290,8 @@ def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
             function_names=function_names,
             scores_readable=True,
         )
-        if _infer(od.summary, summary_scope) is not Kind.NUMBER:
+        if _infer_top(od.summary, summary_scope) is not Kind.NUMBER:
             raise CheckError("summary must be numeric")
 
     timers = {name: frozenset(timers) for name, timers in available.items()}
-    field_names = frozenset(schema.names())
-    constant_values = od.constant_map()
-    return CheckedOracle(
-        od=od,
-        schema=schema,
-        timers=timers,
-        compiled=tuple(
-            _compile_function(fn, field_names, constant_values, timers[fn.name])
-            for fn in od.functions
-        ),
-    )
-
-
-def _compile_function(
-    fn: ScoringFunction,
-    fields: frozenset[str],
-    constants: Mapping[str, Value],
-    timers: frozenset[str],
-) -> CompiledFunction:
-    def compiled(expr: Expr) -> Closure:
-        return compile_expr(expr, fields, constants, timers)
-
-    return CompiledFunction(
-        fn=fn,
-        event=compiled(fn.event),
-        condition=None if fn.condition is None else compiled(fn.condition),
-        action=None if fn.action is None else compiled(fn.action),
-        notifications=tuple(
-            (notif.target, timer, compiled(value))
-            for notif in fn.notifications
-            for timer, value in notif.bindings
-        ),
-    )
+    return CheckedOracle(od=od, schema=schema, timers=timers, program=generate_program(od, timers))

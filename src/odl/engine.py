@@ -23,8 +23,10 @@ Each message is processed in three phases:
    is visible from the next message onward, which makes the result
    independent of declaration order.
 
-Expressions run as the closures `check_od` compiled (`compile_expr`); only
-the summary, evaluated once per trace, walks the tree with `eval_expr`.
+`check_od` generates one Python program per oracle (`generate_program`)
+that does all of this with the oracle's expressions inlined; the engine
+only drives it. `reference.reference_score` implements the same semantics
+independently.
 """
 
 from __future__ import annotations
@@ -32,13 +34,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import isfinite
-from typing import Iterable
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Mapping
 
-from .checker import CheckedOracle, CompiledFunction
 from .errors import EngineError, EvalError
-from .evaluate import Env, eval_expr, non_finite
-from .syntax import Frequency, format_expr
+from .evaluate import binder, emit_expr, emit_value, non_finite, runtime
+from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
+from .syntax import Expr, Frequency, OracleDefinition, format_expr
 from .trace import Trace, TraceMessage
+
+if TYPE_CHECKING:
+    from .checker import CheckedOracle
 
 
 @dataclass(frozen=True)
@@ -65,147 +71,182 @@ class ScoreReport:
         return dict(self.scores)
 
 
-class _FunctionState:
-    __slots__ = (
-        "compiled", "score", "fired_first", "in_sequence", "sequence_start",
-        "fired_this_sequence", "timers",
+Program = Callable[[list[Firing]], Generator["tuple | None", "TraceMessage | None", None]]
+
+
+def _failed(index: int, t: float, function: str, exc: EvalError) -> EvalError:
+    return EvalError(f"message {index} (t={t!r}), function '{function}': {exc}")
+
+
+def _regress(index: int, t: float, prev: float) -> EngineError:
+    return EngineError(f"message {index}: timestamp {t!r} decreases below {prev!r}")
+
+
+def generate_program(od: OracleDefinition, timers: Mapping[str, frozenset[str]]) -> Program:
+    """Generate, compile and return the scoring program of a checked oracle.
+
+    The program is a generator function over a firing list. Once primed, it
+    takes each message by `send` and appends the message's firings to the
+    list; sent None, it yields (scores, summary) for the messages so far.
+    Scores, sequence flags and timers live in local variables, each field
+    the oracle uses is read once per message, and each function's firing
+    rule is specialised to its frequency mode. A notification waits in
+    locals of its notifier and is written into the target's timer after
+    the message.
+    """
+    namespace = runtime()
+    namespace.update(
+        _EvalError=EvalError, _Firing=Firing, _isfinite=isfinite,
+        _non_finite=non_finite, _failed=_failed, _regress=_regress,
     )
+    bind = binder(namespace)
+    constants = od.constant_map()
+    fields: dict[str, str] = {}  # field name -> local variable
+    timer_vars = {
+        fn.name: {timer: f"m{k}_{j}" for j, timer in enumerate(sorted(timers[fn.name]))}
+        for k, fn in enumerate(od.functions)
+    }
 
-    def __init__(self, compiled: CompiledFunction, timer_names: frozenset[str]):
-        self.compiled = compiled
-        self.score = compiled.fn.initial
-        self.fired_first = False
-        self.in_sequence = False
-        self.sequence_start = 0.0
-        self.fired_this_sequence = False
-        self.timers = {name: 0.0 for name in sorted(timer_names)}
+    def emit(expr: Expr, own: Mapping[str, str], read: set[str] | None = None) -> str:
+        def resolve(name: str) -> str:
+            if read is not None:
+                read.add(name)
+            if name in own:
+                return own[name]
+            if name in constants:
+                return emit_value(constants[name], bind)
+            return fields.setdefault(name, f"x{len(fields)}")
 
+        return emit_expr(expr, resolve, bind)
 
-def summarize(checked: CheckedOracle, scores: tuple[tuple[str, float], ...]) -> float:
-    """Evaluate the summary over final scores; the default is their sum,
-    accumulated in declaration order. Once per trace, so it walks the tree."""
-    od = checked.od
+    init = ["prev = None", "index = 0"]
+    body: list[str] = []  # per message, after the field reads
+    apply: list[str] = []  # per message, after every function ran
+    for k, fn in enumerate(od.functions):
+        name = bind(fn.name)
+        own = {"t": "t", "seq_time": f"(t - st{k})", **timer_vars[fn.name]}
+        event = emit(fn.event, own)
+        read: set[str] = set()
+        condition = None if fn.condition is None else emit(fn.condition, own, read)
+        per_sequence = fn.frequency is Frequency.ACTION_SUM and condition is not None
+        once = per_sequence or fn.frequency is Frequency.FIRST
+        sequence = per_sequence or "seq_time" in read
+        init.append(f"s{k} = {emit_value(fn.initial, bind)}")
+        init += [f"{var} = 0.0" for var in timer_vars[fn.name].values()]
+
+        fire = [f"f{k} = True"] if once else []
+        if fn.action is None:
+            fire += ["d = 0.0", f"s{k} += d"]
+        else:
+            what = bind(f"action '{format_expr(fn.action)}'")
+            fire += [
+                f"d = float({emit(fn.action, own)})",
+                f"if not _isfinite(d): raise _non_finite({what}, d)",
+                f"s{k} += d",
+                f"if not _isfinite(s{k}): raise _non_finite('score', s{k})",
+            ]
+        dispatched, writes = [], []
+        for notification in fn.notifications:
+            for timer, value in notification.bindings:
+                var = f"n{k}_{len(dispatched)}"
+                what = bind(f"notification value for '{notification.target}.{timer}'")
+                fire += [
+                    f"{var} = float({emit(value, own)})",
+                    f"if not _isfinite({var}): raise _non_finite({what}, {var})",
+                ]
+                dispatched.append(f"({bind(notification.target)}, {bind(timer)}, {var}), ")
+                writes.append(f"    {timer_vars[notification.target][timer]} = {var}")
+        if dispatched:
+            fire.append(f"w{k} = True")
+            init.append(f"w{k} = False")
+            apply += [f"if w{k}:", f"    w{k} = False", *writes]
+        fire.append(f"firings.append(_Firing(index, {name}, d, ({''.join(dispatched)})))")
+
+        tests = [] if condition is None else [condition]
+        if once:
+            tests.append(f"not f{k}")
+            init.append(f"f{k} = False")
+        if tests:
+            fire = [f"if {' and '.join(tests)}:", *_indent(fire)]
+        if sequence:
+            init.append(f"q{k} = False")
+            opened = [f"q{k} = True", f"st{k} = t", *([f"f{k} = False"] if per_sequence else [])]
+            fire = [f"if not q{k}:", *_indent(opened), *fire]
+        body += [
+            "try:",
+            f"    if {event}:",
+            *_indent(fire, 2),
+            *(["    else:", f"        q{k} = False"] if sequence else []),
+            "except _EvalError as exc:",
+            f"    raise _failed(index, t, {name}, exc) from exc",
+        ]
+
     if od.summary is None:
-        total = 0.0
-        for _, score in scores:
-            total += score
+        summary = ["total = 0.0", *(f"total += s{k}" for k in range(len(od.functions)))]
     else:
-        env = Env(constants=od.constant_map(), scores=dict(scores))
-        try:
-            total = float(eval_expr(od.summary, env))
-        except EvalError as exc:
-            raise EvalError(f"summary: {exc}") from exc
-    if not isfinite(total):
-        raise non_finite("summary", total)
-    return total
+        scores = {fn.name: f"s{k}" for k, fn in enumerate(od.functions)}
+        summary = [
+            "try:",
+            f"    total = float({emit(od.summary, scores)})",
+            "except _EvalError as exc:",
+            "    raise _EvalError(f'summary: {exc}') from exc",
+        ]
+    pairs = "".join(f"({bind(fn.name)}, s{k}), " for k, fn in enumerate(od.functions))
+    summary += [
+        "if not _isfinite(total): raise _non_finite('summary', total)",
+        f"message = yield ({pairs}), total",
+    ]
+
+    head = ["t = message.t", "if prev is None:", "    prev = t", "elif t < prev:",
+            "    raise _regress(index, t, prev)"]
+    timer_list = [var for group in timer_vars.values() for var in group.values()]
+    if timer_list:
+        head += ["dt = t - prev", *(f"{var} -= dt" for var in timer_list)]
+    head.append("prev = t")
+    if fields:
+        namespace["_fields"] = itemgetter(*fields)
+        # itemgetter returns a tuple only for two or more names.
+        targets = ", ".join(fields.values()) + ("," if len(fields) > 1 else "")
+        head.append(f"{targets} = _fields(message.values)")
+    loop = ["message = yield", "while message is None:", *_indent(summary),
+            *head, *body, *apply, "index += 1"]
+    source = "\n".join(["def program(firings):", *_indent(init), "    while True:", *_indent(loop, 2), ""])
+    exec(compile(source, "<odl oracle>", "exec"), namespace)
+    return namespace["program"]
+
+
+def _indent(lines: list[str], levels: int = 1) -> list[str]:
+    return ["    " * levels + line for line in lines]
 
 
 class ScoringEngine:
     """Feed messages in time order via step(), then finalize().
 
     One engine scores one trace; construct a fresh engine per trace. The
-    checked oracle itself is immutable and shareable. The engine runs the
-    closures `check_od` compiled; it never walks an expression tree.
+    checked oracle itself is immutable and shareable. The engine drives the
+    program `check_od` generated (`generate_program`); it never walks an
+    expression tree. After an error the engine is spent.
     """
 
     def __init__(self, checked: CheckedOracle):
-        self._checked = checked
-        self._states = [
-            _FunctionState(compiled, checked.timers[compiled.fn.name])
-            for compiled in checked.compiled
-        ]
-        self._prev_t: float | None = None
-        self._index = 0
         self._firings: list[Firing] = []
+        self._send = checked.program(self._firings).send
+        self._send(None)
+
+    def _resume(self, message: TraceMessage | None):
+        try:
+            return self._send(message)
+        except StopIteration:
+            # The program ends only by raising.
+            raise EngineError("the engine stopped at an earlier error") from None
 
     def step(self, message: TraceMessage) -> None:
-        t = message.t
-        if self._prev_t is not None and t < self._prev_t:
-            raise EngineError(
-                f"message {self._index}: timestamp {t!r} decreases below {self._prev_t!r}"
-            )
-        # Phase 1: timers.
-        dt = 0.0 if self._prev_t is None else t - self._prev_t
-        for state in self._states:
-            for name in state.timers:
-                state.timers[name] -= dt
-
-        # Phase 2: evaluate in declaration order, deferring notifications.
-        values = message.values
-        queued: list[tuple[str, str, float]] = []
-        for state in self._states:
-            compiled = state.compiled
-            fn = compiled.fn
-            timers = state.timers
-            try:
-                if compiled.event(values, t, timers, None):
-                    if not state.in_sequence:
-                        state.in_sequence = True
-                        state.sequence_start = t
-                        state.fired_this_sequence = False
-                    cond_ok = True
-                    if compiled.condition is not None:
-                        cond_ok = compiled.condition(values, t, timers, t - state.sequence_start)
-                    if fn.frequency is Frequency.FIRST:
-                        fire = cond_ok and not state.fired_first
-                    elif fn.frequency is Frequency.ACTION_SUM:
-                        if fn.condition is None:
-                            fire = True
-                        else:
-                            fire = cond_ok and not state.fired_this_sequence
-                    else:
-                        fire = cond_ok
-                    if fire:
-                        if fn.frequency is Frequency.FIRST:
-                            state.fired_first = True
-                        elif fn.frequency is Frequency.ACTION_SUM and fn.condition is not None:
-                            state.fired_this_sequence = True
-                        delta = 0.0
-                        if compiled.action is not None:
-                            delta = float(compiled.action(values, t, timers, None))
-                            if not isfinite(delta):
-                                raise non_finite(f"action '{format_expr(fn.action)}'", delta)
-                        state.score += delta
-                        if not isfinite(state.score):
-                            raise non_finite("score", state.score)
-                        dispatched: list[tuple[str, str, float]] = []
-                        for target, timer, value_closure in compiled.notifications:
-                            value = float(value_closure(values, t, timers, None))
-                            if not isfinite(value):
-                                raise non_finite(f"notification value for '{target}.{timer}'", value)
-                            dispatched.append((target, timer, value))
-                        queued.extend(dispatched)
-                        self._firings.append(
-                            Firing(self._index, fn.name, delta, tuple(dispatched))
-                        )
-                else:
-                    state.in_sequence = False
-            except EvalError as exc:
-                raise EvalError(
-                    f"message {self._index} (t={t!r}), function '{fn.name}': {exc}"
-                ) from exc
-
-        # Phase 3: apply notifications (overwrite semantics).
-        if queued:
-            by_name = {state.compiled.fn.name: state for state in self._states}
-            for target, timer, value in queued:
-                by_name[target].timers[timer] = value
-
-        self._prev_t = t
-        self._index += 1
+        self._resume(message)
 
     def finalize(self) -> ScoreReport:
-        scores = tuple((state.compiled.fn.name, state.score) for state in self._states)
-        return ScoreReport(
-            scores=scores,
-            summary=summarize(self._checked, scores),
-            firings=tuple(self._firings),
-        )
-
-
-def _require_matching_schema(checked: CheckedOracle, trace: Trace) -> None:
-    if checked.schema.as_dict() != trace.schema.as_dict():
-        raise EngineError("trace schema does not match the one the oracle was checked against")
+        """The report for the messages so far; stepping may go on after it."""
+        scores, summary = self._resume(None)
+        return ScoreReport(scores=scores, summary=summary, firings=tuple(self._firings))
 
 
 def score_messages(checked: CheckedOracle, messages: Iterable[TraceMessage]) -> ScoreReport:
@@ -214,14 +255,16 @@ def score_messages(checked: CheckedOracle, messages: Iterable[TraceMessage]) -> 
     log grows with their number, so a `read_trace` iterator is scored
     without holding the trace."""
     engine = ScoringEngine(checked)
+    send = engine._send
     for message in messages:
-        engine.step(message)
+        send(message)
     return engine.finalize()
 
 
 def score_trace(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     """Score one trace: score_messages over its messages."""
-    _require_matching_schema(checked, trace)
+    if checked.schema.as_dict() != trace.schema.as_dict():
+        raise EngineError("trace schema does not match the one the oracle was checked against")
     return score_messages(checked, trace.messages)
 
 

@@ -1,4 +1,5 @@
-"""Lexer and recursive-descent parser for oracle-definition source text.
+"""Lexer and parser for oracle-definition source text: recursive descent for
+declarations, precedence climbing for expressions.
 
 Grammar (`;` terminates declarations, `#` starts a line comment):
 
@@ -17,6 +18,7 @@ Grammar (`;` terminates declarations, `#` starts a line comment):
 
 Expression precedence, loosest to tightest:
 or < and < not < comparison < additive < multiplicative < unary minus < call/primary.
+Expressions nest at most MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .syntax import (
     ScoringFunction,
     Unary,
 )
+from .syntax import BINARY_PREC, NOT_PREC
 from .trace import Point2, Value
 
 KEYWORDS = frozenset(
@@ -51,6 +54,13 @@ KEYWORDS = frozenset(
 BUILTIN_FUNCTIONS = ("distance", "abs", "min", "max")
 # Names that may appear in expressions but can never be declared.
 RESERVED_NAMES = KEYWORDS | {"t", "seq_time"} | set(BUILTIN_FUNCTIONS)
+
+# Expressions nest at most this deep, counted in operators and calls along
+# any path of the tree and, separately, in open parentheses. It bounds the
+# recursion of the parser, checker and evaluators, and keeps the Python the
+# engine generates (one parenthesis pair per operator) far below CPython's
+# limit of 200 nested parentheses.
+MAX_NESTING = 64
 
 _PARAM_KEYS = ("event", "condition", "action", "frequency", "initial", "notifications")
 _FREQUENCIES = {f.value: f for f in Frequency}
@@ -143,6 +153,16 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self._open = 0  # parentheses open in the current expression
+
+    def open(self, tok: Token) -> None:
+        self._open += 1
+        if self._open > MAX_NESTING:
+            self.fail(f"expression nests deeper than {MAX_NESTING} levels", tok)
+
+    def close(self, what: str) -> None:
+        self.expect("RPAREN", what)
+        self._open -= 1
 
     def peek(self, ahead: int = 0) -> Token:
         return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
@@ -159,13 +179,6 @@ class _Parser:
             return True
         return False
 
-    def match_word(self, text: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == text:
-            self.advance()
-            return True
-        return False
-
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
@@ -178,64 +191,56 @@ class _Parser:
         raise ParseError(message, tok.line, tok.column)
 
 
-_COMPARISONS = {"LT": "<", "LE": "<=", "GT": ">", "GE": ">=", "EQEQ": "==", "NE": "!="}
+def expression_height(expr: Expr) -> int:
+    """Operators and calls on the longest path from `expr` down to a leaf."""
+    if isinstance(expr, Binary):
+        return 1 + max(expression_height(expr.left), expression_height(expr.right))
+    if isinstance(expr, Unary):
+        return 1 + expression_height(expr.operand)
+    if isinstance(expr, Call):
+        return 1 + max(map(expression_height, expr.args), default=0)
+    return 0
 
 
-def _parse_expr(p: _Parser) -> Expr:
-    return _parse_or(p)
+def _node(p: _Parser, expr: Expr, tok: Token) -> Expr:
+    if expression_height(expr) > MAX_NESTING:
+        p.fail(f"expression nests deeper than {MAX_NESTING} levels", tok)
+    return expr
 
 
-def _parse_or(p: _Parser) -> Expr:
-    left = _parse_and(p)
-    while p.match_word("or"):
-        left = Binary("or", left, _parse_and(p))
+def _parse_expr(p: _Parser, min_prec: int = 1) -> Expr:
+    """An expression whose binary operators bind at least as tightly as
+    `min_prec` (syntax.BINARY_PREC), by precedence climbing. Prefix
+    operators are collected in loops, not by recursion, so recursion grows
+    only with parentheses, which MAX_NESTING bounds."""
+    nots = []
+    while min_prec <= NOT_PREC and p.peek().kind == "IDENT" and p.peek().text == "not":
+        nots.append(p.advance())
+    minuses = []
+    while p.peek().kind == "MINUS":
+        minuses.append(p.advance())
+    # A minus fused directly onto a number is a negative literal.
+    if minuses and p.peek().kind == "NUMBER":
+        minuses.pop()
+        expr: Expr = Literal(-p.advance().value)
+    else:
+        expr = _parse_primary(p)
+    for tok in reversed(minuses):
+        expr = _node(p, Unary("-", expr), tok)
+    if nots:
+        expr = _parse_binary(p, expr, NOT_PREC + 1)
+        for tok in reversed(nots):
+            expr = _node(p, Unary("not", expr), tok)
+    return _parse_binary(p, expr, min_prec)
+
+
+def _parse_binary(p: _Parser, left: Expr, min_prec: int) -> Expr:
+    """Extend `left` by left-associative binary operators of at least `min_prec`."""
+    while BINARY_PREC.get(p.peek().text, 0) >= min_prec:
+        tok = p.advance()
+        right = _parse_expr(p, BINARY_PREC[tok.text] + 1)
+        left = _node(p, Binary(tok.text, left, right), tok)
     return left
-
-
-def _parse_and(p: _Parser) -> Expr:
-    left = _parse_not(p)
-    while p.match_word("and"):
-        left = Binary("and", left, _parse_not(p))
-    return left
-
-
-def _parse_not(p: _Parser) -> Expr:
-    if p.match_word("not"):
-        return Unary("not", _parse_not(p))
-    return _parse_comparison(p)
-
-
-def _parse_comparison(p: _Parser) -> Expr:
-    left = _parse_additive(p)
-    while p.peek().kind in _COMPARISONS:
-        op = _COMPARISONS[p.advance().kind]
-        left = Binary(op, left, _parse_additive(p))
-    return left
-
-
-def _parse_additive(p: _Parser) -> Expr:
-    left = _parse_multiplicative(p)
-    while p.peek().kind in ("PLUS", "MINUS"):
-        op = "+" if p.advance().kind == "PLUS" else "-"
-        left = Binary(op, left, _parse_multiplicative(p))
-    return left
-
-
-def _parse_multiplicative(p: _Parser) -> Expr:
-    left = _parse_unary(p)
-    while p.peek().kind in ("STAR", "SLASH"):
-        op = "*" if p.advance().kind == "STAR" else "/"
-        left = Binary(op, left, _parse_unary(p))
-    return left
-
-
-def _parse_unary(p: _Parser) -> Expr:
-    if p.match("MINUS"):
-        # A minus fused directly onto a number is a negative literal.
-        if p.peek().kind == "NUMBER":
-            return Literal(-p.advance().value)
-        return Unary("-", _parse_unary(p))
-    return _parse_primary(p)
 
 
 def _parse_point_literal(p: _Parser) -> Point2:
@@ -252,9 +257,9 @@ def _parse_primary(p: _Parser) -> Expr:
     if tok.kind == "NUMBER":
         return Literal(p.advance().value)
     if tok.kind == "LPAREN":
-        p.advance()
+        p.open(p.advance())
         expr = _parse_expr(p)
-        p.expect("RPAREN", "')'")
+        p.close("')'")
         return expr
     if tok.kind == "IDENT":
         if tok.text in ("true", "false"):
@@ -266,14 +271,15 @@ def _parse_primary(p: _Parser) -> Expr:
         if tok.text in KEYWORDS:
             p.fail(f"'{tok.text}' is a reserved word", tok)
         p.advance()
-        if p.match("LPAREN"):
+        if p.peek().kind == "LPAREN":
+            p.open(p.advance())
             args: list[Expr] = []
-            if not p.match("RPAREN"):
+            if p.peek().kind != "RPAREN":
                 args.append(_parse_expr(p))
                 while p.match("COMMA"):
                     args.append(_parse_expr(p))
-                p.expect("RPAREN", "')' after call arguments")
-            return Call(tok.text, tuple(args))
+            p.close("')' after call arguments")
+            return _node(p, Call(tok.text, tuple(args)), tok)
         return Ident(tok.text)
     found = tok.text or "end of input"
     p.fail(f"expected expression, found {found!r}", tok)

@@ -93,17 +93,6 @@ def spearman(a: RankVector, b: RankVector) -> float:
     return max(-1.0, min(1.0, rho))
 
 
-def spearman_closed_form(a: RankVector, b: RankVector) -> float:
-    """Tie-free closed form 1 - 6*sum(d^2)/(n(n^2-1)); test oracle for spearman."""
-    if set(a) != set(b):
-        raise AnalysisError("rank vectors cover different solution ids")
-    n = len(a)
-    if n < 2:
-        raise AnalysisError("need at least two solutions to correlate")
-    d2 = sum((a[i] - b[i]) ** 2 for i in a)
-    return 1.0 - 6.0 * d2 / (n * (n * n - 1))
-
-
 def correlation_matrix(tables: Sequence[ScoreTable]) -> list[list[float]]:
     """Pairwise Spearman matrix over one score table per oracle definition:
     symmetric, unit diagonal, entries in [-1, 1]."""

@@ -1,7 +1,7 @@
 """Batch re-implementation of the scoring semantics, used as a differential
 oracle for the streaming engine.
 
-Instead of incremental per-function flags and compiled closures, this walks
+Instead of incremental per-function flags and generated code, this walks
 the trace by index, evaluates every expression with the tree-walking
 `eval_expr`, materializes per-function tables (event truth, sequence start,
 first-fired index per trace and per sequence start), and decides each firing
@@ -16,7 +16,8 @@ declaratively from those tables:
 Timer replay and notification dispatch still advance with the index walk
 (event truth at i may depend on notifications fired at indices < i, so a
 fully separate pass cannot exist), but the firing log is only assembled
-afterwards from the materialized firing rows.
+afterwards from the materialized firing rows. The summary walks the tree
+too, so the engine and the reference share no evaluation code.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from math import isfinite
 
 from .checker import CheckedOracle
-from .engine import Firing, ScoreReport, _require_matching_schema, summarize
+from .engine import Firing, ScoreReport
 from .errors import EngineError, EvalError
 from .evaluate import Env, eval_expr, non_finite
 from .syntax import Frequency, format_expr
@@ -33,7 +34,8 @@ from .trace import Trace
 
 def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     """Score a trace by table materialization; equals score_trace exactly."""
-    _require_matching_schema(checked, trace)
+    if checked.schema.as_dict() != trace.schema.as_dict():
+        raise EngineError("trace schema does not match the one the oracle was checked against")
     od = checked.od
     messages = trace.messages
     n = len(messages)
@@ -128,9 +130,20 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
             timers[target][timer] = value
 
     scores = tuple((name, totals[name]) for name in names)
+    if od.summary is None:
+        summary = 0.0
+        for _, score in scores:
+            summary += score
+    else:
+        try:
+            summary = float(eval_expr(od.summary, Env(constants=constants, scores=totals)))
+        except EvalError as exc:
+            raise EvalError(f"summary: {exc}") from exc
+    if not isfinite(summary):
+        raise non_finite("summary", summary)
     return ScoreReport(
         scores=scores,
-        summary=summarize(checked, scores),
+        summary=summary,
         firings=tuple(
             Firing(index, names[pos], delta, dispatched)
             for index, pos, delta, dispatched in firing_rows

@@ -92,23 +92,23 @@ class OracleDefinition:
 
 # Binding strength, loosest to tightest: or < and < not < comparison
 # < additive < multiplicative < unary minus < call/primary.
-_BINARY_PREC = {
+BINARY_PREC = {
     "or": 1,
     "and": 2,
     "<": 4, "<=": 4, ">": 4, ">=": 4, "==": 4, "!=": 4,
     "+": 5, "-": 5,
     "*": 6, "/": 6,
 }
-_NOT_PREC = 3
-_NEG_PREC = 7
+NOT_PREC = 3
+NEG_PREC = 7
 _ATOM_PREC = 8
 
 
 def _prec(expr: Expr) -> int:
     if isinstance(expr, Binary):
-        return _BINARY_PREC[expr.op]
+        return BINARY_PREC[expr.op]
     if isinstance(expr, Unary):
-        return _NEG_PREC if expr.op == "-" else _NOT_PREC
+        return NEG_PREC if expr.op == "-" else NOT_PREC
     return _ATOM_PREC
 
 
@@ -132,7 +132,7 @@ def format_expr(expr: Expr) -> str:
     if isinstance(expr, Unary):
         inner = format_expr(expr.operand)
         if expr.op == "not":
-            if _prec(expr.operand) < _NOT_PREC:
+            if _prec(expr.operand) < NOT_PREC:
                 inner = f"({inner})"
             return f"not {inner}"
         # A bare numeric literal would fuse with the minus sign into a
@@ -140,11 +140,11 @@ def format_expr(expr: Expr) -> str:
         numeric_literal = isinstance(expr.operand, Literal) and not isinstance(
             expr.operand.value, (bool, Point2)
         )
-        if numeric_literal or _prec(expr.operand) < _NEG_PREC:
+        if numeric_literal or _prec(expr.operand) < NEG_PREC:
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(expr, Binary):
-        prec = _BINARY_PREC[expr.op]
+        prec = BINARY_PREC[expr.op]
         left = format_expr(expr.left)
         if _prec(expr.left) < prec:
             left = f"({left})"

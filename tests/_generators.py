@@ -330,3 +330,36 @@ def gen_wild_od(rng: random.Random) -> OracleDefinition:
     return OracleDefinition(
         constants=constants, functions=tuple(functions), summary=summary
     )
+
+
+def _nested_calls(n: int) -> str:
+    text = "x"
+    for i in range(n):
+        text = f"abs({text})" if i % 2 else f"min({text}, x)"
+    return text
+
+
+# The shapes that nest deepest per character: (expression n levels deep
+# over a number x or a boolean b, the token that goes past a nesting limit
+# of n - 1, and whether that is the token's last occurrence or its first).
+NESTED_SHAPES = {
+    "parentheses": (lambda n: "(" * n + "x" + ")" * n, "(", True),
+    "left_chain": (lambda n: " + ".join(["x"] * (n + 1)), "+", True),
+    "division_chain": (lambda n: " / ".join(["x"] * (n + 1)), "/", True),
+    "not": (lambda n: "not " * n + "b", "not", False),
+    "negation": (lambda n: "-(" * n + "x" + ")" * n, "(", True),
+    "calls": (_nested_calls, "(", True),
+}
+
+
+def nested_od(shape: str, n: int) -> tuple[str, int]:
+    """An oracle whose event or action nests `n` levels deep in `shape`, and
+    the 1-based column, on its only line, of the token past a limit of n - 1."""
+    build, token, last = NESTED_SHAPES[shape]
+    text = build(n)
+    if shape == "not":
+        prefix = "f = scoring_function(frequency = all_sum, event = "
+    else:
+        prefix = "f = scoring_function(event = b, frequency = all_sum, action = "
+    index = text.rindex(token) if last else text.index(token)
+    return prefix + text + ");", len(prefix) + index + 1

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 
 from _drive import listing_suite
 from _generators import gen_checkable_od, gen_schema, gen_trace, gen_wild_od
+from _spearman import spearman_closed_form
 from odl import (
     BUILTIN_NAMES,
     Frequency,
@@ -28,7 +29,6 @@ from odl import (
     reference_score,
     score_trace,
     spearman,
-    spearman_closed_form,
 )
 from odl.cli import main
 from odl.scenario import GEN_SCHEMA

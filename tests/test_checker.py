@@ -6,14 +6,20 @@ import pytest
 
 from _generators import gen_checkable_od, gen_schema, gen_trace
 from odl import (
+    Binary,
     CheckError,
+    Frequency,
+    Ident,
     Kind,
+    OracleDefinition,
+    ScoringFunction,
     TraceSchema,
     check_od,
     load_builtin,
     parse_od,
     score_trace,
 )
+from odl.parser import MAX_NESTING
 
 SCHEMA = TraceSchema(
     (
@@ -223,3 +229,20 @@ def test_checked_ods_evaluate_cleanly():
         od = gen_checkable_od(rng, schema)
         trace = gen_trace(rng, schema, max_messages=40)
         score_trace(check_od(od, schema), trace)  # must not raise
+
+
+def test_trees_built_without_the_parser_keep_its_nesting_limit():
+    """A hand-built tree deeper than the parser admits is a CheckError, not
+    a SyntaxError from compiling the generated code."""
+
+    def oracle(levels):
+        action = Ident("speed")
+        for _ in range(levels):
+            action = Binary("+", action, Ident("speed"))
+        fn = ScoringFunction("f", Ident("collision"), Frequency.ALL_SUM, action=action)
+        return OracleDefinition(functions=(fn,))
+
+    check_od(oracle(MAX_NESTING), SCHEMA)
+    for levels in (MAX_NESTING + 1, 300):
+        with pytest.raises(CheckError, match=f"^action of 'f': expression nests deeper than {MAX_NESTING} levels$"):
+            check_od(oracle(levels), SCHEMA)

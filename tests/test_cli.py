@@ -8,6 +8,8 @@ from odl import check_od, dump_trace, load_builtin, load_example_scenario
 from odl import cli
 from odl.cli import main
 from _drive import drive, listing_suite
+from _generators import NESTED_SHAPES, nested_od
+from odl.parser import MAX_NESTING
 
 
 @pytest.fixture
@@ -290,7 +292,7 @@ def test_streaming_reports_errors_in_file_order(workspace, capsys):
         (["score", "--od", "{bad}", "--trace", "{trace}"], "listing1.odl", "{bad}: file is not valid UTF-8"),
         (["score", "--od", "{od}", "--trace", "{bad}"], "t.jsonl", "trace file is not valid UTF-8"),
         (["batch", "--od", "{bad}", "--traces", "{trace}"], "listing1.odl", "{bad}: file is not valid UTF-8"),
-        (["batch", "--od", "{od}", "--traces", "{bad}"], "t.jsonl", "trace file is not valid UTF-8"),
+        (["batch", "--od", "{od}", "--traces", "{bad}"], "t.jsonl", "{bad}: trace file is not valid UTF-8"),
         (["rank", "--scores", "{bad}"], "scores.csv", "{bad}: file is not valid UTF-8"),
         (["compare", "{bad}", "{bad}"], "ranks.csv", "{bad}: file is not valid UTF-8"),
         (["gen", "--scenario", "{bad}"], "scenario.json", "{bad}: file is not valid UTF-8"),
@@ -309,3 +311,38 @@ def test_input_that_is_not_utf8_exits_1(workspace, capsys, command, bad, expecte
     err = capsys.readouterr().err
     assert err.startswith("error: " + expected.format(**names))
     assert "Traceback" not in err
+
+
+def test_batch_names_the_trace_in_record_and_evaluation_errors(workspace, capsys):
+    good = dump_trace(drive([{"t": 0.0}, {"t": 1.0}]))
+    (workspace / "a__r0.jsonl").write_text(good)
+    bad_record = workspace / "b__r0.jsonl"
+    bad_record.write_text(good + "{not json\n")
+    traces = str(workspace / "*__r0.jsonl")
+    assert main(["batch", "--od", str(workspace / "listing1.odl"), "--traces", traces]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad_record}: line 4: malformed record: Expecting property name enclosed in double quotes\n"
+
+    bad_record.write_text(good)
+    od = workspace / "divzero.odl"
+    od.write_text("f = scoring_function(event = true, action = 1 / (t - 1), frequency = all_sum);")
+    assert main(["batch", "--od", str(od), "--traces", traces]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {workspace / 'a__r0.jsonl'}: message 1 (t=1.0), function 'f': "
+        "division by zero in '1.0 / (t - 1.0)'\n"
+    )
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_check_rejects_nesting_past_the_limit(workspace, capsys, shape):
+    od = workspace / "nested.odl"
+    trace = workspace / "xb.jsonl"
+    trace.write_text('{"x": "number", "b": "boolean"}\n')
+    od.write_text(nested_od(shape, MAX_NESTING)[0])
+    assert main(["check", str(od), "--trace", str(trace)]) == 0
+    source, column = nested_od(shape, MAX_NESTING + 1)
+    od.write_text(source)
+    assert main(["check", str(od), "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: 1:{column}: expression nests deeper than {MAX_NESTING} levels\n"

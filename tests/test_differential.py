@@ -1,6 +1,7 @@
 """Differential testing: streaming engine vs the batch reference evaluator,
 plus the engine invariants that ride on the same corpus."""
 
+import math
 import random
 import sys
 from dataclasses import replace
@@ -13,8 +14,10 @@ from _generators import gen_checkable_od, gen_schema, gen_trace
 from odl import (
     BUILTIN_NAMES,
     EvalError,
+    Firing,
     Frequency,
     OracleDefinition,
+    Trace,
     check_od,
     concat_traces,
     generate_trace,
@@ -24,6 +27,7 @@ from odl import (
     parse_od,
     parse_trace,
     reference_score,
+    report_to_text,
     score_trace,
 )
 
@@ -278,3 +282,72 @@ def test_near_overflow_engine_equals_reference(x, y):
         assert str(batch.value) == str(exc)
     else:
         assert streaming == reference_score(checked, trace)
+
+
+# Names that are Python keywords or builtins, or that the generated program
+# itself uses (its locals, helpers and bound names), for every kind of
+# declaration: trace fields, constants, scoring functions and timers.
+_PYTHON_NAMES_TRACE = (
+    '{"None": "number", "lambda": "boolean", "message": "point2", "_divide": "number"}\n'
+    '{"t": 0, "None": 3, "lambda": true, "message": [0, 0], "_divide": 2}\n'
+    '{"t": 0.5, "None": 1, "lambda": false, "message": [3, 4], "_divide": 4}\n'
+    '{"t": 1, "None": 5, "lambda": true, "message": [4, 5], "_divide": 0.5}\n'
+    '{"t": 3, "None": 4, "lambda": true, "message": [6, 8], "_divide": 0}\n'
+)
+
+_PYTHON_NAMES_OD = """
+const isfinite = 2;
+const x0 = point(1, 1);
+const _v5 = true;
+None = scoring_function(event = lambda and None > isfinite, action = None / _divide,
+    frequency = all_sum, notifications = [(class, [(float, None), (_fields, 1)])]);
+class = scoring_function(event = float > 0 or _fields > 0 and _v5, condition = seq_time > 0,
+    action = distance(message, x0), frequency = action_sum);
+s0 = scoring_function(event = not lambda, action = -isfinite, frequency = first, initial = 1);
+firings = scoring_function(event = index >= 0 or lambda, action = t, frequency = all_sum,
+    notifications = [(firings, [(index, t)])]);
+summary = None * 2 + class - s0 / isfinite + firings;
+"""
+
+
+def test_python_names_change_nothing():
+    trace = parse_trace(_PYTHON_NAMES_TRACE)
+    checked = check_od(parse_od(_PYTHON_NAMES_OD), trace.schema)
+    message = r"^message 3 \(t=3.0\), function 'None': division by zero in 'None / _divide'$"
+    with pytest.raises(EvalError, match=message) as streaming:
+        score_trace(checked, trace)
+    with pytest.raises(EvalError) as batch:
+        reference_score(checked, trace)
+    assert str(streaming.value) == str(batch.value)
+    head = Trace(trace.schema, trace.messages[:3])
+    report = score_trace(checked, head)
+    assert report == reference_score(checked, head)
+    assert report.score_map() == {"None": 1.5 + 10.0, "class": 5.0, "s0": -1.0, "firings": 1.0}
+    assert [(f.message_index, f.function) for f in report.firings] == [
+        (0, "None"), (0, "firings"), (1, "s0"), (2, "None"), (2, "class"), (2, "firings"),
+    ]
+
+
+def test_signed_zero_and_extreme_literals():
+    """-0.0, 1e308 and point constants reach the generated code exactly."""
+    trace = parse_trace(_ERROR_TRACE)
+    od = parse_od(
+        "const z = -0.0;\n"
+        "const big = 1e308;\n"
+        "const far = point(-0.0, 1e308);\n"
+        "f = scoring_function(event = b0, action = -0.0 * n0 + big / 1e308, frequency = all_sum,"
+        " initial = -0);\n"
+        "g = scoring_function(event = distance(point(0, 0), far) >= big, action = z,"
+        " frequency = first, initial = -0.0);\n"
+        "h = scoring_function(event = n0 > big, frequency = first, initial = -0.0);\n"
+        "summary = z * f + g - big / 1e308 * h;"
+    )
+    checked = check_od(od, trace.schema)
+    report = score_trace(checked, trace)
+    assert report == reference_score(checked, trace)
+    scores = report.score_map()
+    assert scores["f"] == 2.0
+    assert math.copysign(1.0, scores["g"]) == -1.0 and math.copysign(1.0, scores["h"]) == -1.0
+    assert report.firings[1] == Firing(0, "g", -0.0)
+    assert math.copysign(1.0, report.firings[1].delta) == -1.0
+    assert report_to_text(report) == "f: 2.0\ng: -0.0\nh: -0.0\nsummary: 0.0\n"

@@ -291,3 +291,26 @@ def test_report_serialization():
     assert "f: 5.0" in text
     assert "summary: 5.0" in text
     assert "[0] f delta=5.0" in text
+
+
+def test_finalize_reports_the_messages_so_far_and_stepping_goes_on():
+    trace = drive([{"t": 0.4 * i, "acceleration": -2.0, "collision": i == 7} for i in range(10)])
+    checked = check_od(parse_od(load_builtin("listing4")), GEN_SCHEMA)
+    engine = ScoringEngine(checked)
+    for i, message in enumerate(trace.messages):
+        engine.step(message)
+        prefix = Trace(trace.schema, trace.messages[: i + 1])
+        assert engine.finalize() == score_trace(checked, prefix), i
+    assert engine.finalize().score_map() == {"collisions": 1.0, "deceleration": 0.0}
+
+
+def test_an_engine_that_raised_stays_stopped():
+    source = "f = scoring_function(event = collision, action = 1 / (t - 1), frequency = all_sum);"
+    trace = bool_trace([(1, True), (2, True)])
+    engine = ScoringEngine(check_od(parse_od(source), trace.schema))
+    with pytest.raises(EvalError, match="division by zero"):
+        engine.step(trace.messages[0])
+    with pytest.raises(EngineError, match="^the engine stopped at an earlier error$"):
+        engine.step(trace.messages[1])
+    with pytest.raises(EngineError, match="^the engine stopped at an earlier error$"):
+        engine.finalize()

@@ -1,5 +1,6 @@
-"""Expression evaluation semantics, for the tree walker and the compiled
-closures."""
+"""Expression evaluation semantics, for the tree walker and the generated
+code (one expression at a time through `compile_expr`, which wraps the
+emitter the scoring program is built from)."""
 
 import random
 
@@ -111,8 +112,8 @@ def test_distance_identity(x, y):
     assert eval_expr(expr("distance(p, p)"), env) == 0.0
 
 
-def test_compiled_closures_equal_tree_walk():
-    """compile_expr and eval_expr are two evaluators of one semantics: on
+def test_generated_code_equals_tree_walk():
+    """Generated code and eval_expr are two evaluators of one semantics: on
     every expression of generated checkable definitions, and on generated
     expressions that also read timers and seq_time, they agree exactly, in
     value and in type."""
@@ -148,7 +149,7 @@ def test_compiled_closures_equal_tree_walk():
 
 
 def test_compiled_errors_stay_lazy_and_match_tree_walk():
-    # 1 / 0 is over constants only, but folding it would raise at compile time.
+    # 1 / 0 is over constants only, yet it may fail only when evaluated.
     division = compile_expr(expr("1 / 0"), (), {})
     with pytest.raises(EvalError) as walked:
         eval_expr(expr("1 / 0"), Env())

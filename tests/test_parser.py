@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _generators import gen_wild_od
+from _generators import NESTED_SHAPES, gen_wild_od, nested_od
 from odl import (
     Binary,
     Call,
@@ -19,9 +19,14 @@ from odl import (
     Point2,
     ScoringFunction,
     Unary,
+    check_od,
     format_od,
     parse_od,
+    parse_trace,
+    reference_score,
+    score_trace,
 )
+from odl.parser import MAX_NESTING
 
 LISTING1 = """
 speeding = scoring_function(event = speed > MAX_SPEED,
@@ -240,3 +245,20 @@ def test_format_negated_literal_keeps_structure():
 def test_round_trip_property(seed):
     od = gen_wild_od(random.Random(seed))
     assert parse_od(format_od(od)) == od
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_nesting_limit(shape):
+    """Nesting up to MAX_NESTING parses, checks and scores like the
+    reference; one level more is a ParseError at the token that goes past
+    the limit, and so is any depth, never a RecursionError."""
+    source, _ = nested_od(shape, MAX_NESTING)
+    trace = parse_trace('{"x": "number", "b": "boolean"}\n{"t": 0, "x": 2, "b": true}\n')
+    checked = check_od(parse_od(source), trace.schema)
+    assert score_trace(checked, trace) == reference_score(checked, trace)
+    source, column = nested_od(shape, MAX_NESTING + 1)
+    with pytest.raises(ParseError, match=f"nests deeper than {MAX_NESTING} levels") as err:
+        parse_od(source)
+    assert (err.value.line, err.value.column) == (1, column)
+    with pytest.raises(ParseError, match=f"nests deeper than {MAX_NESTING} levels"):
+        parse_od(nested_od(shape, 5000)[0])

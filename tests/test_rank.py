@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _spearman import spearman_closed_form
 from odl import (
     AnalysisError,
     correlation_matrix,
@@ -15,7 +16,6 @@ from odl import (
     read_ranks_csv,
     read_scores_csv,
     spearman,
-    spearman_closed_form,
     write_matrix_csv,
     write_ranks_csv,
     write_scores_csv,
