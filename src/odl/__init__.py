@@ -12,7 +12,6 @@ from .checker import CheckedOracle, check_od
 from .engine import (
     Firing,
     ScoreReport,
-    ScoringEngine,
     report_to_json,
     report_to_text,
     score_messages,
@@ -109,7 +108,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "ScoreReport",
-    "ScoringEngine",
     "ScoringFunction",
     "Trace",
     "TraceError",

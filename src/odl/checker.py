@@ -34,9 +34,10 @@ class CheckedOracle:
 
     `timers` maps each scoring-function name to the timer names some
     notification targets at it (the timers its expressions may read).
-    `program` is the oracle's scoring program, generated and compiled once
-    by `engine.generate_program`; the streaming engine runs it, the batch
-    reference walks `od`.
+    `program` is the oracle's scoring function, generated and compiled once
+    by `engine.generate_program`: given the messages, it loops over them and
+    returns the report. `engine.score_messages` is its only caller; the
+    batch reference walks `od` instead.
     """
 
     od: OracleDefinition

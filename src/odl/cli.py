@@ -16,7 +16,7 @@ from typing import IO, Iterator
 
 from .checker import CheckedOracle, check_od
 from .engine import report_to_json, report_to_text, score_messages
-from .errors import AnalysisError, EvalError, OdlError, TraceError
+from .errors import AnalysisError, CheckError, EvalError, OdlError, TraceError
 from .parser import parse_od
 from .rank import (
     mean_scores,
@@ -108,7 +108,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 if schema not in checked:
                     checked[schema] = check_od(od, schema)
                 report = score_messages(checked[schema], messages)
-            except (TraceError, EvalError) as exc:
+            except (TraceError, CheckError, EvalError) as exc:
                 # One of many traces failed: say which.
                 raise OdlError(f"{path}: {exc}") from exc
         solution, trace_id = _split_solution_trace(Path(path).stem)

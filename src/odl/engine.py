@@ -23,9 +23,10 @@ Each message is processed in three phases:
    is visible from the next message onward, which makes the result
    independent of declaration order.
 
-`check_od` generates one Python program per oracle (`generate_program`)
-that does all of this with the oracle's expressions inlined; the engine
-only drives it. `reference.reference_score` implements the same semantics
+`check_od` generates one Python function per oracle (`generate_program`)
+that does all of this with the oracle's expressions inlined: it loops over
+the messages itself and returns the report. `score_messages` is its only
+caller. `reference.reference_score` implements the same semantics
 independently.
 """
 
@@ -35,7 +36,7 @@ import json
 from dataclasses import dataclass
 from math import isfinite
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .errors import EngineError, EvalError
 from .evaluate import binder, emit_expr, emit_value, non_finite, runtime
@@ -71,7 +72,7 @@ class ScoreReport:
         return dict(self.scores)
 
 
-Program = Callable[[list[Firing]], Generator["tuple | None", "TraceMessage | None", None]]
+Program = Callable[[Iterable[TraceMessage]], ScoreReport]
 
 
 def _failed(index: int, t: float, function: str, exc: EvalError) -> EvalError:
@@ -85,19 +86,19 @@ def _regress(index: int, t: float, prev: float) -> EngineError:
 def generate_program(od: OracleDefinition, timers: Mapping[str, frozenset[str]]) -> Program:
     """Generate, compile and return the scoring program of a checked oracle.
 
-    The program is a generator function over a firing list. Once primed, it
-    takes each message by `send` and appends the message's firings to the
-    list; sent None, it yields (scores, summary) for the messages so far.
-    Scores, sequence flags and timers live in local variables, each field
-    the oracle uses is read once per message, and each function's firing
-    rule is specialised to its frequency mode. A notification waits in
-    locals of its notifier and is written into the target's timer after
-    the message.
+    The program is a function of an iterable of messages. It pulls them one
+    at a time, so errors come in their order, then runs the summary once
+    and returns the ScoreReport. Scores, sequence flags, timers and the
+    firing list live in local variables, each field the oracle uses is read
+    once per message, and each function's firing rule is specialised to its
+    frequency mode. A notification waits in locals of its notifier and is
+    written into the target's timer after the message.
     """
     namespace = runtime()
     namespace.update(
         _EvalError=EvalError, _Firing=Firing, _isfinite=isfinite,
         _non_finite=non_finite, _failed=_failed, _regress=_regress,
+        _ScoreReport=ScoreReport,
     )
     bind = binder(namespace)
     constants = od.constant_map()
@@ -119,7 +120,7 @@ def generate_program(od: OracleDefinition, timers: Mapping[str, frozenset[str]])
 
         return emit_expr(expr, resolve, bind)
 
-    init = ["prev = None", "index = 0"]
+    init = ["firings = []", "prev = None"]
     body: list[str] = []  # per message, after the field reads
     apply: list[str] = []  # per message, after every function ran
     for k, fn in enumerate(od.functions):
@@ -194,7 +195,7 @@ def generate_program(od: OracleDefinition, timers: Mapping[str, frozenset[str]])
     pairs = "".join(f"({bind(fn.name)}, s{k}), " for k, fn in enumerate(od.functions))
     summary += [
         "if not _isfinite(total): raise _non_finite('summary', total)",
-        f"message = yield ({pairs}), total",
+        f"return _ScoreReport(({pairs}), total, tuple(firings))",
     ]
 
     head = ["t = message.t", "if prev is None:", "    prev = t", "elif t < prev:",
@@ -208,9 +209,12 @@ def generate_program(od: OracleDefinition, timers: Mapping[str, frozenset[str]])
         # itemgetter returns a tuple only for two or more names.
         targets = ", ".join(fields.values()) + ("," if len(fields) > 1 else "")
         head.append(f"{targets} = _fields(message.values)")
-    loop = ["message = yield", "while message is None:", *_indent(summary),
-            *head, *body, *apply, "index += 1"]
-    source = "\n".join(["def program(firings):", *_indent(init), "    while True:", *_indent(loop, 2), ""])
+    loop = [*head, *body, *apply]
+    source = "\n".join([
+        "def program(messages):", *_indent(init),
+        "    for index, message in enumerate(messages):", *_indent(loop, 2),
+        *_indent(summary), "",
+    ])
     exec(compile(source, "<odl oracle>", "exec"), namespace)
     return namespace["program"]
 
@@ -219,50 +223,17 @@ def _indent(lines: list[str], levels: int = 1) -> list[str]:
     return ["    " * levels + line for line in lines]
 
 
-class ScoringEngine:
-    """Feed messages in time order via step(), then finalize().
-
-    One engine scores one trace; construct a fresh engine per trace. The
-    checked oracle itself is immutable and shareable. The engine drives the
-    program `check_od` generated (`generate_program`); it never walks an
-    expression tree. After an error the engine is spent.
-    """
-
-    def __init__(self, checked: CheckedOracle):
-        self._firings: list[Firing] = []
-        self._send = checked.program(self._firings).send
-        self._send(None)
-
-    def _resume(self, message: TraceMessage | None):
-        try:
-            return self._send(message)
-        except StopIteration:
-            # The program ends only by raising.
-            raise EngineError("the engine stopped at an earlier error") from None
-
-    def step(self, message: TraceMessage) -> None:
-        self._resume(message)
-
-    def finalize(self) -> ScoreReport:
-        """The report for the messages so far; stepping may go on after it."""
-        scores, summary = self._resume(None)
-        return ScoreReport(scores=scores, summary=summary, firings=tuple(self._firings))
-
-
 def score_messages(checked: CheckedOracle, messages: Iterable[TraceMessage]) -> ScoreReport:
     """Score messages of the schema `checked` was checked against, in time
-    order: init, fold step over them as they come, finalize. Only the firing
-    log grows with their number, so a `read_trace` iterator is scored
-    without holding the trace."""
-    engine = ScoringEngine(checked)
-    send = engine._send
-    for message in messages:
-        send(message)
-    return engine.finalize()
+    order, by running the oracle's program over them. The program pulls one
+    message at a time and only the firing log grows with their number, so
+    a `read_trace` iterator is scored without holding the trace."""
+    return checked.program(messages)
 
 
 def score_trace(checked: CheckedOracle, trace: Trace) -> ScoreReport:
-    """Score one trace: score_messages over its messages."""
+    """Score one trace: check that its schema is the one `checked` was
+    checked against, then score_messages over its messages."""
     if checked.schema.as_dict() != trace.schema.as_dict():
         raise EngineError("trace schema does not match the one the oracle was checked against")
     return score_messages(checked, trace.messages)

@@ -2,9 +2,9 @@
 
 `eval_expr` walks the expression tree over an `Env`; the batch reference
 evaluates with it alone. `emit_expr` writes a checked expression as Python
-source; the streaming engine runs only such code, generated once per oracle
-at check time (`engine.generate_program`). The differential suite compares
-the two.
+source; the streaming engine runs only such code, spliced into the one
+scoring function generated per oracle at check time
+(`engine.generate_program`). The differential suite compares the two.
 
 Evaluation is pure and deterministic. `and`/`or` short-circuit, so a guard
 can protect a partial expression: `false and (1 / 0 > 0)` is false, not an

@@ -82,6 +82,10 @@ _ONE_CHAR_OPS = {
     "+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
     "<": "LT", ">": "GT",
 }
+# The grammar is ASCII: str.isalpha/isdigit would also accept 'é', '²' or '٣'.
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
 
 
 def _lex(source: str) -> list[Token]:
@@ -102,29 +106,29 @@ def _lex(source: str) -> list[Token]:
             while i < n and source[i] != "\n":
                 i += 1
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_START:
             start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
+            while i < n and source[i] in _IDENT_CHARS:
                 i += 1
             text = source[start:i]
             tokens.append(Token("IDENT", text, line, col))
             col += i - start
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i] in _DIGITS:
                 i += 1
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdigit():
+            if i < n and source[i] == "." and i + 1 < n and source[i + 1] in _DIGITS:
                 i += 1
-                while i < n and source[i].isdigit():
+                while i < n and source[i] in _DIGITS:
                     i += 1
             if i < n and source[i] in "eE":
                 j = i + 1
                 if j < n and source[j] in "+-":
                     j += 1
-                if j < n and source[j].isdigit():
+                if j < n and source[j] in _DIGITS:
                     i = j
-                    while i < n and source[i].isdigit():
+                    while i < n and source[i] in _DIGITS:
                         i += 1
             text = source[start:i]
             value = float(text)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -84,6 +85,11 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ScenarioError("tick must be a positive number of seconds")
     if not (math.isfinite(scenario.duration) and scenario.duration >= 0):
         raise ScenarioError("duration must be a non-negative number of seconds")
+    if not math.isfinite(scenario.duration / scenario.tick):
+        raise ScenarioError("duration / tick overflows: too many samples")
+    start, end = scenario.route_start, scenario.route_end
+    if not (math.isfinite(end.x - start.x) and math.isfinite(end.y - start.y)):
+        raise ScenarioError("route_end - route_start must be finite")
     if scenario.speed_limit < 1.0:
         raise ScenarioError("speed_limit must be at least 1 m/s")
     if _dist(scenario.route_start, scenario.destination) < _STANDOFF:
@@ -250,13 +256,16 @@ def _point_from_json(raw: object, what: str) -> Point2:
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)
     ):
         raise ScenarioError(f"{what} must be a two-element [x, y] array")
-    return Point2(float(raw[0]), float(raw[1]))
+    return Point2(_number_from_json(raw[0], what), _number_from_json(raw[1], what))
 
 
 def _number_from_json(raw: object, what: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ScenarioError(f"{what} must be a number")
-    value = float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer beyond the doubles
+        value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(f"{what} must be finite")
     return value
@@ -270,6 +279,13 @@ def load_scenario(text: str) -> Scenario:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed scenario file: {exc.msg}") from exc
+    except ValueError:
+        # An integer literal longer than sys.get_int_max_str_digits().
+        raise ScenarioError(
+            f"malformed scenario file: integer literal exceeds {sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise ScenarioError("malformed scenario file: values nested too deeply") from None
     if not isinstance(obj, dict):
         raise ScenarioError("scenario file must be a JSON object")
     unknown = set(obj) - {"duration", "tick", "constants", "episodes"}

@@ -280,15 +280,24 @@ def _json_value(value: Value) -> object:
     return value
 
 
+# One encoder for every record: json.dumps(..., allow_nan=False) would build
+# a new one per call.
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
 def dump_trace(trace: Trace) -> str:
     """Canonical serialization: schema line, then records with 't' first and
-    fields in schema declaration order. parse_trace(dump_trace(tr)) == tr."""
+    fields in schema declaration order. parse_trace(dump_trace(tr)) == tr.
+
+    A non-finite value raises ValueError instead of being written as
+    `NaN`/`Infinity`, which are not JSON (RFC 8259 §6) and which
+    parse_trace rejects."""
     lines = [json.dumps({name: kind.value for name, kind in trace.schema.fields})]
     for msg in trace.messages:
         obj: dict[str, object] = {"t": msg.t}
         for name, _ in trace.schema.fields:
             obj[name] = _json_value(msg.values[name])
-        lines.append(json.dumps(obj))
+        lines.append(_ENCODER.encode(obj))
     return "\n".join(lines) + "\n"
 
 

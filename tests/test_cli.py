@@ -333,6 +333,15 @@ def test_batch_names_the_trace_in_record_and_evaluation_errors(workspace, capsys
         "division by zero in '1.0 / (t - 1.0)'\n"
     )
 
+    no_speed = workspace / "c__r0.jsonl"
+    no_speed.write_text('{"collision": "boolean"}\n{"t": 0, "collision": false}\n')
+    assert main(["batch", "--od", str(workspace / "listing1.odl"), "--traces", traces]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {no_speed}: event of 'speeding': timer 'speed' has no notification targeting "
+        "'speeding' (and 'speed' is not a trace field or constant)\n"
+    )
+
 
 @pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
 def test_check_rejects_nesting_past_the_limit(workspace, capsys, shape):

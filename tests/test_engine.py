@@ -12,8 +12,8 @@ from odl import (
     GEN_SCHEMA,
     Kind,
     ScoreReport,
-    ScoringEngine,
     Trace,
+    TraceError,
     TraceMessage,
     TraceSchema,
     check_od,
@@ -22,6 +22,7 @@ from odl import (
     parse_trace,
     report_to_json,
     report_to_text,
+    score_messages,
     score_trace,
 )
 
@@ -225,14 +226,9 @@ def test_notifications_recorded_in_firing_log():
 
 
 def test_timestamp_regression_rejected():
-    checked = check_od(
-        parse_od("f = scoring_function(event = collision, frequency = first);"),
-        BOOL_SCHEMA,
-    )
-    engine = ScoringEngine(checked)
-    engine.step(TraceMessage(t=2.0, values={"collision": False}))
-    with pytest.raises(EngineError, match="decreases"):
-        engine.step(TraceMessage(t=1.0, values={"collision": False}))
+    trace = bool_trace([(2, False), (1, False)])
+    with pytest.raises(EngineError, match=r"^message 1: timestamp 1\.0 decreases below 2\.0$"):
+        scored("f = scoring_function(event = collision, frequency = first);", trace)
 
 
 def test_schema_mismatch_rejected():
@@ -293,24 +289,23 @@ def test_report_serialization():
     assert "[0] f delta=5.0" in text
 
 
-def test_finalize_reports_the_messages_so_far_and_stepping_goes_on():
+def test_score_messages_pulls_each_message_once_from_an_iterator():
     trace = drive([{"t": 0.4 * i, "acceleration": -2.0, "collision": i == 7} for i in range(10)])
     checked = check_od(parse_od(load_builtin("listing4")), GEN_SCHEMA)
-    engine = ScoringEngine(checked)
-    for i, message in enumerate(trace.messages):
-        engine.step(message)
-        prefix = Trace(trace.schema, trace.messages[: i + 1])
-        assert engine.finalize() == score_trace(checked, prefix), i
-    assert engine.finalize().score_map() == {"collisions": 1.0, "deceleration": 0.0}
+    pulled = []
+    bad_record = TraceError("line 6: malformed record")
 
+    def one_shot(fail_at=None):
+        for i, message in enumerate(trace.messages):
+            if i == fail_at:
+                raise bad_record
+            pulled.append(i)
+            yield message
 
-def test_an_engine_that_raised_stays_stopped():
-    source = "f = scoring_function(event = collision, action = 1 / (t - 1), frequency = all_sum);"
-    trace = bool_trace([(1, True), (2, True)])
-    engine = ScoringEngine(check_od(parse_od(source), trace.schema))
-    with pytest.raises(EvalError, match="division by zero"):
-        engine.step(trace.messages[0])
-    with pytest.raises(EngineError, match="^the engine stopped at an earlier error$"):
-        engine.step(trace.messages[1])
-    with pytest.raises(EngineError, match="^the engine stopped at an earlier error$"):
-        engine.finalize()
+    assert score_messages(checked, one_shot()) == score_trace(checked, trace)
+    assert pulled == list(range(10))
+    pulled.clear()
+    with pytest.raises(TraceError) as raised:
+        score_messages(checked, one_shot(fail_at=4))
+    assert raised.value is bad_record
+    assert pulled == [0, 1, 2, 3]

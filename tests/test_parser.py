@@ -26,6 +26,7 @@ from odl import (
     reference_score,
     score_trace,
 )
+from odl.cli import main
 from odl.parser import MAX_NESTING
 
 LISTING1 = """
@@ -197,6 +198,24 @@ def test_unclosed_constructs():
 def test_unexpected_character():
     with pytest.raises(ParseError, match="unexpected character"):
         parse_od("const A = 1 @;")
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("const A = 1\u00b2;", "1:12: unexpected character '\u00b2'"),  # superscript two
+        ("const A = \u0663;", "1:11: unexpected character '\u0663'"),  # Arabic-Indic three
+        ("const caf\u00e9 = 1;", "1:10: unexpected character '\u00e9'"),
+    ],
+)
+def test_identifiers_and_numbers_are_ascii(source, message, tmp_path, capsys):
+    with pytest.raises(ParseError) as raised:
+        parse_od(source)
+    assert str(raised.value) == message
+    od = tmp_path / "unicode.odl"
+    od.write_text(source, encoding="utf-8")
+    assert main(["check", str(od)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_number_out_of_range():

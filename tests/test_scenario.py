@@ -1,6 +1,7 @@
 """Scenario-driven trace generation: determinism, episode soundness, validation."""
 
 import json
+import math
 
 import pytest
 
@@ -9,6 +10,8 @@ from odl import (
     GEN_SCHEMA,
     Scenario,
     ScenarioError,
+    Trace,
+    TraceMessage,
     check_od,
     dump_trace,
     duration,
@@ -20,6 +23,7 @@ from odl import (
     parse_trace,
     score_trace,
 )
+from odl.cli import main
 
 LISTINGS = ("listing1", "listing2", "listing3", "listing4")
 
@@ -187,3 +191,57 @@ def test_load_scenario_applies_defaults():
     assert scenario.lane_width == 3.7
     trace = generate_trace(scenario, 0)
     assert len(trace.messages) == 11
+
+
+HOSTILE_SCENARIOS = {
+    "huge_integer": (
+        '{"duration": 1' + "0" * 400 + ', "tick": 1}',
+        "duration must be finite",
+    ),
+    "too_many_digits": (
+        '{"duration": ' + "1" * 5000 + ', "tick": 1}',
+        "malformed scenario file: integer literal exceeds 4300 digits",
+    ),
+    "deep_nesting": (
+        '{"duration": 1, "tick": 1, "episodes": ' + "[" * 100000,
+        "malformed scenario file: values nested too deeply",
+    ),
+    "sample_count_overflows": (
+        '{"duration": 1e308, "tick": 1e-10}',
+        "duration / tick overflows: too many samples",
+    ),
+    "infinite_point": (
+        '{"duration": 1, "tick": 1, "constants": {"destination": [1e999, 0]}}',
+        "destination must be finite",
+    ),
+    "nan_point": (
+        '{"duration": 1, "tick": 1, "constants": {"route_start": [NaN, 0]}}',
+        "route_start must be finite",
+    ),
+    "route_span_overflows": (
+        '{"duration": 1, "tick": 1, "constants": {"route_start": [-1e308, 0], "route_end": [1e308, 0]}}',
+        "route_end - route_start must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_SCENARIOS))
+def test_hostile_scenario_files_are_scenario_errors(case, tmp_path, capsys):
+    text, message = HOSTILE_SCENARIOS[case]
+    with pytest.raises(ScenarioError) as raised:
+        load_scenario(text)
+    assert str(raised.value) == message
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    out = tmp_path / "trace.jsonl"
+    assert main(["gen", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_dump_trace_refuses_non_finite_values():
+    trace = generate_trace(scenario_with(), 0)
+    first = trace.messages[0]
+    bad = Trace(trace.schema, (TraceMessage(first.t, {**first.values, "speed": math.nan}),))
+    with pytest.raises(ValueError):
+        dump_trace(bad)
