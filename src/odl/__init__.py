@@ -71,9 +71,7 @@ from .trace import (
     Trace,
     TraceMessage,
     TraceSchema,
-    concat_traces,
     dump_trace,
-    duration,
     parse_trace,
     read_trace,
 )
@@ -115,10 +113,8 @@ __all__ = [
     "TraceSchema",
     "Unary",
     "check_od",
-    "concat_traces",
     "correlation_matrix",
     "dump_trace",
-    "duration",
     "eval_expr",
     "format_expr",
     "format_od",

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 from .errors import EngineError, EvalError
 from .evaluate import binder, emit_expr, emit_value, non_finite, runtime
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
-from .syntax import Expr, Frequency, OracleDefinition, format_expr
+from .syntax import Expr, Frequency, Literal, OracleDefinition, format_expr
 from .trace import Trace, TraceMessage
 
 if TYPE_CHECKING:
@@ -120,6 +120,15 @@ def generate_program(od: OracleDefinition, timers: Mapping[str, frozenset[str]])
 
         return emit_expr(expr, resolve, bind)
 
+    def assign_finite(var: str, expr: Expr, own: Mapping[str, str], what: str) -> list[str]:
+        # A finite float literal is its own value: no conversion, no check.
+        if isinstance(expr, Literal) and type(expr.value) is float and isfinite(expr.value):
+            return [f"{var} = {expr.value!r}"]
+        return [
+            f"{var} = float({emit(expr, own)})",
+            f"if not _isfinite({var}): raise _non_finite({bind(what)}, {var})",
+        ]
+
     init = ["firings = []", "prev = None"]
     body: list[str] = []  # per message, after the field reads
     apply: list[str] = []  # per message, after every function ran
@@ -139,10 +148,8 @@ def generate_program(od: OracleDefinition, timers: Mapping[str, frozenset[str]])
         if fn.action is None:
             fire += ["d = 0.0", f"s{k} += d"]
         else:
-            what = bind(f"action '{format_expr(fn.action)}'")
             fire += [
-                f"d = float({emit(fn.action, own)})",
-                f"if not _isfinite(d): raise _non_finite({what}, d)",
+                *assign_finite("d", fn.action, own, f"action '{format_expr(fn.action)}'"),
                 f"s{k} += d",
                 f"if not _isfinite(s{k}): raise _non_finite('score', s{k})",
             ]
@@ -150,11 +157,9 @@ def generate_program(od: OracleDefinition, timers: Mapping[str, frozenset[str]])
         for notification in fn.notifications:
             for timer, value in notification.bindings:
                 var = f"n{k}_{len(dispatched)}"
-                what = bind(f"notification value for '{notification.target}.{timer}'")
-                fire += [
-                    f"{var} = float({emit(value, own)})",
-                    f"if not _isfinite({var}): raise _non_finite({what}, {var})",
-                ]
+                fire += assign_finite(
+                    var, value, own, f"notification value for '{notification.target}.{timer}'"
+                )
                 dispatched.append(f"({bind(notification.target)}, {bind(timer)}, {var}), ")
                 writes.append(f"    {timer_vars[notification.target][timer]} = {var}")
         if dispatched:

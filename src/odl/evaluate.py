@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import EvalError
 from .syntax import Binary, Call, Expr, Ident, Literal, Unary, format_expr
@@ -184,32 +184,3 @@ def emit_expr(expr: Expr, resolve: Callable[[str], str], bind: Callable[[Any], s
         raise TypeError(f"not an expression node: {e!r}")
 
     return emit(expr)
-
-
-def compile_expr(
-    expr: Expr,
-    fields: Collection[str],
-    constants: Mapping[str, Value],
-    timers: Collection[str] = (),
-) -> Callable[[Mapping[str, Value], float, Mapping[str, float], "float | None"], Value]:
-    """One checked expression as a function f(values, t, timers, seq_time)
-    that returns what `eval_expr` returns in the matching `Env`. It is
-    built by `emit_expr`, as the scoring program is, so tests can compare
-    the emitter with the tree walker one expression at a time."""
-    namespace = runtime()
-    bind = binder(namespace)
-
-    def resolve(name: str) -> str:
-        if name in ("t", "seq_time"):
-            return name
-        if name in fields:
-            return f"values[{bind(name)}]"
-        if name in constants:
-            return emit_value(constants[name], bind)
-        if name in timers:
-            return f"timers[{bind(name)}]"
-        raise EvalError(f"unbound identifier '{name}'")
-
-    source = f"def expression(values, t, timers, seq_time):\n    return {emit_expr(expr, resolve, bind)}\n"
-    exec(compile(source, "<odl expression>", "exec"), namespace)
-    return namespace["expression"]

@@ -19,12 +19,17 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import ScenarioError
 from .trace import Kind, Point2, Trace, TraceMessage, TraceSchema
 
 EPISODE_KINDS = ("speeding", "lane_departure", "collision", "deceleration", "arrival")
+
+# Most samples a scenario may ask for: floor(duration / tick + 1e-9) + 1.
+# `odl gen` holds the trace and then its text, ~1.1 kB a sample at peak, so
+# this bounds a run that would otherwise grow without end.
+MAX_SAMPLES = 10_000_000
 
 # Schema of every generated trace; unit conventions: m/s, m/s^2, meters.
 GEN_SCHEMA = TraceSchema(
@@ -80,13 +85,43 @@ def _episodes_of(scenario: Scenario, kind: str) -> list[Episode]:
     return [ep for ep in scenario.episodes if ep.kind == kind]
 
 
+def _numbers(scenario: Scenario) -> Iterator[tuple[str, float]]:
+    """(name, value) for every number of a scenario, in the order
+    load_scenario reads them from a file."""
+    for idx, ep in enumerate(scenario.episodes):
+        yield f"episode {idx} start", ep.start
+        yield f"episode {idx} end", ep.end
+        for key, value in ep.params.items():
+            yield f"episode {idx} param '{key}'", value
+    yield "duration", scenario.duration
+    yield "tick", scenario.tick
+    yield "speed_limit", scenario.speed_limit
+    for name in ("destination", "route_start", "route_end"):
+        point = getattr(scenario, name)
+        yield name, point.x
+        yield name, point.y
+    yield "lane_width", scenario.lane_width
+
+
+def _sample_count(scenario: Scenario) -> int:
+    return int(math.floor(scenario.duration / scenario.tick + 1e-9)) + 1
+
+
 def validate_scenario(scenario: Scenario) -> None:
-    if not (math.isfinite(scenario.tick) and scenario.tick > 0):
+    """Raise ScenarioError unless every number is finite, the trace has at
+    most MAX_SAMPLES samples, and the constants and episodes are
+    consistent (see the README's scenario section)."""
+    for what, value in _numbers(scenario):
+        if not math.isfinite(value):
+            raise ScenarioError(f"{what} must be finite")
+    if not scenario.tick > 0:
         raise ScenarioError("tick must be a positive number of seconds")
-    if not (math.isfinite(scenario.duration) and scenario.duration >= 0):
+    if not scenario.duration >= 0:
         raise ScenarioError("duration must be a non-negative number of seconds")
     if not math.isfinite(scenario.duration / scenario.tick):
         raise ScenarioError("duration / tick overflows: too many samples")
+    if _sample_count(scenario) > MAX_SAMPLES:
+        raise ScenarioError(f"duration / tick gives more than {MAX_SAMPLES} samples")
     start, end = scenario.route_start, scenario.route_end
     if not (math.isfinite(end.x - start.x) and math.isfinite(end.y - start.y)):
         raise ScenarioError("route_end - route_start must be finite")
@@ -157,11 +192,31 @@ def validate_scenario(scenario: Scenario) -> None:
             )
 
 
-def _active(episodes: list[Episode], t: float) -> Episode | None:
-    for ep in episodes:
-        if ep.start - 1e-9 <= t <= ep.end + 1e-9:
-            return ep
-    return None
+def _active_by_tick(episodes: list[Episode], tick: float, n: int) -> list[Episode | None]:
+    """For each tick index i < n, the first of `episodes` (declaration
+    order) with start - 1e-9 <= i * tick <= end + 1e-9, or None.
+
+    Costs O(n) plus each episode's ticks. i * tick never decreases as i
+    grows, so each episode holds on one run of indices; its ends are
+    estimated by division and then moved to where the predicate itself
+    changes. Episodes are written latest-declared first, so that the
+    first-declared one wins a tick that two episodes share."""
+    table: list[Episode | None] = [None] * n
+    for ep in reversed(episodes):
+        low, high = ep.start - 1e-9, ep.end + 1e-9
+        lo = max(0, math.ceil(low / tick))
+        while lo > 0 and low <= (lo - 1) * tick:
+            lo -= 1
+        while lo < n and not low <= lo * tick:
+            lo += 1
+        hi = min(n - 1, math.floor(high / tick))
+        while hi + 1 < n and (hi + 1) * tick <= high:
+            hi += 1
+        while hi >= lo and not hi * tick <= high:
+            hi -= 1
+        if lo <= hi:
+            table[lo : hi + 1] = [ep] * (hi + 1 - lo)
+    return table
 
 
 def _lerp(a: Point2, b: Point2, frac: float) -> Point2:
@@ -170,13 +225,18 @@ def _lerp(a: Point2, b: Point2, frac: float) -> Point2:
 
 def _standoff_progress(scenario: Scenario) -> float:
     """Largest route fraction that keeps the vehicle >= 16 m from the
-    destination all the way; used when no arrival episode exists."""
+    destination all the way; used when no arrival episode exists.
+
+    Each step does the float operations of _dist(_lerp(...), destination),
+    in their order, without building the Point2s."""
     steps = 2048
+    ax, ay = scenario.route_start.x, scenario.route_start.y
+    spanx, spany = scenario.route_end.x - ax, scenario.route_end.y - ay
+    destx, desty = scenario.destination.x, scenario.destination.y
     best = 0.0
     for k in range(steps + 1):
         frac = k / steps
-        if _dist(_lerp(scenario.route_start, scenario.route_end, frac),
-                 scenario.destination) < _STANDOFF:
+        if math.hypot(ax + spanx * frac - destx, ay + spany * frac - desty) < _STANDOFF:
             break
         best = frac
     return best
@@ -184,15 +244,20 @@ def _standoff_progress(scenario: Scenario) -> float:
 
 def generate_trace(scenario: Scenario, seed: int) -> Trace:
     """Sample the scenario at its tick; injects each episode exactly on its
-    interval. Pure in (scenario, seed)."""
+    interval. Pure in (scenario, seed).
+
+    Raises ScenarioError for a scenario validate_scenario refuses. Each
+    sample costs O(1): the active episode of each kind is looked up in a
+    per-tick table, not searched for."""
     validate_scenario(scenario)
     rng = random.Random(seed)
-    n = int(math.floor(scenario.duration / scenario.tick + 1e-9)) + 1
+    n = _sample_count(scenario)
     last = n - 1
 
-    speeding = _episodes_of(scenario, "speeding")
-    lane = _episodes_of(scenario, "lane_departure")
-    decel = _episodes_of(scenario, "deceleration")
+    speeding_at, lane_at, decel_at = (
+        _active_by_tick(_episodes_of(scenario, kind), scenario.tick, n)
+        for kind in ("speeding", "lane_departure", "deceleration")
+    )
     arrivals = _episodes_of(scenario, "arrival")
     collision_ticks = {
         min(last, max(0, int(math.floor(ep.start / scenario.tick + 0.5))))
@@ -210,19 +275,19 @@ def generate_trace(scenario: Scenario, seed: int) -> Trace:
         jitter_acc = rng.uniform(0.0, 0.02)
         jitter_road = rng.uniform(-0.05, 0.05)
 
-        ep = _active(speeding, t)
+        ep = speeding_at[i]
         if ep is not None:
             speed = ep.params.get("peak_speed", scenario.speed_limit + 3.0) + abs(jitter_speed)
         else:
             speed = cruise + jitter_speed
 
-        ep = _active(decel, t)
+        ep = decel_at[i]
         if ep is not None:
             acceleration = ep.params.get("rate", -2.0) - jitter_acc
         else:
             acceleration = jitter_acc
 
-        ep = _active(lane, t)
+        ep = lane_at[i]
         if ep is not None:
             road_normal = ep.params.get("offset", scenario.lane_width) + jitter_road
         else:
@@ -263,12 +328,9 @@ def _number_from_json(raw: object, what: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ScenarioError(f"{what} must be a number")
     try:
-        value = float(raw)
-    except OverflowError:  # an integer beyond the doubles
-        value = math.inf
-    if not math.isfinite(value):
-        raise ScenarioError(f"{what} must be finite")
-    return value
+        return float(raw)
+    except OverflowError:  # an integer beyond the doubles; validate_scenario refuses it
+        return math.inf
 
 
 def load_scenario(text: str) -> Scenario:

@@ -17,7 +17,9 @@ import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import inf, isfinite
+from operator import itemgetter
 from typing import IO, Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import TraceError
@@ -274,44 +276,94 @@ def parse_trace(source: Union[str, bytes, IO[str], IO[bytes]]) -> Trace:
     return Trace(schema=schema, messages=tuple(messages))
 
 
-def _json_value(value: Value) -> object:
-    if isinstance(value, Point2):
-        return [value.x, value.y]
-    return value
-
-
 # One encoder for every record: json.dumps(..., allow_nan=False) would build
 # a new one per call.
 _ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def _encode_record(message: TraceMessage, names: tuple[str, ...]) -> str:
+    obj: dict[str, object] = {"t": message.t}
+    for name in names:
+        value = message.values[name]
+        obj[name] = [value.x, value.y] if isinstance(value, Point2) else value
+    return _ENCODER.encode(obj)
+
+
+# Cached so that dumping many traces of one schema compiles one writer.
+@lru_cache(maxsize=16)
+def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage]], list[str]]:
+    """Generate, compile and return the record writer of one schema: a
+    function of the messages that returns their lines, each what
+    _encode_record returns.
+
+    A record is written by one f-string over float.__repr__, which is how
+    the encoder writes a float, when its booleans are True or False, its
+    points are Point2s, and t, its numbers and coordinates are finite
+    floats (float.__repr__ raises TypeError for anything else). Any other
+    record goes to _encode_record: ints, bools in number fields and other
+    points are written as the encoder writes them, and NaN or an infinity
+    raises its ValueError. One finiteness test covers a record: the sum of
+    its floats is finite unless one of them is not, or the sum overflows,
+    and a record it refuses is written by the encoder."""
+    names = schema.names()
+    namespace: dict[str, object] = {
+        "_r": float.__repr__, "_isfinite": isfinite, "_Point2": Point2, "_bool": ("false", "true"),
+        "_encode": _encode_record, "_names": names,
+    }
+    fields = [f"x{k}" for k in range(len(names))]
+    gates, floats = [], ["t"]
+    # The f-string's body: literal text with its braces doubled, and {…}
+    # parts that hold only names, dots, brackets and parentheses, so "f"
+    # before its repr() is Python source for it, whatever the field names.
+    body = ""
+    for (name, kind), var in zip(schema.fields, fields):
+        body += f", {json.dumps(name)}: ".replace("{", "{{").replace("}", "}}")
+        if kind is Kind.NUMBER:
+            floats.append(var)
+            body += f"{{_r({var})}}"
+        elif kind is Kind.BOOLEAN:
+            gates.append(f"({var} is True or {var} is False)")
+            body += f"{{_bool[{var}]}}"
+        else:
+            gates.append(f"type({var}) is _Point2")
+            floats += [f"{var}.x", f"{var}.y"]
+            body += f"[{{_r({var}.x)}}, {{_r({var}.y)}}]"
+    line = "f" + repr('{{"t": {_r(t)}' + body + "}}")
+    read = []
+    if names:
+        namespace["_fields"] = itemgetter(*names)
+        read = [f"{', '.join(fields)} = _fields(message.values)"]
+    test = " and ".join([*gates, f"_isfinite({' + '.join(floats)})"])
+    source = "\n".join([
+        "def write(messages):",
+        "    lines = []",
+        "    append = lines.append",
+        "    for message in messages:",
+        "        t = message.t",
+        *("        " + stmt for stmt in read),
+        "        try:",
+        f"            if {test}:",
+        f"                append({line})",
+        "                continue",
+        "        except (TypeError, OverflowError):",
+        "            pass",
+        "        append(_encode(message, _names))",
+        "    return lines",
+        "",
+    ])
+    exec(compile(source, "<odl record writer>", "exec"), namespace)
+    return namespace["write"]  # type: ignore[return-value]
 
 
 def dump_trace(trace: Trace) -> str:
     """Canonical serialization: schema line, then records with 't' first and
     fields in schema declaration order. parse_trace(dump_trace(tr)) == tr.
 
-    A non-finite value raises ValueError instead of being written as
+    Records are written by a writer generated for the trace's schema
+    (_record_writer), byte for byte as json.JSONEncoder writes them. A
+    non-finite value raises ValueError instead of being written as
     `NaN`/`Infinity`, which are not JSON (RFC 8259 §6) and which
     parse_trace rejects."""
     lines = [json.dumps({name: kind.value for name, kind in trace.schema.fields})]
-    for msg in trace.messages:
-        obj: dict[str, object] = {"t": msg.t}
-        for name, _ in trace.schema.fields:
-            obj[name] = _json_value(msg.values[name])
-        lines.append(_ENCODER.encode(obj))
+    lines += _record_writer(trace.schema)(trace.messages)
     return "\n".join(lines) + "\n"
-
-
-def duration(trace: Trace) -> float:
-    """Elapsed seconds between the first and last message (0 if fewer than 2)."""
-    if len(trace.messages) < 2:
-        return 0.0
-    return trace.messages[-1].t - trace.messages[0].t
-
-
-def concat_traces(first: Trace, second: Trace) -> Trace:
-    """Join two traces over the same schema; time must stay non-decreasing."""
-    if first.schema.as_dict() != second.schema.as_dict():
-        raise TraceError("cannot concatenate traces with different schemas")
-    if first.messages and second.messages and second.messages[0].t < first.messages[-1].t:
-        raise TraceError("concatenation would make timestamps decrease")
-    return Trace(schema=first.schema, messages=first.messages + second.messages)

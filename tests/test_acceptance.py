@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from _drive import listing_suite
 from _generators import gen_checkable_od, gen_schema, gen_trace, gen_wild_od
 from _spearman import spearman_closed_form
+from _traces import concat_traces
 from odl import (
     BUILTIN_NAMES,
     Frequency,
@@ -271,8 +272,6 @@ def test_criterion_8_property_invariants():
     initial; condition-free notification-free action_sum is additive under
     concatenation; every score equals initial plus its firing deltas."""
     with criterion(8, "property invariants suite", 30.0):
-        from odl import concat_traces
-
         for i in range(150):
             rng = random.Random(500_000 + i)
             schema = gen_schema(rng)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _generators import gen_checkable_od, gen_schema, gen_trace
+from _traces import concat_traces
 from odl import (
     BUILTIN_NAMES,
     EvalError,
@@ -19,7 +20,6 @@ from odl import (
     OracleDefinition,
     Trace,
     check_od,
-    concat_traces,
     generate_trace,
     load_builtin,
     load_example_scenario,
@@ -213,6 +213,10 @@ _ERROR_CASES = [
         " notifications = [(g, [(tm, -x * n0 * 10)])]);\n"
         "g = scoring_function(event = tm > 0, frequency = first);",
         r"^message 0 \(t=0.0\), function 'f': notification value for 'g.tm' is non-finite \(-inf\)$",
+    ),
+    (
+        "f = scoring_function(event = b0, action = 1e308, frequency = all_sum);",
+        r"^message 1 \(t=1.0\), function 'f': score is non-finite \(inf\)$",
     ),
     (
         "const x = 1e308;\n"

@@ -309,3 +309,23 @@ def test_score_messages_pulls_each_message_once_from_an_iterator():
         score_messages(checked, one_shot(fail_at=4))
     assert raised.value is bad_record
     assert pulled == [0, 1, 2, 3]
+
+
+def test_literal_actions_and_notification_values_are_folded():
+    # A finite literal needs no float() and no finiteness check; anything
+    # else keeps both.
+    folded = (
+        "f = scoring_function(event = collision, action = -2.5, frequency = all_sum,"
+        " notifications = [(g, [(tm, 0.5)])]);\n"
+        "g = scoring_function(event = tm > 0, action = 1, frequency = first);"
+    )
+    kept = "const X = 2;\nf = scoring_function(event = collision, action = X * 1, frequency = all_sum);"
+    assert "float" not in check_od(parse_od(folded), BOOL_SCHEMA).program.__code__.co_names
+    assert "float" in check_od(parse_od(kept), BOOL_SCHEMA).program.__code__.co_names
+    report = scored(folded, bool_trace([(0, True), (0.2, True), (0.4, False)]))
+    assert report.scores == (("f", -5.0), ("g", 1.0))
+    assert [(f.function, f.delta, f.notifications) for f in report.firings] == [
+        ("f", -2.5, (("g", "tm", 0.5),)),
+        ("f", -2.5, (("g", "tm", 0.5),)),
+        ("g", 1.0, ()),
+    ]

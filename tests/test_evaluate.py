@@ -1,5 +1,5 @@
 """Expression evaluation semantics, for the tree walker and the generated
-code (one expression at a time through `compile_expr`, which wraps the
+code (one expression at a time through `compile_expr` below, which wraps the
 emitter the scoring program is built from)."""
 
 import random
@@ -10,7 +10,31 @@ from hypothesis import strategies as st
 
 from _generators import gen_checkable_od, gen_expr, gen_schema, gen_trace
 from odl import Env, EvalError, Kind, Point2, eval_expr, format_expr, parse_od
-from odl.evaluate import compile_expr
+from odl.evaluate import binder, emit_expr, emit_value, runtime
+
+
+def compile_expr(expr, fields, constants, timers=()):
+    """One checked expression as a function f(values, t, timers, seq_time)
+    that returns what `eval_expr` returns in the matching `Env`. It is
+    built by `emit_expr`, as the scoring program is, so the emitter can be
+    compared with the tree walker one expression at a time."""
+    namespace = runtime()
+    bind = binder(namespace)
+
+    def resolve(name):
+        if name in ("t", "seq_time"):
+            return name
+        if name in fields:
+            return f"values[{bind(name)}]"
+        if name in constants:
+            return emit_value(constants[name], bind)
+        if name in timers:
+            return f"timers[{bind(name)}]"
+        raise EvalError(f"unbound identifier '{name}'")
+
+    source = f"def expression(values, t, timers, seq_time):\n    return {emit_expr(expr, resolve, bind)}\n"
+    exec(compile(source, "<odl expression>", "exec"), namespace)
+    return namespace["expression"]
 
 ENV = Env(
     fields={"speed": 25.0, "road_normal": 3.8, "position": Point2(0.0, 0.0), "t": 1.0},

@@ -2,19 +2,21 @@
 
 import json
 import math
+import random
 
 import pytest
 
+from _traces import duration, encoder_dump
 from odl import (
     Episode,
     GEN_SCHEMA,
+    Point2,
     Scenario,
     ScenarioError,
     Trace,
     TraceMessage,
     check_od,
     dump_trace,
-    duration,
     generate_trace,
     load_builtin,
     load_example_scenario,
@@ -22,8 +24,10 @@ from odl import (
     parse_od,
     parse_trace,
     score_trace,
+    validate_scenario,
 )
 from odl.cli import main
+from odl.scenario import MAX_SAMPLES, _active_by_tick, _standoff_progress
 
 LISTINGS = ("listing1", "listing2", "listing3", "listing4")
 
@@ -61,10 +65,112 @@ def test_nominal_trace_scores_zero_on_all_listings():
 
 
 def test_generated_traces_satisfy_trace_invariants():
-    scenario = load_scenario(load_example_scenario("eventful"))
-    trace = generate_trace(scenario, 5)
-    assert parse_trace(dump_trace(trace)) == trace  # monotone, finite, schema-true
-    assert trace.schema == GEN_SCHEMA
+    for name in ("eventful", "nominal"):
+        scenario = load_scenario(load_example_scenario(name))
+        for seed in (0, 5):
+            trace = generate_trace(scenario, seed)
+            text = dump_trace(trace)
+            assert parse_trace(text) == trace  # monotone, finite, schema-true
+            assert text == encoder_dump(trace)
+            assert trace.schema == GEN_SCHEMA
+
+
+def linear_active(episodes, t):
+    """The first episode whose interval holds t, by a scan in declaration
+    order: the reference for the per-tick table."""
+    for ep in episodes:
+        if ep.start - 1e-9 <= t <= ep.end + 1e-9:
+            return ep
+    return None
+
+
+def random_scenario(rng):
+    """A valid scenario whose interval episodes have ends on or near ticks
+    (at, within and beyond the 1e-9 tolerance), some touching, each kind
+    declared in shuffled order."""
+    tick = rng.choice((0.02, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0, rng.uniform(0.01, 1.0)))
+    duration_s = rng.randint(5, 120) * tick + rng.choice((0.0, tick / 2))
+    nudges = (0.0, 0.0, 1e-9, -1e-9, 1e-9, -1e-9, 5e-10, -5e-10, 2e-9, -2e-9, 1e-6, -1e-6)
+    episodes = []
+    for kind in ("speeding", "lane_departure", "deceleration"):
+        points = sorted(
+            min(duration_s, max(0.0, rng.randint(0, int(duration_s / tick) + 1) * tick + rng.choice(nudges)))
+            for _ in range(rng.randint(0, 12))
+        )
+        spans, j = [], 0
+        while j + 1 < len(points):
+            spans.append(Episode(kind, points[j], points[j + 1]))
+            j += 1 if rng.random() < 0.4 else 2  # the next episode touches this one, or not
+        rng.shuffle(spans)
+        episodes += spans
+    return Scenario(duration=duration_s, tick=tick, episodes=tuple(episodes))
+
+
+def assert_table_equals_scan(episodes, tick, n):
+    table = _active_by_tick(episodes, tick, n)
+    assert len(table) == n
+    assert all(got is linear_active(episodes, i * tick) for i, got in enumerate(table))
+
+
+def test_per_tick_table_equals_linear_scan():
+    checked = touching = 0
+    for seed in range(300):
+        scenario = random_scenario(random.Random(seed))
+        try:
+            validate_scenario(scenario)
+        except ScenarioError:
+            continue
+        n = int(math.floor(scenario.duration / scenario.tick + 1e-9)) + 1
+        for kind in ("speeding", "lane_departure", "deceleration"):
+            episodes = [ep for ep in scenario.episodes if ep.kind == kind]
+            assert_table_equals_scan(episodes, scenario.tick, n)
+            ends = {ep.end for ep in episodes}
+            touching += sum(ep.start in ends for ep in episodes)
+        checked += 1
+    assert checked > 150 and touching > 100
+
+
+@pytest.mark.parametrize(
+    "tick, start, end",
+    [
+        (0.424, 62.328000001, 70.0),  # ceil((start - 1e-9) / tick) is one tick early
+        (0.536, 1900.0, 1942.999999999),  # floor((end + 1e-9) / tick) is one tick late
+    ],
+)
+def test_per_tick_table_where_division_misplaces_a_boundary(tick, start, end):
+    assert_table_equals_scan([Episode("speeding", start, end)], tick, int(end / tick) + 3)
+
+
+def standoff_by_points(scenario):
+    """_standoff_progress as a scan that builds each Point2: the reference."""
+    a, b, dest = scenario.route_start, scenario.route_end, scenario.destination
+    best = 0.0
+    for k in range(2049):
+        frac = k / 2048
+        p = Point2(a.x + (b.x - a.x) * frac, a.y + (b.y - a.y) * frac)
+        if math.hypot(p.x - dest.x, p.y - dest.y) < 16.0:
+            break
+        best = frac
+    return best
+
+
+def test_standoff_progress_equals_point_scan():
+    results = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        start = Point2(rng.uniform(-2000, 2000), rng.uniform(-2000, 2000))
+        end = Point2(rng.uniform(-2000, 2000), rng.uniform(-2000, 2000))
+        u = rng.random()
+        # A destination near the route, so that the scan stops part way.
+        dest = Point2(
+            start.x + (end.x - start.x) * u + rng.uniform(-20, 20),
+            start.y + (end.y - start.y) * u + rng.uniform(-20, 20),
+        )
+        scenario = Scenario(duration=1.0, tick=1.0, route_start=start, route_end=end, destination=dest)
+        got = _standoff_progress(scenario)
+        assert got == standoff_by_points(scenario), seed
+        results.add(got)
+    assert len(results) > 100
 
 
 def test_duration_matches_spec_within_one_tick():
@@ -222,6 +328,19 @@ HOSTILE_SCENARIOS = {
         '{"duration": 1, "tick": 1, "constants": {"route_start": [-1e308, 0], "route_end": [1e308, 0]}}',
         "route_end - route_start must be finite",
     ),
+    "too_many_samples": (
+        '{"duration": 1e300, "tick": 1}',
+        f"duration / tick gives more than {MAX_SAMPLES} samples",
+    ),
+    "one_sample_over_the_limit": (
+        f'{{"duration": {MAX_SAMPLES}, "tick": 1}}',
+        f"duration / tick gives more than {MAX_SAMPLES} samples",
+    ),
+    "nan_param": (
+        '{"duration": 4, "tick": 1, "episodes": [{"kind": "speeding", "start": 1, "end": 2,'
+        ' "params": {"peak_speed": NaN}}]}',
+        "episode 0 param 'peak_speed' must be finite",
+    ),
 }
 
 
@@ -245,3 +364,53 @@ def test_dump_trace_refuses_non_finite_values():
     bad = Trace(trace.schema, (TraceMessage(first.t, {**first.values, "speed": math.nan}),))
     with pytest.raises(ValueError):
         dump_trace(bad)
+
+
+def test_sample_count_limit():
+    # MAX_SAMPLES - 1 and MAX_SAMPLES samples pass; one more is refused.
+    for samples in (MAX_SAMPLES - 1, MAX_SAMPLES):
+        validate_scenario(Scenario(duration=float(samples - 1), tick=1.0))
+        assert load_scenario(json.dumps({"duration": samples - 1, "tick": 1})).duration == samples - 1
+    for duration_s in (float(MAX_SAMPLES), 1e300):
+        with pytest.raises(ScenarioError, match=f"^duration / tick gives more than {MAX_SAMPLES} samples$"):
+            validate_scenario(Scenario(duration=duration_s, tick=1.0))
+
+
+def test_gen_honours_the_sample_limit(monkeypatch, tmp_path, capsys):
+    # With a small limit, `odl gen` runs at the limit and refuses one over it.
+    monkeypatch.setattr("odl.scenario.MAX_SAMPLES", 21)
+    path, out = tmp_path / "scenario.json", tmp_path / "trace.jsonl"
+    path.write_text('{"duration": 20, "tick": 1}')
+    assert main(["gen", "--scenario", str(path), "--out", str(out)]) == 0
+    assert len(parse_trace(out.read_text()).messages) == 21
+    out.unlink()
+    path.write_text('{"duration": 21, "tick": 1}')
+    assert main(["gen", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: duration / tick gives more than 21 samples\n"
+    assert not out.exists()
+
+
+NON_FINITE_SCENARIOS = {
+    "duration": Scenario(duration=math.inf, tick=1.0),
+    "tick": Scenario(duration=1.0, tick=math.nan),
+    "speed_limit": Scenario(duration=1.0, tick=1.0, speed_limit=math.nan),
+    "lane_width": Scenario(duration=1.0, tick=1.0, lane_width=-math.inf),
+    "destination": Scenario(duration=1.0, tick=1.0, destination=Point2(1000.0, math.nan)),
+    "route_start": Scenario(duration=1.0, tick=1.0, route_start=Point2(math.inf, 0.0)),
+    "route_end": Scenario(duration=1.0, tick=1.0, route_end=Point2(0.0, -math.inf)),
+    "episode 0 start": Scenario(duration=1.0, tick=1.0, episodes=(Episode("collision", math.nan, 0.0),)),
+    "episode 1 end": Scenario(
+        duration=4.0, tick=1.0,
+        episodes=(Episode("collision", 1.0, 1.0), Episode("speeding", 1.0, math.inf)),
+    ),
+    "episode 0 param 'rate'": Scenario(
+        duration=4.0, tick=1.0, episodes=(Episode("deceleration", 1.0, 2.0, {"rate": -math.inf}),)
+    ),
+}
+
+
+@pytest.mark.parametrize("what", sorted(NON_FINITE_SCENARIOS))
+def test_validation_refuses_non_finite_numbers(what):
+    with pytest.raises(ScenarioError) as raised:
+        generate_trace(NON_FINITE_SCENARIOS[what], 0)
+    assert str(raised.value) == f"{what} must be finite"

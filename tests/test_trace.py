@@ -1,11 +1,13 @@
 """Trace model, JSONL parsing, canonical serialization."""
 
 import io
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _traces import concat_traces, duration, encoder_dump
 from odl import (
     Kind,
     Point2,
@@ -13,9 +15,7 @@ from odl import (
     TraceError,
     TraceMessage,
     TraceSchema,
-    concat_traces,
     dump_trace,
-    duration,
     parse_trace,
     read_trace,
 )
@@ -303,10 +303,77 @@ def traces(draw):
     return Trace(schema=schema, messages=tuple(messages))
 
 
+ODD_SCHEMA = TraceSchema((("n", Kind.NUMBER), ("b", Kind.BOOLEAN), ("p", Kind.POINT2)))
+
+
+def odd(t=1.0, n=2.5, b=True, p=Point2(0.5, -0.5)):
+    return TraceMessage(t, {"n": n, "b": b, "p": p})
+
+
+class Meters(float):
+    def __repr__(self):
+        return "Meters()"
+
+
+# Values the writer must write as the encoder does: extreme and signed
+# floats, sums that overflow, and values of other types than their kind's.
+ODD_MESSAGES = (
+    odd(),
+    odd(t=-0.0, n=-0.0, b=False, p=Point2(-0.0, 0.0)),
+    odd(t=5e-324, n=-5e-324, p=Point2(5e-324, 2.2250738585072014e-308)),
+    odd(t=1e308, n=1e308, p=Point2(1e308, 1.7976931348623157e308)),
+    odd(n=-1e308, p=Point2(-1e308, -1.7976931348623157e308)),
+    odd(t=1e16, n=1e-7, p=Point2(123456789012345680.0, 0.1)),
+    odd(t=3, n=7),
+    odd(n=-3, p=Point2(1, 2)),
+    odd(n=10**400),
+    odd(t=True, n=False),
+    odd(n=True, p=Point2(True, 0.0)),
+    odd(b=1),
+    odd(b=0.0),
+    odd(p=[1.0, 2.0]),
+    odd(p=(3.0, 4)),
+    odd(t=Meters(0.25), n=Meters(1e300), p=Point2(Meters(-2.5), 1.0)),
+)
+
+
+def test_dump_trace_writes_records_as_the_encoder_does():
+    trace = Trace(ODD_SCHEMA, ODD_MESSAGES)
+    assert dump_trace(trace) == encoder_dump(trace)
+    for message in ODD_MESSAGES:
+        single = Trace(ODD_SCHEMA, (message,))
+        assert dump_trace(single) == encoder_dump(single)
+    empty = Trace(TraceSchema(()), (TraceMessage(0.5, {}), TraceMessage(2, {})))
+    assert dump_trace(empty) == encoder_dump(empty) == '{}\n{"t": 0.5}\n{"t": 2}\n'
+    # Field names reach the generated writer only through json.dumps.
+    quoted = TraceSchema((('a{b}\'"\\\u00e9\n', Kind.NUMBER), ("c", Kind.BOOLEAN)))
+    weird = Trace(quoted, (TraceMessage(1.0, {'a{b}\'"\\\u00e9\n': 1.5, "c": False}),))
+    assert dump_trace(weird) == encoder_dump(weird)
+
+
+NON_FINITE_AT = {
+    "t": lambda bad: odd(t=bad),
+    "n": lambda bad: odd(n=bad),
+    "b": lambda bad: odd(b=bad),
+    "p.x": lambda bad: odd(p=Point2(bad, 0.0)),
+    "p.y": lambda bad: odd(p=Point2(0.0, bad)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_AT))
+def test_dump_trace_refuses_non_finite_values_in_every_field(field, bad):
+    trace = Trace(ODD_SCHEMA, (odd(), NON_FINITE_AT[field](bad)))
+    for dump in (encoder_dump, dump_trace):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            dump(trace)
+
+
 @settings(max_examples=60, deadline=None)
 @given(traces())
 def test_dump_parse_round_trip_property(trace):
     text = dump_trace(trace)
+    assert text == encoder_dump(trace)
     assert parse_trace(text) == trace
     schema, messages = read_trace(io.StringIO(text))
     assert schema == trace.schema
