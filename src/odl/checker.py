@@ -4,13 +4,14 @@ Every identifier must resolve to a trace field, a constant, one of the
 function's own timers, seq_time (conditions only), or — in the summary — a
 scoring-function score. Events and conditions must be boolean; actions,
 initial values, notification values, and the summary must be numeric.
-A checked oracle carries its scoring program, which `check_od` generates
-and compiles once (`engine.generate_program`).
+A checked oracle is a plain value; its scoring program is generated and
+compiled when it is first scored (`engine.generate_program`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .engine import Program, generate_program
@@ -34,16 +35,17 @@ class CheckedOracle:
 
     `timers` maps each scoring-function name to the timer names some
     notification targets at it (the timers its expressions may read).
-    `program` is the oracle's scoring function, generated and compiled once
-    by `engine.generate_program`: given the messages, it loops over them and
-    returns the report. `engine.score_messages` is its only caller; the
-    batch reference walks `od` instead.
     """
 
     od: OracleDefinition
     schema: TraceSchema
     timers: Mapping[str, frozenset[str]]
-    program: Program = field(compare=False, repr=False)
+
+    @cached_property
+    def program(self) -> Program:
+        """The scoring function, made by `engine.generate_program` on first use
+        and kept. Only `engine.score_messages` calls it; the reference walks `od`."""
+        return generate_program(self.od, self.timers)
 
 
 def _kind_of_value(value: Value) -> Kind:
@@ -295,4 +297,4 @@ def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
             raise CheckError("summary must be numeric")
 
     timers = {name: frozenset(timers) for name, timers in available.items()}
-    return CheckedOracle(od=od, schema=schema, timers=timers, program=generate_program(od, timers))
+    return CheckedOracle(od=od, schema=schema, timers=timers)

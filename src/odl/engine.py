@@ -23,10 +23,10 @@ Each message is processed in three phases:
    is visible from the next message onward, which makes the result
    independent of declaration order.
 
-`check_od` generates one Python function per oracle (`generate_program`)
-that does all of this with the oracle's expressions inlined: it loops over
-the messages itself and returns the report. `score_messages` is its only
-caller. `reference.reference_score` implements the same semantics
+`generate_program` makes one Python function per checked oracle, at its first
+scoring, that does all of this with the oracle's expressions inlined: it
+loops over the messages itself and returns the report. `score_messages` is
+its only caller. `reference.reference_score` implements the same semantics
 independently.
 """
 
@@ -230,9 +230,9 @@ def _indent(lines: list[str], levels: int = 1) -> list[str]:
 
 def score_messages(checked: CheckedOracle, messages: Iterable[TraceMessage]) -> ScoreReport:
     """Score messages of the schema `checked` was checked against, in time
-    order, by running the oracle's program over them. The program pulls one
-    message at a time and only the firing log grows with their number, so
-    a `read_trace` iterator is scored without holding the trace."""
+    order, by running the oracle's program (compiled at the first call) over
+    them. It pulls one message at a time and only the firing log grows with
+    their number, so a `read_trace` iterator is scored without holding it."""
     return checked.program(messages)
 
 

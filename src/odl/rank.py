@@ -11,7 +11,7 @@ import csv
 import io
 import math
 import statistics
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import AnalysisError
 
@@ -121,70 +121,63 @@ def spearman_matrix(ranks: Sequence[RankVector]) -> list[list[float]]:
 # `solution,rank` rows; matrices are square tables with oracle names on the
 # header row and first column.
 
-def write_scores_csv(rows: Iterable[tuple[str, str, float]]) -> str:
+def _write_csv(header: Sequence[str], rows: Iterable[Sequence], text_columns: int) -> str:
+    """The file: the header, then each row with its first `text_columns`
+    cells as they are and the rest, numbers, as repr(float(n))."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["solution", "trace", "score"])
-    for solution, trace_id, score in rows:
-        writer.writerow([solution, trace_id, repr(float(score))])
+    writer.writerow(header)
+    writer.writerows([*row[:text_columns], *map(repr, map(float, row[text_columns:]))] for row in rows)
     return out.getvalue()
 
 
-def read_scores_csv(text: str) -> dict[str, list[float]]:
+def _read_csv(text: str, header: list[str], unique: bool = False) -> Iterator[tuple[str, float]]:
+    """(solution, number) for each row of a scores or ranks file: the last
+    column is the number its header names. Checks the header, then each row
+    in turn: its width, if `unique` that its solution is new, its number."""
+    kind = header[-1]
     rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["solution", "trace", "score"]:
-        raise AnalysisError("scores file must start with header 'solution,trace,score'")
-    table: dict[str, list[float]] = {}
+    if not rows or rows[0] != header:
+        raise AnalysisError(f"{kind}s file must start with header '{','.join(header)}'")
+    if len(rows) == 1:
+        raise AnalysisError(f"{kind}s file has no rows")
+    seen: set[str] = set()
     for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise AnalysisError(f"scores row {lineno}: expected 3 columns")
+        where = f"{kind}s row {lineno}"
+        if len(row) != len(header):
+            raise AnalysisError(f"{where}: expected {len(header)} columns")
+        if unique:
+            if row[0] in seen:
+                raise AnalysisError(f"{where}: duplicate solution '{row[0]}'")
+            seen.add(row[0])
         try:
-            score = float(row[2])
+            number = float(row[-1])
         except ValueError:
-            raise AnalysisError(f"scores row {lineno}: bad score {row[2]!r}") from None
-        if not math.isfinite(score):
-            raise AnalysisError(f"scores row {lineno}: non-finite score {row[2]!r}")
-        table.setdefault(row[0], []).append(score)
-    if not table:
-        raise AnalysisError("scores file has no rows")
+            raise AnalysisError(f"{where}: bad {kind} {row[-1]!r}") from None
+        if not math.isfinite(number):
+            raise AnalysisError(f"{where}: non-finite {kind} {row[-1]!r}")
+        yield row[0], number
+
+
+def write_scores_csv(rows: Iterable[tuple[str, str, float]]) -> str:
+    return _write_csv(["solution", "trace", "score"], rows, text_columns=2)
+
+
+def read_scores_csv(text: str) -> dict[str, list[float]]:
+    table: dict[str, list[float]] = {}
+    for solution, score in _read_csv(text, ["solution", "trace", "score"]):
+        table.setdefault(solution, []).append(score)
     return table
 
 
 def write_ranks_csv(ranks: RankVector) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["solution", "rank"])
-    for solution, rank in sorted(ranks.items(), key=lambda item: (item[1], item[0])):
-        writer.writerow([solution, repr(float(rank))])
-    return out.getvalue()
+    ordered = sorted(ranks.items(), key=lambda item: (item[1], item[0]))
+    return _write_csv(["solution", "rank"], ordered, text_columns=1)
 
 
 def read_ranks_csv(text: str) -> dict[str, float]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["solution", "rank"]:
-        raise AnalysisError("ranks file must start with header 'solution,rank'")
-    ranks: dict[str, float] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise AnalysisError(f"ranks row {lineno}: expected 2 columns")
-        if row[0] in ranks:
-            raise AnalysisError(f"ranks row {lineno}: duplicate solution '{row[0]}'")
-        try:
-            rank = float(row[1])
-        except ValueError:
-            raise AnalysisError(f"ranks row {lineno}: bad rank {row[1]!r}") from None
-        if not math.isfinite(rank):
-            raise AnalysisError(f"ranks row {lineno}: non-finite rank {row[1]!r}")
-        ranks[row[0]] = rank
-    if not ranks:
-        raise AnalysisError("ranks file has no rows")
-    return ranks
+    return dict(_read_csv(text, ["solution", "rank"], unique=True))
 
 
 def write_matrix_csv(names: Sequence[str], matrix: Sequence[Sequence[float]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["od", *names])
-    for name, row in zip(names, matrix):
-        writer.writerow([name, *[repr(float(value)) for value in row]])
-    return out.getvalue()
+    return _write_csv(["od", *names], ([name, *row] for name, row in zip(names, matrix)), text_columns=1)

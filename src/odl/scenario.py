@@ -14,17 +14,13 @@ deliberately independent (braking episodes do not move the speed channel).
 
 from __future__ import annotations
 
-import json
 import math
 import random
-import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ScenarioError
-from .trace import Kind, Point2, Trace, TraceMessage, TraceSchema
-
-EPISODE_KINDS = ("speeding", "lane_departure", "collision", "deceleration", "arrival")
+from .trace import Kind, Point2, Trace, TraceMessage, TraceSchema, json_object
 
 # Most samples a scenario may ask for: floor(duration / tick + 1e-9) + 1.
 # `odl gen` holds the trace and then its text, ~1.1 kB a sample at peak, so
@@ -48,14 +44,6 @@ GEN_SCHEMA = TraceSchema(
 _ARRIVAL_CLEARANCE = 8.0
 _STANDOFF = 16.0
 
-_EPISODE_PARAMS = {
-    "speeding": {"peak_speed"},
-    "lane_departure": {"offset"},
-    "collision": set(),
-    "deceleration": {"rate"},
-    "arrival": set(),
-}
-
 
 @dataclass(frozen=True)
 class Episode:
@@ -77,12 +65,35 @@ class Scenario:
     episodes: tuple[Episode, ...] = ()
 
 
+# Each episode kind's parameters, each with its default for a scenario.
+_EPISODE_PARAMS: dict[str, dict[str, Callable[[Scenario], float]]] = {
+    "speeding": {"peak_speed": lambda scenario: scenario.speed_limit + 3.0},
+    "lane_departure": {"offset": lambda scenario: scenario.lane_width},
+    "collision": {},
+    "deceleration": {"rate": lambda scenario: -2.0},
+    "arrival": {},
+}
+EPISODE_KINDS = tuple(_EPISODE_PARAMS)
+
+
+def _params(scenario: Scenario, ep: Episode) -> dict[str, float]:
+    """Each parameter of the episode's kind: its value, or its default."""
+    defaults = _EPISODE_PARAMS[ep.kind]
+    return {name: ep.params.get(name, default(scenario)) for name, default in defaults.items()}
+
+
 def _dist(a: Point2, b: Point2) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
 def _episodes_of(scenario: Scenario, kind: str) -> list[Episode]:
     return [ep for ep in scenario.episodes if ep.kind == kind]
+
+
+def _refuse_unknown(keys: Iterable[str], known: Iterable[str], what: str) -> None:
+    unknown = set(keys) - set(known)
+    if unknown:
+        raise ScenarioError(f"{what} {sorted(unknown)}")
 
 
 def _numbers(scenario: Scenario) -> Iterator[tuple[str, float]]:
@@ -95,12 +106,10 @@ def _numbers(scenario: Scenario) -> Iterator[tuple[str, float]]:
             yield f"episode {idx} param '{key}'", value
     yield "duration", scenario.duration
     yield "tick", scenario.tick
-    yield "speed_limit", scenario.speed_limit
-    for name in ("destination", "route_start", "route_end"):
-        point = getattr(scenario, name)
-        yield name, point.x
-        yield name, point.y
-    yield "lane_width", scenario.lane_width
+    for name in _CONSTANTS:
+        value = getattr(scenario, name)
+        for number in (value.x, value.y) if isinstance(value, Point2) else (value,):
+            yield name, number
 
 
 def _sample_count(scenario: Scenario) -> int:
@@ -139,11 +148,7 @@ def validate_scenario(scenario: Scenario) -> None:
                 f"{ep.kind} episode [{ep.start}, {ep.end}] must lie within "
                 f"[0, {scenario.duration}] with start <= end"
             )
-        unknown = set(ep.params) - _EPISODE_PARAMS[ep.kind]
-        if unknown:
-            raise ScenarioError(
-                f"{ep.kind} episode has unknown params {sorted(unknown)}"
-            )
+        _refuse_unknown(ep.params, _EPISODE_PARAMS[ep.kind], f"{ep.kind} episode has unknown params")
         if ep.kind == "collision":
             if ep.end != ep.start:
                 raise ScenarioError("collision episodes are instantaneous (end = start)")
@@ -156,20 +161,15 @@ def validate_scenario(scenario: Scenario) -> None:
                     f"{ep.kind} episode [{ep.start}, {ep.end}] contains no "
                     f"sample tick (tick = {scenario.tick})"
                 )
-        if ep.kind == "speeding":
-            peak = ep.params.get("peak_speed", scenario.speed_limit + 3.0)
-            if peak <= scenario.speed_limit:
-                raise ScenarioError(
-                    "speeding episode peak_speed must exceed the speed limit"
-                )
-        if ep.kind == "deceleration":
-            if ep.params.get("rate", -2.0) >= 0.0:
-                raise ScenarioError("deceleration episode rate must be negative")
+        params = _params(scenario, ep)
+        if ep.kind == "speeding" and params["peak_speed"] <= scenario.speed_limit:
+            raise ScenarioError("speeding episode peak_speed must exceed the speed limit")
+        if ep.kind == "deceleration" and params["rate"] >= 0.0:
+            raise ScenarioError("deceleration episode rate must be negative")
         if ep.kind == "lane_departure":
-            offset = ep.params.get("offset", scenario.lane_width)
             near_line = min(
-                abs(offset - scenario.lane_width),
-                abs(offset - 2.0 * scenario.lane_width),
+                abs(params["offset"] - scenario.lane_width),
+                abs(params["offset"] - 2.0 * scenario.lane_width),
             )
             if near_line > 0.25:
                 raise ScenarioError(
@@ -247,15 +247,19 @@ def generate_trace(scenario: Scenario, seed: int) -> Trace:
     interval. Pure in (scenario, seed).
 
     Raises ScenarioError for a scenario validate_scenario refuses. Each
-    sample costs O(1): the active episode of each kind is looked up in a
-    per-tick table, not searched for."""
+    sample costs O(1): the active episode of each kind, its parameters
+    resolved, is looked up in a per-tick table, not searched for."""
     validate_scenario(scenario)
     rng = random.Random(seed)
     n = _sample_count(scenario)
     last = n - 1
 
     speeding_at, lane_at, decel_at = (
-        _active_by_tick(_episodes_of(scenario, kind), scenario.tick, n)
+        _active_by_tick(
+            [Episode(kind, ep.start, ep.end, _params(scenario, ep)) for ep in _episodes_of(scenario, kind)],
+            scenario.tick,
+            n,
+        )
         for kind in ("speeding", "lane_departure", "deceleration")
     )
     arrivals = _episodes_of(scenario, "arrival")
@@ -277,19 +281,19 @@ def generate_trace(scenario: Scenario, seed: int) -> Trace:
 
         ep = speeding_at[i]
         if ep is not None:
-            speed = ep.params.get("peak_speed", scenario.speed_limit + 3.0) + abs(jitter_speed)
+            speed = ep.params["peak_speed"] + abs(jitter_speed)
         else:
             speed = cruise + jitter_speed
 
         ep = decel_at[i]
         if ep is not None:
-            acceleration = ep.params.get("rate", -2.0) - jitter_acc
+            acceleration = ep.params["rate"] - jitter_acc
         else:
             acceleration = jitter_acc
 
         ep = lane_at[i]
         if ep is not None:
-            road_normal = ep.params.get("offset", scenario.lane_width) + jitter_road
+            road_normal = ep.params["offset"] + jitter_road
         else:
             road_normal = jitter_road
 
@@ -333,26 +337,23 @@ def _number_from_json(raw: object, what: str) -> float:
         return math.inf
 
 
+# The optional scenario constants, in the order load_scenario reads them,
+# each with its reader; a constant a file omits keeps its Scenario default.
+_CONSTANTS: dict[str, Callable[[object, str], object]] = {
+    "speed_limit": _number_from_json,
+    "destination": _point_from_json,
+    "route_start": _point_from_json,
+    "route_end": _point_from_json,
+    "lane_width": _number_from_json,
+}
+
+
 def load_scenario(text: str) -> Scenario:
     """Parse a scenario file: a JSON object with duration, tick, optional
-    constants {speed_limit, destination, route_start, route_end, lane_width},
-    and episodes [{kind, start, end?, params?}]."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"malformed scenario file: {exc.msg}") from exc
-    except ValueError:
-        # An integer literal longer than sys.get_int_max_str_digits().
-        raise ScenarioError(
-            f"malformed scenario file: integer literal exceeds {sys.get_int_max_str_digits()} digits"
-        ) from None
-    except RecursionError:
-        raise ScenarioError("malformed scenario file: values nested too deeply") from None
-    if not isinstance(obj, dict):
-        raise ScenarioError("scenario file must be a JSON object")
-    unknown = set(obj) - {"duration", "tick", "constants", "episodes"}
-    if unknown:
-        raise ScenarioError(f"unknown scenario keys {sorted(unknown)}")
+    constants (those of _CONSTANTS), and episodes [{kind, start, end?,
+    params?}]."""
+    obj = json_object(text, "scenario file", ScenarioError)
+    _refuse_unknown(obj, ("duration", "tick", "constants", "episodes"), "unknown scenario keys")
     for required in ("duration", "tick"):
         if required not in obj:
             raise ScenarioError(f"scenario is missing '{required}'")
@@ -360,12 +361,7 @@ def load_scenario(text: str) -> Scenario:
     constants = obj.get("constants", {})
     if not isinstance(constants, dict):
         raise ScenarioError("constants must be an object")
-    unknown = set(constants) - {
-        "speed_limit", "destination", "route_start", "route_end", "lane_width",
-    }
-    if unknown:
-        raise ScenarioError(f"unknown constants {sorted(unknown)}")
-    defaults = Scenario(duration=0.0, tick=1.0)
+    _refuse_unknown(constants, _CONSTANTS, "unknown constants")
 
     episodes = []
     raw_episodes = obj.get("episodes", [])
@@ -374,9 +370,7 @@ def load_scenario(text: str) -> Scenario:
     for idx, raw in enumerate(raw_episodes):
         if not isinstance(raw, dict):
             raise ScenarioError(f"episode {idx} must be an object")
-        unknown = set(raw) - {"kind", "start", "end", "params"}
-        if unknown:
-            raise ScenarioError(f"episode {idx} has unknown keys {sorted(unknown)}")
+        _refuse_unknown(raw, ("kind", "start", "end", "params"), f"episode {idx} has unknown keys")
         if "kind" not in raw or "start" not in raw:
             raise ScenarioError(f"episode {idx} needs 'kind' and 'start'")
         start = _number_from_json(raw["start"], f"episode {idx} start")
@@ -399,32 +393,12 @@ def load_scenario(text: str) -> Scenario:
     scenario = Scenario(
         duration=_number_from_json(obj["duration"], "duration"),
         tick=_number_from_json(obj["tick"], "tick"),
-        speed_limit=(
-            _number_from_json(constants["speed_limit"], "speed_limit")
-            if "speed_limit" in constants
-            else defaults.speed_limit
-        ),
-        destination=(
-            _point_from_json(constants["destination"], "destination")
-            if "destination" in constants
-            else defaults.destination
-        ),
-        route_start=(
-            _point_from_json(constants["route_start"], "route_start")
-            if "route_start" in constants
-            else defaults.route_start
-        ),
-        route_end=(
-            _point_from_json(constants["route_end"], "route_end")
-            if "route_end" in constants
-            else defaults.route_end
-        ),
-        lane_width=(
-            _number_from_json(constants["lane_width"], "lane_width")
-            if "lane_width" in constants
-            else defaults.lane_width
-        ),
         episodes=tuple(episodes),
+        **{
+            name: read(constants[name], name)
+            for name, read in _CONSTANTS.items()
+            if name in constants
+        },
     )
     validate_scenario(scenario)
     return scenario

@@ -20,7 +20,7 @@ from enum import Enum
 from functools import lru_cache
 from math import inf, isfinite
 from operator import itemgetter
-from typing import IO, Callable, Iterable, Iterator, Mapping, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import TraceError
 
@@ -71,8 +71,29 @@ class Trace:
     messages: tuple[TraceMessage, ...]
 
 
+def json_object(text: str, what: str, error: Callable[[str], Exception], **hooks) -> dict:
+    """json.loads(text, **hooks) restricted to objects. Each way the decoder
+    fails, and a value that is not an object, raises error(message) with a
+    message that names `what`."""
+    try:
+        obj = json.loads(text, **hooks)
+    except json.JSONDecodeError as exc:
+        raise error(f"malformed {what}: {exc.msg}") from exc
+    except ValueError:
+        # The only other ValueError json raises: an integer literal longer
+        # than sys.get_int_max_str_digits() (Python 3.11, 3.10.7 and later).
+        raise error(
+            f"malformed {what}: integer literal exceeds {sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise error(f"malformed {what}: values nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be a JSON object")
+    return obj
+
+
 def _strict_json_object(line: str, lineno: int, what: str) -> dict:
-    """json.loads restricted to objects, rejecting duplicate keys and NaN/Infinity."""
+    """json_object for one trace line, rejecting duplicate keys and NaN/Infinity."""
 
     def no_duplicates(pairs):
         obj = {}
@@ -85,24 +106,10 @@ def _strict_json_object(line: str, lineno: int, what: str) -> dict:
     def reject_constant(text):
         raise TraceError(f"non-finite number {text} is not admitted", line=lineno)
 
-    try:
-        obj = json.loads(line, object_pairs_hook=no_duplicates, parse_constant=reject_constant)
-    except TraceError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"malformed {what}: {exc.msg}", line=lineno) from exc
-    except ValueError:
-        # The only other ValueError json raises: an integer literal longer
-        # than sys.get_int_max_str_digits() (Python 3.11, 3.10.7 and later).
-        raise TraceError(
-            f"malformed {what}: integer literal exceeds {sys.get_int_max_str_digits()} digits",
-            line=lineno,
-        ) from None
-    except RecursionError:
-        raise TraceError(f"malformed {what}: values nested too deeply", line=lineno) from None
-    if not isinstance(obj, dict):
-        raise TraceError(f"{what} must be a JSON object", line=lineno)
-    return obj
+    return json_object(
+        line, what, lambda message: TraceError(message, line=lineno),
+        object_pairs_hook=no_duplicates, parse_constant=reject_constant,
+    )
 
 
 def _as_finite_number(value: object, where: str, lineno: int) -> float:
@@ -289,9 +296,22 @@ def _encode_record(message: TraceMessage, names: tuple[str, ...]) -> str:
     return _ENCODER.encode(obj)
 
 
+def _field_mismatch(
+    messages: Sequence[TraceMessage], message: TraceMessage, names: tuple[str, ...]
+) -> ValueError:
+    """The error for `message`, whose fields are not the schema's. Its index
+    is looked up here, on failure, so that the writer's loop keeps no count."""
+    index = next(k for k, item in enumerate(messages) if item is message)
+    for name in message.values:
+        if name not in names:
+            return ValueError(f"message {index}: field '{name}' is not in the schema")
+    missing = next(name for name in names if name not in message.values)
+    return ValueError(f"message {index}: missing field '{missing}'")
+
+
 # Cached so that dumping many traces of one schema compiles one writer.
 @lru_cache(maxsize=16)
-def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage]], list[str]]:
+def _record_writer(schema: TraceSchema) -> Callable[[Sequence[TraceMessage]], list[str]]:
     """Generate, compile and return the record writer of one schema: a
     function of the messages that returns their lines, each what
     _encode_record returns.
@@ -308,7 +328,7 @@ def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage]], li
     names = schema.names()
     namespace: dict[str, object] = {
         "_r": float.__repr__, "_isfinite": isfinite, "_Point2": Point2, "_bool": ("false", "true"),
-        "_encode": _encode_record, "_names": names,
+        "_encode": _encode_record, "_names": names, "_mismatch": _field_mismatch,
     }
     fields = [f"x{k}" for k in range(len(names))]
     gates, floats = [], ["t"]
@@ -332,7 +352,7 @@ def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage]], li
     read = []
     if names:
         namespace["_fields"] = itemgetter(*names)
-        read = [f"{', '.join(fields)} = _fields(message.values)"]
+        read = [f"{', '.join(fields)} = _fields(values)"]
     test = " and ".join([*gates, f"_isfinite({' + '.join(floats)})"])
     source = "\n".join([
         "def write(messages):",
@@ -340,13 +360,18 @@ def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage]], li
         "    append = lines.append",
         "    for message in messages:",
         "        t = message.t",
-        *("        " + stmt for stmt in read),
+        "        values = message.values",
+        f"        if len(values) != {len(names)}:",
+        "            raise _mismatch(messages, message, _names)",
         "        try:",
+        *("            " + stmt for stmt in read),
         f"            if {test}:",
         f"                append({line})",
         "                continue",
         "        except (TypeError, OverflowError):",
         "            pass",
+        "        except KeyError:",
+        "            raise _mismatch(messages, message, _names) from None",
         "        append(_encode(message, _names))",
         "    return lines",
         "",
@@ -357,13 +382,16 @@ def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage]], li
 
 def dump_trace(trace: Trace) -> str:
     """Canonical serialization: schema line, then records with 't' first and
-    fields in schema declaration order. parse_trace(dump_trace(tr)) == tr.
+    fields in schema declaration order. parse_trace(dump_trace(tr)) == tr
+    when t and every value have their kind's type: float, bool or a Point2
+    of floats.
 
     Records are written by a writer generated for the trace's schema
     (_record_writer), byte for byte as json.JSONEncoder writes them. A
-    non-finite value raises ValueError instead of being written as
-    `NaN`/`Infinity`, which are not JSON (RFC 8259 §6) and which
-    parse_trace rejects."""
+    message whose fields are not exactly the schema's raises ValueError
+    naming the message (0-based) and the field. A non-finite value raises
+    ValueError instead of being written as `NaN`/`Infinity`, which are not
+    JSON (RFC 8259 §6) and which parse_trace rejects."""
     lines = [json.dumps({name: kind.value for name, kind in trace.schema.fields})]
     lines += _record_writer(trace.schema)(trace.messages)
     return "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ from odl import cli
 from odl.cli import main
 from _drive import drive, listing_suite
 from _generators import NESTED_SHAPES, nested_od
+from test_engine import counting_generate_program
 from odl.parser import MAX_NESTING
 
 
@@ -186,6 +187,18 @@ def test_batch_checks_the_oracle_once_per_schema(workspace, monkeypatch):
         (workspace / f"s{i}__r0.jsonl").write_text(dump_trace(drive([{"t": 0.0}])))
     args = ["batch", "--od", str(workspace / "listing1.odl"), "--traces", str(workspace / "*__*.jsonl")]
     assert main(args) == 0
+    assert len(calls) == 1
+
+
+def test_batch_compiles_the_oracle_once_per_schema(workspace, monkeypatch):
+    calls = counting_generate_program(monkeypatch)
+    for i in range(3):
+        (workspace / f"s{i}__r0.jsonl").write_text(dump_trace(drive([{"t": 0.0}])))
+    args = ["batch", "--od", str(workspace / "listing1.odl"), "--traces", str(workspace / "*__*.jsonl")]
+    assert main(args) == 0
+    assert len(calls) == 1
+    # `odl check` compiles nothing.
+    assert main(["check", str(workspace / "listing1.odl"), "--trace", str(workspace / "s0__r0.jsonl")]) == 0
     assert len(calls) == 1
 
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import odl.checker
 from _drive import drive, listing_suite
 from odl import (
     EngineError,
@@ -329,3 +330,31 @@ def test_literal_actions_and_notification_values_are_folded():
         ("f", -2.5, (("g", "tm", 0.5),)),
         ("g", 1.0, ()),
     ]
+
+
+def counting_generate_program(monkeypatch):
+    """Count calls of engine.generate_program made through the checker."""
+    calls = []
+    real = odl.checker.generate_program
+
+    def counting(od, timers):
+        calls.append(od)
+        return real(od, timers)
+
+    monkeypatch.setattr(odl.checker, "generate_program", counting)
+    return calls
+
+
+def test_program_is_generated_on_first_scoring_and_kept(monkeypatch):
+    calls = counting_generate_program(monkeypatch)
+    checked = check_od(parse_od(load_builtin("listing1")), GEN_SCHEMA)
+    assert calls == []
+    trace = drive([{"t": 0.0}, {"t": 0.5, "speed": 30.0}])
+    first = score_trace(checked, trace)
+    second = score_messages(checked, iter(trace.messages))
+    assert len(calls) == 1
+    assert first == second
+    assert first.summary == -1.0
+    # The program is no part of the checked oracle's value.
+    assert checked == check_od(parse_od(load_builtin("listing1")), GEN_SCHEMA)
+    assert "program" not in repr(checked)

@@ -20,6 +20,7 @@ from odl import (
     write_ranks_csv,
     write_scores_csv,
 )
+from odl.cli import main
 
 
 def test_mean_scores_examples():
@@ -187,3 +188,75 @@ def test_closed_form_agrees_on_tie_free_vectors(n, seed):
         assert spearman(a, b) == 1.0
     assert abs(spearman(a, b) - spearman_closed_form(a, b)) < 1e-12
     assert spearman(a, b) == spearman(b, a)
+
+
+# Files with two or more faults: rows are checked one at a time, so the
+# first bad row is reported, and within a row the checks run in a fixed
+# order (width, duplicate solution, number, finiteness).
+MULTI_FAULT_SCORES = {
+    "bad_score_then_wrong_width": (
+        "solution,trace,score\na,b,xyz\na,c\n",
+        "scores row 2: bad score 'xyz'",
+    ),
+    "wrong_width_then_bad_score": (
+        "solution,trace,score\na,b,1.0,extra\na,c,xyz\n",
+        "scores row 2: expected 3 columns",
+    ),
+    "non_finite_then_bad_score": (
+        "solution,trace,score\na,b,1.0\na,c,nan\nb,c,xyz\n",
+        "scores row 3: non-finite score 'nan'",
+    ),
+    "bad_header_and_bad_row": ("solution,score\na,xyz\n", "scores file must start with header 'solution,trace,score'"),
+    "empty": ("", "scores file must start with header 'solution,trace,score'"),
+    "header_only": ("solution,trace,score\n", "scores file has no rows"),
+}
+
+MULTI_FAULT_RANKS = {
+    "bad_rank_then_non_finite": (
+        "solution,rank\na,low\nb,inf\n",
+        "ranks row 2: bad rank 'low'",
+    ),
+    "duplicate_with_a_bad_rank": (
+        "solution,rank\na,0.0\na,low\n",
+        "ranks row 3: duplicate solution 'a'",
+    ),
+    "duplicate_with_a_wrong_width": (
+        "solution,rank\na,0.0\na,1.0,extra\n",
+        "ranks row 3: expected 2 columns",
+    ),
+    "wrong_width_then_duplicate": (
+        "solution,rank\na\na,0.0\na,1.0\n",
+        "ranks row 2: expected 2 columns",
+    ),
+    "bad_header_and_bad_row": ("solution,trace,rank\na,b,x\n", "ranks file must start with header 'solution,rank'"),
+    "header_only": ("solution,rank\n", "ranks file has no rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_FAULT_SCORES))
+def test_multi_fault_scores_files_report_the_first_fault(case, tmp_path, capsys):
+    text, message = MULTI_FAULT_SCORES[case]
+    with pytest.raises(AnalysisError) as raised:
+        read_scores_csv(text)
+    assert str(raised.value) == message
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    assert main(["rank", "--scores", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_FAULT_RANKS))
+def test_multi_fault_ranks_files_report_the_first_fault(case, tmp_path, capsys):
+    text, message = MULTI_FAULT_RANKS[case]
+    with pytest.raises(AnalysisError) as raised:
+        read_ranks_csv(text)
+    assert str(raised.value) == message
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text(write_ranks_csv({"a": 0.0, "b": 1.0}))
+    bad.write_text(text)
+    assert main(["compare", str(good), str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

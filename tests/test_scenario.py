@@ -291,6 +291,27 @@ def test_load_scenario_parses_and_validates():
         load_scenario(json.dumps({"duration": 10, "tick": 1, "constants": {"gravity": 9.8}}))
 
 
+def test_episode_parameters_default_per_kind():
+    # peak_speed = speed_limit + 3, rate = -2, offset = lane_width, plus
+    # each channel's bounded jitter.
+    scenario = load_scenario(json.dumps({
+        "duration": 10, "tick": 0.5, "constants": {"speed_limit": 15, "lane_width": 3.0},
+        "episodes": [
+            {"kind": "speeding", "start": 1, "end": 3},
+            {"kind": "deceleration", "start": 4, "end": 6},
+            {"kind": "lane_departure", "start": 7, "end": 9},
+        ],
+    }))
+    trace = generate_trace(scenario, 3)
+
+    def during(start, end):
+        return [m.values for m in trace.messages if start <= m.t <= end]
+
+    assert all(18.0 <= v["speed"] <= 18.15 for v in during(1, 3))
+    assert all(-2.02 <= v["acceleration"] <= -2.0 for v in during(4, 6))
+    assert all(2.95 <= v["road_normal"] <= 3.05 for v in during(7, 9))
+
+
 def test_load_scenario_applies_defaults():
     scenario = load_scenario(json.dumps({"duration": 5, "tick": 0.5}))
     assert scenario.speed_limit == 22.35
@@ -414,3 +435,121 @@ def test_validation_refuses_non_finite_numbers(what):
     with pytest.raises(ScenarioError) as raised:
         generate_trace(NON_FINITE_SCENARIOS[what], 0)
     assert str(raised.value) == f"{what} must be finite"
+
+
+def _scenario(constants=None, episodes=None, **top):
+    obj = {"duration": 4, "tick": 1, **top}
+    if constants is not None:
+        obj["constants"] = constants
+    if episodes is not None:
+        obj["episodes"] = episodes
+    return json.dumps(obj)
+
+
+# Scenario files with two or more faults: the first one found is reported,
+# in the order load_scenario and validate_scenario look.
+MULTI_FAULT_SCENARIOS = {
+    "speed_limit_and_destination": (
+        _scenario({"speed_limit": "fast", "destination": "home"}),
+        "speed_limit must be a number",
+    ),
+    "destination_and_lane_width": (
+        _scenario({"lane_width": "wide", "destination": [1, 2, 3]}),
+        "destination must be a two-element [x, y] array",
+    ),
+    "route_end_and_lane_width": (
+        _scenario({"lane_width": None, "route_end": [0, "y"]}),
+        "route_end must be a two-element [x, y] array",
+    ),
+    "unknown_constant_and_malformed_episode": (
+        _scenario({"gravity": 9.8}, [{"kind": "speeding"}]),
+        "unknown constants ['gravity']",
+    ),
+    "nan_param_and_bad_tick": (
+        '{"duration": 4, "tick": 0, "episodes": [{"kind": "speeding", "start": 1, "end": 2,'
+        ' "params": {"peak_speed": NaN}}]}',
+        "episode 0 param 'peak_speed' must be finite",
+    ),
+    "nan_param_and_tick_not_a_number": (
+        '{"duration": 4, "tick": "1", "episodes": [{"kind": "speeding", "start": 1, "end": 2,'
+        ' "params": {"peak_speed": NaN}}]}',
+        "tick must be a number",
+    ),
+    "episode_start_and_duration": (
+        _scenario(episodes=[{"kind": "collision", "start": "1"}], duration="4"),
+        "episode 0 start must be a number",
+    ),
+    "duration_and_speed_limit": (
+        _scenario({"speed_limit": "fast"}, duration="4"),
+        "duration must be a number",
+    ),
+    "non_finite_speed_limit_and_destination": (
+        '{"duration": 4, "tick": 1, "constants": {"destination": [NaN, 0], "speed_limit": Infinity}}',
+        "speed_limit must be finite",
+    ),
+    "non_finite_lane_width_and_route_start": (
+        '{"duration": 4, "tick": 1, "constants": {"lane_width": NaN, "route_start": [0, -Infinity]}}',
+        "route_start must be finite",
+    ),
+    "unknown_key_and_missing_tick": (
+        '{"duration": 4, "mood": "calm"}',
+        "unknown scenario keys ['mood']",
+    ),
+    "missing_tick_and_unknown_constant": (
+        '{"duration": 4, "constants": {"gravity": 9.8}}',
+        "scenario is missing 'tick'",
+    ),
+    "constants_not_an_object_and_bad_episodes": (
+        _scenario([1], {"kind": "speeding"}),
+        "constants must be an object",
+    ),
+    "bad_param_then_bad_start": (
+        _scenario(episodes=[
+            {"kind": "speeding", "start": 1, "end": 2, "params": {"peak_speed": "x"}},
+            {"kind": "collision", "start": "y"},
+        ]),
+        "episode 0 param 'peak_speed' must be a number",
+    ),
+    "unknown_kind_and_unknown_param": (
+        _scenario(episodes=[{"kind": "warp", "start": 1, "end": 2, "params": {"bogus": 1}}]),
+        "unknown episode kind 'warp'",
+    ),
+    "unknown_param_and_no_sample_tick": (
+        _scenario(episodes=[{"kind": "speeding", "start": 1.1, "end": 1.2, "params": {"bogus": 1}}]),
+        "speeding episode has unknown params ['bogus']",
+    ),
+    "default_peak_speed_passes_then_low_peak_and_overlap": (
+        _scenario({"speed_limit": 1}, [
+            {"kind": "speeding", "start": 1, "end": 3},
+            {"kind": "speeding", "start": 2, "end": 4, "params": {"peak_speed": 0.5}},
+        ]),
+        "speeding episode peak_speed must exceed the speed limit",
+    ),
+    "default_offset_and_rate_pass_then_positive_rate": (
+        _scenario({"lane_width": 3.0}, [
+            {"kind": "lane_departure", "start": 1, "end": 2},
+            {"kind": "deceleration", "start": 0, "end": 1},
+            {"kind": "deceleration", "start": 2, "end": 3, "params": {"rate": 1}},
+        ]),
+        "deceleration episode rate must be negative",
+    ),
+    "not_an_object": ("[1, 2]", "scenario file must be a JSON object"),
+    "malformed_and_unknown_key": (
+        '{"mood": "calm", "duration": 4,}',
+        "malformed scenario file: Expecting property name enclosed in double quotes",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_FAULT_SCENARIOS))
+def test_multi_fault_scenario_files_report_the_first_fault(case, tmp_path, capsys):
+    text, message = MULTI_FAULT_SCENARIOS[case]
+    with pytest.raises(ScenarioError) as raised:
+        load_scenario(text)
+    assert str(raised.value) == message
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["gen", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

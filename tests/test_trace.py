@@ -384,3 +384,29 @@ def test_dump_parse_round_trip_property(trace):
 @given(traces())
 def test_duration_nonnegative(trace):
     assert duration(trace) >= 0.0
+
+
+# Messages whose fields are not their schema's: (schema, values, error).
+FIELD_MISMATCHES = {
+    "missing": (ODD_SCHEMA, {"n": 2.5, "p": Point2(0.5, -0.5)}, "message 1: missing field 'b'"),
+    "extra": (
+        ODD_SCHEMA, {"n": 2.5, "b": True, "p": Point2(0.5, -0.5), "q": 1.0},
+        "message 1: field 'q' is not in the schema",
+    ),
+    "renamed": (
+        ODD_SCHEMA, {"n": 2.5, "B": True, "p": Point2(0.5, -0.5)},
+        "message 1: field 'B' is not in the schema",
+    ),
+    "none": (ODD_SCHEMA, {}, "message 1: missing field 'n'"),
+    "empty_schema": (TraceSchema(()), {"x": 1.0}, "message 1: field 'x' is not in the schema"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_MISMATCHES))
+def test_dump_trace_refuses_fields_that_differ_from_the_schema(case):
+    schema, values, message = FIELD_MISMATCHES[case]
+    good = {name: odd().values[name] for name in schema.names()}
+    trace = Trace(schema, (TraceMessage(1.0, good), TraceMessage(2.0, values), TraceMessage(3.0, good)))
+    with pytest.raises(ValueError) as raised:
+        dump_trace(trace)
+    assert str(raised.value) == message
