@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .engine import Program, generate_program
 from .errors import CheckError
-from .parser import BUILTIN_FUNCTIONS, MAX_NESTING, expression_height
+from .parser import BUILTIN_FUNCTIONS, MAX_NESTING, nests_deeper
 from .syntax import (
     Binary,
     Call,
@@ -182,7 +182,7 @@ def _infer(expr: Expr, scope: _Scope) -> Kind:
 def _infer_top(expr: Expr, scope: _Scope) -> Kind:
     """_infer for a whole expression. A tree built without the parser is
     held to the parser's nesting limit too, which the generated code needs."""
-    if expression_height(expr) > MAX_NESTING:
+    if nests_deeper(expr, MAX_NESTING):
         raise CheckError(f"{scope.where}: expression nests deeper than {MAX_NESTING} levels")
     return _infer(expr, scope)
 

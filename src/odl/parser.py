@@ -1,7 +1,9 @@
-"""Lexer and parser for oracle-definition source text: recursive descent for
-declarations, precedence climbing for expressions.
+"""Lexer and parser for oracle-definition source text: one regular expression
+for the tokens, recursive descent for declarations, precedence climbing for
+expressions.
 
-Grammar (`;` terminates declarations, `#` starts a line comment):
+Grammar (`;` terminates declarations; spaces, tabs, carriage returns,
+newlines and comments separate tokens, and each token is as long as it can be):
 
     od          := { const_decl | sf_decl } [ summary_decl ]
     const_decl  := "const" IDENT "=" literal ";"
@@ -15,6 +17,14 @@ Grammar (`;` terminates declarations, `#` starts a line comment):
     summary_decl:= "summary" "=" ("sum" | expr) ";"
     literal     := ["-"] number | "true" | "false"
                  | "point" "(" ["-"] number "," ["-"] number ")"
+    IDENT       := letter { letter | digit }
+    number      := digit { digit } [ "." digit { digit } ]
+                   [ ("e" | "E") ["+" | "-"] digit { digit } ]
+    letter      := "A" .. "Z" | "a" .. "z" | "_"
+    digit       := "0" .. "9"
+    punctuation := "(" | ")" | "[" | "]" | "," | ";" | "=" | "+" | "-" | "*" | "/"
+                 | "<" | "<=" | ">" | ">=" | "==" | "!="
+    comment     := "#" { any character but newline }
 
 Expression precedence, loosest to tightest:
 or < and < not < comparison < additive < multiplicative < unary minus < call/primary.
@@ -24,7 +34,9 @@ Expressions nest at most MAX_NESTING levels deep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, NoReturn
 
 from .errors import ParseError
 from .syntax import (
@@ -40,20 +52,15 @@ from .syntax import (
     Unary,
 )
 from .syntax import BINARY_PREC, NOT_PREC
-from .trace import Point2, Value
+from .trace import NAME_RE, Point2, Value
 
-KEYWORDS = frozenset(
-    {
-        "const", "summary", "scoring_function",
-        "event", "condition", "action", "frequency", "initial", "notifications",
-        "first", "action_sum", "all_sum",
-        "true", "false", "point", "sum",
-        "not", "and", "or",
-    }
+# Words with one place in the grammar. With the parameter names, the
+# frequency modes and the boolean literals they make up KEYWORDS.
+_CONST, _SUMMARY, _SCORING_FUNCTION, _SUM, _POINT, _NOT = (
+    "const", "summary", "scoring_function", "sum", "point", "not"
 )
-BUILTIN_FUNCTIONS = ("distance", "abs", "min", "max")
-# Names that may appear in expressions but can never be declared.
-RESERVED_NAMES = KEYWORDS | {"t", "seq_time"} | set(BUILTIN_FUNCTIONS)
+_BOOLEANS = {"true": True, "false": False}
+_FREQUENCIES = {f.value: f for f in Frequency}
 
 # Expressions nest at most this deep, counted in operators and calls along
 # any path of the tree and, separately, in open parentheses. It bounds the
@@ -62,94 +69,52 @@ RESERVED_NAMES = KEYWORDS | {"t", "seq_time"} | set(BUILTIN_FUNCTIONS)
 # limit of 200 nested parentheses.
 MAX_NESTING = 64
 
-_PARAM_KEYS = ("event", "condition", "action", "frequency", "initial", "notifications")
-_FREQUENCIES = {f.value: f for f in Frequency}
-
 
 @dataclass(frozen=True)
 class Token:
-    kind: str
+    kind: str  # "IDENT", "NUMBER", "EOF", or the punctuation itself
     text: str
     line: int
     column: int
     value: float = 0.0  # set for NUMBER tokens
 
 
-_TWO_CHAR_OPS = {"<=": "LE", ">=": "GE", "==": "EQEQ", "!=": "NE"}
-_ONE_CHAR_OPS = {
-    "(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET",
-    ",": "COMMA", ";": "SEMI", "=": "EQ",
-    "+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
-    "<": "LT", ">": "GT",
-}
-# The grammar is ASCII: str.isalpha/isdigit would also accept 'é', '²' or '٣'.
-_DIGITS = frozenset("0123456789")
-_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_IDENT_CHARS = _IDENT_START | _DIGITS
+# The grammar is ASCII: \d, \w or IGNORECASE would also accept 'é', '²' or '٣'.
+_TOKEN_RE = re.compile(
+    rf"""
+      (?P<space> [ \t\r]+ )
+    | (?P<newline> \n )
+    | (?: \#[^\n]* )? (?P<EOF> \Z )  # a comment that ends the input puts EOF at its '#'
+    | (?P<comment> \#[^\n]* )
+    | (?P<IDENT> {NAME_RE.pattern} )
+    | (?P<NUMBER> [0-9]+ (?: \.[0-9]+ )? (?: [eE][+-]?[0-9]+ )? )
+    | (?P<punctuation> [<>=!]= | [()\[\],;=+\-*/<>] )
+    """,
+    re.VERBOSE,
+)
 
 
 def _lex(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i, n = 1, 1, 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch in _IDENT_START:
-            start = i
-            while i < n and source[i] in _IDENT_CHARS:
-                i += 1
-            text = source[start:i]
-            tokens.append(Token("IDENT", text, line, col))
-            col += i - start
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and source[i] in _DIGITS:
-                i += 1
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1] in _DIGITS:
-                i += 1
-                while i < n and source[i] in _DIGITS:
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j] in _DIGITS:
-                    i = j
-                    while i < n and source[i] in _DIGITS:
-                        i += 1
-            text = source[start:i]
+    line, line_start, pos = 1, 0, 0
+    kind: str | None = None
+    while kind != "EOF":
+        column = pos - line_start + 1
+        m = _TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", line, column)
+        kind, text, pos = m.lastgroup, m.group(m.lastgroup), m.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind == "punctuation":
+            tokens.append(Token(text, text, line, column))
+        elif kind == "NUMBER":
             value = float(text)
             if not math.isfinite(value):
-                raise ParseError(f"number literal {text} is out of range", line, col)
-            tokens.append(Token("NUMBER", text, line, col, value=value))
-            col += i - start
-            continue
-        pair = source[i : i + 2]
-        if pair in _TWO_CHAR_OPS:
-            tokens.append(Token(_TWO_CHAR_OPS[pair], pair, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token(_ONE_CHAR_OPS[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+                raise ParseError(f"number literal {text} is out of range", line, column)
+            tokens.append(Token(kind, text, line, column, value))
+        elif kind in ("IDENT", "EOF"):
+            tokens.append(Token(kind, text, line, column))
     return tokens
 
 
@@ -165,11 +130,11 @@ class _Parser:
             self.fail(f"expression nests deeper than {MAX_NESTING} levels", tok)
 
     def close(self, what: str) -> None:
-        self.expect("RPAREN", what)
+        self.expect(")", what)
         self._open -= 1
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+    def peek(self) -> Token:
+        return self._tokens[self._pos]
 
     def advance(self) -> Token:
         tok = self._tokens[self._pos]
@@ -177,8 +142,8 @@ class _Parser:
             self._pos += 1
         return tok
 
-    def match(self, kind: str) -> bool:
-        if self.peek().kind == kind:
+    def match(self, text: str) -> bool:
+        if self.peek().text == text:
             self.advance()
             return True
         return False
@@ -190,24 +155,28 @@ class _Parser:
             self.fail(f"expected {what}, found {found!r}", tok)
         return self.advance()
 
-    def fail(self, message: str, tok: Token | None = None) -> None:
+    def fail(self, message: str, tok: Token | None = None) -> NoReturn:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.column)
 
 
-def expression_height(expr: Expr) -> int:
-    """Operators and calls on the longest path from `expr` down to a leaf."""
+def nests_deeper(expr: Expr, levels: int) -> bool:
+    """Whether some path from `expr` down to a leaf passes more than
+    `levels` operators and calls. Recurses at most `levels` + 1 deep, so a
+    tree of any depth is safe to test."""
     if isinstance(expr, Binary):
-        return 1 + max(expression_height(expr.left), expression_height(expr.right))
-    if isinstance(expr, Unary):
-        return 1 + expression_height(expr.operand)
-    if isinstance(expr, Call):
-        return 1 + max(map(expression_height, expr.args), default=0)
-    return 0
+        children: tuple[Expr, ...] = (expr.left, expr.right)
+    elif isinstance(expr, Unary):
+        children = (expr.operand,)
+    elif isinstance(expr, Call):
+        children = expr.args
+    else:
+        return False
+    return levels == 0 or any(nests_deeper(child, levels - 1) for child in children)
 
 
 def _node(p: _Parser, expr: Expr, tok: Token) -> Expr:
-    if expression_height(expr) > MAX_NESTING:
+    if nests_deeper(expr, MAX_NESTING):
         p.fail(f"expression nests deeper than {MAX_NESTING} levels", tok)
     return expr
 
@@ -218,10 +187,10 @@ def _parse_expr(p: _Parser, min_prec: int = 1) -> Expr:
     operators are collected in loops, not by recursion, so recursion grows
     only with parentheses, which MAX_NESTING bounds."""
     nots = []
-    while min_prec <= NOT_PREC and p.peek().kind == "IDENT" and p.peek().text == "not":
+    while min_prec <= NOT_PREC and p.peek().text == _NOT:
         nots.append(p.advance())
     minuses = []
-    while p.peek().kind == "MINUS":
+    while p.peek().kind == "-":
         minuses.append(p.advance())
     # A minus fused directly onto a number is a negative literal.
     if minuses and p.peek().kind == "NUMBER":
@@ -230,11 +199,11 @@ def _parse_expr(p: _Parser, min_prec: int = 1) -> Expr:
     else:
         expr = _parse_primary(p)
     for tok in reversed(minuses):
-        expr = _node(p, Unary("-", expr), tok)
+        expr = _node(p, Unary(tok.text, expr), tok)
     if nots:
         expr = _parse_binary(p, expr, NOT_PREC + 1)
         for tok in reversed(nots):
-            expr = _node(p, Unary("not", expr), tok)
+            expr = _node(p, Unary(tok.text, expr), tok)
     return _parse_binary(p, expr, min_prec)
 
 
@@ -247,67 +216,53 @@ def _parse_binary(p: _Parser, left: Expr, min_prec: int) -> Expr:
     return left
 
 
-def _parse_point_literal(p: _Parser) -> Point2:
-    p.expect("LPAREN", "'(' after point")
-    x = _parse_signed_number(p)
-    p.expect("COMMA", "',' between point coordinates")
-    y = _parse_signed_number(p)
-    p.expect("RPAREN", "')' after point coordinates")
-    return Point2(x, y)
-
-
 def _parse_primary(p: _Parser) -> Expr:
     tok = p.peek()
-    if tok.kind == "NUMBER":
-        return Literal(p.advance().value)
-    if tok.kind == "LPAREN":
+    if tok.kind == "NUMBER" or tok.text in _BOOLEANS or tok.text == _POINT:
+        return Literal(_parse_literal(p))
+    if tok.kind == "(":
         p.open(p.advance())
         expr = _parse_expr(p)
         p.close("')'")
         return expr
     if tok.kind == "IDENT":
-        if tok.text in ("true", "false"):
-            p.advance()
-            return Literal(tok.text == "true")
-        if tok.text == "point":
-            p.advance()
-            return Literal(_parse_point_literal(p))
         if tok.text in KEYWORDS:
             p.fail(f"'{tok.text}' is a reserved word", tok)
         p.advance()
-        if p.peek().kind == "LPAREN":
+        if p.peek().kind == "(":
             p.open(p.advance())
             args: list[Expr] = []
-            if p.peek().kind != "RPAREN":
+            if p.peek().kind != ")":
                 args.append(_parse_expr(p))
-                while p.match("COMMA"):
+                while p.match(","):
                     args.append(_parse_expr(p))
             p.close("')' after call arguments")
             return _node(p, Call(tok.text, tuple(args)), tok)
         return Ident(tok.text)
     found = tok.text or "end of input"
     p.fail(f"expected expression, found {found!r}", tok)
-    raise AssertionError("unreachable")
 
 
 def _parse_signed_number(p: _Parser) -> float:
-    negative = p.match("MINUS")
+    negative = p.match("-")
     tok = p.expect("NUMBER", "number")
     return -tok.value if negative else tok.value
 
 
 def _parse_literal(p: _Parser) -> Value:
     tok = p.peek()
-    if tok.kind in ("MINUS", "NUMBER"):
+    if tok.kind in ("-", "NUMBER"):
         return _parse_signed_number(p)
-    if tok.kind == "IDENT" and tok.text in ("true", "false"):
-        p.advance()
-        return tok.text == "true"
-    if tok.kind == "IDENT" and tok.text == "point":
-        p.advance()
-        return _parse_point_literal(p)
+    if tok.text in _BOOLEANS:
+        return _BOOLEANS[p.advance().text]
+    if p.match(_POINT):
+        p.expect("(", "'(' after point")
+        x = _parse_signed_number(p)
+        p.expect(",", "',' between point coordinates")
+        y = _parse_signed_number(p)
+        p.expect(")", "')' after point coordinates")
+        return Point2(x, y)
     p.fail("expected literal (number, true, false, or point(x, y))", tok)
-    raise AssertionError("unreachable")
 
 
 def _declared_name(p: _Parser, what: str) -> Token:
@@ -318,74 +273,83 @@ def _declared_name(p: _Parser, what: str) -> Token:
 
 
 def _parse_notifications(p: _Parser) -> tuple[Notification, ...]:
-    p.expect("LBRACKET", "'[' starting the notification list")
+    p.expect("[", "'[' starting the notification list")
     notifs: list[Notification] = []
     while True:
-        p.expect("LPAREN", "'(' starting a notification")
+        p.expect("(", "'(' starting a notification")
         target = p.expect("IDENT", "notification target").text
-        p.expect("COMMA", "',' after notification target")
-        p.expect("LBRACKET", "'[' starting timer bindings")
+        p.expect(",", "',' after notification target")
+        p.expect("[", "'[' starting timer bindings")
         bindings: list[tuple[str, Expr]] = []
         while True:
-            p.expect("LPAREN", "'(' starting a timer binding")
+            p.expect("(", "'(' starting a timer binding")
             timer = _declared_name(p, "timer")
-            p.expect("COMMA", "',' after timer name")
+            p.expect(",", "',' after timer name")
             value = _parse_expr(p)
-            p.expect("RPAREN", "')' closing the timer binding")
+            p.expect(")", "')' closing the timer binding")
             bindings.append((timer.text, value))
-            if not p.match("COMMA"):
+            if not p.match(","):
                 break
-        p.expect("RBRACKET", "']' closing timer bindings")
-        p.expect("RPAREN", "')' closing the notification")
+        p.expect("]", "']' closing timer bindings")
+        p.expect(")", "')' closing the notification")
         notifs.append(Notification(target=target, bindings=tuple(bindings)))
-        if not p.match("COMMA"):
+        if not p.match(","):
             break
-    p.expect("RBRACKET", "']' closing the notification list")
+    p.expect("]", "']' closing the notification list")
     return tuple(notifs)
 
 
+def _parse_frequency(p: _Parser) -> Frequency:
+    tok = p.expect("IDENT", "frequency mode")
+    if tok.text not in _FREQUENCIES:
+        p.fail(f"unknown frequency '{tok.text}'", tok)
+    return _FREQUENCIES[tok.text]
+
+
+# The parameters of scoring_function, each with the parser of its value.
+# They are ScoringFunction's fields; those without a default are required.
+_PARAMS = {
+    "event": _parse_expr,
+    "condition": _parse_expr,
+    "action": _parse_expr,
+    "frequency": _parse_frequency,
+    "initial": _parse_signed_number,
+    "notifications": _parse_notifications,
+}
+_REQUIRED = [f.name for f in fields(ScoringFunction) if f.name in _PARAMS and f.default is MISSING]
+
+KEYWORDS = frozenset(
+    {_CONST, _SUMMARY, _SCORING_FUNCTION, _SUM, _POINT, _NOT, "and", "or", *_BOOLEANS, *_FREQUENCIES, *_PARAMS}
+)
+BUILTIN_FUNCTIONS = ("distance", "abs", "min", "max")
+# Names that may appear in expressions but can never be declared.
+RESERVED_NAMES = KEYWORDS | {"t", "seq_time"} | set(BUILTIN_FUNCTIONS)
+
+
 def _parse_scoring_function(p: _Parser, name_tok: Token) -> ScoringFunction:
-    p.expect("LPAREN", "'(' after scoring_function")
-    params: dict[str, object] = {}
+    p.expect("(", "'(' after scoring_function")
+    params: dict[str, Any] = {}
     while True:
         key_tok = p.expect("IDENT", "parameter name")
         key = key_tok.text
-        if key not in _PARAM_KEYS:
+        if key not in _PARAMS:
             p.fail(f"unknown parameter '{key}'", key_tok)
         if key in params:
             p.fail(f"duplicate parameter '{key}'", key_tok)
-        p.expect("EQ", f"'=' after {key}")
-        if key in ("event", "condition", "action"):
-            params[key] = _parse_expr(p)
-        elif key == "frequency":
-            mode_tok = p.expect("IDENT", "frequency mode")
-            if mode_tok.text not in _FREQUENCIES:
-                p.fail(f"unknown frequency '{mode_tok.text}'", mode_tok)
-            params[key] = _FREQUENCIES[mode_tok.text]
-        elif key == "initial":
-            params[key] = _parse_signed_number(p)
-        else:
-            params[key] = _parse_notifications(p)
-        if not p.match("COMMA"):
+        p.expect("=", f"'=' after {key}")
+        params[key] = _PARAMS[key](p)
+        if not p.match(","):
             break
-    p.expect("RPAREN", "')' closing scoring_function")
-    p.expect("SEMI", "';' ending the declaration")
-    for required in ("event", "frequency"):
+    p.expect(")", "')' closing scoring_function")
+    p.expect(";", "';' ending the declaration")
+    for required in _REQUIRED:
         if required not in params:
             p.fail(
                 f"scoring function '{name_tok.text}' is missing required "
                 f"parameter '{required}'",
                 name_tok,
             )
-    return ScoringFunction(
-        name=name_tok.text,
-        event=params["event"],  # type: ignore[arg-type]
-        frequency=params["frequency"],  # type: ignore[arg-type]
-        condition=params.get("condition"),  # type: ignore[arg-type]
-        action=params.get("action"),  # type: ignore[arg-type]
-        notifications=params.get("notifications", ()),  # type: ignore[arg-type]
-        initial=params.get("initial", 0.0),  # type: ignore[arg-type]
-    )
+    return ScoringFunction(name=name_tok.text, **params)
 
 
 def parse_od(source: str) -> OracleDefinition:
@@ -406,35 +370,26 @@ def parse_od(source: str) -> OracleDefinition:
             p.fail(f"expected declaration, found {tok.text!r}", tok)
         if saw_summary:
             p.fail("summary must be the last declaration", tok)
-        if tok.text == "const":
-            p.advance()
-            name_tok = _declared_name(p, "constant")
-            if name_tok.text in names:
-                p.fail(f"duplicate name '{name_tok.text}'", name_tok)
-            p.expect("EQ", "'=' after constant name")
-            value = _parse_literal(p)
-            p.expect("SEMI", "';' ending the declaration")
-            names.add(name_tok.text)
-            constants.append((name_tok.text, value))
-        elif tok.text == "summary":
-            p.advance()
-            p.expect("EQ", "'=' after summary")
-            if p.peek().kind == "IDENT" and p.peek().text == "sum":
-                p.advance()
-                summary = None
-            else:
-                summary = _parse_expr(p)
-            p.expect("SEMI", "';' ending the declaration")
+        if p.match(_SUMMARY):
+            p.expect("=", "'=' after summary")
+            summary = None if p.match(_SUM) else _parse_expr(p)
+            p.expect(";", "';' ending the declaration")
             saw_summary = True
+            continue
+        what = "constant" if p.match(_CONST) else "scoring function"
+        name_tok = _declared_name(p, what)
+        if name_tok.text in names:
+            p.fail(f"duplicate name '{name_tok.text}'", name_tok)
+        names.add(name_tok.text)
+        p.expect("=", f"'=' after {what} name")
+        if what == "constant":
+            value = _parse_literal(p)
+            p.expect(";", "';' ending the declaration")
+            constants.append((name_tok.text, value))
         else:
-            name_tok = _declared_name(p, "scoring function")
-            if name_tok.text in names:
-                p.fail(f"duplicate name '{name_tok.text}'", name_tok)
-            p.expect("EQ", "'=' after scoring function name")
-            kw = p.expect("IDENT", "'scoring_function'")
-            if kw.text != "scoring_function":
-                p.fail(f"expected 'scoring_function', found '{kw.text}'", kw)
-            names.add(name_tok.text)
+            kw = p.expect("IDENT", f"'{_SCORING_FUNCTION}'")
+            if kw.text != _SCORING_FUNCTION:
+                p.fail(f"expected '{_SCORING_FUNCTION}', found '{kw.text}'", kw)
             functions.append(_parse_scoring_function(p, name_tok))
     return OracleDefinition(
         constants=tuple(constants), functions=tuple(functions), summary=summary

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import statistics
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -131,19 +132,34 @@ def _write_csv(header: Sequence[str], rows: Iterable[Sequence], text_columns: in
     return out.getvalue()
 
 
+def _csv_rows(text: str, kind: str) -> Iterator[tuple[str, list[str]]]:
+    """(where, row) for each row of a CSV file, the header being row 1. A
+    row the csv module cannot read, such as one with a field longer than
+    csv.field_size_limit(), is an AnalysisError that names it."""
+    reader = csv.reader(io.StringIO(text))
+    for number in itertools.count(1):
+        where = f"{kind}s row {number}"
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as err:
+            raise AnalysisError(f"{where}: {err}") from None
+        yield where, row
+
+
 def _read_csv(text: str, header: list[str], unique: bool = False) -> Iterator[tuple[str, float]]:
     """(solution, number) for each row of a scores or ranks file: the last
     column is the number its header names. Checks the header, then each row
-    in turn: its width, if `unique` that its solution is new, its number."""
+    in turn: that the csv module can read it, its width, if `unique` that
+    its solution is new, its number."""
     kind = header[-1]
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != header:
+    rows = _csv_rows(text, kind)
+    if next(rows, (None, None))[1] != header:
         raise AnalysisError(f"{kind}s file must start with header '{','.join(header)}'")
-    if len(rows) == 1:
-        raise AnalysisError(f"{kind}s file has no rows")
     seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        where = f"{kind}s row {lineno}"
+    where = None
+    for where, row in rows:
         if len(row) != len(header):
             raise AnalysisError(f"{where}: expected {len(header)} columns")
         if unique:
@@ -157,6 +173,8 @@ def _read_csv(text: str, header: list[str], unique: bool = False) -> Iterator[tu
         if not math.isfinite(number):
             raise AnalysisError(f"{where}: non-finite {kind} {row[-1]!r}")
         yield row[0], number
+    if where is None:
+        raise AnalysisError(f"{kind}s file has no rows")
 
 
 def write_scores_csv(rows: Iterable[tuple[str, str, float]]) -> str:

@@ -43,7 +43,8 @@ class Point2:
 
 Value = Union[float, bool, Point2]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# A name of the oracle language: a field must be one to be read by name.
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def _parse_schema(line: str, lineno: int) -> TraceSchema:
     for name, kind_text in obj.items():
         if name == "t":
             raise TraceError("'t' is implicit and cannot be redeclared", line=lineno)
-        if not _NAME_RE.match(name):
+        if not NAME_RE.fullmatch(name):
             raise TraceError(f"invalid field name '{name}'", line=lineno)
         try:
             kind = Kind(kind_text)

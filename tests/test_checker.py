@@ -243,6 +243,6 @@ def test_trees_built_without_the_parser_keep_its_nesting_limit():
         return OracleDefinition(functions=(fn,))
 
     check_od(oracle(MAX_NESTING), SCHEMA)
-    for levels in (MAX_NESTING + 1, 300):
+    for levels in (MAX_NESTING + 1, 300, 5000):
         with pytest.raises(CheckError, match=f"^action of 'f': expression nests deeper than {MAX_NESTING} levels$"):
             check_od(oracle(levels), SCHEMA)

@@ -1,12 +1,15 @@
 """Lexing, parsing, and formatter round trips."""
 
 import random
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _generators import NESTED_SHAPES, gen_wild_od, nested_od
+import odl.parser
 from odl import (
     Binary,
     Call,
@@ -221,6 +224,59 @@ def test_identifiers_and_numbers_are_ascii(source, message, tmp_path, capsys):
 def test_number_out_of_range():
     with pytest.raises(ParseError, match="out of range"):
         parse_od("const A = 1e999;")
+
+
+def _const_a(value):
+    return OracleDefinition(constants=(("A", value),))
+
+
+def _event_f(event):
+    return OracleDefinition(functions=(ScoringFunction("f", event, Frequency.FIRST),))
+
+
+# Token edge cases: a number needs a digit after '.' and after 'e[+-]' to
+# take them in; tab and '\r' are one column each; a comment runs to the end
+# of its line, and at the end of input the EOF token sits at its '#'.
+LEXER_EDGES = [
+    ("const A = 1.;", "1:12: unexpected character '.'"),
+    ("const A = 1.x;", "1:12: unexpected character '.'"),
+    ("const A = .5;", "1:11: unexpected character '.'"),
+    ("const A = 1e;", "1:12: expected ';' ending the declaration, found 'e'"),
+    ("const A = 1e+;", "1:12: expected ';' ending the declaration, found 'e'"),
+    ("const A = 1E-3;", _const_a(0.001)),
+    ("const A = 1.5e3x;", "1:16: expected ';' ending the declaration, found 'x'"),
+    ("const A = 007;", _const_a(7.0)),
+    ("const A = 1e999;", "1:11: number literal 1e999 is out of range"),
+    ("const A = 1 ! 2;", "1:13: unexpected character '!'"),
+    ("const A = 1\f;", "1:12: unexpected character '\\x0c'"),
+    ("const\tA\r= 1 @;", "1:13: unexpected character '@'"),
+    ("const A = 1; # note\n@", "2:1: unexpected character '@'"),
+    ("const A = 1 # note\n;", _const_a(1.0)),
+    ("const A = 1 # note", "1:13: expected ';' ending the declaration, found 'end of input'"),
+    ("const A = 1\n\n", "3:1: expected ';' ending the declaration, found 'end of input'"),
+    ("f = scoring_function(event = a != b, frequency = first);", _event_f(Binary("!=", Ident("a"), Ident("b")))),
+    ("f = scoring_function(event = a<=b, frequency = first);", _event_f(Binary("<=", Ident("a"), Ident("b")))),
+    ("f = scoring_function(event = a>=-1, frequency = first);", _event_f(Binary(">=", Ident("a"), Literal(-1.0)))),
+    ("f = scoring_function(event = a_1==_b9, frequency = first);", _event_f(Binary("==", Ident("a_1"), Ident("_b9")))),
+    ("f = scoring_function(event = a =< b, frequency = first);", "1:32: expected ')' closing scoring_function, found '='"),
+]
+
+
+@pytest.mark.parametrize("source, expected", LEXER_EDGES)
+def test_lexer_edge_cases(source, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as raised:
+            parse_od(source)
+        assert str(raised.value) == expected
+    else:
+        assert parse_od(source) == expected
+
+
+def test_readme_grammar_is_the_parser_grammar():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme_grammar = readme.split("### Grammar\n\n```\n", 1)[1].split("```", 1)[0]
+    parser_grammar = odl.parser.__doc__.split(":\n\n", 1)[1].split("\n\n", 1)[0]
+    assert readme_grammar == textwrap.dedent(parser_grammar) + "\n"
 
 
 def test_format_listing1_round_trip_and_default_summary():

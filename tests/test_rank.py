@@ -1,5 +1,6 @@
 """Ranking and Spearman correlation, including tie handling."""
 
+import csv
 import math
 import random
 
@@ -209,6 +210,10 @@ MULTI_FAULT_SCORES = {
     "bad_header_and_bad_row": ("solution,score\na,xyz\n", "scores file must start with header 'solution,trace,score'"),
     "empty": ("", "scores file must start with header 'solution,trace,score'"),
     "header_only": ("solution,trace,score\n", "scores file has no rows"),
+    "oversized_field_then_bad_score": (
+        "solution,trace,score\n" + "s" * 200_000 + ",b,1.0\na,c,xyz\n",
+        f"scores row 2: field larger than field limit ({csv.field_size_limit()})",
+    ),
 }
 
 MULTI_FAULT_RANKS = {
@@ -230,6 +235,10 @@ MULTI_FAULT_RANKS = {
     ),
     "bad_header_and_bad_row": ("solution,trace,rank\na,b,x\n", "ranks file must start with header 'solution,rank'"),
     "header_only": ("solution,rank\n", "ranks file has no rows"),
+    "oversized_field_then_bad_rank": (
+        "solution,rank\n" + "s" * 200_000 + ",0.0\na,low\n",
+        f"ranks row 2: field larger than field limit ({csv.field_size_limit()})",
+    ),
 }
 
 
