@@ -16,8 +16,9 @@ from typing import Mapping
 
 from .engine import Program, generate_program
 from .errors import CheckError
-from .parser import BUILTIN_FUNCTIONS, MAX_NESTING, nests_deeper
+from .parser import BUILTIN_FUNCTIONS
 from .syntax import (
+    MAX_NESTING,
     Binary,
     Call,
     Expr,
@@ -25,6 +26,7 @@ from .syntax import (
     Literal,
     OracleDefinition,
     Unary,
+    nests_deeper,
 )
 from .trace import Kind, Point2, TraceSchema, Value
 

@@ -51,7 +51,7 @@ from .syntax import (
     ScoringFunction,
     Unary,
 )
-from .syntax import BINARY_PREC, NOT_PREC
+from .syntax import BINARY_PREC, MAX_NESTING, NOT_PREC, nests_deeper
 from .trace import NAME_RE, Point2, Value
 
 # Words with one place in the grammar. With the parameter names, the
@@ -61,13 +61,6 @@ _CONST, _SUMMARY, _SCORING_FUNCTION, _SUM, _POINT, _NOT = (
 )
 _BOOLEANS = {"true": True, "false": False}
 _FREQUENCIES = {f.value: f for f in Frequency}
-
-# Expressions nest at most this deep, counted in operators and calls along
-# any path of the tree and, separately, in open parentheses. It bounds the
-# recursion of the parser, checker and evaluators, and keeps the Python the
-# engine generates (one parenthesis pair per operator) far below CPython's
-# limit of 200 nested parentheses.
-MAX_NESTING = 64
 
 
 @dataclass(frozen=True)
@@ -158,21 +151,6 @@ class _Parser:
     def fail(self, message: str, tok: Token | None = None) -> NoReturn:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.column)
-
-
-def nests_deeper(expr: Expr, levels: int) -> bool:
-    """Whether some path from `expr` down to a leaf passes more than
-    `levels` operators and calls. Recurses at most `levels` + 1 deep, so a
-    tree of any depth is safe to test."""
-    if isinstance(expr, Binary):
-        children: tuple[Expr, ...] = (expr.left, expr.right)
-    elif isinstance(expr, Unary):
-        children = (expr.operand,)
-    elif isinstance(expr, Call):
-        children = expr.args
-    else:
-        return False
-    return levels == 0 or any(nests_deeper(child, levels - 1) for child in children)
 
 
 def _node(p: _Parser, expr: Expr, tok: Token) -> Expr:

@@ -11,7 +11,6 @@ import csv
 import io
 import itertools
 import math
-import statistics
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import AnalysisError
@@ -29,7 +28,9 @@ def mean_scores(table: ScoreTable) -> dict[str, float]:
         if not scores:
             raise AnalysisError(f"solution '{solution}' has no scores")
         try:
-            means[solution] = statistics.fmean(scores)
+            # statistics.fmean, which would import statistics, fractions and
+            # decimal into every process.
+            means[solution] = math.fsum(scores) / len(scores)
         except OverflowError:
             raise AnalysisError(f"solution '{solution}': mean score overflows") from None
     return means
@@ -75,8 +76,8 @@ def spearman(a: RankVector, b: RankVector) -> float:
                 raise AnalysisError(f"solution '{solution}' has non-finite rank {vector[solution]!r}")
     xs = [a[i] for i in ids]
     ys = [b[i] for i in ids]
-    mean_x = statistics.fmean(xs)
-    mean_y = statistics.fmean(ys)
+    mean_x = math.fsum(xs) / n
+    mean_y = math.fsum(ys) / n
     var_x = sum((x - mean_x) ** 2 for x in xs)
     var_y = sum((y - mean_y) ** 2 for y in ys)
     if var_x == 0.0 or var_y == 0.0:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
+from .errors import CheckError
 from .trace import Point2, Value
 
 
@@ -103,6 +104,13 @@ NOT_PREC = 3
 NEG_PREC = 7
 _ATOM_PREC = 8
 
+# Expressions nest at most this deep, counted in operators and calls along
+# any path of the tree and, separately, in open parentheses. It bounds the
+# recursion of the parser, checker and evaluators, and keeps the Python the
+# engine generates (one parenthesis pair per operator) far below CPython's
+# limit of 200 nested parentheses.
+MAX_NESTING = 64
+
 
 def _prec(expr: Expr) -> int:
     if isinstance(expr, Binary):
@@ -124,13 +132,38 @@ def format_literal(value: Value) -> str:
     return format_number(value)
 
 
+def nests_deeper(expr: Expr, levels: int) -> bool:
+    """Whether some path from `expr` down to a leaf passes more than
+    `levels` operators and calls. Recurses at most `levels` + 1 deep, so a
+    tree of any depth is safe to test."""
+    if isinstance(expr, Binary):
+        children: tuple[Expr, ...] = (expr.left, expr.right)
+    elif isinstance(expr, Unary):
+        children = (expr.operand,)
+    elif isinstance(expr, Call):
+        children = expr.args
+    else:
+        return False
+    return levels == 0 or any(nests_deeper(child, levels - 1) for child in children)
+
+
 def format_expr(expr: Expr) -> str:
+    """Canonical source text of an expression. A tree nested deeper than
+    MAX_NESTING, which the parser and the checker refuse too, is a
+    CheckError, not a RecursionError of _format_expr, which recurses once
+    per level."""
+    if nests_deeper(expr, MAX_NESTING):
+        raise CheckError(f"expression nests deeper than {MAX_NESTING} levels")
+    return _format_expr(expr)
+
+
+def _format_expr(expr: Expr) -> str:
     if isinstance(expr, Literal):
         return format_literal(expr.value)
     if isinstance(expr, Ident):
         return expr.name
     if isinstance(expr, Unary):
-        inner = format_expr(expr.operand)
+        inner = _format_expr(expr.operand)
         if expr.op == "not":
             if _prec(expr.operand) < NOT_PREC:
                 inner = f"({inner})"
@@ -145,16 +178,16 @@ def format_expr(expr: Expr) -> str:
         return f"-{inner}"
     if isinstance(expr, Binary):
         prec = BINARY_PREC[expr.op]
-        left = format_expr(expr.left)
+        left = _format_expr(expr.left)
         if _prec(expr.left) < prec:
             left = f"({left})"
-        right = format_expr(expr.right)
+        right = _format_expr(expr.right)
         # All binary operators parse left-associatively.
         if _prec(expr.right) <= prec:
             right = f"({right})"
         return f"{left} {expr.op} {right}"
     if isinstance(expr, Call):
-        args = ", ".join(format_expr(a) for a in expr.args)
+        args = ", ".join(_format_expr(a) for a in expr.args)
         return f"{expr.name}({args})"
     raise TypeError(f"not an expression node: {expr!r}")
 

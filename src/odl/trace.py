@@ -8,6 +8,8 @@ Point values are two-element [x, y] arrays. All numbers must be finite.
 `read_trace` is the one reader and the only record check: it returns the
 schema and a lazy iterator of checked messages, so a trace can be scored
 without being held. `parse_trace` collects that iterator into a `Trace`.
+Records are read by a reader generated once per schema (`_record_reader`);
+any record it refuses takes the strict path, which raises every diagnostic.
 """
 
 from __future__ import annotations
@@ -212,41 +214,90 @@ def _numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
         raise TraceError(f"trace file is not valid UTF-8{after}: {exc.reason} {bad!r}") from None
 
 
-def _messages(schema: TraceSchema, numbered: Iterator[tuple[int, str]]) -> Iterator[TraceMessage]:
-    check = _record_checker(schema)
-    record_no = 0
-    prev_t = -inf
-    for lineno, line in numbered:
-        # Fast path: plain decode and a quote count stand in for the strict
-        # decode. A record that passes check() has no string values, so its
-        # only quote characters are two per key plus any in values that a
-        # repeated key overwrote: the count is 2 * len(obj) exactly when no
-        # key repeats. Any refusal is decided again by the strict path, which
-        # raises the diagnostic.
-        record = None
+def _refused(
+    check: Callable[[dict, int, int], tuple[float, dict[str, Value]]],
+    obj: object, end: int | None, line: str, lineno: int, record_no: int, prev_t: float,
+) -> tuple[float, dict[str, Value]] | None:
+    """(t, values) of a line the generated gate refused, None for a blank
+    line, or TraceError. A line that the scan took whole as an object with
+    two quotes per key goes to check(); a refusal there, or any other line,
+    is decided again by the strict path, which raises the diagnostic."""
+    record = None
+    if type(obj) is dict and end == len(line) and line.count('"') == 2 * len(obj):
         try:
-            obj, end = _scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
+            record = check(obj, lineno, record_no)
+        except TraceError:
             pass
+    if record is None:
+        if not line.strip():
+            return None
+        record = check(_strict_json_object(line, lineno, "record"), lineno, record_no)
+    if record[0] < prev_t:
+        raise TraceError(f"record {record_no}: decreasing timestamp {record[0]!r} after {prev_t!r}",
+                         line=lineno)
+    return record
+
+
+# Cached so that reading many traces of one schema compiles one reader.
+@lru_cache(maxsize=16)
+def _record_reader(schema: TraceSchema) -> Callable[[Iterator[tuple[int, str]]], Iterator[TraceMessage]]:
+    """Generate, compile and return the record reader of one schema: a
+    generator of the messages of (line number, line) pairs. One gate takes
+    a line that _scan reads whole as an object of t and the schema's fields
+    whose floats (t, numbers, coordinates) have a finite sum, whose booleans
+    are True or False and whose t does not decrease. Such a record has no
+    string values, so its only quote characters are two per key plus any in
+    values that a repeated key overwrote: the quote count is 2 * len(obj)
+    exactly when no key repeats. Every other line goes to _refused. Field
+    names are bound in the namespace; the source holds indices and counts."""
+    names = schema.names()
+    namespace: dict[str, object] = {
+        "_scan": _scan, "_get": itemgetter("t", *names), "_names": names, "_isfinite": isfinite, "_inf": inf,
+        "_Message": TraceMessage, "_Point2": Point2, "_refused": _refused, "_check": _record_checker(schema),
+    }
+    fields = [f"x{k}" for k in range(len(names))]
+    gates, floats, values = ["type(t) is float"], ["t"], []
+    for k, (var, (_, kind)) in enumerate(zip(fields, schema.fields)):
+        if kind is Kind.NUMBER:
+            gates.append(f"type({var}) is float")
+            floats.append(var)
+        elif kind is Kind.BOOLEAN:
+            gates.append(f"({var} is True or {var} is False)")
         else:
-            if end == len(line) and type(obj) is dict and line.count('"') == 2 * len(obj):
-                try:
-                    record = check(obj, lineno, record_no + 1)
-                except TraceError:
-                    pass
-        if record is None:
-            if not line.strip():
-                continue
-            record = check(_strict_json_object(line, lineno, "record"), lineno, record_no + 1)
-        record_no += 1
-        t, values = record
-        if t < prev_t:
-            raise TraceError(
-                f"record {record_no}: decreasing timestamp {t!r} after {prev_t!r}",
-                line=lineno,
-            )
-        prev_t = t
-        yield TraceMessage(t, values)
+            x, y = f"{var}[0]", f"{var}[1]"
+            gates.append(f"type({var}) is list and len({var}) == 2 and type({x}) is type({y}) is float")
+            floats += [x, y]
+            var = f"_Point2({x}, {y})"
+        values.append(f"k{k}: {var}")
+    test = " and ".join([*gates, f"_isfinite({' + '.join(floats)})", "t >= prev_t"])
+    source = "\n".join([
+        "def messages(numbered):",
+        f"    [{', '.join(f'k{k}' for k in range(len(names)))}] = _names",
+        "    record_no, prev_t = 0, -_inf",
+        "    for lineno, line in numbered:",
+        "        try:",
+        "            obj, end = _scan(line, 0)",
+        "        except (StopIteration, ValueError, RecursionError):",
+        "            obj = end = None",
+        f"        if type(obj) is dict and end == len(line) and len(obj) == {len(names) + 1}"
+        f" and line.count('\"') == {2 * len(names) + 2}:",
+        "            try:",
+        f"                {', '.join(['t', *fields])} = _get(obj)",  # of one key: a value, not a tuple
+        "            except KeyError:",
+        "                pass",
+        "            else:",
+        f"                if {test}:",
+        "                    record_no, prev_t = record_no + 1, t",
+        f"                    yield _Message(t, {{{', '.join(values)}}})",
+        "                    continue",
+        "        record = _refused(_check, obj, end, line, lineno, record_no + 1, prev_t)",
+        "        if record is not None:",
+        "            record_no, (prev_t, values) = record_no + 1, record",
+        "            yield _Message(prev_t, values)",
+        "",
+    ])
+    exec(compile(source, "<odl record reader>", "exec"), namespace)
+    return namespace["messages"]  # type: ignore[return-value]
 
 
 def read_trace(lines: Iterable[str]) -> tuple[TraceSchema, Iterator[TraceMessage]]:
@@ -263,7 +314,7 @@ def read_trace(lines: Iterable[str]) -> tuple[TraceSchema, Iterator[TraceMessage
     for lineno, line in numbered:
         if line.strip():
             schema = _parse_schema(line, lineno)
-            return schema, _messages(schema, numbered)
+            return schema, _record_reader(schema)(numbered)
     raise TraceError("empty trace file: missing schema line")
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import odl.trace
 from odl import check_od, dump_trace, load_builtin, load_example_scenario
 from odl import cli
 from odl.cli import main
@@ -200,6 +201,16 @@ def test_batch_compiles_the_oracle_once_per_schema(workspace, monkeypatch):
     # `odl check` compiles nothing.
     assert main(["check", str(workspace / "listing1.odl"), "--trace", str(workspace / "s0__r0.jsonl")]) == 0
     assert len(calls) == 1
+
+
+def test_batch_generates_one_record_reader_per_schema(workspace):
+    odl.trace._record_reader.cache_clear()
+    for i in range(3):
+        (workspace / f"s{i}__r0.jsonl").write_text(dump_trace(drive([{"t": 0.0}, {"t": 0.5}])))
+    args = ["batch", "--od", str(workspace / "listing1.odl"), "--traces", str(workspace / "*__*.jsonl")]
+    assert main(args) == 0
+    info = odl.trace._record_reader.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_batch_without_matches_exits_1(workspace, capsys):

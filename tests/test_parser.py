@@ -13,6 +13,7 @@ import odl.parser
 from odl import (
     Binary,
     Call,
+    CheckError,
     Frequency,
     Ident,
     Literal,
@@ -23,6 +24,7 @@ from odl import (
     ScoringFunction,
     Unary,
     check_od,
+    format_expr,
     format_od,
     parse_od,
     parse_trace,
@@ -313,6 +315,27 @@ def test_format_negated_literal_keeps_structure():
     )
     od = OracleDefinition(functions=(fn,))
     assert parse_od(format_od(od)) == od
+
+
+def test_formatter_keeps_the_nesting_limit_on_hand_built_trees():
+    """A hand-built tree deeper than the parser admits is a CheckError from
+    format_expr and format_od, not a RecursionError."""
+
+    def chain(levels):
+        expr = Ident("speed")
+        for _ in range(levels):
+            expr = Unary("-", expr)
+        return expr
+
+    def oracle(action):
+        return OracleDefinition(functions=(ScoringFunction("f", Ident("b"), Frequency.ALL_SUM, action=action),))
+
+    assert format_expr(chain(MAX_NESTING)) == "-" * MAX_NESTING + "speed"
+    assert parse_od(format_od(oracle(chain(MAX_NESTING)))) == oracle(chain(MAX_NESTING))
+    for levels in (MAX_NESTING + 1, 5000):
+        for format_tree in (format_expr, lambda expr: format_od(oracle(expr))):
+            with pytest.raises(CheckError, match=f"^expression nests deeper than {MAX_NESTING} levels$"):
+                format_tree(chain(levels))
 
 
 @settings(max_examples=120, deadline=None)

@@ -3,6 +3,7 @@
 import csv
 import math
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,52 @@ def test_rank_solutions_rejects_non_finite_scores():
 def test_mean_score_overflow_is_an_analysis_error():
     with pytest.raises(AnalysisError, match="solution 'A': mean score overflows"):
         mean_scores({"A": [1e308, 1e308]})
+
+
+def _spearman_by_fmean(a, b):
+    """spearman as it was written with statistics.fmean, checks left out."""
+    ids = sorted(a)
+    xs, ys = [a[i] for i in ids], [b[i] for i in ids]
+    mean_x, mean_y = statistics.fmean(xs), statistics.fmean(ys)
+    var_x = sum((x - mean_x) ** 2 for x in xs)
+    var_y = sum((y - mean_y) ** 2 for y in ys)
+    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    if var_x == var_y and cov in (var_x, -var_x):
+        return cov / var_x
+    return max(-1.0, min(1.0, cov / (math.sqrt(var_x) * math.sqrt(var_y))))
+
+
+def test_means_are_bit_identical_to_statistics_fmean():
+    rng = random.Random(90210)
+
+    def score():
+        return rng.choice((
+            float(rng.randint(-5, 5)), rng.uniform(-100, 100), rng.gauss(0, 1e12),
+            rng.uniform(-1e307, 1e307), rng.choice((-1.7e308, 1.7e308)), rng.uniform(-1e-300, 1e-300),
+        ))
+
+    overflows = correlations = 0
+    for _ in range(400):
+        ids = [f"s{k}" for k in range(rng.randint(2, 12))]
+        tables = [{s: [score() for _ in range(rng.randint(1, 6))] for s in ids} for _ in range(2)]
+        try:
+            expected = [{s: statistics.fmean(v) for s, v in table.items()} for table in tables]
+        except OverflowError:
+            overflows += 1
+            with pytest.raises(AnalysisError, match="mean score overflows"):
+                [mean_scores(table) for table in tables]
+            continue
+        means = [mean_scores(table) for table in tables]
+        assert [{s: m.hex() for s, m in ms.items()} for ms in means] == [
+            {s: m.hex() for s, m in ms.items()} for ms in expected
+        ]
+        # Rank vectors, and plain floats as ranks, which spearman also takes.
+        floats = [{s: rng.choice((rng.uniform(-1e3, 1e3), 0.5)) for s in ids} for _ in range(2)]
+        for a, b in ((rank_solutions(means[0]), rank_solutions(means[1])), floats):
+            if len(set(a.values())) > 1 and len(set(b.values())) > 1:
+                correlations += 1
+                assert spearman(a, b).hex() == _spearman_by_fmean(a, b).hex()
+    assert overflows > 20 and correlations > 300
 
 
 def test_spearman_examples():

@@ -1,7 +1,9 @@
 """Trace model, JSONL parsing, canonical serialization."""
 
 import io
+import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from odl import (
     read_trace,
 )
 from odl.cli import main
+from odl.trace import _record_checker, _strict_json_object
 
 TWO_COLLISIONS = (
     '{"collision": "boolean"}\n'
@@ -214,6 +217,112 @@ def test_fast_and_strict_paths_accept_the_same_records():
     plain = parse_trace(SCHEMA + '{"t": 0.0, "x": 1.0, "b": true, "p": [0.0, 0.0]}\n')
     for record in (GOOD, "  " + GOOD + " ", '{ "p" : [0, 0.0], "b": true, "x": 1, "t": 0 }'):
         assert parse_trace(SCHEMA + record + "\n") == plain
+
+
+N, B, P = Kind.NUMBER, Kind.BOOLEAN, Kind.POINT2
+# Schemas for the generated reader, with field names that are also names
+# in its source or in Python.
+READER_SCHEMAS = [
+    TraceSchema(()),
+    TraceSchema((("a", B), ("b", B))),
+    TraceSchema((("p", P), ("q", P))),
+    TraceSchema((("None", N), ("lambda", B), ("obj", P), ("line", N))),
+    TraceSchema((("x0", P), ("prev_t", N), ("record_no", N), ("TraceMessage", B))),
+    TraceSchema((("k0", N), ("end", B), ("values", N), ("_get", P), ("numbered", N))),
+    TraceSchema((("speed", N), ("acceleration", N), ("position", P), ("road_normal", N), ("collision", B))),
+]
+
+
+def _strict_read(schema, records):
+    """The reference reader: each line through _strict_json_object and the
+    record check, with its own numbering, blank lines and time order."""
+    check = _record_checker(schema)
+    messages, record_no, prev_t = [], 0, -math.inf
+    for lineno, line in enumerate(records, start=2):
+        if line.strip() == "":
+            continue
+        try:
+            t, values = check(_strict_json_object(line, lineno, "record"), lineno, record_no + 1)
+        except TraceError as err:
+            return messages, (str(err), err.line)
+        record_no += 1
+        if t < prev_t:
+            return messages, (f"line {lineno}: record {record_no}: decreasing timestamp {t!r} after {prev_t!r}", lineno)
+        prev_t = t
+        messages.append(TraceMessage(t, values))
+    return messages, None
+
+
+def _read(lines):
+    messages = []
+    try:
+        for message in read_trace(lines)[1]:
+            messages.append(message)
+    except TraceError as err:
+        return messages, (str(err), err.line)
+    return messages, None
+
+
+def _random_record(rng, schema, t):
+    """One record line: mostly what dump_trace writes, sometimes with one fault or variation."""
+
+    def number():
+        # Two of the large ones add up past the largest float.
+        return repr(rng.choice((rng.uniform(-100, 100), 0.0, -0.0, 1e-320, rng.uniform(1e307, 1.7e308))))
+
+    value = {N: number, B: lambda: rng.choice(("true", "false")), P: lambda: f"[{number()}, {number()}]"}
+    pairs = [(json.dumps("t"), repr(t))] + [(json.dumps(name), value[kind]()) for name, kind in schema.fields]
+    sep, colon, left, right = ", ", ": ", "{", "}"
+    fault = "none" if rng.random() < 0.9 else rng.choice((
+        "int", "huge_int", "long_int", "bool", "null", "string", "nan", "inf", "1e400", "nested", "short_point",
+        "duplicate", "duplicate_string", "escaped", "missing", "extra", "order", "whitespace", "int_point",
+    ))
+    k = rng.randrange(len(pairs))
+    if fault in ("int", "huge_int", "long_int", "bool", "null", "string", "nan", "inf", "1e400", "nested"):
+        pairs[k] = (pairs[k][0], {
+            "int": str(rng.randint(-3, 3)), "huge_int": "9" * 400, "long_int": "1" * 5000, "bool": "true",
+            "null": "null", "string": '"1.0"', "nan": "NaN", "inf": rng.choice(("Infinity", "-Infinity")),
+            "1e400": "-1e400", "nested": '{"a": 1.0}',
+        }[fault])
+    elif fault in ("short_point", "int_point"):
+        pairs[k] = (pairs[k][0], "[1.0]" if fault == "short_point" else "[1, 2.5]")
+    elif fault == "duplicate":
+        pairs.append(rng.choice(pairs))
+    elif fault == "duplicate_string":
+        pairs.insert(k, (pairs[k][0], '"x"'))
+    elif fault == "escaped":
+        name = json.loads(pairs[k][0])
+        pairs[k] = ('"' + "".join(f"\\u{ord(c):04x}" for c in name) + '"', pairs[k][1])
+    elif fault == "missing":
+        del pairs[k]
+    elif fault == "extra":
+        pairs.insert(k, (json.dumps(rng.choice(("extra", "T", "tt"))), "1.0"))
+    elif fault == "order":
+        rng.shuffle(pairs)
+    elif fault == "whitespace":
+        sep, colon, left, right = rng.choice(((",", ":", "{", "}"), (" ,", " : ", " {", "}"), (", ", ": ", "{ ", "}\t")))
+    return left + sep.join(f"{key}{colon}{text}" for key, text in pairs) + right
+
+
+def test_generated_reader_agrees_with_the_strict_path():
+    """read_trace against _strict_read on seeded random traces: the same
+    messages, then the same TraceError text and line, or none."""
+    rng = random.Random(4242)
+    outcomes = {"clean": 0, "error": 0}
+    for _ in range(1200):
+        schema = rng.choice(READER_SCHEMAS)
+        records, t = [], 0.0
+        for _ in range(rng.randint(0, 20)):
+            if rng.random() < 0.05:
+                records.append(rng.choice(("", "  ", "\t")))
+                continue
+            t = rng.choice((t, t + rng.uniform(0, 2), t + rng.uniform(0, 2), t - 1.0 if rng.random() < 0.1 else t))
+            records.append(_random_record(rng, schema, t))
+        schema_line = json.dumps({name: kind.value for name, kind in schema.fields})
+        expected = _strict_read(schema, records)
+        assert repr(_read([schema_line, *records])) == repr(expected)
+        outcomes["error" if expected[1] else "clean"] += 1
+    assert min(outcomes.values()) > 300
 
 
 def test_read_trace_reads_records_lazily():
