@@ -216,22 +216,13 @@ def _numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 
 def _refused(
     check: Callable[[dict, int, int], tuple[float, dict[str, Value]]],
-    obj: object, end: int | None, line: str, lineno: int, record_no: int, prev_t: float,
+    line: str, lineno: int, record_no: int, prev_t: float,
 ) -> tuple[float, dict[str, Value]] | None:
     """(t, values) of a line the generated gate refused, None for a blank
-    line, or TraceError. A line that the scan took whole as an object with
-    two quotes per key goes to check(); a refusal there, or any other line,
-    is decided again by the strict path, which raises the diagnostic."""
-    record = None
-    if type(obj) is dict and end == len(line) and line.count('"') == 2 * len(obj):
-        try:
-            record = check(obj, lineno, record_no)
-        except TraceError:
-            pass
-    if record is None:
-        if not line.strip():
-            return None
-        record = check(_strict_json_object(line, lineno, "record"), lineno, record_no)
+    line, or TraceError: the strict path, which raises every diagnostic."""
+    if not line.strip():
+        return None
+    record = check(_strict_json_object(line, lineno, "record"), lineno, record_no)
     if record[0] < prev_t:
         raise TraceError(f"record {record_no}: decreasing timestamp {record[0]!r} after {prev_t!r}",
                          line=lineno)
@@ -290,7 +281,7 @@ def _record_reader(schema: TraceSchema) -> Callable[[Iterator[tuple[int, str]]],
         "                    record_no, prev_t = record_no + 1, t",
         f"                    yield _Message(t, {{{', '.join(values)}}})",
         "                    continue",
-        "        record = _refused(_check, obj, end, line, lineno, record_no + 1, prev_t)",
+        "        record = _refused(_check, line, lineno, record_no + 1, prev_t)",
         "        if record is not None:",
         "            record_no, (prev_t, values) = record_no + 1, record",
         "            yield _Message(prev_t, values)",
