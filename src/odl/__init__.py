@@ -5,9 +5,17 @@ scoring functions (event / condition / action / frequency / notifications)
 plus one summarizing expression. This package parses and checks that
 language, evaluates definitions deterministically over timed traces, ranks
 trace corpora, and compares oracles by Spearman rank correlation.
+
+Trace values and reports (`Point2`, `TraceSchema`, `TraceMessage`, `Trace`,
+`Firing`, `ScoreReport`) are named tuples: they iterate, compare equal to a
+plain tuple of the same fields, and are derived with `_replace`, not
+`dataclasses.replace`. The scenario and catalog names (`generate_trace`,
+`load_builtin`, ...) are bound on first use, so a process that neither
+generates traces nor reads the bundled assets does not import them.
 """
 
-from .catalog import BUILTIN_NAMES, load_builtin, load_example_scenario
+import importlib
+
 from .checker import CheckedOracle, check_od
 from .engine import (
     Firing,
@@ -42,15 +50,6 @@ from .rank import (
     write_scores_csv,
 )
 from .reference import reference_score
-from .scenario import (
-    EPISODE_KINDS,
-    GEN_SCHEMA,
-    Episode,
-    Scenario,
-    generate_trace,
-    load_scenario,
-    validate_scenario,
-)
 from .syntax import (
     Binary,
     Call,
@@ -75,6 +74,28 @@ from .trace import (
     parse_trace,
     read_trace,
 )
+
+# Module of each name bound on first use, by __getattr__.
+_LAZY = {
+    **dict.fromkeys(("BUILTIN_NAMES", "load_builtin", "load_example_scenario"), "catalog"),
+    **dict.fromkeys(
+        ("EPISODE_KINDS", "GEN_SCHEMA", "Episode", "Scenario", "generate_trace", "load_scenario",
+         "validate_scenario"),
+        "scenario",
+    ),
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

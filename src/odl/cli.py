@@ -29,7 +29,6 @@ from .rank import (
     write_ranks_csv,
     write_scores_csv,
 )
-from .scenario import generate_trace, load_scenario
 from .trace import TraceSchema, dump_trace, read_trace
 
 
@@ -136,6 +135,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .scenario import generate_trace, load_scenario  # only this command needs it
+
     scenario = load_scenario(_read_input(args.scenario))
     trace = generate_trace(scenario, args.seed)
     _emit(dump_trace(trace), args.out)

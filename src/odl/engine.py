@@ -33,10 +33,9 @@ independently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import isfinite
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import EngineError, EvalError
 from .evaluate import binder, emit_expr, emit_value, non_finite, runtime
@@ -48,8 +47,7 @@ if TYPE_CHECKING:
     from .checker import CheckedOracle
 
 
-@dataclass(frozen=True)
-class Firing:
+class Firing(NamedTuple):
     """One score update: which function fired at which message, the score
     delta, and the (target, timer, value) notifications it dispatched."""
 
@@ -59,8 +57,7 @@ class Firing:
     notifications: tuple[tuple[str, str, float], ...] = ()
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     """Final per-function scores (declaration order), the summary score, and
     the firing log."""
 

@@ -129,7 +129,7 @@ def _divide(dividend: float, divisor: float, error: str) -> float:
 
 def runtime() -> dict[str, Any]:
     """A fresh exec namespace with the helpers generated code calls."""
-    return {"_divide": _divide, "_hypot": math.hypot}
+    return {"_divide": _divide, "_dist": math.dist}
 
 
 def binder(namespace: dict[str, Any]) -> Callable[[Any], str]:
@@ -158,8 +158,8 @@ def emit_expr(expr: Expr, resolve: Callable[[str], str], bind: Callable[[Any], s
 
     Every operator is parenthesised, because Python chains `a < b < c`;
     the parser's nesting limit keeps the result under CPython's limit on
-    nested parentheses. Point-valued operands are always literals or
-    identifiers, so `distance` reads each of them twice at no cost.
+    nested parentheses. `distance` is math.dist, which computes what
+    eval_expr's math.hypot of the coordinate differences does, bit for bit.
     """
 
     def emit(e: Expr) -> str:
@@ -176,11 +176,8 @@ def emit_expr(expr: Expr, resolve: Callable[[str], str], bind: Callable[[Any], s
                 return f"_divide({left}, {right}, {error})"
             return f"({left} {e.op} {right})"
         if isinstance(e, Call):
-            args = [emit(arg) for arg in e.args]
-            if e.name == "distance":
-                p, q = args
-                return f"_hypot({p}.x - {q}.x, {p}.y - {q}.y)"
-            return f"{e.name}({', '.join(args)})"
+            name = "_dist" if e.name == "distance" else e.name
+            return f"{name}({', '.join(emit(arg) for arg in e.args)})"
         raise TypeError(f"not an expression node: {e!r}")
 
     return emit(expr)

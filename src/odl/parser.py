@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, dataclass, fields
-from typing import Any, NoReturn
+from dataclasses import MISSING, fields
+from typing import Any, NamedTuple, NoReturn
 
 from .errors import ParseError
 from .syntax import (
@@ -63,8 +63,7 @@ _BOOLEANS = {"true": True, "false": False}
 _FREQUENCIES = {f.value: f for f in Frequency}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "IDENT", "NUMBER", "EOF", or the punctuation itself
     text: str
     line: int

@@ -62,7 +62,8 @@ def rank_solutions(scores: Mapping[str, float]) -> dict[str, float]:
 def spearman(a: RankVector, b: RankVector) -> float:
     """Tie-correct Spearman coefficient: Pearson correlation of the two rank
     vectors. Equals 1 - 6*sum(d^2)/(n(n^2-1)) when neither vector has ties.
-    A NaN or infinite rank is an AnalysisError, not a coefficient.
+    A NaN or infinite rank is an AnalysisError, not a coefficient, and so
+    is a mean, variance or covariance of finite ranks that overflows.
     """
     if set(a) != set(b):
         raise AnalysisError("rank vectors cover different solution ids")
@@ -76,13 +77,20 @@ def spearman(a: RankVector, b: RankVector) -> float:
                 raise AnalysisError(f"solution '{solution}' has non-finite rank {vector[solution]!r}")
     xs = [a[i] for i in ids]
     ys = [b[i] for i in ids]
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
+    overflow = AnalysisError("ranks too large to correlate: their mean, variance or covariance overflows")
+    try:
+        # fsum and ** raise OverflowError; a difference or a sum turns infinite.
+        mean_x = math.fsum(xs) / n
+        mean_y = math.fsum(ys) / n
+        var_x = sum((x - mean_x) ** 2 for x in xs)
+        var_y = sum((y - mean_y) ** 2 for y in ys)
+    except OverflowError:
+        raise overflow from None
     if var_x == 0.0 or var_y == 0.0:
         raise AnalysisError("rank vector has zero variance; ranking is meaningless")
     cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    if not (math.isfinite(var_x) and math.isfinite(var_y) and math.isfinite(cov)):
+        raise overflow
     # Ranks are small dyadic rationals, so identical or exactly reversed
     # rankings make cov equal +/-variance exactly; return the exact result
     # rather than rounding through sqrt.

@@ -10,6 +10,10 @@ schema and a lazy iterator of checked messages, so a trace can be scored
 without being held. `parse_trace` collects that iterator into a `Trace`.
 Records are read by a reader generated once per schema (`_record_reader`);
 any record it refuses takes the strict path, which raises every diagnostic.
+
+`Point2`, `TraceSchema`, `TraceMessage` and `Trace` are named tuples: they
+iterate, compare equal to a plain tuple of the same fields, and are derived
+with `_replace`, not `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -17,12 +21,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import inf, isfinite
 from operator import itemgetter
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import TraceError
 
@@ -35,8 +38,7 @@ class Kind(Enum):
     POINT2 = "point2"
 
 
-@dataclass(frozen=True)
-class Point2:
+class Point2(NamedTuple):
     """A Cartesian map coordinate in meters."""
 
     x: float
@@ -49,8 +51,7 @@ Value = Union[float, bool, Point2]
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class TraceSchema:
+class TraceSchema(NamedTuple):
     """Ordered field-name/kind declarations; the time field t is implicit."""
 
     fields: tuple[tuple[str, Kind], ...]
@@ -62,14 +63,12 @@ class TraceSchema:
         return dict(self.fields)
 
 
-@dataclass(frozen=True)
-class TraceMessage:
+class TraceMessage(NamedTuple):
     t: float
     values: Mapping[str, Value]
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     schema: TraceSchema
     messages: tuple[TraceMessage, ...]
 
@@ -240,11 +239,14 @@ def _record_reader(schema: TraceSchema) -> Callable[[Iterator[tuple[int, str]]],
     string values, so its only quote characters are two per key plus any in
     values that a repeated key overwrote: the quote count is 2 * len(obj)
     exactly when no key repeats. Every other line goes to _refused. Field
-    names are bound in the namespace; the source holds indices and counts."""
+    names are bound in the namespace; the source holds indices and counts.
+    Messages and points are built by tuple.__new__, which skips the named
+    tuples' own __new__: the gate has checked each point's length and types."""
     names = schema.names()
     namespace: dict[str, object] = {
         "_scan": _scan, "_get": itemgetter("t", *names), "_names": names, "_isfinite": isfinite, "_inf": inf,
-        "_Message": TraceMessage, "_Point2": Point2, "_refused": _refused, "_check": _record_checker(schema),
+        "_new": tuple.__new__, "_Message": TraceMessage, "_Point2": Point2, "_refused": _refused,
+        "_check": _record_checker(schema),
     }
     fields = [f"x{k}" for k in range(len(names))]
     gates, floats, values = ["type(t) is float"], ["t"], []
@@ -258,7 +260,7 @@ def _record_reader(schema: TraceSchema) -> Callable[[Iterator[tuple[int, str]]],
             x, y = f"{var}[0]", f"{var}[1]"
             gates.append(f"type({var}) is list and len({var}) == 2 and type({x}) is type({y}) is float")
             floats += [x, y]
-            var = f"_Point2({x}, {y})"
+            var = f"_new(_Point2, {var})"
         values.append(f"k{k}: {var}")
     test = " and ".join([*gates, f"_isfinite({' + '.join(floats)})", "t >= prev_t"])
     source = "\n".join([
@@ -279,7 +281,7 @@ def _record_reader(schema: TraceSchema) -> Callable[[Iterator[tuple[int, str]]],
         "            else:",
         f"                if {test}:",
         "                    record_no, prev_t = record_no + 1, t",
-        f"                    yield _Message(t, {{{', '.join(values)}}})",
+        f"                    yield _new(_Message, (t, {{{', '.join(values)}}}))",
         "                    continue",
         "        record = _refused(_check, line, lineno, record_no + 1, prev_t)",
         "        if record is not None:",

@@ -266,6 +266,16 @@ def test_compare_zero_variance_exits_1(workspace, capsys):
     assert "zero variance" in capsys.readouterr().err
 
 
+def test_compare_rank_overflow_exits_1(workspace, capsys):
+    big, small = workspace / "big.csv", workspace / "small.csv"
+    big.write_text("solution,rank\na,1e200\nb,0.0\nc,1.0\n")
+    small.write_text("solution,rank\na,0.0\nb,1.0\nc,2.0\n")
+    assert main(["compare", str(big), str(small)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: ranks too large to correlate: their mean, variance or covariance overflows\n"
+
+
 def test_gen_deterministic_and_scoreable(workspace, capsys):
     out1 = workspace / "gen1.jsonl"
     out2 = workspace / "gen2.jsonl"

@@ -17,8 +17,12 @@ from odl import (
     EvalError,
     Firing,
     Frequency,
+    Kind,
     OracleDefinition,
+    Point2,
     Trace,
+    TraceMessage,
+    TraceSchema,
     check_od,
     generate_trace,
     load_builtin,
@@ -286,6 +290,52 @@ def test_near_overflow_engine_equals_reference(x, y):
         assert str(batch.value) == str(exc)
     else:
         assert streaming == reference_score(checked, trace)
+
+
+_MAX = sys.float_info.max
+# Point pairs at the extremes: subnormals, +/-1e308, the largest double, and
+# coordinates whose difference, or whose distance, overflows.
+_EXTREME_POINTS = [
+    ((5e-324, 0.0), (0.0, 5e-324)),
+    ((2.2e-308, -2.2e-308), (-1e-310, 1e-310)),
+    ((1e-320, 3e-321), (-4e-322, 0.0)),
+    ((1e308, -1e308), (1e308, -1e308)),
+    ((1e308, 1e308), (0.0, 0.0)),
+    ((-1e308, 1e308), (1e307, -1e307)),
+    ((_MAX, 0.0), (0.0, 0.0)),
+    ((1e308, 5e-324), (0.0, -5e-324)),
+    ((_MAX, 0.0), (-_MAX, 0.0)),
+    ((1e308, 1e308), (-1e308, -1e308)),
+    ((1.5e308, 1.5e308), (0.0, 0.0)),
+    ((-_MAX, _MAX), (_MAX, -_MAX)),
+]
+
+_DISTANCE_OD = """
+f = scoring_function(event = t == 0, action = distance(p, q), frequency = all_sum);
+g = scoring_function(event = t > 0, condition = distance(q, p) >= 0, action = distance(q, p),
+    frequency = action_sum);
+summary = f - g;
+"""
+
+
+@pytest.mark.parametrize("p, q", _EXTREME_POINTS)
+def test_distance_at_the_extremes_equals_reference(p, q):
+    """`distance` in the engine is math.dist, in the reference math.hypot of
+    the differences: the same value, or the same EvalError once it overflows."""
+    schema = TraceSchema((("p", Kind.POINT2), ("q", Kind.POINT2)))
+    values = {"p": Point2(*p), "q": Point2(*q)}
+    trace = Trace(schema, (TraceMessage(0.0, values), TraceMessage(1.0, values)))
+    checked = check_od(parse_od(_DISTANCE_OD), schema)
+    try:
+        streaming = score_trace(checked, trace)
+    except EvalError as exc:
+        assert "non-finite (inf)" in str(exc)
+        with pytest.raises(EvalError) as batch:
+            reference_score(checked, trace)
+        assert str(batch.value) == str(exc)
+    else:
+        assert streaming == reference_score(checked, trace)
+        assert [f.delta for f in streaming.firings] == [math.hypot(p[0] - q[0], p[1] - q[1])] * 2
 
 
 # Names that are Python keywords or builtins, or that the generated program

@@ -127,6 +127,22 @@ def test_spearman_rejects_non_finite_ranks():
                 spearman(*pair)
 
 
+@pytest.mark.parametrize(
+    "big",
+    [
+        {"a": 1e200, "b": 0.0, "c": 1.0},  # a square overflows in **
+        {"a": 1.2e154, "b": -1.2e154, "c": 0.0},  # finite squares, infinite sum
+        {"a": 1.7e308, "b": 1.7e308, "c": 1.0},  # the mean overflows in fsum
+        {"a": 1.7e308, "b": -1.7e308, "c": -1.7e308},  # a deviation overflows
+    ],
+)
+def test_spearman_overflow_of_finite_ranks_is_an_analysis_error(big):
+    good = {"a": 0.0, "b": 1.0, "c": 2.0}
+    for pair in ((big, good), (good, big)):
+        with pytest.raises(AnalysisError, match="ranks too large to correlate"):
+            spearman(*pair)
+
+
 def test_spearman_reversal_exact_with_ties():
     ranks = rank_solutions({"A": 3.0, "B": 2.0, "C": 2.0, "D": 1.0})
     reversed_ranks = {k: 3.0 - v for k, v in ranks.items()}

@@ -320,7 +320,12 @@ def test_generated_reader_agrees_with_the_strict_path():
             records.append(_random_record(rng, schema, t))
         schema_line = json.dumps({name: kind.value for name, kind in schema.fields})
         expected = _strict_read(schema, records)
-        assert repr(_read([schema_line, *records])) == repr(expected)
+        got = _read([schema_line, *records])
+        assert repr(got) == repr(expected)
+        for message in got[0]:  # built by the gate or by the strict path
+            assert type(message) is TraceMessage
+            for name, kind in schema.fields:
+                assert type(message.values[name]) is {N: float, B: bool, P: Point2}[kind]
         outcomes["error" if expected[1] else "clean"] += 1
     assert min(outcomes.values()) > 300
 
