@@ -1,9 +1,10 @@
 """Static checks: name resolution and kind inference for oracle definitions.
 
 Every identifier must resolve to a trace field, a constant, one of the
-function's own timers, seq_time (conditions only), or — in the summary — a
-scoring-function score. Events and conditions must be boolean; actions,
-initial values, notification values, and the summary must be numeric.
+function's own timers, seq_time (conditions only, and never beside a trace
+field of that name), or — in the summary — a scoring-function score.
+Events and conditions must be boolean; actions, initial values,
+notification values, and the summary must be numeric.
 A checked oracle is a plain value; its scoring program is generated and
 compiled when it is first scored (`engine.generate_program`).
 """
@@ -73,6 +74,11 @@ class _Scope:
 
     def resolve(self, name: str) -> Kind:
         if name == "seq_time":
+            if name in self.fields:
+                raise CheckError(
+                    f"{self.where}: 'seq_time' names both the sequence time and a "
+                    "trace field; rename the field"
+                )
             if not self.seq_time_allowed:
                 raise CheckError(f"{self.where}: seq_time may only appear in a condition")
             return Kind.NUMBER

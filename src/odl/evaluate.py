@@ -1,10 +1,12 @@
 """Expression evaluation: two evaluators of one semantics.
 
-`eval_expr` walks the expression tree over an `Env`; the batch reference
-evaluates with it alone. `emit_expr` writes a checked expression as Python
-source; the streaming engine runs only such code, spliced into the one
-scoring function generated per oracle at check time
-(`engine.generate_program`). The differential suite compares the two.
+`eval_expr` walks the expression tree over an `Env`, dispatching on each
+node's exact type and taking arithmetic and comparison from one table of
+`operator` functions; the batch reference evaluates with it alone.
+`emit_expr` writes a checked expression as Python source; the streaming
+engine runs only such code, spliced into the one scoring function generated
+per oracle at check time (`engine.generate_program`). The differential
+suite compares the two.
 
 Evaluation is pure and deterministic. `and`/`or` short-circuit, so a guard
 can protect a partial expression: `false and (1 / 0 > 0)` is false, not an
@@ -15,6 +17,7 @@ the oracle author (write `abs(a - b) < eps`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -30,6 +33,7 @@ class Env:
     `fields` holds the current message's values (including "t"); `timers`
     the evaluating function's timers; `seq_time` is bound only while a
     condition is evaluated; `scores` only while the summary is evaluated.
+    The reference keeps one Env per trace and replaces `fields` per message.
     """
 
     fields: Mapping[str, Value] = field(default_factory=dict)
@@ -48,55 +52,62 @@ def non_finite(what: str, value: float) -> EvalError:
     return EvalError(f"{what} is non-finite ({value!r})")
 
 
+# The operators that evaluate both operands and apply one function; "/"
+# (its zero check), "and" and "or" (short-circuit) are handled apart.
+_OPERATORS: dict[str, Callable[[Any, Any], Value]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+
 def eval_expr(expr: Expr, env: Env) -> Value:
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Ident):
-        name = expr.name
-        if name == "seq_time":
-            if env.seq_time is None:
-                raise EvalError("seq_time is not bound outside a condition")
-            return env.seq_time
-        for namespace in (env.fields, env.constants, env.timers, env.scores):
-            if name in namespace:
-                return namespace[name]
-        raise EvalError(f"unbound identifier '{name}'")
-    if isinstance(expr, Unary):
-        if expr.op == "not":
-            return not eval_expr(expr.operand, env)
-        return -eval_expr(expr.operand, env)
-    if isinstance(expr, Binary):
+    """Evaluate `expr` over `env` by walking the tree.
+
+    Nodes are dispatched on their exact type, most frequent first. The name
+    `seq_time` reads `env.seq_time`; any other name resolves to the first of
+    a field, a constant, a timer and a score that has it."""
+    kind = type(expr)
+    if kind is Binary:
         op = expr.op
+        apply = _OPERATORS.get(op)
+        if apply is not None:
+            return apply(eval_expr(expr.left, env), eval_expr(expr.right, env))
         if op == "and":
             return bool(eval_expr(expr.left, env)) and bool(eval_expr(expr.right, env))
         if op == "or":
             return bool(eval_expr(expr.left, env)) or bool(eval_expr(expr.right, env))
         left = eval_expr(expr.left, env)
         right = eval_expr(expr.right, env)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
         if op == "/":
             if right == 0:
                 raise EvalError(f"division by zero in '{format_expr(expr)}'")
             return left / right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
         raise EvalError(f"unknown operator '{op}'")
-    if isinstance(expr, Call):
+    if kind is Ident:
+        name = expr.name
+        if name == "seq_time":
+            if env.seq_time is None:
+                raise EvalError("seq_time is not bound outside a condition")
+            return env.seq_time
+        if name in env.fields:
+            return env.fields[name]
+        if name in env.constants:
+            return env.constants[name]
+        if name in env.timers:
+            return env.timers[name]
+        if name in env.scores:
+            return env.scores[name]
+        raise EvalError(f"unbound identifier '{name}'")
+    if kind is Literal:
+        return expr.value
+    if kind is Call:
         args = [eval_expr(arg, env) for arg in expr.args]
         if expr.name == "distance":
             a, b = args
@@ -109,6 +120,10 @@ def eval_expr(expr: Expr, env: Env) -> Value:
         if expr.name == "max":
             return max(args)
         raise EvalError(f"unknown function '{expr.name}'")
+    if kind is Unary:
+        if expr.op == "not":
+            return not eval_expr(expr.operand, env)
+        return -eval_expr(expr.operand, env)
     raise TypeError(f"not an expression node: {expr!r}")
 
 

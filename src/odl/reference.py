@@ -18,6 +18,10 @@ Timer replay and notification dispatch still advance with the index walk
 fully separate pass cannot exist), but the firing log is only assembled
 afterwards from the materialized firing rows. The summary walks the tree
 too, so the engine and the reference share no evaluation code.
+
+Per-function state lives in lists indexed by declaration position; only a
+notification's target is looked up by name, in one name -> timer-table map.
+One `Env` serves the whole trace, its `fields` replaced for each message.
 """
 
 from __future__ import annotations
@@ -37,61 +41,56 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     if checked.schema.as_dict() != trace.schema.as_dict():
         raise EngineError("trace schema does not match the one the oracle was checked against")
     od = checked.od
+    functions = od.functions
     messages = trace.messages
     n = len(messages)
-    names = [fn.name for fn in od.functions]
+    names = [fn.name for fn in functions]
     constants = od.constant_map()
 
-    event_true = {name: [False] * n for name in names}
-    seq_start = {name: [0] * n for name in names}
+    event_true = [[False] * n for _ in functions]
+    seq_start = [[0] * n for _ in functions]
     # First-fired index per function (n: none yet), and per function and
     # sequence start index (absent: none yet).
-    first_fired = {name: n for name in names}
-    first_fired_in_seq: dict[str, dict[int, int]] = {name: {} for name in names}
+    first_fired = [n] * len(functions)
+    first_fired_in_seq: list[dict[int, int]] = [{} for _ in functions]
     # (index, fn position, delta, notifications) in dispatch order.
     firing_rows: list[tuple[int, int, float, tuple[tuple[str, str, float], ...]]] = []
-    totals = {fn.name: fn.initial for fn in od.functions}
+    totals = [fn.initial for fn in functions]
+    timers = [{timer: 0.0 for timer in sorted(checked.timers[name])} for name in names]
+    timers_of = dict(zip(names, timers))
 
-    timers = {
-        fn.name: {timer: 0.0 for timer in sorted(checked.timers[fn.name])}
-        for fn in od.functions
-    }
-
+    env = Env(constants=constants)
+    previous_t = 0.0
     for i, message in enumerate(messages):
         t = message.t
-        if i > 0 and t < messages[i - 1].t:
-            raise EngineError(
-                f"message {i}: timestamp {t!r} decreases below {messages[i - 1].t!r}"
-            )
-        dt = 0.0 if i == 0 else t - messages[i - 1].t
-        for table in timers.values():
+        if i > 0 and t < previous_t:
+            raise EngineError(f"message {i}: timestamp {t!r} decreases below {previous_t!r}")
+        dt = 0.0 if i == 0 else t - previous_t
+        previous_t = t
+        for table in timers:
             for timer in table:
                 table[timer] -= dt
 
-        env = Env(fields={**message.values, "t": t}, constants=constants)
+        env.fields = {**message.values, "t": t}
         queued: list[tuple[str, str, float]] = []
-        for pos, fn in enumerate(od.functions):
-            env.timers = timers[fn.name]
+        for pos, fn in enumerate(functions):
+            env.timers = timers[pos]
             env.seq_time = None
             try:
                 ev = bool(eval_expr(fn.event, env))
-                event_true[fn.name][i] = ev
+                event_true[pos][i] = ev
                 if not ev:
                     continue
-                start = (
-                    i
-                    if i == 0 or not event_true[fn.name][i - 1]
-                    else seq_start[fn.name][i - 1]
-                )
-                seq_start[fn.name][i] = start
+                start = i if i == 0 or not event_true[pos][i - 1] else seq_start[pos][i - 1]
+                seq_start[pos][i] = start
                 cond_ok = True
                 if fn.condition is not None:
                     env.seq_time = t - messages[start].t
                     cond_ok = bool(eval_expr(fn.condition, env))
                     env.seq_time = None
-                in_seq = first_fired_in_seq[fn.name]
+                in_seq = first_fired_in_seq[pos]
                 if fn.frequency is Frequency.FIRST:
-                    fire = cond_ok and first_fired[fn.name] > i
+                    fire = cond_ok and first_fired[pos] > i
                 elif fn.frequency is Frequency.ACTION_SUM:
                     if fn.condition is None:
                         fire = True
@@ -101,16 +100,16 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
                     fire = cond_ok
                 if not fire:
                     continue
-                first_fired[fn.name] = min(first_fired[fn.name], i)
+                first_fired[pos] = min(first_fired[pos], i)
                 in_seq.setdefault(start, i)
                 delta = 0.0
                 if fn.action is not None:
                     delta = float(eval_expr(fn.action, env))
                     if not isfinite(delta):
                         raise non_finite(f"action '{format_expr(fn.action)}'", delta)
-                totals[fn.name] += delta
-                if not isfinite(totals[fn.name]):
-                    raise non_finite("score", totals[fn.name])
+                totals[pos] += delta
+                if not isfinite(totals[pos]):
+                    raise non_finite("score", totals[pos])
                 dispatched: list[tuple[str, str, float]] = []
                 for notif in fn.notifications:
                     for timer, value_expr in notif.bindings:
@@ -127,16 +126,16 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
                     f"message {i} (t={t!r}), function '{fn.name}': {exc}"
                 ) from exc
         for target, timer, value in queued:
-            timers[target][timer] = value
+            timers_of[target][timer] = value
 
-    scores = tuple((name, totals[name]) for name in names)
+    scores = tuple(zip(names, totals))
     if od.summary is None:
         summary = 0.0
-        for _, score in scores:
+        for score in totals:
             summary += score
     else:
         try:
-            summary = float(eval_expr(od.summary, Env(constants=constants, scores=totals)))
+            summary = float(eval_expr(od.summary, Env(constants=constants, scores=dict(scores))))
         except EvalError as exc:
             raise EvalError(f"summary: {exc}") from exc
     if not isfinite(summary):

@@ -81,6 +81,45 @@ def test_seq_time_only_in_condition():
         )
 
 
+SEQ_TIME_FIELD = TraceSchema((("seq_time", Kind.NUMBER), ("speed", Kind.NUMBER)))
+
+
+def test_seq_time_beside_a_field_of_that_name_is_refused():
+    """The sequence time would shadow the field: reading the field, the
+    condition below fires at both messages of a two-message trace with
+    seq_time 5.0; reading the sequence time, only at the second."""
+    sources = {
+        "condition": "f = scoring_function(event = speed > 0, condition = seq_time > 0.5, frequency = all_sum);",
+        "event": "f = scoring_function(event = seq_time > 0, frequency = first);",
+        "action": "f = scoring_function(event = speed > 0, action = seq_time, frequency = all_sum);",
+        "notification value for 'g.tm'": (
+            "f = scoring_function(event = speed > 0, frequency = first,"
+            " notifications = [(g, [(tm, seq_time)])]);\n"
+            "g = scoring_function(event = tm > 0, frequency = first);"
+        ),
+    }
+    for where, source in sources.items():
+        message = (
+            f"^{where} of 'f': 'seq_time' names both the sequence time and a trace field; "
+            "rename the field$"
+        )
+        with pytest.raises(CheckError, match=message):
+            check_source(source, SEQ_TIME_FIELD)
+
+
+def test_a_field_named_seq_time_is_allowed_while_no_expression_names_it():
+    checked = check_source(
+        "f = scoring_function(event = speed > 0, condition = t >= 0, frequency = all_sum);",
+        SEQ_TIME_FIELD,
+    )
+    assert checked.schema == SEQ_TIME_FIELD
+    with pytest.raises(CheckError, match="seq_time may only appear in a condition"):
+        check_source(
+            "f = scoring_function(event = speed > 0, frequency = first);\nsummary = seq_time;",
+            SEQ_TIME_FIELD,
+        )
+
+
 def test_notification_target_undefined():
     with pytest.raises(CheckError, match="not a scoring function"):
         check_source(

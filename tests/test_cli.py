@@ -54,6 +54,25 @@ def test_check_check_error_exits_1(workspace, capsys):
     assert "ordering" in capsys.readouterr().err
 
 
+def test_check_refuses_seq_time_beside_a_field_of_that_name(workspace, capsys):
+    od = workspace / "seq_time.odl"
+    od.write_text("f = scoring_function(event = speed > 0, condition = seq_time > 0.5, frequency = all_sum);")
+    trace_path = workspace / "seq_time.jsonl"
+    trace_path.write_text(
+        '{"seq_time": "number", "speed": "number"}\n'
+        '{"t": 0, "seq_time": 5.0, "speed": 1}\n{"t": 1, "seq_time": 5.0, "speed": 1}\n'
+    )
+    assert main(["check", str(od), "--trace", str(trace_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: condition of 'f': 'seq_time' names both the sequence time and a trace field; "
+        "rename the field\n"
+    )
+    assert main(["score", "--od", str(od), "--trace", str(trace_path)]) == 1
+    assert "'seq_time' names both" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(workspace, capsys):
     assert main(["check", str(workspace / "nope.odl")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -49,11 +49,13 @@ def test_reference_matches_worked_example():
 
 
 def test_streaming_equals_reference():
-    for i in range(300):
+    # From seed 300 on, every tenth trace may run to 200 messages.
+    for i in range(600):
         rng = random.Random(20_000 + i)
         schema = gen_schema(rng)
         od = gen_checkable_od(rng, schema)
-        trace = gen_trace(rng, schema, max_messages=60)
+        size = 200 if i >= 300 and i % 10 == 0 else 60
+        trace = gen_trace(rng, schema, max_messages=size)
         checked = check_od(od, schema)
         report = score_trace(checked, trace)
         assert report == reference_score(checked, trace), i
@@ -84,14 +86,21 @@ def test_declaration_order_permutation_changes_no_score():
         schema = gen_schema(rng)
         od = gen_checkable_od(rng, schema)
         trace = gen_trace(rng, schema, max_messages=50)
-        baseline = score_trace(check_od(od, schema), trace).score_map()
+        checked = check_od(od, schema)
+        baseline = score_trace(checked, trace).score_map()
         functions = list(od.functions)
         rng.shuffle(functions)
         permuted = OracleDefinition(
             constants=od.constants, functions=tuple(functions), summary=od.summary
         )
-        shuffled = score_trace(check_od(permuted, schema), trace).score_map()
+        checked_permuted = check_od(permuted, schema)
+        shuffled_report = score_trace(checked_permuted, trace)
+        shuffled = shuffled_report.score_map()
         assert shuffled == baseline, i
+        # The reference keeps its state by declaration position.
+        shuffled_reference = reference_score(checked_permuted, trace)
+        assert shuffled_reference.score_map() == reference_score(checked, trace).score_map(), i
+        assert shuffled_reference == shuffled_report, i
 
 
 def test_vacuity_scores_stay_at_initial():

@@ -9,7 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _generators import gen_checkable_od, gen_expr, gen_schema, gen_trace
-from odl import Env, EvalError, Kind, Point2, eval_expr, format_expr, parse_od
+from odl import (
+    Binary,
+    Call,
+    Env,
+    EvalError,
+    Ident,
+    Kind,
+    Literal,
+    Point2,
+    Unary,
+    eval_expr,
+    format_expr,
+    parse_od,
+)
 from odl.evaluate import binder, emit_expr, emit_value, runtime
 
 
@@ -114,6 +127,85 @@ def test_unbound_identifier():
 def test_timer_lookup():
     env = Env(timers={"expiration": 0.25})
     assert eval_expr(bool_expr("expiration > 0"), env) is True
+
+
+# Hand-built trees: nodes the parser and checker never produce, and operand
+# values of a kind the checker would refuse.
+
+
+def test_every_binary_operator_on_hand_built_trees():
+    pairs = [(2.0, 3.0), (3.0, 2.0), (2.0, 2.0), (-0.5, 4.0)]
+    expected = {
+        "+": lambda a, b: a + b,
+        "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b,
+        "/": lambda a, b: a / b,
+        "<": lambda a, b: a < b,
+        "<=": lambda a, b: a <= b,
+        ">": lambda a, b: a > b,
+        ">=": lambda a, b: a >= b,
+        "==": lambda a, b: a == b,
+        "!=": lambda a, b: a != b,
+    }
+    for op, apply in expected.items():
+        for a, b in pairs:
+            got = eval_expr(Binary(op, Literal(a), Literal(b)), Env())
+            assert got == apply(a, b) and type(got) is type(apply(a, b)), (op, a, b)
+
+
+def test_unknown_operator_and_function():
+    with pytest.raises(EvalError, match=r"^unknown operator '%'$"):
+        eval_expr(Binary("%", Literal(1.0), Literal(2.0)), Env())
+    # Both operands are evaluated before the operator is refused.
+    with pytest.raises(EvalError, match=r"^division by zero in '1.0 / 0.0'$"):
+        eval_expr(Binary("%", Literal(1.0), Binary("/", Literal(1.0), Literal(0.0))), Env())
+    with pytest.raises(EvalError, match=r"^unknown function 'hypot'$"):
+        eval_expr(Call("hypot", (Literal(3.0), Literal(4.0))), Env())
+    with pytest.raises(EvalError, match=r"^unbound identifier 'ghost'$"):
+        eval_expr(Call("hypot", (Ident("ghost"),)), Env())
+
+
+def test_a_value_that_is_not_a_node_is_a_type_error():
+    for tree, node in [
+        ("speed", "'speed'"),
+        (None, "None"),
+        (Binary("+", Literal(1.0), 2.0), "2.0"),
+        (Unary("-", "x"), "'x'"),
+    ]:
+        with pytest.raises(TypeError, match=f"^not an expression node: {node}$"):
+            eval_expr(tree, Env())
+
+
+def test_names_resolve_to_field_then_constant_then_timer_then_score():
+    env = Env(
+        fields={"a": 1.0},
+        constants={"a": 2.0, "b": 20.0},
+        timers={"a": 3.0, "b": 30.0, "c": 300.0},
+        scores={"a": 4.0, "b": 40.0, "c": 400.0, "d": 4000.0},
+        seq_time=0.5,
+    )
+    assert [eval_expr(Ident(name), env) for name in "abcd"] == [1.0, 20.0, 300.0, 4000.0]
+    assert eval_expr(Ident("seq_time"), env) == 0.5
+    with pytest.raises(EvalError, match=r"^unbound identifier 'e'$"):
+        eval_expr(Ident("e"), env)
+
+
+def test_and_or_return_booleans_for_numeric_operands():
+    cases = [
+        ("and", 2.0, 3.0, True),
+        ("and", 2.0, 0.0, False),
+        ("and", 0.0, 3.0, False),
+        ("or", 0.0, 0.0, False),
+        ("or", 0.0, -1.0, True),
+        ("or", 2.0, 0.0, True),
+    ]
+    for op, a, b, expected in cases:
+        got = eval_expr(Binary(op, Literal(a), Literal(b)), Env())
+        assert got is expected, (op, a, b)
+    failing = Binary("/", Literal(1.0), Literal(0.0))
+    assert eval_expr(Binary("and", Literal(0.0), failing), Env()) is False
+    assert eval_expr(Binary("or", Literal(5.0), failing), Env()) is True
+    assert eval_expr(Unary("not", Literal(2.0)), Env()) is False
 
 
 _coords = st.floats(min_value=-1e8, max_value=1e8)
