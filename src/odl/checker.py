@@ -1,24 +1,27 @@
 """Static checks: name resolution and kind inference for oracle definitions.
 
-Every identifier must resolve to a trace field, a constant, one of the
-function's own timers, seq_time (conditions only, and never beside a trace
-field of that name), or — in the summary — a scoring-function score.
-Events and conditions must be boolean; actions, initial values,
-notification values, and the summary must be numeric.
-A checked oracle is a plain value; its scoring program is generated and
-compiled when it is first scored (`engine.generate_program`).
+Each expression position reads only its own names (`t` is a trace field):
+the event and the condition read the trace fields, the constants and the
+function's own timers; the action and notification values read the trace
+fields and the constants; the summary reads the constants and the
+scoring-function scores. seq_time is readable in conditions only, and
+never beside a trace field of that name. No name is declared twice.
+Events and conditions must be boolean; actions, notification values, and
+the summary must be numeric. A checked oracle is a plain value; its
+scoring program is generated and compiled when it is first scored
+(`engine.generate_program`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .engine import Program, generate_program
 from .errors import CheckError
-from .parser import BUILTIN_FUNCTIONS
 from .syntax import (
+    BUILTINS,
     MAX_NESTING,
     Binary,
     Call,
@@ -29,7 +32,7 @@ from .syntax import (
     Unary,
     nests_deeper,
 )
-from .trace import Kind, Point2, TraceSchema, Value
+from .trace import Kind, Point2, TraceSchema, Value, first_repeat
 
 
 @dataclass(frozen=True)
@@ -59,81 +62,25 @@ def _kind_of_value(value: Value) -> Kind:
     return Kind.NUMBER
 
 
-@dataclass
-class _Scope:
+class _Scope(NamedTuple):
+    """What one expression position may name. `readable` maps each name it
+    reads to its kind, `refused` each name it must refuse to the reason,
+    which the error gives after `where`, and `unknown(name)` is the error
+    for any other name. `read` collects the names read."""
+
     where: str
-    fields: Mapping[str, Kind]
-    constants: Mapping[str, Kind]
-    function_names: frozenset[str]
-    own_timers: frozenset[str] = frozenset()
-    timers_readable: bool = False
-    seq_time_allowed: bool = False
-    scores_readable: bool = False
-    referenced_timers: set[str] = field(default_factory=set)
-    fn_name: str = ""
+    readable: Mapping[str, Kind]
+    refused: Mapping[str, str]
+    unknown: Callable[[str], str]
+    read: set[str]
 
     def resolve(self, name: str) -> Kind:
-        if name == "seq_time":
-            if name in self.fields:
-                raise CheckError(
-                    f"{self.where}: 'seq_time' names both the sequence time and a "
-                    "trace field; rename the field"
-                )
-            if not self.seq_time_allowed:
-                raise CheckError(f"{self.where}: seq_time may only appear in a condition")
-            return Kind.NUMBER
-        if self.scores_readable and name in self.function_names:
-            return Kind.NUMBER
-        if name in self.fields:
-            return self.fields[name]
-        if name in self.constants:
-            return self.constants[name]
-        if name in self.own_timers:
-            if not self.timers_readable:
-                raise CheckError(
-                    f"{self.where}: timer '{name}' may only be read in the "
-                    "event or condition"
-                )
-            self.referenced_timers.add(name)
-            return Kind.NUMBER
-        if self.scores_readable:
-            raise CheckError(f"summary references unknown name '{name}'")
-        if name in self.function_names:
-            raise CheckError(
-                f"{self.where}: scoring function '{name}' may only be "
-                "referenced in the summary"
-            )
-        if self.timers_readable:
-            raise CheckError(
-                f"{self.where}: timer '{name}' has no notification targeting "
-                f"'{self.fn_name}' (and '{name}' is not a trace field or constant)"
-            )
-        raise CheckError(f"{self.where}: unresolved identifier '{name}'")
-
-
-def _check_call(call: Call, scope: _Scope) -> Kind:
-    kinds = [_infer(arg, scope) for arg in call.args]
-    name = call.name
-    if name == "distance":
-        if len(kinds) != 2 or kinds != [Kind.POINT2, Kind.POINT2]:
-            raise CheckError(
-                f"{scope.where}: distance takes exactly two point2 arguments"
-            )
-        return Kind.NUMBER
-    if name == "abs":
-        if kinds != [Kind.NUMBER]:
-            raise CheckError(f"{scope.where}: abs takes exactly one number")
-        return Kind.NUMBER
-    if name in ("min", "max"):
-        if len(kinds) < 2 or any(k is not Kind.NUMBER for k in kinds):
-            raise CheckError(
-                f"{scope.where}: {name} takes two or more numbers"
-            )
-        return Kind.NUMBER
-    raise CheckError(
-        f"{scope.where}: unknown function '{name}' "
-        f"(built-ins: {', '.join(BUILTIN_FUNCTIONS)})"
-    )
+        if name in self.readable:
+            self.read.add(name)
+            return self.readable[name]
+        if name in self.refused:
+            raise CheckError(f"{self.where}: {self.refused[name]}")
+        raise CheckError(self.unknown(name))
 
 
 def _infer(expr: Expr, scope: _Scope) -> Kind:
@@ -183,60 +130,78 @@ def _infer(expr: Expr, scope: _Scope) -> Kind:
             )
         return Kind.BOOLEAN
     if isinstance(expr, Call):
-        return _check_call(expr, scope)
+        kinds = [_infer(arg, scope) for arg in expr.args]
+        if expr.name not in BUILTINS:
+            raise CheckError(
+                f"{scope.where}: unknown function '{expr.name}' "
+                f"(built-ins: {', '.join(BUILTINS)})"
+            )
+        kind, fewest, most, takes = BUILTINS[expr.name]
+        if not fewest <= len(kinds) <= most or kinds != [kind] * len(kinds):
+            raise CheckError(f"{scope.where}: {expr.name} {takes}")
+        return Kind.NUMBER
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _infer_top(expr: Expr, scope: _Scope) -> Kind:
-    """_infer for a whole expression. A tree built without the parser is
-    held to the parser's nesting limit too, which the generated code needs."""
+def _expect(expr: Expr, scope: _Scope, kind: Kind, what: str) -> None:
+    """Check a whole expression and require `kind` of it. A tree built
+    without the parser is held to the parser's nesting limit too, which the
+    generated code needs."""
     if nests_deeper(expr, MAX_NESTING):
         raise CheckError(f"{scope.where}: expression nests deeper than {MAX_NESTING} levels")
-    return _infer(expr, scope)
+    if _infer(expr, scope) is not kind:
+        raise CheckError(f"{what} must be {'boolean' if kind is Kind.BOOLEAN else 'numeric'}")
 
 
 def _collect_timers(
     od: OracleDefinition,
     fields: Mapping[str, Kind],
     constants: Mapping[str, Kind],
-) -> dict[str, set[str]]:
-    function_names = set(od.function_names())
-    owner: dict[tuple[str, str], str] = {}
-    available: dict[str, set[str]] = {name: set() for name in function_names}
+) -> dict[str, dict[str, str]]:
+    """Each function's timers, each with the function that notifies it."""
+    notifiers: dict[str, dict[str, str]] = {fn.name: {} for fn in od.functions}
     for fn in od.functions:
         for notif in fn.notifications:
-            if notif.target not in function_names:
+            if notif.target not in notifiers:
                 raise CheckError(
                     f"function '{fn.name}': notification target "
                     f"'{notif.target}' is not a scoring function"
                 )
+            timers = notifiers[notif.target]
             for timer, _ in notif.bindings:
-                if timer in fields:
-                    raise CheckError(
-                        f"function '{fn.name}': timer '{timer}' collides with "
-                        "a trace field"
-                    )
-                if timer in constants:
-                    raise CheckError(
-                        f"function '{fn.name}': timer '{timer}' collides with "
-                        "a constant"
-                    )
-                key = (notif.target, timer)
-                if key in owner:
+                for names, what in ((fields, "a trace field"), (constants, "a constant")):
+                    if timer in names:
+                        raise CheckError(f"function '{fn.name}': timer '{timer}' collides with {what}")
+                if timer in timers:
                     raise CheckError(
                         f"timer '{timer}' of '{notif.target}' is set by both "
-                        f"'{owner[key]}' and '{fn.name}'; each timer takes "
+                        f"'{timers[timer]}' and '{fn.name}'; each timer takes "
                         "exactly one notifier"
                     )
-                owner[key] = fn.name
-                available[notif.target].add(timer)
-    return available
+                timers[timer] = fn.name
+    return notifiers
+
+
+def _no_timer(where: str, fn_name: str) -> Callable[[str], str]:
+    return lambda name: (
+        f"{where}: timer '{name}' has no notification targeting "
+        f"'{fn_name}' (and '{name}' is not a trace field or constant)"
+    )
+
+
+def _unresolved(where: str) -> Callable[[str], str]:
+    return lambda name: f"{where}: unresolved identifier '{name}'"
 
 
 def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
     """Resolve and kind-check an oracle definition against a trace schema."""
     if not od.functions:
         raise CheckError("oracle definition declares no scoring functions")
+    declared = [name for name, _ in od.constants] + [fn.name for fn in od.functions]
+    for what, names in (("schema field", schema.names()), ("name", declared)):
+        repeated = first_repeat(names)
+        if repeated is not None:
+            raise CheckError(f"duplicate {what} '{repeated}'")
     fields: dict[str, Kind] = {"t": Kind.NUMBER}
     fields.update(schema.as_dict())
     constants: dict[str, Kind] = {}
@@ -244,65 +209,69 @@ def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
         if name in fields:
             raise CheckError(f"constant '{name}' collides with trace field '{name}'")
         constants[name] = _kind_of_value(value)
-    function_names = frozenset(od.function_names())
 
-    available = _collect_timers(od, fields, constants)
+    notifiers = _collect_timers(od, fields, constants)
+
+    # seq_time is the sequence time wherever it is named, so no field,
+    # constant, timer or score of that name is readable. Only a condition
+    # reads it, and not beside a trace field of that name, which it would
+    # shadow.
+    outside_condition = "seq_time may only appear in a condition"
+    values = {**fields, **constants}
+    values.pop("seq_time", None)
+    refused = {
+        name: f"scoring function '{name}' may only be referenced in the summary"
+        for name in od.function_names()
+    }
+    refused["seq_time"] = outside_condition
+    seq_time = {"seq_time": Kind.NUMBER}
+    if "seq_time" in fields:
+        refused["seq_time"] = (
+            "'seq_time' names both the sequence time and a trace field; rename the field"
+        )
+        seq_time = {}
 
     for fn in od.functions:
-        own = frozenset(available[fn.name])
-        referenced: set[str] = set()
+        timers = dict.fromkeys(notifiers[fn.name], Kind.NUMBER)
+        timers.pop("seq_time", None)
+        in_event = {**values, **timers}
+        in_action = {**refused}
+        for name in timers:
+            in_action[name] = f"timer '{name}' may only be read in the event or condition"
+        read: set[str] = set()
 
-        def scope(where: str, *, timers: bool, seq_time: bool) -> _Scope:
-            return _Scope(
-                where=f"{where} of '{fn.name}'",
-                fields=fields,
-                constants=constants,
-                function_names=function_names,
-                own_timers=own,
-                timers_readable=timers,
-                seq_time_allowed=seq_time,
-                referenced_timers=referenced,
-                fn_name=fn.name,
-            )
-
-        if _infer_top(fn.event, scope("event", timers=True, seq_time=False)) is not Kind.BOOLEAN:
-            raise CheckError(f"event of '{fn.name}' must be boolean")
+        where = f"event of '{fn.name}'"
+        scope = _Scope(where, in_event, refused, _no_timer(where, fn.name), read)
+        _expect(fn.event, scope, Kind.BOOLEAN, where)
         if fn.condition is not None:
-            if _infer_top(fn.condition, scope("condition", timers=True, seq_time=True)) is not Kind.BOOLEAN:
-                raise CheckError(f"condition of '{fn.name}' must be boolean")
+            where = f"condition of '{fn.name}'"
+            scope = _Scope(where, {**in_event, **seq_time}, refused, _no_timer(where, fn.name), read)
+            _expect(fn.condition, scope, Kind.BOOLEAN, where)
         if fn.action is not None:
-            if _infer_top(fn.action, scope("action", timers=False, seq_time=False)) is not Kind.NUMBER:
-                raise CheckError(f"action of '{fn.name}' must be numeric")
+            where = f"action of '{fn.name}'"
+            scope = _Scope(where, values, in_action, _unresolved(where), read)
+            _expect(fn.action, scope, Kind.NUMBER, where)
         for notif in fn.notifications:
             for timer, value in notif.bindings:
-                value_scope = scope(
-                    f"notification value for '{notif.target}.{timer}'",
-                    timers=False,
-                    seq_time=False,
-                )
-                if _infer_top(value, value_scope) is not Kind.NUMBER:
-                    raise CheckError(
-                        f"notification value for '{notif.target}.{timer}' in "
-                        f"'{fn.name}' must be numeric"
-                    )
-        unread = own - referenced
+                what = f"notification value for '{notif.target}.{timer}'"
+                where = f"{what} of '{fn.name}'"
+                scope = _Scope(where, values, in_action, _unresolved(where), read)
+                _expect(value, scope, Kind.NUMBER, f"{what} in '{fn.name}'")
+        unread = notifiers[fn.name].keys() - read.intersection(timers)
         if unread:
-            timer = sorted(unread)[0]
             raise CheckError(
-                f"timer '{timer}' is targeted at '{fn.name}' but never read "
+                f"timer '{min(unread)}' is targeted at '{fn.name}' but never read "
                 "in its event or condition"
             )
 
     if od.summary is not None:
-        summary_scope = _Scope(
-            where="summary",
-            fields={},
-            constants=constants,
-            function_names=function_names,
-            scores_readable=True,
+        scores = {**constants, **dict.fromkeys(od.function_names(), Kind.NUMBER)}
+        scores.pop("seq_time", None)
+        scope = _Scope(
+            "summary", scores, {"seq_time": outside_condition},
+            lambda name: f"summary references unknown name '{name}'", set(),
         )
-        if _infer_top(od.summary, summary_scope) is not Kind.NUMBER:
-            raise CheckError("summary must be numeric")
+        _expect(od.summary, scope, Kind.NUMBER, "summary")
 
-    timers = {name: frozenset(timers) for name, timers in available.items()}
+    timers = {name: frozenset(timers) for name, timers in notifiers.items()}
     return CheckedOracle(od=od, schema=schema, timers=timers)

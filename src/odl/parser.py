@@ -51,7 +51,7 @@ from .syntax import (
     ScoringFunction,
     Unary,
 )
-from .syntax import BINARY_PREC, MAX_NESTING, NOT_PREC, nests_deeper
+from .syntax import BINARY_PREC, BUILTINS, MAX_NESTING, NOT_PREC, nests_deeper
 from .trace import NAME_RE, Point2, Value
 
 # Words with one place in the grammar. With the parameter names, the
@@ -298,9 +298,8 @@ _REQUIRED = [f.name for f in fields(ScoringFunction) if f.name in _PARAMS and f.
 KEYWORDS = frozenset(
     {_CONST, _SUMMARY, _SCORING_FUNCTION, _SUM, _POINT, _NOT, "and", "or", *_BOOLEANS, *_FREQUENCIES, *_PARAMS}
 )
-BUILTIN_FUNCTIONS = ("distance", "abs", "min", "max")
 # Names that may appear in expressions but can never be declared.
-RESERVED_NAMES = KEYWORDS | {"t", "seq_time"} | set(BUILTIN_FUNCTIONS)
+RESERVED_NAMES = KEYWORDS | {"t", "seq_time"} | set(BUILTINS)
 
 
 def _parse_scoring_function(p: _Parser, name_tok: Token) -> ScoringFunction:

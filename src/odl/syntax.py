@@ -8,10 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import inf
 from typing import Optional, Union
 
 from .errors import CheckError
-from .trace import Point2, Value
+from .trace import Kind, Point2, Value
 
 
 class Frequency(Enum):
@@ -103,6 +104,16 @@ BINARY_PREC = {
 NOT_PREC = 3
 NEG_PREC = 7
 _ATOM_PREC = 8
+
+# The built-in functions, each with the kind of every argument, the fewest
+# and the most arguments, and the checker's words for that rule. Each
+# returns a number.
+BUILTINS = {
+    "distance": (Kind.POINT2, 2, 2, "takes exactly two point2 arguments"),
+    "abs": (Kind.NUMBER, 1, 1, "takes exactly one number"),
+    "min": (Kind.NUMBER, 2, inf, "takes two or more numbers"),
+    "max": (Kind.NUMBER, 2, inf, "takes two or more numbers"),
+}
 
 # Expressions nest at most this deep, counted in operators and calls along
 # any path of the tree and, separately, in open parentheses. It bounds the

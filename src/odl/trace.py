@@ -63,6 +63,13 @@ class TraceSchema(NamedTuple):
         return dict(self.fields)
 
 
+def first_repeat(names: Sequence[str]) -> str | None:
+    """The first of `names` that occurs a second time, or None."""
+    if len(set(names)) == len(names):
+        return None
+    return next(name for k, name in enumerate(names) if name in names[:k])
+
+
 class TraceMessage(NamedTuple):
     t: float
     values: Mapping[str, Value]
@@ -434,9 +441,13 @@ def dump_trace(trace: Trace) -> str:
     Records are written by a writer generated for the trace's schema
     (_record_writer), byte for byte as json.JSONEncoder writes them. A
     message whose fields are not exactly the schema's raises ValueError
-    naming the message (0-based) and the field. A non-finite value raises
-    ValueError instead of being written as `NaN`/`Infinity`, which are not
-    JSON (RFC 8259 §6) and which parse_trace rejects."""
+    naming the message (0-based) and the field, and so does a schema that
+    repeats a field. A non-finite value raises ValueError instead of being
+    written as `NaN`/`Infinity`, which are not JSON (RFC 8259 §6) and which
+    parse_trace rejects."""
+    repeated = first_repeat(trace.schema.names())
+    if repeated is not None:
+        raise ValueError(f"duplicate schema field '{repeated}'")
     lines = [json.dumps({name: kind.value for name, kind in trace.schema.fields})]
     lines += _record_writer(trace.schema)(trace.messages)
     return "\n".join(lines) + "\n"

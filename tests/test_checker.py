@@ -1,6 +1,7 @@
 """Static checker: name resolution, kinds, timer rules."""
 
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,8 @@ from odl import (
     Frequency,
     Ident,
     Kind,
+    Literal,
+    Notification,
     OracleDefinition,
     ScoringFunction,
     TraceSchema,
@@ -34,6 +37,294 @@ SCHEMA = TraceSchema(
 
 def check_source(source: str, schema: TraceSchema = SCHEMA):
     return check_od(parse_od(source), schema)
+
+
+SEQ_TIME_FIELD = TraceSchema((("seq_time", Kind.NUMBER), ("speed", Kind.NUMBER)))
+
+
+def _fn(name, event, **params):
+    return ScoringFunction(name, event, Frequency.ALL_SUM, **params)
+
+
+def _nested(levels):
+    expr = Ident("speed")
+    for _ in range(levels):
+        expr = Binary("+", expr, Ident("speed"))
+    return expr
+
+
+# A timer named seq_time, targeted at f by g; only a hand-built tree declares one.
+_SEQ_TIME_TIMER = (Notification("f", (("seq_time", Literal(1.0)),)),)
+_F_SOURCE = "f = scoring_function(event = collision, frequency = first);\n"
+# A timer of a, with the action and the notification value to format in.
+_TIMER_SOURCE = "a = scoring_function(event = tm > 0, {}frequency = all_sum, notifications = [(a, [(tm, {})])]);"
+
+# Every CheckError text check_od raises, whole: (oracle, schema, text). An
+# oracle is source text or a hand-built tree.
+CHECK_ERRORS = [
+    pytest.param("const A = 1;", SCHEMA, "oracle definition declares no scoring functions", id="no_functions"),
+    pytest.param(
+        _F_SOURCE, TraceSchema((("x", Kind.NUMBER), ("collision", Kind.BOOLEAN), ("x", Kind.BOOLEAN))),
+        "duplicate schema field 'x'", id="schema_field_twice",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision")), _fn("f", Ident("collision"), action=Literal(5.0)))),
+        SCHEMA, "duplicate name 'f'", id="function_twice",
+    ),
+    pytest.param(
+        OracleDefinition(constants=(("K", 1.0), ("K", True)), functions=(_fn("f", Ident("collision")),)),
+        SCHEMA, "duplicate name 'K'", id="constant_twice",
+    ),
+    pytest.param(
+        OracleDefinition(constants=(("f", 1.0),), functions=(_fn("f", Ident("collision")),)),
+        SCHEMA, "duplicate name 'f'", id="constant_and_function",
+    ),
+    pytest.param(
+        "const speed = 1;\n" + _F_SOURCE, SCHEMA,
+        "constant 'speed' collides with trace field 'speed'", id="constant_is_field",
+    ),
+    pytest.param(
+        "f = scoring_function(event = collision, frequency = all_sum, notifications = [(ghost, [(x, 1)])]);",
+        SCHEMA, "function 'f': notification target 'ghost' is not a scoring function", id="notification_target",
+    ),
+    pytest.param(
+        "a = scoring_function(event = speed > 0, frequency = all_sum, notifications = [(a, [(speed, 1)])]);",
+        SCHEMA, "function 'a': timer 'speed' collides with a trace field", id="timer_is_field",
+    ),
+    pytest.param(
+        "const K = 1;\na = scoring_function(event = K > 0, frequency = all_sum, notifications = [(a, [(K, 1)])]);",
+        SCHEMA, "function 'a': timer 'K' collides with a constant", id="timer_is_constant",
+    ),
+    pytest.param(
+        "a = scoring_function(event = tm > 0, frequency = all_sum);\n"
+        "b = scoring_function(event = collision, frequency = all_sum, notifications = [(a, [(tm, 1)])]);\n"
+        "c = scoring_function(event = collision, frequency = all_sum, notifications = [(a, [(tm, 2)])]);",
+        SCHEMA, "timer 'tm' of 'a' is set by both 'b' and 'c'; each timer takes exactly one notifier",
+        id="two_notifiers",
+    ),
+    pytest.param(
+        "a = scoring_function(event = tm > 0, frequency = all_sum);\n"
+        "b = scoring_function(event = collision, frequency = all_sum, notifications = [(a, [(tm, 1), (tm, 2)])]);",
+        SCHEMA, "timer 'tm' of 'a' is set by both 'b' and 'b'; each timer takes exactly one notifier",
+        id="one_notifier_twice",
+    ),
+    pytest.param(
+        "f = scoring_function(event = speed > 0, condition = seq_time > 0.5, frequency = all_sum);",
+        SEQ_TIME_FIELD,
+        "condition of 'f': 'seq_time' names both the sequence time and a trace field; rename the field",
+        id="seq_time_field_in_condition",
+    ),
+    pytest.param(
+        "f = scoring_function(event = speed > 0, frequency = first);\nsummary = seq_time;", SEQ_TIME_FIELD,
+        "summary: seq_time may only appear in a condition", id="seq_time_field_in_summary",
+    ),
+    pytest.param(
+        "f = scoring_function(event = seq_time > 1, frequency = first);", SCHEMA,
+        "event of 'f': seq_time may only appear in a condition", id="seq_time_in_event",
+    ),
+    pytest.param(
+        "f = scoring_function(event = collision, action = seq_time, frequency = first);", SCHEMA,
+        "action of 'f': seq_time may only appear in a condition", id="seq_time_in_action",
+    ),
+    pytest.param(
+        "f = scoring_function(event = collision, frequency = first, notifications = [(f, [(tm, seq_time)])]);",
+        SCHEMA, "notification value for 'f.tm' of 'f': seq_time may only appear in a condition",
+        id="seq_time_in_notification",
+    ),
+    pytest.param(
+        _F_SOURCE + "summary = seq_time;", SCHEMA,
+        "summary: seq_time may only appear in a condition", id="seq_time_in_summary",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(
+            _fn("f", Binary(">", Ident("seq_time"), Literal(0.0))),
+            _fn("g", Ident("collision"), notifications=_SEQ_TIME_TIMER),
+        )),
+        SCHEMA, "event of 'f': seq_time may only appear in a condition", id="seq_time_timer_in_event",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(
+            _fn("f", Ident("collision"), condition=Binary(">", Ident("seq_time"), Literal(0.0))),
+            _fn("g", Ident("collision"), notifications=_SEQ_TIME_TIMER),
+        )),
+        SCHEMA, "timer 'seq_time' is targeted at 'f' but never read in its event or condition",
+        id="seq_time_timer_in_condition",
+    ),
+    pytest.param(
+        _TIMER_SOURCE.format("action = tm, ", "1"), SCHEMA,
+        "action of 'a': timer 'tm' may only be read in the event or condition", id="timer_in_action",
+    ),
+    pytest.param(
+        _TIMER_SOURCE.format("", "tm"), SCHEMA,
+        "notification value for 'a.tm' of 'a': timer 'tm' may only be read in the event or condition",
+        id="timer_in_notification",
+    ),
+    pytest.param(
+        "a = scoring_function(event = b > 0, action = b, frequency = all_sum, notifications = [(a, [(b, 1)])]);\n"
+        "b = scoring_function(event = collision, frequency = first);",
+        SCHEMA, "action of 'a': timer 'b' may only be read in the event or condition",
+        id="function_named_like_a_timer_in_action",
+    ),
+    pytest.param(
+        "a = scoring_function(event = collision, frequency = all_sum);\n"
+        "b = scoring_function(event = collision, frequency = all_sum, notifications = [(a, [(tm, 1)])]);",
+        SCHEMA, "timer 'tm' is targeted at 'a' but never read in its event or condition", id="timer_never_read",
+    ),
+    pytest.param(
+        _F_SOURCE + "summary = f + g;", SCHEMA, "summary references unknown name 'g'", id="summary_unknown",
+    ),
+    pytest.param(
+        _F_SOURCE + "summary = t;", SCHEMA, "summary references unknown name 't'", id="summary_t",
+    ),
+    pytest.param(
+        _F_SOURCE + "summary = speed;", SCHEMA,
+        "summary references unknown name 'speed'", id="summary_field",
+    ),
+    pytest.param(
+        "collision = scoring_function(event = collision + 1 > 0, frequency = first);", SCHEMA,
+        "event of 'collision': '+' requires numeric operands", id="function_named_like_a_field_in_event",
+    ),
+    pytest.param(
+        "collision = scoring_function(event = collision, frequency = first);\nsummary = not collision;", SCHEMA,
+        "summary: 'not' requires a boolean operand", id="function_named_like_a_field_in_summary",
+    ),
+    pytest.param(
+        _F_SOURCE + "g = scoring_function(event = f > 1, frequency = first);", SCHEMA,
+        "event of 'g': scoring function 'f' may only be referenced in the summary", id="score_in_event",
+    ),
+    pytest.param(
+        _F_SOURCE + "g = scoring_function(event = collision, condition = f > 1, frequency = first);",
+        SCHEMA, "condition of 'g': scoring function 'f' may only be referenced in the summary",
+        id="score_in_condition",
+    ),
+    pytest.param(
+        _F_SOURCE + "g = scoring_function(event = collision, action = f, frequency = first);", SCHEMA,
+        "action of 'g': scoring function 'f' may only be referenced in the summary", id="score_in_action",
+    ),
+    pytest.param(
+        _F_SOURCE.replace("first", "first, notifications = [(f, [(tm, f)])]"), SCHEMA,
+        "notification value for 'f.tm' of 'f': scoring function 'f' may only be referenced in the summary",
+        id="score_in_notification",
+    ),
+    pytest.param(
+        "f = scoring_function(event = wheels > 1, frequency = first);", SCHEMA,
+        "event of 'f': timer 'wheels' has no notification targeting 'f' (and 'wheels' is not a trace field "
+        "or constant)", id="unknown_in_event",
+    ),
+    pytest.param(
+        "f = scoring_function(event = collision, condition = wheels > 1, frequency = first);", SCHEMA,
+        "condition of 'f': timer 'wheels' has no notification targeting 'f' (and 'wheels' is not a trace "
+        "field or constant)", id="unknown_in_condition",
+    ),
+    pytest.param(
+        "f = scoring_function(event = collision, action = wheels, frequency = first);", SCHEMA,
+        "action of 'f': unresolved identifier 'wheels'", id="unknown_in_action",
+    ),
+    pytest.param(
+        "f = scoring_function(event = collision, frequency = first, notifications = [(f, [(tm, wheels)])]);",
+        SCHEMA, "notification value for 'f.tm' of 'f': unresolved identifier 'wheels'",
+        id="unknown_in_notification",
+    ),
+    pytest.param(
+        "f = scoring_function(event = distance(position) > 1, frequency = first);", SCHEMA,
+        "event of 'f': distance takes exactly two point2 arguments", id="distance_arity",
+    ),
+    pytest.param(
+        "f = scoring_function(event = distance(position, speed) > 1, frequency = first);", SCHEMA,
+        "event of 'f': distance takes exactly two point2 arguments", id="distance_kind",
+    ),
+    pytest.param(
+        "f = scoring_function(event = abs(speed, speed) > 1, frequency = first);", SCHEMA,
+        "event of 'f': abs takes exactly one number", id="abs_arity",
+    ),
+    pytest.param(
+        "f = scoring_function(event = abs(collision) > 1, frequency = first);", SCHEMA,
+        "event of 'f': abs takes exactly one number", id="abs_kind",
+    ),
+    pytest.param(
+        "f = scoring_function(event = min(speed) > 1, frequency = first);", SCHEMA,
+        "event of 'f': min takes two or more numbers", id="min_arity",
+    ),
+    pytest.param(
+        _F_SOURCE + "summary = max(f, true, f);", SCHEMA,
+        "summary: max takes two or more numbers", id="max_kind",
+    ),
+    pytest.param(
+        "f = scoring_function(event = hypotenuse(speed) > 1, frequency = first);", SCHEMA,
+        "event of 'f': unknown function 'hypotenuse' (built-ins: distance, abs, min, max)", id="unknown_function",
+    ),
+    pytest.param(
+        "f = scoring_function(event = hypotenuse(wheels) > 1, frequency = first);", SCHEMA,
+        "event of 'f': timer 'wheels' has no notification targeting 'f' (and 'wheels' is not a trace field "
+        "or constant)", id="arguments_before_function",
+    ),
+    pytest.param(
+        "f = scoring_function(event = not speed, frequency = first);", SCHEMA,
+        "event of 'f': 'not' requires a boolean operand", id="not_on_number",
+    ),
+    pytest.param(
+        "f = scoring_function(event = collision, action = -collision, frequency = first);", SCHEMA,
+        "action of 'f': unary '-' requires a numeric operand", id="negate_boolean",
+    ),
+    pytest.param(
+        "f = scoring_function(event = collision or speed, frequency = first);", SCHEMA,
+        "event of 'f': 'or' requires boolean operands", id="or_on_number",
+    ),
+    pytest.param(
+        "f = scoring_function(event = collision, action = speed / collision, frequency = first);", SCHEMA,
+        "action of 'f': '/' requires numeric operands", id="divide_boolean",
+    ),
+    pytest.param(
+        "f = scoring_function(event = speed >= collision, frequency = first);", SCHEMA,
+        "event of 'f': ordering '>=' is not defined on number and boolean", id="ordering_mixed",
+    ),
+    pytest.param(
+        "f = scoring_function(event = position < position, frequency = first);", SCHEMA,
+        "event of 'f': ordering '<' is not defined on point2 and point2", id="ordering_points",
+    ),
+    pytest.param(
+        "const P = point(1, 2);\nf = scoring_function(event = position == P, frequency = first);", SCHEMA,
+        "event of 'f': '==' is not defined on point2 values; compare coordinates explicitly", id="point_equality",
+    ),
+    pytest.param(
+        "f = scoring_function(event = speed != collision, frequency = first);", SCHEMA,
+        "event of 'f': '!=' requires operands of one kind, got number and boolean", id="mixed_equality",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision"), action=_nested(MAX_NESTING + 1)),)), SCHEMA,
+        f"action of 'f': expression nests deeper than {MAX_NESTING} levels", id="nesting_in_action",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision")),), summary=_nested(MAX_NESTING + 1)), SCHEMA,
+        f"summary: expression nests deeper than {MAX_NESTING} levels", id="nesting_in_summary",
+    ),
+    pytest.param(
+        "f = scoring_function(event = speed + 1, frequency = first);", SCHEMA,
+        "event of 'f' must be boolean", id="event_kind",
+    ),
+    pytest.param(
+        "f = scoring_function(event = collision, condition = speed, frequency = first);", SCHEMA,
+        "condition of 'f' must be boolean", id="condition_kind",
+    ),
+    pytest.param(
+        "f = scoring_function(event = collision, action = collision, frequency = first);", SCHEMA,
+        "action of 'f' must be numeric", id="action_kind",
+    ),
+    pytest.param(
+        "f = scoring_function(event = collision, frequency = first, notifications = [(f, [(tm, collision)])]);",
+        SCHEMA, "notification value for 'f.tm' in 'f' must be numeric", id="notification_kind",
+    ),
+    pytest.param(
+        _F_SOURCE + "summary = f > 1;", SCHEMA, "summary must be numeric", id="summary_kind",
+    ),
+]
+
+
+@pytest.mark.parametrize("oracle, schema, text", CHECK_ERRORS)
+def test_every_check_error_text(oracle, schema, text):
+    od = parse_od(oracle) if isinstance(oracle, str) else oracle
+    with pytest.raises(CheckError, match=f"^{re.escape(text)}$"):
+        check_od(od, schema)
 
 
 def test_listing2_checks_against_point_schema():
@@ -79,9 +370,6 @@ def test_seq_time_only_in_condition():
         check_source(
             "f = scoring_function(event = collision, action = seq_time, frequency = first);"
         )
-
-
-SEQ_TIME_FIELD = TraceSchema((("seq_time", Kind.NUMBER), ("speed", Kind.NUMBER)))
 
 
 def test_seq_time_beside_a_field_of_that_name_is_refused():

@@ -14,16 +14,24 @@ from _generators import gen_checkable_od, gen_schema, gen_trace
 from _traces import concat_traces
 from odl import (
     BUILTIN_NAMES,
+    Binary,
+    Call,
+    CheckError,
+    Env,
     EvalError,
     Firing,
     Frequency,
+    Ident,
     Kind,
+    Literal,
     OracleDefinition,
     Point2,
+    ScoringFunction,
     Trace,
     TraceMessage,
     TraceSchema,
     check_od,
+    eval_expr,
     generate_trace,
     load_builtin,
     load_example_scenario,
@@ -34,6 +42,7 @@ from odl import (
     report_to_text,
     score_trace,
 )
+from odl.syntax import BUILTINS
 
 
 def test_reference_matches_worked_example():
@@ -46,6 +55,40 @@ def test_reference_matches_worked_example():
     )
     assert reference_score(checked, trace).summary == 10.0
     assert reference_score(checked, trace) == score_trace(checked, trace)
+
+
+BUILTIN_SCHEMA = TraceSchema(
+    (("p", Kind.POINT2), ("q", Kind.POINT2), ("x", Kind.NUMBER), ("y", Kind.NUMBER), ("z", Kind.NUMBER))
+)
+
+
+def _calling(name, args):
+    fn = ScoringFunction("f", Binary(">=", Ident("t"), Literal(0.0)), Frequency.ALL_SUM, action=Call(name, args))
+    return OracleDefinition(functions=(fn,))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_every_builtin_checks_and_both_evaluators_agree(name):
+    """Each built-in, called with the fewest arguments its table entry
+    admits and, where it admits more, one more: the checker accepts the
+    call, and the engine and the reference score it alike."""
+    kind, fewest, most, _ = BUILTINS[name]
+    fields = [field for field, field_kind in BUILTIN_SCHEMA.fields if field_kind is kind]
+    trace = gen_trace(random.Random(5), BUILTIN_SCHEMA, n_messages=12)
+    for count in sorted({fewest, min(most, fewest + 1)}):
+        args = tuple(Ident(fields[k % len(fields)]) for k in range(count))
+        checked = check_od(_calling(name, args), BUILTIN_SCHEMA)
+        report = score_trace(checked, trace)
+        assert report == reference_score(checked, trace), (name, count)
+        assert len(report.firings) == 12
+
+
+def test_a_function_outside_the_builtins_is_refused_by_the_checker_and_the_evaluator():
+    call = ("hypot", (Ident("x"), Ident("y")))
+    with pytest.raises(CheckError, match=r"^action of 'f': unknown function 'hypot' \(built-ins: "):
+        check_od(_calling(*call), BUILTIN_SCHEMA)
+    with pytest.raises(EvalError, match=r"^unknown function 'hypot'$"):
+        eval_expr(Call(*call), Env(fields={"x": 1.0, "y": 2.0}))
 
 
 def test_streaming_equals_reference():

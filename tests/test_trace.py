@@ -524,3 +524,10 @@ def test_dump_trace_refuses_fields_that_differ_from_the_schema(case):
     with pytest.raises(ValueError) as raised:
         dump_trace(trace)
     assert str(raised.value) == message
+
+
+def test_dump_trace_refuses_a_schema_that_repeats_a_field():
+    schema = TraceSchema((("x", Kind.NUMBER), ("y", Kind.NUMBER), ("x", Kind.BOOLEAN)))
+    for messages in ((), (TraceMessage(0.0, {"x": 1.0, "y": 2.0}),)):
+        with pytest.raises(ValueError, match=r"^duplicate schema field 'x'$"):
+            dump_trace(Trace(schema, messages))
