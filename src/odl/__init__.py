@@ -15,6 +15,7 @@ generates traces nor reads the bundled assets does not import them.
 """
 
 import importlib
+import types
 
 from .checker import CheckedOracle, check_od
 from .engine import (
@@ -99,65 +100,8 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisError",
-    "BUILTIN_NAMES",
-    "Binary",
-    "Call",
-    "CatalogError",
-    "CheckError",
-    "CheckedOracle",
-    "EPISODE_KINDS",
-    "EngineError",
-    "Env",
-    "Episode",
-    "EvalError",
-    "Expr",
-    "Firing",
-    "Frequency",
-    "GEN_SCHEMA",
-    "Ident",
-    "Kind",
-    "Literal",
-    "Notification",
-    "OdlError",
-    "OracleDefinition",
-    "ParseError",
-    "Point2",
-    "Scenario",
-    "ScenarioError",
-    "ScoreReport",
-    "ScoringFunction",
-    "Trace",
-    "TraceError",
-    "TraceMessage",
-    "TraceSchema",
-    "Unary",
-    "check_od",
-    "correlation_matrix",
-    "dump_trace",
-    "eval_expr",
-    "format_expr",
-    "format_od",
-    "generate_trace",
-    "load_builtin",
-    "load_example_scenario",
-    "load_scenario",
-    "mean_scores",
-    "parse_od",
-    "parse_trace",
-    "rank_solutions",
-    "read_trace",
-    "read_ranks_csv",
-    "read_scores_csv",
-    "reference_score",
-    "report_to_json",
-    "report_to_text",
-    "score_messages",
-    "score_trace",
-    "spearman",
-    "validate_scenario",
-    "write_matrix_csv",
-    "write_ranks_csv",
-    "write_scores_csv",
-]
+# Every public name the package binds, and those it binds on first use.
+__all__ = sorted({
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, types.ModuleType))
+} | set(_LAZY))

@@ -16,16 +16,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 from typing import Callable, Mapping, NamedTuple
 
 from .engine import Program, generate_program
 from .errors import CheckError
 from .syntax import (
+    BINARY,
     BUILTINS,
     MAX_NESTING,
+    UNARY,
     Binary,
     Call,
     Expr,
+    Frequency,
     Ident,
     Literal,
     OracleDefinition,
@@ -54,12 +58,24 @@ class CheckedOracle:
         return generate_program(self.od, self.timers)
 
 
-def _kind_of_value(value: Value) -> Kind:
+_WORDS = {Kind.BOOLEAN: "boolean", Kind.NUMBER: "numeric"}
+
+
+def _finite(value: object) -> bool:
+    return type(value) is float and isfinite(value)
+
+
+def _kind_of_value(value: Value, where: str, what: str) -> Kind:
+    """The kind of a value parse_od can build; any other value is refused."""
     if isinstance(value, bool):
         return Kind.BOOLEAN
-    if isinstance(value, Point2):
+    if _finite(value):
+        return Kind.NUMBER
+    if isinstance(value, Point2) and _finite(value.x) and _finite(value.y):
         return Kind.POINT2
-    return Kind.NUMBER
+    raise CheckError(
+        f"{where}: {what} {value!r} is not a finite number, a boolean or a point of two finite numbers"
+    )
 
 
 class _Scope(NamedTuple):
@@ -85,50 +101,47 @@ class _Scope(NamedTuple):
 
 def _infer(expr: Expr, scope: _Scope) -> Kind:
     if isinstance(expr, Literal):
-        return _kind_of_value(expr.value)
+        return _kind_of_value(expr.value, scope.where, "literal")
     if isinstance(expr, Ident):
         return scope.resolve(expr.name)
     if isinstance(expr, Unary):
         kind = _infer(expr.operand, scope)
-        if expr.op == "not":
-            if kind is not Kind.BOOLEAN:
-                raise CheckError(f"{scope.where}: 'not' requires a boolean operand")
-            return Kind.BOOLEAN
-        if kind is not Kind.NUMBER:
-            raise CheckError(f"{scope.where}: unary '-' requires a numeric operand")
-        return Kind.NUMBER
+        if expr.op not in UNARY:
+            raise CheckError(f"{scope.where}: unknown operator '{expr.op}'")
+        _, operand = UNARY[expr.op]
+        if kind is not operand:
+            # An operator that is binary too is named unary: "unary '-'".
+            named = f"unary '{expr.op}'" if expr.op in BINARY else f"'{expr.op}'"
+            raise CheckError(f"{scope.where}: {named} requires a {_WORDS[operand]} operand")
+        return operand
     if isinstance(expr, Binary):
         op = expr.op
         left = _infer(expr.left, scope)
         right = _infer(expr.right, scope)
-        if op in ("and", "or"):
-            if left is not Kind.BOOLEAN or right is not Kind.BOOLEAN:
-                raise CheckError(f"{scope.where}: '{op}' requires boolean operands")
-            return Kind.BOOLEAN
-        if op in ("+", "-", "*", "/"):
-            if left is not Kind.NUMBER or right is not Kind.NUMBER:
-                raise CheckError(f"{scope.where}: '{op}' requires numeric operands")
-            return Kind.NUMBER
-        if op in ("<", "<=", ">", ">="):
-            if left is not Kind.NUMBER or right is not Kind.NUMBER:
+        if op not in BINARY:
+            raise CheckError(f"{scope.where}: unknown operator '{op}'")
+        _, operands, kind, _ = BINARY[op]
+        if operands is None:
+            # Equality on numbers or booleans only; point2 equality stays out
+            # to avoid floating-point equality traps on compound values.
+            if Kind.POINT2 in (left, right):
+                raise CheckError(
+                    f"{scope.where}: '{op}' is not defined on point2 values; "
+                    "compare coordinates explicitly"
+                )
+            if left is not right:
+                raise CheckError(
+                    f"{scope.where}: '{op}' requires operands of one kind, got "
+                    f"{left.value} and {right.value}"
+                )
+        elif left is not operands or right is not operands:
+            if kind is not operands:  # an ordering of numbers
                 raise CheckError(
                     f"{scope.where}: ordering '{op}' is not defined on "
                     f"{left.value} and {right.value}"
                 )
-            return Kind.BOOLEAN
-        # == / != on numbers or booleans only; point2 equality stays out to
-        # avoid floating-point equality traps on compound values.
-        if left is Kind.POINT2 or right is Kind.POINT2:
-            raise CheckError(
-                f"{scope.where}: '{op}' is not defined on point2 values; "
-                "compare coordinates explicitly"
-            )
-        if left is not right:
-            raise CheckError(
-                f"{scope.where}: '{op}' requires operands of one kind, got "
-                f"{left.value} and {right.value}"
-            )
-        return Kind.BOOLEAN
+            raise CheckError(f"{scope.where}: '{op}' requires {_WORDS[operands]} operands")
+        return kind
     if isinstance(expr, Call):
         kinds = [_infer(arg, scope) for arg in expr.args]
         if expr.name not in BUILTINS:
@@ -150,7 +163,7 @@ def _expect(expr: Expr, scope: _Scope, kind: Kind, what: str) -> None:
     if nests_deeper(expr, MAX_NESTING):
         raise CheckError(f"{scope.where}: expression nests deeper than {MAX_NESTING} levels")
     if _infer(expr, scope) is not kind:
-        raise CheckError(f"{what} must be {'boolean' if kind is Kind.BOOLEAN else 'numeric'}")
+        raise CheckError(f"{what} must be {_WORDS[kind]}")
 
 
 def _collect_timers(
@@ -208,7 +221,7 @@ def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
     for name, value in od.constants:
         if name in fields:
             raise CheckError(f"constant '{name}' collides with trace field '{name}'")
-        constants[name] = _kind_of_value(value)
+        constants[name] = _kind_of_value(value, f"constant '{name}'", "value")
 
     notifiers = _collect_timers(od, fields, constants)
 
@@ -232,6 +245,10 @@ def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
         seq_time = {}
 
     for fn in od.functions:
+        if not isinstance(fn.frequency, Frequency):
+            raise CheckError(f"frequency of '{fn.name}': {fn.frequency!r} is not a frequency mode")
+        if not _finite(fn.initial):
+            raise CheckError(f"initial of '{fn.name}': {fn.initial!r} is not a finite number")
         timers = dict.fromkeys(notifiers[fn.name], Kind.NUMBER)
         timers.pop("seq_time", None)
         in_event = {**values, **timers}

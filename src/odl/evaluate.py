@@ -17,12 +17,11 @@ the oracle author (write `abs(a - b) < eps`).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from .errors import EvalError
-from .syntax import Binary, Call, Expr, Ident, Literal, Unary, format_expr
+from .syntax import BINARY, BUILTINS, UNARY, Binary, Call, Expr, Ident, Literal, Unary, format_expr
 from .trace import Point2, Value
 
 
@@ -54,17 +53,7 @@ def non_finite(what: str, value: float) -> EvalError:
 
 # The operators that evaluate both operands and apply one function; "/"
 # (its zero check), "and" and "or" (short-circuit) are handled apart.
-_OPERATORS: dict[str, Callable[[Any, Any], Value]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "==": operator.eq,
-    "!=": operator.ne,
-}
+_OPERATORS = {op: apply for op, (_, _, _, apply) in BINARY.items() if apply is not None}
 
 
 def eval_expr(expr: Expr, env: Env) -> Value:
@@ -121,19 +110,23 @@ def eval_expr(expr: Expr, env: Env) -> Value:
             return max(args)
         raise EvalError(f"unknown function '{expr.name}'")
     if kind is Unary:
+        value = eval_expr(expr.operand, env)
         if expr.op == "not":
-            return not eval_expr(expr.operand, env)
-        return -eval_expr(expr.operand, env)
+            return not value
+        if expr.op == "-":
+            return -value
+        raise EvalError(f"unknown operator '{expr.op}'")
     raise TypeError(f"not an expression node: {expr!r}")
 
 
 # ---------------------------------------------------------------------------
 # Code generation: expressions as Python source, for `engine.generate_program`.
 #
-# Only variable names of the generator's choosing, indices and repr() of
-# finite floats are spliced into the source. Any other value (booleans,
-# points, names and error texts) is bound in the exec namespace, so no name
-# an oracle declares can change the generated program.
+# Only variable names of the generator's choosing, indices, repr() of finite
+# floats and the keys of syntax.BINARY, UNARY and BUILTINS are spliced into
+# the source. Any other value (booleans, points, names and error texts) is
+# bound in the exec namespace, so no name an oracle declares can change the
+# generated program.
 
 
 def _divide(dividend: float, divisor: float, error: str) -> float:
@@ -182,17 +175,17 @@ def emit_expr(expr: Expr, resolve: Callable[[str], str], bind: Callable[[Any], s
             return emit_value(e.value, bind)
         if isinstance(e, Ident):
             return resolve(e.name)
-        if isinstance(e, Unary):
-            return f"({'not ' if e.op == 'not' else '-'}{emit(e.operand)})"
-        if isinstance(e, Binary):
+        if isinstance(e, Unary) and e.op in UNARY:
+            return f"({'not ' if e.op == 'not' else e.op}{emit(e.operand)})"
+        if isinstance(e, Binary) and e.op in BINARY:
             left, right = emit(e.left), emit(e.right)
             if e.op == "/":
                 error = bind(f"division by zero in '{format_expr(e)}'")
                 return f"_divide({left}, {right}, {error})"
             return f"({left} {e.op} {right})"
-        if isinstance(e, Call):
+        if isinstance(e, Call) and e.name in BUILTINS:
             name = "_dist" if e.name == "distance" else e.name
             return f"{name}({', '.join(emit(arg) for arg in e.args)})"
-        raise TypeError(f"not an expression node: {e!r}")
+        raise TypeError(f"not a checked expression node: {e!r}")
 
     return emit(expr)

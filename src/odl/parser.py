@@ -26,7 +26,7 @@ newlines and comments separate tokens, and each token is as long as it can be):
                  | "<" | "<=" | ">" | ">=" | "==" | "!="
     comment     := "#" { any character but newline }
 
-Expression precedence, loosest to tightest:
+Expression operators bind as syntax.BINARY and syntax.UNARY say, loosest to tightest:
 or < and < not < comparison < additive < multiplicative < unary minus < call/primary.
 Expressions nest at most MAX_NESTING levels deep.
 """
@@ -51,14 +51,12 @@ from .syntax import (
     ScoringFunction,
     Unary,
 )
-from .syntax import BINARY_PREC, BUILTINS, MAX_NESTING, NOT_PREC, nests_deeper
+from .syntax import BINARY, BUILTINS, MAX_NESTING, UNARY, nests_deeper
 from .trace import NAME_RE, Point2, Value
 
-# Words with one place in the grammar. With the parameter names, the
-# frequency modes and the boolean literals they make up KEYWORDS.
-_CONST, _SUMMARY, _SCORING_FUNCTION, _SUM, _POINT, _NOT = (
-    "const", "summary", "scoring_function", "sum", "point", "not"
-)
+# Words with one place in the grammar. With the parameter names, frequency
+# modes, boolean literals and word operators they make up KEYWORDS.
+_CONST, _SUMMARY, _SCORING_FUNCTION, _SUM, _POINT = "const", "summary", "scoring_function", "sum", "point"
 _BOOLEANS = {"true": True, "false": False}
 _FREQUENCIES = {f.value: f for f in Frequency}
 
@@ -160,35 +158,32 @@ def _node(p: _Parser, expr: Expr, tok: Token) -> Expr:
 
 def _parse_expr(p: _Parser, min_prec: int = 1) -> Expr:
     """An expression whose binary operators bind at least as tightly as
-    `min_prec` (syntax.BINARY_PREC), by precedence climbing. Prefix
-    operators are collected in loops, not by recursion, so recursion grows
+    `min_prec`, by precedence climbing over the strengths in syntax.BINARY
+    and syntax.UNARY. A prefix operator applies to the operators that bind
+    more tightly than it, and may follow one of no greater strength. Prefix
+    operators are collected in a loop, not by recursion, so recursion grows
     only with parentheses, which MAX_NESTING bounds."""
-    nots = []
-    while min_prec <= NOT_PREC and p.peek().text == _NOT:
-        nots.append(p.advance())
-    minuses = []
-    while p.peek().kind == "-":
-        minuses.append(p.advance())
+    prefixes: list[Token] = []
+    floor = min_prec
+    while UNARY.get(p.peek().text, (0,))[0] >= floor:
+        prefixes.append(p.advance())
+        floor = UNARY[prefixes[-1].text][0]
     # A minus fused directly onto a number is a negative literal.
-    if minuses and p.peek().kind == "NUMBER":
-        minuses.pop()
+    if prefixes and prefixes[-1].kind == "-" and p.peek().kind == "NUMBER":
+        prefixes.pop()
         expr: Expr = Literal(-p.advance().value)
     else:
         expr = _parse_primary(p)
-    for tok in reversed(minuses):
-        expr = _node(p, Unary(tok.text, expr), tok)
-    if nots:
-        expr = _parse_binary(p, expr, NOT_PREC + 1)
-        for tok in reversed(nots):
-            expr = _node(p, Unary(tok.text, expr), tok)
+    for tok in reversed(prefixes):
+        expr = _node(p, Unary(tok.text, _parse_binary(p, expr, UNARY[tok.text][0] + 1)), tok)
     return _parse_binary(p, expr, min_prec)
 
 
 def _parse_binary(p: _Parser, left: Expr, min_prec: int) -> Expr:
     """Extend `left` by left-associative binary operators of at least `min_prec`."""
-    while BINARY_PREC.get(p.peek().text, 0) >= min_prec:
+    while BINARY.get(p.peek().text, (0,))[0] >= min_prec:
         tok = p.advance()
-        right = _parse_expr(p, BINARY_PREC[tok.text] + 1)
+        right = _parse_expr(p, BINARY[tok.text][0] + 1)
         left = _node(p, Binary(tok.text, left, right), tok)
     return left
 
@@ -296,7 +291,8 @@ _PARAMS = {
 _REQUIRED = [f.name for f in fields(ScoringFunction) if f.name in _PARAMS and f.default is MISSING]
 
 KEYWORDS = frozenset(
-    {_CONST, _SUMMARY, _SCORING_FUNCTION, _SUM, _POINT, _NOT, "and", "or", *_BOOLEANS, *_FREQUENCIES, *_PARAMS}
+    {_CONST, _SUMMARY, _SCORING_FUNCTION, _SUM, _POINT, *_BOOLEANS, *_FREQUENCIES, *_PARAMS,
+     *filter(str.isalpha, [*BINARY, *UNARY])}
 )
 # Names that may appear in expressions but can never be declared.
 RESERVED_NAMES = KEYWORDS | {"t", "seq_time"} | set(BUILTINS)

@@ -6,6 +6,7 @@ that re-parsing its output reproduces the tree structurally.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from math import inf
@@ -40,13 +41,13 @@ class Ident:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # "-" | "not"
+    op: str  # a key of UNARY
     operand: "Expr"
 
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # + - * / and or < <= > >= == !=
+    op: str  # a key of BINARY
     left: "Expr"
     right: "Expr"
 
@@ -92,17 +93,26 @@ class OracleDefinition:
         return tuple(fn.name for fn in self.functions)
 
 
-# Binding strength, loosest to tightest: or < and < not < comparison
-# < additive < multiplicative < unary minus < call/primary.
-BINARY_PREC = {
-    "or": 1,
-    "and": 2,
-    "<": 4, "<=": 4, ">": 4, ">=": 4, "==": 4, "!=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6,
+# Every operator, loosest binding first. A binary one has its binding
+# strength, the kind both operands must have (None: numbers or booleans of
+# one kind), the kind of its value, and the function the reference applies
+# (None: "/", "and" and "or", which evaluate.eval_expr handles apart). A
+# unary one has its strength and the kind of its operand and its value.
+BINARY = {
+    "or": (1, Kind.BOOLEAN, Kind.BOOLEAN, None),
+    "and": (2, Kind.BOOLEAN, Kind.BOOLEAN, None),
+    "<": (4, Kind.NUMBER, Kind.BOOLEAN, operator.lt),
+    "<=": (4, Kind.NUMBER, Kind.BOOLEAN, operator.le),
+    ">": (4, Kind.NUMBER, Kind.BOOLEAN, operator.gt),
+    ">=": (4, Kind.NUMBER, Kind.BOOLEAN, operator.ge),
+    "==": (4, None, Kind.BOOLEAN, operator.eq),
+    "!=": (4, None, Kind.BOOLEAN, operator.ne),
+    "+": (5, Kind.NUMBER, Kind.NUMBER, operator.add),
+    "-": (5, Kind.NUMBER, Kind.NUMBER, operator.sub),
+    "*": (6, Kind.NUMBER, Kind.NUMBER, operator.mul),
+    "/": (6, Kind.NUMBER, Kind.NUMBER, None),
 }
-NOT_PREC = 3
-NEG_PREC = 7
+UNARY = {"not": (3, Kind.BOOLEAN), "-": (7, Kind.NUMBER)}
 _ATOM_PREC = 8
 
 # The built-in functions, each with the kind of every argument, the fewest
@@ -124,11 +134,14 @@ MAX_NESTING = 64
 
 
 def _prec(expr: Expr) -> int:
-    if isinstance(expr, Binary):
-        return BINARY_PREC[expr.op]
-    if isinstance(expr, Unary):
-        return NEG_PREC if expr.op == "-" else NOT_PREC
-    return _ATOM_PREC
+    """The binding strength of `expr`'s operator; an operand without one
+    binds tightest. An operator outside the tables is a CheckError."""
+    if not isinstance(expr, (Binary, Unary)):
+        return _ATOM_PREC
+    table = BINARY if isinstance(expr, Binary) else UNARY
+    if expr.op not in table:
+        raise CheckError(f"unknown operator '{expr.op}'")
+    return table[expr.op][0]
 
 
 def format_number(value: float) -> str:
@@ -174,21 +187,18 @@ def _format_expr(expr: Expr) -> str:
     if isinstance(expr, Ident):
         return expr.name
     if isinstance(expr, Unary):
+        prec = _prec(expr)
         inner = _format_expr(expr.operand)
-        if expr.op == "not":
-            if _prec(expr.operand) < NOT_PREC:
-                inner = f"({inner})"
-            return f"not {inner}"
-        # A bare numeric literal would fuse with the minus sign into a
+        # A bare numeric literal would fuse with a minus sign into a
         # (different) negative literal, so it keeps its parentheses.
-        numeric_literal = isinstance(expr.operand, Literal) and not isinstance(
+        fuses = expr.op == "-" and isinstance(expr.operand, Literal) and not isinstance(
             expr.operand.value, (bool, Point2)
         )
-        if numeric_literal or _prec(expr.operand) < NEG_PREC:
+        if fuses or _prec(expr.operand) < prec:
             inner = f"({inner})"
-        return f"-{inner}"
+        return f"{expr.op} {inner}" if expr.op.isalpha() else f"{expr.op}{inner}"
     if isinstance(expr, Binary):
-        prec = BINARY_PREC[expr.op]
+        prec = _prec(expr)
         left = _format_expr(expr.left)
         if _prec(expr.left) < prec:
             left = f"({left})"

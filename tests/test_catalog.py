@@ -41,6 +41,8 @@ def test_every_entry_parses_checks_and_round_trips(name):
 def test_unknown_name_rejected():
     with pytest.raises(CatalogError, match="unknown builtin oracle 'listing9'"):
         load_builtin("listing9")
+    with pytest.raises(CatalogError, match="^unknown example scenario 'stormy'$"):
+        load_example_scenario("stormy")
 
 
 def test_listing1_binds_its_constant():

@@ -1,5 +1,6 @@
 """Static checker: name resolution, kinds, timer rules."""
 
+import math
 import random
 import re
 
@@ -8,6 +9,7 @@ import pytest
 from _generators import gen_checkable_od, gen_schema, gen_trace
 from odl import (
     Binary,
+    Call,
     CheckError,
     Frequency,
     Ident,
@@ -15,8 +17,10 @@ from odl import (
     Literal,
     Notification,
     OracleDefinition,
+    Point2,
     ScoringFunction,
     TraceSchema,
+    Unary,
     check_od,
     load_builtin,
     parse_od,
@@ -58,6 +62,9 @@ _SEQ_TIME_TIMER = (Notification("f", (("seq_time", Literal(1.0)),)),)
 _F_SOURCE = "f = scoring_function(event = collision, frequency = first);\n"
 # A timer of a, with the action and the notification value to format in.
 _TIMER_SOURCE = "a = scoring_function(event = tm > 0, {}frequency = all_sum, notifications = [(a, [(tm, {})])]);"
+
+# A value check_od refuses is not one of these, which parse_od builds.
+_VALUES = "a finite number, a boolean or a point of two finite numbers"
 
 # Every CheckError text check_od raises, whole: (oracle, schema, text). An
 # oracle is source text or a hand-built tree.
@@ -289,6 +296,65 @@ CHECK_ERRORS = [
     pytest.param(
         "f = scoring_function(event = speed != collision, frequency = first);", SCHEMA,
         "event of 'f': '!=' requires operands of one kind, got number and boolean", id="mixed_equality",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Binary("%", Ident("speed"), Literal(3.0))),)), SCHEMA,
+        "event of 'f': unknown operator '%'", id="unknown_binary_operator",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision"), action=Unary("!", Ident("speed"))),)), SCHEMA,
+        "action of 'f': unknown operator '!'", id="unknown_unary_operator",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Binary("%", Ident("wheels"), Literal(3.0))),)), SCHEMA,
+        "event of 'f': timer 'wheels' has no notification targeting 'f' (and 'wheels' is not a trace field "
+        "or constant)", id="operands_before_operator",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision"), action=Literal("1")),)), SCHEMA,
+        f"action of 'f': literal '1' is not {_VALUES}", id="string_literal",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Binary(">", Ident("speed"), Literal(1))),)), SCHEMA,
+        f"event of 'f': literal 1 is not {_VALUES}", id="integer_literal",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision")),), summary=Literal(math.nan)), SCHEMA,
+        f"summary: literal nan is not {_VALUES}", id="nan_literal",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Binary("<", Call("distance", (
+            Ident("position"), Literal(Point2(1.0, math.inf)))), Literal(2.0))),)), SCHEMA,
+        f"event of 'f': literal Point2(x=1.0, y=inf) is not {_VALUES}", id="infinite_point_literal",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision"), notifications=(
+            Notification("f", (("tm", Literal((1.0, 2.0))),)),)),)), SCHEMA,
+        f"notification value for 'f.tm' of 'f': literal (1.0, 2.0) is not {_VALUES}", id="tuple_literal",
+    ),
+    pytest.param(
+        OracleDefinition(constants=(("K", "fast"),), functions=(_fn("f", Ident("collision")),)), SCHEMA,
+        f"constant 'K': value 'fast' is not {_VALUES}", id="string_constant",
+    ),
+    pytest.param(
+        OracleDefinition(constants=(("P", Point2(1, 2)),), functions=(_fn("f", Ident("collision")),)), SCHEMA,
+        f"constant 'P': value Point2(x=1, y=2) is not {_VALUES}", id="integer_point_constant",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision"), initial=math.inf),)), SCHEMA,
+        "initial of 'f': inf is not a finite number", id="infinite_initial",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision"), initial=1),)), SCHEMA,
+        "initial of 'f': 1 is not a finite number", id="integer_initial",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision"), initial=True),)), SCHEMA,
+        "initial of 'f': True is not a finite number", id="boolean_initial",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(ScoringFunction("f", Ident("collision"), "first"),)), SCHEMA,
+        "frequency of 'f': 'first' is not a frequency mode", id="string_frequency",
     ),
     pytest.param(
         OracleDefinition(functions=(_fn("f", Ident("collision"), action=_nested(MAX_NESTING + 1)),)), SCHEMA,

@@ -126,6 +126,28 @@ def test_score_log_firings_lists_single_lane_firing(workspace, capsys):
     assert "firings (1):" in out
 
 
+def test_score_log_firings_lists_notifications(workspace, capsys):
+    od = workspace / "notify.odl"
+    od.write_text(
+        "f = scoring_function(event = collision, action = 1, frequency = first,"
+        " notifications = [(g, [(tm, 2.5)])]);\n"
+        "g = scoring_function(event = tm > 0, frequency = all_sum);"
+    )
+    trace_path = workspace / "hit.jsonl"
+    trace_path.write_text(dump_trace(drive([{"t": 0.0, "collision": True}, {"t": 1.0}])))
+    args = ["score", "--od", str(od), "--trace", str(trace_path), "--log-firings"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (
+        "f: 1.0\ng: 0.0\nsummary: 1.0\nfirings (2):\n  [0] f delta=1.0 notify g.tm=2.5\n  [1] g delta=0.0\n"
+    )
+    assert main([*args, "--report", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["firings"] == [
+        {"message_index": 0, "function": "f", "delta": 1.0,
+         "notifications": [{"target": "g", "timer": "tm", "value": 2.5}]},
+        {"message_index": 1, "function": "g", "delta": 0.0, "notifications": []},
+    ]
+
+
 def test_evaluation_error_exits_1(workspace, capsys):
     od = workspace / "divzero.odl"
     od.write_text("f = scoring_function(event = collision, action = 1 / (t - t), frequency = all_sum);")
@@ -230,6 +252,14 @@ def test_batch_generates_one_record_reader_per_schema(workspace):
     assert main(args) == 0
     info = odl.trace._record_reader.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+def test_batch_names_a_file_without_the_separator_by_its_stem(workspace, capsys):
+    # <solution>__<trace>.jsonl; a stem without "__" is both.
+    (workspace / "solo.jsonl").write_text(dump_trace(drive([{"t": 0.0, "speed": 30.0}])))
+    args = ["batch", "--od", str(workspace / "listing1.odl"), "--traces", str(workspace / "solo.jsonl")]
+    assert main(args) == 0
+    assert capsys.readouterr().out == "solution,trace,score\nsolo,solo,-1.0\n"
 
 
 def test_batch_without_matches_exits_1(workspace, capsys):

@@ -3,6 +3,7 @@ plus the engine invariants that ride on the same corpus."""
 
 import math
 import random
+import re
 import sys
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from odl import (
     Binary,
     Call,
     CheckError,
+    EngineError,
     Env,
     EvalError,
     Firing,
@@ -30,8 +32,10 @@ from odl import (
     Trace,
     TraceMessage,
     TraceSchema,
+    Unary,
     check_od,
     eval_expr,
+    format_expr,
     generate_trace,
     load_builtin,
     load_example_scenario,
@@ -42,7 +46,7 @@ from odl import (
     report_to_text,
     score_trace,
 )
-from odl.syntax import BUILTINS
+from odl.syntax import BINARY, BUILTINS, UNARY
 
 
 def test_reference_matches_worked_example():
@@ -81,6 +85,88 @@ def test_every_builtin_checks_and_both_evaluators_agree(name):
         report = score_trace(checked, trace)
         assert report == reference_score(checked, trace), (name, count)
         assert len(report.firings) == 12
+
+
+OPERATOR_SCHEMA = TraceSchema(
+    (("x", Kind.NUMBER), ("y", Kind.NUMBER), ("b", Kind.BOOLEAN), ("c", Kind.BOOLEAN), ("p", Kind.POINT2))
+)
+# Operands of each kind, by field name.
+_OPERANDS = {Kind.NUMBER: ("x", "y"), Kind.BOOLEAN: ("b", "c")}
+# Each operator, with operands of a kind it does not take and the checker's
+# text for them, in the event of 'f'.
+OPERATORS = {
+    ("or", 2): [(("x", "c"), "'or' requires boolean operands")],
+    ("and", 2): [(("b", "y"), "'and' requires boolean operands")],
+    ("<", 2): [(("b", "y"), "ordering '<' is not defined on boolean and number")],
+    ("<=", 2): [(("p", "p"), "ordering '<=' is not defined on point2 and point2")],
+    (">", 2): [(("x", "c"), "ordering '>' is not defined on number and boolean")],
+    (">=", 2): [(("b", "c"), "ordering '>=' is not defined on boolean and boolean")],
+    ("==", 2): [
+        (("p", "p"), "'==' is not defined on point2 values; compare coordinates explicitly"),
+        (("x", "b"), "'==' requires operands of one kind, got number and boolean"),
+    ],
+    ("!=", 2): [
+        (("b", "p"), "'!=' is not defined on point2 values; compare coordinates explicitly"),
+        (("b", "x"), "'!=' requires operands of one kind, got boolean and number"),
+    ],
+    ("+", 2): [(("x", "b"), "'+' requires numeric operands")],
+    ("-", 2): [(("p", "y"), "'-' requires numeric operands")],
+    ("*", 2): [(("b", "c"), "'*' requires numeric operands")],
+    ("/", 2): [(("y", "b"), "'/' requires numeric operands")],
+    ("not", 1): [(("x",), "'not' requires a boolean operand")],
+    ("-", 1): [(("b",), "unary '-' requires a numeric operand")],
+}
+
+
+def _applying(op, names):
+    operands = tuple(Ident(name) for name in names)
+    return Binary(op, *operands) if len(operands) == 2 else Unary(op, *operands)
+
+
+def _scoring(event, action=None):
+    return OracleDefinition(functions=(ScoringFunction("f", event, Frequency.ALL_SUM, action=action),))
+
+
+def _outcome(score, checked, trace):
+    try:
+        return score(checked, trace)
+    except EvalError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "op, arity",
+    [*((op, 2) for op in BINARY), *((op, 1) for op in UNARY)],
+    ids=[*(f"binary_{op}" for op in BINARY), *(f"unary_{op}" for op in UNARY)],
+)
+def test_every_operator_parses_checks_and_both_evaluators_agree(op, arity):
+    """Each entry of syntax.BINARY and syntax.UNARY, over operands of each
+    kind it takes: the printed tree parses back to itself, check_od gives
+    it the table's kind, the engine and the reference score it alike, and
+    operands of a kind it does not take get the checker's text."""
+    if arity == 2:
+        _, operands, kind, _ = BINARY[op]
+    else:
+        _, kind = UNARY[op]
+        operands = kind
+    trace = gen_trace(random.Random(5), OPERATOR_SCHEMA, n_messages=12)
+    always = Binary(">=", Ident("t"), Literal(0.0))
+    for operand in [operands] if operands else _OPERANDS:
+        tree = _applying(op, _OPERANDS[operand][:arity])
+        source = f"f = scoring_function(event = {format_expr(tree)}, frequency = first);"
+        assert parse_od(source).functions[0].event == tree
+        in_event, in_action = _scoring(tree), _scoring(always, tree)
+        fits, misfits, refusal = (
+            (in_event, in_action, "action of 'f' must be numeric") if kind is Kind.BOOLEAN
+            else (in_action, in_event, "event of 'f' must be boolean")
+        )
+        checked = check_od(fits, OPERATOR_SCHEMA)
+        assert _outcome(score_trace, checked, trace) == _outcome(reference_score, checked, trace)
+        with pytest.raises(CheckError, match=f"^{re.escape(refusal)}$"):
+            check_od(misfits, OPERATOR_SCHEMA)
+    for names, text in OPERATORS[op, arity]:
+        with pytest.raises(CheckError, match=f"^event of 'f': {re.escape(text)}$"):
+            check_od(_scoring(_applying(op, names)), OPERATOR_SCHEMA)
 
 
 def test_a_function_outside_the_builtins_is_refused_by_the_checker_and_the_evaluator():
@@ -286,6 +372,10 @@ _ERROR_CASES = [
         "summary = f * 2 - f / 0.5;",
         r"^summary is non-finite \(nan\)$",
     ),
+    (
+        "f = scoring_function(event = b0, action = 1, frequency = first);\nsummary = f / (f - f);",
+        r"^summary: division by zero in 'f / \(f - f\)'$",
+    ),
 ]
 
 
@@ -298,6 +388,22 @@ def test_evaluation_errors_identical_in_engine_and_reference():
         with pytest.raises(EvalError) as batch:
             reference_score(checked, trace)
         assert str(streaming.value) == str(batch.value), source
+
+
+def test_trace_errors_identical_in_engine_and_reference():
+    """A trace of another schema, and timestamps that decrease, which only a
+    Trace built without parse_trace can hold."""
+    trace = parse_trace(_ERROR_TRACE)
+    checked = check_od(parse_od("f = scoring_function(event = b0, frequency = first);"), trace.schema)
+    other = parse_trace('{"n0": "number"}\n{"t": 0, "n0": 1}\n')
+    backwards = trace._replace(messages=trace.messages[::-1])
+    for bad, text in [
+        (other, "trace schema does not match the one the oracle was checked against"),
+        (backwards, "message 1: timestamp 1.0 decreases below 2.0"),
+    ]:
+        for score in (score_trace, reference_score):
+            with pytest.raises(EngineError, match=f"^{re.escape(text)}$"):
+                score(checked, bad)
 
 
 def test_unreached_errors_raise_in_neither():

@@ -3,6 +3,7 @@ code (one expression at a time through `compile_expr` below, which wraps the
 emitter the scoring program is built from)."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,20 @@ from _generators import gen_checkable_od, gen_expr, gen_schema, gen_trace
 from odl import (
     Binary,
     Call,
+    CheckedOracle,
+    CheckError,
     Env,
     EvalError,
+    Frequency,
     Ident,
     Kind,
     Literal,
+    OracleDefinition,
     Point2,
+    ScoringFunction,
+    TraceSchema,
     Unary,
+    check_od,
     eval_expr,
     format_expr,
     parse_od,
@@ -163,6 +171,33 @@ def test_unknown_operator_and_function():
         eval_expr(Call("hypot", (Literal(3.0), Literal(4.0))), Env())
     with pytest.raises(EvalError, match=r"^unbound identifier 'ghost'$"):
         eval_expr(Call("hypot", (Ident("ghost"),)), Env())
+
+
+# A hand-built operator that is Python source, which the generated program
+# would run if it spliced the operator in.
+_INJECTED = "+ 1 if print('INJECTED') is None else"
+
+
+def test_an_operator_outside_the_tables_is_refused_by_every_layer(capsys):
+    """check_od, format_expr, eval_expr and emit_expr each refuse an
+    operator that is not a key of syntax.BINARY or syntax.UNARY. The
+    program generator raises before it compiles anything, so even a
+    CheckedOracle built without check_od runs none of the operator."""
+    schema = TraceSchema((("x", Kind.NUMBER),))
+    for tree in (Binary(_INJECTED, Ident("x"), Literal(1.0)), Unary("!", Ident("x"))):
+        od = OracleDefinition(functions=(ScoringFunction("f", tree, Frequency.ALL_SUM),))
+        text = re.escape(f"unknown operator '{tree.op}'")
+        with pytest.raises(CheckError, match=f"^event of 'f': {text}$"):
+            check_od(od, schema)
+        with pytest.raises(CheckError, match=f"^{text}$"):
+            format_expr(tree)
+        with pytest.raises(EvalError, match=f"^{text}$"):
+            eval_expr(tree, Env(fields={"x": 5.0}))
+        with pytest.raises(TypeError, match=r"^not a checked expression node: "):
+            emit_expr(tree, lambda name: name, binder(runtime()))
+        with pytest.raises(TypeError, match=r"^not a checked expression node: "):
+            CheckedOracle(od, schema, {"f": frozenset()}).program
+    assert capsys.readouterr() == ("", "")
 
 
 def test_a_value_that_is_not_a_node_is_a_type_error():

@@ -143,7 +143,7 @@ def test_duplicate_names_rejected():
         parse_od("const x = 1;\nx = scoring_function(event = b, frequency = first);")
 
 
-@pytest.mark.parametrize("name", ["t", "seq_time", "sum", "distance", "event", "first"])
+@pytest.mark.parametrize("name", ["t", "seq_time", "sum", "distance", "event", "first", "and", "or", "not"])
 def test_reserved_names_not_declarable(name):
     with pytest.raises(ParseError, match="reserved"):
         parse_od(f"const {name} = 1;")
@@ -152,6 +152,11 @@ def test_reserved_names_not_declarable(name):
 def test_reserved_word_in_expression_position():
     with pytest.raises(ParseError, match="reserved word"):
         parse_od("f = scoring_function(event = frequency > 1, frequency = first);")
+    # A prefix operator follows only one that binds no more tightly.
+    for event, column in [("- not b", 32), ("not - not b", 36), ("x < not b", 34)]:
+        with pytest.raises(ParseError) as err:
+            parse_od(f"f = scoring_function(event = {event}, frequency = first);")
+        assert str(err.value) == f"1:{column}: 'not' is a reserved word"
 
 
 def test_t_and_seq_time_usable_in_expressions():
@@ -198,6 +203,20 @@ def test_unclosed_constructs():
         parse_od("f = scoring_function(event = (a and b, frequency = first);")
     with pytest.raises(ParseError, match="';'"):
         parse_od("const A = 1")
+
+
+@pytest.mark.parametrize(
+    "source, message, column",
+    [
+        ("const A = x;", "expected literal (number, true, false, or point(x, y))", 11),
+        ("; const A = 1;", "expected declaration, found ';'", 1),
+        ("f = function(event = b, frequency = first);", "expected 'scoring_function', found 'function'", 5),
+    ],
+)
+def test_declaration_errors(source, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_od(source)
+    assert (str(err.value), err.value.line, err.value.column) == (f"1:{column}: {message}", 1, column)
 
 
 def test_unexpected_character():

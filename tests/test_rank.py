@@ -48,6 +48,13 @@ def test_rank_solutions_rejects_non_finite_scores():
             rank_solutions({"s1": bad, "s2": 1.0})
 
 
+def test_nothing_to_rank_or_correlate_is_an_analysis_error():
+    with pytest.raises(AnalysisError, match="^no solutions to rank$"):
+        rank_solutions({})
+    with pytest.raises(AnalysisError, match="^no score tables given$"):
+        correlation_matrix([])
+
+
 def test_mean_score_overflow_is_an_analysis_error():
     with pytest.raises(AnalysisError, match="solution 'A': mean score overflows"):
         mean_scores({"A": [1e308, 1e308]})

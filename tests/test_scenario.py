@@ -362,6 +362,19 @@ HOSTILE_SCENARIOS = {
         ' "params": {"peak_speed": NaN}}]}',
         "episode 0 param 'peak_speed' must be finite",
     ),
+    "negative_duration": ('{"duration": -1, "tick": 1}', "duration must be a non-negative number of seconds"),
+    "slow_speed_limit": (
+        '{"duration": 1, "tick": 1, "constants": {"speed_limit": 0.5}}', "speed_limit must be at least 1 m/s",
+    ),
+    "episodes_not_an_array": ('{"duration": 1, "tick": 1, "episodes": {}}', "episodes must be an array"),
+    "episode_not_an_object": ('{"duration": 1, "tick": 1, "episodes": [3]}', "episode 0 must be an object"),
+    "episode_without_start": (
+        '{"duration": 1, "tick": 1, "episodes": [{"kind": "collision"}]}', "episode 0 needs 'kind' and 'start'",
+    ),
+    "params_not_an_object": (
+        '{"duration": 4, "tick": 1, "episodes": [{"kind": "speeding", "start": 1, "end": 2, "params": []}]}',
+        "episode 0 params must be an object",
+    ),
 }
 
 

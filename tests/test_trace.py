@@ -75,6 +75,11 @@ def test_t_not_redeclarable():
         parse_trace('{"t": "number"}\n')
 
 
+def test_invalid_field_name_rejected():
+    with pytest.raises(TraceError, match="^line 1: invalid field name 'x-y'$"):
+        parse_trace('{"x-y": "number"}\n')
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(TraceError, match="unknown kind"):
         parse_trace('{"x": "string"}\n')
