@@ -74,14 +74,15 @@ from .trace import (
     dump_trace,
     parse_trace,
     read_trace,
+    write_trace,
 )
 
 # Module of each name bound on first use, by __getattr__.
 _LAZY = {
     **dict.fromkeys(("BUILTIN_NAMES", "load_builtin", "load_example_scenario"), "catalog"),
     **dict.fromkeys(
-        ("EPISODE_KINDS", "GEN_SCHEMA", "Episode", "Scenario", "generate_trace", "load_scenario",
-         "validate_scenario"),
+        ("EPISODE_KINDS", "GEN_SCHEMA", "Episode", "Scenario", "generate_messages", "generate_trace",
+         "load_scenario", "validate_scenario"),
         "scenario",
     ),
 }

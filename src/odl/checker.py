@@ -5,7 +5,8 @@ the event and the condition read the trace fields, the constants and the
 function's own timers; the action and notification values read the trace
 fields and the constants; the summary reads the constants and the
 scoring-function scores. seq_time is readable in conditions only, and
-never beside a trace field of that name. No name is declared twice.
+never beside a trace field of that name. No name is declared twice, and
+every declared name is one parse_od reads (syntax.check_declared_names).
 Events and conditions must be boolean; actions, notification values, and
 the summary must be numeric. A checked oracle is a plain value; its
 scoring program is generated and compiled when it is first scored
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
 from typing import Callable, Mapping, NamedTuple
 
 from .engine import Program, generate_program
@@ -25,18 +25,20 @@ from .syntax import (
     BINARY,
     BUILTINS,
     MAX_NESTING,
-    UNARY,
     Binary,
     Call,
     Expr,
-    Frequency,
     Ident,
     Literal,
     OracleDefinition,
     Unary,
+    check_declared_names,
+    check_settings,
+    kind_of_value,
     nests_deeper,
+    operator_of,
 )
-from .trace import Kind, Point2, TraceSchema, Value, first_repeat
+from .trace import Kind, TraceSchema, first_repeat
 
 
 @dataclass(frozen=True)
@@ -61,23 +63,6 @@ class CheckedOracle:
 _WORDS = {Kind.BOOLEAN: "boolean", Kind.NUMBER: "numeric"}
 
 
-def _finite(value: object) -> bool:
-    return type(value) is float and isfinite(value)
-
-
-def _kind_of_value(value: Value, where: str, what: str) -> Kind:
-    """The kind of a value parse_od can build; any other value is refused."""
-    if isinstance(value, bool):
-        return Kind.BOOLEAN
-    if _finite(value):
-        return Kind.NUMBER
-    if isinstance(value, Point2) and _finite(value.x) and _finite(value.y):
-        return Kind.POINT2
-    raise CheckError(
-        f"{where}: {what} {value!r} is not a finite number, a boolean or a point of two finite numbers"
-    )
-
-
 class _Scope(NamedTuple):
     """What one expression position may name. `readable` maps each name it
     reads to its kind, `refused` each name it must refuse to the reason,
@@ -91,24 +76,26 @@ class _Scope(NamedTuple):
     read: set[str]
 
     def resolve(self, name: str) -> Kind:
-        if name in self.readable:
-            self.read.add(name)
-            return self.readable[name]
-        if name in self.refused:
-            raise CheckError(f"{self.where}: {self.refused[name]}")
+        if isinstance(name, str):  # one of any other type is unknown, even an unhashable one
+            if name in self.readable:
+                self.read.add(name)
+                return self.readable[name]
+            if name in self.refused:
+                raise CheckError(f"{self.where}: {self.refused[name]}")
         raise CheckError(self.unknown(name))
 
 
 def _infer(expr: Expr, scope: _Scope) -> Kind:
     if isinstance(expr, Literal):
-        return _kind_of_value(expr.value, scope.where, "literal")
+        return kind_of_value(expr.value, f"{scope.where}: literal")
     if isinstance(expr, Ident):
         return scope.resolve(expr.name)
     if isinstance(expr, Unary):
         kind = _infer(expr.operand, scope)
-        if expr.op not in UNARY:
+        entry = operator_of(expr)
+        if entry is None:
             raise CheckError(f"{scope.where}: unknown operator '{expr.op}'")
-        _, operand = UNARY[expr.op]
+        _, operand = entry
         if kind is not operand:
             # An operator that is binary too is named unary: "unary '-'".
             named = f"unary '{expr.op}'" if expr.op in BINARY else f"'{expr.op}'"
@@ -118,9 +105,10 @@ def _infer(expr: Expr, scope: _Scope) -> Kind:
         op = expr.op
         left = _infer(expr.left, scope)
         right = _infer(expr.right, scope)
-        if op not in BINARY:
+        entry = operator_of(expr)
+        if entry is None:
             raise CheckError(f"{scope.where}: unknown operator '{op}'")
-        _, operands, kind, _ = BINARY[op]
+        _, operands, kind, _ = entry
         if operands is None:
             # Equality on numbers or booleans only; point2 equality stays out
             # to avoid floating-point equality traps on compound values.
@@ -144,7 +132,7 @@ def _infer(expr: Expr, scope: _Scope) -> Kind:
         return kind
     if isinstance(expr, Call):
         kinds = [_infer(arg, scope) for arg in expr.args]
-        if expr.name not in BUILTINS:
+        if not isinstance(expr.name, str) or expr.name not in BUILTINS:
             raise CheckError(
                 f"{scope.where}: unknown function '{expr.name}' "
                 f"(built-ins: {', '.join(BUILTINS)})"
@@ -153,7 +141,7 @@ def _infer(expr: Expr, scope: _Scope) -> Kind:
         if not fewest <= len(kinds) <= most or kinds != [kind] * len(kinds):
             raise CheckError(f"{scope.where}: {expr.name} {takes}")
         return Kind.NUMBER
-    raise TypeError(f"not an expression node: {expr!r}")
+    raise CheckError(f"{scope.where}: not an expression node: {expr!r}")
 
 
 def _expect(expr: Expr, scope: _Scope, kind: Kind, what: str) -> None:
@@ -210,25 +198,24 @@ def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
     """Resolve and kind-check an oracle definition against a trace schema."""
     if not od.functions:
         raise CheckError("oracle definition declares no scoring functions")
-    declared = [name for name, _ in od.constants] + [fn.name for fn in od.functions]
-    for what, names in (("schema field", schema.names()), ("name", declared)):
-        repeated = first_repeat(names)
-        if repeated is not None:
-            raise CheckError(f"duplicate {what} '{repeated}'")
+    repeated = first_repeat(schema.names())
+    if repeated is not None:
+        raise CheckError(f"duplicate schema field '{repeated}'")
+    check_declared_names(od)
     fields: dict[str, Kind] = {"t": Kind.NUMBER}
     fields.update(schema.as_dict())
     constants: dict[str, Kind] = {}
     for name, value in od.constants:
         if name in fields:
             raise CheckError(f"constant '{name}' collides with trace field '{name}'")
-        constants[name] = _kind_of_value(value, f"constant '{name}'", "value")
+        constants[name] = kind_of_value(value, f"constant '{name}': value")
 
     notifiers = _collect_timers(od, fields, constants)
 
-    # seq_time is the sequence time wherever it is named, so no field,
-    # constant, timer or score of that name is readable. Only a condition
-    # reads it, and not beside a trace field of that name, which it would
-    # shadow.
+    # seq_time is the sequence time wherever it is named: it is reserved, so
+    # no constant, timer or score takes the name, and a field of that name
+    # is not readable. Only a condition reads it, and not beside a trace
+    # field of that name, which it would shadow.
     outside_condition = "seq_time may only appear in a condition"
     values = {**fields, **constants}
     values.pop("seq_time", None)
@@ -245,12 +232,8 @@ def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
         seq_time = {}
 
     for fn in od.functions:
-        if not isinstance(fn.frequency, Frequency):
-            raise CheckError(f"frequency of '{fn.name}': {fn.frequency!r} is not a frequency mode")
-        if not _finite(fn.initial):
-            raise CheckError(f"initial of '{fn.name}': {fn.initial!r} is not a finite number")
+        check_settings(fn)
         timers = dict.fromkeys(notifiers[fn.name], Kind.NUMBER)
-        timers.pop("seq_time", None)
         in_event = {**values, **timers}
         in_action = {**refused}
         for name in timers:
@@ -283,7 +266,6 @@ def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
 
     if od.summary is not None:
         scores = {**constants, **dict.fromkeys(od.function_names(), Kind.NUMBER)}
-        scores.pop("seq_time", None)
         scope = _Scope(
             "summary", scores, {"seq_time": outside_condition},
             lambda name: f"summary references unknown name '{name}'", set(),

@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import glob
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, ContextManager, Iterator
 
 from .checker import CheckedOracle, check_od
 from .engine import report_to_json, report_to_text, score_messages
@@ -29,7 +29,7 @@ from .rank import (
     write_ranks_csv,
     write_scores_csv,
 )
-from .trace import TraceSchema, dump_trace, read_trace
+from .trace import TraceSchema, read_trace, write_trace
 
 
 @contextmanager
@@ -49,11 +49,14 @@ def _read_input(path: str) -> str:
         return file.read()
 
 
+def _output(out: str | None) -> ContextManager[IO[str]]:
+    """The file named `out`, opened for writing as UTF-8 text, or stdout."""
+    return open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout)
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _output(out) as file:
+        file.write(text)
 
 
 def _split_solution_trace(stem: str) -> tuple[str, str]:
@@ -73,7 +76,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         check_od(od, schema)
     else:
         print(
-            "warning: no trace given; trace-field kinds were not verified",
+            "warning: no trace given, so the definition was only parsed; its names, kinds, timers and "
+            "seq_time and summary rules were not verified (--trace checks them)",
             file=sys.stderr,
         )
     print(f"ok: {len(od.functions)} scoring function(s), {len(od.constants)} constant(s)")
@@ -135,11 +139,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    from .scenario import generate_trace, load_scenario  # only this command needs it
+    from .scenario import GEN_SCHEMA, generate_messages, load_scenario  # only this command needs it
 
-    scenario = load_scenario(_read_input(args.scenario))
-    trace = generate_trace(scenario, args.seed)
-    _emit(dump_trace(trace), args.out)
+    # Validated before the output is opened; written as it is generated.
+    messages = generate_messages(load_scenario(_read_input(args.scenario)), args.seed)
+    with _output(args.out) as file:
+        write_trace(GEN_SCHEMA, messages, file.write)
     return 0
 
 

@@ -51,13 +51,22 @@ from .syntax import (
     ScoringFunction,
     Unary,
 )
-from .syntax import BINARY, BUILTINS, MAX_NESTING, UNARY, nests_deeper
+from .syntax import (
+    BINARY,
+    BOOLEANS,
+    CONST,
+    KEYWORDS,
+    MAX_NESTING,
+    POINT,
+    RESERVED_NAMES,
+    SCORING_FUNCTION,
+    SUM,
+    SUMMARY,
+    UNARY,
+    nests_deeper,
+)
 from .trace import NAME_RE, Point2, Value
 
-# Words with one place in the grammar. With the parameter names, frequency
-# modes, boolean literals and word operators they make up KEYWORDS.
-_CONST, _SUMMARY, _SCORING_FUNCTION, _SUM, _POINT = "const", "summary", "scoring_function", "sum", "point"
-_BOOLEANS = {"true": True, "false": False}
 _FREQUENCIES = {f.value: f for f in Frequency}
 
 
@@ -190,7 +199,7 @@ def _parse_binary(p: _Parser, left: Expr, min_prec: int) -> Expr:
 
 def _parse_primary(p: _Parser) -> Expr:
     tok = p.peek()
-    if tok.kind == "NUMBER" or tok.text in _BOOLEANS or tok.text == _POINT:
+    if tok.kind == "NUMBER" or tok.text in BOOLEANS or tok.text == POINT:
         return Literal(_parse_literal(p))
     if tok.kind == "(":
         p.open(p.advance())
@@ -225,9 +234,9 @@ def _parse_literal(p: _Parser) -> Value:
     tok = p.peek()
     if tok.kind in ("-", "NUMBER"):
         return _parse_signed_number(p)
-    if tok.text in _BOOLEANS:
-        return _BOOLEANS[p.advance().text]
-    if p.match(_POINT):
+    if tok.text in BOOLEANS:
+        return BOOLEANS[p.advance().text]
+    if p.match(POINT):
         p.expect("(", "'(' after point")
         x = _parse_signed_number(p)
         p.expect(",", "',' between point coordinates")
@@ -290,13 +299,6 @@ _PARAMS = {
 }
 _REQUIRED = [f.name for f in fields(ScoringFunction) if f.name in _PARAMS and f.default is MISSING]
 
-KEYWORDS = frozenset(
-    {_CONST, _SUMMARY, _SCORING_FUNCTION, _SUM, _POINT, *_BOOLEANS, *_FREQUENCIES, *_PARAMS,
-     *filter(str.isalpha, [*BINARY, *UNARY])}
-)
-# Names that may appear in expressions but can never be declared.
-RESERVED_NAMES = KEYWORDS | {"t", "seq_time"} | set(BUILTINS)
-
 
 def _parse_scoring_function(p: _Parser, name_tok: Token) -> ScoringFunction:
     p.expect("(", "'(' after scoring_function")
@@ -342,13 +344,13 @@ def parse_od(source: str) -> OracleDefinition:
             p.fail(f"expected declaration, found {tok.text!r}", tok)
         if saw_summary:
             p.fail("summary must be the last declaration", tok)
-        if p.match(_SUMMARY):
+        if p.match(SUMMARY):
             p.expect("=", "'=' after summary")
-            summary = None if p.match(_SUM) else _parse_expr(p)
+            summary = None if p.match(SUM) else _parse_expr(p)
             p.expect(";", "';' ending the declaration")
             saw_summary = True
             continue
-        what = "constant" if p.match(_CONST) else "scoring function"
+        what = "constant" if p.match(CONST) else "scoring function"
         name_tok = _declared_name(p, what)
         if name_tok.text in names:
             p.fail(f"duplicate name '{name_tok.text}'", name_tok)
@@ -359,9 +361,9 @@ def parse_od(source: str) -> OracleDefinition:
             p.expect(";", "';' ending the declaration")
             constants.append((name_tok.text, value))
         else:
-            kw = p.expect("IDENT", f"'{_SCORING_FUNCTION}'")
-            if kw.text != _SCORING_FUNCTION:
-                p.fail(f"expected '{_SCORING_FUNCTION}', found '{kw.text}'", kw)
+            kw = p.expect("IDENT", f"'{SCORING_FUNCTION}'")
+            if kw.text != SCORING_FUNCTION:
+                p.fail(f"expected '{SCORING_FUNCTION}', found '{kw.text}'", kw)
             functions.append(_parse_scoring_function(p, name_tok))
     return OracleDefinition(
         constants=tuple(constants), functions=tuple(functions), summary=summary

@@ -15,16 +15,21 @@ deliberately independent (braking episodes do not move the speed channel).
 from __future__ import annotations
 
 import math
-import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import itemgetter
+from random import Random
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ScenarioError
 from .trace import Kind, Point2, Trace, TraceMessage, TraceSchema, json_object
 
 # Most samples a scenario may ask for: floor(duration / tick + 1e-9) + 1.
-# `odl gen` holds the trace and then its text, ~1.1 kB a sample at peak, so
-# this bounds a run that would otherwise grow without end.
+# `odl gen` streams, so its memory does not grow with the samples; this
+# bounds its run time and its file (~180 B a sample), and the memory of a
+# Trace that generate_trace holds (~0.5 kB a sample).
 MAX_SAMPLES = 10_000_000
 
 # Schema of every generated trace; unit conventions: m/s, m/s^2, meters.
@@ -192,47 +197,71 @@ def validate_scenario(scenario: Scenario) -> None:
             )
 
 
-def _active_by_tick(episodes: list[Episode], tick: float, n: int) -> list[Episode | None]:
-    """For each tick index i < n, the first of `episodes` (declaration
-    order) with start - 1e-9 <= i * tick <= end + 1e-9, or None.
-
-    Costs O(n) plus each episode's ticks. i * tick never decreases as i
-    grows, so each episode holds on one run of indices; its ends are
-    estimated by division and then moved to where the predicate itself
-    changes. Episodes are written latest-declared first, so that the
-    first-declared one wins a tick that two episodes share."""
-    table: list[Episode | None] = [None] * n
-    for ep in reversed(episodes):
-        low, high = ep.start - 1e-9, ep.end + 1e-9
-        lo = max(0, math.ceil(low / tick))
-        while lo > 0 and low <= (lo - 1) * tick:
-            lo -= 1
-        while lo < n and not low <= lo * tick:
-            lo += 1
-        hi = min(n - 1, math.floor(high / tick))
-        while hi + 1 < n and (hi + 1) * tick <= high:
-            hi += 1
-        while hi >= lo and not hi * tick <= high:
-            hi -= 1
-        if lo <= hi:
-            table[lo : hi + 1] = [ep] * (hi + 1 - lo)
-    return table
+def _tick_range(ep: Episode, tick: float, n: int) -> tuple[int, int]:
+    """(lo, hi): the tick indices i < n with start - 1e-9 <= i * tick <=
+    end + 1e-9, lo > hi when there are none. i * tick never decreases as i
+    grows, so they form one run; its ends are estimated by division and
+    then moved to where the predicate itself changes."""
+    low, high = ep.start - 1e-9, ep.end + 1e-9
+    lo = max(0, math.ceil(low / tick))
+    while lo > 0 and low <= (lo - 1) * tick:
+        lo -= 1
+    while lo < n and not low <= lo * tick:
+        lo += 1
+    hi = min(n - 1, math.floor(high / tick))
+    while hi + 1 < n and (hi + 1) * tick <= high:
+        hi += 1
+    while hi >= lo and not hi * tick <= high:
+        hi -= 1
+    return lo, hi
 
 
-def _lerp(a: Point2, b: Point2, frac: float) -> Point2:
-    return Point2(a.x + (b.x - a.x) * frac, a.y + (b.y - a.y) * frac)
+def _active_runs(episodes: list[Episode], tick: float, n: int) -> list[tuple[int, int, Episode]]:
+    """Disjoint (lo, hi, episode) runs, ordered by lo: tick index i < n lies
+    in a run of the first of `episodes` (declaration order) with
+    start - 1e-9 <= i * tick <= end + 1e-9, and in none if there is no
+    such episode. An episode keeps the part of its ticks that no episode
+    declared before it holds, so the first-declared wins a shared tick."""
+    runs: list[tuple[int, int, Episode]] = []
+    for ep in episodes:
+        lo, hi = _tick_range(ep, tick, n)
+        # From the first run that ends at or after lo: each run that starts
+        # at or before hi holds ticks this episode loses.
+        k = bisect_left(runs, lo, key=itemgetter(1))
+        while lo <= hi:
+            if k == len(runs) or hi < runs[k][0]:
+                runs.insert(k, (lo, hi, ep))
+                break
+            held_lo, held_hi, _ = runs[k]
+            if lo < held_lo:
+                runs.insert(k, (lo, held_lo - 1, ep))
+                k += 1
+            lo, k = held_hi + 1, k + 1
+    return runs
 
 
-def _standoff_progress(scenario: Scenario) -> float:
-    """Largest route fraction that keeps the vehicle >= 16 m from the
-    destination all the way; used when no arrival episode exists.
+def _by_tick(runs: Iterable[tuple[int, int, object]], n: int) -> Iterator[object]:
+    """For each tick index i < n, the value of the run that holds i, or None:
+    a walk over the runs that holds nothing per tick."""
+    walk = []
+    done = 0
+    for lo, hi, value in runs:
+        walk += [repeat(None, lo - done), repeat(value, hi + 1 - lo)]
+        done = hi + 1
+    walk.append(repeat(None, n - done))
+    return chain.from_iterable(walk)
 
-    Each step does the float operations of _dist(_lerp(...), destination),
-    in their order, without building the Point2s."""
+
+# Cached so that the traces of one route scan it once.
+@lru_cache(maxsize=16)
+def _standoff(route_start: Point2, route_end: Point2, destination: Point2) -> float:
+    """_standoff_progress of one route. Each step does the float operations
+    by which _messages places the vehicle, then those of _dist to the
+    destination, in their order, without building the Point2s."""
     steps = 2048
-    ax, ay = scenario.route_start.x, scenario.route_start.y
-    spanx, spany = scenario.route_end.x - ax, scenario.route_end.y - ay
-    destx, desty = scenario.destination.x, scenario.destination.y
+    ax, ay = route_start.x, route_start.y
+    spanx, spany = route_end.x - ax, route_end.y - ay
+    destx, desty = destination.x, destination.y
     best = 0.0
     for k in range(steps + 1):
         frac = k / steps
@@ -242,80 +271,79 @@ def _standoff_progress(scenario: Scenario) -> float:
     return best
 
 
-def generate_trace(scenario: Scenario, seed: int) -> Trace:
-    """Sample the scenario at its tick; injects each episode exactly on its
-    interval. Pure in (scenario, seed).
+def _standoff_progress(scenario: Scenario) -> float:
+    """Largest route fraction that keeps the vehicle >= 16 m from the
+    destination all the way; used when no arrival episode exists."""
+    return _standoff(scenario.route_start, scenario.route_end, scenario.destination)
 
-    Raises ScenarioError for a scenario validate_scenario refuses. Each
-    sample costs O(1): the active episode of each kind, its parameters
-    resolved, is looked up in a per-tick table, not searched for."""
+
+def generate_messages(scenario: Scenario, seed: int) -> Iterator[TraceMessage]:
+    """The messages of generate_trace(scenario, seed), one at a time, so
+    that a trace can be written without being held: memory does not grow
+    with the sample count. The scenario is validated now, and
+    ScenarioError raised for one validate_scenario refuses, before any
+    message is asked for."""
     validate_scenario(scenario)
-    rng = random.Random(seed)
-    n = _sample_count(scenario)
-    last = n - 1
+    return _messages(scenario, seed)
 
-    speeding_at, lane_at, decel_at = (
-        _active_by_tick(
-            [Episode(kind, ep.start, ep.end, _params(scenario, ep)) for ep in _episodes_of(scenario, kind)],
-            scenario.tick,
+
+def _messages(scenario: Scenario, seed: int) -> Iterator[TraceMessage]:
+    tick, duration = scenario.tick, scenario.duration
+    n = _sample_count(scenario)
+    speeding, lane, decel = (
+        _by_tick(
+            [
+                (lo, hi, _params(scenario, ep)[param])
+                for lo, hi, ep in _active_runs(_episodes_of(scenario, kind), tick, n)
+            ],
             n,
         )
-        for kind in ("speeding", "lane_departure", "deceleration")
+        for kind, param in (("speeding", "peak_speed"), ("lane_departure", "offset"), ("deceleration", "rate"))
     )
-    arrivals = _episodes_of(scenario, "arrival")
     collision_ticks = {
-        min(last, max(0, int(math.floor(ep.start / scenario.tick + 0.5))))
+        min(n - 1, max(0, int(math.floor(ep.start / tick + 0.5))))
         for ep in _episodes_of(scenario, "collision")
     }
-
+    arrivals = _episodes_of(scenario, "arrival")
     arrival_start = min(ep.start for ep in arrivals) if arrivals else None
     cap = None if arrivals else _standoff_progress(scenario)
     cruise = 0.6 * scenario.speed_limit
+    ax, ay = scenario.route_start
+    spanx, spany = scenario.route_end.x - ax, scenario.route_end.y - ay
+    # Each jitter is a + (b - a) * random(), what Random.uniform(a, b)
+    # computes; for uniform(0.0, 0.02) that is 0.02 * random() exactly.
+    random = Random(seed).random
+    new = tuple.__new__
 
-    messages = []
-    for i in range(n):
-        t = i * scenario.tick
-        jitter_speed = rng.uniform(-0.15, 0.15)
-        jitter_acc = rng.uniform(0.0, 0.02)
-        jitter_road = rng.uniform(-0.05, 0.05)
-
-        ep = speeding_at[i]
-        if ep is not None:
-            speed = ep.params["peak_speed"] + abs(jitter_speed)
-        else:
-            speed = cruise + jitter_speed
-
-        ep = decel_at[i]
-        if ep is not None:
-            acceleration = ep.params["rate"] - jitter_acc
-        else:
-            acceleration = jitter_acc
-
-        ep = lane_at[i]
-        if ep is not None:
-            road_normal = ep.params["offset"] + jitter_road
-        else:
-            road_normal = jitter_road
-
+    for i, peak_speed, offset, rate in zip(range(n), speeding, lane, decel):
+        t = i * tick
+        jitter_speed = -0.15 + (0.15 - -0.15) * random()
+        jitter_acc = 0.02 * random()
+        jitter_road = -0.05 + (0.05 - -0.05) * random()
         if arrival_start is not None:
-            frac = 1.0 if arrival_start <= 0 else min(t / arrival_start, 1.0)
+            # min(t / arrival_start, 1.0) without the call: the quotient is
+            # at most 1.0 when t < arrival_start, and at least 1.0 otherwise.
+            frac = t / arrival_start if t < arrival_start else 1.0
         else:
-            frac = (t / scenario.duration if scenario.duration > 0 else 0.0) * cap
-        position = _lerp(scenario.route_start, scenario.route_end, frac)
+            frac = (t / duration if duration > 0 else 0.0) * cap
+        yield new(TraceMessage, (t, {
+            "speed": cruise + jitter_speed if peak_speed is None else peak_speed + abs(jitter_speed),
+            "acceleration": jitter_acc if rate is None else rate - jitter_acc,
+            "position": new(Point2, (ax + spanx * frac, ay + spany * frac)),
+            "road_normal": jitter_road if offset is None else offset + jitter_road,
+            "collision": i in collision_ticks,
+        }))
 
-        messages.append(
-            TraceMessage(
-                t=t,
-                values={
-                    "speed": speed,
-                    "acceleration": acceleration,
-                    "position": position,
-                    "road_normal": road_normal,
-                    "collision": i in collision_ticks,
-                },
-            )
-        )
-    return Trace(schema=GEN_SCHEMA, messages=tuple(messages))
+
+def generate_trace(scenario: Scenario, seed: int) -> Trace:
+    """Sample the scenario at its tick; injects each episode exactly on its
+    interval. Pure in (scenario, seed): generate_messages collected into a
+    Trace, which holds every sample.
+
+    Raises ScenarioError for a scenario validate_scenario refuses. Each
+    sample costs O(1): the active episode of each kind, its parameter
+    resolved once per run of ticks, comes from a walk over those runs."""
+    return Trace(schema=GEN_SCHEMA, messages=tuple(generate_messages(scenario, seed)))
 
 
 def _point_from_json(raw: object, what: str) -> Point2:

@@ -1,19 +1,22 @@
 """Abstract syntax for oracle definitions plus the canonical pretty-printer.
 
 The printer is precedence-aware and emits the minimal parentheses needed so
-that re-parsing its output reproduces the tree structurally.
+that re-parsing its output reproduces the tree structurally. The rules the
+parser, checker and printer share live here too: the operators, built-ins,
+grammar words and reserved names, and the values and declared names a
+definition may hold.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from math import inf
+from math import inf, isfinite
 from typing import Optional, Union
 
 from .errors import CheckError
-from .trace import Kind, Point2, Value
+from .trace import NAME_RE, Kind, Point2, Value, first_repeat
 
 
 class Frequency(Enum):
@@ -125,6 +128,18 @@ BUILTINS = {
     "max": (Kind.NUMBER, 2, inf, "takes two or more numbers"),
 }
 
+# The words with one place in the grammar. With the boolean literals, the
+# frequency modes, the parameters of scoring_function (ScoringFunction's
+# fields but its name) and the word operators they make up KEYWORDS.
+CONST, SUMMARY, SCORING_FUNCTION, SUM, POINT = "const", "summary", "scoring_function", "sum", "point"
+BOOLEANS = {"true": True, "false": False}
+KEYWORDS = frozenset(
+    {CONST, SUMMARY, SCORING_FUNCTION, SUM, POINT, *BOOLEANS, *(mode.value for mode in Frequency),
+     *(f.name for f in fields(ScoringFunction) if f.name != "name"), *filter(str.isalpha, [*BINARY, *UNARY])}
+)
+# Names that may appear in expressions but can never be declared.
+RESERVED_NAMES = KEYWORDS | {"t", "seq_time"} | set(BUILTINS)
+
 # Expressions nest at most this deep, counted in operators and calls along
 # any path of the tree and, separately, in open parentheses. It bounds the
 # recursion of the parser, checker and evaluators, and keeps the Python the
@@ -133,25 +148,80 @@ BUILTINS = {
 MAX_NESTING = 64
 
 
+def operator_of(expr: Union[Binary, Unary]) -> Optional[tuple]:
+    """The BINARY or UNARY entry of `expr`'s operator, or None for one
+    outside the tables, an unhashable one included."""
+    table = BINARY if isinstance(expr, Binary) else UNARY
+    return table.get(expr.op) if isinstance(expr.op, str) else None
+
+
 def _prec(expr: Expr) -> int:
     """The binding strength of `expr`'s operator; an operand without one
     binds tightest. An operator outside the tables is a CheckError."""
     if not isinstance(expr, (Binary, Unary)):
         return _ATOM_PREC
-    table = BINARY if isinstance(expr, Binary) else UNARY
-    if expr.op not in table:
+    entry = operator_of(expr)
+    if entry is None:
         raise CheckError(f"unknown operator '{expr.op}'")
-    return table[expr.op][0]
+    return entry[0]
+
+
+def _finite(value: object) -> bool:
+    """Whether `value` is a number parse_od can build: a finite float."""
+    return type(value) is float and isfinite(value)
+
+
+def kind_of_value(value: object, what: str) -> Kind:
+    """The kind of a value parse_od can build; any other value is a
+    CheckError that calls it `what`."""
+    if isinstance(value, bool):
+        return Kind.BOOLEAN
+    if _finite(value):
+        return Kind.NUMBER
+    if isinstance(value, Point2) and _finite(value.x) and _finite(value.y):
+        return Kind.POINT2
+    raise CheckError(f"{what} {value!r} is not a finite number, a boolean or a point of two finite numbers")
+
+
+def check_settings(fn: ScoringFunction) -> None:
+    """Refuse a frequency that is not a Frequency and an initial score that
+    is not a finite float."""
+    if not isinstance(fn.frequency, Frequency):
+        raise CheckError(f"frequency of '{fn.name}': {fn.frequency!r} is not a frequency mode")
+    if not _finite(fn.initial):
+        raise CheckError(f"initial of '{fn.name}': {fn.initial!r} is not a finite number")
+
+
+def check_declared_names(od: OracleDefinition) -> None:
+    """Refuse, in the parser's words, the declared names parse_od would not
+    read back: a constant, scoring function or timer name that is not a
+    str matching NAME_RE or that is reserved, and a constant or scoring
+    function name declared twice."""
+    declared = [(name, "constant") for name, _ in od.constants]
+    for fn in od.functions:
+        declared.append((fn.name, "scoring function"))
+        declared += [(timer, "timer") for notif in fn.notifications for timer, _ in notif.bindings]
+    for name, what in declared:
+        if not isinstance(name, str) or not NAME_RE.fullmatch(name):
+            raise CheckError(f"invalid {what} name {name!r}")
+        if name in RESERVED_NAMES:
+            raise CheckError(f"'{name}' is reserved and cannot name a {what}")
+    repeated = first_repeat([name for name, what in declared if what != "timer"])
+    if repeated is not None:
+        raise CheckError(f"duplicate name '{repeated}'")
 
 
 def format_number(value: float) -> str:
     return repr(float(value))
 
 
-def format_literal(value: Value) -> str:
-    if isinstance(value, bool):
+def format_literal(value: Value, what: str = "literal") -> str:
+    """The source text of a value; one parse_od cannot build is a CheckError
+    that calls it `what`."""
+    kind = kind_of_value(value, what)
+    if kind is Kind.BOOLEAN:
         return "true" if value else "false"
-    if isinstance(value, Point2):
+    if kind is Kind.POINT2:
         return f"point({format_number(value.x)}, {format_number(value.y)})"
     return format_number(value)
 
@@ -210,27 +280,38 @@ def _format_expr(expr: Expr) -> str:
     if isinstance(expr, Call):
         args = ", ".join(_format_expr(a) for a in expr.args)
         return f"{expr.name}({args})"
-    raise TypeError(f"not an expression node: {expr!r}")
+    raise CheckError(f"not an expression node: {expr!r}")
 
 
-def _format_notification(notif: Notification) -> str:
-    bindings = ", ".join(
-        f"({timer}, {format_expr(value)})" for timer, value in notif.bindings
-    )
-    return f"({notif.target}, [{bindings}])"
+def _format_at(expr: Expr, where: str) -> str:
+    """format_expr, its CheckError located as check_od locates it."""
+    try:
+        return format_expr(expr)
+    except CheckError as exc:
+        raise CheckError(f"{where}: {exc}") from None
+
+
+def _format_notification(fn: ScoringFunction, notif: Notification) -> str:
+    bindings = []
+    for timer, value in notif.bindings:
+        where = f"notification value for '{notif.target}.{timer}' of '{fn.name}'"
+        bindings.append(f"({timer}, {_format_at(value, where)})")
+    return f"({notif.target}, [{', '.join(bindings)}])"
 
 
 def _format_function(fn: ScoringFunction) -> str:
-    params = [f"event = {format_expr(fn.event)}"]
+    check_settings(fn)
+    of = f" of '{fn.name}'"
+    params = [f"event = {_format_at(fn.event, 'event' + of)}"]
     if fn.condition is not None:
-        params.append(f"condition = {format_expr(fn.condition)}")
+        params.append(f"condition = {_format_at(fn.condition, 'condition' + of)}")
     if fn.action is not None:
-        params.append(f"action = {format_expr(fn.action)}")
+        params.append(f"action = {_format_at(fn.action, 'action' + of)}")
     params.append(f"frequency = {fn.frequency.value}")
     if fn.initial != 0.0:
         params.append(f"initial = {format_number(fn.initial)}")
     if fn.notifications:
-        notifs = ", ".join(_format_notification(n) for n in fn.notifications)
+        notifs = ", ".join(_format_notification(fn, n) for n in fn.notifications)
         params.append(f"notifications = [{notifs}]")
     body = ",\n    ".join(params)
     return f"{fn.name} = scoring_function(\n    {body});"
@@ -241,13 +322,17 @@ def format_od(od: OracleDefinition) -> str:
 
     Constants come first, then scoring functions in declaration order, then
     an explicit summary clause (the implicit default is spelled out as
-    `summary = sum`).
+    `summary = sum`). A hand-built definition whose text parse_od would
+    refuse or read differently, such as one with a reserved name, a
+    string literal or an infinite initial score, is a CheckError with the
+    text check_od gives it.
     """
+    check_declared_names(od)
     blocks: list[str] = []
     if od.constants:
         blocks.append(
             "\n".join(
-                f"const {name} = {format_literal(value)};"
+                f"const {name} = {format_literal(value, f'constant {name!r}: value')};"
                 for name, value in od.constants
             )
         )
@@ -256,5 +341,5 @@ def format_od(od: OracleDefinition) -> str:
     if od.summary is None:
         blocks.append("summary = sum;")
     else:
-        blocks.append(f"summary = {format_expr(od.summary)};")
+        blocks.append(f"summary = {_format_at(od.summary, 'summary')};")
     return "\n\n".join(blocks) + "\n"

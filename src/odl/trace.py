@@ -10,6 +10,8 @@ schema and a lazy iterator of checked messages, so a trace can be scored
 without being held. `parse_trace` collects that iterator into a `Trace`.
 Records are read by a reader generated once per schema (`_record_reader`);
 any record it refuses takes the strict path, which raises every diagnostic.
+`write_trace` writes a trace line by line as its messages are taken, and
+`dump_trace` joins those lines.
 
 `Point2`, `TraceSchema`, `TraceMessage` and `Trace` are named tuples: they
 iterate, compare equal to a plain tuple of the same fields, and are derived
@@ -348,12 +350,8 @@ def _encode_record(message: TraceMessage, names: tuple[str, ...]) -> str:
     return _ENCODER.encode(obj)
 
 
-def _field_mismatch(
-    messages: Sequence[TraceMessage], message: TraceMessage, names: tuple[str, ...]
-) -> ValueError:
-    """The error for `message`, whose fields are not the schema's. Its index
-    is looked up here, on failure, so that the writer's loop keeps no count."""
-    index = next(k for k, item in enumerate(messages) if item is message)
+def _field_mismatch(index: int, message: TraceMessage, names: tuple[str, ...]) -> ValueError:
+    """The error for message `index`, whose fields are not the schema's."""
     for name in message.values:
         if name not in names:
             return ValueError(f"message {index}: field '{name}' is not in the schema")
@@ -363,10 +361,11 @@ def _field_mismatch(
 
 # Cached so that dumping many traces of one schema compiles one writer.
 @lru_cache(maxsize=16)
-def _record_writer(schema: TraceSchema) -> Callable[[Sequence[TraceMessage]], list[str]]:
+def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage], Callable[[str], object]], None]:
     """Generate, compile and return the record writer of one schema: a
-    function of the messages that returns their lines, each what
-    _encode_record returns.
+    function of any iterable of messages and a `write` callable, which it
+    calls with each message's line, what _encode_record returns followed
+    by a line break, as the message is taken.
 
     A record is written by one f-string over float.__repr__, which is how
     the encoder writes a float, when its booleans are True or False, its
@@ -400,43 +399,51 @@ def _record_writer(schema: TraceSchema) -> Callable[[Sequence[TraceMessage]], li
             gates.append(f"type({var}) is _Point2")
             floats += [f"{var}.x", f"{var}.y"]
             body += f"[{{_r({var}.x)}}, {{_r({var}.y)}}]"
-    line = "f" + repr('{{"t": {_r(t)}' + body + "}}")
+    line = "f" + repr('{{"t": {_r(t)}' + body + "}}\n")
     read = []
     if names:
         namespace["_fields"] = itemgetter(*names)
         read = [f"{', '.join(fields)} = _fields(values)"]
     test = " and ".join([*gates, f"_isfinite({' + '.join(floats)})"])
     source = "\n".join([
-        "def write(messages):",
-        "    lines = []",
-        "    append = lines.append",
-        "    for message in messages:",
+        "def write_records(messages, write):",
+        "    for index, message in enumerate(messages):",
         "        t = message.t",
         "        values = message.values",
         f"        if len(values) != {len(names)}:",
-        "            raise _mismatch(messages, message, _names)",
+        "            raise _mismatch(index, message, _names)",
         "        try:",
         *("            " + stmt for stmt in read),
         f"            if {test}:",
-        f"                append({line})",
+        f"                write({line})",
         "                continue",
         "        except (TypeError, OverflowError):",
         "            pass",
         "        except KeyError:",
-        "            raise _mismatch(messages, message, _names) from None",
-        "        append(_encode(message, _names))",
-        "    return lines",
+        "            raise _mismatch(index, message, _names) from None",
+        "        write(_encode(message, _names) + '\\n')",
         "",
     ])
     exec(compile(source, "<odl record writer>", "exec"), namespace)
-    return namespace["write"]  # type: ignore[return-value]
+    return namespace["write_records"]  # type: ignore[return-value]
+
+
+def write_trace(schema: TraceSchema, messages: Iterable[TraceMessage], write: Callable[[str], object]) -> None:
+    """Pass `write` the text of dump_trace one line at a time, each with its
+    line break: the schema line, then the line of each message as it is
+    taken from `messages`, so that a trace can be written without being held."""
+    repeated = first_repeat(schema.names())
+    if repeated is not None:
+        raise ValueError(f"duplicate schema field '{repeated}'")
+    write(json.dumps({name: kind.value for name, kind in schema.fields}) + "\n")
+    _record_writer(schema)(messages, write)
 
 
 def dump_trace(trace: Trace) -> str:
     """Canonical serialization: schema line, then records with 't' first and
     fields in schema declaration order. parse_trace(dump_trace(tr)) == tr
     when t and every value have their kind's type: float, bool or a Point2
-    of floats.
+    of floats. The text is what write_trace writes, joined.
 
     Records are written by a writer generated for the trace's schema
     (_record_writer), byte for byte as json.JSONEncoder writes them. A
@@ -445,9 +452,6 @@ def dump_trace(trace: Trace) -> str:
     repeats a field. A non-finite value raises ValueError instead of being
     written as `NaN`/`Infinity`, which are not JSON (RFC 8259 §6) and which
     parse_trace rejects."""
-    repeated = first_repeat(trace.schema.names())
-    if repeated is not None:
-        raise ValueError(f"duplicate schema field '{repeated}'")
-    lines = [json.dumps({name: kind.value for name, kind in trace.schema.fields})]
-    lines += _record_writer(trace.schema)(trace.messages)
-    return "\n".join(lines) + "\n"
+    lines: list[str] = []
+    write_trace(trace.schema, trace.messages, lines.append)
+    return "".join(lines)

@@ -22,6 +22,7 @@ from odl import (
     TraceSchema,
     Unary,
     check_od,
+    format_od,
     load_builtin,
     parse_od,
     score_trace,
@@ -57,7 +58,8 @@ def _nested(levels):
     return expr
 
 
-# A timer named seq_time, targeted at f by g; only a hand-built tree declares one.
+# A timer named seq_time, targeted at f by g: a hand-built tree, refused as
+# parse_od refuses the name.
 _SEQ_TIME_TIMER = (Notification("f", (("seq_time", Literal(1.0)),)),)
 _F_SOURCE = "f = scoring_function(event = collision, frequency = first);\n"
 # A timer of a, with the action and the notification value to format in.
@@ -85,6 +87,43 @@ CHECK_ERRORS = [
     pytest.param(
         OracleDefinition(constants=(("f", 1.0),), functions=(_fn("f", Ident("collision")),)),
         SCHEMA, "duplicate name 'f'", id="constant_and_function",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("x y", Ident("collision")),)), SCHEMA,
+        "invalid scoring function name 'x y'", id="function_name_not_a_name",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn(3, Ident("collision")),)), SCHEMA,
+        "invalid scoring function name 3", id="function_name_not_a_str",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("not", Ident("collision")),)), SCHEMA,
+        "'not' is reserved and cannot name a scoring function", id="function_named_not",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("sum", Ident("collision")),)), SCHEMA,
+        "'sum' is reserved and cannot name a scoring function", id="function_named_sum",
+    ),
+    pytest.param(
+        OracleDefinition(constants=(("t", 1.0),), functions=(_fn("f", Ident("collision")),)), SCHEMA,
+        "'t' is reserved and cannot name a constant", id="constant_named_t",
+    ),
+    pytest.param(
+        OracleDefinition(constants=(("1x", 1.0),), functions=(_fn("f", Ident("collision")),)), SCHEMA,
+        "invalid constant name '1x'", id="constant_name_not_a_name",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(
+            _fn("f", Binary(">", Ident("max"), Literal(0.0))),
+            _fn("g", Ident("collision"), notifications=(Notification("f", (("max", Literal(1.0)),)),)),
+        )),
+        SCHEMA, "'max' is reserved and cannot name a timer", id="timer_named_max",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(
+            _fn("f", Ident("collision"), notifications=(Notification("f", (("a-b", Literal(1.0)),)),)),
+        )),
+        SCHEMA, "invalid timer name 'a-b'", id="timer_name_not_a_name",
     ),
     pytest.param(
         "const speed = 1;\n" + _F_SOURCE, SCHEMA,
@@ -147,15 +186,14 @@ CHECK_ERRORS = [
             _fn("f", Binary(">", Ident("seq_time"), Literal(0.0))),
             _fn("g", Ident("collision"), notifications=_SEQ_TIME_TIMER),
         )),
-        SCHEMA, "event of 'f': seq_time may only appear in a condition", id="seq_time_timer_in_event",
+        SCHEMA, "'seq_time' is reserved and cannot name a timer", id="seq_time_timer_in_event",
     ),
     pytest.param(
         OracleDefinition(functions=(
             _fn("f", Ident("collision"), condition=Binary(">", Ident("seq_time"), Literal(0.0))),
             _fn("g", Ident("collision"), notifications=_SEQ_TIME_TIMER),
         )),
-        SCHEMA, "timer 'seq_time' is targeted at 'f' but never read in its event or condition",
-        id="seq_time_timer_in_condition",
+        SCHEMA, "'seq_time' is reserved and cannot name a timer", id="seq_time_timer_in_condition",
     ),
     pytest.param(
         _TIMER_SOURCE.format("action = tm, ", "1"), SCHEMA,
@@ -306,6 +344,27 @@ CHECK_ERRORS = [
         "action of 'f': unknown operator '!'", id="unknown_unary_operator",
     ),
     pytest.param(
+        OracleDefinition(functions=(_fn("f", None),)), SCHEMA,
+        "event of 'f': not an expression node: None", id="event_not_a_node",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision"), action=Binary(["+"], Ident("speed"), Literal(1.0))),)),
+        SCHEMA, "action of 'f': unknown operator '['+']'", id="unhashable_binary_operator",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Unary(["not"], Ident("collision"))),)), SCHEMA,
+        "event of 'f': unknown operator '['not']'", id="unhashable_unary_operator",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision"), action=Call(["abs"], (Ident("speed"),))),)),
+        SCHEMA, "action of 'f': unknown function '['abs']' (built-ins: distance, abs, min, max)",
+        id="unhashable_function_name",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision"), action=Ident(["speed"])),)), SCHEMA,
+        "action of 'f': unresolved identifier '['speed']'", id="unhashable_identifier",
+    ),
+    pytest.param(
         OracleDefinition(functions=(_fn("f", Binary("%", Ident("wheels"), Literal(3.0))),)), SCHEMA,
         "event of 'f': timer 'wheels' has no notification targeting 'f' (and 'wheels' is not a trace field "
         "or constant)", id="operands_before_operator",
@@ -391,6 +450,25 @@ def test_every_check_error_text(oracle, schema, text):
     od = parse_od(oracle) if isinstance(oracle, str) else oracle
     with pytest.raises(CheckError, match=f"^{re.escape(text)}$"):
         check_od(od, schema)
+
+
+# Rows whose hand-built definition format_od refuses too, with the same
+# text: printed, it would not parse, or would parse as another definition.
+UNPRINTABLE = {
+    "function_twice", "constant_twice", "constant_and_function", "function_name_not_a_name",
+    "function_name_not_a_str", "function_named_not", "function_named_sum", "constant_named_t",
+    "constant_name_not_a_name", "timer_named_max", "timer_name_not_a_name", "seq_time_timer_in_event",
+    "unknown_binary_operator", "unknown_unary_operator", "event_not_a_node", "unhashable_binary_operator",
+    "unhashable_unary_operator", "string_literal", "integer_literal", "nan_literal", "infinite_point_literal",
+    "tuple_literal", "string_constant", "integer_point_constant", "infinite_initial", "integer_initial",
+    "boolean_initial", "string_frequency", "nesting_in_action", "nesting_in_summary",
+}
+
+
+@pytest.mark.parametrize("oracle, schema, text", [row for row in CHECK_ERRORS if row.id in UNPRINTABLE])
+def test_format_od_refuses_with_the_check_error_text(oracle, schema, text):
+    with pytest.raises(CheckError, match=f"^{re.escape(text)}$"):
+        format_od(oracle)
 
 
 def test_listing2_checks_against_point_schema():

@@ -38,6 +38,22 @@ def test_check_without_trace_warns(workspace, capsys):
     assert "not verified" in captured.err
 
 
+def test_check_without_trace_says_what_it_did_not_check(workspace, capsys):
+    # An event that reads seq_time parses, and only the checker refuses it.
+    od = workspace / "seq_time_in_event.odl"
+    od.write_text("f = scoring_function(event = seq_time > 1, frequency = first);")
+    assert main(["check", str(od)]) == 0
+    assert capsys.readouterr() == (
+        "ok: 1 scoring function(s), 0 constant(s)\n",
+        "warning: no trace given, so the definition was only parsed; its names, kinds, timers and "
+        "seq_time and summary rules were not verified (--trace checks them)\n",
+    )
+    trace_path = workspace / "nominal.jsonl"
+    trace_path.write_text(dump_trace(drive([{"t": 0.0}])))
+    assert main(["check", str(od), "--trace", str(trace_path)]) == 1
+    assert capsys.readouterr().err == "error: event of 'f': seq_time may only appear in a condition\n"
+
+
 def test_check_syntax_error_exits_1(workspace, capsys):
     bad = workspace / "broken.odl"
     bad.write_text("speeding = scoring_function(event = );")

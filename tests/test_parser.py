@@ -338,7 +338,8 @@ def test_format_negated_literal_keeps_structure():
 
 def test_formatter_keeps_the_nesting_limit_on_hand_built_trees():
     """A hand-built tree deeper than the parser admits is a CheckError from
-    format_expr and format_od, not a RecursionError."""
+    format_expr and format_od, not a RecursionError; format_od locates it
+    as check_od does."""
 
     def chain(levels):
         expr = Ident("speed")
@@ -352,8 +353,8 @@ def test_formatter_keeps_the_nesting_limit_on_hand_built_trees():
     assert format_expr(chain(MAX_NESTING)) == "-" * MAX_NESTING + "speed"
     assert parse_od(format_od(oracle(chain(MAX_NESTING)))) == oracle(chain(MAX_NESTING))
     for levels in (MAX_NESTING + 1, 5000):
-        for format_tree in (format_expr, lambda expr: format_od(oracle(expr))):
-            with pytest.raises(CheckError, match=f"^expression nests deeper than {MAX_NESTING} levels$"):
+        for format_tree, where in ((format_expr, ""), (lambda expr: format_od(oracle(expr)), "action of 'f': ")):
+            with pytest.raises(CheckError, match=f"^{where}expression nests deeper than {MAX_NESTING} levels$"):
                 format_tree(chain(levels))
 
 

@@ -1,11 +1,17 @@
 """Scenario-driven trace generation: determinism, episode soundness, validation."""
 
+import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import odl
 from _traces import duration, encoder_dump
 from odl import (
     Episode,
@@ -17,6 +23,7 @@ from odl import (
     TraceMessage,
     check_od,
     dump_trace,
+    generate_messages,
     generate_trace,
     load_builtin,
     load_example_scenario,
@@ -27,7 +34,7 @@ from odl import (
     validate_scenario,
 )
 from odl.cli import main
-from odl.scenario import MAX_SAMPLES, _active_by_tick, _standoff_progress
+from odl.scenario import MAX_SAMPLES, _active_runs, _by_tick, _standoff_progress
 
 LISTINGS = ("listing1", "listing2", "listing3", "listing4")
 
@@ -77,7 +84,7 @@ def test_generated_traces_satisfy_trace_invariants():
 
 def linear_active(episodes, t):
     """The first episode whose interval holds t, by a scan in declaration
-    order: the reference for the per-tick table."""
+    order: the reference for the runs walked tick by tick."""
     for ep in episodes:
         if ep.start - 1e-9 <= t <= ep.end + 1e-9:
             return ep
@@ -107,7 +114,7 @@ def random_scenario(rng):
 
 
 def assert_table_equals_scan(episodes, tick, n):
-    table = _active_by_tick(episodes, tick, n)
+    table = list(_by_tick(_active_runs(episodes, tick, n), n))
     assert len(table) == n
     assert all(got is linear_active(episodes, i * tick) for i, got in enumerate(table))
 
@@ -128,6 +135,21 @@ def test_per_tick_table_equals_linear_scan():
             touching += sum(ep.start in ends for ep in episodes)
         checked += 1
     assert checked > 150 and touching > 100
+
+
+def test_runs_of_overlapping_episodes_equal_linear_scan():
+    # Episodes no scenario admits, which overlap, nest and repeat: the
+    # first declared holds every tick it covers.
+    for seed in range(200):
+        rng = random.Random(seed)
+        tick = rng.choice((0.1, 0.25, 1 / 3, 1.0))
+        n = rng.randint(1, 60)
+
+        def end():
+            return rng.choice((rng.randint(-1, n + 1) * tick, rng.uniform(-1.0, (n + 1) * tick)))
+
+        episodes = [Episode("speeding", *sorted((end(), end()))) for _ in range(rng.randint(0, 8))]
+        assert_table_equals_scan(episodes, tick, n)
 
 
 @pytest.mark.parametrize(
@@ -261,6 +283,8 @@ def test_validation_rejects_bad_episodes(episodes, message):
 def test_validation_rejects_bad_scenario_shapes():
     with pytest.raises(ScenarioError, match="tick"):
         generate_trace(Scenario(duration=10.0, tick=0.0), 0)
+    with pytest.raises(ScenarioError, match="tick"):  # at the call, before any message is asked for
+        generate_messages(Scenario(duration=10.0, tick=0.0), 0)
     with pytest.raises(ScenarioError, match="route start"):
         generate_trace(
             Scenario(duration=10.0, tick=0.5, route_start=Scenario(0, 1).destination), 0
@@ -424,6 +448,35 @@ def test_gen_honours_the_sample_limit(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
+def gen_peak_kb(tmp_path, samples):
+    """The peak resident set (VmHWM, kB) of a fresh interpreter that runs
+    `odl gen` on a scenario of `samples` samples, as bench/probe.py reads it."""
+    path, out = tmp_path / f"scenario{samples}.json", tmp_path / f"trace{samples}.jsonl"
+    path.write_text(json.dumps({
+        "duration": samples - 1, "tick": 1, "episodes": [{"kind": "speeding", "start": 1, "end": 2}],
+    }))
+    code = (
+        "import sys\nfrom odl.cli import main\nstatus = main(sys.argv[1:])\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+        "sys.exit(status)"
+    )
+    src = str(Path(odl.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = subprocess.run(
+        [sys.executable, "-c", code, "gen", "--scenario", str(path), "--out", str(out)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.read_text().count("\n") == samples + 1
+    return int(child.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status (Linux)")
+def test_gen_memory_does_not_grow_with_the_samples(tmp_path):
+    # Holding the trace would cost ~1 kB a sample, ~90 MiB between the two.
+    small, large = gen_peak_kb(tmp_path, 10_000), gen_peak_kb(tmp_path, 100_000)
+    assert abs(large - small) < 4 * 1024, (small, large)
+
+
 NON_FINITE_SCENARIOS = {
     "duration": Scenario(duration=math.inf, tick=1.0),
     "tick": Scenario(duration=1.0, tick=math.nan),
@@ -566,3 +619,84 @@ def test_multi_fault_scenario_files_report_the_first_fault(case, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+# Touching same-kind episodes with parameters, a same-tick pair declared
+# latest first, two collisions and no arrival, on a route off the x axis.
+TOUCHING_SCENARIO = Scenario(
+    duration=30.0,
+    tick=0.1,
+    route_end=Point2(300.0, 40.0),
+    destination=Point2(290.0, 40.0),
+    episodes=(
+        Episode("speeding", 2.0, 4.0, {"peak_speed": 25.0}),
+        Episode("speeding", 4.0, 6.5),
+        Episode("lane_departure", 5.0, 7.0, {"offset": 7.4}),
+        Episode("lane_departure", 3.0, 5.0),
+        Episode("deceleration", 10.0, 12.3, {"rate": -3.0}),
+        Episode("deceleration", 12.3, 14.0, {"rate": -1.0}),
+        Episode("collision", 11.0, 11.0),
+        Episode("collision", 20.04, 20.04),
+    ),
+)
+
+# sha256 of each generated trace file, recorded before generation streamed.
+GOLDEN_DIGESTS = {
+    ("nominal", 0): "df3cd560c907f075c851128aeb1f795537d47922a5e150e5e75f53f27e353bd1",
+    ("nominal", 7): "120ecea5a0fb17a72f2a19df7a4b3cd48f68e96b2c6316ee0f3f782beccccd2d",
+    ("eventful", 0): "10b1b0175e53740f2f89c3f947b53e63a00c822d3315224411875c3f9f4af4df",
+    ("eventful", 7): "01f53826a9f507699517cc0a38dd02123cfd6742d47fb75b72cb3e7ad5bc78ff",
+    ("touching", 0): "4b34e64eba1b33ff93e476d1ff1d618e02e0c758d5075e1e61b3fb4e8393fd57",
+    ("touching", 7): "5c2e92888edd971be090407bcf513a0e2985b6e3eb1ea27b0258fd11df88daf4",
+    ("random 1", 1): "c7da072df5791d718492e90b221f0b843b3397fcd75a642000a759f6f2e9dc82",
+    ("random 3", 3): "d63f55b3a2d15f0a99ecaa35fc755d3b50eeede02bcc70d69d637f05bc10e523",
+    ("random 21", 21): "df817b948dfbc2541d082bf0afa63ff091286329dc157d3df9215858edae2ec4",
+    ("random 34", 34): "00b7763fab238c09453b38a00b15287ef0e9f9ae338109f68fd22ca0fbacd521",
+}
+
+
+def golden_scenario(name):
+    if name == "touching":
+        return TOUCHING_SCENARIO
+    if name.startswith("random "):
+        return random_scenario(random.Random(int(name.split()[1])))
+    return load_scenario(load_example_scenario(name))
+
+
+def scenario_file(scenario):
+    """A scenario file that load_scenario reads as `scenario`: JSON writes
+    each float by its repr, which reads back exactly."""
+    return json.dumps({
+        "duration": scenario.duration,
+        "tick": scenario.tick,
+        "constants": {
+            "speed_limit": scenario.speed_limit,
+            "destination": list(scenario.destination),
+            "route_start": list(scenario.route_start),
+            "route_end": list(scenario.route_end),
+            "lane_width": scenario.lane_width,
+        },
+        "episodes": [
+            {"kind": ep.kind, "start": ep.start, "end": ep.end, "params": dict(ep.params)}
+            for ep in scenario.episodes
+        ],
+    })
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name, seed", sorted(GOLDEN_DIGESTS))
+def test_generated_bytes_match_the_recorded_digests(name, seed, tmp_path, capsys):
+    scenario = golden_scenario(name)
+    expected = GOLDEN_DIGESTS[name, seed]
+    assert sha256(dump_trace(generate_trace(scenario, seed))) == expected
+    path, out = tmp_path / "scenario.json", tmp_path / "trace.jsonl"
+    path.write_text(scenario_file(scenario))
+    assert load_scenario(path.read_text()) == scenario
+    assert main(["gen", "--scenario", str(path), "--seed", str(seed), "--out", str(out)]) == 0
+    assert sha256(out.read_text(encoding="utf-8")) == expected
+    capsys.readouterr()
+    assert main(["gen", "--scenario", str(path), "--seed", str(seed)]) == 0
+    assert sha256(capsys.readouterr().out) == expected
