@@ -56,7 +56,7 @@ class CheckedOracle:
     @cached_property
     def program(self) -> Program:
         """The scoring function, made by `engine.generate_program` on first use
-        and kept. Only `engine.score_messages` calls it; the reference walks `od`."""
+        and kept. Only `engine.score_messages` calls it; the reference evaluates `od`."""
         return generate_program(self.od, self.timers)
 
 

@@ -1,12 +1,13 @@
 """Expression evaluation: two evaluators of one semantics.
 
-`eval_expr` walks the expression tree over an `Env`, dispatching on each
-node's exact type and taking arithmetic and comparison from one table of
-`operator` functions; the batch reference evaluates with it alone.
-`emit_expr` writes a checked expression as Python source; the streaming
-engine runs only such code, spliced into the one scoring function generated
-per oracle at check time (`engine.generate_program`). The differential
-suite compares the two.
+`evaluator` builds, once per expression, one closure per node, which
+evaluates over an `Env`; arithmetic and comparison are the `operator`
+functions of `syntax.BINARY`. The batch reference builds its closures once
+per call and evaluates with them alone; `eval_expr(expr, env)` is
+`evaluator(expr)(env)`. `emit_expr` writes a checked expression as Python
+source; the streaming engine runs only such code, spliced into the one
+scoring function generated per oracle at check time
+(`engine.generate_program`). The differential suite compares the two.
 
 Evaluation is pure and deterministic. `and`/`or` short-circuit, so a guard
 can protect a partial expression: `false and (1 / 0 > 0)` is false, not an
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from .errors import EvalError
-from .syntax import BINARY, BUILTINS, UNARY, Binary, Call, Expr, Ident, Literal, Unary, format_expr
+from .syntax import BINARY, BUILTINS, UNARY, Binary, Call, Expr, Ident, Literal, Unary, format_expr, operator_of
 from .trace import Point2, Value
 
 
@@ -51,72 +52,107 @@ def non_finite(what: str, value: float) -> EvalError:
     return EvalError(f"{what} is non-finite ({value!r})")
 
 
-# The operators that evaluate both operands and apply one function; "/"
-# (its zero check), "and" and "or" (short-circuit) are handled apart.
-_OPERATORS = {op: apply for op, (_, _, _, apply) in BINARY.items() if apply is not None}
+def evaluator(expr: Expr) -> Callable[[Env], Value]:
+    """`expr` as a function of an `Env`, built from one closure per node.
 
-
-def eval_expr(expr: Expr, env: Env) -> Value:
-    """Evaluate `expr` over `env` by walking the tree.
-
-    Nodes are dispatched on their exact type, most frequent first. The name
-    `seq_time` reads `env.seq_time`; any other name resolves to the first of
-    a field, a constant, a timer and a score that has it."""
+    Building never raises: each error, a non-node included, is raised by
+    the closure that meets it, when it is called. Operands and arguments
+    are evaluated left to right, before an operator or function is refused.
+    The name `seq_time` reads `env.seq_time`; any other name resolves, at
+    each call, to the first of a field, a constant, a timer and a score
+    that has it."""
     kind = type(expr)
     if kind is Binary:
-        op = expr.op
-        apply = _OPERATORS.get(op)
+        op, left, right = expr.op, evaluator(expr.left), evaluator(expr.right)
+        entry = operator_of(expr)
+        apply = entry and entry[3]
         if apply is not None:
-            return apply(eval_expr(expr.left, env), eval_expr(expr.right, env))
+            return lambda env: apply(left(env), right(env))
         if op == "and":
-            return bool(eval_expr(expr.left, env)) and bool(eval_expr(expr.right, env))
+            return lambda env: bool(left(env)) and bool(right(env))
         if op == "or":
-            return bool(eval_expr(expr.left, env)) or bool(eval_expr(expr.right, env))
-        left = eval_expr(expr.left, env)
-        right = eval_expr(expr.right, env)
-        if op == "/":
-            if right == 0:
+            return lambda env: bool(left(env)) or bool(right(env))
+
+        def binary(env: Env) -> Value:
+            dividend, divisor = left(env), right(env)
+            if entry is None:
+                raise EvalError(f"unknown operator '{op}'")
+            if divisor == 0:
                 raise EvalError(f"division by zero in '{format_expr(expr)}'")
-            return left / right
-        raise EvalError(f"unknown operator '{op}'")
+            return dividend / divisor
+
+        return binary
     if kind is Ident:
         name = expr.name
         if name == "seq_time":
-            if env.seq_time is None:
-                raise EvalError("seq_time is not bound outside a condition")
-            return env.seq_time
-        if name in env.fields:
-            return env.fields[name]
-        if name in env.constants:
-            return env.constants[name]
-        if name in env.timers:
-            return env.timers[name]
-        if name in env.scores:
-            return env.scores[name]
-        raise EvalError(f"unbound identifier '{name}'")
+
+            def seq_time(env: Env) -> Value:
+                if env.seq_time is None:
+                    raise EvalError("seq_time is not bound outside a condition")
+                return env.seq_time
+
+            return seq_time
+
+        def ident(env: Env) -> Value:
+            if name in env.fields:
+                return env.fields[name]
+            if name in env.constants:
+                return env.constants[name]
+            if name in env.timers:
+                return env.timers[name]
+            if name in env.scores:
+                return env.scores[name]
+            raise EvalError(f"unbound identifier '{name}'")
+
+        return ident
     if kind is Literal:
-        return expr.value
+        value = expr.value
+        return lambda env: value
     if kind is Call:
-        args = [eval_expr(arg, env) for arg in expr.args]
-        if expr.name == "distance":
-            a, b = args
-            assert isinstance(a, Point2) and isinstance(b, Point2)
-            return math.hypot(a.x - b.x, a.y - b.y)
-        if expr.name == "abs":
-            return abs(args[0])
-        if expr.name == "min":
-            return min(args)
-        if expr.name == "max":
-            return max(args)
-        raise EvalError(f"unknown function '{expr.name}'")
+        name = expr.name
+        try:
+            nodes = iter(expr.args)
+        except TypeError:  # args that are not iterable fail when reached
+            return lambda env: iter(expr.args)
+        args = [evaluator(arg) for arg in nodes]
+
+        def call(env: Env) -> Value:
+            values = [arg(env) for arg in args]
+            if name == "distance":
+                a, b = values
+                assert isinstance(a, Point2) and isinstance(b, Point2)
+                return math.hypot(a.x - b.x, a.y - b.y)
+            if name == "abs":
+                return abs(values[0])
+            if name == "min":
+                return min(values)
+            if name == "max":
+                return max(values)
+            raise EvalError(f"unknown function '{name}'")
+
+        return call
     if kind is Unary:
-        value = eval_expr(expr.operand, env)
-        if expr.op == "not":
-            return not value
-        if expr.op == "-":
-            return -value
-        raise EvalError(f"unknown operator '{expr.op}'")
-    raise TypeError(f"not an expression node: {expr!r}")
+        op, operand = expr.op, evaluator(expr.operand)
+        if op == "not":
+            return lambda env: not operand(env)
+        if op == "-":
+            return lambda env: -operand(env)
+
+        def unary(env: Env) -> Value:
+            operand(env)
+            raise EvalError(f"unknown operator '{op}'")
+
+        return unary
+
+    def not_a_node(env: Env) -> Value:
+        raise TypeError(f"not an expression node: {expr!r}")
+
+    return not_a_node
+
+
+def eval_expr(expr: Expr, env: Env) -> Value:
+    """Evaluate `expr` over `env`: `evaluator(expr)(env)`."""
+    return evaluator(expr)(env)
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +195,15 @@ def emit_value(value: Value, bind: Callable[[Any], str]) -> str:
 
 
 def emit_expr(expr: Expr, resolve: Callable[[str], str], bind: Callable[[Any], str]) -> str:
-    """Python source that evaluates a checked expression as `eval_expr`
-    does: same value and type, operands left to right, `and`/`or`
+    """Python source that evaluates a checked expression as `evaluator`'s
+    closure does: same value and type, operands left to right, `and`/`or`
     short-circuit, the same division-by-zero error. `resolve(name)` gives
     the source that reads an identifier.
 
     Every operator is parenthesised, because Python chains `a < b < c`;
     the parser's nesting limit keeps the result under CPython's limit on
     nested parentheses. `distance` is math.dist, which computes what
-    eval_expr's math.hypot of the coordinate differences does, bit for bit.
+    the closure's math.hypot of the coordinate differences does, bit for bit.
     """
 
     def emit(e: Expr) -> str:

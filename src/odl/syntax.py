@@ -99,7 +99,7 @@ class OracleDefinition:
 # Every operator, loosest binding first. A binary one has its binding
 # strength, the kind both operands must have (None: numbers or booleans of
 # one kind), the kind of its value, and the function the reference applies
-# (None: "/", "and" and "or", which evaluate.eval_expr handles apart). A
+# (None: "/", "and" and "or", which evaluate.evaluator handles apart). A
 # unary one has its strength and the kind of its operand and its value.
 BINARY = {
     "or": (1, Kind.BOOLEAN, Kind.BOOLEAN, None),
@@ -211,6 +211,11 @@ def check_declared_names(od: OracleDefinition) -> None:
         raise CheckError(f"duplicate name '{repeated}'")
 
 
+def _is_identifier(name: object) -> bool:
+    """Whether parse_od reads `name` back as an identifier."""
+    return isinstance(name, str) and NAME_RE.fullmatch(name) is not None and name not in KEYWORDS
+
+
 def format_number(value: float) -> str:
     return repr(float(value))
 
@@ -255,6 +260,8 @@ def _format_expr(expr: Expr) -> str:
     if isinstance(expr, Literal):
         return format_literal(expr.value)
     if isinstance(expr, Ident):
+        if not _is_identifier(expr.name):
+            raise CheckError(f"unresolved identifier '{expr.name}'")
         return expr.name
     if isinstance(expr, Unary):
         prec = _prec(expr)
@@ -292,6 +299,9 @@ def _format_at(expr: Expr, where: str) -> str:
 
 
 def _format_notification(fn: ScoringFunction, notif: Notification) -> str:
+    # Declared names obey the rule, so a target that breaks it names none.
+    if not _is_identifier(notif.target) or notif.target in RESERVED_NAMES:
+        raise CheckError(f"function '{fn.name}': notification target '{notif.target}' is not a scoring function")
     bindings = []
     for timer, value in notif.bindings:
         where = f"notification value for '{notif.target}.{timer}' of '{fn.name}'"
@@ -325,7 +335,8 @@ def format_od(od: OracleDefinition) -> str:
     `summary = sum`). A hand-built definition whose text parse_od would
     refuse or read differently, such as one with a reserved name, a
     string literal or an infinite initial score, is a CheckError with the
-    text check_od gives it.
+    text check_od gives it. An identifier parse_od cannot read back is an
+    `unresolved identifier`, check_od's text for it in an action.
     """
     check_declared_names(od)
     blocks: list[str] = []

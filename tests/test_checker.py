@@ -364,6 +364,23 @@ CHECK_ERRORS = [
         OracleDefinition(functions=(_fn("f", Ident("collision"), action=Ident(["speed"])),)), SCHEMA,
         "action of 'f': unresolved identifier '['speed']'", id="unhashable_identifier",
     ),
+    *(
+        pytest.param(
+            OracleDefinition(functions=(_fn("f", Ident("collision"), action=Ident(name)),)), SCHEMA,
+            f"action of 'f': unresolved identifier '{name}'", id=f"identifier_{row}",
+        )
+        for name, row in [("not", "not"), ("x y", "not_a_name"), (3, "not_a_str"), ("true", "true"),
+                          ("sum", "sum"), ("first", "first")]
+    ),
+    *(
+        pytest.param(
+            OracleDefinition(functions=(
+                _fn("f", Ident("collision"), notifications=(Notification(target, (("tm", Literal(1.0)),)),)),
+            )),
+            SCHEMA, f"function 'f': notification target '{target}' is not a scoring function", id=f"target_{row}",
+        )
+        for target, row in [("x y", "not_a_name"), (3, "not_a_str"), ("sum", "sum"), ("t", "t")]
+    ),
     pytest.param(
         OracleDefinition(functions=(_fn("f", Binary("%", Ident("wheels"), Literal(3.0))),)), SCHEMA,
         "event of 'f': timer 'wheels' has no notification targeting 'f' (and 'wheels' is not a trace field "
@@ -461,7 +478,9 @@ UNPRINTABLE = {
     "unknown_binary_operator", "unknown_unary_operator", "event_not_a_node", "unhashable_binary_operator",
     "unhashable_unary_operator", "string_literal", "integer_literal", "nan_literal", "infinite_point_literal",
     "tuple_literal", "string_constant", "integer_point_constant", "infinite_initial", "integer_initial",
-    "boolean_initial", "string_frequency", "nesting_in_action", "nesting_in_summary",
+    "boolean_initial", "string_frequency", "nesting_in_action", "nesting_in_summary", "unhashable_identifier",
+    "identifier_not", "identifier_not_a_name", "identifier_not_a_str", "identifier_true", "identifier_sum",
+    "identifier_first", "target_not_a_name", "target_not_a_str", "target_sum", "target_t",
 }
 
 
@@ -469,6 +488,20 @@ UNPRINTABLE = {
 def test_format_od_refuses_with_the_check_error_text(oracle, schema, text):
     with pytest.raises(CheckError, match=f"^{re.escape(text)}$"):
         format_od(oracle)
+
+
+def test_format_od_refuses_an_identifier_parse_od_cannot_read_wherever_it_is():
+    for od, where, name in [
+        (OracleDefinition(functions=(_fn("f", Ident("not")),)), "event of 'f'", "not"),
+        (OracleDefinition(functions=(_fn("f", Ident("collision"), condition=Ident("x y")),)), "condition of 'f'", "x y"),
+        (OracleDefinition(functions=(_fn("f", Ident("collision")),), summary=Ident("true")), "summary", "true"),
+    ]:
+        with pytest.raises(CheckError, match=f"^{re.escape(where)}: unresolved identifier '{name}'$"):
+            format_od(od)
+    # The names an expression reads that no definition may declare.
+    readable = Binary("+", Binary("+", Ident("t"), Ident("seq_time")), Ident("abs"))
+    od = OracleDefinition(functions=(_fn("f", Ident("collision"), condition=readable),))
+    assert parse_od(format_od(od)) == od
 
 
 def test_listing2_checks_against_point_schema():

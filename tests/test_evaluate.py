@@ -171,6 +171,13 @@ def test_unknown_operator_and_function():
         eval_expr(Call("hypot", (Literal(3.0), Literal(4.0))), Env())
     with pytest.raises(EvalError, match=r"^unbound identifier 'ghost'$"):
         eval_expr(Call("hypot", (Ident("ghost"),)), Env())
+    # An unhashable operator is unknown too, after its operands.
+    with pytest.raises(EvalError, match=r"^unknown operator '\['\+'\]'$"):
+        eval_expr(Binary(["+"], Literal(1.0), Literal(2.0)), Env())
+    with pytest.raises(EvalError, match=r"^unknown operator '\['-'\]'$"):
+        eval_expr(Unary(["-"], Literal(1.0)), Env())
+    with pytest.raises(EvalError, match=r"^unbound identifier 'ghost'$"):
+        eval_expr(Binary(["+"], Literal(1.0), Ident("ghost")), Env())
 
 
 # A hand-built operator that is Python source, which the generated program
@@ -209,6 +216,23 @@ def test_a_value_that_is_not_a_node_is_a_type_error():
     ]:
         with pytest.raises(TypeError, match=f"^not an expression node: {node}$"):
             eval_expr(tree, Env())
+
+
+def test_each_error_is_raised_only_when_its_node_is_evaluated():
+    # A node that is never reached raises nothing, whatever it holds.
+    assert eval_expr(Binary("and", Literal(False), None), Env()) is False
+    assert eval_expr(Binary("or", Literal(True), Call("abs", 5)), Env()) is True
+    with pytest.raises(TypeError, match=r"^'int' object is not iterable$"):
+        eval_expr(Call("abs", 5), Env())
+    with pytest.raises(EvalError, match=r"^division by zero in '1.0 / 0.0'$"):
+        eval_expr(Binary("+", Binary("/", Literal(1.0), Literal(0.0)), None), Env())
+    # The division's text is built only for a zero divisor: format_expr
+    # would refuse this tree.
+    with pytest.raises(TypeError, match=r"^not an expression node: None$"):
+        eval_expr(Binary("/", Literal(1.0), None), Env())
+    # An unknown function's arguments are evaluated first, left to right.
+    with pytest.raises(EvalError, match=r"^unbound identifier 'ghost'$"):
+        eval_expr(Call("hypot", (Ident("ghost"), None)), Env())
 
 
 def test_names_resolve_to_field_then_constant_then_timer_then_score():

@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -10,14 +11,24 @@ from pathlib import Path
 import pytest
 
 import odl
+import odl.cli
+import odl.engine
+import odl.reference
 from odl.parser import Token
+
+
+def _run(*argv):
+    """`python ARGV` run by a fresh interpreter that imports this odl."""
+    src = str(Path(odl.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
 def _fresh(code):
     """The output of `code` run by a fresh interpreter that imports this odl."""
-    src = str(Path(odl.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    done = _run("-c", code)
+    done.check_returncode()
+    return done.stdout
 
 
 def test_all_lists_exactly_the_public_names_the_package_binds():
@@ -94,3 +105,19 @@ def test_value_types_keep_their_repr_equality_hashing_and_immutability(name):
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(other, field))
     assert getattr(value, field) == getattr(copy, field)
+
+
+def test_the_benchmark_probe_runs_traced(tmp_path):
+    # bench/probe.py --trace rebinds these names; a refactor that drops one
+    # would break traced benchmark runs only.
+    for module, name in [(odl.cli, "main"), (odl.engine, "eval_expr"), (odl.reference, "eval_expr")]:
+        assert callable(getattr(module, name)), (module.__name__, name)
+    scenario = odl.load_scenario(odl.load_example_scenario("eventful"))
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(odl.dump_trace(odl.generate_trace(scenario, 1)), encoding="utf-8")
+    record = tmp_path / "record.json"
+    probe = Path(__file__).resolve().parents[1] / "bench" / "probe.py"
+    oracle = Path(odl.__file__).parent / "assets" / "listing1.odl"
+    done = _run(str(probe), str(record), "--trace", "differential", str(trace), str(oracle))
+    assert (done.returncode, done.stdout) == (0, "listing1 equal\n"), done.stderr
+    assert {"ready", "peak_kb", "counts", "spans"} <= set(json.loads(record.read_text(encoding="utf-8")))
