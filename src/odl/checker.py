@@ -1,16 +1,17 @@
 """Static checks: name resolution and kind inference for oracle definitions.
 
+A definition is first held to `syntax.check_shape`; what follows assumes
+its shape, and refuses operators, literal values and names after operands.
+
 Each expression position reads only its own names (`t` is a trace field):
 the event and the condition read the trace fields, the constants and the
 function's own timers; the action and notification values read the trace
 fields and the constants; the summary reads the constants and the
 scoring-function scores. seq_time is readable in conditions only, and
-never beside a trace field of that name. No name is declared twice, and
-every declared name is one parse_od reads (syntax.check_declared_names).
-Events and conditions must be boolean; actions, notification values, and
-the summary must be numeric. A checked oracle is a plain value; its
-scoring program is generated and compiled when it is first scored
-(`engine.generate_program`).
+never beside a trace field of that name. Events and conditions must be
+boolean; actions, notification values, and the summary must be numeric.
+A checked oracle is a plain value; its scoring program is generated and
+compiled when it is first scored (`engine.generate_program`).
 """
 
 from __future__ import annotations
@@ -24,21 +25,18 @@ from .errors import CheckError
 from .syntax import (
     BINARY,
     BUILTINS,
-    MAX_NESTING,
     Binary,
-    Call,
     Expr,
     Ident,
     Literal,
     OracleDefinition,
     Unary,
-    check_declared_names,
-    check_settings,
+    check_shape,
     kind_of_value,
-    nests_deeper,
-    operator_of,
+    operator_entry,
+    unknown_function,
 )
-from .trace import Kind, TraceSchema, first_repeat
+from .trace import Kind, TraceSchema, schema_fault
 
 
 @dataclass(frozen=True)
@@ -76,12 +74,11 @@ class _Scope(NamedTuple):
     read: set[str]
 
     def resolve(self, name: str) -> Kind:
-        if isinstance(name, str):  # one of any other type is unknown, even an unhashable one
-            if name in self.readable:
-                self.read.add(name)
-                return self.readable[name]
-            if name in self.refused:
-                raise CheckError(f"{self.where}: {self.refused[name]}")
+        if name in self.readable:
+            self.read.add(name)
+            return self.readable[name]
+        if name in self.refused:
+            raise CheckError(f"{self.where}: {self.refused[name]}")
         raise CheckError(self.unknown(name))
 
 
@@ -92,10 +89,7 @@ def _infer(expr: Expr, scope: _Scope) -> Kind:
         return scope.resolve(expr.name)
     if isinstance(expr, Unary):
         kind = _infer(expr.operand, scope)
-        entry = operator_of(expr)
-        if entry is None:
-            raise CheckError(f"{scope.where}: unknown operator '{expr.op}'")
-        _, operand = entry
+        _, operand = operator_entry(expr, f"{scope.where}: ")
         if kind is not operand:
             # An operator that is binary too is named unary: "unary '-'".
             named = f"unary '{expr.op}'" if expr.op in BINARY else f"'{expr.op}'"
@@ -105,10 +99,7 @@ def _infer(expr: Expr, scope: _Scope) -> Kind:
         op = expr.op
         left = _infer(expr.left, scope)
         right = _infer(expr.right, scope)
-        entry = operator_of(expr)
-        if entry is None:
-            raise CheckError(f"{scope.where}: unknown operator '{op}'")
-        _, operands, kind, _ = entry
+        _, operands, kind, _ = operator_entry(expr, f"{scope.where}: ")
         if operands is None:
             # Equality on numbers or booleans only; point2 equality stays out
             # to avoid floating-point equality traps on compound values.
@@ -130,26 +121,17 @@ def _infer(expr: Expr, scope: _Scope) -> Kind:
                 )
             raise CheckError(f"{scope.where}: '{op}' requires {_WORDS[operands]} operands")
         return kind
-    if isinstance(expr, Call):
-        kinds = [_infer(arg, scope) for arg in expr.args]
-        if not isinstance(expr.name, str) or expr.name not in BUILTINS:
-            raise CheckError(
-                f"{scope.where}: unknown function '{expr.name}' "
-                f"(built-ins: {', '.join(BUILTINS)})"
-            )
-        kind, fewest, most, takes = BUILTINS[expr.name]
-        if not fewest <= len(kinds) <= most or kinds != [kind] * len(kinds):
-            raise CheckError(f"{scope.where}: {expr.name} {takes}")
-        return Kind.NUMBER
-    raise CheckError(f"{scope.where}: not an expression node: {expr!r}")
+    kinds = [_infer(arg, scope) for arg in expr.args]  # a Call
+    if expr.name not in BUILTINS:
+        raise CheckError(f"{scope.where}: {unknown_function(expr.name)}")
+    kind, fewest, most, takes = BUILTINS[expr.name]
+    if not fewest <= len(kinds) <= most or kinds != [kind] * len(kinds):
+        raise CheckError(f"{scope.where}: {expr.name} {takes}")
+    return Kind.NUMBER
 
 
 def _expect(expr: Expr, scope: _Scope, kind: Kind, what: str) -> None:
-    """Check a whole expression and require `kind` of it. A tree built
-    without the parser is held to the parser's nesting limit too, which the
-    generated code needs."""
-    if nests_deeper(expr, MAX_NESTING):
-        raise CheckError(f"{scope.where}: expression nests deeper than {MAX_NESTING} levels")
+    """Check a whole expression and require `kind` of it."""
     if _infer(expr, scope) is not kind:
         raise CheckError(f"{what} must be {_WORDS[kind]}")
 
@@ -195,13 +177,14 @@ def _unresolved(where: str) -> Callable[[str], str]:
 
 
 def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
-    """Resolve and kind-check an oracle definition against a trace schema."""
+    """Resolve and kind-check an oracle definition against a trace schema,
+    after refusing a definition check_shape refuses and a schema parse_trace would."""
+    check_shape(od)
     if not od.functions:
         raise CheckError("oracle definition declares no scoring functions")
-    repeated = first_repeat(schema.names())
-    if repeated is not None:
-        raise CheckError(f"duplicate schema field '{repeated}'")
-    check_declared_names(od)
+    fault = schema_fault(schema.fields)
+    if fault is not None:
+        raise CheckError(fault)
     fields: dict[str, Kind] = {"t": Kind.NUMBER}
     fields.update(schema.as_dict())
     constants: dict[str, Kind] = {}
@@ -232,7 +215,6 @@ def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
         seq_time = {}
 
     for fn in od.functions:
-        check_settings(fn)
         timers = dict.fromkeys(notifiers[fn.name], Kind.NUMBER)
         in_event = {**values, **timers}
         in_action = {**refused}

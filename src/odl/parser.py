@@ -38,7 +38,7 @@ import re
 from dataclasses import MISSING, fields
 from typing import Any, NamedTuple, NoReturn
 
-from .errors import ParseError
+from .errors import CheckError, ParseError
 from .syntax import (
     Binary,
     Call,
@@ -58,12 +58,12 @@ from .syntax import (
     KEYWORDS,
     MAX_NESTING,
     POINT,
-    RESERVED_NAMES,
     SCORING_FUNCTION,
     SUM,
     SUMMARY,
     UNARY,
-    nests_deeper,
+    check_expr,
+    check_name,
 )
 from .trace import NAME_RE, Point2, Value
 
@@ -160,8 +160,10 @@ class _Parser:
 
 
 def _node(p: _Parser, expr: Expr, tok: Token) -> Expr:
-    if nests_deeper(expr, MAX_NESTING):
-        p.fail(f"expression nests deeper than {MAX_NESTING} levels", tok)
+    try:
+        check_expr(expr)  # of a tree the parser builds, it refuses only the nesting
+    except CheckError as exc:
+        p.fail(str(exc), tok)
     return expr
 
 
@@ -246,10 +248,13 @@ def _parse_literal(p: _Parser) -> Value:
     p.fail("expected literal (number, true, false, or point(x, y))", tok)
 
 
-def _declared_name(p: _Parser, what: str) -> Token:
+def _declared_name(p: _Parser, what: str, declared: set[str] | None = None) -> Token:
+    """The name of a `what`, refused at its token with check_name's text."""
     tok = p.expect("IDENT", f"{what} name")
-    if tok.text in RESERVED_NAMES:
-        p.fail(f"'{tok.text}' is reserved and cannot name a {what}", tok)
+    try:
+        check_name(tok.text, what, declared)
+    except CheckError as exc:
+        p.fail(str(exc), tok)
     return tok
 
 
@@ -351,10 +356,7 @@ def parse_od(source: str) -> OracleDefinition:
             saw_summary = True
             continue
         what = "constant" if p.match(CONST) else "scoring function"
-        name_tok = _declared_name(p, what)
-        if name_tok.text in names:
-            p.fail(f"duplicate name '{name_tok.text}'", name_tok)
-        names.add(name_tok.text)
+        name_tok = _declared_name(p, what, names)
         p.expect("=", f"'=' after {what} name")
         if what == "constant":
             value = _parse_literal(p)

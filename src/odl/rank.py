@@ -133,11 +133,17 @@ def spearman_matrix(ranks: Sequence[RankVector]) -> list[list[float]]:
 
 def _write_csv(header: Sequence[str], rows: Iterable[Sequence], text_columns: int) -> str:
     """The file: the header, then each row with its first `text_columns`
-    cells as they are and the rest, numbers, as repr(float(n))."""
+    cells as they are and the rest, numbers, as repr(float(n)). A NaN or
+    an infinity, which the readers refuse, is an AnalysisError."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([*row[:text_columns], *map(repr, map(float, row[text_columns:]))] for row in rows)
+    for number, row in enumerate(rows, 2):
+        values = [float(n) for n in row[text_columns:]]
+        bad = [value for value in values if not math.isfinite(value)]
+        if bad:
+            raise AnalysisError(f"row {number}: non-finite number {bad[0]!r}")
+        writer.writerow([*row[:text_columns], *map(repr, values)])
     return out.getvalue()
 
 

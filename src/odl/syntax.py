@@ -3,8 +3,9 @@
 The printer is precedence-aware and emits the minimal parentheses needed so
 that re-parsing its output reproduces the tree structurally. The rules the
 parser, checker and printer share live here too: the operators, built-ins,
-grammar words and reserved names, and the values and declared names a
-definition may hold.
+grammar words and reserved names, the values a definition may hold, and
+check_shape, the one statement of the shape of a definition built without
+the parser.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import inf, isfinite
 from typing import Optional, Union
 
 from .errors import CheckError
-from .trace import NAME_RE, Kind, Point2, Value, first_repeat
+from .trace import NAME_RE, Kind, Point2, Value
 
 
 class Frequency(Enum):
@@ -155,15 +156,19 @@ def operator_of(expr: Union[Binary, Unary]) -> Optional[tuple]:
     return table.get(expr.op) if isinstance(expr.op, str) else None
 
 
-def _prec(expr: Expr) -> int:
-    """The binding strength of `expr`'s operator; an operand without one
-    binds tightest. An operator outside the tables is a CheckError."""
-    if not isinstance(expr, (Binary, Unary)):
-        return _ATOM_PREC
+def operator_entry(expr: Union[Binary, Unary], at: str) -> tuple:
+    """operator_of(expr); an operator outside the tables is a CheckError
+    whose text begins with `at`."""
     entry = operator_of(expr)
     if entry is None:
-        raise CheckError(f"unknown operator '{expr.op}'")
-    return entry[0]
+        raise CheckError(f"{at}unknown operator '{expr.op}'")
+    return entry
+
+
+def _prec(expr: Expr, at: str) -> int:
+    """The binding strength of `expr`'s operator; an operand without one
+    binds tightest."""
+    return operator_entry(expr, at)[0] if isinstance(expr, (Binary, Unary)) else _ATOM_PREC
 
 
 def _finite(value: object) -> bool:
@@ -183,37 +188,108 @@ def kind_of_value(value: object, what: str) -> Kind:
     raise CheckError(f"{what} {value!r} is not a finite number, a boolean or a point of two finite numbers")
 
 
-def check_settings(fn: ScoringFunction) -> None:
-    """Refuse a frequency that is not a Frequency and an initial score that
-    is not a finite float."""
-    if not isinstance(fn.frequency, Frequency):
-        raise CheckError(f"frequency of '{fn.name}': {fn.frequency!r} is not a frequency mode")
-    if not _finite(fn.initial):
-        raise CheckError(f"initial of '{fn.name}': {fn.initial!r} is not a finite number")
-
-
-def check_declared_names(od: OracleDefinition) -> None:
-    """Refuse, in the parser's words, the declared names parse_od would not
-    read back: a constant, scoring function or timer name that is not a
-    str matching NAME_RE or that is reserved, and a constant or scoring
-    function name declared twice."""
-    declared = [(name, "constant") for name, _ in od.constants]
-    for fn in od.functions:
-        declared.append((fn.name, "scoring function"))
-        declared += [(timer, "timer") for notif in fn.notifications for timer, _ in notif.bindings]
-    for name, what in declared:
-        if not isinstance(name, str) or not NAME_RE.fullmatch(name):
-            raise CheckError(f"invalid {what} name {name!r}")
-        if name in RESERVED_NAMES:
-            raise CheckError(f"'{name}' is reserved and cannot name a {what}")
-    repeated = first_repeat([name for name, what in declared if what != "timer"])
-    if repeated is not None:
-        raise CheckError(f"duplicate name '{repeated}'")
-
-
 def _is_identifier(name: object) -> bool:
     """Whether parse_od reads `name` back as an identifier."""
     return isinstance(name, str) and NAME_RE.fullmatch(name) is not None and name not in KEYWORDS
+
+
+def unknown_function(name: object) -> str:
+    return f"unknown function '{name}' (built-ins: {', '.join(BUILTINS)})"
+
+
+def _tuple(items: object, where: str) -> tuple:
+    if not isinstance(items, tuple):
+        raise CheckError(f"{where}: {items!r} is not a tuple")
+    return items
+
+
+def _pair(item: object, where: str, what: str) -> tuple:
+    if not (isinstance(item, tuple) and len(item) == 2):
+        raise CheckError(f"{where}: {item!r} is not a ({what}, value) pair")
+    return item
+
+
+def check_name(name: object, what: str, declared: Optional[set] = None) -> None:
+    """Refuse a name parse_od does not read as the name of a `what`, and
+    one already in `declared`, which it then joins."""
+    if not isinstance(name, str) or not NAME_RE.fullmatch(name):
+        raise CheckError(f"invalid {what} name {name!r}")
+    if name in RESERVED_NAMES:
+        raise CheckError(f"'{name}' is reserved and cannot name a {what}")
+    if declared is not None:
+        if name in declared:
+            raise CheckError(f"duplicate name '{name}'")
+        declared.add(name)
+
+
+def check_expr(expr: object, at: str = "", levels: int = MAX_NESTING) -> None:
+    """Refuse a value that is not one of the five nodes, an operator that is
+    not a str, an identifier or call name parse_od would not read back, call
+    arguments that are not a tuple, and more than `levels` operators and calls
+    on one path, each error text begun with `at`. Recurses at most `levels`
+    + 1 deep, so a tree of any depth is safe."""
+    node = type(expr)
+    if node is Literal:
+        return
+    if node is Ident:
+        if not _is_identifier(expr.name):
+            raise CheckError(f"{at}unresolved identifier '{expr.name}'")
+        return
+    if node is Call:
+        if not _is_identifier(expr.name):
+            raise CheckError(at + unknown_function(expr.name))
+        children = _tuple(expr.args, f"{at}arguments of '{expr.name}'")
+    elif node is Binary or node is Unary:
+        if not isinstance(expr.op, str):
+            raise CheckError(f"{at}unknown operator '{expr.op}'")
+        children = (expr.left, expr.right) if node is Binary else (expr.operand,)
+    else:
+        raise CheckError(f"{at}not an expression node: {expr!r}")
+    if levels == 0:
+        raise CheckError(f"{at}expression nests deeper than {MAX_NESTING} levels")
+    for child in children:
+        check_expr(child, at, levels - 1)
+
+
+def check_shape(od: OracleDefinition) -> None:
+    """Refuse, with the CheckError check_od gives it, a definition parse_od
+    could not build for a reason that needs neither a schema nor kinds: a
+    container that is not a tuple of its declared elements, a declared
+    name parse_od would not read or would read twice, a frequency or an
+    initial score of another type, or an expression check_expr refuses."""
+    if type(od) is not OracleDefinition:
+        raise CheckError(f"{od!r} is not an oracle definition")
+    declared: set[str] = set()
+    for pair in _tuple(od.constants, "constants"):
+        check_name(_pair(pair, "constants", "name")[0], "constant", declared)
+    for fn in _tuple(od.functions, "functions"):
+        if type(fn) is not ScoringFunction:
+            raise CheckError(f"functions: {fn!r} is not a scoring function")
+        check_name(fn.name, "scoring function", declared)
+        of = f" of '{fn.name}'"
+        if not isinstance(fn.frequency, Frequency):
+            raise CheckError(f"frequency{of}: {fn.frequency!r} is not a frequency mode")
+        if not _finite(fn.initial):
+            raise CheckError(f"initial{of}: {fn.initial!r} is not a finite number")
+        check_expr(fn.event, f"event{of}: ")
+        if fn.condition is not None:
+            check_expr(fn.condition, f"condition{of}: ")
+        if fn.action is not None:
+            check_expr(fn.action, f"action{of}: ")
+        for notif in _tuple(fn.notifications, f"notifications{of}"):
+            if type(notif) is not Notification:
+                raise CheckError(f"notifications{of}: {notif!r} is not a notification")
+            if not _is_identifier(notif.target) or notif.target in RESERVED_NAMES:
+                raise CheckError(f"function '{fn.name}': notification target '{notif.target}' is not a scoring function")
+            where = f"notification for '{notif.target}'{of}"
+            if not _tuple(notif.bindings, where):
+                raise CheckError(f"{where}: sets no timer")
+            for pair in notif.bindings:
+                timer, value = _pair(pair, where, "timer")
+                check_name(timer, "timer")
+                check_expr(value, f"notification value for '{notif.target}.{timer}'{of}: ")
+    if od.summary is not None:
+        check_expr(od.summary, "summary: ")
 
 
 def format_number(value: float) -> str:
@@ -231,92 +307,58 @@ def format_literal(value: Value, what: str = "literal") -> str:
     return format_number(value)
 
 
-def nests_deeper(expr: Expr, levels: int) -> bool:
-    """Whether some path from `expr` down to a leaf passes more than
-    `levels` operators and calls. Recurses at most `levels` + 1 deep, so a
-    tree of any depth is safe to test."""
-    if isinstance(expr, Binary):
-        children: tuple[Expr, ...] = (expr.left, expr.right)
-    elif isinstance(expr, Unary):
-        children = (expr.operand,)
-    elif isinstance(expr, Call):
-        children = expr.args
-    else:
-        return False
-    return levels == 0 or any(nests_deeper(child, levels - 1) for child in children)
-
-
 def format_expr(expr: Expr) -> str:
-    """Canonical source text of an expression. A tree nested deeper than
-    MAX_NESTING, which the parser and the checker refuse too, is a
-    CheckError, not a RecursionError of _format_expr, which recurses once
-    per level."""
-    if nests_deeper(expr, MAX_NESTING):
-        raise CheckError(f"expression nests deeper than {MAX_NESTING} levels")
-    return _format_expr(expr)
+    """Canonical source text of an expression. A tree parse_od could not
+    build is a CheckError with check_od's text, unlocated: first what
+    check_expr refuses, then an operator outside the tables or a literal
+    value of another kind."""
+    check_expr(expr)
+    return _format_expr(expr, "")
 
 
-def _format_expr(expr: Expr) -> str:
+def _format_expr(expr: Expr, at: str) -> str:
+    """The text of a tree check_expr took, each error text begun with `at`."""
     if isinstance(expr, Literal):
-        return format_literal(expr.value)
+        return format_literal(expr.value, f"{at}literal")
     if isinstance(expr, Ident):
-        if not _is_identifier(expr.name):
-            raise CheckError(f"unresolved identifier '{expr.name}'")
         return expr.name
     if isinstance(expr, Unary):
-        prec = _prec(expr)
-        inner = _format_expr(expr.operand)
+        prec = _prec(expr, at)
+        inner = _format_expr(expr.operand, at)
         # A bare numeric literal would fuse with a minus sign into a
         # (different) negative literal, so it keeps its parentheses.
         fuses = expr.op == "-" and isinstance(expr.operand, Literal) and not isinstance(
             expr.operand.value, (bool, Point2)
         )
-        if fuses or _prec(expr.operand) < prec:
+        if fuses or _prec(expr.operand, at) < prec:
             inner = f"({inner})"
         return f"{expr.op} {inner}" if expr.op.isalpha() else f"{expr.op}{inner}"
     if isinstance(expr, Binary):
-        prec = _prec(expr)
-        left = _format_expr(expr.left)
-        if _prec(expr.left) < prec:
+        prec = _prec(expr, at)
+        left = _format_expr(expr.left, at)
+        if _prec(expr.left, at) < prec:
             left = f"({left})"
-        right = _format_expr(expr.right)
+        right = _format_expr(expr.right, at)
         # All binary operators parse left-associatively.
-        if _prec(expr.right) <= prec:
+        if _prec(expr.right, at) <= prec:
             right = f"({right})"
         return f"{left} {expr.op} {right}"
-    if isinstance(expr, Call):
-        args = ", ".join(_format_expr(a) for a in expr.args)
-        return f"{expr.name}({args})"
-    raise CheckError(f"not an expression node: {expr!r}")
-
-
-def _format_at(expr: Expr, where: str) -> str:
-    """format_expr, its CheckError located as check_od locates it."""
-    try:
-        return format_expr(expr)
-    except CheckError as exc:
-        raise CheckError(f"{where}: {exc}") from None
+    args = ", ".join(_format_expr(a, at) for a in expr.args)
+    return f"{expr.name}({args})"
 
 
 def _format_notification(fn: ScoringFunction, notif: Notification) -> str:
-    # Declared names obey the rule, so a target that breaks it names none.
-    if not _is_identifier(notif.target) or notif.target in RESERVED_NAMES:
-        raise CheckError(f"function '{fn.name}': notification target '{notif.target}' is not a scoring function")
     bindings = []
     for timer, value in notif.bindings:
-        where = f"notification value for '{notif.target}.{timer}' of '{fn.name}'"
-        bindings.append(f"({timer}, {_format_at(value, where)})")
+        at = f"notification value for '{notif.target}.{timer}' of '{fn.name}': "
+        bindings.append(f"({timer}, {_format_expr(value, at)})")
     return f"({notif.target}, [{', '.join(bindings)}])"
 
 
 def _format_function(fn: ScoringFunction) -> str:
-    check_settings(fn)
-    of = f" of '{fn.name}'"
-    params = [f"event = {_format_at(fn.event, 'event' + of)}"]
-    if fn.condition is not None:
-        params.append(f"condition = {_format_at(fn.condition, 'condition' + of)}")
-    if fn.action is not None:
-        params.append(f"action = {_format_at(fn.action, 'action' + of)}")
+    of = f" of '{fn.name}': "
+    slots = (("event", fn.event), ("condition", fn.condition), ("action", fn.action))
+    params = [f"{slot} = {_format_expr(expr, slot + of)}" for slot, expr in slots if expr is not None]
     params.append(f"frequency = {fn.frequency.value}")
     if fn.initial != 0.0:
         params.append(f"initial = {format_number(fn.initial)}")
@@ -332,13 +374,12 @@ def format_od(od: OracleDefinition) -> str:
 
     Constants come first, then scoring functions in declaration order, then
     an explicit summary clause (the implicit default is spelled out as
-    `summary = sum`). A hand-built definition whose text parse_od would
-    refuse or read differently, such as one with a reserved name, a
-    string literal or an infinite initial score, is a CheckError with the
-    text check_od gives it. An identifier parse_od cannot read back is an
-    `unresolved identifier`, check_od's text for it in an action.
+    `summary = sum`). A definition check_shape refuses, or one with an
+    operator outside the tables or a literal value of another kind, is a
+    CheckError with check_od's text, never text parse_od would refuse or
+    read as another definition.
     """
-    check_declared_names(od)
+    check_shape(od)
     blocks: list[str] = []
     if od.constants:
         blocks.append(
@@ -352,5 +393,5 @@ def format_od(od: OracleDefinition) -> str:
     if od.summary is None:
         blocks.append("summary = sum;")
     else:
-        blocks.append(f"summary = {_format_at(od.summary, 'summary')};")
+        blocks.append(f"summary = {_format_expr(od.summary, 'summary: ')};")
     return "\n\n".join(blocks) + "\n"

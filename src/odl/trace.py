@@ -72,6 +72,21 @@ def first_repeat(names: Sequence[str]) -> str | None:
     return next(name for k, name in enumerate(names) if name in names[:k])
 
 
+def schema_fault(fields: Sequence[tuple[object, object]]) -> str | None:
+    """Why read_trace would refuse a schema of these (name, kind) fields, in
+    its words, or None: a field named t, a name that is not a name of the
+    language, a kind that is not a Kind, or a name given twice."""
+    for name, kind in fields:
+        if name == "t":
+            return "'t' is implicit and cannot be redeclared"
+        if not isinstance(name, str) or not NAME_RE.fullmatch(name):
+            return f"invalid field name '{name}'"
+        if not isinstance(kind, Kind):
+            return f"field '{name}' has unknown kind {kind!r} (expected number, boolean, or point2)"
+    repeated = first_repeat([name for name, _ in fields])
+    return None if repeated is None else f"duplicate schema field '{repeated}'"
+
+
 class TraceMessage(NamedTuple):
     t: float
     values: Mapping[str, Value]
@@ -154,24 +169,17 @@ def _as_point(value: object, where: str, lineno: int) -> Point2:
 _COERCE = {Kind.NUMBER: _as_finite_number, Kind.BOOLEAN: _as_boolean, Kind.POINT2: _as_point}
 
 
+_KINDS = {kind.value: kind for kind in Kind}
+
+
 def _parse_schema(line: str, lineno: int) -> TraceSchema:
     obj = _strict_json_object(line, lineno, "schema")
-    fields: list[tuple[str, Kind]] = []
-    for name, kind_text in obj.items():
-        if name == "t":
-            raise TraceError("'t' is implicit and cannot be redeclared", line=lineno)
-        if not NAME_RE.fullmatch(name):
-            raise TraceError(f"invalid field name '{name}'", line=lineno)
-        try:
-            kind = Kind(kind_text)
-        except ValueError:
-            raise TraceError(
-                f"field '{name}' has unknown kind {kind_text!r} "
-                "(expected number, boolean, or point2)",
-                line=lineno,
-            ) from None
-        fields.append((name, kind))
-    return TraceSchema(tuple(fields))
+    # A kind that is not a Kind's name stays as it is, for schema_fault to refuse.
+    fields = tuple((name, _KINDS.get(text, text) if isinstance(text, str) else text) for name, text in obj.items())
+    fault = schema_fault(fields)
+    if fault is not None:
+        raise TraceError(fault, line=lineno)
+    return TraceSchema(fields)
 
 
 def _record_checker(schema: TraceSchema) -> Callable[[dict, int, int], tuple[float, dict[str, Value]]]:

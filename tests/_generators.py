@@ -4,12 +4,16 @@ Two OD generators exist on purpose: `gen_checkable_od` produces definitions
 that pass the static checker (used for differential and semantics testing,
 with division only by nonzero literals so evaluation never faults), while
 `gen_wild_od` produces grammatically valid but not necessarily well-typed
-definitions to stress the formatter/parser round trip.
+definitions to stress the formatter/parser round trip. `mutate_od` replaces
+one slot of a definition, at any depth, with a value the parser may never
+build, to hold hand-built definitions to the shape contract.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import fields, is_dataclass, replace
 
 from odl import (
     Binary,
@@ -363,3 +367,84 @@ def nested_od(shape: str, n: int) -> tuple[str, int]:
         prefix = "f = scoring_function(event = b, frequency = all_sum, action = "
     index = text.rindex(token) if last else text.index(token)
     return prefix + text + ");", len(prefix) + index + 1
+
+
+# ---------------------------------------------------------------------------
+# Mutations: one slot of a definition replaced, as a caller building
+# definitions in Python might get it wrong.
+
+
+def _chain(levels: int) -> Expr:
+    expr: Expr = Ident("speed")
+    for _ in range(levels):
+        expr = Unary("-", expr)
+    return expr
+
+
+# Values put into a slot, whatever the slot holds: leaves of each type a
+# slot may hold or must not hold, names parse_od would read differently or
+# refuse, nodes of each shape, and containers of the wrong shape.
+_SLOT_VALUES = (
+    None, 3, ["x"], "", "x y", "not", "sum", "t", "seq_time", "speed", "collision", "expiration", "g",
+    -0.0, 2.5, 1, math.nan, math.inf, True, Frequency.FIRST, Frequency.ALL_SUM, Point2(1000.0, 0.0), Point2(1, 2),
+    Literal(True), Literal(1.0), Literal("1"), Literal(Point2(0.0, 0.0)), Literal(None),
+    Ident("speed"), Ident("collision"), Ident("expiration"), Ident("seq_time"), Ident("not"), Ident("x y"),
+    Ident(3), Ident(["speed"]),
+    Call("not", (Ident("speed"),)), Call("x y", ()), Call(None, ()), Call("abs", 5), Call("abs", [Ident("speed")]),
+    Call("abs", (Ident("speed"),)), Call("min", (Ident("speed"), Literal(1.0))), Call("hypot", (Ident("speed"),)),
+    Call(["abs"], (Ident("speed"),)), Call("t", ()),
+    Binary("+", Ident("speed"), Literal(1.0)), Binary(">", Ident("speed"), Literal(1.0)), Binary("/", Literal(1.0), Literal(0.0)),
+    Binary("and", Ident("collision"), Literal(True)), Binary(["+"], Ident("speed"), Literal(1.0)),
+    Binary("%", Ident("speed"), Literal(3.0)), Unary("!", Ident("collision")), Unary("not", Ident("collision")),
+    Unary("-", Literal(1.0)), Unary("-", Literal(-1.0)), _chain(70),
+    (), ("x",), ("K", 1.0), ("tm", Literal(1.0)), (("tm", Literal(1.0)),), ("tm", Literal(1.0), 3),
+    Notification("speeding", (("tm", Literal(1.0)),)), Notification("f", ()), Notification(["g"], ()),
+    Notification("g", Literal(1.0)), ScoringFunction("g", Ident("collision"), Frequency.FIRST),
+    OracleDefinition(),
+)
+
+
+def _slots(value: object, path: tuple = ()):
+    """The path of every slot under `value`: dataclass field names and
+    tuple indices. A Point2 is a leaf."""
+    yield path
+    if is_dataclass(value) and not isinstance(value, type):
+        for field in fields(value):
+            yield from _slots(getattr(value, field.name), (*path, field.name))
+    elif type(value) is tuple:
+        for index, item in enumerate(value):
+            yield from _slots(item, (*path, index))
+
+
+def _get(value: object, path: tuple) -> object:
+    for key in path:
+        value = getattr(value, key) if isinstance(key, str) else value[key]
+    return value
+
+
+def _put(value: object, path: tuple, new: object) -> object:
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    if isinstance(key, str):
+        return replace(value, **{key: _put(getattr(value, key), rest, new)})
+    items = list(value)
+    items[key] = _put(items[key], rest, new)
+    return tuple(items)
+
+
+def mutate_od(od: OracleDefinition, rng: random.Random) -> OracleDefinition:
+    """`od` with one slot, at any depth, replaced. A slot that holds a tuple
+    is, half the time, swapped for another container of its items: a
+    list, an empty tuple, or the tuple with an item repeated, dropped,
+    moved or added; any other slot takes one of _SLOT_VALUES."""
+    path = rng.choice(list(_slots(od)))
+    old = _get(od, path)
+    if type(old) is tuple and rng.random() < 0.5:
+        extra = rng.choice(_SLOT_VALUES)
+        new = rng.choice((
+            list(old), (), old + old[:1], old[1:], old[::-1], old + (extra,), (extra,) + old,
+        ))
+    else:
+        new = rng.choice(_SLOT_VALUES)
+    return _put(od, path, new)

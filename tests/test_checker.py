@@ -6,16 +6,20 @@ import re
 
 import pytest
 
-from _generators import gen_checkable_od, gen_schema, gen_trace
+from _drive import NEAR, drive
+from _generators import gen_checkable_od, gen_schema, gen_trace, mutate_od
 from odl import (
+    BUILTIN_NAMES,
     Binary,
     Call,
     CheckError,
+    EvalError,
     Frequency,
     Ident,
     Kind,
     Literal,
     Notification,
+    OdlError,
     OracleDefinition,
     Point2,
     ScoringFunction,
@@ -25,6 +29,7 @@ from odl import (
     format_od,
     load_builtin,
     parse_od,
+    reference_score,
     score_trace,
 )
 from odl.parser import MAX_NESTING
@@ -67,6 +72,10 @@ _TIMER_SOURCE = "a = scoring_function(event = tm > 0, {}frequency = all_sum, not
 
 # A value check_od refuses is not one of these, which parse_od builds.
 _VALUES = "a finite number, a boolean or a point of two finite numbers"
+
+
+class _Name(Ident):
+    """A node type parse_od never builds, which the evaluators refuse."""
 
 # Every CheckError text check_od raises, whole: (oracle, schema, text). An
 # oracle is source text or a hand-built tree.
@@ -459,6 +468,54 @@ CHECK_ERRORS = [
     pytest.param(
         _F_SOURCE + "summary = f > 1;", SCHEMA, "summary must be numeric", id="summary_kind",
     ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision"), action=Call("abs", 5)),)), SCHEMA,
+        "action of 'f': arguments of 'abs': 5 is not a tuple", id="call_arguments_not_a_tuple",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision"), notifications=(Notification("g", Literal(1.0)),)),)),
+        SCHEMA, "notification for 'g' of 'f': Literal(value=1.0) is not a tuple", id="bindings_not_a_tuple",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision"), notifications=(Notification(["g"], ()),)),)), SCHEMA,
+        "function 'f': notification target '['g']' is not a scoring function", id="target_unhashable",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision"), notifications=(Notification("f", ()),)),)), SCHEMA,
+        "notification for 'f' of 'f': sets no timer", id="notification_sets_no_timer",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("collision")), 3)), SCHEMA,
+        "functions: 3 is not a scoring function", id="function_not_a_scoring_function",
+    ),
+    pytest.param(
+        OracleDefinition(constants=(("a",),), functions=(_fn("f", Ident("collision")),)), SCHEMA,
+        "constants: ('a',) is not a (name, value) pair", id="constant_not_a_pair",
+    ),
+    pytest.param(
+        OracleDefinition(constants=[("K", 1.0)], functions=(_fn("f", Ident("collision")),)), SCHEMA,
+        "constants: [('K', 1.0)] is not a tuple", id="constants_list",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", _Name("collision")),)), SCHEMA,
+        "event of 'f': not an expression node: _Name(name='collision')", id="node_subclass",
+    ),
+    pytest.param(
+        OracleDefinition(functions=(_fn("f", Ident("sum")),)), TraceSchema((("sum", Kind.BOOLEAN),)),
+        "event of 'f': unresolved identifier 'sum'", id="identifier_is_a_field_named_sum",
+    ),
+    pytest.param(
+        _F_SOURCE, TraceSchema((("t", Kind.BOOLEAN), ("collision", Kind.BOOLEAN))),
+        "'t' is implicit and cannot be redeclared", id="schema_field_t",
+    ),
+    pytest.param(
+        _F_SOURCE, TraceSchema((("collision", "boolean"),)),
+        "field 'collision' has unknown kind 'boolean' (expected number, boolean, or point2)", id="schema_kind_a_string",
+    ),
+    pytest.param(
+        _F_SOURCE, TraceSchema((("x y", Kind.NUMBER), ("collision", Kind.BOOLEAN))),
+        "invalid field name 'x y'", id="schema_field_not_a_name",
+    ),
 ]
 
 
@@ -481,6 +538,9 @@ UNPRINTABLE = {
     "boolean_initial", "string_frequency", "nesting_in_action", "nesting_in_summary", "unhashable_identifier",
     "identifier_not", "identifier_not_a_name", "identifier_not_a_str", "identifier_true", "identifier_sum",
     "identifier_first", "target_not_a_name", "target_not_a_str", "target_sum", "target_t",
+    "unhashable_function_name", "call_arguments_not_a_tuple", "bindings_not_a_tuple", "target_unhashable",
+    "notification_sets_no_timer", "function_not_a_scoring_function", "constant_not_a_pair", "constants_list",
+    "node_subclass", "identifier_is_a_field_named_sum",
 }
 
 
@@ -750,3 +810,50 @@ def test_trees_built_without_the_parser_keep_its_nesting_limit():
     for levels in (MAX_NESTING + 1, 300, 5000):
         with pytest.raises(CheckError, match=f"^action of 'f': expression nests deeper than {MAX_NESTING} levels$"):
             check_od(oracle(levels), SCHEMA)
+
+
+# A drive on which every bundled oracle fires: speeding, a lane line ridden
+# for 4 s, braking for 2.5 s, a collision 0.2 s after it, then arrival.
+_DRIVE = drive([
+    {"t": 0.0}, {"t": 0.5, "speed": 30.0}, {"t": 1.0, "speed": 30.0, "road_normal": 3.7},
+    {"t": 2.5, "road_normal": 3.7, "acceleration": -2.0}, {"t": 4.0, "road_normal": 3.7, "acceleration": -2.0},
+    {"t": 5.0, "road_normal": 3.8, "acceleration": -2.0}, {"t": 5.2, "collision": True, "acceleration": -2.0},
+    {"t": 6.0, "collision": True}, {"t": 7.0, "position": NEAR}, {"t": 8.0, "position": NEAR, "speed": 0.0},
+])
+
+
+def _outcome(score, checked):
+    try:
+        return score(checked, _DRIVE)
+    except EvalError as exc:
+        return str(exc)
+
+
+def test_any_hand_built_definition_is_refused_or_reproduced():
+    """The shape contract over seeded one-slot mutations of the bundled
+    oracles: check_od and format_od raise only OdlError; format_od prints
+    every definition check_od accepts, and its text reads back as an equal
+    tree, the round-trip property of Claessen and Hughes, "QuickCheck"
+    (ICFP 2000); and where check_od accepts, the engine and the reference
+    agree on a short drive."""
+    ods = [parse_od(load_builtin(name)) for name in BUILTIN_NAMES]
+    rng = random.Random(16)
+    printed = accepted = 0
+    for i in range(3000):
+        od = mutate_od(ods[i % len(ods)], rng)
+        try:
+            text = format_od(od)
+        except OdlError:
+            text = None
+        else:
+            assert parse_od(text) == od, text
+            printed += 1
+        try:
+            checked = check_od(od, _DRIVE.schema)
+        except OdlError:
+            continue
+        assert text is not None, od
+        accepted += 1
+        assert _outcome(score_trace, checked) == _outcome(reference_score, checked), text
+    # The mutations reach every branch: refused, printed, and accepted.
+    assert accepted > 100 and printed > 300

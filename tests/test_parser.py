@@ -1,6 +1,7 @@
 """Lexing, parsing, and formatter round trips."""
 
 import random
+import re
 import textwrap
 from pathlib import Path
 
@@ -356,6 +357,36 @@ def test_formatter_keeps_the_nesting_limit_on_hand_built_trees():
         for format_tree, where in ((format_expr, ""), (lambda expr: format_od(oracle(expr)), "action of 'f': ")):
             with pytest.raises(CheckError, match=f"^{where}expression nests deeper than {MAX_NESTING} levels$"):
                 format_tree(chain(levels))
+
+
+def _acting(action=None, notifications=()):
+    return OracleDefinition(functions=(
+        ScoringFunction("f", Ident("b"), Frequency.ALL_SUM, action=action, notifications=notifications),
+    ))
+
+
+_BUILTINS = "(built-ins: distance, abs, min, max)"
+
+# Hand-built definitions whose text parse_od would refuse or read as another
+# tree: format_od refuses each with check_od's text.
+FORMAT_ERRORS = [
+    pytest.param(
+        _acting(Call("not", (Ident("speed"),))), f"action of 'f': unknown function 'not' {_BUILTINS}", id="call_named_not",
+    ),
+    pytest.param(_acting(Call("x y", ())), f"action of 'f': unknown function 'x y' {_BUILTINS}", id="call_not_a_name"),
+    pytest.param(_acting(Call(None, ())), f"action of 'f': unknown function 'None' {_BUILTINS}", id="call_named_none"),
+    pytest.param(_acting(notifications=""), "notifications of 'f': '' is not a tuple", id="notifications_empty_str"),
+    pytest.param(
+        _acting(notifications=(Notification("f", ""),)), "notification for 'f' of 'f': '' is not a tuple",
+        id="bindings_empty_str",
+    ),
+]
+
+
+@pytest.mark.parametrize("od, text", FORMAT_ERRORS)
+def test_format_od_refuses_what_parse_od_would_not_read_back(od, text):
+    with pytest.raises(CheckError, match=f"^{re.escape(text)}$"):
+        format_od(od)
 
 
 @settings(max_examples=120, deadline=None)

@@ -186,6 +186,9 @@ def test_scores_csv_round_trip():
     for bad in ("nan", "inf", "-Infinity"):
         with pytest.raises(AnalysisError, match=f"scores row 3: non-finite score '{bad}'"):
             read_scores_csv(f"solution,trace,score\na,b,1.0\na,c,{bad}\n")
+    # What the reader refuses, the writer does not write.
+    with pytest.raises(AnalysisError, match=r"^row 3: non-finite number nan$"):
+        write_scores_csv([("a", "b", 1.0), ("a", "c", math.nan)])
 
 
 def test_ranks_csv_round_trip():
