@@ -8,6 +8,11 @@ Seeded jitter is bounded so it can never cross an oracle threshold on its
 own; scores are therefore predictable from the scenario alone, and identical
 (scenario, seed) pairs yield byte-identical trace files.
 
+validate_scenario runs the rules that place episodes on samples: an interval
+episode must hold a tick by _tick_range's exact test, and each collision
+lands on its nearest tick (_collision_tick), no two on one. The first
+declared episode of a kind holds a tick it shares with a later one.
+
 This is a property-episode generator, not a vehicle model: the channels are
 deliberately independent (braking episodes do not move the speed channel).
 """
@@ -134,7 +139,7 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ScenarioError("duration must be a non-negative number of seconds")
     if not math.isfinite(scenario.duration / scenario.tick):
         raise ScenarioError("duration / tick overflows: too many samples")
-    if _sample_count(scenario) > MAX_SAMPLES:
+    if (n := _sample_count(scenario)) > MAX_SAMPLES:
         raise ScenarioError(f"duration / tick gives more than {MAX_SAMPLES} samples")
     start, end = scenario.route_start, scenario.route_end
     if not (math.isfinite(end.x - start.x) and math.isfinite(end.y - start.y)):
@@ -142,59 +147,43 @@ def validate_scenario(scenario: Scenario) -> None:
     if scenario.speed_limit < 1.0:
         raise ScenarioError("speed_limit must be at least 1 m/s")
     if _dist(scenario.route_start, scenario.destination) < _STANDOFF:
-        raise ScenarioError(
-            f"route start must lie at least {_STANDOFF} m from the destination"
-        )
+        raise ScenarioError(f"route start must lie at least {_STANDOFF} m from the destination")
+    landed: dict[int, float] = {}
     for ep in scenario.episodes:
         if ep.kind not in EPISODE_KINDS:
             raise ScenarioError(f"unknown episode kind '{ep.kind}'")
         if not (0.0 <= ep.start <= ep.end <= scenario.duration):
-            raise ScenarioError(
-                f"{ep.kind} episode [{ep.start}, {ep.end}] must lie within "
-                f"[0, {scenario.duration}] with start <= end"
-            )
+            raise ScenarioError(f"{ep.kind} episode [{ep.start}, {ep.end}] must lie within "
+                                f"[0, {scenario.duration}] with start <= end")
         _refuse_unknown(ep.params, _EPISODE_PARAMS[ep.kind], f"{ep.kind} episode has unknown params")
+        # Each episode must reach a sample by the rule that places it there.
         if ep.kind == "collision":
             if ep.end != ep.start:
                 raise ScenarioError("collision episodes are instantaneous (end = start)")
+            i = _collision_tick(ep, scenario.tick, n)
+            if i in landed:
+                raise ScenarioError(f"collisions at {landed[i]} and {ep.start} share a sample (tick = {scenario.tick})")
+            landed[i] = ep.start
         else:
-            # Every interval episode must contain a sample tick, otherwise
-            # its effect would silently vanish from the trace.
-            first_tick = math.ceil((ep.start - 1e-9) / scenario.tick)
-            if first_tick * scenario.tick > ep.end + 1e-9:
-                raise ScenarioError(
-                    f"{ep.kind} episode [{ep.start}, {ep.end}] contains no "
-                    f"sample tick (tick = {scenario.tick})"
-                )
+            lo, hi = _tick_range(ep, scenario.tick, n)
+            if lo > hi:
+                raise ScenarioError(f"{ep.kind} episode [{ep.start}, {ep.end}] contains no sample tick "
+                                    f"(tick = {scenario.tick})")
         params = _params(scenario, ep)
         if ep.kind == "speeding" and params["peak_speed"] <= scenario.speed_limit:
             raise ScenarioError("speeding episode peak_speed must exceed the speed limit")
         if ep.kind == "deceleration" and params["rate"] >= 0.0:
             raise ScenarioError("deceleration episode rate must be negative")
-        if ep.kind == "lane_departure":
-            near_line = min(
-                abs(params["offset"] - scenario.lane_width),
-                abs(params["offset"] - 2.0 * scenario.lane_width),
-            )
-            if near_line > 0.25:
-                raise ScenarioError(
-                    "lane_departure offset must sit within 0.25 m of the lane "
-                    "line (lane_width or 2*lane_width)"
-                )
+        if ep.kind == "lane_departure" and min(abs(params["offset"] - k * scenario.lane_width) for k in (1, 2)) > 0.25:
+            raise ScenarioError("lane_departure offset must sit within 0.25 m of the lane line "
+                                "(lane_width or 2*lane_width)")
     for kind in EPISODE_KINDS:
         spans = sorted(_episodes_of(scenario, kind), key=lambda ep: (ep.start, ep.end))
         for prev, cur in zip(spans, spans[1:]):
             if cur.start < prev.end:
-                raise ScenarioError(
-                    f"{kind} episodes [{prev.start}, {prev.end}] and "
-                    f"[{cur.start}, {cur.end}] overlap"
-                )
-    if _episodes_of(scenario, "arrival"):
-        if _dist(scenario.route_end, scenario.destination) > _ARRIVAL_CLEARANCE:
-            raise ScenarioError(
-                f"arrival episodes require the route end within "
-                f"{_ARRIVAL_CLEARANCE} m of the destination"
-            )
+                raise ScenarioError(f"{kind} episodes [{prev.start}, {prev.end}] and [{cur.start}, {cur.end}] overlap")
+    if _episodes_of(scenario, "arrival") and _dist(scenario.route_end, scenario.destination) > _ARRIVAL_CLEARANCE:
+        raise ScenarioError(f"arrival episodes require the route end within {_ARRIVAL_CLEARANCE} m of the destination")
 
 
 def _tick_range(ep: Episode, tick: float, n: int) -> tuple[int, int]:
@@ -216,11 +205,15 @@ def _tick_range(ep: Episode, tick: float, n: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _collision_tick(ep: Episode, tick: float, n: int) -> int:
+    """The tick index i < n nearest to the collision's start: its sample."""
+    return min(n - 1, max(0, int(math.floor(ep.start / tick + 0.5))))
+
+
 def _active_runs(episodes: list[Episode], tick: float, n: int) -> list[tuple[int, int, Episode]]:
     """Disjoint (lo, hi, episode) runs, ordered by lo: tick index i < n lies
-    in a run of the first of `episodes` (declaration order) with
-    start - 1e-9 <= i * tick <= end + 1e-9, and in none if there is no
-    such episode. An episode keeps the part of its ticks that no episode
+    in a run of the first of `episodes` (declaration order) whose
+    _tick_range holds i, and in none if there is no such episode. An episode keeps the part of its ticks that no episode
     declared before it holds, so the first-declared wins a shared tick."""
     runs: list[tuple[int, int, Episode]] = []
     for ep in episodes:
@@ -300,10 +293,7 @@ def _messages(scenario: Scenario, seed: int) -> Iterator[TraceMessage]:
         )
         for kind, param in (("speeding", "peak_speed"), ("lane_departure", "offset"), ("deceleration", "rate"))
     )
-    collision_ticks = {
-        min(n - 1, max(0, int(math.floor(ep.start / tick + 0.5))))
-        for ep in _episodes_of(scenario, "collision")
-    }
+    collision_ticks = {_collision_tick(ep, tick, n) for ep in _episodes_of(scenario, "collision")}
     arrivals = _episodes_of(scenario, "arrival")
     arrival_start = min(ep.start for ep in arrivals) if arrivals else None
     cap = None if arrivals else _standoff_progress(scenario)

@@ -10,8 +10,8 @@ schema and a lazy iterator of checked messages, so a trace can be scored
 without being held. `parse_trace` collects that iterator into a `Trace`.
 Records are read by a reader generated once per schema (`_record_reader`);
 any record it refuses takes the strict path, which raises every diagnostic.
-`write_trace` writes a trace line by line as its messages are taken, and
-`dump_trace` joins those lines.
+`write_trace` writes a trace line by line as its messages are taken, once
+`schema_fault`, the reader's schema rule, passes; `dump_trace` joins them.
 
 `Point2`, `TraceSchema`, `TraceMessage` and `Trace` are named tuples: they
 iterate, compare equal to a plain tuple of the same fields, and are derived
@@ -27,7 +27,7 @@ from enum import Enum
 from functools import lru_cache
 from math import inf, isfinite
 from operator import itemgetter
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import TraceError
 
@@ -65,26 +65,28 @@ class TraceSchema(NamedTuple):
         return dict(self.fields)
 
 
-def first_repeat(names: Sequence[str]) -> str | None:
-    """The first of `names` that occurs a second time, or None."""
-    if len(set(names)) == len(names):
-        return None
-    return next(name for k, name in enumerate(names) if name in names[:k])
-
-
-def schema_fault(fields: Sequence[tuple[object, object]]) -> str | None:
-    """Why read_trace would refuse a schema of these (name, kind) fields, in
-    its words, or None: a field named t, a name that is not a name of the
+def schema_fault(fields: object) -> str | None:
+    """Why read_trace would refuse a schema of these fields, in its words,
+    or None: fields that are not a tuple of (name, kind) pairs, which no
+    schema line gives, a field named t, a name that is not a name of the
     language, a kind that is not a Kind, or a name given twice."""
-    for name, kind in fields:
+    if not isinstance(fields, tuple):
+        return f"schema fields: {fields!r} is not a tuple"
+    seen = set()
+    for field in fields:
+        if not (isinstance(field, tuple) and len(field) == 2):
+            return f"schema fields: {field!r} is not a (name, kind) pair"
+        name, kind = field
         if name == "t":
             return "'t' is implicit and cannot be redeclared"
         if not isinstance(name, str) or not NAME_RE.fullmatch(name):
             return f"invalid field name '{name}'"
         if not isinstance(kind, Kind):
             return f"field '{name}' has unknown kind {kind!r} (expected number, boolean, or point2)"
-    repeated = first_repeat([name for name, _ in fields])
-    return None if repeated is None else f"duplicate schema field '{repeated}'"
+        if name in seen:
+            return f"duplicate schema field '{name}'"
+        seen.add(name)
+    return None
 
 
 class TraceMessage(NamedTuple):
@@ -391,12 +393,11 @@ def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage], Cal
     }
     fields = [f"x{k}" for k in range(len(names))]
     gates, floats = [], ["t"]
-    # The f-string's body: literal text with its braces doubled, and {…}
-    # parts that hold only names, dots, brackets and parentheses, so "f"
-    # before its repr() is Python source for it, whatever the field names.
+    # write_trace has refused every name that is not a name of the language,
+    # so none needs an escape, in JSON or in the f-string.
     body = ""
     for (name, kind), var in zip(schema.fields, fields):
-        body += f", {json.dumps(name)}: ".replace("{", "{{").replace("}", "}}")
+        body += f', "{name}": '
         if kind is Kind.NUMBER:
             floats.append(var)
             body += f"{{_r({var})}}"
@@ -439,10 +440,11 @@ def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage], Cal
 def write_trace(schema: TraceSchema, messages: Iterable[TraceMessage], write: Callable[[str], object]) -> None:
     """Pass `write` the text of dump_trace one line at a time, each with its
     line break: the schema line, then the line of each message as it is
-    taken from `messages`, so that a trace can be written without being held."""
-    repeated = first_repeat(schema.names())
-    if repeated is not None:
-        raise ValueError(f"duplicate schema field '{repeated}'")
+    taken from `messages`, so that a trace can be written without being held.
+    A schema parse_trace would refuse raises ValueError(schema_fault) first."""
+    fault = schema_fault(schema.fields)
+    if fault is not None:
+        raise ValueError(fault)
     write(json.dumps({name: kind.value for name, kind in schema.fields}) + "\n")
     _record_writer(schema)(messages, write)
 
@@ -456,8 +458,8 @@ def dump_trace(trace: Trace) -> str:
     Records are written by a writer generated for the trace's schema
     (_record_writer), byte for byte as json.JSONEncoder writes them. A
     message whose fields are not exactly the schema's raises ValueError
-    naming the message (0-based) and the field, and so does a schema that
-    repeats a field. A non-finite value raises ValueError instead of being
+    naming the message (0-based) and the field, and so does every schema
+    parse_trace refuses, in its words. A non-finite value raises ValueError instead of being
     written as `NaN`/`Infinity`, which are not JSON (RFC 8259 §6) and which
     parse_trace rejects."""
     lines: list[str] = []

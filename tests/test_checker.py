@@ -516,6 +516,13 @@ CHECK_ERRORS = [
         _F_SOURCE, TraceSchema((("x y", Kind.NUMBER), ("collision", Kind.BOOLEAN))),
         "invalid field name 'x y'", id="schema_field_not_a_name",
     ),
+    pytest.param(
+        _F_SOURCE, TraceSchema((("x",),)),
+        "schema fields: ('x',) is not a (name, kind) pair", id="schema_field_not_a_pair",
+    ),
+    pytest.param(
+        _F_SOURCE, TraceSchema(None), "schema fields: None is not a tuple", id="schema_fields_not_a_tuple",
+    ),
 ]
 
 

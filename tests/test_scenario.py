@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from odl import (
     validate_scenario,
 )
 from odl.cli import main
-from odl.scenario import MAX_SAMPLES, _active_runs, _by_tick, _standoff_progress
+from odl.scenario import MAX_SAMPLES, _active_runs, _by_tick, _collision_tick, _standoff_progress, _tick_range
 
 LISTINGS = ("listing1", "listing2", "listing3", "listing4")
 
@@ -161,6 +162,46 @@ def test_runs_of_overlapping_episodes_equal_linear_scan():
 )
 def test_per_tick_table_where_division_misplaces_a_boundary(tick, start, end):
     assert_table_equals_scan([Episode("speeding", start, end)], tick, int(end / tick) + 3)
+
+
+def with_collisions(rng, scenario):
+    """The scenario plus 0-3 collisions on or near ticks, half a tick off
+    included, often two near one tick."""
+    n = int(math.floor(scenario.duration / scenario.tick + 1e-9)) + 1
+    collisions, j = [], rng.randint(0, n - 1)
+    for _ in range(rng.randint(0, 3)):
+        j = rng.choice((j, j + 1, rng.randint(0, n - 1)))
+        at = (j + rng.choice((0.0, 0.3, -0.3, 0.49, -0.49, 0.5, -0.5))) * scenario.tick
+        at = min(scenario.duration, max(0.0, at))
+        collisions.append(Episode("collision", at, at))
+    return replace(scenario, episodes=scenario.episodes + tuple(collisions)), n
+
+
+def test_validation_accepts_exactly_what_reaches_its_samples():
+    # Accepted exactly when every interval episode holds a tick and no two
+    # collisions share one; then each collision is a collision sample.
+    accepted, no_tick, shared = 0, 0, 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        scenario, n = with_collisions(rng, random_scenario(rng))
+        collisions = [ep for ep in scenario.episodes if ep.kind == "collision"]
+        ticks = {_collision_tick(ep, scenario.tick, n) for ep in collisions}
+        reached = all(
+            lo <= hi
+            for lo, hi in (_tick_range(ep, scenario.tick, n) for ep in scenario.episodes if ep.kind != "collision")
+        )
+        try:
+            validate_scenario(scenario)
+        except ScenarioError:
+            assert not (reached and len(ticks) == len(collisions)), seed
+            no_tick += not reached
+            shared += len(ticks) < len(collisions)
+            continue
+        assert reached and len(ticks) == len(collisions), seed
+        trace = generate_trace(scenario, seed)
+        assert sum(m.values["collision"] for m in trace.messages) == len(collisions), seed
+        accepted += 1
+    assert accepted > 100 and no_tick > 20 and shared > 20, (accepted, no_tick, shared)
 
 
 def standoff_by_points(scenario):
@@ -700,3 +741,43 @@ def test_generated_bytes_match_the_recorded_digests(name, seed, tmp_path, capsys
     capsys.readouterr()
     assert main(["gen", "--scenario", str(path), "--seed", str(seed)]) == 0
     assert sha256(capsys.readouterr().out) == expected
+
+
+# Scenarios whose validation once disagreed with the generator: (scenario,
+# its ScenarioError text, or the tick indices of its speeding samples).
+VANISHING_SCENARIOS = {
+    "speeding_between_ticks": (  # was accepted, then held no sample
+        Scenario(duration=450.0, tick=0.1, episodes=(Episode("speeding", 445.50000000100005, 445.50000000100016),)),
+        "speeding episode [445.50000000100005, 445.50000000100016] contains no sample tick (tick = 0.1)",
+    ),
+    "speeding_on_a_tick": (  # was refused, though it holds tick 122
+        Scenario(duration=40.0, tick=0.3, episodes=(Episode("speeding", 36.600000001, 36.600000001),)),
+        [122],
+    ),
+    "two_collisions_one_sample": (  # was accepted, then gave one collision sample
+        Scenario(duration=10.0, tick=0.2, episodes=(Episode("collision", 5.0, 5.0), Episode("collision", 5.05, 5.05))),
+        "collisions at 5.0 and 5.05 share a sample (tick = 0.2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VANISHING_SCENARIOS))
+def test_validation_refuses_what_generation_would_lose(case, tmp_path, capsys):
+    scenario, expected = VANISHING_SCENARIOS[case]
+    path, out = tmp_path / "scenario.json", tmp_path / "trace.jsonl"
+    path.write_text(scenario_file(scenario))
+    status = main(["gen", "--scenario", str(path), "--out", str(out)])
+    if isinstance(expected, str):
+        for validate in (validate_scenario, lambda s: load_scenario(scenario_file(s))):
+            with pytest.raises(ScenarioError) as raised:
+                validate(scenario)
+            assert str(raised.value) == expected
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
+        return
+    validate_scenario(scenario)
+    assert load_scenario(scenario_file(scenario)) == scenario
+    assert status == 0
+    messages = parse_trace(out.read_text()).messages
+    assert [i for i, m in enumerate(messages) if m.values["speed"] > scenario.speed_limit] == expected

@@ -20,9 +20,10 @@ from odl import (
     dump_trace,
     parse_trace,
     read_trace,
+    write_trace,
 )
 from odl.cli import main
-from odl.trace import _record_checker, _strict_json_object
+from odl.trace import _record_checker, _strict_json_object, schema_fault
 
 TWO_COLLISIONS = (
     '{"collision": "boolean"}\n'
@@ -464,10 +465,53 @@ def test_dump_trace_writes_records_as_the_encoder_does():
         assert dump_trace(single) == encoder_dump(single)
     empty = Trace(TraceSchema(()), (TraceMessage(0.5, {}), TraceMessage(2, {})))
     assert dump_trace(empty) == encoder_dump(empty) == '{}\n{"t": 0.5}\n{"t": 2}\n'
-    # Field names reach the generated writer only through json.dumps.
-    quoted = TraceSchema((('a{b}\'"\\\u00e9\n', Kind.NUMBER), ("c", Kind.BOOLEAN)))
-    weird = Trace(quoted, (TraceMessage(1.0, {'a{b}\'"\\\u00e9\n': 1.5, "c": False}),))
-    assert dump_trace(weird) == encoder_dump(weird)
+
+
+# Schemas the writers refuse: (schema, schema_fault's text). A row of
+# (str, Kind) pairs is one a schema line can state, and parse_trace refuses
+# that line with the same text.
+ODD_NAME = 'a{b}\'"\\\u00e9\n'
+WRITER_REFUSALS = {
+    "field_t": (TraceSchema((("t", Kind.BOOLEAN),)), "'t' is implicit and cannot be redeclared"),
+    "name_with_a_space": (TraceSchema((("x y", Kind.NUMBER),)), "invalid field name 'x y'"),
+    "odd_name": (
+        TraceSchema(((ODD_NAME, Kind.NUMBER), ("c", Kind.BOOLEAN))), f"invalid field name '{ODD_NAME}'",
+    ),
+    "string_kind": (
+        TraceSchema((("x", "number"),)), "field 'x' has unknown kind 'number' (expected number, boolean, or point2)",
+    ),
+    "field_not_a_pair": (TraceSchema((("x",),)), "schema fields: ('x',) is not a (name, kind) pair"),
+    "fields_none": (TraceSchema(None), "schema fields: None is not a tuple"),
+    "fields_a_list": (
+        TraceSchema([("x", Kind.NUMBER)]), "schema fields: [('x', <Kind.NUMBER: 'number'>)] is not a tuple",
+    ),
+    "repeated_field": (
+        TraceSchema((("x", Kind.NUMBER), ("y", Kind.NUMBER), ("x", Kind.BOOLEAN))), "duplicate schema field 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_REFUSALS))
+def test_writers_refuse_every_schema_the_reader_refuses(case):
+    schema, text = WRITER_REFUSALS[case]
+    assert schema_fault(schema.fields) == text
+    for messages in ((), (TraceMessage(0.0, {"x": 1.0}),)):
+        with pytest.raises(ValueError) as raised:
+            dump_trace(Trace(schema, messages))
+        assert str(raised.value) == text
+        written = []
+        with pytest.raises(ValueError) as raised:
+            write_trace(schema, messages, written.append)
+        assert str(raised.value) == text
+        assert written == []
+    fields = schema.fields
+    if isinstance(fields, tuple) and all(
+        len(field) == 2 and isinstance(field[0], str) and isinstance(field[1], Kind) for field in fields
+    ):
+        line = ", ".join(f"{json.dumps(name)}: {json.dumps(kind.value)}" for name, kind in fields)
+        with pytest.raises(TraceError) as raised:
+            parse_trace("{" + line + "}\n")
+        assert str(raised.value) == f"line 1: {text}"
 
 
 NON_FINITE_AT = {
