@@ -1,7 +1,8 @@
 """Static checks: name resolution and kind inference for oracle definitions.
 
 A definition is first held to `syntax.check_shape`; what follows assumes
-its shape, and refuses operators, literal values and names after operands.
+its shape, operators and values, and checks names and kinds, each operand
+before the expression that holds it.
 
 Each expression position reads only its own names (`t` is a trace field):
 the event and the condition read the trace fields, the constants and the
@@ -25,6 +26,7 @@ from .errors import CheckError
 from .syntax import (
     BINARY,
     BUILTINS,
+    UNARY,
     Binary,
     Expr,
     Ident,
@@ -33,7 +35,6 @@ from .syntax import (
     Unary,
     check_shape,
     kind_of_value,
-    operator_entry,
     unknown_function,
 )
 from .trace import Kind, TraceSchema, schema_fault
@@ -84,12 +85,12 @@ class _Scope(NamedTuple):
 
 def _infer(expr: Expr, scope: _Scope) -> Kind:
     if isinstance(expr, Literal):
-        return kind_of_value(expr.value, f"{scope.where}: literal")
+        return kind_of_value(expr.value)
     if isinstance(expr, Ident):
         return scope.resolve(expr.name)
     if isinstance(expr, Unary):
         kind = _infer(expr.operand, scope)
-        _, operand = operator_entry(expr, f"{scope.where}: ")
+        _, operand = UNARY[expr.op]
         if kind is not operand:
             # An operator that is binary too is named unary: "unary '-'".
             named = f"unary '{expr.op}'" if expr.op in BINARY else f"'{expr.op}'"
@@ -99,7 +100,7 @@ def _infer(expr: Expr, scope: _Scope) -> Kind:
         op = expr.op
         left = _infer(expr.left, scope)
         right = _infer(expr.right, scope)
-        _, operands, kind, _ = operator_entry(expr, f"{scope.where}: ")
+        _, operands, kind, _ = BINARY[op]
         if operands is None:
             # Equality on numbers or booleans only; point2 equality stays out
             # to avoid floating-point equality traps on compound values.
@@ -191,7 +192,7 @@ def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
     for name, value in od.constants:
         if name in fields:
             raise CheckError(f"constant '{name}' collides with trace field '{name}'")
-        constants[name] = kind_of_value(value, f"constant '{name}': value")
+        constants[name] = kind_of_value(value)
 
     notifiers = _collect_timers(od, fields, constants)
 

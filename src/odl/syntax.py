@@ -4,8 +4,9 @@ The printer is precedence-aware and emits the minimal parentheses needed so
 that re-parsing its output reproduces the tree structurally. The rules the
 parser, checker and printer share live here too: the operators, built-ins,
 grammar words and reserved names, the values a definition may hold, and
-check_shape, the one statement of the shape of a definition built without
-the parser.
+check_shape, the one statement of what a definition built without the
+parser must hold, operators and values included, before the checker or
+the printer reads it.
 """
 
 from __future__ import annotations
@@ -156,19 +157,10 @@ def operator_of(expr: Union[Binary, Unary]) -> Optional[tuple]:
     return table.get(expr.op) if isinstance(expr.op, str) else None
 
 
-def operator_entry(expr: Union[Binary, Unary], at: str) -> tuple:
-    """operator_of(expr); an operator outside the tables is a CheckError
-    whose text begins with `at`."""
-    entry = operator_of(expr)
-    if entry is None:
-        raise CheckError(f"{at}unknown operator '{expr.op}'")
-    return entry
-
-
-def _prec(expr: Expr, at: str) -> int:
+def _prec(expr: Expr) -> int:
     """The binding strength of `expr`'s operator; an operand without one
     binds tightest."""
-    return operator_entry(expr, at)[0] if isinstance(expr, (Binary, Unary)) else _ATOM_PREC
+    return operator_of(expr)[0] if isinstance(expr, (Binary, Unary)) else _ATOM_PREC
 
 
 def _finite(value: object) -> bool:
@@ -176,16 +168,19 @@ def _finite(value: object) -> bool:
     return type(value) is float and isfinite(value)
 
 
-def kind_of_value(value: object, what: str) -> Kind:
-    """The kind of a value parse_od can build; any other value is a
-    CheckError that calls it `what`."""
+def kind_of_value(value: object) -> Optional[Kind]:
+    """The kind of a value parse_od can build, or None for any other."""
     if isinstance(value, bool):
         return Kind.BOOLEAN
     if _finite(value):
         return Kind.NUMBER
     if isinstance(value, Point2) and _finite(value.x) and _finite(value.y):
         return Kind.POINT2
-    raise CheckError(f"{what} {value!r} is not a finite number, a boolean or a point of two finite numbers")
+    return None
+
+
+# The rest of check_shape's text for a value kind_of_value gives no kind.
+_NOT_A_VALUE = "is not a finite number, a boolean or a point of two finite numbers"
 
 
 def _is_identifier(name: object) -> bool:
@@ -223,13 +218,16 @@ def check_name(name: object, what: str, declared: Optional[set] = None) -> None:
 
 
 def check_expr(expr: object, at: str = "", levels: int = MAX_NESTING) -> None:
-    """Refuse a value that is not one of the five nodes, an operator that is
-    not a str, an identifier or call name parse_od would not read back, call
+    """Refuse, in pre-order, a value that is not one of the five nodes, a
+    literal value kind_of_value gives no kind, an operator outside BINARY
+    and UNARY, an identifier or call name parse_od would not read back, call
     arguments that are not a tuple, and more than `levels` operators and calls
     on one path, each error text begun with `at`. Recurses at most `levels`
     + 1 deep, so a tree of any depth is safe."""
     node = type(expr)
     if node is Literal:
+        if kind_of_value(expr.value) is None:
+            raise CheckError(f"{at}literal {expr.value!r} {_NOT_A_VALUE}")
         return
     if node is Ident:
         if not _is_identifier(expr.name):
@@ -240,7 +238,7 @@ def check_expr(expr: object, at: str = "", levels: int = MAX_NESTING) -> None:
             raise CheckError(at + unknown_function(expr.name))
         children = _tuple(expr.args, f"{at}arguments of '{expr.name}'")
     elif node is Binary or node is Unary:
-        if not isinstance(expr.op, str):
+        if operator_of(expr) is None:
             raise CheckError(f"{at}unknown operator '{expr.op}'")
         children = (expr.left, expr.right) if node is Binary else (expr.operand,)
     else:
@@ -253,15 +251,20 @@ def check_expr(expr: object, at: str = "", levels: int = MAX_NESTING) -> None:
 
 def check_shape(od: OracleDefinition) -> None:
     """Refuse, with the CheckError check_od gives it, a definition parse_od
-    could not build for a reason that needs neither a schema nor kinds: a
-    container that is not a tuple of its declared elements, a declared
-    name parse_od would not read or would read twice, a frequency or an
-    initial score of another type, or an expression check_expr refuses."""
+    could not build, whatever the schema: a container that is not a tuple
+    of its declared elements, a declared name parse_od would not read or
+    would read twice, a constant's value kind_of_value gives no kind, a
+    frequency or an initial score of another type, or an expression
+    check_expr refuses. check_od and format_od call it first, so both
+    report such a fault before any other, and with the same text."""
     if type(od) is not OracleDefinition:
         raise CheckError(f"{od!r} is not an oracle definition")
     declared: set[str] = set()
     for pair in _tuple(od.constants, "constants"):
-        check_name(_pair(pair, "constants", "name")[0], "constant", declared)
+        name, value = _pair(pair, "constants", "name")
+        check_name(name, "constant", declared)
+        if kind_of_value(value) is None:
+            raise CheckError(f"constant '{name}': value {value!r} {_NOT_A_VALUE}")
     for fn in _tuple(od.functions, "functions"):
         if type(fn) is not ScoringFunction:
             raise CheckError(f"functions: {fn!r} is not a scoring function")
@@ -296,74 +299,66 @@ def format_number(value: float) -> str:
     return repr(float(value))
 
 
-def format_literal(value: Value, what: str = "literal") -> str:
-    """The source text of a value; one parse_od cannot build is a CheckError
-    that calls it `what`."""
-    kind = kind_of_value(value, what)
-    if kind is Kind.BOOLEAN:
+def format_literal(value: Value) -> str:
+    """The source text of a value kind_of_value gives a kind."""
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if kind is Kind.POINT2:
+    if isinstance(value, Point2):
         return f"point({format_number(value.x)}, {format_number(value.y)})"
     return format_number(value)
 
 
 def format_expr(expr: Expr) -> str:
-    """Canonical source text of an expression. A tree parse_od could not
-    build is a CheckError with check_od's text, unlocated: first what
-    check_expr refuses, then an operator outside the tables or a literal
-    value of another kind."""
+    """Canonical source text of an expression. A tree check_expr refuses is
+    a CheckError with check_od's text, unlocated."""
     check_expr(expr)
-    return _format_expr(expr, "")
+    return _format_expr(expr)
 
 
-def _format_expr(expr: Expr, at: str) -> str:
-    """The text of a tree check_expr took, each error text begun with `at`."""
+def _format_expr(expr: Expr) -> str:
+    """The text of a tree check_expr took."""
     if isinstance(expr, Literal):
-        return format_literal(expr.value, f"{at}literal")
+        return format_literal(expr.value)
     if isinstance(expr, Ident):
         return expr.name
     if isinstance(expr, Unary):
-        prec = _prec(expr, at)
-        inner = _format_expr(expr.operand, at)
+        prec = _prec(expr)
+        inner = _format_expr(expr.operand)
         # A bare numeric literal would fuse with a minus sign into a
         # (different) negative literal, so it keeps its parentheses.
         fuses = expr.op == "-" and isinstance(expr.operand, Literal) and not isinstance(
             expr.operand.value, (bool, Point2)
         )
-        if fuses or _prec(expr.operand, at) < prec:
+        if fuses or _prec(expr.operand) < prec:
             inner = f"({inner})"
         return f"{expr.op} {inner}" if expr.op.isalpha() else f"{expr.op}{inner}"
     if isinstance(expr, Binary):
-        prec = _prec(expr, at)
-        left = _format_expr(expr.left, at)
-        if _prec(expr.left, at) < prec:
+        prec = _prec(expr)
+        left = _format_expr(expr.left)
+        if _prec(expr.left) < prec:
             left = f"({left})"
-        right = _format_expr(expr.right, at)
+        right = _format_expr(expr.right)
         # All binary operators parse left-associatively.
-        if _prec(expr.right, at) <= prec:
+        if _prec(expr.right) <= prec:
             right = f"({right})"
         return f"{left} {expr.op} {right}"
-    args = ", ".join(_format_expr(a, at) for a in expr.args)
+    args = ", ".join(_format_expr(a) for a in expr.args)
     return f"{expr.name}({args})"
 
 
-def _format_notification(fn: ScoringFunction, notif: Notification) -> str:
-    bindings = []
-    for timer, value in notif.bindings:
-        at = f"notification value for '{notif.target}.{timer}' of '{fn.name}': "
-        bindings.append(f"({timer}, {_format_expr(value, at)})")
-    return f"({notif.target}, [{', '.join(bindings)}])"
+def _format_notification(notif: Notification) -> str:
+    bindings = ", ".join(f"({timer}, {_format_expr(value)})" for timer, value in notif.bindings)
+    return f"({notif.target}, [{bindings}])"
 
 
 def _format_function(fn: ScoringFunction) -> str:
-    of = f" of '{fn.name}': "
     slots = (("event", fn.event), ("condition", fn.condition), ("action", fn.action))
-    params = [f"{slot} = {_format_expr(expr, slot + of)}" for slot, expr in slots if expr is not None]
+    params = [f"{slot} = {_format_expr(expr)}" for slot, expr in slots if expr is not None]
     params.append(f"frequency = {fn.frequency.value}")
     if fn.initial != 0.0:
         params.append(f"initial = {format_number(fn.initial)}")
     if fn.notifications:
-        notifs = ", ".join(_format_notification(fn, n) for n in fn.notifications)
+        notifs = ", ".join(_format_notification(n) for n in fn.notifications)
         params.append(f"notifications = [{notifs}]")
     body = ",\n    ".join(params)
     return f"{fn.name} = scoring_function(\n    {body});"
@@ -374,24 +369,18 @@ def format_od(od: OracleDefinition) -> str:
 
     Constants come first, then scoring functions in declaration order, then
     an explicit summary clause (the implicit default is spelled out as
-    `summary = sum`). A definition check_shape refuses, or one with an
-    operator outside the tables or a literal value of another kind, is a
-    CheckError with check_od's text, never text parse_od would refuse or
-    read as another definition.
+    `summary = sum`). A definition check_shape refuses is a CheckError with
+    check_od's text, never text parse_od would refuse or read as another
+    definition; any other is printed.
     """
     check_shape(od)
     blocks: list[str] = []
     if od.constants:
-        blocks.append(
-            "\n".join(
-                f"const {name} = {format_literal(value, f'constant {name!r}: value')};"
-                for name, value in od.constants
-            )
-        )
+        blocks.append("\n".join(f"const {name} = {format_literal(value)};" for name, value in od.constants))
     for fn in od.functions:
         blocks.append(_format_function(fn))
     if od.summary is None:
         blocks.append("summary = sum;")
     else:
-        blocks.append(f"summary = {_format_expr(od.summary, 'summary: ')};")
+        blocks.append(f"summary = {_format_expr(od.summary)};")
     return "\n\n".join(blocks) + "\n"

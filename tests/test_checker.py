@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from odl import (
     CheckError,
     EvalError,
     Frequency,
+    GEN_SCHEMA,
     Ident,
     Kind,
     Literal,
@@ -390,10 +392,20 @@ CHECK_ERRORS = [
         )
         for target, row in [("x y", "not_a_name"), (3, "not_a_str"), ("sum", "sum"), ("t", "t")]
     ),
+    # A shape fault comes before any scope or kind fault, wherever it is:
+    # the operator before its operands' names, a value before a collision.
     pytest.param(
         OracleDefinition(functions=(_fn("f", Binary("%", Ident("wheels"), Literal(3.0))),)), SCHEMA,
-        "event of 'f': timer 'wheels' has no notification targeting 'f' (and 'wheels' is not a trace field "
-        "or constant)", id="operands_before_operator",
+        "event of 'f': unknown operator '%'", id="operands_before_operator",
+    ),
+    pytest.param(
+        replace(parse_od(load_builtin("listing1")), summary=Binary("%", Ident("speed"), Literal(3.0))), SCHEMA,
+        "summary: unknown operator '%'", id="operator_before_summary_scope",
+    ),
+    pytest.param(
+        OracleDefinition(constants=(("K", 1),), functions=(_fn("f", Ident("collision")),)),
+        TraceSchema((("K", Kind.NUMBER), ("collision", Kind.BOOLEAN))),
+        f"constant 'K': value 1 is not {_VALUES}", id="constant_value_before_field_collision",
     ),
     pytest.param(
         OracleDefinition(functions=(_fn("f", Ident("collision"), action=Literal("1")),)), SCHEMA,
@@ -547,7 +559,8 @@ UNPRINTABLE = {
     "identifier_first", "target_not_a_name", "target_not_a_str", "target_sum", "target_t",
     "unhashable_function_name", "call_arguments_not_a_tuple", "bindings_not_a_tuple", "target_unhashable",
     "notification_sets_no_timer", "function_not_a_scoring_function", "constant_not_a_pair", "constants_list",
-    "node_subclass", "identifier_is_a_field_named_sum",
+    "node_subclass", "identifier_is_a_field_named_sum", "operands_before_operator", "operator_before_summary_scope",
+    "constant_value_before_field_collision",
 }
 
 
@@ -864,3 +877,26 @@ def test_any_hand_built_definition_is_refused_or_reproduced():
         assert _outcome(score_trace, checked) == _outcome(reference_score, checked), text
     # The mutations reach every branch: refused, printed, and accepted.
     assert accepted > 100 and printed > 300
+
+
+def test_format_od_refuses_with_check_ods_text_or_prints():
+    """The two entry points agree on seeded double mutations of the bundled
+    oracles: check_shape runs first in both, so a definition format_od
+    refuses is refused by check_od with the same text, and one check_od
+    accepts is printed."""
+    ods = [parse_od(load_builtin(name)) for name in BUILTIN_NAMES]
+    rng = random.Random(18)
+    for i in range(3000):
+        od = mutate_od(mutate_od(ods[i % len(ods)], rng), rng)
+        try:
+            format_od(od)
+        except CheckError as exc:
+            refusal = str(exc)
+        else:
+            refusal = None
+        try:
+            check_od(od, GEN_SCHEMA)
+        except CheckError as exc:
+            assert refusal in (None, str(exc)), od
+        else:
+            assert refusal is None, od

@@ -1,13 +1,17 @@
 """Streaming engine semantics: sequences, conditions, timers, summaries."""
 
+import builtins
+import hashlib
 import json
 import math
 
 import pytest
 
 import odl.checker
+import odl.engine
 from _drive import drive, listing_suite
 from odl import (
+    BUILTIN_NAMES,
     EngineError,
     EvalError,
     GEN_SCHEMA,
@@ -358,3 +362,33 @@ def test_program_is_generated_on_first_scoring_and_kept(monkeypatch):
     # The program is no part of the checked oracle's value.
     assert checked == check_od(parse_od(load_builtin("listing1")), GEN_SCHEMA)
     assert "program" not in repr(checked)
+
+
+# The sha256 of the Python source generate_program compiles for each bundled
+# oracle checked against GEN_SCHEMA. A change to how the engine emits code
+# that should not change what it emits keeps every digest.
+GENERATED_SOURCE_SHA256 = {
+    "listing1": "c00445964498b919c95ab10125967ccf1ed37105645426aaee8a92262c8644a1",
+    "listing2": "2703953f0b04d3a1321ce9f0fd86288041a96af5948d1b2eaf2387ca29fb3adc",
+    "listing3": "fffebf5793441bf859830458ed380d8ba714940f18980e2ed37a26b2abfe0909",
+    "listing4": "14ed19af5a02b9e2175b572cc2a0816dac0e3303f21a74fd61e91b27a702bd28",
+    "od1_rubric": "7ee7d9d999bcd99412c569fe865395cdbadd52ac12aae00c08a3a3c2988cbeb2",
+    "od2_competition": "46015adda7a002c31836640e595f0e698d8c7ebbf239150f5d02cf6d7f3b8f75",
+    "od3_framework": "e15ebf6a493ba342ee903fd068436d85e9b4d0826766852c98dfdf9cda719490",
+}
+
+
+def test_generated_source_of_each_bundled_oracle_is_pinned(monkeypatch):
+    sources = []
+
+    def capture(source, *args):
+        sources.append(source)
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr(odl.engine, "compile", capture, raising=False)
+    digests = {}
+    for name in BUILTIN_NAMES:
+        check_od(parse_od(load_builtin(name)), GEN_SCHEMA).program
+        digests[name] = hashlib.sha256(sources.pop().encode()).hexdigest()
+    assert sources == []
+    assert digests == GENERATED_SOURCE_SHA256
