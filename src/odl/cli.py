@@ -36,7 +36,8 @@ from .trace import TraceSchema, read_trace, write_trace
 def _open_input(path: str) -> Iterator[IO[str]]:
     """Open an input file as UTF-8 text. Bytes that are not UTF-8 raise an
     OdlError naming the file, not a traceback. The trace reader reports
-    them itself, because it decodes as it goes."""
+    them itself, because it decodes as it goes: `odl score` and `odl batch`
+    pass it lines decoded one at a time, so it names the line before."""
     with open(path, encoding="utf-8") as file:
         try:
             yield file
@@ -86,8 +87,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     od = parse_od(_read_input(args.od))
-    with _open_input(args.trace) as lines:
-        schema, messages = read_trace(lines)
+    with open(args.trace, "rb") as file:
+        schema, messages = read_trace(map(bytes.decode, file))
         report = score_messages(check_od(od, schema), messages)
     if args.report == "machine":
         text = report_to_json(report, include_firings=args.log_firings) + "\n"
@@ -105,9 +106,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     checked: dict[TraceSchema, CheckedOracle] = {}
     rows = []
     for path in paths:
-        with _open_input(path) as lines:
+        with open(path, "rb") as file:
             try:
-                schema, messages = read_trace(lines)
+                schema, messages = read_trace(map(bytes.decode, file))
                 if schema not in checked:
                     checked[schema] = check_od(od, schema)
                 report = score_messages(checked[schema], messages)

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 from .errors import EngineError, EvalError
 from .evaluate import binder, emit_expr, emit_value, non_finite, runtime
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
-from .syntax import Expr, Frequency, Literal, OracleDefinition, format_expr
+from .syntax import Expr, Frequency, Literal, OracleDefinition, check_shape, format_expr
 from .trace import Trace, TraceMessage
 
 if TYPE_CHECKING:
@@ -81,7 +81,8 @@ def _regress(index: int, t: float, prev: float) -> EngineError:
 
 
 def generate_program(od: OracleDefinition, timers: Mapping[str, frozenset[str]]) -> Program:
-    """Generate, compile and return the scoring program of a checked oracle.
+    """Generate, compile and return the scoring program of a checked oracle,
+    after check_shape has refused a malformed definition with check_od's text.
 
     The program is a function of an iterable of messages. It pulls them one
     at a time, so errors come in their order, then runs the summary once
@@ -91,6 +92,7 @@ def generate_program(od: OracleDefinition, timers: Mapping[str, frozenset[str]])
     frequency mode. A notification waits in locals of its notifier and is
     written into the target's timer after the message.
     """
+    check_shape(od)
     namespace = runtime()
     namespace.update(
         _EvalError=EvalError, _Firing=Firing, _isfinite=isfinite,

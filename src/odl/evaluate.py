@@ -6,8 +6,9 @@ functions of `syntax.BINARY`. The batch reference builds its closures once
 per call and evaluates with them alone; `eval_expr(expr, env)` is
 `evaluator(expr)(env)`. `emit_expr` writes a checked expression as Python
 source; the streaming engine runs only such code, spliced into the one
-scoring function generated per oracle at check time
-(`engine.generate_program`). The differential suite compares the two.
+scoring function generated per oracle (`engine.generate_program`). The
+differential suite compares the two. Both read only trees check_expr takes:
+`eval_expr` runs it first; `generate_program` and the reference, check_shape.
 
 Evaluation is pure and deterministic. `and`/`or` short-circuit, so a guard
 can protect a partial expression: `false and (1 / 0 > 0)` is false, not an
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from .errors import EvalError
-from .syntax import BINARY, BUILTINS, UNARY, Binary, Call, Expr, Ident, Literal, Unary, format_expr, operator_of
+from .syntax import BINARY, BUILTINS, Binary, Call, Expr, Ident, Literal, Unary, check_expr, format_expr
 from .trace import Point2, Value
 
 
@@ -53,19 +54,20 @@ def non_finite(what: str, value: float) -> EvalError:
 
 
 def evaluator(expr: Expr) -> Callable[[Env], Value]:
-    """`expr` as a function of an `Env`, built from one closure per node.
+    """`expr`, a tree check_expr takes, as a function of an `Env`, built
+    from one closure per node.
 
-    Building never raises: each error, a non-node included, is raised by
-    the closure that meets it, when it is called. Operands and arguments
-    are evaluated left to right, before an operator or function is refused.
+    A name fault is raised by the closure that meets it, when it is called:
+    an unbound identifier, seq_time outside a condition, an unknown function
+    (after its arguments, left to right) and division by zero (after both
+    operands).
     The name `seq_time` reads `env.seq_time`; any other name resolves, at
     each call, to the first of a field, a constant, a timer and a score
     that has it."""
     kind = type(expr)
     if kind is Binary:
         op, left, right = expr.op, evaluator(expr.left), evaluator(expr.right)
-        entry = operator_of(expr)
-        apply = entry and entry[3]
+        apply = BINARY[op][3]
         if apply is not None:
             return lambda env: apply(left(env), right(env))
         if op == "and":
@@ -73,15 +75,13 @@ def evaluator(expr: Expr) -> Callable[[Env], Value]:
         if op == "or":
             return lambda env: bool(left(env)) or bool(right(env))
 
-        def binary(env: Env) -> Value:
+        def divide(env: Env) -> Value:
             dividend, divisor = left(env), right(env)
-            if entry is None:
-                raise EvalError(f"unknown operator '{op}'")
             if divisor == 0:
                 raise EvalError(f"division by zero in '{format_expr(expr)}'")
             return dividend / divisor
 
-        return binary
+        return divide
     if kind is Ident:
         name = expr.name
         if name == "seq_time":
@@ -110,11 +110,7 @@ def evaluator(expr: Expr) -> Callable[[Env], Value]:
         return lambda env: value
     if kind is Call:
         name = expr.name
-        try:
-            nodes = iter(expr.args)
-        except TypeError:  # args that are not iterable fail when reached
-            return lambda env: iter(expr.args)
-        args = [evaluator(arg) for arg in nodes]
+        args = [evaluator(arg) for arg in expr.args]
 
         def call(env: Env) -> Value:
             values = [arg(env) for arg in args]
@@ -131,27 +127,16 @@ def evaluator(expr: Expr) -> Callable[[Env], Value]:
             raise EvalError(f"unknown function '{name}'")
 
         return call
-    if kind is Unary:
-        op, operand = expr.op, evaluator(expr.operand)
-        if op == "not":
-            return lambda env: not operand(env)
-        if op == "-":
-            return lambda env: -operand(env)
-
-        def unary(env: Env) -> Value:
-            operand(env)
-            raise EvalError(f"unknown operator '{op}'")
-
-        return unary
-
-    def not_a_node(env: Env) -> Value:
-        raise TypeError(f"not an expression node: {expr!r}")
-
-    return not_a_node
+    operand = evaluator(expr.operand)  # a Unary: "not" or "-"
+    if expr.op == "not":
+        return lambda env: not operand(env)
+    return lambda env: -operand(env)
 
 
 def eval_expr(expr: Expr, env: Env) -> Value:
-    """Evaluate `expr` over `env`: `evaluator(expr)(env)`."""
+    """Evaluate `expr` over `env`: `evaluator(expr)(env)`, after check_expr
+    has refused a malformed tree with check_od's text, unlocated."""
+    check_expr(expr)
     return evaluator(expr)(env)
 
 
@@ -198,10 +183,11 @@ def emit_expr(expr: Expr, resolve: Callable[[str], str], bind: Callable[[Any], s
     """Python source that evaluates a checked expression as `evaluator`'s
     closure does: same value and type, operands left to right, `and`/`or`
     short-circuit, the same division-by-zero error. `resolve(name)` gives
-    the source that reads an identifier.
+    the source that reads an identifier. `expr` must be a tree check_expr
+    takes; a call of a name outside BUILTINS is a TypeError.
 
     Every operator is parenthesised, because Python chains `a < b < c`;
-    the parser's nesting limit keeps the result under CPython's limit on
+    check_expr's nesting limit keeps the result under CPython's limit on
     nested parentheses. `distance` is math.dist, which computes what
     the closure's math.hypot of the coordinate differences does, bit for bit.
     """
@@ -211,17 +197,17 @@ def emit_expr(expr: Expr, resolve: Callable[[str], str], bind: Callable[[Any], s
             return emit_value(e.value, bind)
         if isinstance(e, Ident):
             return resolve(e.name)
-        if isinstance(e, Unary) and e.op in UNARY:
+        if isinstance(e, Unary):
             return f"({'not ' if e.op == 'not' else e.op}{emit(e.operand)})"
-        if isinstance(e, Binary) and e.op in BINARY:
+        if isinstance(e, Binary):
             left, right = emit(e.left), emit(e.right)
             if e.op == "/":
                 error = bind(f"division by zero in '{format_expr(e)}'")
                 return f"_divide({left}, {right}, {error})"
             return f"({left} {e.op} {right})"
-        if isinstance(e, Call) and e.name in BUILTINS:
-            name = "_dist" if e.name == "distance" else e.name
-            return f"{name}({', '.join(emit(arg) for arg in e.args)})"
-        raise TypeError(f"not a checked expression node: {e!r}")
+        if e.name not in BUILTINS:  # a Call: check_shape takes any name, `exit` say
+            raise TypeError(f"not a checked expression node: {e!r}")
+        name = "_dist" if e.name == "distance" else e.name
+        return f"{name}({', '.join(emit(arg) for arg in e.args)})"
 
     return emit(expr)

@@ -62,7 +62,6 @@ from .syntax import (
     SUM,
     SUMMARY,
     UNARY,
-    check_expr,
     check_name,
 )
 from .trace import NAME_RE, Point2, Value
@@ -122,6 +121,9 @@ class _Parser:
         self._tokens = tokens
         self._pos = 0
         self._open = 0  # parentheses open in the current expression
+        # Operators and calls on the longest path of each such node, by id;
+        # the nodes live as long as the parser, so no id is reused.
+        self.depth: dict[int, int] = {}
 
     def open(self, tok: Token) -> None:
         self._open += 1
@@ -159,11 +161,13 @@ class _Parser:
         raise ParseError(message, tok.line, tok.column)
 
 
-def _node(p: _Parser, expr: Expr, tok: Token) -> Expr:
-    try:
-        check_expr(expr)  # of a tree the parser builds, it refuses only the nesting
-    except CheckError as exc:
-        p.fail(str(exc), tok)
+def _node(p: _Parser, expr: Expr, tok: Token, *children: Expr) -> Expr:
+    """`expr`, an operator or call over `children`, refused at `tok` with
+    check_expr's text if it nests deeper than MAX_NESTING: O(1) per child."""
+    depth = 1 + max((p.depth.get(id(child), 0) for child in children), default=0)
+    if depth > MAX_NESTING:
+        p.fail(f"expression nests deeper than {MAX_NESTING} levels", tok)
+    p.depth[id(expr)] = depth
     return expr
 
 
@@ -186,7 +190,8 @@ def _parse_expr(p: _Parser, min_prec: int = 1) -> Expr:
     else:
         expr = _parse_primary(p)
     for tok in reversed(prefixes):
-        expr = _node(p, Unary(tok.text, _parse_binary(p, expr, UNARY[tok.text][0] + 1)), tok)
+        operand = _parse_binary(p, expr, UNARY[tok.text][0] + 1)
+        expr = _node(p, Unary(tok.text, operand), tok, operand)
     return _parse_binary(p, expr, min_prec)
 
 
@@ -195,7 +200,7 @@ def _parse_binary(p: _Parser, left: Expr, min_prec: int) -> Expr:
     while BINARY.get(p.peek().text, (0,))[0] >= min_prec:
         tok = p.advance()
         right = _parse_expr(p, BINARY[tok.text][0] + 1)
-        left = _node(p, Binary(tok.text, left, right), tok)
+        left = _node(p, Binary(tok.text, left, right), tok, left, right)
     return left
 
 
@@ -220,7 +225,7 @@ def _parse_primary(p: _Parser) -> Expr:
                 while p.match(","):
                     args.append(_parse_expr(p))
             p.close("')' after call arguments")
-            return _node(p, Call(tok.text, tuple(args)), tok)
+            return _node(p, Call(tok.text, tuple(args)), tok, *args)
         return Ident(tok.text)
     found = tok.text or "end of input"
     p.fail(f"expected expression, found {found!r}", tok)

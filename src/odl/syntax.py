@@ -5,8 +5,8 @@ that re-parsing its output reproduces the tree structurally. The rules the
 parser, checker and printer share live here too: the operators, built-ins,
 grammar words and reserved names, the values a definition may hold, and
 check_shape, the one statement of what a definition built without the
-parser must hold, operators and values included, before the checker or
-the printer reads it.
+parser must hold, operators and values included, before the checker, the
+printer or an evaluator reads it.
 """
 
 from __future__ import annotations
@@ -150,17 +150,12 @@ RESERVED_NAMES = KEYWORDS | {"t", "seq_time"} | set(BUILTINS)
 MAX_NESTING = 64
 
 
-def operator_of(expr: Union[Binary, Unary]) -> Optional[tuple]:
-    """The BINARY or UNARY entry of `expr`'s operator, or None for one
-    outside the tables, an unhashable one included."""
-    table = BINARY if isinstance(expr, Binary) else UNARY
-    return table.get(expr.op) if isinstance(expr.op, str) else None
-
-
 def _prec(expr: Expr) -> int:
     """The binding strength of `expr`'s operator; an operand without one
     binds tightest."""
-    return operator_of(expr)[0] if isinstance(expr, (Binary, Unary)) else _ATOM_PREC
+    if isinstance(expr, Binary):
+        return BINARY[expr.op][0]
+    return UNARY[expr.op][0] if isinstance(expr, Unary) else _ATOM_PREC
 
 
 def _finite(value: object) -> bool:
@@ -238,7 +233,8 @@ def check_expr(expr: object, at: str = "", levels: int = MAX_NESTING) -> None:
             raise CheckError(at + unknown_function(expr.name))
         children = _tuple(expr.args, f"{at}arguments of '{expr.name}'")
     elif node is Binary or node is Unary:
-        if operator_of(expr) is None:
+        table = BINARY if node is Binary else UNARY
+        if not isinstance(expr.op, str) or expr.op not in table:
             raise CheckError(f"{at}unknown operator '{expr.op}'")
         children = (expr.left, expr.right) if node is Binary else (expr.operand,)
     else:
@@ -255,8 +251,9 @@ def check_shape(od: OracleDefinition) -> None:
     of its declared elements, a declared name parse_od would not read or
     would read twice, a constant's value kind_of_value gives no kind, a
     frequency or an initial score of another type, or an expression
-    check_expr refuses. check_od and format_od call it first, so both
-    report such a fault before any other, and with the same text."""
+    check_expr refuses. check_od, format_od, engine.generate_program and
+    reference.reference_score call it first, so each reports such a fault
+    before any other, and with the same text."""
     if type(od) is not OracleDefinition:
         raise CheckError(f"{od!r} is not an oracle definition")
     declared: set[str] = set()

@@ -225,8 +225,9 @@ def _numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
                 lineno += 1
                 yield lineno, line
     except UnicodeDecodeError as exc:
-        # A file decodes ahead in blocks, so the offset in exc is not the
-        # file's; the bad bytes lie somewhere after the last line read.
+        # Lines decoded one at a time (parse_trace's bytes, the CLI's files)
+        # put the bad bytes on the line after the last one read. A text file
+        # decodes ahead in blocks, so they lie somewhere after it.
         after = f" after line {lineno}" if lineno else ""
         bad = exc.object[exc.start : exc.end]
         raise TraceError(f"trace file is not valid UTF-8{after}: {exc.reason} {bad!r}") from None
@@ -338,12 +339,11 @@ def parse_trace(source: Union[str, bytes, IO[str], IO[bytes]]) -> Trace:
     """
     if hasattr(source, "read"):
         source = source.read()  # type: ignore[union-attr]
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceError(f"trace file is not valid UTF-8: {exc}") from exc
-    schema, messages = read_trace(source.splitlines())
+    if isinstance(source, bytes):  # decoded a line at a time, as `odl score` decodes
+        lines = map(bytes.decode, source.splitlines(keepends=True))
+    else:
+        lines = source.splitlines()
+    schema, messages = read_trace(lines)
     return Trace(schema=schema, messages=tuple(messages))
 
 

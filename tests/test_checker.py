@@ -13,6 +13,7 @@ from odl import (
     BUILTIN_NAMES,
     Binary,
     Call,
+    CheckedOracle,
     CheckError,
     EvalError,
     Frequency,
@@ -25,6 +26,7 @@ from odl import (
     OracleDefinition,
     Point2,
     ScoringFunction,
+    Trace,
     TraceSchema,
     Unary,
     check_od,
@@ -880,11 +882,13 @@ def test_any_hand_built_definition_is_refused_or_reproduced():
 
 
 def test_format_od_refuses_with_check_ods_text_or_prints():
-    """The two entry points agree on seeded double mutations of the bundled
-    oracles: check_shape runs first in both, so a definition format_od
-    refuses is refused by check_od with the same text, and one check_od
-    accepts is printed."""
+    """The entry points agree on seeded double mutations of the bundled
+    oracles: check_shape runs first in each, so a definition format_od
+    refuses is refused by check_od, and by both scorers of a CheckedOracle
+    built without check_od, with the same text, and one check_od accepts
+    is printed."""
     ods = [parse_od(load_builtin(name)) for name in BUILTIN_NAMES]
+    trace = Trace(GEN_SCHEMA, ())
     rng = random.Random(18)
     for i in range(3000):
         od = mutate_od(mutate_od(ods[i % len(ods)], rng), rng)
@@ -892,6 +896,10 @@ def test_format_od_refuses_with_check_ods_text_or_prints():
             format_od(od)
         except CheckError as exc:
             refusal = str(exc)
+            for score in (score_trace, reference_score):
+                with pytest.raises(CheckError) as scored:
+                    score(CheckedOracle(od, GEN_SCHEMA, {}), trace)
+                assert str(scored.value) == refusal, (score.__name__, od)
         else:
             refusal = None
         try:

@@ -390,21 +390,25 @@ def test_streaming_reports_errors_in_file_order(workspace, capsys):
         (["check", "{od}", "--trace", "{bad}"], "t.jsonl", "trace file is not valid UTF-8"),
         (["score", "--od", "{bad}", "--trace", "{trace}"], "listing1.odl", "{bad}: file is not valid UTF-8"),
         (["score", "--od", "{od}", "--trace", "{bad}"], "t.jsonl", "trace file is not valid UTF-8"),
+        # Trace lines are decoded one at a time, so the line before the bad byte is named.
+        (["score", "--od", "{od}", "--trace", "{bad}"], "t.jsonl",
+         "trace file is not valid UTF-8 after line 2: invalid start byte b'\\xff'\n"),
         (["batch", "--od", "{bad}", "--traces", "{trace}"], "listing1.odl", "{bad}: file is not valid UTF-8"),
         (["batch", "--od", "{od}", "--traces", "{bad}"], "t.jsonl", "{bad}: trace file is not valid UTF-8"),
         (["rank", "--scores", "{bad}"], "scores.csv", "{bad}: file is not valid UTF-8"),
         (["compare", "{bad}", "{bad}"], "ranks.csv", "{bad}: file is not valid UTF-8"),
         (["gen", "--scenario", "{bad}"], "scenario.json", "{bad}: file is not valid UTF-8"),
     ],
-    ids=["check_od", "check_trace", "score_od", "score_trace", "batch_od", "batch_trace", "rank", "compare", "gen"],
+    ids=["check_od", "check_trace", "score_od", "score_trace", "score_trace_line", "batch_od", "batch_trace", "rank",
+         "compare", "gen"],
 )
 def test_input_that_is_not_utf8_exits_1(workspace, capsys, command, bad, expected):
     trace = workspace / "good.jsonl"
     trace.write_text(dump_trace(drive([{"t": 0.0}])))
     bad_path = workspace / "bad" / bad
     bad_path.parent.mkdir()
-    # A valid first line, so the bad byte is met after reading has begun.
-    bad_path.write_bytes(b'{"speed": "number"}\n' + b"\xff\xfe\n")
+    # Two valid lines, so the bad byte is met after reading has begun.
+    bad_path.write_bytes(b'{"speed": "number"}\n{"t": 0.0, "speed": 1.0}\n' + b"\xff\xfe\n")
     names = {"bad": str(bad_path), "od": str(workspace / "listing1.odl"), "trace": str(trace)}
     assert main([arg.format(**names) for arg in command]) == 1
     err = capsys.readouterr().err

@@ -2,6 +2,7 @@
 code (one expression at a time through `compile_expr` below, which wraps the
 emitter the scoring program is built from)."""
 
+import math
 import random
 import re
 
@@ -32,6 +33,7 @@ from odl import (
     parse_od,
 )
 from odl.evaluate import binder, emit_expr, emit_value, runtime
+from odl.syntax import MAX_NESTING
 
 
 def compile_expr(expr, fields, constants, timers=()):
@@ -162,21 +164,21 @@ def test_every_binary_operator_on_hand_built_trees():
 
 
 def test_unknown_operator_and_function():
-    with pytest.raises(EvalError, match=r"^unknown operator '%'$"):
+    with pytest.raises(CheckError, match=r"^unknown operator '%'$"):
         eval_expr(Binary("%", Literal(1.0), Literal(2.0)), Env())
-    # Both operands are evaluated before the operator is refused.
-    with pytest.raises(EvalError, match=r"^division by zero in '1.0 / 0.0'$"):
+    # The operator is refused before either operand is evaluated.
+    with pytest.raises(CheckError, match=r"^unknown operator '%'$"):
         eval_expr(Binary("%", Literal(1.0), Binary("/", Literal(1.0), Literal(0.0))), Env())
     with pytest.raises(EvalError, match=r"^unknown function 'hypot'$"):
         eval_expr(Call("hypot", (Literal(3.0), Literal(4.0))), Env())
     with pytest.raises(EvalError, match=r"^unbound identifier 'ghost'$"):
         eval_expr(Call("hypot", (Ident("ghost"),)), Env())
-    # An unhashable operator is unknown too, after its operands.
-    with pytest.raises(EvalError, match=r"^unknown operator '\['\+'\]'$"):
+    # An unhashable operator is unknown too, before its operands.
+    with pytest.raises(CheckError, match=r"^unknown operator '\['\+'\]'$"):
         eval_expr(Binary(["+"], Literal(1.0), Literal(2.0)), Env())
-    with pytest.raises(EvalError, match=r"^unknown operator '\['-'\]'$"):
+    with pytest.raises(CheckError, match=r"^unknown operator '\['-'\]'$"):
         eval_expr(Unary(["-"], Literal(1.0)), Env())
-    with pytest.raises(EvalError, match=r"^unbound identifier 'ghost'$"):
+    with pytest.raises(CheckError, match=r"^unknown operator '\['\+'\]'$"):
         eval_expr(Binary(["+"], Literal(1.0), Ident("ghost")), Env())
 
 
@@ -186,10 +188,10 @@ _INJECTED = "+ 1 if print('INJECTED') is None else"
 
 
 def test_an_operator_outside_the_tables_is_refused_by_every_layer(capsys):
-    """check_od, format_expr, eval_expr and emit_expr each refuse an
-    operator that is not a key of syntax.BINARY or syntax.UNARY. The
-    program generator raises before it compiles anything, so even a
-    CheckedOracle built without check_od runs none of the operator."""
+    """check_od, format_expr, eval_expr and the program generator each
+    refuse an operator that is not a key of syntax.BINARY or syntax.UNARY,
+    with one text. The generator raises before it compiles anything, so
+    even a CheckedOracle built without check_od runs none of the operator."""
     schema = TraceSchema((("x", Kind.NUMBER),))
     for tree in (Binary(_INJECTED, Ident("x"), Literal(1.0)), Unary("!", Ident("x"))):
         od = OracleDefinition(functions=(ScoringFunction("f", tree, Frequency.ALL_SUM),))
@@ -198,41 +200,48 @@ def test_an_operator_outside_the_tables_is_refused_by_every_layer(capsys):
             check_od(od, schema)
         with pytest.raises(CheckError, match=f"^{text}$"):
             format_expr(tree)
-        with pytest.raises(EvalError, match=f"^{text}$"):
+        with pytest.raises(CheckError, match=f"^{text}$"):
             eval_expr(tree, Env(fields={"x": 5.0}))
-        with pytest.raises(TypeError, match=r"^not a checked expression node: "):
-            emit_expr(tree, lambda name: name, binder(runtime()))
-        with pytest.raises(TypeError, match=r"^not a checked expression node: "):
+        with pytest.raises(CheckError, match=f"^event of 'f': {text}$"):
             CheckedOracle(od, schema, {"f": frozenset()}).program
     assert capsys.readouterr() == ("", "")
 
 
-def test_a_value_that_is_not_a_node_is_a_type_error():
-    for tree, node in [
-        ("speed", "'speed'"),
-        (None, "None"),
-        (Binary("+", Literal(1.0), 2.0), "2.0"),
-        (Unary("-", "x"), "'x'"),
+def test_a_malformed_tree_is_refused_before_evaluation():
+    """eval_expr refuses what check_expr refuses, with its text, before any
+    node is evaluated: a value that is not a node, a tree nested past the
+    limit (which no evaluator recursion reaches), a literal of no kind and
+    call arguments that are not a tuple."""
+    deep = Literal(1.0)
+    for _ in range(3000):
+        deep = Unary("-", deep)
+    for tree, text in [
+        ("speed", "not an expression node: 'speed'"),
+        (None, "not an expression node: None"),
+        (Binary("+", Literal(1.0), 2.0), "not an expression node: 2.0"),
+        (Unary("-", "x"), "not an expression node: 'x'"),
+        (deep, f"expression nests deeper than {MAX_NESTING} levels"),
+        (Literal(math.inf), "literal inf is not a finite number, a boolean or a point of two finite numbers"),
+        (Call("abs", 5), "arguments of 'abs': 5 is not a tuple"),
     ]:
-        with pytest.raises(TypeError, match=f"^not an expression node: {node}$"):
+        with pytest.raises(CheckError, match=f"^{re.escape(text)}$"):
             eval_expr(tree, Env())
 
 
 def test_each_error_is_raised_only_when_its_node_is_evaluated():
-    # A node that is never reached raises nothing, whatever it holds.
-    assert eval_expr(Binary("and", Literal(False), None), Env()) is False
-    assert eval_expr(Binary("or", Literal(True), Call("abs", 5)), Env()) is True
-    with pytest.raises(TypeError, match=r"^'int' object is not iterable$"):
-        eval_expr(Call("abs", 5), Env())
+    # A name fault in a node that is never reached raises nothing.
+    assert eval_expr(Binary("and", Literal(False), Ident("ghost")), Env()) is False
+    assert eval_expr(Binary("or", Literal(True), Call("hypot", ())), Env()) is True
     with pytest.raises(EvalError, match=r"^division by zero in '1.0 / 0.0'$"):
-        eval_expr(Binary("+", Binary("/", Literal(1.0), Literal(0.0)), None), Env())
-    # The division's text is built only for a zero divisor: format_expr
-    # would refuse this tree.
-    with pytest.raises(TypeError, match=r"^not an expression node: None$"):
-        eval_expr(Binary("/", Literal(1.0), None), Env())
+        eval_expr(Binary("+", Binary("/", Literal(1.0), Literal(0.0)), Ident("ghost")), Env())
     # An unknown function's arguments are evaluated first, left to right.
     with pytest.raises(EvalError, match=r"^unbound identifier 'ghost'$"):
-        eval_expr(Call("hypot", (Ident("ghost"), None)), Env())
+        eval_expr(Call("hypot", (Ident("ghost"), Ident("seq_time"))), Env())
+    # Shape faults are refused first, wherever they are.
+    with pytest.raises(CheckError, match=r"^not an expression node: None$"):
+        eval_expr(Binary("and", Literal(False), None), Env())
+    with pytest.raises(CheckError, match=r"^arguments of 'abs': 5 is not a tuple$"):
+        eval_expr(Binary("or", Literal(True), Call("abs", 5)), Env())
 
 
 def test_names_resolve_to_field_then_constant_then_timer_then_score():

@@ -359,6 +359,13 @@ def test_read_trace_reports_bytes_that_are_not_utf8():
     schema, messages = read_trace(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     with pytest.raises(TraceError, match=r"trace file is not valid UTF-8 after line \d+: invalid start byte"):
         list(messages)
+    # Bytes are decoded a line at a time, so the line before the bad byte is named.
+    for lines, bad in [(3, 3), (2001, 1501)]:
+        text = [SCHEMA.strip().encode(), *[GOOD.encode()] * (lines - 1)]
+        text[bad - 1] = b"\xff" + text[bad - 1]
+        with pytest.raises(TraceError) as exc:
+            parse_trace(b"\n".join(text) + b"\n")
+        assert str(exc.value) == f"trace file is not valid UTF-8 after line {bad - 1}: invalid start byte b'\\xff'"
 
 
 def test_duration_examples():
