@@ -11,18 +11,18 @@ fields and the constants; the summary reads the constants and the
 scoring-function scores. seq_time is readable in conditions only, and
 never beside a trace field of that name. Events and conditions must be
 boolean; actions, notification values, and the summary must be numeric.
-A checked oracle is a plain value; its scoring program is generated and
-compiled when it is first scored (`engine.generate_program`).
+A `CheckedOracle` is checked by being made. It is a plain value; its scoring
+program is generated and compiled when first scored (`engine.generate_program`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
 from .engine import Program, generate_program
-from .errors import CheckError
+from .errors import CheckError, EngineError
 from .syntax import (
     BINARY,
     BUILTINS,
@@ -37,12 +37,13 @@ from .syntax import (
     kind_of_value,
     unknown_function,
 )
-from .trace import Kind, TraceSchema, schema_fault
+from .trace import Kind, Trace, TraceMessage, TraceSchema, schema_fault
 
 
 @dataclass(frozen=True)
 class CheckedOracle:
-    """An oracle definition validated against a trace schema.
+    """An oracle definition validated against a trace schema when it is made
+    (by `dataclasses.replace` too): one check_od refuses raises its CheckError.
 
     `timers` maps each scoring-function name to the timer names some
     notification targets at it (the timers its expressions may read).
@@ -50,13 +51,22 @@ class CheckedOracle:
 
     od: OracleDefinition
     schema: TraceSchema
-    timers: Mapping[str, frozenset[str]]
+    timers: Mapping[str, frozenset[str]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "timers", _check(self.od, self.schema))
 
     @cached_property
     def program(self) -> Program:
         """The scoring function, made by `engine.generate_program` on first use
         and kept. Only `engine.score_messages` calls it; the reference evaluates `od`."""
-        return generate_program(self.od, self.timers)
+        return generate_program(self)
+
+    def _messages_of(self, trace: Trace) -> tuple[TraceMessage, ...]:
+        """The messages of a trace of the schema this oracle was checked against."""
+        if self.schema.as_dict() != trace.schema.as_dict():
+            raise EngineError("trace schema does not match the one the oracle was checked against")
+        return trace.messages
 
 
 _WORDS = {Kind.BOOLEAN: "boolean", Kind.NUMBER: "numeric"}
@@ -180,6 +190,11 @@ def _unresolved(where: str) -> Callable[[str], str]:
 def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
     """Resolve and kind-check an oracle definition against a trace schema,
     after refusing a definition check_shape refuses and a schema parse_trace would."""
+    return CheckedOracle(od, schema)
+
+
+def _check(od: OracleDefinition, schema: TraceSchema) -> dict[str, frozenset[str]]:
+    """check_od's checks, run by `CheckedOracle(od, schema)`; each function's timers."""
     check_shape(od)
     if not od.functions:
         raise CheckError("oracle definition declares no scoring functions")
@@ -255,5 +270,4 @@ def check_od(od: OracleDefinition, schema: TraceSchema) -> CheckedOracle:
         )
         _expect(od.summary, scope, Kind.NUMBER, "summary")
 
-    timers = {name: frozenset(timers) for name, timers in notifiers.items()}
-    return CheckedOracle(od=od, schema=schema, timers=timers)
+    return {name: frozenset(timers) for name, timers in notifiers.items()}

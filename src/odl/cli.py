@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import glob
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from pathlib import Path
-from typing import IO, ContextManager, Iterator
+from typing import IO, ContextManager
 
 from .checker import CheckedOracle, check_od
 from .engine import report_to_json, report_to_text, score_messages
@@ -32,22 +32,16 @@ from .rank import (
 from .trace import TraceSchema, read_trace, write_trace
 
 
-@contextmanager
-def _open_input(path: str) -> Iterator[IO[str]]:
-    """Open an input file as UTF-8 text. Bytes that are not UTF-8 raise an
-    OdlError naming the file, not a traceback. The trace reader reports
-    them itself, because it decodes as it goes: `odl score` and `odl batch`
-    pass it lines decoded one at a time, so it names the line before."""
+def _read_input(path: str) -> str:
+    """The text of an input file, read as UTF-8. Bytes that are not UTF-8
+    raise an OdlError naming the file, not a traceback. Trace files are
+    opened in binary instead and their lines decoded one at a time by the
+    trace reader, which reports a bad byte with the line before it."""
     with open(path, encoding="utf-8") as file:
         try:
-            yield file
+            return file.read()
         except UnicodeDecodeError as exc:
             raise OdlError(f"{path}: file is not valid UTF-8: {exc}") from None
-
-
-def _read_input(path: str) -> str:
-    with _open_input(path) as file:
-        return file.read()
 
 
 def _output(out: str | None) -> ContextManager[IO[str]]:
@@ -71,9 +65,9 @@ def _split_solution_trace(stem: str) -> tuple[str, str]:
 def _cmd_check(args: argparse.Namespace) -> int:
     od = parse_od(_read_input(args.od_path))
     if args.trace:
-        # Only the schema line is read; records are not checked.
-        with _open_input(args.trace) as lines:
-            schema, _ = read_trace(lines)
+        # Only the schema line (and blank lines before it) is read and decoded.
+        with open(args.trace, "rb") as file:
+            schema, _ = read_trace(map(bytes.decode, file))
         check_od(od, schema)
     else:
         print(

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 from .errors import EngineError, EvalError
 from .evaluate import binder, emit_expr, emit_value, non_finite, runtime
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
-from .syntax import Expr, Frequency, Literal, OracleDefinition, check_shape, format_expr
+from .syntax import Expr, Frequency, Literal, format_expr
 from .trace import Trace, TraceMessage
 
 if TYPE_CHECKING:
@@ -80,9 +80,9 @@ def _regress(index: int, t: float, prev: float) -> EngineError:
     return EngineError(f"message {index}: timestamp {t!r} decreases below {prev!r}")
 
 
-def generate_program(od: OracleDefinition, timers: Mapping[str, frozenset[str]]) -> Program:
+def generate_program(checked: CheckedOracle) -> Program:
     """Generate, compile and return the scoring program of a checked oracle,
-    after check_shape has refused a malformed definition with check_od's text.
+    which check_od's checks took when it was made.
 
     The program is a function of an iterable of messages. It pulls them one
     at a time, so errors come in their order, then runs the summary once
@@ -92,7 +92,7 @@ def generate_program(od: OracleDefinition, timers: Mapping[str, frozenset[str]])
     frequency mode. A notification waits in locals of its notifier and is
     written into the target's timer after the message.
     """
-    check_shape(od)
+    od, timers = checked.od, checked.timers
     namespace = runtime()
     namespace.update(
         _EvalError=EvalError, _Firing=Firing, _isfinite=isfinite,
@@ -238,9 +238,7 @@ def score_messages(checked: CheckedOracle, messages: Iterable[TraceMessage]) -> 
 def score_trace(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     """Score one trace: check that its schema is the one `checked` was
     checked against, then score_messages over its messages."""
-    if checked.schema.as_dict() != trace.schema.as_dict():
-        raise EngineError("trace schema does not match the one the oracle was checked against")
-    return score_messages(checked, trace.messages)
+    return score_messages(checked, checked._messages_of(trace))
 
 
 def report_to_json(report: ScoreReport, include_firings: bool = False) -> str:

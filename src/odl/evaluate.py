@@ -8,7 +8,8 @@ per call and evaluates with them alone; `eval_expr(expr, env)` is
 source; the streaming engine runs only such code, spliced into the one
 scoring function generated per oracle (`engine.generate_program`). The
 differential suite compares the two. Both read only trees check_expr takes:
-`eval_expr` runs it first; `generate_program` and the reference, check_shape.
+`eval_expr` runs it first, and `generate_program` and the reference read
+the trees of a `CheckedOracle`, which check_od's checks took.
 
 Evaluation is pure and deterministic. `and`/`or` short-circuit, so a guard
 can protect a partial expression: `false and (1 / 0 > 0)` is false, not an
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from .errors import EvalError
-from .syntax import BINARY, BUILTINS, Binary, Call, Expr, Ident, Literal, Unary, check_expr, format_expr
+from .syntax import BINARY, Binary, Call, Expr, Ident, Literal, Unary, check_expr, format_expr
 from .trace import Point2, Value
 
 
@@ -183,8 +184,8 @@ def emit_expr(expr: Expr, resolve: Callable[[str], str], bind: Callable[[Any], s
     """Python source that evaluates a checked expression as `evaluator`'s
     closure does: same value and type, operands left to right, `and`/`or`
     short-circuit, the same division-by-zero error. `resolve(name)` gives
-    the source that reads an identifier. `expr` must be a tree check_expr
-    takes; a call of a name outside BUILTINS is a TypeError.
+    the source that reads an identifier. `expr` must be a tree check_od
+    takes, so each call names a built-in.
 
     Every operator is parenthesised, because Python chains `a < b < c`;
     check_expr's nesting limit keeps the result under CPython's limit on
@@ -205,9 +206,7 @@ def emit_expr(expr: Expr, resolve: Callable[[str], str], bind: Callable[[Any], s
                 error = bind(f"division by zero in '{format_expr(e)}'")
                 return f"_divide({left}, {right}, {error})"
             return f"({left} {e.op} {right})"
-        if e.name not in BUILTINS:  # a Call: check_shape takes any name, `exit` say
-            raise TypeError(f"not a checked expression node: {e!r}")
-        name = "_dist" if e.name == "distance" else e.name
+        name = "_dist" if e.name == "distance" else e.name  # a Call of a built-in
         return f"{name}({', '.join(emit(arg) for arg in e.args)})"
 
     return emit(expr)

@@ -18,7 +18,7 @@ Timer replay and notification dispatch still advance with the index walk
 fully separate pass cannot exist), but the firing log is only assembled
 afterwards from the materialized firing rows. The summary is a closure
 too, so the engine and the reference share no evaluation code. Like the
-engine, it builds them only from a definition `syntax.check_shape` takes.
+engine, it reads only a `CheckedOracle`, which check_od's checks took.
 
 Per-function state and closures live in lists indexed by declaration
 position; only a notification's target is looked up by name, in one
@@ -35,7 +35,7 @@ from .engine import Firing, ScoreReport
 from .errors import EngineError, EvalError
 from .evaluate import Env, evaluator, non_finite
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
-from .syntax import Frequency, check_shape, format_expr
+from .syntax import Frequency, format_expr
 from .trace import Trace
 
 # Read once: an enum member is slow to read as a class attribute.
@@ -44,12 +44,9 @@ _FIRST, _ACTION_SUM = Frequency.FIRST, Frequency.ACTION_SUM
 
 def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     """Score a trace by table materialization; equals score_trace exactly."""
-    if checked.schema.as_dict() != trace.schema.as_dict():
-        raise EngineError("trace schema does not match the one the oracle was checked against")
+    messages = checked._messages_of(trace)
     od = checked.od
-    check_shape(od)
     functions = od.functions
-    messages = trace.messages
     n = len(messages)
     names = [fn.name for fn in functions]
     constants = od.constant_map()

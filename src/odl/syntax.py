@@ -251,9 +251,9 @@ def check_shape(od: OracleDefinition) -> None:
     of its declared elements, a declared name parse_od would not read or
     would read twice, a constant's value kind_of_value gives no kind, a
     frequency or an initial score of another type, or an expression
-    check_expr refuses. check_od, format_od, engine.generate_program and
-    reference.reference_score call it first, so each reports such a fault
-    before any other, and with the same text."""
+    check_expr refuses. check_od and format_od call it first, so each
+    reports such a fault before any other, and with the same text;
+    format_expr and eval_expr call its expression part, check_expr."""
     if type(od) is not OracleDefinition:
         raise CheckError(f"{od!r} is not an oracle definition")
     declared: set[str] = set()

@@ -26,7 +26,6 @@ from odl import (
     OracleDefinition,
     Point2,
     ScoringFunction,
-    Trace,
     TraceSchema,
     Unary,
     check_od,
@@ -881,14 +880,36 @@ def test_any_hand_built_definition_is_refused_or_reproduced():
     assert accepted > 100 and printed > 300
 
 
+@pytest.mark.parametrize(
+    "event, text",
+    [
+        (Call("hypot", ()), "event of 'f': unknown function 'hypot' (built-ins: distance, abs, min, max)"),
+        (Binary(">", Call("distance", (Ident("x"), Ident("x"))), Literal(0.0)),
+         "event of 'f': distance takes exactly two point2 arguments"),
+    ],
+    ids=["unknown_function", "distance_of_numbers"],
+)
+def test_a_checked_oracle_is_checked_when_it_is_made(event, text):
+    """A definition check_shape takes but check_od refuses cannot become a
+    CheckedOracle: building one, or replacing a checked oracle's definition
+    with it, raises check_od's text, so no scorer ever meets it."""
+    schema = TraceSchema((("x", Kind.NUMBER),))
+    good = OracleDefinition(functions=(ScoringFunction("f", Binary(">", Ident("x"), Literal(0.0)), Frequency.ALL_SUM),))
+    checked = CheckedOracle(good, schema)
+    assert checked == check_od(good, schema)
+    assert checked.timers == {"f": frozenset()}
+    bad = OracleDefinition(functions=(ScoringFunction("f", event, Frequency.ALL_SUM),))
+    for build in (check_od, CheckedOracle, lambda od, _: replace(checked, od=od)):
+        with pytest.raises(CheckError, match=f"^{re.escape(text)}$"):
+            build(bad, schema)
+
+
 def test_format_od_refuses_with_check_ods_text_or_prints():
     """The entry points agree on seeded double mutations of the bundled
     oracles: check_shape runs first in each, so a definition format_od
-    refuses is refused by check_od, and by both scorers of a CheckedOracle
-    built without check_od, with the same text, and one check_od accepts
-    is printed."""
+    refuses is refused by check_od, and by building a CheckedOracle of it,
+    with the same text, and one check_od accepts is printed."""
     ods = [parse_od(load_builtin(name)) for name in BUILTIN_NAMES]
-    trace = Trace(GEN_SCHEMA, ())
     rng = random.Random(18)
     for i in range(3000):
         od = mutate_od(mutate_od(ods[i % len(ods)], rng), rng)
@@ -896,10 +917,9 @@ def test_format_od_refuses_with_check_ods_text_or_prints():
             format_od(od)
         except CheckError as exc:
             refusal = str(exc)
-            for score in (score_trace, reference_score):
-                with pytest.raises(CheckError) as scored:
-                    score(CheckedOracle(od, GEN_SCHEMA, {}), trace)
-                assert str(scored.value) == refusal, (score.__name__, od)
+            with pytest.raises(CheckError) as built:
+                CheckedOracle(od, GEN_SCHEMA)
+            assert str(built.value) == refusal, od
         else:
             refusal = None
         try:

@@ -387,7 +387,9 @@ def test_streaming_reports_errors_in_file_order(workspace, capsys):
     "command, bad, expected",
     [
         (["check", "{bad}"], "listing1.odl", "{bad}: file is not valid UTF-8"),
-        (["check", "{od}", "--trace", "{bad}"], "t.jsonl", "trace file is not valid UTF-8"),
+        # check decodes only a trace's schema line, so its bad byte lies there.
+        (["check", "{od}", "--trace", "{bad_schema}"], "t.jsonl",
+         "trace file is not valid UTF-8: invalid start byte b'\\xff'\n"),
         (["score", "--od", "{bad}", "--trace", "{trace}"], "listing1.odl", "{bad}: file is not valid UTF-8"),
         (["score", "--od", "{od}", "--trace", "{bad}"], "t.jsonl", "trace file is not valid UTF-8"),
         # Trace lines are decoded one at a time, so the line before the bad byte is named.
@@ -409,11 +411,25 @@ def test_input_that_is_not_utf8_exits_1(workspace, capsys, command, bad, expecte
     bad_path.parent.mkdir()
     # Two valid lines, so the bad byte is met after reading has begun.
     bad_path.write_bytes(b'{"speed": "number"}\n{"t": 0.0, "speed": 1.0}\n' + b"\xff\xfe\n")
-    names = {"bad": str(bad_path), "od": str(workspace / "listing1.odl"), "trace": str(trace)}
+    bad_schema = bad_path.with_name("schema_" + bad)
+    bad_schema.write_bytes(b'\xff{"speed": "number"}\n')
+    names = {"bad": str(bad_path), "bad_schema": str(bad_schema), "od": str(workspace / "listing1.odl"),
+             "trace": str(trace)}
     assert main([arg.format(**names) for arg in command]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: " + expected.format(**names))
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("records", [1, 2001], ids=["line_3", "after_2001_records"])
+def test_check_decodes_only_the_schema_line_of_a_trace(workspace, capsys, records):
+    """`odl check --trace` reads a trace's schema line and decodes nothing
+    after it, so a bad byte in a record is never met, wherever it lies."""
+    trace = workspace / "t.jsonl"
+    record = b'{"t": 0.0, "speed": 1.0}\n'
+    trace.write_bytes(b'{"speed": "number"}\n' + record * records + b"\xff\xfe\n")
+    assert main(["check", str(workspace / "listing1.odl"), "--trace", str(trace)]) == 0
+    assert capsys.readouterr() == ("ok: 1 scoring function(s), 1 constant(s)\n", "")
 
 
 def test_batch_names_the_trace_in_record_and_evaluation_errors(workspace, capsys):

@@ -341,9 +341,9 @@ def counting_generate_program(monkeypatch):
     calls = []
     real = odl.checker.generate_program
 
-    def counting(od, timers):
-        calls.append(od)
-        return real(od, timers)
+    def counting(checked):
+        calls.append(checked.od)
+        return real(checked)
 
     monkeypatch.setattr(odl.checker, "generate_program", counting)
     return calls

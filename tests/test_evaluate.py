@@ -1,6 +1,6 @@
-"""Expression evaluation semantics, for the tree walker and the generated
-code (one expression at a time through `compile_expr` below, which wraps the
-emitter the scoring program is built from)."""
+"""Expression evaluation semantics, for `evaluator`'s closures and the
+generated code (one expression at a time through `compile_expr` below,
+which wraps the emitter the scoring program is built from)."""
 
 import math
 import random
@@ -40,7 +40,7 @@ def compile_expr(expr, fields, constants, timers=()):
     """One checked expression as a function f(values, t, timers, seq_time)
     that returns what `eval_expr` returns in the matching `Env`. It is
     built by `emit_expr`, as the scoring program is, so the emitter can be
-    compared with the tree walker one expression at a time."""
+    compared with `evaluator`'s closures one expression at a time."""
     namespace = runtime()
     bind = binder(namespace)
 
@@ -188,10 +188,10 @@ _INJECTED = "+ 1 if print('INJECTED') is None else"
 
 
 def test_an_operator_outside_the_tables_is_refused_by_every_layer(capsys):
-    """check_od, format_expr, eval_expr and the program generator each
-    refuse an operator that is not a key of syntax.BINARY or syntax.UNARY,
-    with one text. The generator raises before it compiles anything, so
-    even a CheckedOracle built without check_od runs none of the operator."""
+    """check_od, format_expr, eval_expr and the CheckedOracle constructor
+    each refuse an operator that is not a key of syntax.BINARY or
+    syntax.UNARY, with one text, so no program of it is generated and none
+    of the operator runs."""
     schema = TraceSchema((("x", Kind.NUMBER),))
     for tree in (Binary(_INJECTED, Ident("x"), Literal(1.0)), Unary("!", Ident("x"))):
         od = OracleDefinition(functions=(ScoringFunction("f", tree, Frequency.ALL_SUM),))
@@ -203,7 +203,7 @@ def test_an_operator_outside_the_tables_is_refused_by_every_layer(capsys):
         with pytest.raises(CheckError, match=f"^{text}$"):
             eval_expr(tree, Env(fields={"x": 5.0}))
         with pytest.raises(CheckError, match=f"^event of 'f': {text}$"):
-            CheckedOracle(od, schema, {"f": frozenset()}).program
+            CheckedOracle(od, schema)
     assert capsys.readouterr() == ("", "")
 
 

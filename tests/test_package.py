@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import importlib
 import json
 import os
@@ -121,3 +122,24 @@ def test_the_benchmark_probe_runs_traced(tmp_path):
     done = _run(str(probe), str(record), "--trace", "differential", str(trace), str(oracle))
     assert (done.returncode, done.stdout) == (0, "listing1 equal\n"), done.stderr
     assert {"ready", "peak_kb", "counts", "spans"} <= set(json.loads(record.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("path", sorted(Path(odl.__file__).parent.glob("*.py")), ids=lambda path: path.name)
+def test_every_imported_name_is_read(path):
+    """No module imports a name it never reads, leaving out `__future__`
+    imports and names on a line marked `# noqa: F401`. The package reads
+    the names it imports through `__all__`, which lists each one it binds."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    if path.name == "__init__.py":
+        read |= set(odl.__all__)
+    imported = [
+        (alias.asname or alias.name.split(".")[0], alias.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if "# noqa: F401" not in lines[alias.lineno - 1]
+    ]
+    assert [(name, lineno) for name, lineno in imported if name not in read] == []
