@@ -12,7 +12,8 @@ scoring-function scores. seq_time is readable in conditions only, and
 never beside a trace field of that name. Events and conditions must be
 boolean; actions, notification values, and the summary must be numeric.
 A `CheckedOracle` is checked by being made. It is a plain value; its scoring
-program is generated and compiled when first scored (`engine.generate_program`).
+programs, of messages and of trace lines, are generated and compiled when
+first used (`engine.generate_program`, `engine.generate_line_program`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
-from .engine import Program, generate_program
+from .engine import LineProgram, Program, generate_line_program, generate_program
 from .errors import CheckError, EngineError
 from .syntax import (
     BINARY,
@@ -61,6 +62,13 @@ class CheckedOracle:
         """The scoring function, made by `engine.generate_program` on first use
         and kept. Only `engine.score_messages` calls it; the reference evaluates `od`."""
         return generate_program(self)
+
+    @cached_property
+    def line_program(self) -> LineProgram:
+        """The scoring function of numbered trace lines, made by
+        `engine.generate_line_program` on first use and kept. Only
+        `engine.score_lines` calls it."""
+        return generate_line_program(self)
 
     def _messages_of(self, trace: Trace) -> tuple[TraceMessage, ...]:
         """The messages of a trace of the schema this oracle was checked against."""

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import IO, ContextManager
 
 from .checker import CheckedOracle, check_od
-from .engine import report_to_json, report_to_text, score_messages
+from .engine import report_to_json, report_to_text, score_lines, score_messages
 from .errors import AnalysisError, CheckError, EvalError, OdlError, TraceError
 from .parser import parse_od
 from .rank import (
@@ -29,14 +29,16 @@ from .rank import (
     write_ranks_csv,
     write_scores_csv,
 )
-from .trace import TraceSchema, read_trace, write_trace
+from .trace import TraceSchema, read_trace, read_trace_lines, write_trace
 
 
 def _read_input(path: str) -> str:
     """The text of an input file, read as UTF-8. Bytes that are not UTF-8
     raise an OdlError naming the file, not a traceback. Trace files are
-    opened in binary instead and their lines decoded one at a time by the
-    trace reader, which reports a bad byte with the line before it."""
+    opened in binary instead and decoded by the trace reader, which reports
+    a bad byte with the line before it: `check` decodes the lines up to the
+    schema one at a time, `score` and `batch` read the rest in batches of
+    whole lines (`read_trace_lines`) for the oracle's line program."""
     with open(path, encoding="utf-8") as file:
         try:
             return file.read()
@@ -82,8 +84,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     od = parse_od(_read_input(args.od))
     with open(args.trace, "rb") as file:
-        schema, messages = read_trace(map(bytes.decode, file))
-        report = score_messages(check_od(od, schema), messages)
+        if args.log_firings:
+            schema, messages = read_trace(map(bytes.decode, file))
+            report = score_messages(check_od(od, schema), messages)
+        else:
+            schema, lines = read_trace_lines(file)
+            report = score_lines(check_od(od, schema), lines)
     if args.report == "machine":
         text = report_to_json(report, include_firings=args.log_firings) + "\n"
     else:
@@ -102,10 +108,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     for path in paths:
         with open(path, "rb") as file:
             try:
-                schema, messages = read_trace(map(bytes.decode, file))
+                schema, lines = read_trace_lines(file)
                 if schema not in checked:
                     checked[schema] = check_od(od, schema)
-                report = score_messages(checked[schema], messages)
+                report = score_lines(checked[schema], lines)
             except (TraceError, CheckError, EvalError) as exc:
                 # One of many traces failed: say which.
                 raise OdlError(f"{path}: {exc}") from exc

@@ -23,11 +23,21 @@ Each message is processed in three phases:
    is visible from the next message onward, which makes the result
    independent of declaration order.
 
-`generate_program` makes one Python function per checked oracle, at its first
-scoring, that does all of this with the oracle's expressions inlined: it
-loops over the messages itself and returns the report. `score_messages` is
-its only caller. `reference.reference_score` implements the same semantics
-independently.
+`_emit` writes the Python source that does all of this for one checked
+oracle, with its expressions inlined, and a loop head puts it in one
+function that loops over its input itself and returns the report. Each is
+made at its first use and kept on the `CheckedOracle`:
+
+- `generate_program` loops over messages and keeps the firing log.
+  `score_messages` (and so `score_trace`) is its only caller.
+- `generate_line_program` loops over the numbered lines of a trace file's
+  records. It runs the reader's record gate (`trace.record_gate`) on each
+  line and binds the fields straight from the scanned object, so it builds
+  no message and keeps no firing log: its memory does not grow with the
+  trace. `score_lines`, which `odl score` and `odl batch` call, is its only
+  caller.
+
+`reference.reference_score` implements the same semantics independently.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from .errors import EngineError, EvalError
 from .evaluate import binder, emit_expr, emit_value, non_finite, runtime
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
 from .syntax import Expr, Frequency, Literal, format_expr
-from .trace import Trace, TraceMessage
+from .trace import Kind, Trace, TraceMessage, record_gate
 
 if TYPE_CHECKING:
     from .checker import CheckedOracle
@@ -70,6 +80,7 @@ class ScoreReport(NamedTuple):
 
 
 Program = Callable[[Iterable[TraceMessage]], ScoreReport]
+LineProgram = Callable[[Iterable[tuple[int, str]]], ScoreReport]
 
 
 def _failed(index: int, t: float, function: str, exc: EvalError) -> EvalError:
@@ -80,18 +91,22 @@ def _regress(index: int, t: float, prev: float) -> EngineError:
     return EngineError(f"message {index}: timestamp {t!r} decreases below {prev!r}")
 
 
-def generate_program(checked: CheckedOracle) -> Program:
-    """Generate, compile and return the scoring program of a checked oracle,
-    which check_od's checks took when it was made.
+class _Parts(NamedTuple):
+    """What _emit generates for one oracle, for a loop head to assemble."""
 
-    The program is a function of an iterable of messages. It pulls them one
-    at a time, so errors come in their order, then runs the summary once
-    and returns the ScoreReport. Scores, sequence flags, timers and the
-    firing list live in local variables, each field the oracle uses is read
-    once per message, and each function's firing rule is specialised to its
-    frequency mode. A notification waits in locals of its notifier and is
-    written into the target's timer after the message.
-    """
+    namespace: dict[str, object]  # the names the lines read
+    init: list[str]  # before the loop
+    body: list[str]  # per message, after t and the fields are bound
+    apply: list[str]  # per message, after every function ran
+    summary: list[str]  # after the loop; returns the ScoreReport
+    fields: dict[str, str]  # each field the oracle reads -> its local
+    timers: list[str]  # every timer's local
+
+
+def _emit(checked: CheckedOracle, log: bool) -> _Parts:
+    """The lines of one checked oracle's scoring, which read t, `index` (the
+    message's) and each field's local as the head binds them, with a firing
+    log appended to `firings` when `log` is set."""
     od, timers = checked.od, checked.timers
     namespace = runtime()
     namespace.update(
@@ -128,9 +143,9 @@ def generate_program(checked: CheckedOracle) -> Program:
             f"if not _isfinite({var}): raise _non_finite({bind(what)}, {var})",
         ]
 
-    init = ["firings = []", "prev = None"]
-    body: list[str] = []  # per message, after the field reads
-    apply: list[str] = []  # per message, after every function ran
+    init: list[str] = []
+    body: list[str] = []
+    apply: list[str] = []
     for k, fn in enumerate(od.functions):
         name = bind(fn.name)
         own = {"t": "t", "seq_time": f"(t - st{k})", **timer_vars[fn.name]}
@@ -165,7 +180,8 @@ def generate_program(checked: CheckedOracle) -> Program:
             fire.append(f"w{k} = True")
             init.append(f"w{k} = False")
             apply += [f"if w{k}:", f"    w{k} = False", *writes]
-        fire.append(f"firings.append(_Firing(index, {name}, d, ({''.join(dispatched)})))")
+        if log:
+            fire.append(f"firings.append(_Firing(index, {name}, d, ({''.join(dispatched)})))")
 
         tests = [] if condition is None else [condition]
         if once:
@@ -199,28 +215,85 @@ def generate_program(checked: CheckedOracle) -> Program:
     pairs = "".join(f"({bind(fn.name)}, s{k}), " for k, fn in enumerate(od.functions))
     summary += [
         "if not _isfinite(total): raise _non_finite('summary', total)",
-        f"return _ScoreReport(({pairs}), total, tuple(firings))",
+        f"return _ScoreReport(({pairs}), total{', tuple(firings)' if log else ''})",
     ]
-
-    head = ["t = message.t", "if prev is None:", "    prev = t", "elif t < prev:",
-            "    raise _regress(index, t, prev)"]
-    timer_list = [var for group in timer_vars.values() for var in group.values()]
-    if timer_list:
-        head += ["dt = t - prev", *(f"{var} -= dt" for var in timer_list)]
-    head.append("prev = t")
     if fields:
         namespace["_fields"] = itemgetter(*fields)
-        # itemgetter returns a tuple only for two or more names.
-        targets = ", ".join(fields.values()) + ("," if len(fields) > 1 else "")
-        head.append(f"{targets} = _fields(message.values)")
-    loop = [*head, *body, *apply]
+    timer_list = [var for group in timer_vars.values() for var in group.values()]
+    return _Parts(namespace, init, body, apply, summary, fields, timer_list)
+
+
+def _read_fields(fields: dict[str, str], values: str) -> list[str]:
+    """The line that binds each field's local from the mapping `values`."""
+    if not fields:
+        return []
+    # itemgetter returns a tuple only for two or more names.
+    return [", ".join(fields.values()) + ("," if len(fields) > 1 else "") + f" = _fields({values})"]
+
+
+def generate_program(checked: CheckedOracle) -> Program:
+    """Generate, compile and return the scoring program of a checked oracle,
+    which check_od's checks took when it was made.
+
+    The program is a function of an iterable of messages. It pulls them one
+    at a time, so errors come in their order, then runs the summary once
+    and returns the ScoreReport. Scores, sequence flags, timers and the
+    firing list live in local variables, each field the oracle uses is read
+    once per message, and each function's firing rule is specialised to its
+    frequency mode. A notification waits in locals of its notifier and is
+    written into the target's timer after the message.
+    """
+    parts = _emit(checked, log=True)
+    head = ["t = message.t", "if prev is None:", "    prev = t", "elif t < prev:",
+            "    raise _regress(index, t, prev)"]
+    if parts.timers:
+        head += ["dt = t - prev", *(f"{var} -= dt" for var in parts.timers)]
+    head.append("prev = t")
+    head += _read_fields(parts.fields, "message.values")
+    loop = [*head, *parts.body, *parts.apply]
     source = "\n".join([
-        "def program(messages):", *_indent(init),
+        "def program(messages):", *_indent(["firings = []", "prev = None", *parts.init]),
         "    for index, message in enumerate(messages):", *_indent(loop, 2),
-        *_indent(summary), "",
+        *_indent(parts.summary), "",
     ])
-    exec(compile(source, "<odl oracle>", "exec"), namespace)
-    return namespace["program"]
+    exec(compile(source, "<odl oracle>", "exec"), parts.namespace)
+    return parts.namespace["program"]
+
+
+def generate_line_program(checked: CheckedOracle) -> LineProgram:
+    """Generate, compile and return the line program of a checked oracle:
+    generate_program's scoring, without the firing log, over the (line
+    number, line) pairs of the records of a trace of its schema.
+
+    Each line goes through trace.record_gate, which checks every field and
+    binds the ones the oracle reads as its locals, a point as the Point2
+    the reader would give, built by tuple.__new__. So no message, values
+    dict or firing is built, memory does not grow with the trace, and a
+    line the gate refuses raises the reader's diagnostic at its place. The
+    gate refuses a decreasing t, so no regress check is needed. The
+    report's firing log is empty.
+    """
+    parts = _emit(checked, log=False)
+    names = [parts.fields.get(name, f"u{k}") for k, name in enumerate(checked.schema.names())]
+    points = [
+        parts.fields[name] for name, kind in checked.schema.fields
+        if kind is Kind.POINT2 and name in parts.fields
+    ]
+    namespace, gate = record_gate(
+        checked.schema, names, "index + 1", [f"{var} = _new(_Point2, {var})" for var in points],
+        ["t, values = record", *_read_fields(parts.fields, "values")],
+    )
+    parts.namespace.update(namespace)
+    # Timers run from 0.0 at the first record, where no time has elapsed.
+    head = ["if index:", "    dt = t - prev_t", *(f"    {var} -= dt" for var in parts.timers)] if parts.timers else []
+    loop = [*gate, *head, "prev_t = t", *parts.body, *parts.apply, "index += 1"]
+    source = "\n".join([
+        "def program(numbered):", *_indent([*parts.init, "index, prev_t = 0, -_inf"]),
+        "    for lineno, line in numbered:", *_indent(loop, 2),
+        *_indent(parts.summary), "",
+    ])
+    exec(compile(source, "<odl line program>", "exec"), parts.namespace)
+    return parts.namespace["program"]
 
 
 def _indent(lines: list[str], levels: int = 1) -> list[str]:
@@ -233,6 +306,14 @@ def score_messages(checked: CheckedOracle, messages: Iterable[TraceMessage]) -> 
     them. It pulls one message at a time and only the firing log grows with
     their number, so a `read_trace` iterator is scored without holding it."""
     return checked.program(messages)
+
+
+def score_lines(checked: CheckedOracle, numbered: Iterable[tuple[int, str]]) -> ScoreReport:
+    """Score the (line number, line) pairs of the records of a trace of the
+    schema `checked` was checked against, such as read_trace_lines returns,
+    by running its line program (compiled at the first call). Memory does
+    not grow with the trace: the report has no firing log."""
+    return checked.line_program(numbered)
 
 
 def score_trace(checked: CheckedOracle, trace: Trace) -> ScoreReport:

@@ -11,7 +11,8 @@ own; scores are therefore predictable from the scenario alone, and identical
 validate_scenario runs the rules that place episodes on samples: an interval
 episode must hold a tick by _tick_range's exact test, and each collision
 lands on its nearest tick (_collision_tick), no two on one. The first
-declared episode of a kind holds a tick it shares with a later one.
+declared episode of a kind holds a tick it shares with a later one
+(_active_runs), and an episode left with no tick of its own is refused.
 
 This is a property-episode generator, not a vehicle model: the channels are
 deliberately independent (braking episodes do not move the speed channel).
@@ -84,6 +85,8 @@ _EPISODE_PARAMS: dict[str, dict[str, Callable[[Scenario], float]]] = {
     "arrival": {},
 }
 EPISODE_KINDS = tuple(_EPISODE_PARAMS)
+# The kinds whose episodes set a field over a run of ticks (_active_runs).
+_INTERVAL_KINDS = ("speeding", "lane_departure", "deceleration")
 
 
 def _params(scenario: Scenario, ep: Episode) -> dict[str, float]:
@@ -182,6 +185,22 @@ def validate_scenario(scenario: Scenario) -> None:
         for prev, cur in zip(spans, spans[1:]):
             if cur.start < prev.end:
                 raise ScenarioError(f"{kind} episodes [{prev.start}, {prev.end}] and [{cur.start}, {cur.end}] overlap")
+    # An interval episode must keep a tick under the generator's placement.
+    for kind in _INTERVAL_KINDS:
+        episodes = _episodes_of(scenario, kind)
+        runs = _active_runs(episodes, scenario.tick, n)
+        owners = {id(ep) for _, _, ep in runs}
+        for ep in episodes:
+            if id(ep) not in owners:
+                lo, hi = _tick_range(ep, scenario.tick, n)
+                held = list(dict.fromkeys(
+                    f"[{h.start}, {h.end}]" for h_lo, h_hi, h in runs if h_lo <= hi and lo <= h_hi
+                ))
+                raise ScenarioError(
+                    f"{kind} episode [{ep.start}, {ep.end}] never reaches the trace: the earlier-declared "
+                    f"{' and '.join(held)} {'holds' if len(held) == 1 else 'hold'} each of its ticks "
+                    f"(tick = {scenario.tick})"
+                )
     if _episodes_of(scenario, "arrival") and _dist(scenario.route_end, scenario.destination) > _ARRIVAL_CLEARANCE:
         raise ScenarioError(f"arrival episodes require the route end within {_ARRIVAL_CLEARANCE} m of the destination")
 
@@ -291,7 +310,7 @@ def _messages(scenario: Scenario, seed: int) -> Iterator[TraceMessage]:
             ],
             n,
         )
-        for kind, param in (("speeding", "peak_speed"), ("lane_departure", "offset"), ("deceleration", "rate"))
+        for kind, param in zip(_INTERVAL_KINDS, ("peak_speed", "offset", "rate"))
     )
     collision_ticks = {_collision_tick(ep, tick, n) for ep in _episodes_of(scenario, "collision")}
     arrivals = _episodes_of(scenario, "arrival")

@@ -5,11 +5,15 @@ one of "number" | "boolean" | "point2". Every following line is one record
 object carrying "t" (seconds) plus exactly the schema fields, in time order.
 Point values are two-element [x, y] arrays. All numbers must be finite.
 
-`read_trace` is the one reader and the only record check: it returns the
-schema and a lazy iterator of checked messages, so a trace can be scored
-without being held. `parse_trace` collects that iterator into a `Trace`.
-Records are read by a reader generated once per schema (`_record_reader`);
-any record it refuses takes the strict path, which raises every diagnostic.
+`read_trace` reads a trace as its schema and a lazy iterator of checked
+messages, so a trace can be scored without being held; `parse_trace`
+collects that iterator into a `Trace`. The record rule is stated once, as
+generated source (`record_gate`): one gate takes a canonical record, and
+any line it refuses takes the strict path, which raises every diagnostic.
+Two generated loops run it: the reader of one schema (`_record_reader`),
+and the engine's line program, which scores the (line number, line) pairs
+of `read_trace_lines` without building a message. `read_trace_lines`
+reads a binary file in batches of whole lines, each decoded at once.
 `write_trace` writes a trace line by line as its messages are taken, once
 `schema_fault`, the reader's schema rule, passes; `dump_trace` joins them.
 
@@ -225,9 +229,10 @@ def _numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
                 lineno += 1
                 yield lineno, line
     except UnicodeDecodeError as exc:
-        # Lines decoded one at a time (parse_trace's bytes, the CLI's files)
-        # put the bad bytes on the line after the last one read. A text file
-        # decodes ahead in blocks, so they lie somewhere after it.
+        # Lines decoded one at a time (parse_trace's bytes, the CLI's files,
+        # a batch of read_trace_lines that does not decode) put the bad bytes
+        # on the line after the last one read. A text file decodes ahead in
+        # blocks, so they lie somewhere after it.
         after = f" after line {lineno}" if lineno else ""
         bad = exc.object[exc.start : exc.end]
         raise TraceError(f"trace file is not valid UTF-8{after}: {exc.reason} {bad!r}") from None
@@ -248,29 +253,32 @@ def _refused(
     return record
 
 
-# Cached so that reading many traces of one schema compiles one reader.
-@lru_cache(maxsize=16)
-def _record_reader(schema: TraceSchema) -> Callable[[Iterator[tuple[int, str]]], Iterator[TraceMessage]]:
-    """Generate, compile and return the record reader of one schema: a
-    generator of the messages of (line number, line) pairs. One gate takes
-    a line that _scan reads whole as an object of t and the schema's fields
-    whose floats (t, numbers, coordinates) have a finite sum, whose booleans
-    are True or False and whose t does not decrease. Such a record has no
-    string values, so its only quote characters are two per key plus any in
-    values that a repeated key overwrote: the quote count is 2 * len(obj)
-    exactly when no key repeats. Every other line goes to _refused. Field
-    names are bound in the namespace; the source holds indices and counts.
-    Messages and points are built by tuple.__new__, which skips the named
-    tuples' own __new__: the gate has checked each point's length and types."""
-    names = schema.names()
+def record_gate(
+    schema: TraceSchema, names: list[str], number: str, taken: list[str], refused: list[str]
+) -> tuple[dict[str, object], list[str]]:
+    """The record rule of one schema as generated source: the namespace it
+    needs and the lines of a loop body over `lineno, line` that run `taken`
+    for a line the gate takes and `refused` for any other record, or
+    `continue` for a blank line. The loop keeps `prev_t`, the last record's
+    t (-_inf at first); `number` is the source of the line's record number.
+
+    One gate takes a line that _scan reads whole as an object of t and the
+    schema's fields whose floats (t, numbers, coordinates) have a finite
+    sum, whose booleans are True or False and whose t does not decrease. It
+    binds t, and each field in schema order to the local of that place in
+    `names`: a float, a bool, or a point as a two-float list. Such a record
+    has no string values, so its only quote characters are two per key
+    plus any in values that a repeated key overwrote: the quote count is
+    2 * len(obj) exactly when no key repeats. Every other line goes to
+    _refused, the strict path, which binds `record`, (t, values) with
+    points as Point2s, or raises every diagnostic. Field names are bound in
+    the namespace; the source holds indices and counts."""
     namespace: dict[str, object] = {
-        "_scan": _scan, "_get": itemgetter("t", *names), "_names": names, "_isfinite": isfinite, "_inf": inf,
-        "_new": tuple.__new__, "_Message": TraceMessage, "_Point2": Point2, "_refused": _refused,
-        "_check": _record_checker(schema),
+        "_scan": _scan, "_get": itemgetter("t", *schema.names()), "_isfinite": isfinite, "_inf": inf,
+        "_new": tuple.__new__, "_Point2": Point2, "_refused": _refused, "_check": _record_checker(schema),
     }
-    fields = [f"x{k}" for k in range(len(names))]
-    gates, floats, values = ["type(t) is float"], ["t"], []
-    for k, (var, (_, kind)) in enumerate(zip(fields, schema.fields)):
+    gates, floats = ["type(t) is float"], ["t"]
+    for var, (_, kind) in zip(names, schema.fields):
         if kind is Kind.NUMBER:
             gates.append(f"type({var}) is float")
             floats.append(var)
@@ -280,37 +288,69 @@ def _record_reader(schema: TraceSchema) -> Callable[[Iterator[tuple[int, str]]],
             x, y = f"{var}[0]", f"{var}[1]"
             gates.append(f"type({var}) is list and len({var}) == 2 and type({x}) is type({y}) is float")
             floats += [x, y]
-            var = f"_new(_Point2, {var})"
-        values.append(f"k{k}: {var}")
     test = " and ".join([*gates, f"_isfinite({' + '.join(floats)})", "t >= prev_t"])
+    lines = [
+        "try:",
+        "    obj, end = _scan(line, 0)",
+        "except (StopIteration, ValueError, RecursionError):",
+        "    obj = end = None",
+        "taken = False",
+        f"if type(obj) is dict and end == len(line) and len(obj) == {len(names) + 1}"
+        f" and line.count('\"') == {2 * len(names) + 2}:",
+        "    try:",
+        f"        {', '.join(['t', *names])} = _get(obj)",  # of one key: a value, not a tuple
+        "    except KeyError:",
+        "        pass",
+        "    else:",
+        f"        taken = {test}",
+        *(["if taken:", *("    " + line for line in taken), "else:"] if taken else ["if not taken:"]),
+        f"    record = _refused(_check, line, lineno, {number}, prev_t)",
+        "    if record is None:",
+        "        continue",
+        *("    " + line for line in refused),
+    ]
+    return namespace, lines
+
+
+# Cached so that reading many traces of one schema compiles one reader.
+@lru_cache(maxsize=16)
+def _record_reader(schema: TraceSchema) -> Callable[[Iterator[tuple[int, str]]], Iterator[TraceMessage]]:
+    """Generate, compile and return the record reader of one schema: a
+    generator of the messages of (line number, line) pairs, through
+    record_gate. Messages and the points of taken lines are built by
+    tuple.__new__, which skips the named tuples' own __new__: the gate has
+    checked each point's length and types."""
+    names = schema.names()
+    fields = [f"x{k}" for k in range(len(names))]
+    values = [
+        f"k{k}: {f'_new(_Point2, {var})' if kind is Kind.POINT2 else var}"
+        for k, (var, (_, kind)) in enumerate(zip(fields, schema.fields))
+    ]
+    namespace, gate = record_gate(
+        schema, fields, "record_no + 1",
+        ["record_no, prev_t = record_no + 1, t", f"yield _new(_Message, (t, {{{', '.join(values)}}}))"],
+        ["record_no, (prev_t, values) = record_no + 1, record", "yield _Message(prev_t, values)"],
+    )
+    namespace.update(_names=names, _Message=TraceMessage)
     source = "\n".join([
         "def messages(numbered):",
         f"    [{', '.join(f'k{k}' for k in range(len(names)))}] = _names",
         "    record_no, prev_t = 0, -_inf",
         "    for lineno, line in numbered:",
-        "        try:",
-        "            obj, end = _scan(line, 0)",
-        "        except (StopIteration, ValueError, RecursionError):",
-        "            obj = end = None",
-        f"        if type(obj) is dict and end == len(line) and len(obj) == {len(names) + 1}"
-        f" and line.count('\"') == {2 * len(names) + 2}:",
-        "            try:",
-        f"                {', '.join(['t', *fields])} = _get(obj)",  # of one key: a value, not a tuple
-        "            except KeyError:",
-        "                pass",
-        "            else:",
-        f"                if {test}:",
-        "                    record_no, prev_t = record_no + 1, t",
-        f"                    yield _new(_Message, (t, {{{', '.join(values)}}}))",
-        "                    continue",
-        "        record = _refused(_check, line, lineno, record_no + 1, prev_t)",
-        "        if record is not None:",
-        "            record_no, (prev_t, values) = record_no + 1, record",
-        "            yield _Message(prev_t, values)",
+        *("        " + line for line in gate),
         "",
     ])
     exec(compile(source, "<odl record reader>", "exec"), namespace)
     return namespace["messages"]  # type: ignore[return-value]
+
+
+def _read_schema(numbered: Iterator[tuple[int, str]]) -> TraceSchema:
+    """The schema of numbered trace lines, read from the first that is not
+    blank; the iterator is left at the line after it."""
+    for lineno, line in numbered:
+        if line.strip():
+            return _parse_schema(line, lineno)
+    raise TraceError("empty trace file: missing schema line")
 
 
 def read_trace(lines: Iterable[str]) -> tuple[TraceSchema, Iterator[TraceMessage]]:
@@ -324,11 +364,36 @@ def read_trace(lines: Iterable[str]) -> tuple[TraceSchema, Iterator[TraceMessage
     offending (1-based) file line.
     """
     numbered = _numbered_lines(lines)
-    for lineno, line in numbered:
-        if line.strip():
-            schema = _parse_schema(line, lineno)
-            return schema, _record_reader(schema)(numbered)
-    raise TraceError("empty trace file: missing schema line")
+    schema = _read_schema(numbered)
+    return schema, _record_reader(schema)(numbered)
+
+
+# Bytes of whole lines that read_trace_lines reads and decodes at a time.
+LINE_BATCH_BYTES = 16 * 1024
+
+
+def _decoded_batches(file: IO[bytes]) -> Iterator[str]:
+    """The text of a binary file in batches of whole lines, each decoded as
+    one. A batch that does not decode is decoded a line at a time instead,
+    so that the error comes after the lines before the bad byte."""
+    while batch := file.readlines(LINE_BATCH_BYTES):
+        try:
+            text = b"".join(batch).decode()
+        except UnicodeDecodeError:
+            yield from map(bytes.decode, batch)
+        else:
+            yield text
+
+
+def read_trace_lines(file: IO[bytes]) -> tuple[TraceSchema, Iterator[tuple[int, str]]]:
+    """Read the schema of a trace file opened in binary, as read_trace does,
+    and return it with the (line number, line) pairs of the lines after it,
+    for a program that runs record_gate. The pairs, and every decoding
+    error with its text and place, are those of read_trace over the file's
+    lines decoded one at a time, but the lines are read and decoded in
+    batches of LINE_BATCH_BYTES."""
+    numbered = _numbered_lines(_decoded_batches(file))
+    return _read_schema(numbered), numbered
 
 
 def parse_trace(source: Union[str, bytes, IO[str], IO[bytes]]) -> Trace:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import json
 
-from odl import Point2, Trace, TraceError
+from odl import CheckedOracle, Point2, ScoreReport, Trace, TraceError, dump_trace
+from odl.engine import score_lines
+from odl.trace import read_trace_lines
 
 
 def duration(trace: Trace) -> float:
@@ -34,3 +37,11 @@ def encoder_dump(trace: Trace) -> str:
             obj[name] = [value.x, value.y] if isinstance(value, Point2) else value
         lines.append(json.dumps(obj, allow_nan=False))
     return "\n".join(lines) + "\n"
+
+
+def line_report(checked: CheckedOracle, trace: Trace) -> ScoreReport:
+    """The line program's report on the text of dump_trace(trace), read as
+    `odl score` reads a trace file: read_trace_lines, then score_lines."""
+    schema, lines = read_trace_lines(io.BytesIO(dump_trace(trace).encode()))
+    assert schema == checked.schema
+    return score_lines(checked, lines)

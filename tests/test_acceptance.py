@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from _drive import listing_suite
 from _generators import gen_checkable_od, gen_schema, gen_trace, gen_wild_od
 from _spearman import spearman_closed_form
-from _traces import concat_traces
+from _traces import concat_traces, line_report
 from odl import (
     BUILTIN_NAMES,
     Frequency,
@@ -102,6 +102,7 @@ def test_criterion_3_and_4_differential_with_permutations():
             streaming = score_trace(checked, trace)
             batch = reference_score(checked, trace)
             assert streaming == batch, i
+            assert line_report(checked, trace) == batch._replace(firings=()), i
 
             # criterion 4: declaration-order permutation
             functions = list(od.functions)

@@ -1,17 +1,23 @@
 """CLI behavior: commands, exit statuses, output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import odl.engine
 import odl.trace
-from odl import check_od, dump_trace, load_builtin, load_example_scenario
+from odl import GEN_SCHEMA, check_od, dump_trace, load_builtin, load_example_scenario
 from odl import cli
 from odl.cli import main
 from _drive import drive, listing_suite
 from _generators import NESTED_SHAPES, nested_od
 from test_engine import counting_generate_program
 from odl.parser import MAX_NESTING
+from odl.trace import record_gate
 
 
 @pytest.fixture
@@ -249,25 +255,36 @@ def test_batch_checks_the_oracle_once_per_schema(workspace, monkeypatch):
 
 
 def test_batch_compiles_the_oracle_once_per_schema(workspace, monkeypatch):
+    # Batch scores lines, so it compiles only the line program.
     calls = counting_generate_program(monkeypatch)
+    line_calls = counting_generate_program(monkeypatch, "generate_line_program")
     for i in range(3):
         (workspace / f"s{i}__r0.jsonl").write_text(dump_trace(drive([{"t": 0.0}])))
     args = ["batch", "--od", str(workspace / "listing1.odl"), "--traces", str(workspace / "*__*.jsonl")]
     assert main(args) == 0
-    assert len(calls) == 1
+    assert (len(calls), len(line_calls)) == (0, 1)
     # `odl check` compiles nothing.
     assert main(["check", str(workspace / "listing1.odl"), "--trace", str(workspace / "s0__r0.jsonl")]) == 0
-    assert len(calls) == 1
+    assert (len(calls), len(line_calls)) == (0, 1)
 
 
-def test_batch_generates_one_record_reader_per_schema(workspace):
+def test_batch_generates_one_record_reader_per_schema(workspace, monkeypatch):
+    # The reader batch runs is the record gate inside the line program.
+    gates = []
+
+    def counting(schema, *args):
+        gates.append(schema)
+        return record_gate(schema, *args)
+
+    monkeypatch.setattr(odl.engine, "record_gate", counting)
     odl.trace._record_reader.cache_clear()
     for i in range(3):
         (workspace / f"s{i}__r0.jsonl").write_text(dump_trace(drive([{"t": 0.0}, {"t": 0.5}])))
     args = ["batch", "--od", str(workspace / "listing1.odl"), "--traces", str(workspace / "*__*.jsonl")]
     assert main(args) == 0
+    assert gates == [GEN_SCHEMA]
     info = odl.trace._record_reader.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (info.misses, info.hits) == (0, 0)
 
 
 def test_batch_names_a_file_without_the_separator_by_its_stem(workspace, capsys):
@@ -474,3 +491,34 @@ def test_check_rejects_nesting_past_the_limit(workspace, capsys, shape):
     assert main(["check", str(od), "--trace", str(trace)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: 1:{column}: expression nests deeper than {MAX_NESTING} levels\n"
+
+
+def score_peak_kb(tmp_path, command, messages):
+    """The peak resident set (VmHWM, kB) of a fresh interpreter that runs
+    `odl score` or `odl batch` of an oracle that fires at every message on
+    a trace of `messages` records, as bench/probe.py reads it."""
+    od, trace, out = tmp_path / "every.odl", tmp_path / f"s__r{messages}.jsonl", tmp_path / f"{command}{messages}.out"
+    od.write_text("f = scoring_function(event = true, action = 1, frequency = action_sum);")
+    trace.write_text('{"x": "number"}\n' + "".join(f'{{"t": {i}.0, "x": 1.0}}\n' for i in range(messages)))
+    args = ["score", "--trace"] if command == "score" else ["batch", "--traces"]
+    code = (
+        "import sys\nfrom odl.cli import main\nstatus = main(sys.argv[1:])\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+        "sys.exit(status)"
+    )
+    src = str(Path(odl.engine.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = subprocess.run(
+        [sys.executable, "-c", code, *args, str(trace), "--od", str(od), "--out", str(out)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert str(float(messages)) in out.read_text()
+    return int(child.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status (Linux)")
+@pytest.mark.parametrize("command", ["score", "batch"])
+def test_scoring_memory_does_not_grow_with_the_trace(tmp_path, command):
+    # A firing log would cost ~130 B a firing, ~11 MiB between the two.
+    small, large = score_peak_kb(tmp_path, command, 10_000), score_peak_kb(tmp_path, command, 100_000)
+    assert large - small < 2 * 1024, (small, large)

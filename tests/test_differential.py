@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _generators import gen_checkable_od, gen_schema, gen_trace
-from _traces import concat_traces
+from _traces import concat_traces, line_report
 from odl import (
     BUILTIN_NAMES,
     Binary,
@@ -30,10 +30,12 @@ from odl import (
     Point2,
     ScoringFunction,
     Trace,
+    TraceError,
     TraceMessage,
     TraceSchema,
     Unary,
     check_od,
+    dump_trace,
     eval_expr,
     format_expr,
     generate_trace,
@@ -187,7 +189,9 @@ def test_streaming_equals_reference():
         trace = gen_trace(rng, schema, max_messages=size)
         checked = check_od(od, schema)
         report = score_trace(checked, trace)
-        assert report == reference_score(checked, trace), i
+        reference = reference_score(checked, trace)
+        assert report == reference, i
+        assert line_report(checked, trace) == reference._replace(firings=()), i
         if od.summary is None:
             # the default summary is the plain left-fold sum, exactly
             acc = 0.0
@@ -387,7 +391,9 @@ def test_evaluation_errors_identical_in_engine_and_reference():
             score_trace(checked, trace)
         with pytest.raises(EvalError) as batch:
             reference_score(checked, trace)
-        assert str(streaming.value) == str(batch.value), source
+        with pytest.raises(EvalError) as lines:
+            line_report(checked, trace)
+        assert str(streaming.value) == str(batch.value) == str(lines.value), source
 
 
 def test_trace_errors_identical_in_engine_and_reference():
@@ -404,6 +410,13 @@ def test_trace_errors_identical_in_engine_and_reference():
         for score in (score_trace, reference_score):
             with pytest.raises(EngineError, match=f"^{re.escape(text)}$"):
                 score(checked, bad)
+    # The line program reads the text dump_trace writes, whose decreasing t
+    # it refuses as the reader does, in the reader's words.
+    text = "line 3: record 2: decreasing timestamp 1.0 after 2.0"
+    with pytest.raises(TraceError, match=f"^{re.escape(text)}$"):
+        parse_trace(dump_trace(backwards))
+    with pytest.raises(TraceError, match=f"^{re.escape(text)}$"):
+        line_report(checked, backwards)
 
 
 def test_unreached_errors_raise_in_neither():
@@ -417,6 +430,7 @@ def test_unreached_errors_raise_in_neither():
         checked = check_od(parse_od(source), trace.schema)
         report = score_trace(checked, trace)
         assert report == reference_score(checked, trace), source
+        assert line_report(checked, trace) == report._replace(firings=()), source
 
 
 _NEAR_OVERFLOW_OD = """

@@ -336,16 +336,17 @@ def test_literal_actions_and_notification_values_are_folded():
     ]
 
 
-def counting_generate_program(monkeypatch):
-    """Count calls of engine.generate_program made through the checker."""
+def counting_generate_program(monkeypatch, name="generate_program"):
+    """Count calls of engine.generate_program, or of the engine generator
+    `name`, made through the checker."""
     calls = []
-    real = odl.checker.generate_program
+    real = getattr(odl.checker, name)
 
     def counting(checked):
         calls.append(checked.od)
         return real(checked)
 
-    monkeypatch.setattr(odl.checker, "generate_program", counting)
+    monkeypatch.setattr(odl.checker, name, counting)
     return calls
 
 
@@ -378,7 +379,21 @@ GENERATED_SOURCE_SHA256 = {
 }
 
 
-def test_generated_source_of_each_bundled_oracle_is_pinned(monkeypatch):
+# The same for the line program (generate_line_program), which the CLI runs.
+LINE_SOURCE_SHA256 = {
+    "listing1": "c0ef6bdab84e5a1a84f0fc16e6346e748bffafc58462899fa0e64ce3efdd3021",
+    "listing2": "e1b1acf10e574284a66cff084f211327fa4c48c6aa7c47c45de2a03e986e5f7b",
+    "listing3": "cc83e5dc8146dd81edfa9fc183084cd10548673dc27fa7851dc9002ea8efc0ca",
+    "listing4": "cdab3011db350f95c63e71b770999860ca7c8c02027c50569a2c7fa4607c7f74",
+    "od1_rubric": "0c9e613834c8b2725fac34f488d016f69f272e4f8a449ea4558fc7a3ebc66710",
+    "od2_competition": "d1175f498ea7c25857e7c7a0ab1b49f5d72c657cf1532e9b78bf321228c390ad",
+    "od3_framework": "73f4a8b1b30a5340e310c4d87789f21f6fda0f0d92891e478be3bdabbaa189b4",
+}
+
+
+def generated_source_digests(monkeypatch, program):
+    """The sha256 of the source the engine compiles for the attribute
+    `program` of each bundled oracle checked against GEN_SCHEMA."""
     sources = []
 
     def capture(source, *args):
@@ -388,7 +403,15 @@ def test_generated_source_of_each_bundled_oracle_is_pinned(monkeypatch):
     monkeypatch.setattr(odl.engine, "compile", capture, raising=False)
     digests = {}
     for name in BUILTIN_NAMES:
-        check_od(parse_od(load_builtin(name)), GEN_SCHEMA).program
+        getattr(check_od(parse_od(load_builtin(name)), GEN_SCHEMA), program)
         digests[name] = hashlib.sha256(sources.pop().encode()).hexdigest()
     assert sources == []
-    assert digests == GENERATED_SOURCE_SHA256
+    return digests
+
+
+def test_generated_source_of_each_bundled_oracle_is_pinned(monkeypatch):
+    assert generated_source_digests(monkeypatch, "program") == GENERATED_SOURCE_SHA256
+
+
+def test_line_program_source_of_each_bundled_oracle_is_pinned(monkeypatch):
+    assert generated_source_digests(monkeypatch, "line_program") == LINE_SOURCE_SHA256

@@ -11,19 +11,37 @@ from hypothesis import strategies as st
 
 from _traces import concat_traces, duration, encoder_dump
 from odl import (
+    Binary,
+    Call,
+    Frequency,
+    Ident,
     Kind,
+    Literal,
+    OracleDefinition,
     Point2,
+    ScoringFunction,
     Trace,
     TraceError,
     TraceMessage,
     TraceSchema,
+    check_od,
     dump_trace,
     parse_trace,
     read_trace,
+    reference_score,
     write_trace,
 )
 from odl.cli import main
-from odl.trace import _record_checker, _strict_json_object, schema_fault
+from odl.engine import score_lines
+from odl.trace import (
+    LINE_BATCH_BYTES,
+    _decoded_batches,
+    _numbered_lines,
+    _record_checker,
+    _strict_json_object,
+    read_trace_lines,
+    schema_fault,
+)
 
 TWO_COLLISIONS = (
     '{"collision": "boolean"}\n'
@@ -310,11 +328,39 @@ def _random_record(rng, schema, t):
     return left + sep.join(f"{key}{colon}{text}" for key, text in pairs) + right
 
 
+def _reading_oracle(schema):
+    """A checked oracle that reads every field of the schema and t, and
+    whose scores never overflow on _random_record's values."""
+    terms = {N: lambda x: (Literal(True), Binary("*", x, Literal(1e-10))), B: lambda x: (x, Literal(1.0)),
+             P: lambda x: (Binary(">", Call("distance", (x, Literal(Point2(0.5, 0.5)))), Literal(10.0)), Literal(1.0))}
+    functions = [ScoringFunction("score_t", Literal(True), Frequency.ALL_SUM, action=Ident("t"))]
+    for k, (name, kind) in enumerate(schema.fields):
+        event, action = terms[kind](Ident(name))
+        functions.append(ScoringFunction(f"score_{k}", event, Frequency.ALL_SUM, action=action))
+    return check_od(OracleDefinition(constants=(), functions=tuple(functions)), schema)
+
+
+def _score_lines(checked, lines):
+    """The line program's scores and summary on the text of these lines,
+    read as `odl score` reads a file, or its TraceError text and line."""
+    text = "".join(line + "\n" for line in lines)
+    try:
+        schema, numbered = read_trace_lines(io.BytesIO(text.encode()))
+        report = score_lines(checked, numbered)
+    except TraceError as err:
+        return str(err), err.line
+    assert schema == checked.schema
+    return report.scores, report.summary
+
+
 def test_generated_reader_agrees_with_the_strict_path():
     """read_trace against _strict_read on seeded random traces: the same
-    messages, then the same TraceError text and line, or none."""
+    messages, then the same TraceError text and line, or none. The line
+    program takes the same records, scoring what reference_score scores
+    on them, and refuses the same line with the same text."""
     rng = random.Random(4242)
     outcomes = {"clean": 0, "error": 0}
+    oracles = {schema: _reading_oracle(schema) for schema in READER_SCHEMAS}
     for _ in range(1200):
         schema = rng.choice(READER_SCHEMAS)
         records, t = [], 0.0
@@ -332,6 +378,9 @@ def test_generated_reader_agrees_with_the_strict_path():
             assert type(message) is TraceMessage
             for name, kind in schema.fields:
                 assert type(message.values[name]) is {N: float, B: bool, P: Point2}[kind]
+        reference = reference_score(oracles[schema], Trace(schema, tuple(expected[0])))
+        scored = expected[1] or (reference.scores, reference.summary)
+        assert repr(_score_lines(oracles[schema], [schema_line, *records])) == repr(scored)
         outcomes["error" if expected[1] else "clean"] += 1
     assert min(outcomes.values()) > 300
 
@@ -366,6 +415,57 @@ def test_read_trace_reports_bytes_that_are_not_utf8():
         with pytest.raises(TraceError) as exc:
             parse_trace(b"\n".join(text) + b"\n")
         assert str(exc.value) == f"trace file is not valid UTF-8 after line {bad - 1}: invalid start byte b'\\xff'"
+
+
+def _numbered_outcome(numbered):
+    """The (line number, line) pairs of an iterator, then its TraceError text or None."""
+    pairs = []
+    try:
+        for pair in numbered:
+            pairs.append(pair)
+    except TraceError as err:
+        return pairs, str(err)
+    return pairs, None
+
+
+BATCH = LINE_BATCH_BYTES
+RECORD = '{"t": 0.5, "x": 1.0, "b": true, "p": [0.0, 0.0]}\n'.encode()
+BATCHED_FILES = {
+    "a record longer than several batches": SCHEMA.encode() + b'{"t": 0.0, "x": 1.' + b"5" * (5 * BATCH) + b"}\n"
+    + RECORD,
+    "a last line with no newline": SCHEMA.encode() + RECORD * 3 + RECORD.rstrip(),
+    "every line break of splitlines": SCHEMA.encode()
+    + "".join(RECORD.decode().replace("\n", brk) for brk in ("\r\n", "\r", "\f", "\u2028", "\x1c", "\x85", "\v"))
+    .encode() * (BATCH // 300) + b"\r",
+    "blank lines": b"\n \n" + SCHEMA.encode() + (b"\n\t\n" + RECORD) * (BATCH // 40) + b"\n\n",
+    "a bad byte in the first batch": SCHEMA.encode() + RECORD * 2 + b"\xff" + RECORD * (3 * BATCH // len(RECORD)),
+    "a bad byte in a middle batch": SCHEMA.encode() + RECORD * (2 * BATCH // len(RECORD)) + b'{"t": 1.0, "x\xe2\x82"'
+    + RECORD * (2 * BATCH // len(RECORD)),
+    "a bad byte in the last batch": SCHEMA.encode() + RECORD * (3 * BATCH // len(RECORD)) + RECORD[:-1] + b"\xc3",
+    "a bad byte on the schema line": b"\n" + SCHEMA.encode().replace(b"x", b"\x80") + RECORD,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED_FILES))
+def test_batched_lines_are_the_lines_decoded_one_at_a_time(case):
+    """read_trace_lines reads whole lines in batches, but yields the lines,
+    numbers and decoding errors of the file's lines decoded one at a time."""
+    data = BATCHED_FILES[case]
+    one_at_a_time = _numbered_outcome(_numbered_lines(map(bytes.decode, io.BytesIO(data))))
+    assert _numbered_outcome(_numbered_lines(_decoded_batches(io.BytesIO(data)))) == one_at_a_time
+    assert len(one_at_a_time[0]) > 1 or "schema" in case
+    assert ("bad byte" in case) == (one_at_a_time[1] is not None)
+    # The schema is read as read_trace reads it, and the rest are its lines.
+    try:
+        schema, numbered = read_trace_lines(io.BytesIO(data))
+    except TraceError as err:
+        assert str(err) == one_at_a_time[1]
+        return
+    assert schema == read_trace(map(bytes.decode, io.BytesIO(data)))[0]
+    pairs, error = _numbered_outcome(numbered)
+    lines, expected = one_at_a_time
+    after_schema = next(k for k, (_, line) in enumerate(lines) if line.strip()) + 1
+    assert (pairs, error) == (lines[after_schema:], expected)
 
 
 def test_duration_examples():
