@@ -11,9 +11,10 @@ fields and the constants; the summary reads the constants and the
 scoring-function scores. seq_time is readable in conditions only, and
 never beside a trace field of that name. Events and conditions must be
 boolean; actions, notification values, and the summary must be numeric.
-A `CheckedOracle` is checked by being made. It is a plain value; its scoring
-programs, of messages and of trace lines, are generated and compiled when
-first used (`engine.generate_program`, `engine.generate_line_program`).
+A `CheckedOracle` is checked by being made. It is a plain value; its two
+scoring programs, of messages and of trace lines, are generated by one
+emitter and one loop head and compiled when first used
+(`engine.generate_program`, `engine.generate_line_program`).
 """
 
 from __future__ import annotations
@@ -59,15 +60,17 @@ class CheckedOracle:
 
     @cached_property
     def program(self) -> Program:
-        """The scoring function, made by `engine.generate_program` on first use
-        and kept. Only `engine.score_messages` calls it; the reference evaluates `od`."""
+        """The scoring function of messages, with the firing log, made by
+        `engine.generate_program` on first use and kept. Only
+        `engine.score_messages` calls it; the reference evaluates `od`."""
         return generate_program(self)
 
     @cached_property
     def line_program(self) -> LineProgram:
-        """The scoring function of numbered trace lines, made by
-        `engine.generate_line_program` on first use and kept. Only
-        `engine.score_lines` calls it."""
+        """The scoring function of numbered trace lines, without the firing
+        log, made by `engine.generate_line_program` on first use and kept:
+        `program`'s scoring, with each record bound through the trace
+        reader's gate. Only `engine.score_lines` calls it."""
         return generate_line_program(self)
 
     def _messages_of(self, trace: Trace) -> tuple[TraceMessage, ...]:

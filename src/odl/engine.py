@@ -24,17 +24,17 @@ Each message is processed in three phases:
    independent of declaration order.
 
 `_emit` writes the Python source that does all of this for one checked
-oracle, with its expressions inlined, and a loop head puts it in one
-function that loops over its input itself and returns the report. Each is
-made at its first use and kept on the `CheckedOracle`:
+oracle, with its expressions inlined, and the one loop head (`_program`)
+puts it in a function that loops over its input and returns the report.
+Two programs are made so, each at its first use, and kept on the
+`CheckedOracle`; they differ only in how a record binds t and the fields:
 
-- `generate_program` loops over messages and keeps the firing log.
+- `generate_program` binds them from a message and keeps the firing log.
   `score_messages` (and so `score_trace`) is its only caller.
-- `generate_line_program` loops over the numbered lines of a trace file's
-  records. It runs the reader's record gate (`trace.record_gate`) on each
-  line and binds the fields straight from the scanned object, so it builds
-  no message and keeps no firing log: its memory does not grow with the
-  trace. `score_lines`, which `odl score` and `odl batch` call, is its only
+- `generate_line_program` binds them from a numbered line of a trace file
+  through the reader's record gate (`trace.record_gate`), so it builds no
+  message and keeps no firing log: its memory does not grow with the trace.
+  `score_lines`, which `odl score` and `odl batch` call, is its only
   caller.
 
 `reference.reference_score` implements the same semantics independently.
@@ -43,7 +43,7 @@ made at its first use and kept on the `CheckedOracle`:
 from __future__ import annotations
 
 import json
-from math import isfinite
+from math import inf, isfinite
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
@@ -51,7 +51,7 @@ from .errors import EngineError, EvalError
 from .evaluate import binder, emit_expr, emit_value, non_finite, runtime
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
 from .syntax import Expr, Frequency, Literal, format_expr
-from .trace import Kind, Trace, TraceMessage, record_gate
+from .trace import Trace, TraceMessage, record_gate
 
 if TYPE_CHECKING:
     from .checker import CheckedOracle
@@ -92,12 +92,12 @@ def _regress(index: int, t: float, prev: float) -> EngineError:
 
 
 class _Parts(NamedTuple):
-    """What _emit generates for one oracle, for a loop head to assemble."""
+    """What _emit generates for one oracle, for _program to assemble."""
 
     namespace: dict[str, object]  # the names the lines read
     init: list[str]  # before the loop
-    body: list[str]  # per message, after t and the fields are bound
-    apply: list[str]  # per message, after every function ran
+    body: list[str]  # per record, after t and the fields are bound
+    apply: list[str]  # per record, after every function ran
     summary: list[str]  # after the loop; returns the ScoreReport
     fields: dict[str, str]  # each field the oracle reads -> its local
     timers: list[str]  # every timer's local
@@ -105,8 +105,11 @@ class _Parts(NamedTuple):
 
 def _emit(checked: CheckedOracle, log: bool) -> _Parts:
     """The lines of one checked oracle's scoring, which read t, `index` (the
-    message's) and each field's local as the head binds them, with a firing
-    log appended to `firings` when `log` is set."""
+    record's) and each field's local as the head binds them, with a firing
+    log appended to `firings` when `log` is set. Scores, sequence flags and
+    timers live in locals, and each function's firing rule is specialised
+    to its frequency mode. A notification waits in locals of its notifier
+    and is written into the target's timer after the record."""
     od, timers = checked.od, checked.timers
     namespace = runtime()
     namespace.update(
@@ -143,7 +146,7 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
             f"if not _isfinite({var}): raise _non_finite({bind(what)}, {var})",
         ]
 
-    init: list[str] = []
+    init: list[str] = ["firings = []"] if log else []
     body: list[str] = []
     apply: list[str] = []
     for k, fn in enumerate(od.functions):
@@ -231,33 +234,33 @@ def _read_fields(fields: dict[str, str], values: str) -> list[str]:
     return [", ".join(fields.values()) + ("," if len(fields) > 1 else "") + f" = _fields({values})"]
 
 
-def generate_program(checked: CheckedOracle) -> Program:
-    """Generate, compile and return the scoring program of a checked oracle,
-    which check_od's checks took when it was made.
-
-    The program is a function of an iterable of messages. It pulls them one
-    at a time, so errors come in their order, then runs the summary once
-    and returns the ScoreReport. Scores, sequence flags, timers and the
-    firing list live in local variables, each field the oracle uses is read
-    once per message, and each function's firing rule is specialised to its
-    frequency mode. A notification waits in locals of its notifier and is
-    written into the target's timer after the message.
-    """
-    parts = _emit(checked, log=True)
-    head = ["t = message.t", "if prev is None:", "    prev = t", "elif t < prev:",
-            "    raise _regress(index, t, prev)"]
-    if parts.timers:
-        head += ["dt = t - prev", *(f"{var} -= dt" for var in parts.timers)]
-    head.append("prev = t")
-    head += _read_fields(parts.fields, "message.values")
-    loop = [*head, *parts.body, *parts.apply]
+def _program(parts: _Parts, items: str, item: str, bind: list[str]) -> Callable:
+    """The one loop head: compile `program(items)`, which runs parts.init,
+    then for each `item` of `items` runs `bind` (which binds t and each read
+    field's local), the timer run-down, parts.body and parts.apply, and
+    after the loop returns what parts.summary returns."""
+    # Timers run from 0.0 at the first record, where no time has elapsed.
+    rundown = ["if index:", "    dt = t - prev_t", *(f"    {var} -= dt" for var in parts.timers)]
+    loop = [*bind, *(rundown if parts.timers else []), "prev_t = t", *parts.body, *parts.apply, "index += 1"]
     source = "\n".join([
-        "def program(messages):", *_indent(["firings = []", "prev = None", *parts.init]),
-        "    for index, message in enumerate(messages):", *_indent(loop, 2),
+        f"def program({items}):", *_indent([*parts.init, "index, prev_t = 0, -_inf"]),
+        f"    for {item} in {items}:", *_indent(loop, 2),
         *_indent(parts.summary), "",
     ])
+    parts.namespace["_inf"] = inf
     exec(compile(source, "<odl oracle>", "exec"), parts.namespace)
     return parts.namespace["program"]
+
+
+def generate_program(checked: CheckedOracle) -> Program:
+    """Generate, compile and return the scoring program of a checked oracle:
+    a function of an iterable of messages, pulled one at a time so errors
+    come in their order, that refuses a decreasing t and keeps the firing
+    log."""
+    parts = _emit(checked, log=True)
+    bind = ["t = message.t", "if t < prev_t: raise _regress(index, t, prev_t)",
+            *_read_fields(parts.fields, "message.values")]
+    return _program(parts, "messages", "message", bind)
 
 
 def generate_line_program(checked: CheckedOracle) -> LineProgram:
@@ -265,35 +268,19 @@ def generate_line_program(checked: CheckedOracle) -> LineProgram:
     generate_program's scoring, without the firing log, over the (line
     number, line) pairs of the records of a trace of its schema.
 
-    Each line goes through trace.record_gate, which checks every field and
-    binds the ones the oracle reads as its locals, a point as the Point2
-    the reader would give, built by tuple.__new__. So no message, values
-    dict or firing is built, memory does not grow with the trace, and a
-    line the gate refuses raises the reader's diagnostic at its place. The
-    gate refuses a decreasing t, so no regress check is needed. The
-    report's firing log is empty.
+    Each line goes through trace.record_gate, which checks every field,
+    refuses a decreasing t and binds the fields the oracle reads (a point
+    as the gate's two-float list, which `distance` reads as it reads a
+    Point2). So no message is built, memory does not grow with the trace,
+    and a line the gate refuses raises the reader's diagnostic at its place.
     """
     parts = _emit(checked, log=False)
     names = [parts.fields.get(name, f"u{k}") for k, name in enumerate(checked.schema.names())]
-    points = [
-        parts.fields[name] for name, kind in checked.schema.fields
-        if kind is Kind.POINT2 and name in parts.fields
-    ]
     namespace, gate = record_gate(
-        checked.schema, names, "index + 1", [f"{var} = _new(_Point2, {var})" for var in points],
-        ["t, values = record", *_read_fields(parts.fields, "values")],
+        checked.schema, names, "index + 1", [], ["t, values = record", *_read_fields(parts.fields, "values")]
     )
     parts.namespace.update(namespace)
-    # Timers run from 0.0 at the first record, where no time has elapsed.
-    head = ["if index:", "    dt = t - prev_t", *(f"    {var} -= dt" for var in parts.timers)] if parts.timers else []
-    loop = [*gate, *head, "prev_t = t", *parts.body, *parts.apply, "index += 1"]
-    source = "\n".join([
-        "def program(numbered):", *_indent([*parts.init, "index, prev_t = 0, -_inf"]),
-        "    for lineno, line in numbered:", *_indent(loop, 2),
-        *_indent(parts.summary), "",
-    ])
-    exec(compile(source, "<odl line program>", "exec"), parts.namespace)
-    return parts.namespace["program"]
+    return _program(parts, "numbered", "lineno, line", gate)
 
 
 def _indent(lines: list[str], levels: int = 1) -> list[str]:

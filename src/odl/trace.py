@@ -404,7 +404,9 @@ def parse_trace(source: Union[str, bytes, IO[str], IO[bytes]]) -> Trace:
     """
     if hasattr(source, "read"):
         source = source.read()  # type: ignore[union-attr]
-    if isinstance(source, bytes):  # decoded a line at a time, as `odl score` decodes
+    if isinstance(source, bytes):
+        # Decoded a line at a time, as `odl score --log-firings` and
+        # `odl check --trace` decode.
         lines = map(bytes.decode, source.splitlines(keepends=True))
     else:
         lines = source.splitlines()

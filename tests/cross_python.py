@@ -1,0 +1,130 @@
+"""Check that several Python interpreters produce the same bytes.
+
+    python tests/cross_python.py PYTHON [PYTHON ...]
+
+runs this script again in each interpreter named (a path to its
+executable). Each run prints the sha256 digests of:
+
+- the source the engine generates for each bundled oracle, message program
+  and line program (what `GENERATED_SOURCE_SHA256` and
+  `LINE_SOURCE_SHA256` in test_engine.py pin);
+- the trace of every `GOLDEN_DIGESTS` row of test_scenario.py;
+- the 450 reports of the replication corpus (30 solutions x 5 traces x the
+  3 composite oracles of test_acceptance.py), as `report_to_json` writes
+  them, through `score_trace` with the firing log and through `score_lines`;
+- the scores files and correlation matrix that criterion 7 builds through
+  the CLI.
+
+It prints every digest on which two interpreters differ and exits 1 if
+there is one, else 0. It needs only the standard library: it imports the
+test modules it reads under a stand-in for pytest, so the interpreters need
+no packages installed. Its name does not match test_*.py, so pytest does
+not collect it.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+import types
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+
+def _stub_pytest() -> None:
+    """A pytest module that is enough to import the test modules: each
+    `pytest.mark.<name>(...)` decorator leaves its function as it is."""
+
+    class Mark:
+        def __getattr__(self, name):
+            return lambda *args, **kwargs: (lambda function: function)
+
+    stub = types.ModuleType("pytest")
+    stub.mark = Mark()
+    sys.modules["pytest"] = stub
+
+
+class _MonkeyPatch:
+    """The part of pytest's monkeypatch fixture that test_engine's
+    generated_source_digests uses."""
+
+    def setattr(self, target, name, value, raising=True):
+        setattr(target, name, value)
+
+
+def _digests() -> dict[str, str]:
+    """Every digest this interpreter computes, by name."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(SRC), str(TESTS)]
+    _stub_pytest()
+    import odl.engine
+    import test_acceptance
+    import test_engine
+    import test_scenario
+    from _traces import line_report
+    from odl import (
+        check_od, dump_trace, generate_trace, load_builtin, load_scenario, parse_od, report_to_json, score_trace,
+    )
+
+    digests = {}
+    for attribute in ("program", "line_program"):
+        for name, digest in test_engine.generated_source_digests(_MonkeyPatch(), attribute).items():
+            digests[f"source {attribute} {name}"] = digest
+    del odl.engine.compile
+    for name, seed in sorted(test_scenario.GOLDEN_DIGESTS):
+        trace = generate_trace(test_scenario.golden_scenario(name), seed)
+        digests[f"golden {name} {seed}"] = test_scenario.sha256(dump_trace(trace))
+
+    traces = [
+        generate_trace(load_scenario(json.dumps(test_acceptance._solution_scenario(i))), 1000 + i * 10 + j)
+        for i in range(30) for j in range(5)
+    ]
+    for name in test_acceptance._REPLICATION_ODS:
+        checked = check_od(parse_od(load_builtin(name)), traces[0].schema)
+        messages = [report_to_json(score_trace(checked, trace), include_firings=True) for trace in traces]
+        lines = [report_to_json(line_report(checked, trace)) for trace in traces]
+        digests[f"replication score_trace {name}"] = test_scenario.sha256("\n".join(messages))
+        digests[f"replication score_lines {name}"] = test_scenario.sha256("\n".join(lines))
+
+    with tempfile.TemporaryDirectory() as work:
+        matrix, scores = test_acceptance._replicate(Path(work))
+    digests["criterion 7 matrix"] = test_scenario.sha256(matrix)
+    for name, text in zip(test_acceptance._REPLICATION_ODS, scores):
+        digests[f"criterion 7 scores {name}"] = test_scenario.sha256(text)
+    return digests
+
+
+def main(interpreters: list[str]) -> int:
+    if not interpreters:
+        print("usage: python tests/cross_python.py PYTHON [PYTHON ...]", file=sys.stderr)
+        return 2
+    runs = {}
+    for python in interpreters:
+        done = subprocess.run(
+            [python, "-B", __file__, "--digests"], capture_output=True, text=True, check=False
+        )
+        if done.returncode != 0:
+            print(f"{python}: exit status {done.returncode}\n{done.stderr}", file=sys.stderr)
+            return 1
+        version, digests = json.loads(done.stdout)
+        runs[f"{python} ({version})"] = digests
+        print(f"{python} ({version}): {len(digests)} digests")
+    names = sorted(set().union(*runs.values()))
+    differing = [name for name in names if len({run.get(name) for run in runs.values()}) > 1]
+    for name in differing:
+        print(f"differs: {name}")
+        for run, digests in runs.items():
+            print(f"    {run}: {digests.get(name)}")
+    print(f"{len(names) - len(differing)} of {len(names)} digests agree across {len(runs)} interpreters")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--digests"]:
+        print(json.dumps([sys.version.split()[0], _digests()]))
+    else:
+        sys.exit(main(sys.argv[1:]))

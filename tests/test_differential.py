@@ -577,3 +577,22 @@ def test_signed_zero_and_extreme_literals():
     assert report.firings[1] == Firing(0, "g", -0.0)
     assert math.copysign(1.0, report.firings[1].delta) == -1.0
     assert report_to_text(report) == "f: 2.0\ng: -0.0\nh: -0.0\nsummary: 0.0\n"
+
+
+_FIRST_T_OD = """
+a = scoring_function(event = x > 0, frequency = first, notifications = [(b, [(clock, 1.0)])]);
+b = scoring_function(event = clock <= 0.0, action = 1, frequency = all_sum);
+"""
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_timers_start_at_zero_whatever_the_first_timestamp(t):
+    """No time elapses before the first message, so no timer runs down there,
+    even at a t that is not finite, which only a Trace built without
+    parse_trace can hold."""
+    schema = TraceSchema((("x", Kind.NUMBER),))
+    trace = Trace(schema, (TraceMessage(t, {"x": 0.0}), TraceMessage(t, {"x": 0.0})))
+    checked = check_od(parse_od(_FIRST_T_OD), schema)
+    report = score_trace(checked, trace)
+    assert report == reference_score(checked, trace)
+    assert report.score_map()["b"] == 1.0

@@ -336,6 +336,14 @@ def test_literal_actions_and_notification_values_are_folded():
     ]
 
 
+def test_line_program_passes_a_read_point_to_distance_as_the_gates_list():
+    # distance (math.dist) reads the gate's two-float list as it reads a
+    # Point2, so the line program builds no Point2.
+    line_code = check_od(parse_od(load_builtin("listing2")), GEN_SCHEMA).line_program.__code__
+    assert "_dist" in line_code.co_names
+    assert "_Point2" not in line_code.co_names
+
+
 def counting_generate_program(monkeypatch, name="generate_program"):
     """Count calls of engine.generate_program, or of the engine generator
     `name`, made through the checker."""
@@ -369,25 +377,25 @@ def test_program_is_generated_on_first_scoring_and_kept(monkeypatch):
 # oracle checked against GEN_SCHEMA. A change to how the engine emits code
 # that should not change what it emits keeps every digest.
 GENERATED_SOURCE_SHA256 = {
-    "listing1": "c00445964498b919c95ab10125967ccf1ed37105645426aaee8a92262c8644a1",
-    "listing2": "2703953f0b04d3a1321ce9f0fd86288041a96af5948d1b2eaf2387ca29fb3adc",
-    "listing3": "fffebf5793441bf859830458ed380d8ba714940f18980e2ed37a26b2abfe0909",
-    "listing4": "14ed19af5a02b9e2175b572cc2a0816dac0e3303f21a74fd61e91b27a702bd28",
-    "od1_rubric": "7ee7d9d999bcd99412c569fe865395cdbadd52ac12aae00c08a3a3c2988cbeb2",
-    "od2_competition": "46015adda7a002c31836640e595f0e698d8c7ebbf239150f5d02cf6d7f3b8f75",
-    "od3_framework": "e15ebf6a493ba342ee903fd068436d85e9b4d0826766852c98dfdf9cda719490",
+    "listing1": "2917f5ca496cf07c8c6bca9650d95d7422951ccc659e8acf82ecf04841aa8cd2",
+    "listing2": "13f17827abba836e0128bbc23eca2709706a57b99d7c841cb103edbf58de85f3",
+    "listing3": "4a76020239bac597efbfb0b84f5a86742b14d3a816fa6f14dd3e7699e2b99c45",
+    "listing4": "06ae33705b5650e953d17c082a468bcda4c9afa61a75d2dcf4c901299f372c75",
+    "od1_rubric": "2e2deb90fd3f46d145aa5fed2f6091dae2ea788d6a09ca1d288c58191b5d9acb",
+    "od2_competition": "3ec897192693ea960ca1d14fa9743cef656251ad08e08989b9436c60a1864afd",
+    "od3_framework": "3c36c521f4194610f4e8d11d4b4461c9e4a8d635f3a7ee4528146aaeb6596983",
 }
 
 
 # The same for the line program (generate_line_program), which the CLI runs.
 LINE_SOURCE_SHA256 = {
     "listing1": "c0ef6bdab84e5a1a84f0fc16e6346e748bffafc58462899fa0e64ce3efdd3021",
-    "listing2": "e1b1acf10e574284a66cff084f211327fa4c48c6aa7c47c45de2a03e986e5f7b",
+    "listing2": "b470737b990c840a00bb3b386237547fb9180070d72c9c5b38f31d3003558bcf",
     "listing3": "cc83e5dc8146dd81edfa9fc183084cd10548673dc27fa7851dc9002ea8efc0ca",
     "listing4": "cdab3011db350f95c63e71b770999860ca7c8c02027c50569a2c7fa4607c7f74",
-    "od1_rubric": "0c9e613834c8b2725fac34f488d016f69f272e4f8a449ea4558fc7a3ebc66710",
-    "od2_competition": "d1175f498ea7c25857e7c7a0ab1b49f5d72c657cf1532e9b78bf321228c390ad",
-    "od3_framework": "73f4a8b1b30a5340e310c4d87789f21f6fda0f0d92891e478be3bdabbaa189b4",
+    "od1_rubric": "c3fa57a5b74255e1737b67f5a68cd560e47bb15d5fc3ef855e422dc9c19bc320",
+    "od2_competition": "b8c18908313989b79a1420abd72238227010e58929196c73faaf2ebbd392c65d",
+    "od3_framework": "ac57e5dd3a0a2758b456bed34db3b0e8922a39c2ae9b0e9997c8ba956a9a5753",
 }
 
 
