@@ -35,10 +35,9 @@ from .trace import TraceSchema, read_trace, read_trace_lines, write_trace
 def _read_input(path: str) -> str:
     """The text of an input file, read as UTF-8. Bytes that are not UTF-8
     raise an OdlError naming the file, not a traceback. Trace files are
-    opened in binary instead and decoded by the trace reader, which reports
-    a bad byte with the line before it: `check` decodes the lines up to the
-    schema one at a time, `score` and `batch` read the rest in batches of
-    whole lines (`read_trace_lines`) for the oracle's line program."""
+    opened in binary instead and passed as they are to the trace reader
+    (`read_trace_lines`), which decodes them in batches of whole lines and
+    names the line before a bad byte."""
     with open(path, encoding="utf-8") as file:
         try:
             return file.read()
@@ -67,9 +66,9 @@ def _split_solution_trace(stem: str) -> tuple[str, str]:
 def _cmd_check(args: argparse.Namespace) -> int:
     od = parse_od(_read_input(args.od_path))
     if args.trace:
-        # Only the schema line (and blank lines before it) is read and decoded.
+        # Only the lines up to the schema line are taken: a bad byte after them raises nothing.
         with open(args.trace, "rb") as file:
-            schema, _ = read_trace(map(bytes.decode, file))
+            schema, _ = read_trace_lines(file)
         check_od(od, schema)
     else:
         print(
@@ -85,7 +84,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     od = parse_od(_read_input(args.od))
     with open(args.trace, "rb") as file:
         if args.log_firings:
-            schema, messages = read_trace(map(bytes.decode, file))
+            schema, messages = read_trace(file)
             report = score_messages(check_od(od, schema), messages)
         else:
             schema, lines = read_trace_lines(file)

@@ -51,7 +51,7 @@ from .errors import EngineError, EvalError
 from .evaluate import binder, emit_expr, emit_value, non_finite, runtime
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
 from .syntax import Expr, Frequency, Literal, format_expr
-from .trace import Trace, TraceMessage, record_gate
+from .trace import Trace, TraceMessage, read_fields, record_gate
 
 if TYPE_CHECKING:
     from .checker import CheckedOracle
@@ -226,14 +226,6 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
     return _Parts(namespace, init, body, apply, summary, fields, timer_list)
 
 
-def _read_fields(fields: dict[str, str], values: str) -> list[str]:
-    """The line that binds each field's local from the mapping `values`."""
-    if not fields:
-        return []
-    # itemgetter returns a tuple only for two or more names.
-    return [", ".join(fields.values()) + ("," if len(fields) > 1 else "") + f" = _fields({values})"]
-
-
 def _program(parts: _Parts, items: str, item: str, bind: list[str]) -> Callable:
     """The one loop head: compile `program(items)`, which runs parts.init,
     then for each `item` of `items` runs `bind` (which binds t and each read
@@ -259,7 +251,7 @@ def generate_program(checked: CheckedOracle) -> Program:
     log."""
     parts = _emit(checked, log=True)
     bind = ["t = message.t", "if t < prev_t: raise _regress(index, t, prev_t)",
-            *_read_fields(parts.fields, "message.values")]
+            *read_fields(parts.fields, "message.values")]
     return _program(parts, "messages", "message", bind)
 
 
@@ -275,10 +267,7 @@ def generate_line_program(checked: CheckedOracle) -> LineProgram:
     and a line the gate refuses raises the reader's diagnostic at its place.
     """
     parts = _emit(checked, log=False)
-    names = [parts.fields.get(name, f"u{k}") for k, name in enumerate(checked.schema.names())]
-    namespace, gate = record_gate(
-        checked.schema, names, "index + 1", [], ["t, values = record", *_read_fields(parts.fields, "values")]
-    )
+    namespace, gate = record_gate(checked.schema, parts.fields)
     parts.namespace.update(namespace)
     return _program(parts, "numbered", "lineno, line", gate)
 

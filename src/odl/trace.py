@@ -5,15 +5,16 @@ one of "number" | "boolean" | "point2". Every following line is one record
 object carrying "t" (seconds) plus exactly the schema fields, in time order.
 Point values are two-element [x, y] arrays. All numbers must be finite.
 
-`read_trace` reads a trace as its schema and a lazy iterator of checked
-messages, so a trace can be scored without being held; `parse_trace`
-collects that iterator into a `Trace`. The record rule is stated once, as
-generated source (`record_gate`): one gate takes a canonical record, and
-any line it refuses takes the strict path, which raises every diagnostic.
-Two generated loops run it: the reader of one schema (`_record_reader`),
-and the engine's line program, which scores the (line number, line) pairs
-of `read_trace_lines` without building a message. `read_trace_lines`
-reads a binary file in batches of whole lines, each decoded at once.
+`read_trace_lines` is the one way into a trace: it takes the text, its
+bytes, a binary file or any iterable of text, and gives the schema and
+the numbered lines after it. `read_trace` adds the schema's record reader,
+a lazy iterator of checked messages, and `parse_trace` collects that into
+a `Trace`. The record rule is stated once, as generated source
+(`record_gate`): one gate takes a canonical record, and any line it
+refuses takes the strict path, which raises every diagnostic. Two
+generated loops run it: the reader of one schema (`_record_reader`), and
+the engine's line program, which scores numbered lines without building
+a message.
 `write_trace` writes a trace line by line as its messages are taken, once
 `schema_fault`, the reader's schema rule, passes; `dump_trace` joins them.
 
@@ -24,6 +25,7 @@ with `_replace`, not `dataclasses.replace`.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
@@ -229,10 +231,10 @@ def _numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
                 lineno += 1
                 yield lineno, line
     except UnicodeDecodeError as exc:
-        # Lines decoded one at a time (parse_trace's bytes, the CLI's files,
-        # a batch of read_trace_lines that does not decode) put the bad bytes
-        # on the line after the last one read. A text file decodes ahead in
-        # blocks, so they lie somewhere after it.
+        # A batch of _decoded_batches that does not decode is decoded a line
+        # at a time, which puts the bad bytes on the line after the last one
+        # read. A text file decodes ahead in blocks, so they lie somewhere
+        # after it.
         after = f" after line {lineno}" if lineno else ""
         bad = exc.object[exc.start : exc.end]
         raise TraceError(f"trace file is not valid UTF-8{after}: {exc.reason} {bad!r}") from None
@@ -253,30 +255,40 @@ def _refused(
     return record
 
 
-def record_gate(
-    schema: TraceSchema, names: list[str], number: str, taken: list[str], refused: list[str]
-) -> tuple[dict[str, object], list[str]]:
+def read_fields(fields: Mapping[str, str], values: str) -> list[str]:
+    """The line that binds each field's local in `fields` from the mapping
+    `values`, through `_fields`, their itemgetter."""
+    if not fields:
+        return []
+    # itemgetter returns a tuple only for two or more names.
+    return [", ".join(fields.values()) + ("," if len(fields) > 1 else "") + f" = _fields({values})"]
+
+
+def record_gate(schema: TraceSchema, fields: Mapping[str, str]) -> tuple[dict[str, object], list[str]]:
     """The record rule of one schema as generated source: the namespace it
-    needs and the lines of a loop body over `lineno, line` that run `taken`
-    for a line the gate takes and `refused` for any other record, or
-    `continue` for a blank line. The loop keeps `prev_t`, the last record's
-    t (-_inf at first); `number` is the source of the line's record number.
+    needs and the lines of a loop body over `lineno, line` that bind t and
+    each field's local in `fields`, or `continue` for a blank line. The
+    loop keeps `index`, the records before this one, and `prev_t`, the last
+    record's t (-_inf at first).
 
     One gate takes a line that _scan reads whole as an object of t and the
     schema's fields whose floats (t, numbers, coordinates) have a finite
     sum, whose booleans are True or False and whose t does not decrease. It
-    binds t, and each field in schema order to the local of that place in
-    `names`: a float, a bool, or a point as a two-float list. Such a record
+    binds t and each field in schema order to its local (u<k> if it has
+    none): a float, a bool, or a point as a two-float list. Such a record
     has no string values, so its only quote characters are two per key
     plus any in values that a repeated key overwrote: the quote count is
     2 * len(obj) exactly when no key repeats. Every other line goes to
-    _refused, the strict path, which binds `record`, (t, values) with
-    points as Point2s, or raises every diagnostic. Field names are bound in
-    the namespace; the source holds indices and counts."""
+    _refused, the strict path, which gives (t, values) with points as
+    Point2s, bound by read_fields, or raises every diagnostic. Field names
+    are bound in the namespace; the source holds indices and counts."""
     namespace: dict[str, object] = {
         "_scan": _scan, "_get": itemgetter("t", *schema.names()), "_isfinite": isfinite, "_inf": inf,
-        "_new": tuple.__new__, "_Point2": Point2, "_refused": _refused, "_check": _record_checker(schema),
+        "_refused": _refused, "_check": _record_checker(schema),
     }
+    if fields:
+        namespace["_fields"] = itemgetter(*fields)
+    names = [fields.get(name, f"u{k}") for k, name in enumerate(schema.names())]
     gates, floats = ["type(t) is float"], ["t"]
     for var, (_, kind) in zip(names, schema.fields):
         if kind is Kind.NUMBER:
@@ -303,11 +315,12 @@ def record_gate(
         "        pass",
         "    else:",
         f"        taken = {test}",
-        *(["if taken:", *("    " + line for line in taken), "else:"] if taken else ["if not taken:"]),
-        f"    record = _refused(_check, line, lineno, {number}, prev_t)",
+        "if not taken:",
+        "    record = _refused(_check, line, lineno, index + 1, prev_t)",
         "    if record is None:",
         "        continue",
-        *("    " + line for line in refused),
+        "    t, values = record",
+        *("    " + line for line in read_fields(fields, "values")),
     ]
     return namespace, lines
 
@@ -317,27 +330,25 @@ def record_gate(
 def _record_reader(schema: TraceSchema) -> Callable[[Iterator[tuple[int, str]]], Iterator[TraceMessage]]:
     """Generate, compile and return the record reader of one schema: a
     generator of the messages of (line number, line) pairs, through
-    record_gate. Messages and the points of taken lines are built by
-    tuple.__new__, which skips the named tuples' own __new__: the gate has
-    checked each point's length and types."""
+    record_gate. Messages and points are built by tuple.__new__, which
+    skips the named tuples' own __new__: the gate has checked each point's
+    length and types."""
     names = schema.names()
-    fields = [f"x{k}" for k in range(len(names))]
+    fields = {name: f"x{k}" for k, name in enumerate(names)}
     values = [
-        f"k{k}: {f'_new(_Point2, {var})' if kind is Kind.POINT2 else var}"
-        for k, (var, (_, kind)) in enumerate(zip(fields, schema.fields))
+        f"k{k}: {f'_new(_Point2, x{k})' if kind is Kind.POINT2 else f'x{k}'}"
+        for k, (_, kind) in enumerate(schema.fields)
     ]
-    namespace, gate = record_gate(
-        schema, fields, "record_no + 1",
-        ["record_no, prev_t = record_no + 1, t", f"yield _new(_Message, (t, {{{', '.join(values)}}}))"],
-        ["record_no, (prev_t, values) = record_no + 1, record", "yield _Message(prev_t, values)"],
-    )
-    namespace.update(_names=names, _Message=TraceMessage)
+    namespace, gate = record_gate(schema, fields)
+    namespace.update(_names=names, _new=tuple.__new__, _Point2=Point2, _Message=TraceMessage)
     source = "\n".join([
         "def messages(numbered):",
         f"    [{', '.join(f'k{k}' for k in range(len(names)))}] = _names",
-        "    record_no, prev_t = 0, -_inf",
+        "    index, prev_t = 0, -_inf",
         "    for lineno, line in numbered:",
         *("        " + line for line in gate),
+        "        index, prev_t = index + 1, t",
+        f"        yield _new(_Message, (t, {{{', '.join(values)}}}))",
         "",
     ])
     exec(compile(source, "<odl record reader>", "exec"), namespace)
@@ -351,21 +362,6 @@ def _read_schema(numbered: Iterator[tuple[int, str]]) -> TraceSchema:
         if line.strip():
             return _parse_schema(line, lineno)
     raise TraceError("empty trace file: missing schema line")
-
-
-def read_trace(lines: Iterable[str]) -> tuple[TraceSchema, Iterator[TraceMessage]]:
-    """Read a trace from its lines: the schema at once, the records lazily.
-
-    `lines` is any iterable of text such as an open text file or
-    `text.splitlines()`; each item is split again at line breaks, so line
-    numbers are those of `text.splitlines()`. Records are checked as they
-    are yielded, so memory does not grow with the trace, and an error in a
-    record is raised when the iteration reaches it. Diagnostics name the
-    offending (1-based) file line.
-    """
-    numbered = _numbered_lines(lines)
-    schema = _read_schema(numbered)
-    return schema, _record_reader(schema)(numbered)
 
 
 # Bytes of whole lines that read_trace_lines reads and decodes at a time.
@@ -385,32 +381,42 @@ def _decoded_batches(file: IO[bytes]) -> Iterator[str]:
             yield text
 
 
-def read_trace_lines(file: IO[bytes]) -> tuple[TraceSchema, Iterator[tuple[int, str]]]:
-    """Read the schema of a trace file opened in binary, as read_trace does,
-    and return it with the (line number, line) pairs of the lines after it,
-    for a program that runs record_gate. The pairs, and every decoding
-    error with its text and place, are those of read_trace over the file's
-    lines decoded one at a time, but the lines are read and decoded in
-    batches of LINE_BATCH_BYTES."""
-    numbered = _numbered_lines(_decoded_batches(file))
+TraceSource = Union[str, bytes, IO[bytes], Iterable[str]]
+
+
+def read_trace_lines(source: TraceSource) -> tuple[TraceSchema, Iterator[tuple[int, str]]]:
+    """The schema of a trace and the (line number, line) pairs of the lines
+    after it, for a program that runs record_gate. `source` is the text; its
+    bytes or a file whose reads return bytes, read and decoded in batches of
+    whole lines; or any other iterable of text, such as a text file, taken
+    as it is. Each piece is split again at line breaks, so the lines are
+    those of the whole text's splitlines(). A bad byte raises TraceError
+    naming the line before it; a text file decodes ahead in blocks, so
+    there the bad byte lies somewhere after the line named."""
+    if isinstance(source, str):
+        source = (source,)
+    elif isinstance(source, bytes):
+        source = _decoded_batches(io.BytesIO(source))
+    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
+        source = _decoded_batches(source)
+    numbered = _numbered_lines(source)
     return _read_schema(numbered), numbered
 
 
-def parse_trace(source: Union[str, bytes, IO[str], IO[bytes]]) -> Trace:
-    """Parse a whole trace file, enforcing schema conformance and time
-    monotonicity: read_trace over its lines, collected into a Trace.
+def read_trace(source: TraceSource) -> tuple[TraceSchema, Iterator[TraceMessage]]:
+    """Read a trace from `source`, as read_trace_lines takes it: the schema
+    at once, the records lazily. Records are checked as they are yielded,
+    so memory does not grow with the trace, and an error in a record is
+    raised when the iteration reaches it. Diagnostics name the offending
+    (1-based) line."""
+    schema, numbered = read_trace_lines(source)
+    return schema, _record_reader(schema)(numbered)
 
-    Diagnostics name the offending (1-based) file line.
-    """
-    if hasattr(source, "read"):
-        source = source.read()  # type: ignore[union-attr]
-    if isinstance(source, bytes):
-        # Decoded a line at a time, as `odl score --log-firings` and
-        # `odl check --trace` decode.
-        lines = map(bytes.decode, source.splitlines(keepends=True))
-    else:
-        lines = source.splitlines()
-    schema, messages = read_trace(lines)
+
+def parse_trace(source: TraceSource) -> Trace:
+    """Parse a whole trace, enforcing schema conformance and time
+    monotonicity: read_trace, collected into a Trace."""
+    schema, messages = read_trace(source)
     return Trace(schema=schema, messages=tuple(messages))
 
 

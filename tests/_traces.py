@@ -7,7 +7,7 @@ import json
 
 from odl import CheckedOracle, Point2, ScoreReport, Trace, TraceError, dump_trace
 from odl.engine import score_lines
-from odl.trace import read_trace_lines
+from odl.trace import LINE_BATCH_BYTES, read_trace_lines
 
 
 def duration(trace: Trace) -> float:
@@ -45,3 +45,26 @@ def line_report(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     schema, lines = read_trace_lines(io.BytesIO(dump_trace(trace).encode()))
     assert schema == checked.schema
     return score_lines(checked, lines)
+
+
+# Trace files whose lines are long, broken by every line break, blank, or
+# hold a bad byte: read_trace_lines must read each as its lines decoded one
+# at a time, and every source of its bytes must read as one.
+_SCHEMA = b'{"x": "number", "b": "boolean", "p": "point2"}\n'
+_RECORD = b'{"t": 0.5, "x": 1.0, "b": true, "p": [0.0, 0.0]}\n'
+_BATCH = LINE_BATCH_BYTES
+BATCHED_FILES = {
+    "a record longer than several batches": _SCHEMA + b'{"t": 0.0, "x": 1.' + b"5" * (5 * _BATCH) + b"}\n" + _RECORD,
+    "a last line with no newline": _SCHEMA + _RECORD * 3 + _RECORD.rstrip(),
+    "every line break of splitlines": _SCHEMA
+    + "".join(_RECORD.decode().replace("\n", brk) for brk in ("\r\n", "\r", "\f", "\u2028", "\x1c", "\x85", "\v"))
+    .encode() * (_BATCH // 300) + b"\r",
+    "blank lines": b"\n \n" + _SCHEMA + (b"\n\t\n" + _RECORD) * (_BATCH // 40) + b"\n\n",
+    "a bad byte in the first batch": _SCHEMA + _RECORD * 2 + b"\xff" + _RECORD * (3 * _BATCH // len(_RECORD)),
+    "a bad byte in a middle batch": _SCHEMA + _RECORD * (2 * _BATCH // len(_RECORD)) + b'{"t": 1.0, "x\xe2\x82"'
+    + _RECORD * (2 * _BATCH // len(_RECORD)),
+    "a bad byte in the last batch": _SCHEMA + _RECORD * (3 * _BATCH // len(_RECORD)) + _RECORD[:-1] + b"\xc3",
+    "a bad byte on the schema line": b"\n" + _SCHEMA.replace(b"x", b"\x80") + _RECORD,
+    # A lone CR ends no line of a binary file, so the bad byte follows line 1.
+    "a bad byte after a lone CR on the line after the schema": b'{"x": "number"}\n{"t": 0, "x": 1}\r\xff\n',
+}

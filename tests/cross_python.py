@@ -13,7 +13,10 @@ executable). Each run prints the sha256 digests of:
   3 composite oracles of test_acceptance.py), as `report_to_json` writes
   them, through `score_trace` with the firing log and through `score_lines`;
 - the scores files and correlation matrix that criterion 7 builds through
-  the CLI.
+  the CLI;
+- the outcome (schema and message count, or TraceError text) of
+  `parse_trace` of each `BATCHED_FILES` row of _traces.py as bytes, a
+  BytesIO, a binary file, a text file and, where it decodes, a str.
 
 It prints every digest on which two interpreters differ and exits 1 if
 there is one, else 0. It needs only the standard library: it imports the
@@ -24,6 +27,7 @@ not collect it.
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
@@ -65,9 +69,10 @@ def _digests() -> dict[str, str]:
     import test_acceptance
     import test_engine
     import test_scenario
-    from _traces import line_report
+    from _traces import BATCHED_FILES, line_report
     from odl import (
-        check_od, dump_trace, generate_trace, load_builtin, load_scenario, parse_od, report_to_json, score_trace,
+        TraceError, check_od, dump_trace, generate_trace, load_builtin, load_scenario, parse_od, parse_trace,
+        report_to_json, score_trace,
     )
 
     digests = {}
@@ -95,6 +100,22 @@ def _digests() -> dict[str, str]:
     digests["criterion 7 matrix"] = test_scenario.sha256(matrix)
     for name, text in zip(test_acceptance._REPLICATION_ODS, scores):
         digests[f"criterion 7 scores {name}"] = test_scenario.sha256(text)
+
+    outcomes = []
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "trace.jsonl"
+        for case, data in sorted(BATCHED_FILES.items()):
+            path.write_bytes(data)
+            with open(path, "rb") as binary, open(path, encoding="utf-8") as text:
+                sources = [data, io.BytesIO(data), binary, text, *([] if "bad byte" in case else [data.decode()])]
+                for source in sources:
+                    try:
+                        trace = parse_trace(source)
+                        outcome = [[[name, kind.value] for name, kind in trace.schema.fields], len(trace.messages)]
+                    except TraceError as err:
+                        outcome = str(err)
+                    outcomes.append([case, type(source).__name__, outcome])
+    digests["parse_trace sources"] = test_scenario.sha256(json.dumps(outcomes))
     return digests
 
 

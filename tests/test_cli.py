@@ -409,17 +409,23 @@ def test_streaming_reports_errors_in_file_order(workspace, capsys):
          "trace file is not valid UTF-8: invalid start byte b'\\xff'\n"),
         (["score", "--od", "{bad}", "--trace", "{trace}"], "listing1.odl", "{bad}: file is not valid UTF-8"),
         (["score", "--od", "{od}", "--trace", "{bad}"], "t.jsonl", "trace file is not valid UTF-8"),
-        # Trace lines are decoded one at a time, so the line before the bad byte is named.
-        (["score", "--od", "{od}", "--trace", "{bad}"], "t.jsonl",
-         "trace file is not valid UTF-8 after line 2: invalid start byte b'\\xff'\n"),
+        # The line before the bad byte is named, with or without the firing log.
+        *(
+            (["score", "--od", "{od}", "--trace", trace, *log], "t.jsonl", f"trace file is not valid UTF-8{after}: "
+             "invalid start byte b'\\xff'\n")
+            for log in ([], ["--log-firings"])
+            for trace, after in [("{bad}", " after line 2"), ("{bad_schema}", ""), ("{bad_2001}", " after line 2002"),
+                                 ("{bad_cr}", " after line 1")]
+        ),
         (["batch", "--od", "{bad}", "--traces", "{trace}"], "listing1.odl", "{bad}: file is not valid UTF-8"),
         (["batch", "--od", "{od}", "--traces", "{bad}"], "t.jsonl", "{bad}: trace file is not valid UTF-8"),
         (["rank", "--scores", "{bad}"], "scores.csv", "{bad}: file is not valid UTF-8"),
         (["compare", "{bad}", "{bad}"], "ranks.csv", "{bad}: file is not valid UTF-8"),
         (["gen", "--scenario", "{bad}"], "scenario.json", "{bad}: file is not valid UTF-8"),
     ],
-    ids=["check_od", "check_trace", "score_od", "score_trace", "score_trace_line", "batch_od", "batch_trace", "rank",
-         "compare", "gen"],
+    ids=["check_od", "check_trace", "score_od", "score_trace",
+         *(f"score{log}_trace_{place}" for log in ("", "_log_firings") for place in ("line", "schema", "2001", "cr")),
+         "batch_od", "batch_trace", "rank", "compare", "gen"],
 )
 def test_input_that_is_not_utf8_exits_1(workspace, capsys, command, bad, expected):
     trace = workspace / "good.jsonl"
@@ -430,8 +436,13 @@ def test_input_that_is_not_utf8_exits_1(workspace, capsys, command, bad, expecte
     bad_path.write_bytes(b'{"speed": "number"}\n{"t": 0.0, "speed": 1.0}\n' + b"\xff\xfe\n")
     bad_schema = bad_path.with_name("schema_" + bad)
     bad_schema.write_bytes(b'\xff{"speed": "number"}\n')
-    names = {"bad": str(bad_path), "bad_schema": str(bad_schema), "od": str(workspace / "listing1.odl"),
-             "trace": str(trace)}
+    # A bad byte after 2,001 records, and one after a lone CR, which ends no line of a binary file.
+    bad_2001 = bad_path.with_name("2001_" + bad)
+    bad_2001.write_bytes(b'{"speed": "number"}\n' + b'{"t": 0.0, "speed": 1.0}\n' * 2001 + b"\xff\xfe\n")
+    bad_cr = bad_path.with_name("cr_" + bad)
+    bad_cr.write_bytes(b'{"speed": "number"}\n{"t": 0.0, "speed": 1.0}\r\xff\n')
+    names = {"bad": str(bad_path), "bad_schema": str(bad_schema), "bad_2001": str(bad_2001), "bad_cr": str(bad_cr),
+             "od": str(workspace / "listing1.odl"), "trace": str(trace)}
     assert main([arg.format(**names) for arg in command]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: " + expected.format(**names))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _traces import concat_traces, duration, encoder_dump
+from _traces import BATCHED_FILES, concat_traces, duration, encoder_dump
 from odl import (
     Binary,
     Call,
@@ -34,7 +34,6 @@ from odl import (
 from odl.cli import main
 from odl.engine import score_lines
 from odl.trace import (
-    LINE_BATCH_BYTES,
     _decoded_batches,
     _numbered_lines,
     _record_checker,
@@ -251,7 +250,10 @@ READER_SCHEMAS = [
     TraceSchema((("a", B), ("b", B))),
     TraceSchema((("p", P), ("q", P))),
     TraceSchema((("None", N), ("lambda", B), ("obj", P), ("line", N))),
-    TraceSchema((("x0", P), ("prev_t", N), ("record_no", N), ("TraceMessage", B))),
+    TraceSchema((
+        ("x0", P), ("prev_t", N), ("record_no", N), ("TraceMessage", B), ("index", N), ("record", P),
+        ("values", B), ("taken", N), ("line", B), ("lineno", P),
+    )),
     TraceSchema((("k0", N), ("end", B), ("values", N), ("_get", P), ("numbered", N))),
     TraceSchema((("speed", N), ("acceleration", N), ("position", P), ("road_normal", N), ("collision", B))),
 ]
@@ -400,15 +402,22 @@ def test_read_trace_reads_records_lazily():
         next(messages)
 
 
-def test_read_trace_reports_bytes_that_are_not_utf8():
+def test_read_trace_reports_bytes_that_are_not_utf8(tmp_path):
     with pytest.raises(TraceError, match="trace file is not valid UTF-8"):
         parse_trace(SCHEMA.encode() + b'{"t": 0, "x\xff": 1}\n')
+    # A text file's bad byte is a TraceError too, from parse_trace as from read_trace.
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(SCHEMA.encode() + b'{"t": 0, "x\xff": 1}\n')
+    for read in (parse_trace, read_trace):
+        with open(path, encoding="utf-8") as file, pytest.raises(TraceError) as exc:
+            read(file)
+        assert str(exc.value) == "trace file is not valid UTF-8: invalid start byte b'\\xff'"
     # Far past the first block the file decodes: the error comes mid-iteration.
     data = (SCHEMA + (GOOD + "\n") * 1000).encode() + b"\xff\n"
     schema, messages = read_trace(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     with pytest.raises(TraceError, match=r"trace file is not valid UTF-8 after line \d+: invalid start byte"):
         list(messages)
-    # Bytes are decoded a line at a time, so the line before the bad byte is named.
+    # A batch that does not decode is decoded a line at a time, so the line before the bad byte is named.
     for lines, bad in [(3, 3), (2001, 1501)]:
         text = [SCHEMA.strip().encode(), *[GOOD.encode()] * (lines - 1)]
         text[bad - 1] = b"\xff" + text[bad - 1]
@@ -428,30 +437,38 @@ def _numbered_outcome(numbered):
     return pairs, None
 
 
-BATCH = LINE_BATCH_BYTES
-RECORD = '{"t": 0.5, "x": 1.0, "b": true, "p": [0.0, 0.0]}\n'.encode()
-BATCHED_FILES = {
-    "a record longer than several batches": SCHEMA.encode() + b'{"t": 0.0, "x": 1.' + b"5" * (5 * BATCH) + b"}\n"
-    + RECORD,
-    "a last line with no newline": SCHEMA.encode() + RECORD * 3 + RECORD.rstrip(),
-    "every line break of splitlines": SCHEMA.encode()
-    + "".join(RECORD.decode().replace("\n", brk) for brk in ("\r\n", "\r", "\f", "\u2028", "\x1c", "\x85", "\v"))
-    .encode() * (BATCH // 300) + b"\r",
-    "blank lines": b"\n \n" + SCHEMA.encode() + (b"\n\t\n" + RECORD) * (BATCH // 40) + b"\n\n",
-    "a bad byte in the first batch": SCHEMA.encode() + RECORD * 2 + b"\xff" + RECORD * (3 * BATCH // len(RECORD)),
-    "a bad byte in a middle batch": SCHEMA.encode() + RECORD * (2 * BATCH // len(RECORD)) + b'{"t": 1.0, "x\xe2\x82"'
-    + RECORD * (2 * BATCH // len(RECORD)),
-    "a bad byte in the last batch": SCHEMA.encode() + RECORD * (3 * BATCH // len(RECORD)) + RECORD[:-1] + b"\xc3",
-    "a bad byte on the schema line": b"\n" + SCHEMA.encode().replace(b"x", b"\x80") + RECORD,
-}
+def _trace_outcome(read, source):
+    """The Trace that `read` (parse_trace or read_trace) gives, or its TraceError text."""
+    try:
+        if read is parse_trace:
+            return parse_trace(source)
+        schema, messages = read_trace(source)
+        return Trace(schema, tuple(messages))
+    except TraceError as err:
+        return str(err)
 
 
 @pytest.mark.parametrize("case", sorted(BATCHED_FILES))
-def test_batched_lines_are_the_lines_decoded_one_at_a_time(case):
+def test_batched_lines_are_the_lines_decoded_one_at_a_time(case, tmp_path):
     """read_trace_lines reads whole lines in batches, but yields the lines,
-    numbers and decoding errors of the file's lines decoded one at a time."""
+    numbers and decoding errors of the file's lines decoded one at a time.
+    parse_trace and read_trace give one Trace or TraceError text for every
+    source of the same bytes, which names the line before a bad byte as
+    the lines decoded one at a time do; a text file, which decodes ahead,
+    names the bad byte too."""
     data = BATCHED_FILES[case]
     one_at_a_time = _numbered_outcome(_numbered_lines(map(bytes.decode, io.BytesIO(data))))
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(data)
+    for read in (parse_trace, read_trace):
+        outcome = _trace_outcome(read, data)
+        with open(path, "rb") as binary, open(path, encoding="utf-8") as text:
+            assert _trace_outcome(read, io.BytesIO(data)) == _trace_outcome(read, binary) == outcome
+            if "bad byte" in case:
+                assert outcome == one_at_a_time[1]
+                assert _trace_outcome(read, text).startswith("trace file is not valid UTF-8")
+            else:
+                assert _trace_outcome(read, text) == _trace_outcome(read, data.decode()) == outcome
     assert _numbered_outcome(_numbered_lines(_decoded_batches(io.BytesIO(data)))) == one_at_a_time
     assert len(one_at_a_time[0]) > 1 or "schema" in case
     assert ("bad byte" in case) == (one_at_a_time[1] is not None)
