@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
 from .engine import LineProgram, Program, generate_line_program, generate_program
@@ -39,7 +41,7 @@ from .syntax import (
     kind_of_value,
     unknown_function,
 )
-from .trace import Kind, Trace, TraceMessage, TraceSchema, schema_fault
+from .trace import Kind, Trace, TraceMessage, TraceSchema, _field_mismatch, schema_fault
 
 
 @dataclass(frozen=True)
@@ -74,10 +76,22 @@ class CheckedOracle:
         return generate_line_program(self)
 
     def _messages_of(self, trace: Trace) -> tuple[TraceMessage, ...]:
-        """The messages of a trace of the schema this oracle was checked against."""
+        """The messages of a trace of the schema this oracle was checked
+        against, each of which holds a value of every field of it and of no
+        other: a Trace built without parse_trace may hold any mapping."""
         if self.schema.as_dict() != trace.schema.as_dict():
             raise EngineError("trace schema does not match the one the oracle was checked against")
-        return trace.messages
+        messages = trace.messages
+        names = self.schema.names()
+        values = list(map(itemgetter(1), messages))
+        # Every key is a field name, and each message has as many keys as the
+        # schema has names: two passes in C, which cost less than comparing
+        # each message's keys() with the names.
+        known = frozenset(names).issuperset(chain.from_iterable(values))
+        if not known or sum(map(len, values)) != len(names) * len(values):
+            index = next(i for i, message in enumerate(messages) if message.values.keys() != set(names))
+            raise EngineError(str(_field_mismatch(index, messages[index], names)))
+        return messages
 
 
 _WORDS = {Kind.BOOLEAN: "boolean", Kind.NUMBER: "numeric"}

@@ -1,10 +1,13 @@
 """Expression evaluation: two evaluators of one semantics.
 
-`evaluator` builds, once per expression, one closure per node, which
-evaluates over an `Env`; arithmetic and comparison are the `operator`
-functions of `syntax.BINARY`. The batch reference builds its closures once
-per call and evaluates with them alone; `eval_expr(expr, env)` is
-`evaluator(expr)(env)`. `emit_expr` writes a checked expression as Python
+`evaluator(expr, env)` builds, once per expression, one closure per node,
+which evaluates over an `Env`; arithmetic and comparison are the `operator`
+functions of `syntax.BINARY`. It resolves each name when it builds, against
+the Env it is given, and folds each node whose operands are all values into
+its value, computed once, then, by the closure that would compute it at
+each call. The batch reference builds its closures once per call and
+evaluates with them alone; `eval_expr(expr, env)` is
+`evaluator(expr, env)(env)`. `emit_expr` writes a checked expression as Python
 source; the streaming engine runs only such code, spliced into the one
 scoring function generated per oracle (`engine.generate_program`). The
 differential suite compares the two. Both read only trees check_expr takes:
@@ -35,7 +38,13 @@ class Env:
     `fields` holds the current message's values (including "t"); `timers`
     the evaluating function's timers; `seq_time` is bound only while a
     condition is evaluated; `scores` only while the summary is evaluated.
-    The reference keeps one Env per trace and replaces `fields` per message.
+    `evaluator` resolves each name against the Env it builds with: only the
+    keys of its tables count, and a constant's value. An Env a closure is
+    called with must bind each name the closure reads in the table it was
+    resolved to. The reference builds each function's closures against an
+    Env of the schema's field names with "t", the constants and that
+    function's timer table, and calls them with one Env per trace whose
+    `fields` it replaces per message and whose `timers` per function.
     """
 
     fields: Mapping[str, Value] = field(default_factory=dict)
@@ -43,6 +52,9 @@ class Env:
     timers: Mapping[str, float] = field(default_factory=dict)
     seq_time: float | None = None
     scores: Mapping[str, float] = field(default_factory=dict)
+
+
+Node = Callable[[Env], Value]
 
 
 def non_finite(what: str, value: float) -> EvalError:
@@ -54,91 +66,142 @@ def non_finite(what: str, value: float) -> EvalError:
     return EvalError(f"{what} is non-finite ({value!r})")
 
 
-def evaluator(expr: Expr) -> Callable[[Env], Value]:
+def evaluator(expr: Expr, env: Env) -> Callable[[Env], Value]:
     """`expr`, a tree check_expr takes, as a function of an `Env`, built
-    from one closure per node.
+    from one closure per node against `env`.
 
-    A name fault is raised by the closure that meets it, when it is called:
-    an unbound identifier, seq_time outside a condition, an unknown function
-    (after its arguments, left to right) and division by zero (after both
-    operands).
-    The name `seq_time` reads `env.seq_time`; any other name resolves, at
-    each call, to the first of a field, a constant, a timer and a score
-    that has it."""
+    The name `seq_time` reads the called Env's `seq_time`. Any other name
+    is resolved now, to the first of a field, a constant, a timer and a
+    score of `env` that has it; its closure reads that one table of the
+    called Env, and a constant becomes its value. A literal is a value. A
+    node whose operands are all values is folded: evaluated once, now, into
+    a value. A node whose evaluation raises (an EvalError, as `1 / 0` or an
+    unknown function does) stays a closure, and each fault is raised by the
+    closure that meets it, when it is called: an unbound identifier,
+    seq_time outside a condition, an unknown function (after its arguments,
+    left to right) and division by zero (after both operands)."""
+    return _node(*_build(expr, env))
+
+
+def _distance(values: list[Point2]) -> float:
+    a, b = values
+    return math.hypot(a.x - b.x, a.y - b.y)
+
+
+_FUNCTIONS: dict[str, Callable[[list[Any]], Value]] = {
+    "distance": _distance, "abs": lambda values: abs(values[0]), "min": min, "max": max,
+}
+
+
+def _build(expr: Expr, env: Env) -> tuple[Node | None, Value]:
+    """(closure, None) for `expr` resolved against `env`, or (None, value)
+    for a node folded into its value."""
     kind = type(expr)
+    if kind is Literal:
+        return None, expr.value
+    if kind is Ident:
+        return _resolve(expr.name, env)
     if kind is Binary:
-        op, left, right = expr.op, evaluator(expr.left), evaluator(expr.right)
-        apply = BINARY[op][3]
+        (left, lvalue), (right, rvalue) = _build(expr.left, env), _build(expr.right, env)
+        apply = BINARY[expr.op][3]
+        values = left is None and right is None
+        if apply is not None and left is not None and right is None:
+            # An operand against a value, as in `speed > MAX_SPEED`: one
+            # closure, not two, and a field read in it, not in a third.
+            if type(expr.left) is Ident and expr.left.name != "seq_time" and expr.left.name in env.fields:
+                name = expr.left.name
+                return (lambda env: apply(env.fields[name], rvalue)), None
+            return (lambda env: apply(left(env), rvalue)), None
+        left, right = _node(left, lvalue), _node(right, rvalue)
         if apply is not None:
-            return lambda env: apply(left(env), right(env))
-        if op == "and":
-            return lambda env: bool(left(env)) and bool(right(env))
-        if op == "or":
-            return lambda env: bool(left(env)) or bool(right(env))
+            return _fold(lambda env: apply(left(env), right(env)), values)
+        if expr.op == "and":
+            return _fold(lambda env: bool(left(env)) and bool(right(env)), values)
+        if expr.op == "or":
+            return _fold(lambda env: bool(left(env)) or bool(right(env)), values)
+        error = f"division by zero in '{format_expr(expr)}'"
 
         def divide(env: Env) -> Value:
             dividend, divisor = left(env), right(env)
             if divisor == 0:
-                raise EvalError(f"division by zero in '{format_expr(expr)}'")
+                raise EvalError(error)
             return dividend / divisor
 
-        return divide
-    if kind is Ident:
-        name = expr.name
-        if name == "seq_time":
-
-            def seq_time(env: Env) -> Value:
-                if env.seq_time is None:
-                    raise EvalError("seq_time is not bound outside a condition")
-                return env.seq_time
-
-            return seq_time
-
-        def ident(env: Env) -> Value:
-            if name in env.fields:
-                return env.fields[name]
-            if name in env.constants:
-                return env.constants[name]
-            if name in env.timers:
-                return env.timers[name]
-            if name in env.scores:
-                return env.scores[name]
-            raise EvalError(f"unbound identifier '{name}'")
-
-        return ident
-    if kind is Literal:
-        value = expr.value
-        return lambda env: value
+        return _fold(divide, values)
     if kind is Call:
         name = expr.name
-        args = [evaluator(arg) for arg in expr.args]
+        built = [_build(arg, env) for arg in expr.args]
+        args = [_node(*arg) for arg in built]
+        function = _FUNCTIONS.get(name)
+        if function is not None and len(args) == 2:  # distance, or min or max of two: no comprehension
+            first, second = args
 
-        def call(env: Env) -> Value:
-            values = [arg(env) for arg in args]
-            if name == "distance":
-                a, b = values
-                assert isinstance(a, Point2) and isinstance(b, Point2)
-                return math.hypot(a.x - b.x, a.y - b.y)
-            if name == "abs":
-                return abs(values[0])
-            if name == "min":
-                return min(values)
-            if name == "max":
-                return max(values)
-            raise EvalError(f"unknown function '{name}'")
+            def call(env: Env) -> Value:
+                return function([first(env), second(env)])
 
-        return call
-    operand = evaluator(expr.operand)  # a Unary: "not" or "-"
+        else:
+
+            def call(env: Env) -> Value:
+                values = [arg(env) for arg in args]
+                if function is None:
+                    raise EvalError(f"unknown function '{name}'")
+                return function(values)
+
+        return _fold(call, all(node is None for node, _ in built))
+    node, value = _build(expr.operand, env)  # a Unary: "not" or "-"
+    operand = _node(node, value)
     if expr.op == "not":
-        return lambda env: not operand(env)
-    return lambda env: -operand(env)
+        return _fold(lambda env: not operand(env), node is None)
+    return _fold(lambda env: -operand(env), node is None)
+
+
+def _resolve(name: str, env: Env) -> tuple[Node | None, Value]:
+    if name == "seq_time":
+
+        def seq_time(env: Env) -> Value:
+            if env.seq_time is None:
+                raise EvalError("seq_time is not bound outside a condition")
+            return env.seq_time
+
+        return seq_time, None
+    if name in env.fields:
+        return (lambda env: env.fields[name]), None
+    if name in env.constants:
+        return None, env.constants[name]
+    if name in env.timers:
+        return (lambda env: env.timers[name]), None
+    if name in env.scores:
+        return (lambda env: env.scores[name]), None
+
+    def unbound(env: Env) -> Value:
+        raise EvalError(f"unbound identifier '{name}'")
+
+    return unbound, None
+
+
+def _node(node: Node | None, value: Value) -> Node:
+    return (lambda env: value) if node is None else node
+
+
+def _fold(node: Node, values: bool) -> tuple[Node | None, Value]:
+    """(None, node's value) if its operands are all `values` and it
+    evaluates; (node, None) otherwise, so that what it raises is raised
+    only when it is called, as it is at each call without folding."""
+    if values:
+        try:
+            return None, node(Env())
+        except Exception:  # an EvalError, or in a tree of unchecked kinds a TypeError
+            pass
+    return node, None
 
 
 def eval_expr(expr: Expr, env: Env) -> Value:
-    """Evaluate `expr` over `env`: `evaluator(expr)(env)`, after check_expr
-    has refused a malformed tree with check_od's text, unlocated."""
+    """Evaluate `expr` over `env`: `evaluator(expr, env)(env)`, names
+    resolved and constant nodes folded against `env` itself, after
+    check_expr has refused a malformed tree with check_od's text,
+    unlocated."""
     check_expr(expr)
-    return evaluator(expr)(env)
+    return evaluator(expr, env)(env)
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,20 @@ afterwards from the materialized firing rows. The summary is a closure
 too, so the engine and the reference share no evaluation code. Like the
 engine, it reads only a `CheckedOracle`, which check_od's checks took.
 
-Per-function state and closures live in lists indexed by declaration
-position; only a notification's target is looked up by name, in one
-name -> timer-table map. One `Env` serves the whole trace, its `fields`
-replaced for each message.
+Each function has one row of state, made before the walk: its position,
+its closures, its timer table and its tables. Its closures are built
+against an `Env` of the schema's field names with `t`, the constants and
+that timer table, so each name is resolved, and each node over constants
+folded, once per call. Only a notification's target is looked up by name,
+in one name -> timer-table map. One `Env` serves the whole walk, its
+`fields` replaced for each message and its `timers` for each function.
+Only the timer tables that exist run down, and a message at which nothing
+fired queues its notifications in no new object.
 """
 
 from __future__ import annotations
 
-from math import isfinite
+from math import inf, isfinite
 
 from .checker import CheckedOracle
 from .engine import Firing, ScoreReport
@@ -50,92 +55,91 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     n = len(messages)
     names = [fn.name for fn in functions]
     constants = od.constant_map()
+    fields = dict.fromkeys((*checked.schema.names(), "t"))
 
-    event_true = [[False] * n for _ in functions]
-    seq_start = [[0] * n for _ in functions]
-    # First-fired index per function (n: none yet), and per function and
-    # sequence start index (absent: none yet).
+    # First-fired index per function (n: none yet).
     first_fired = [n] * len(functions)
-    first_fired_in_seq: list[dict[int, int]] = [{} for _ in functions]
     # (index, fn position, delta, notifications) in dispatch order.
     firing_rows: list[tuple[int, int, float, tuple[tuple[str, str, float], ...]]] = []
     totals = [fn.initial for fn in functions]
     timers = [{timer: 0.0 for timer in sorted(checked.timers[name])} for name in names]
     timers_of = dict(zip(names, timers))
-    # Each expression as a closure, built once; None for an absent one.
-    events = [evaluator(fn.event) for fn in functions]
-    conditions = [None if fn.condition is None else evaluator(fn.condition) for fn in functions]
-    actions = [None if fn.action is None else evaluator(fn.action) for fn in functions]
-    bindings = [
-        [(notif.target, timer, evaluator(value)) for notif in fn.notifications for timer, value in notif.bindings]
-        for fn in functions
-    ]
+    running = [table for table in timers if table]
+    # One row per function: its position, its closures (None for an absent
+    # one), its timer table, and its event-truth, sequence-start and
+    # first-fired-per-sequence-start tables (absent: none fired yet).
+    rows = []
+    for pos, fn in enumerate(functions):
+        scope = Env(fields=fields, constants=constants, timers=timers[pos])
+        event, condition, action = (
+            None if expr is None else evaluator(expr, scope) for expr in (fn.event, fn.condition, fn.action)
+        )
+        bindings = [
+            (notif.target, timer, evaluator(value, scope))
+            for notif in fn.notifications
+            for timer, value in notif.bindings
+        ]
+        rows.append((pos, fn, event, condition, action, bindings, timers[pos], [False] * n, [0] * n, {}))
 
     env = Env(constants=constants)
-    previous_t = 0.0
-    for i, message in enumerate(messages):
-        t = message.t
-        if i > 0 and t < previous_t:
-            raise EngineError(f"message {i}: timestamp {t!r} decreases below {previous_t!r}")
-        dt = 0.0 if i == 0 else t - previous_t
-        previous_t = t
-        for table in timers:
-            for timer in table:
-                table[timer] -= dt
-
-        env.fields = dict(message.values, t=t)
-        queued: list[tuple[str, str, float]] = []
-        for pos, fn in enumerate(functions):
-            env.timers = timers[pos]
-            try:
-                ev = bool(events[pos](env))
-                event_true[pos][i] = ev
-                if not ev:
+    previous_t = -inf
+    try:
+        for i, message in enumerate(messages):
+            t = message.t
+            if t < previous_t:
+                raise EngineError(f"message {i}: timestamp {t!r} decreases below {previous_t!r}")
+            if i:
+                dt = t - previous_t
+                for table in running:
+                    for timer in table:
+                        table[timer] -= dt
+            previous_t = t
+            env.fields = dict(message.values, t=t)
+            queued: tuple[tuple[str, str, float], ...] = ()
+            for pos, fn, event, condition, action, bindings, table, event_true, seq_start, in_seq in rows:
+                env.timers = table
+                if not event(env):
                     continue
-                start = i if i == 0 or not event_true[pos][i - 1] else seq_start[pos][i - 1]
-                seq_start[pos][i] = start
-                cond_ok = True
-                condition = conditions[pos]
+                event_true[i] = True
+                start = seq_start[i - 1] if i and event_true[i - 1] else i
+                seq_start[i] = start
                 if condition is not None:
                     env.seq_time = t - messages[start].t
                     cond_ok = bool(condition(env))
                     env.seq_time = None
-                in_seq = first_fired_in_seq[pos]
+                    if not cond_ok:
+                        continue
                 if fn.frequency is _FIRST:
-                    fire = cond_ok and first_fired[pos] > i
-                elif fn.frequency is _ACTION_SUM:
-                    if condition is None:
-                        fire = True
-                    else:
-                        fire = cond_ok and in_seq.get(start, n) > i
+                    fire = first_fired[pos] > i
+                elif fn.frequency is _ACTION_SUM and condition is not None:
+                    fire = in_seq.get(start, n) > i
                 else:
-                    fire = cond_ok
+                    fire = True
                 if not fire:
                     continue
                 first_fired[pos] = min(first_fired[pos], i)
                 in_seq.setdefault(start, i)
                 delta = 0.0
-                if actions[pos] is not None:
-                    delta = float(actions[pos](env))
+                if action is not None:
+                    delta = float(action(env))
                     if not isfinite(delta):
                         raise non_finite(f"action '{format_expr(fn.action)}'", delta)
                 totals[pos] += delta
                 if not isfinite(totals[pos]):
                     raise non_finite("score", totals[pos])
-                dispatched: list[tuple[str, str, float]] = []
-                for target, timer, binding in bindings[pos]:
+                dispatched = []
+                for target, timer, binding in bindings:
                     value = float(binding(env))
                     if not isfinite(value):
                         raise non_finite(f"notification value for '{target}.{timer}'", value)
                     dispatched.append((target, timer, value))
-                queued.extend(dispatched)
-                firing_rows.append((i, pos, delta, tuple(dispatched)))
-            except EvalError as exc:
-                raise EvalError(
-                    f"message {i} (t={t!r}), function '{fn.name}': {exc}"
-                ) from exc
-        for target, timer, value in queued:
-            timers_of[target][timer] = value
+                notifications = tuple(dispatched)
+                queued += notifications
+                firing_rows.append((i, pos, delta, notifications))
+            for target, timer, value in queued:
+                timers_of[target][timer] = value
+    except EvalError as exc:
+        raise EvalError(f"message {i} (t={t!r}), function '{fn.name}': {exc}") from exc
 
     scores = tuple(zip(names, totals))
     if od.summary is None:
@@ -143,8 +147,9 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
         for score in totals:
             summary += score
     else:
+        scope = Env(constants=constants, scores=dict(scores))
         try:
-            summary = float(evaluator(od.summary)(Env(constants=constants, scores=dict(scores))))
+            summary = float(evaluator(od.summary, scope)(scope))
         except EvalError as exc:
             raise EvalError(f"summary: {exc}") from exc
     if not isfinite(summary):

@@ -381,21 +381,22 @@ def _decoded_batches(file: IO[bytes]) -> Iterator[str]:
             yield text
 
 
-TraceSource = Union[str, bytes, IO[bytes], Iterable[str]]
+TraceSource = Union[str, bytes, bytearray, memoryview, IO[bytes], Iterable[str]]
 
 
 def read_trace_lines(source: TraceSource) -> tuple[TraceSchema, Iterator[tuple[int, str]]]:
     """The schema of a trace and the (line number, line) pairs of the lines
     after it, for a program that runs record_gate. `source` is the text; its
-    bytes or a file whose reads return bytes, read and decoded in batches of
-    whole lines; or any other iterable of text, such as a text file, taken
-    as it is. Each piece is split again at line breaks, so the lines are
-    those of the whole text's splitlines(). A bad byte raises TraceError
+    bytes, as bytes, a bytearray or a memoryview, or a file whose reads
+    return bytes, read and decoded in batches of whole lines; or any other
+    iterable of text, such as a text file, taken as it is. Each piece is
+    split again at line breaks, so the lines are those of the whole text's
+    splitlines(). A bad byte raises TraceError
     naming the line before it; a text file decodes ahead in blocks, so
     there the bad byte lies somewhere after the line named."""
     if isinstance(source, str):
         source = (source,)
-    elif isinstance(source, bytes):
+    elif isinstance(source, (bytes, bytearray, memoryview)):
         source = _decoded_batches(io.BytesIO(source))
     elif hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = _decoded_batches(source)

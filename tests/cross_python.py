@@ -11,12 +11,15 @@ executable). Each run prints the sha256 digests of:
 - the trace of every `GOLDEN_DIGESTS` row of test_scenario.py;
 - the 450 reports of the replication corpus (30 solutions x 5 traces x the
   3 composite oracles of test_acceptance.py), as `report_to_json` writes
-  them, through `score_trace` with the firing log and through `score_lines`;
+  them, through `score_trace` with the firing log, through `score_lines`
+  and through `reference_score`, which folds constant arithmetic when it
+  builds its closures;
 - the scores files and correlation matrix that criterion 7 builds through
   the CLI;
 - the outcome (schema and message count, or TraceError text) of
   `parse_trace` of each `BATCHED_FILES` row of _traces.py as bytes, a
-  BytesIO, a binary file, a text file and, where it decodes, a str.
+  bytearray, a memoryview, a BytesIO, a binary file, a text file and,
+  where it decodes, a str.
 
 It prints every digest on which two interpreters differ and exits 1 if
 there is one, else 0. It needs only the standard library: it imports the
@@ -72,7 +75,7 @@ def _digests() -> dict[str, str]:
     from _traces import BATCHED_FILES, line_report
     from odl import (
         TraceError, check_od, dump_trace, generate_trace, load_builtin, load_scenario, parse_od, parse_trace,
-        report_to_json, score_trace,
+        reference_score, report_to_json, score_trace,
     )
 
     digests = {}
@@ -94,6 +97,8 @@ def _digests() -> dict[str, str]:
         lines = [report_to_json(line_report(checked, trace)) for trace in traces]
         digests[f"replication score_trace {name}"] = test_scenario.sha256("\n".join(messages))
         digests[f"replication score_lines {name}"] = test_scenario.sha256("\n".join(lines))
+        references = [report_to_json(reference_score(checked, trace), include_firings=True) for trace in traces]
+        digests[f"replication reference_score {name}"] = test_scenario.sha256("\n".join(references))
 
     with tempfile.TemporaryDirectory() as work:
         matrix, scores = test_acceptance._replicate(Path(work))
@@ -107,7 +112,8 @@ def _digests() -> dict[str, str]:
         for case, data in sorted(BATCHED_FILES.items()):
             path.write_bytes(data)
             with open(path, "rb") as binary, open(path, encoding="utf-8") as text:
-                sources = [data, io.BytesIO(data), binary, text, *([] if "bad byte" in case else [data.decode()])]
+                sources = [data, bytearray(data), memoryview(data), io.BytesIO(data), binary, text,
+                           *([] if "bad byte" in case else [data.decode()])]
                 for source in sources:
                     try:
                         trace = parse_trace(source)

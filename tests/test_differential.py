@@ -181,7 +181,7 @@ def test_a_function_outside_the_builtins_is_refused_by_the_checker_and_the_evalu
 
 def test_streaming_equals_reference():
     # From seed 300 on, every tenth trace may run to 200 messages.
-    for i in range(600):
+    for i in range(900):
         rng = random.Random(20_000 + i)
         schema = gen_schema(rng)
         od = gen_checkable_od(rng, schema)
@@ -397,15 +397,23 @@ def test_evaluation_errors_identical_in_engine_and_reference():
 
 
 def test_trace_errors_identical_in_engine_and_reference():
-    """A trace of another schema, and timestamps that decrease, which only a
-    Trace built without parse_trace can hold."""
+    """A trace of another schema, and timestamps that decrease or messages
+    whose fields are not the schema's, which only a Trace built without
+    parse_trace can hold; a field the oracle does not read counts too."""
     trace = parse_trace(_ERROR_TRACE)
     checked = check_od(parse_od("f = scoring_function(event = b0, frequency = first);"), trace.schema)
     other = parse_trace('{"n0": "number"}\n{"t": 0, "n0": 1}\n')
     backwards = trace._replace(messages=trace.messages[::-1])
+    first, second, third = trace.messages
     for bad, text in [
         (other, "trace schema does not match the one the oracle was checked against"),
         (backwards, "message 1: timestamp 1.0 decreases below 2.0"),
+        (trace._replace(messages=(first._replace(values={"n0": 1.0}), second, third)),
+         "message 0: missing field 'b0'"),
+        (trace._replace(messages=(first, second._replace(values={**second.values, "y": 1.0}), third)),
+         "message 1: field 'y' is not in the schema"),
+        (trace._replace(messages=(first, second, third._replace(values={"b0": False}))),
+         "message 2: missing field 'n0'"),
     ]:
         for score in (score_trace, reference_score):
             with pytest.raises(EngineError, match=f"^{re.escape(text)}$"):
@@ -426,6 +434,11 @@ def test_unreached_errors_raise_in_neither():
         "f = scoring_function(event = n0 > 0, action = 1 / n0, frequency = all_sum);",
         "const x = 1e308;\n"
         "f = scoring_function(event = n0 > 5, action = x * 10, frequency = all_sum);",
+        # Over constants only, so the reference folds them when it builds its
+        # closures; the event never holds, so neither is ever evaluated.
+        "f = scoring_function(event = n0 > 5, action = 1 / 0, frequency = all_sum);",
+        "f = scoring_function(event = n0 > 5, frequency = all_sum, notifications = [(g, [(tm, 1 / 0)])]);\n"
+        "g = scoring_function(event = tm > 0, action = 1, frequency = all_sum);",
     ):
         checked = check_od(parse_od(source), trace.schema)
         report = score_trace(checked, trace)

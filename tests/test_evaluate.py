@@ -32,7 +32,7 @@ from odl import (
     format_expr,
     parse_od,
 )
-from odl.evaluate import binder, emit_expr, emit_value, runtime
+from odl.evaluate import binder, emit_expr, emit_value, evaluator, runtime
 from odl.syntax import MAX_NESTING
 
 
@@ -256,6 +256,11 @@ def test_names_resolve_to_field_then_constant_then_timer_then_score():
     assert eval_expr(Ident("seq_time"), env) == 0.5
     with pytest.raises(EvalError, match=r"^unbound identifier 'e'$"):
         eval_expr(Ident("e"), env)
+    # evaluator resolves in that order when it builds: the field `a` is read
+    # from the Env the closure is called with, the constant `b` folded in.
+    closure = evaluator(expr("a * b"), env)
+    assert closure(env) == 20.0
+    assert closure(Env(fields={"a": 3.0})) == 60.0
 
 
 def test_and_or_return_booleans_for_numeric_operands():
@@ -340,6 +345,14 @@ def test_compiled_errors_stay_lazy_and_match_tree_walk():
     with pytest.raises(EvalError) as compiled:
         division({}, 0.0, {}, None)
     assert str(compiled.value) == str(walked.value) == "division by zero in '1.0 / 0.0'"
+    # evaluator folds a node over values when it is built, but one whose
+    # evaluation fails stays a closure, which raises when it is called.
+    built = evaluator(expr("1 / 0"), Env())
+    with pytest.raises(EvalError, match=r"^division by zero in '1\.0 / 0\.0'$"):
+        built(Env())
+    # So is a node over values of the wrong kinds, which eval_expr, running
+    # only check_expr, may be given.
+    assert eval_expr(bool_expr("false and (point(0, 0) < 1)"), Env()) is False
     guarded = compile_expr(bool_expr("false and (1 / 0 > 0)"), (), {})
     assert guarded({}, 0.0, {}, None) is False
     assert compile_expr(bool_expr("true or (1 / 0 > 0)"), (), {})({}, 0.0, {}, None) is True

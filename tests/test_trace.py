@@ -464,6 +464,7 @@ def test_batched_lines_are_the_lines_decoded_one_at_a_time(case, tmp_path):
         outcome = _trace_outcome(read, data)
         with open(path, "rb") as binary, open(path, encoding="utf-8") as text:
             assert _trace_outcome(read, io.BytesIO(data)) == _trace_outcome(read, binary) == outcome
+            assert _trace_outcome(read, bytearray(data)) == _trace_outcome(read, memoryview(data)) == outcome
             if "bad byte" in case:
                 assert outcome == one_at_a_time[1]
                 assert _trace_outcome(read, text).startswith("trace file is not valid UTF-8")
