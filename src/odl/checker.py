@@ -14,15 +14,14 @@ boolean; actions, notification values, and the summary must be numeric.
 A `CheckedOracle` is checked by being made. It is a plain value; its two
 scoring programs, of messages and of trace lines, are generated by one
 emitter and one loop head and compiled when first used
-(`engine.generate_program`, `engine.generate_line_program`).
+(`engine.generate_program`, `engine.generate_line_program`), which check
+each message or line where they read it: the checker reads no message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
 from .engine import LineProgram, Program, generate_line_program, generate_program
@@ -41,7 +40,7 @@ from .syntax import (
     kind_of_value,
     unknown_function,
 )
-from .trace import Kind, Trace, TraceMessage, TraceSchema, _field_mismatch, schema_fault
+from .trace import Kind, Trace, TraceMessage, TraceSchema, schema_fault
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,8 @@ class CheckedOracle:
     (by `dataclasses.replace` too): one check_od refuses raises its CheckError.
 
     `timers` maps each scoring-function name to the timer names some
-    notification targets at it (the timers its expressions may read).
+    notification targets at it (the timers its expressions may read). It
+    is checked against a schema only; its programs check the messages.
     """
 
     od: OracleDefinition
@@ -77,21 +77,10 @@ class CheckedOracle:
 
     def _messages_of(self, trace: Trace) -> tuple[TraceMessage, ...]:
         """The messages of a trace of the schema this oracle was checked
-        against, each of which holds a value of every field of it and of no
-        other: a Trace built without parse_trace may hold any mapping."""
+        against, for score_trace and reference_score, which check each one."""
         if self.schema.as_dict() != trace.schema.as_dict():
             raise EngineError("trace schema does not match the one the oracle was checked against")
-        messages = trace.messages
-        names = self.schema.names()
-        values = list(map(itemgetter(1), messages))
-        # Every key is a field name, and each message has as many keys as the
-        # schema has names: two passes in C, which cost less than comparing
-        # each message's keys() with the names.
-        known = frozenset(names).issuperset(chain.from_iterable(values))
-        if not known or sum(map(len, values)) != len(names) * len(values):
-            index = next(i for i, message in enumerate(messages) if message.values.keys() != set(names))
-            raise EngineError(str(_field_mismatch(index, messages[index], names)))
-        return messages
+        return trace.messages
 
 
 _WORDS = {Kind.BOOLEAN: "boolean", Kind.NUMBER: "numeric"}

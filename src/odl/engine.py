@@ -29,8 +29,9 @@ puts it in a function that loops over its input and returns the report.
 Two programs are made so, each at its first use, and kept on the
 `CheckedOracle`; they differ only in how a record binds t and the fields:
 
-- `generate_program` binds them from a message and keeps the firing log.
-  `score_messages` (and so `score_trace`) is its only caller.
+- `generate_program` binds them from a message held to the trace writer's
+  rule of its fields, and keeps the firing log. `score_messages` (and so
+  `score_trace`) is its only caller.
 - `generate_line_program` binds them from a numbered line of a trace file
   through the reader's record gate (`trace.record_gate`), so it builds no
   message and keeps no firing log: its memory does not grow with the trace.
@@ -44,14 +45,13 @@ from __future__ import annotations
 
 import json
 from math import inf, isfinite
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import EngineError, EvalError
 from .evaluate import binder, emit_expr, emit_value, non_finite, runtime
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
 from .syntax import Expr, Frequency, Literal, format_expr
-from .trace import Trace, TraceMessage, read_fields, record_gate
+from .trace import Trace, TraceMessage, message_fields, record_gate
 
 if TYPE_CHECKING:
     from .checker import CheckedOracle
@@ -220,8 +220,6 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
         "if not _isfinite(total): raise _non_finite('summary', total)",
         f"return _ScoreReport(({pairs}), total{', tuple(firings)' if log else ''})",
     ]
-    if fields:
-        namespace["_fields"] = itemgetter(*fields)
     timer_list = [var for group in timer_vars.values() for var in group.values()]
     return _Parts(namespace, init, body, apply, summary, fields, timer_list)
 
@@ -247,11 +245,13 @@ def _program(parts: _Parts, items: str, item: str, bind: list[str]) -> Callable:
 def generate_program(checked: CheckedOracle) -> Program:
     """Generate, compile and return the scoring program of a checked oracle:
     a function of an iterable of messages, pulled one at a time so errors
-    come in their order, that refuses a decreasing t and keeps the firing
-    log."""
+    come in their order, that keeps the firing log. It binds each message's
+    fields through trace.message_fields, which raises EngineError for a
+    message whose fields are not the schema's, then refuses a decreasing t."""
     parts = _emit(checked, log=True)
-    bind = ["t = message.t", "if t < prev_t: raise _regress(index, t, prev_t)",
-            *read_fields(parts.fields, "message.values")]
+    namespace, read = message_fields(checked.schema, parts.fields, EngineError)
+    parts.namespace.update(namespace)
+    bind = ["t = message.t", *read, "if t < prev_t: raise _regress(index, t, prev_t)"]
     return _program(parts, "messages", "message", bind)
 
 

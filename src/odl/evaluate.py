@@ -43,8 +43,8 @@ class Env:
     called with must bind each name the closure reads in the table it was
     resolved to. The reference builds each function's closures against an
     Env of the schema's field names with "t", the constants and that
-    function's timer table, and calls them with one Env per trace whose
-    `fields` it replaces per message and whose `timers` per function.
+    function's timer table, and calls them with that Env, whose `fields`
+    dict it updates in place at each message.
     """
 
     fields: Mapping[str, Value] = field(default_factory=dict)
@@ -84,8 +84,9 @@ def evaluator(expr: Expr, env: Env) -> Callable[[Env], Value]:
 
 
 def _distance(values: list[Point2]) -> float:
+    # By index: a point is a Point2, or the two-float list the record gate binds.
     a, b = values
-    return math.hypot(a.x - b.x, a.y - b.y)
+    return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 _FUNCTIONS: dict[str, Callable[[list[Any]], Value]] = {

@@ -21,14 +21,15 @@ too, so the engine and the reference share no evaluation code. Like the
 engine, it reads only a `CheckedOracle`, which check_od's checks took.
 
 Each function has one row of state, made before the walk: its position,
-its closures, its timer table and its tables. Its closures are built
-against an `Env` of the schema's field names with `t`, the constants and
-that timer table, so each name is resolved, and each node over constants
-folded, once per call. Only a notification's target is looked up by name,
-in one name -> timer-table map. One `Env` serves the whole walk, its
-`fields` replaced for each message and its `timers` for each function.
-Only the timer tables that exist run down, and a message at which nothing
-fired queues its notifications in no new object.
+its `Env` (the schema's field names with `t`, the constants and its timer
+table), its closures, built against and called with that `Env`, so each
+name is resolved and each node over constants folded once per call, and
+its tables. The walk checks each message's field names, then its t, and
+updates the one fields dict all Envs share in place: the first fault in
+message order is raised, as the engine raises it. Only a notification's
+target is looked up by name, in one name -> timer-table map. Only the
+timer tables that exist run down, and a message at which nothing fired
+queues its notifications in no new object.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import EngineError, EvalError
 from .evaluate import Env, evaluator, non_finite
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
 from .syntax import Frequency, format_expr
-from .trace import Trace
+from .trace import Trace, _field_mismatch
 
 # Read once: an enum member is slow to read as a class attribute.
 _FIRST, _ACTION_SUM = Frequency.FIRST, Frequency.ACTION_SUM
@@ -55,7 +56,8 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     n = len(messages)
     names = [fn.name for fn in functions]
     constants = od.constant_map()
-    fields = dict.fromkeys((*checked.schema.names(), "t"))
+    schema = checked.schema.as_dict()
+    fields = dict.fromkeys((*schema, "t"))  # every Env's, updated in place at each message
 
     # First-fired index per function (n: none yet).
     first_fired = [n] * len(functions)
@@ -65,27 +67,27 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     timers = [{timer: 0.0 for timer in sorted(checked.timers[name])} for name in names]
     timers_of = dict(zip(names, timers))
     running = [table for table in timers if table]
-    # One row per function: its position, its closures (None for an absent
-    # one), its timer table, and its event-truth, sequence-start and
-    # first-fired-per-sequence-start tables (absent: none fired yet).
+    # One row per function: its position, the Env of its closures, its
+    # closures (None for an absent one), and its event-truth, sequence-start
+    # and first-fired-per-sequence-start tables (absent: none fired yet).
     rows = []
     for pos, fn in enumerate(functions):
-        scope = Env(fields=fields, constants=constants, timers=timers[pos])
+        env = Env(fields=fields, constants=constants, timers=timers[pos])
         event, condition, action = (
-            None if expr is None else evaluator(expr, scope) for expr in (fn.event, fn.condition, fn.action)
+            None if expr is None else evaluator(expr, env) for expr in (fn.event, fn.condition, fn.action)
         )
         bindings = [
-            (notif.target, timer, evaluator(value, scope))
+            (notif.target, timer, evaluator(value, env))
             for notif in fn.notifications
             for timer, value in notif.bindings
         ]
-        rows.append((pos, fn, event, condition, action, bindings, timers[pos], [False] * n, [0] * n, {}))
+        rows.append((pos, fn, env, event, condition, action, bindings, [False] * n, [0] * n, {}))
 
-    env = Env(constants=constants)
     previous_t = -inf
     try:
-        for i, message in enumerate(messages):
-            t = message.t
+        for i, (t, values) in enumerate(messages):
+            if values.keys() != schema.keys():
+                raise EngineError(_field_mismatch(i, values, schema))
             if t < previous_t:
                 raise EngineError(f"message {i}: timestamp {t!r} decreases below {previous_t!r}")
             if i:
@@ -94,10 +96,10 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
                     for timer in table:
                         table[timer] -= dt
             previous_t = t
-            env.fields = dict(message.values, t=t)
+            fields.update(values)
+            fields["t"] = t
             queued: tuple[tuple[str, str, float], ...] = ()
-            for pos, fn, event, condition, action, bindings, table, event_true, seq_start, in_seq in rows:
-                env.timers = table
+            for pos, fn, env, event, condition, action, bindings, event_true, seq_start, in_seq in rows:
                 if not event(env):
                     continue
                 event_true[i] = True

@@ -17,6 +17,8 @@ the engine's line program, which scores numbered lines without building
 a message.
 `write_trace` writes a trace line by line as its messages are taken, once
 `schema_fault`, the reader's schema rule, passes; `dump_trace` joins them.
+The writer and the engine's message program hold each message they take
+to one generated rule of its fields (`message_fields`).
 
 `Point2`, `TraceSchema`, `TraceMessage` and `Trace` are named tuples: they
 iterate, compare equal to a plain tuple of the same fields, and are derived
@@ -33,7 +35,7 @@ from enum import Enum
 from functools import lru_cache
 from math import inf, isfinite
 from operator import itemgetter
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import TraceError
 
@@ -255,15 +257,6 @@ def _refused(
     return record
 
 
-def read_fields(fields: Mapping[str, str], values: str) -> list[str]:
-    """The line that binds each field's local in `fields` from the mapping
-    `values`, through `_fields`, their itemgetter."""
-    if not fields:
-        return []
-    # itemgetter returns a tuple only for two or more names.
-    return [", ".join(fields.values()) + ("," if len(fields) > 1 else "") + f" = _fields({values})"]
-
-
 def record_gate(schema: TraceSchema, fields: Mapping[str, str]) -> tuple[dict[str, object], list[str]]:
     """The record rule of one schema as generated source: the namespace it
     needs and the lines of a loop body over `lineno, line` that bind t and
@@ -280,14 +273,17 @@ def record_gate(schema: TraceSchema, fields: Mapping[str, str]) -> tuple[dict[st
     plus any in values that a repeated key overwrote: the quote count is
     2 * len(obj) exactly when no key repeats. Every other line goes to
     _refused, the strict path, which gives (t, values) with points as
-    Point2s, bound by read_fields, or raises every diagnostic. Field names
-    are bound in the namespace; the source holds indices and counts."""
+    Point2s, bound through `_fields`, or raises every diagnostic. Field
+    names are bound in the namespace; the source holds indices and counts."""
     namespace: dict[str, object] = {
         "_scan": _scan, "_get": itemgetter("t", *schema.names()), "_isfinite": isfinite, "_inf": inf,
         "_refused": _refused, "_check": _record_checker(schema),
     }
+    strict = []
     if fields:
         namespace["_fields"] = itemgetter(*fields)
+        # itemgetter returns a tuple only for two or more names.
+        strict = ["    " + ", ".join(fields.values()) + ("," if len(fields) > 1 else "") + " = _fields(values)"]
     names = [fields.get(name, f"u{k}") for k, name in enumerate(schema.names())]
     gates, floats = ["type(t) is float"], ["t"]
     for var, (_, kind) in zip(names, schema.fields):
@@ -320,7 +316,7 @@ def record_gate(schema: TraceSchema, fields: Mapping[str, str]) -> tuple[dict[st
         "    if record is None:",
         "        continue",
         "    t, values = record",
-        *("    " + line for line in read_fields(fields, "values")),
+        *strict,
     ]
     return namespace, lines
 
@@ -434,13 +430,32 @@ def _encode_record(message: TraceMessage, names: tuple[str, ...]) -> str:
     return _ENCODER.encode(obj)
 
 
-def _field_mismatch(index: int, message: TraceMessage, names: tuple[str, ...]) -> ValueError:
-    """The error for message `index`, whose fields are not the schema's."""
-    for name in message.values:
+def _field_mismatch(index: int, values: Mapping[str, Value], names: Collection[str]) -> str:
+    """Why message `index`, whose fields are `values`, does not hold exactly `names`."""
+    for name in values:
         if name not in names:
-            return ValueError(f"message {index}: field '{name}' is not in the schema")
-    missing = next(name for name in names if name not in message.values)
-    return ValueError(f"message {index}: missing field '{missing}'")
+            return f"message {index}: field '{name}' is not in the schema"
+    missing = next(name for name in names if name not in values)
+    return f"message {index}: missing field '{missing}'"
+
+
+def message_fields(
+    schema: TraceSchema, fields: Mapping[str, str], error: Callable[[str], Exception]
+) -> tuple[dict[str, object], list[str]]:
+    """The rule that a message holds exactly the schema's fields, as the
+    namespace and lines of a loop body over `index, message` that bind
+    `values`, its fields, and each in schema order to its local in `fields`
+    (u<k> if none, as in record_gate), or raise error(_field_mismatch(...))."""
+    names = schema.names()
+    namespace: dict[str, object] = {"_error": error, "_mismatch": _field_mismatch, "_names": names}
+    refuse = "raise _error(_mismatch(index, values, _names))"
+    lines = ["values = message.values", f"if len(values) != {len(names)}: {refuse}"]
+    if names:
+        namespace["_fields"] = itemgetter(*names)
+        bound = [fields.get(name, f"u{k}") for k, name in enumerate(names)]
+        # Of one name, itemgetter gives a value, not a tuple.
+        lines += ["try:", f"    {', '.join(bound)} = _fields(values)", "except KeyError:", f"    {refuse} from None"]
+    return namespace, lines
 
 
 # Cached so that dumping many traces of one schema compiles one writer.
@@ -451,7 +466,8 @@ def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage], Cal
     calls with each message's line, what _encode_record returns followed
     by a line break, as the message is taken.
 
-    A record is written by one f-string over float.__repr__, which is how
+    Each message is held to message_fields, refused by a ValueError. A
+    record is written by one f-string over float.__repr__, which is how
     the encoder writes a float, when its booleans are True or False, its
     points are Point2s, and t, its numbers and coordinates are finite
     floats (float.__repr__ raises TypeError for anything else). Any other
@@ -461,11 +477,11 @@ def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage], Cal
     its floats is finite unless one of them is not, or the sum overflows,
     and a record it refuses is written by the encoder."""
     names = schema.names()
-    namespace: dict[str, object] = {
-        "_r": float.__repr__, "_isfinite": isfinite, "_Point2": Point2, "_bool": ("false", "true"),
-        "_encode": _encode_record, "_names": names, "_mismatch": _field_mismatch,
-    }
     fields = [f"x{k}" for k in range(len(names))]
+    namespace, read = message_fields(schema, dict(zip(names, fields)), ValueError)
+    namespace.update(
+        _r=float.__repr__, _isfinite=isfinite, _Point2=Point2, _bool=("false", "true"), _encode=_encode_record
+    )
     gates, floats = [], ["t"]
     # write_trace has refused every name that is not a name of the language,
     # so none needs an escape, in JSON or in the f-string.
@@ -483,27 +499,18 @@ def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage], Cal
             floats += [f"{var}.x", f"{var}.y"]
             body += f"[{{_r({var}.x)}}, {{_r({var}.y)}}]"
     line = "f" + repr('{{"t": {_r(t)}' + body + "}}\n")
-    read = []
-    if names:
-        namespace["_fields"] = itemgetter(*names)
-        read = [f"{', '.join(fields)} = _fields(values)"]
     test = " and ".join([*gates, f"_isfinite({' + '.join(floats)})"])
     source = "\n".join([
         "def write_records(messages, write):",
         "    for index, message in enumerate(messages):",
         "        t = message.t",
-        "        values = message.values",
-        f"        if len(values) != {len(names)}:",
-        "            raise _mismatch(index, message, _names)",
+        *("        " + stmt for stmt in read),
         "        try:",
-        *("            " + stmt for stmt in read),
         f"            if {test}:",
         f"                write({line})",
         "                continue",
         "        except (TypeError, OverflowError):",
         "            pass",
-        "        except KeyError:",
-        "            raise _mismatch(index, message, _names) from None",
         "        write(_encode(message, _names) + '\\n')",
         "",
     ])

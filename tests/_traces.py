@@ -5,7 +5,10 @@ from __future__ import annotations
 import io
 import json
 
-from odl import CheckedOracle, Point2, ScoreReport, Trace, TraceError, dump_trace
+from odl import (
+    CheckedOracle, EngineError, EvalError, OdlError, Point2, ScoreReport, Trace, TraceError, check_od, dump_trace,
+    parse_od, parse_trace, reference_score, report_to_json, score_messages, score_trace,
+)
 from odl.engine import score_lines
 from odl.trace import LINE_BATCH_BYTES, read_trace_lines
 
@@ -45,6 +48,69 @@ def line_report(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     schema, lines = read_trace_lines(io.BytesIO(dump_trace(trace).encode()))
     assert schema == checked.schema
     return score_lines(checked, lines)
+
+
+# A trace of three messages whose evaluation can fail: n0 is 0 from message 1
+# on, and b0 is false at message 2.
+ERROR_TRACE = (
+    '{"n0": "number", "b0": "boolean"}\n'
+    '{"t": 0, "n0": 1, "b0": true}\n'
+    '{"t": 1, "n0": 0, "b0": true}\n'
+    '{"t": 2, "n0": 0, "b0": false}\n'
+)
+
+
+def trace_faults() -> list[tuple[CheckedOracle, Trace, type[OdlError], str]]:
+    """Traces built by hand from ERROR_TRACE, each with the oracle that
+    scores it and the class and text of its first fault in message order:
+    another schema, a decreasing t, and messages whose fields are not the
+    schema's, which only a Trace built without parse_trace can hold (a
+    field the oracle does not read counts too), alone or after an earlier
+    fault."""
+    trace = parse_trace(ERROR_TRACE)
+    first, second, third = trace.messages
+    reads_b0 = check_od(parse_od("f = scoring_function(event = b0, frequency = first);"), trace.schema)
+    divides = check_od(
+        parse_od("f = scoring_function(event = b0, action = 1 / (n0 - 1), frequency = all_sum);"), trace.schema
+    )
+    no_n0 = third._replace(values={"b0": False})
+
+    def built(*messages):
+        return trace._replace(messages=messages)
+
+    return [
+        (reads_b0, parse_trace('{"n0": "number"}\n{"t": 0, "n0": 1}\n'), EngineError,
+         "trace schema does not match the one the oracle was checked against"),
+        (reads_b0, built(third, second, first), EngineError, "message 1: timestamp 1.0 decreases below 2.0"),
+        (reads_b0, built(first._replace(values={"n0": 1.0}), second, third), EngineError,
+         "message 0: missing field 'b0'"),
+        (reads_b0, built(first, second._replace(values={**second.values, "y": 1.0}), third), EngineError,
+         "message 1: field 'y' is not in the schema"),
+        (reads_b0, built(first, second, no_n0), EngineError, "message 2: missing field 'n0'"),
+        # As many fields as the schema has, one of them foreign.
+        (reads_b0, built(first, second._replace(values={"z": 0.0, "b0": True}), third), EngineError,
+         "message 1: field 'z' is not in the schema"),
+        (reads_b0, built(second, first, no_n0), EngineError, "message 1: timestamp 0.0 decreases below 1.0"),
+        (divides, built(first, second._replace(values={"b0": True}), third), EvalError,
+         "message 0 (t=0.0), function 'f': division by zero in '1.0 / (n0 - 1.0)'"),
+    ]
+
+
+def scorer_outcomes(checked: CheckedOracle, trace: Trace) -> list[str]:
+    """What score_messages (over an iterator of the messages, when the trace
+    has the oracle's schema: it is given no schema), score_trace and
+    reference_score give for one trace: the report as report_to_json writes
+    it with its firings, or the class and text of the OdlError raised."""
+    scorers = [score_trace, reference_score]
+    if trace.schema == checked.schema:
+        scorers.insert(0, lambda checked, trace: score_messages(checked, iter(trace.messages)))
+    outcomes = []
+    for score in scorers:
+        try:
+            outcomes.append(report_to_json(score(checked, trace), include_firings=True))
+        except OdlError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
 
 
 # Trace files whose lines are long, broken by every line break, blank, or

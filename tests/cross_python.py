@@ -14,6 +14,9 @@ executable). Each run prints the sha256 digests of:
   them, through `score_trace` with the firing log, through `score_lines`
   and through `reference_score`, which folds constant arithmetic when it
   builds its closures;
+- the outcome (report or error text) of `score_messages`, `score_trace`
+  and `reference_score` on each hand-built trace of `trace_faults` in
+  _traces.py;
 - the scores files and correlation matrix that criterion 7 builds through
   the CLI;
 - the outcome (schema and message count, or TraceError text) of
@@ -72,7 +75,7 @@ def _digests() -> dict[str, str]:
     import test_acceptance
     import test_engine
     import test_scenario
-    from _traces import BATCHED_FILES, line_report
+    from _traces import BATCHED_FILES, line_report, scorer_outcomes, trace_faults
     from odl import (
         TraceError, check_od, dump_trace, generate_trace, load_builtin, load_scenario, parse_od, parse_trace,
         reference_score, report_to_json, score_trace,
@@ -99,6 +102,8 @@ def _digests() -> dict[str, str]:
         digests[f"replication score_lines {name}"] = test_scenario.sha256("\n".join(lines))
         references = [report_to_json(reference_score(checked, trace), include_firings=True) for trace in traces]
         digests[f"replication reference_score {name}"] = test_scenario.sha256("\n".join(references))
+    outcomes = [scorer_outcomes(checked, trace) for checked, trace, _, _ in trace_faults()]
+    digests["hand-built faults, three scorers"] = test_scenario.sha256(json.dumps(outcomes))
 
     with tempfile.TemporaryDirectory() as work:
         matrix, scores = test_acceptance._replicate(Path(work))

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _generators import gen_checkable_od, gen_schema, gen_trace
-from _traces import concat_traces, line_report
+from _traces import ERROR_TRACE, concat_traces, line_report, scorer_outcomes, trace_faults
 from odl import (
     BUILTIN_NAMES,
     Binary,
     Call,
     CheckError,
-    EngineError,
     Env,
     EvalError,
     Firing,
@@ -327,13 +326,6 @@ def test_long_eventful_trace_all_bundled_oracles():
         assert report == reference_score(checked, trace), name
 
 
-_ERROR_TRACE = (
-    '{"n0": "number", "b0": "boolean"}\n'
-    '{"t": 0, "n0": 1, "b0": true}\n'
-    '{"t": 1, "n0": 0, "b0": true}\n'
-    '{"t": 2, "n0": 0, "b0": false}\n'
-)
-
 _ERROR_CASES = [
     (
         "f = scoring_function(event = b0, action = 1 / n0, frequency = all_sum);",
@@ -384,7 +376,7 @@ _ERROR_CASES = [
 
 
 def test_evaluation_errors_identical_in_engine_and_reference():
-    trace = parse_trace(_ERROR_TRACE)
+    trace = parse_trace(ERROR_TRACE)
     for source, message in _ERROR_CASES:
         checked = check_od(parse_od(source), trace.schema)
         with pytest.raises(EvalError, match=message) as streaming:
@@ -397,29 +389,17 @@ def test_evaluation_errors_identical_in_engine_and_reference():
 
 
 def test_trace_errors_identical_in_engine_and_reference():
-    """A trace of another schema, and timestamps that decrease or messages
-    whose fields are not the schema's, which only a Trace built without
-    parse_trace can hold; a field the oracle does not read counts too."""
-    trace = parse_trace(_ERROR_TRACE)
-    checked = check_od(parse_od("f = scoring_function(event = b0, frequency = first);"), trace.schema)
-    other = parse_trace('{"n0": "number"}\n{"t": 0, "n0": 1}\n')
-    backwards = trace._replace(messages=trace.messages[::-1])
-    first, second, third = trace.messages
-    for bad, text in [
-        (other, "trace schema does not match the one the oracle was checked against"),
-        (backwards, "message 1: timestamp 1.0 decreases below 2.0"),
-        (trace._replace(messages=(first._replace(values={"n0": 1.0}), second, third)),
-         "message 0: missing field 'b0'"),
-        (trace._replace(messages=(first, second._replace(values={**second.values, "y": 1.0}), third)),
-         "message 1: field 'y' is not in the schema"),
-        (trace._replace(messages=(first, second, third._replace(values={"b0": False}))),
-         "message 2: missing field 'n0'"),
-    ]:
-        for score in (score_trace, reference_score):
-            with pytest.raises(EngineError, match=f"^{re.escape(text)}$"):
-                score(checked, bad)
+    """score_messages, score_trace and reference_score raise the first fault
+    of each hand-built trace of trace_faults, in one class and one text."""
+    for checked, bad, error, text in trace_faults():
+        outcomes = scorer_outcomes(checked, bad)
+        assert outcomes == [f"{error.__name__}: {text}"] * len(outcomes), text
+        assert len(outcomes) == (2 if bad.schema != checked.schema else 3), text
     # The line program reads the text dump_trace writes, whose decreasing t
     # it refuses as the reader does, in the reader's words.
+    trace = parse_trace(ERROR_TRACE)
+    checked = check_od(parse_od("f = scoring_function(event = b0, frequency = first);"), trace.schema)
+    backwards = trace._replace(messages=trace.messages[::-1])
     text = "line 3: record 2: decreasing timestamp 1.0 after 2.0"
     with pytest.raises(TraceError, match=f"^{re.escape(text)}$"):
         parse_trace(dump_trace(backwards))
@@ -428,7 +408,7 @@ def test_trace_errors_identical_in_engine_and_reference():
 
 
 def test_unreached_errors_raise_in_neither():
-    trace = parse_trace(_ERROR_TRACE)
+    trace = parse_trace(ERROR_TRACE)
     for source in (
         "f = scoring_function(event = b0 or (false and 1 / 0 > 0), action = 1, frequency = all_sum);",
         "f = scoring_function(event = n0 > 0, action = 1 / n0, frequency = all_sum);",
@@ -464,7 +444,7 @@ _magnitudes = _huge | _huge.map(lambda v: -v) | st.floats(min_value=-10.0, max_v
 def test_near_overflow_engine_equals_reference(x, y):
     """Magnitudes near the largest double overflow in actions, scores,
     notification values or the summary; engine and reference fail alike."""
-    trace = parse_trace(_ERROR_TRACE)
+    trace = parse_trace(ERROR_TRACE)
     od = replace(parse_od(_NEAR_OVERFLOW_OD), constants=(("x", x), ("y", y)))
     checked = check_od(od, trace.schema)
     try:
@@ -493,6 +473,8 @@ _EXTREME_POINTS = [
     ((1e308, 1e308), (-1e308, -1e308)),
     ((1.5e308, 1.5e308), (0.0, 0.0)),
     ((-_MAX, _MAX), (_MAX, -_MAX)),
+    ([3.0, 4.0], [0.0, -0.0]),
+    ([_MAX, 0.0], [-_MAX, 0.0]),
 ]
 
 _DISTANCE_OD = """
@@ -508,7 +490,8 @@ def test_distance_at_the_extremes_equals_reference(p, q):
     """`distance` in the engine is math.dist, in the reference math.hypot of
     the differences: the same value, or the same EvalError once it overflows."""
     schema = TraceSchema((("p", Kind.POINT2), ("q", Kind.POINT2)))
-    values = {"p": Point2(*p), "q": Point2(*q)}
+    # A tuple row is a Point2; a list row is the two-float list the record gate binds.
+    values = {name: Point2(*v) if type(v) is tuple else v for name, v in (("p", p), ("q", q))}
     trace = Trace(schema, (TraceMessage(0.0, values), TraceMessage(1.0, values)))
     checked = check_od(parse_od(_DISTANCE_OD), schema)
     try:
@@ -569,7 +552,7 @@ def test_python_names_change_nothing():
 
 def test_signed_zero_and_extreme_literals():
     """-0.0, 1e308 and point constants reach the generated code exactly."""
-    trace = parse_trace(_ERROR_TRACE)
+    trace = parse_trace(ERROR_TRACE)
     od = parse_od(
         "const z = -0.0;\n"
         "const big = 1e308;\n"

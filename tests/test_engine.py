@@ -377,13 +377,13 @@ def test_program_is_generated_on_first_scoring_and_kept(monkeypatch):
 # oracle checked against GEN_SCHEMA. A change to how the engine emits code
 # that should not change what it emits keeps every digest.
 GENERATED_SOURCE_SHA256 = {
-    "listing1": "2917f5ca496cf07c8c6bca9650d95d7422951ccc659e8acf82ecf04841aa8cd2",
-    "listing2": "13f17827abba836e0128bbc23eca2709706a57b99d7c841cb103edbf58de85f3",
-    "listing3": "4a76020239bac597efbfb0b84f5a86742b14d3a816fa6f14dd3e7699e2b99c45",
-    "listing4": "06ae33705b5650e953d17c082a468bcda4c9afa61a75d2dcf4c901299f372c75",
-    "od1_rubric": "2e2deb90fd3f46d145aa5fed2f6091dae2ea788d6a09ca1d288c58191b5d9acb",
-    "od2_competition": "3ec897192693ea960ca1d14fa9743cef656251ad08e08989b9436c60a1864afd",
-    "od3_framework": "3c36c521f4194610f4e8d11d4b4461c9e4a8d635f3a7ee4528146aaeb6596983",
+    "listing1": "32f7c3f1c63166e637bf544dce786bdade021948f75cee53ac1106297c4db466",
+    "listing2": "934ba7e6d82199afb4567b2e36a126cd0224799b7c93036c1c56a8acf9d2f795",
+    "listing3": "8b0a9f9eecd0b4d3d37df16a695336ff0f966a43b1c547df439c3199a164d819",
+    "listing4": "60850dd091ee604917ca59a6f98bf98926b38f4c96b1da4e68d5d63e39f0f87b",
+    "od1_rubric": "849325233b946d80d3f1d38c372181e1d4254809cc5a0bf63c5bba0df82016cd",
+    "od2_competition": "c6251831218b5265f9539ea53c2bbaa30cd18291510ff32b1703e02e77cb793b",
+    "od3_framework": "e84f71886be87835c23b6c7d6b175b7c7960d019f5e00183fcc752fe77a8a782",
 }
 
 
