@@ -30,8 +30,8 @@ Two programs are made so, each at its first use, and kept on the
 `CheckedOracle`; they differ only in how a record binds t and the fields:
 
 - `generate_program` binds them from a message held to the trace writer's
-  rule of its fields, and keeps the firing log. `score_messages` (and so
-  `score_trace`) is its only caller.
+  rule of its fields and values, and keeps the firing log. `score_messages`
+  (and so `score_trace`) is its only caller.
 - `generate_line_program` binds them from a numbered line of a trace file
   through the reader's record gate (`trace.record_gate`), so it builds no
   message and keeps no firing log: its memory does not grow with the trace.
@@ -245,13 +245,13 @@ def _program(parts: _Parts, items: str, item: str, bind: list[str]) -> Callable:
 def generate_program(checked: CheckedOracle) -> Program:
     """Generate, compile and return the scoring program of a checked oracle:
     a function of an iterable of messages, pulled one at a time so errors
-    come in their order, that keeps the firing log. It binds each message's
-    fields through trace.message_fields, which raises EngineError for a
-    message whose fields are not the schema's, then refuses a decreasing t."""
+    come in their order, that keeps the firing log. It binds each message
+    through trace.message_fields, which raises EngineError for fields or
+    values the reader refuses, then refuses a decreasing t."""
     parts = _emit(checked, log=True)
     namespace, read = message_fields(checked.schema, parts.fields, EngineError)
     parts.namespace.update(namespace)
-    bind = ["t = message.t", *read, "if t < prev_t: raise _regress(index, t, prev_t)"]
+    bind = ["t, values = message", *read, "if t < prev_t: raise _regress(index, t, prev_t)"]
     return _program(parts, "messages", "message", bind)
 
 

@@ -24,12 +24,13 @@ Each function has one row of state, made before the walk: its position,
 its `Env` (the schema's field names with `t`, the constants and its timer
 table), its closures, built against and called with that `Env`, so each
 name is resolved and each node over constants folded once per call, and
-its tables. The walk checks each message's field names, then its t, and
-updates the one fields dict all Envs share in place: the first fault in
-message order is raised, as the engine raises it. Only a notification's
-target is looked up by name, in one name -> timer-table map. Only the
-timer tables that exist run down, and a message at which nothing fired
-queues its notifications in no new object.
+its tables. The walk holds each message to the reader's rule (names, t,
+each value) with `trace.message_checker`, which writes the fields into the
+dict all Envs share, then checks t's order: the first fault in message
+order is raised, as the engine raises it. Only a notification's target is
+looked up by name, in one name -> timer-table map. Only the timer tables
+that exist run down, and a message at which nothing fired queues its
+notifications in no new object.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import EngineError, EvalError
 from .evaluate import Env, evaluator, non_finite
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
 from .syntax import Frequency, format_expr
-from .trace import Trace, _field_mismatch
+from .trace import Trace, message_checker
 
 # Read once: an enum member is slow to read as a class attribute.
 _FIRST, _ACTION_SUM = Frequency.FIRST, Frequency.ACTION_SUM
@@ -56,8 +57,8 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     n = len(messages)
     names = [fn.name for fn in functions]
     constants = od.constant_map()
-    schema = checked.schema.as_dict()
-    fields = dict.fromkeys((*schema, "t"))  # every Env's, updated in place at each message
+    check = message_checker(checked.schema, EngineError)
+    fields = dict.fromkeys((*checked.schema.names(), "t"))  # every Env's, updated in place at each message
 
     # First-fired index per function (n: none yet).
     first_fired = [n] * len(functions)
@@ -86,8 +87,7 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     previous_t = -inf
     try:
         for i, (t, values) in enumerate(messages):
-            if values.keys() != schema.keys():
-                raise EngineError(_field_mismatch(i, values, schema))
+            t = check(i, t, values, fields)
             if t < previous_t:
                 raise EngineError(f"message {i}: timestamp {t!r} decreases below {previous_t!r}")
             if i:
@@ -96,7 +96,6 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
                     for timer in table:
                         table[timer] -= dt
             previous_t = t
-            fields.update(values)
             fields["t"] = t
             queued: tuple[tuple[str, str, float], ...] = ()
             for pos, fn, env, event, condition, action, bindings, event_true, seq_start, in_seq in rows:

@@ -9,16 +9,15 @@ Point values are two-element [x, y] arrays. All numbers must be finite.
 bytes, a binary file or any iterable of text, and gives the schema and
 the numbered lines after it. `read_trace` adds the schema's record reader,
 a lazy iterator of checked messages, and `parse_trace` collects that into
-a `Trace`. The record rule is stated once, as generated source
-(`record_gate`): one gate takes a canonical record, and any line it
-refuses takes the strict path, which raises every diagnostic. Two
-generated loops run it: the reader of one schema (`_record_reader`), and
-the engine's line program, which scores numbered lines without building
-a message.
+a `Trace`. The value rule is stated once, per kind (`_TAKEN`). The record
+gate (`record_gate`) takes a canonical line; any other takes the strict
+path, which raises every diagnostic. The reader of one schema
+(`_record_reader`) and the engine's line program run it.
 `write_trace` writes a trace line by line as its messages are taken, once
 `schema_fault`, the reader's schema rule, passes; `dump_trace` joins them.
-The writer and the engine's message program hold each message they take
-to one generated rule of its fields (`message_fields`).
+The writer and the message program splice one rule for messages into
+their loops (`message_fields`), `reference_score` calls it (`message_checker`),
+and what its test refuses goes to the reader's coercers (`_strict_message`).
 
 `Point2`, `TraceSchema`, `TraceMessage` and `Trace` are named tuples: they
 iterate, compare equal to a plain tuple of the same fields, and are derived
@@ -35,7 +34,7 @@ from enum import Enum
 from functools import lru_cache
 from math import inf, isfinite
 from operator import itemgetter
-from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import TraceError
 
@@ -169,7 +168,8 @@ def _as_boolean(value: object, where: str, lineno: int) -> bool:
 
 
 def _as_point(value: object, where: str, lineno: int) -> Point2:
-    if type(value) is not list or len(value) != 2:
+    # JSON decodes a point to a list; a message built in memory may hold a Point2.
+    if type(value) is not list and type(value) is not Point2 or len(value) != 2:
         raise TraceError(f"{where} must be a two-element [x, y] array", line=lineno)
     x = _as_finite_number(value[0], f"{where}[0]", lineno)
     y = _as_finite_number(value[1], f"{where}[1]", lineno)
@@ -177,6 +177,26 @@ def _as_point(value: object, where: str, lineno: int) -> Point2:
 
 
 _COERCE = {Kind.NUMBER: _as_finite_number, Kind.BOOLEAN: _as_boolean, Kind.POINT2: _as_point}
+
+# The reader's value rule as source, per kind: the test that a local `{v}`
+# holds a value taken as it stands, and its floats, whose sum must be finite
+# (t is a number); `{array}` tests a point's container. A value refused goes
+# to its kind's coercer in _COERCE, to be converted or refused.
+_TAKEN = {
+    Kind.NUMBER: ("type({v}) is float", ("{v}",)),
+    Kind.BOOLEAN: ("({v} is True or {v} is False)", ()),
+    Kind.POINT2: ("{array} and len({v}) == 2 and type({v}[0]) is type({v}[1]) is float", ("{v}[0]", "{v}[1]")),
+}
+
+
+def _taken(fields: Iterable[tuple[str, Kind]], array: str) -> list[str]:
+    """_TAKEN's tests of t and each (local, kind) of `fields`, then `_isfinite` of their floats' sum."""
+    tests, floats = [], []
+    for var, kind in (("t", Kind.NUMBER), *fields):
+        test, summands = _TAKEN[kind]
+        tests.append(test.format(v=var, array=array.format(v=var)))
+        floats += [summand.format(v=var) for summand in summands]
+    return [*tests, f"_isfinite({' + '.join(floats)})"]
 
 
 _KINDS = {kind.value: kind for kind in Kind}
@@ -285,18 +305,8 @@ def record_gate(schema: TraceSchema, fields: Mapping[str, str]) -> tuple[dict[st
         # itemgetter returns a tuple only for two or more names.
         strict = ["    " + ", ".join(fields.values()) + ("," if len(fields) > 1 else "") + " = _fields(values)"]
     names = [fields.get(name, f"u{k}") for k, name in enumerate(schema.names())]
-    gates, floats = ["type(t) is float"], ["t"]
-    for var, (_, kind) in zip(names, schema.fields):
-        if kind is Kind.NUMBER:
-            gates.append(f"type({var}) is float")
-            floats.append(var)
-        elif kind is Kind.BOOLEAN:
-            gates.append(f"({var} is True or {var} is False)")
-        else:
-            x, y = f"{var}[0]", f"{var}[1]"
-            gates.append(f"type({var}) is list and len({var}) == 2 and type({x}) is type({y}) is float")
-            floats += [x, y]
-    test = " and ".join([*gates, f"_isfinite({' + '.join(floats)})", "t >= prev_t"])
+    kinds = [kind for _, kind in schema.fields]
+    test = " and ".join([*_taken(zip(names, kinds), "type({v}) is list"), "t >= prev_t"])
     lines = [
         "try:",
         "    obj, end = _scan(line, 0)",
@@ -417,45 +427,64 @@ def parse_trace(source: TraceSource) -> Trace:
     return Trace(schema=schema, messages=tuple(messages))
 
 
-# One encoder for every record: json.dumps(..., allow_nan=False) would build
-# a new one per call.
-_ENCODER = json.JSONEncoder(allow_nan=False)
+def _strict_message(schema: TraceSchema, error: Callable[[str], Exception]) -> Callable[..., tuple[float, dict]]:
+    """message_checker's rule from the reader's coercers: a function of the
+    same arguments that raises the same error, or converts the fields into
+    `into` as the reader converts them and returns (t, into), t converted."""
+    keys = dict.fromkeys(schema.names()).keys()
+    fields = tuple((name, _COERCE[kind], f"field '{name}'") for name, kind in schema.fields)
 
+    def check(index: int, t: object, values: Mapping[str, object], into: dict) -> tuple[float, dict]:
+        if values.keys() != keys:
+            foreign = [name for name in values if name not in keys]
+            if foreign:
+                raise error(f"message {index}: field '{foreign[0]}' is not in the schema")
+            missing = next(name for name in keys if name not in values)
+            raise error(f"message {index}: missing field '{missing}'")
+        try:
+            t = _as_finite_number(t, "field 't'", None)
+            for name, coerce, where in fields:
+                into[name] = coerce(values[name], where, None)
+        except TraceError as exc:
+            raise error(f"message {index}: {exc}") from None
+        return t, into
 
-def _encode_record(message: TraceMessage, names: tuple[str, ...]) -> str:
-    obj: dict[str, object] = {"t": message.t}
-    for name in names:
-        value = message.values[name]
-        obj[name] = [value.x, value.y] if isinstance(value, Point2) else value
-    return _ENCODER.encode(obj)
-
-
-def _field_mismatch(index: int, values: Mapping[str, Value], names: Collection[str]) -> str:
-    """Why message `index`, whose fields are `values`, does not hold exactly `names`."""
-    for name in values:
-        if name not in names:
-            return f"message {index}: field '{name}' is not in the schema"
-    missing = next(name for name in names if name not in values)
-    return f"message {index}: missing field '{missing}'"
+    return check
 
 
 def message_fields(
     schema: TraceSchema, fields: Mapping[str, str], error: Callable[[str], Exception]
 ) -> tuple[dict[str, object], list[str]]:
-    """The rule that a message holds exactly the schema's fields, as the
-    namespace and lines of a loop body over `index, message` that bind
-    `values`, its fields, and each in schema order to its local in `fields`
-    (u<k> if none, as in record_gate), or raise error(_field_mismatch(...))."""
+    """The reader's rule for a message, as the namespace and the lines that
+    bind each field of `values` (message `index`'s) to its local in `fields`
+    (u<k> if none). A message _TAKEN's tests refuse goes to _strict_message,
+    which raises error or rebinds t, `values` and the locals, converted."""
     names = schema.names()
-    namespace: dict[str, object] = {"_error": error, "_mismatch": _field_mismatch, "_names": names}
-    refuse = "raise _error(_mismatch(index, values, _names))"
-    lines = ["values = message.values", f"if len(values) != {len(names)}: {refuse}"]
+    namespace = {"_convert": _strict_message(schema, error), "_isfinite": isfinite, "_Point2": Point2}
+    bound = [fields.get(name, f"u{k}") for k, name in enumerate(names)]
+    point = "(type({v}) is _Point2 or type({v}) is list)"
+    test = " and ".join([f"len(values) == {len(names)}", *_taken(zip(bound, (k for _, k in schema.fields)), point)])
+    lines, convert = [f"taken = {test}"], ["t, values = _convert(index, t, values, {})"]
     if names:
         namespace["_fields"] = itemgetter(*names)
-        bound = [fields.get(name, f"u{k}") for k, name in enumerate(names)]
         # Of one name, itemgetter gives a value, not a tuple.
-        lines += ["try:", f"    {', '.join(bound)} = _fields(values)", "except KeyError:", f"    {refuse} from None"]
-    return namespace, lines
+        bind = f"{', '.join(bound)} = _fields(values)"
+        lines = ["try:", f"    {bind}", "except KeyError:", "    taken = False", "else:", f"    taken = {test}"]
+        convert.append(bind)
+    return namespace, [*lines, "if not taken:", *("    " + line for line in convert)]
+
+
+@lru_cache(maxsize=16)
+def message_checker(schema: TraceSchema, error: Callable[[str], Exception]) -> Callable[..., float]:
+    """message_fields' rule as a function of (index, t, values, into) that
+    raises error(f"message {index}: ...") at the first fault (a foreign field,
+    a missing one, t, each field in schema order) in the reader's words, or
+    writes the fields into `into` and returns t, each as the reader takes it."""
+    namespace, lines = message_fields(schema, {}, error)
+    body = [*lines, "into.update(values)", "return t"]
+    source = "\n".join(["def check(index, t, values, into):", *("    " + line for line in body), ""])
+    exec(compile(source, "<odl message check>", "exec"), namespace)
+    return namespace["check"]  # type: ignore[return-value]
 
 
 # Cached so that dumping many traces of one schema compiles one writer.
@@ -463,55 +492,32 @@ def message_fields(
 def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage], Callable[[str], object]], None]:
     """Generate, compile and return the record writer of one schema: a
     function of any iterable of messages and a `write` callable, which it
-    calls with each message's line, what _encode_record returns followed
-    by a line break, as the message is taken.
-
-    Each message is held to message_fields, refused by a ValueError. A
-    record is written by one f-string over float.__repr__, which is how
-    the encoder writes a float, when its booleans are True or False, its
-    points are Point2s, and t, its numbers and coordinates are finite
-    floats (float.__repr__ raises TypeError for anything else). Any other
-    record goes to _encode_record: ints, bools in number fields and other
-    points are written as the encoder writes them, and NaN or an infinity
-    raises its ValueError. One finiteness test covers a record: the sum of
-    its floats is finite unless one of them is not, or the sum overflows,
-    and a record it refuses is written by the encoder."""
+    calls with each message's line, followed by a line break, as the
+    message is taken. Each message is held to message_fields, refused by a
+    ValueError, and its line is one f-string of the exact floats, bools and
+    two-float points it binds: what json.JSONEncoder writes of them."""
     names = schema.names()
     fields = [f"x{k}" for k in range(len(names))]
     namespace, read = message_fields(schema, dict(zip(names, fields)), ValueError)
-    namespace.update(
-        _r=float.__repr__, _isfinite=isfinite, _Point2=Point2, _bool=("false", "true"), _encode=_encode_record
-    )
-    gates, floats = [], ["t"]
+    namespace["_bool"] = ("false", "true")
     # write_trace has refused every name that is not a name of the language,
     # so none needs an escape, in JSON or in the f-string.
     body = ""
     for (name, kind), var in zip(schema.fields, fields):
         body += f', "{name}": '
         if kind is Kind.NUMBER:
-            floats.append(var)
-            body += f"{{_r({var})}}"
+            body += f"{{{var}!r}}"
         elif kind is Kind.BOOLEAN:
-            gates.append(f"({var} is True or {var} is False)")
             body += f"{{_bool[{var}]}}"
         else:
-            gates.append(f"type({var}) is _Point2")
-            floats += [f"{var}.x", f"{var}.y"]
-            body += f"[{{_r({var}.x)}}, {{_r({var}.y)}}]"
-    line = "f" + repr('{{"t": {_r(t)}' + body + "}}\n")
-    test = " and ".join([*gates, f"_isfinite({' + '.join(floats)})"])
+            body += f"[{{{var}[0]!r}}, {{{var}[1]!r}}]"
+    line = "f" + repr('{{"t": {t!r}' + body + "}}\n")
     source = "\n".join([
         "def write_records(messages, write):",
         "    for index, message in enumerate(messages):",
-        "        t = message.t",
+        "        t, values = message",
         *("        " + stmt for stmt in read),
-        "        try:",
-        f"            if {test}:",
-        f"                write({line})",
-        "                continue",
-        "        except (TypeError, OverflowError):",
-        "            pass",
-        "        write(_encode(message, _names) + '\\n')",
+        f"        write({line})",
         "",
     ])
     exec(compile(source, "<odl record writer>", "exec"), namespace)
@@ -532,17 +538,12 @@ def write_trace(schema: TraceSchema, messages: Iterable[TraceMessage], write: Ca
 
 def dump_trace(trace: Trace) -> str:
     """Canonical serialization: schema line, then records with 't' first and
-    fields in schema declaration order. parse_trace(dump_trace(tr)) == tr
-    when t and every value have their kind's type: float, bool or a Point2
-    of floats. The text is what write_trace writes, joined.
+    fields in schema declaration order: what write_trace writes, joined.
 
-    Records are written by a writer generated for the trace's schema
-    (_record_writer), byte for byte as json.JSONEncoder writes them. A
-    message whose fields are not exactly the schema's raises ValueError
-    naming the message (0-based) and the field, and so does every schema
-    parse_trace refuses, in its words. A non-finite value raises ValueError instead of being
-    written as `NaN`/`Infinity`, which are not JSON (RFC 8259 §6) and which
-    parse_trace rejects."""
+    A schema or a message parse_trace would refuse raises ValueError in its
+    words, naming the message (0-based). An int is written as its float, and
+    records in the order given, so parse_trace(dump_trace(tr)) == tr when
+    every value has its kind's type and t does not decrease."""
     lines: list[str] = []
     write_trace(trace.schema, trace.messages, lines.append)
     return "".join(lines)

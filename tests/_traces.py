@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 from odl import (
     CheckedOracle, EngineError, EvalError, OdlError, Point2, ScoreReport, Trace, TraceError, check_od, dump_trace,
@@ -61,12 +62,14 @@ ERROR_TRACE = (
 
 
 def trace_faults() -> list[tuple[CheckedOracle, Trace, type[OdlError], str]]:
-    """Traces built by hand from ERROR_TRACE, each with the oracle that
-    scores it and the class and text of its first fault in message order:
-    another schema, a decreasing t, and messages whose fields are not the
-    schema's, which only a Trace built without parse_trace can hold (a
-    field the oracle does not read counts too), alone or after an earlier
-    fault."""
+    """Traces built by hand from ERROR_TRACE and from one message of a
+    number, a boolean and a point, each with the oracle that scores it and
+    the class and text of its first fault in message order: another schema,
+    a decreasing t, and what only a Trace built without parse_trace can
+    hold, messages whose fields are not the schema's (a field the oracle
+    does not read counts too) or whose values parse_trace would refuse,
+    alone or after an earlier fault. Within a message, its field names come
+    first, then t, then each field in schema order, then t's order."""
     trace = parse_trace(ERROR_TRACE)
     first, second, third = trace.messages
     reads_b0 = check_od(parse_od("f = scoring_function(event = b0, frequency = first);"), trace.schema)
@@ -74,11 +77,35 @@ def trace_faults() -> list[tuple[CheckedOracle, Trace, type[OdlError], str]]:
         parse_od("f = scoring_function(event = b0, action = 1 / (n0 - 1), frequency = all_sum);"), trace.schema
     )
     no_n0 = third._replace(values={"b0": False})
+    point = parse_trace('{"n": "number", "b": "boolean", "p": "point2"}\n{"t": 0, "n": 2, "b": true, "p": [0, 0]}\n')
+    reads_all = check_od(parse_od(
+        "f = scoring_function(event = b and n > 1, action = 1, frequency = all_sum);"
+        "g = scoring_function(event = distance(p, point(0, 0)) > 1, action = 1, frequency = all_sum);"
+    ), point.schema)
 
     def built(*messages):
         return trace._replace(messages=messages)
 
+    def valued(**values):
+        message = point.messages[0]
+        return point._replace(messages=(message._replace(values={**message.values, **values}),))
+
     return [
+        (reads_all, valued(n=math.nan), EngineError, "message 0: field 'n' must be finite"),
+        (reads_all, valued(n=True, b="yes", p=(3, 0)), EngineError, "message 0: field 'n' must be a number"),
+        (reads_all, valued(n=2, b=2), EngineError, "message 0: field 'b' must be true or false"),
+        (reads_all, valued(p=Point2(math.inf, 0.0)), EngineError, "message 0: field 'p'[0] must be finite"),
+        (reads_all, valued(p="ab"), EngineError, "message 0: field 'p' must be a two-element [x, y] array"),
+        (reads_b0, built(first._replace(t="0"), second, third), EngineError, "message 0: field 't' must be a number"),
+        (reads_b0, built(first, second._replace(values={"n0": "x", "b0": True}), third), EngineError,
+         "message 1: field 'n0' must be a number"),
+        # The names before t, t before the fields, and the fields before t's order.
+        (reads_b0, built(first._replace(t="0", values={"n0": 1.0}), second), EngineError,
+         "message 0: missing field 'b0'"),
+        (reads_b0, built(first._replace(t=math.nan, values={"n0": "x", "b0": True}), second), EngineError,
+         "message 0: field 't' must be finite"),
+        (reads_b0, built(second, first._replace(values={"n0": 1.0, "b0": 1})), EngineError,
+         "message 1: field 'b0' must be true or false"),
         (reads_b0, parse_trace('{"n0": "number"}\n{"t": 0, "n0": 1}\n'), EngineError,
          "trace schema does not match the one the oracle was checked against"),
         (reads_b0, built(third, second, first), EngineError, "message 1: timestamp 1.0 decreases below 2.0"),

@@ -16,7 +16,7 @@ executable). Each run prints the sha256 digests of:
   builds its closures;
 - the outcome (report or error text) of `score_messages`, `score_trace`
   and `reference_score` on each hand-built trace of `trace_faults` in
-  _traces.py;
+  _traces.py, and of `dump_trace` (its text, or its ValueError text);
 - the scores files and correlation matrix that criterion 7 builds through
   the CLI;
 - the outcome (schema and message count, or TraceError text) of
@@ -104,6 +104,13 @@ def _digests() -> dict[str, str]:
         digests[f"replication reference_score {name}"] = test_scenario.sha256("\n".join(references))
     outcomes = [scorer_outcomes(checked, trace) for checked, trace, _, _ in trace_faults()]
     digests["hand-built faults, three scorers"] = test_scenario.sha256(json.dumps(outcomes))
+    outcomes = []
+    for _, trace, _, _ in trace_faults():
+        try:
+            outcomes.append(dump_trace(trace))
+        except ValueError as err:
+            outcomes.append(f"ValueError: {err}")
+    digests["hand-built faults, dump_trace"] = test_scenario.sha256(json.dumps(outcomes))
 
     with tempfile.TemporaryDirectory() as work:
         matrix, scores = test_acceptance._replicate(Path(work))

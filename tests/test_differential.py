@@ -18,6 +18,7 @@ from odl import (
     Binary,
     Call,
     CheckError,
+    EngineError,
     Env,
     EvalError,
     Firing,
@@ -407,6 +408,74 @@ def test_trace_errors_identical_in_engine_and_reference():
         line_report(checked, backwards)
 
 
+def test_dump_trace_refuses_each_message_fault_in_the_scorers_words():
+    """dump_trace refuses, with a ValueError of the scorers' text, each
+    hand-built trace of trace_faults whose first fault lies in a message's
+    fields or values."""
+    rows = 0
+    for checked, bad, error, text in trace_faults():
+        if error is EngineError and bad.schema == checked.schema and "decreases" not in text:
+            with pytest.raises(ValueError) as raised:
+                dump_trace(bad)
+            assert str(raised.value) == text
+            rows += 1
+    assert rows == 14
+
+
+_POINT_SCHEMA = TraceSchema((("n", Kind.NUMBER), ("b", Kind.BOOLEAN), ("p", Kind.POINT2)))
+_READS_ALL = check_od(parse_od(
+    "f = scoring_function(event = b and n > 1, action = 1, frequency = all_sum);"
+    "g = scoring_function(event = distance(p, point(0, 0)) > 1, action = 1, frequency = all_sum);"
+), _POINT_SCHEMA)
+# Values of every sort a message built in Python may hold: floats with NaN
+# and infinities, ints (one too large for a double), bools, strings, and
+# tuples, lists and Point2s of such numbers.
+_NUMBERS = st.one_of(st.floats(), st.integers(), st.just(10**400), st.booleans())
+_VALUES = st.one_of(
+    _NUMBERS, st.text(max_size=2), st.tuples(_NUMBERS, _NUMBERS), st.lists(_NUMBERS, max_size=3),
+    st.builds(Point2, _NUMBERS, _NUMBERS),
+)
+# Values the reader takes, as a float or an int, for t and each field.
+_TAKEN = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**60), 2**60))
+_FIELDS = {
+    "n": _TAKEN,
+    "b": st.booleans(),
+    "p": st.one_of(st.builds(Point2, _TAKEN, _TAKEN), st.lists(_TAKEN, min_size=2, max_size=2)),
+}
+
+
+@st.composite
+def _hand_built_traces(draw):
+    # Each value is one the reader takes three times in four, so that many
+    # traces hold only such values. t increases whenever the reader takes
+    # it: message k's is k, as a float or an int, or a value it refuses.
+    def value(taken, other=_VALUES):
+        return draw(taken if draw(st.integers(0, 3)) else other)
+
+    odd_t = st.sampled_from([math.nan, math.inf, -math.inf, "0", True, None, 10**400, (0.0, 0.0)])
+    messages = [
+        TraceMessage(
+            value(st.sampled_from([float(k), k]), odd_t), {name: value(taken) for name, taken in _FIELDS.items()}
+        )
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    return Trace(_POINT_SCHEMA, tuple(messages))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hand_built_traces())
+def test_no_score_that_a_trace_file_cannot_give(trace):
+    """Either dump_trace and the three scorers refuse a hand-built trace with
+    one text, or each scorer gives on it what it gives on what parse_trace
+    reads of dump_trace's text."""
+    try:
+        text = dump_trace(trace)
+    except ValueError as exc:
+        assert scorer_outcomes(_READS_ALL, trace) == [f"EngineError: {exc}"] * 3
+    else:
+        assert scorer_outcomes(_READS_ALL, trace) == scorer_outcomes(_READS_ALL, parse_trace(text))
+
+
 def test_unreached_errors_raise_in_neither():
     trace = parse_trace(ERROR_TRACE)
     for source in (
@@ -577,18 +646,23 @@ def test_signed_zero_and_extreme_literals():
 
 _FIRST_T_OD = """
 a = scoring_function(event = x > 0, frequency = first, notifications = [(b, [(clock, 1.0)])]);
-b = scoring_function(event = clock <= 0.0, action = 1, frequency = all_sum);
+b = scoring_function(event = clock == 0.0, action = 1, frequency = all_sum);
 """
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 def test_timers_start_at_zero_whatever_the_first_timestamp(t):
     """No time elapses before the first message, so no timer runs down there,
-    even at a t that is not finite, which only a Trace built without
-    parse_trace can hold."""
+    even at the finite t nearest `t`, where a run-down from -inf would take
+    an infinity: the timer is 0 at both messages. A t that is not finite,
+    which only a Trace built without parse_trace can hold, the scorers
+    refuse in the reader's words."""
     schema = TraceSchema((("x", Kind.NUMBER),))
-    trace = Trace(schema, (TraceMessage(t, {"x": 0.0}), TraceMessage(t, {"x": 0.0})))
     checked = check_od(parse_od(_FIRST_T_OD), schema)
+    nearest = math.copysign(sys.float_info.max, t) if math.isinf(t) else 0.0
+    trace = Trace(schema, (TraceMessage(nearest, {"x": 0.0}), TraceMessage(nearest, {"x": 0.0})))
     report = score_trace(checked, trace)
     assert report == reference_score(checked, trace)
-    assert report.score_map()["b"] == 1.0
+    assert report.score_map()["b"] == 2.0
+    bad = trace._replace(messages=tuple(message._replace(t=t) for message in trace.messages))
+    assert scorer_outcomes(checked, bad) == ["EngineError: message 0: field 't' must be finite"] * 3

@@ -316,17 +316,25 @@ def test_score_messages_pulls_each_message_once_from_an_iterator():
     assert pulled == [0, 1, 2, 3]
 
 
-def test_literal_actions_and_notification_values_are_folded():
+def test_literal_actions_and_notification_values_are_folded(monkeypatch):
     # A finite literal needs no float() and no finiteness check; anything
-    # else keeps both.
+    # else keeps both. (The message program names float in its test of t.)
     folded = (
         "f = scoring_function(event = collision, action = -2.5, frequency = all_sum,"
         " notifications = [(g, [(tm, 0.5)])]);\n"
         "g = scoring_function(event = tm > 0, action = 1, frequency = first);"
     )
     kept = "const X = 2;\nf = scoring_function(event = collision, action = X * 1, frequency = all_sum);"
-    assert "float" not in check_od(parse_od(folded), BOOL_SCHEMA).program.__code__.co_names
-    assert "float" in check_od(parse_od(kept), BOOL_SCHEMA).program.__code__.co_names
+    sources = []
+
+    def capture(source, *args):
+        sources.append(source)
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr(odl.engine, "compile", capture, raising=False)
+    for source in (folded, kept):
+        check_od(parse_od(source), BOOL_SCHEMA).program
+    assert ["float(" in source for source in sources] == [False, True]
     report = scored(folded, bool_trace([(0, True), (0.2, True), (0.4, False)]))
     assert report.scores == (("f", -5.0), ("g", 1.0))
     assert [(f.function, f.delta, f.notifications) for f in report.firings] == [
@@ -377,13 +385,13 @@ def test_program_is_generated_on_first_scoring_and_kept(monkeypatch):
 # oracle checked against GEN_SCHEMA. A change to how the engine emits code
 # that should not change what it emits keeps every digest.
 GENERATED_SOURCE_SHA256 = {
-    "listing1": "32f7c3f1c63166e637bf544dce786bdade021948f75cee53ac1106297c4db466",
-    "listing2": "934ba7e6d82199afb4567b2e36a126cd0224799b7c93036c1c56a8acf9d2f795",
-    "listing3": "8b0a9f9eecd0b4d3d37df16a695336ff0f966a43b1c547df439c3199a164d819",
-    "listing4": "60850dd091ee604917ca59a6f98bf98926b38f4c96b1da4e68d5d63e39f0f87b",
-    "od1_rubric": "849325233b946d80d3f1d38c372181e1d4254809cc5a0bf63c5bba0df82016cd",
-    "od2_competition": "c6251831218b5265f9539ea53c2bbaa30cd18291510ff32b1703e02e77cb793b",
-    "od3_framework": "e84f71886be87835c23b6c7d6b175b7c7960d019f5e00183fcc752fe77a8a782",
+    "listing1": "e6b3e3c6af1f5d7d0e9cf60bc4d4d7c34223cba9066db27b8622b7665ea72637",
+    "listing2": "8ac6ef510e5e27f098a2bfb642f23ea654c96315734e6cfe5d9f51f2c25d5dbc",
+    "listing3": "16200549648c983782660973a0ee5c1a2fa7ca4fe6e59c090858bc2201b3db42",
+    "listing4": "760256b09c4dda4798fdfea1540942b8a8bb53bfe8e2bf1f60f9428e37172013",
+    "od1_rubric": "5742e2a975a6e492d78d82e9959cac9a0272bf8c87a9a1ae7f78ef894f829862",
+    "od2_competition": "5bfa41a7ee7652d09818514f3e5ccd7352f0589fa2bbda61033a16b5d71feaa5",
+    "od3_framework": "6f97348673a6b0f78c82f0bafff991b334285ce4fb5b568658edef9c8de3f9c0",
 }
 
 

@@ -560,36 +560,59 @@ class Meters(float):
         return "Meters()"
 
 
-# Values the writer must write as the encoder does: extreme and signed
-# floats, sums that overflow, and values of other types than their kind's.
+# Hand-built messages and what the writer makes of each: its record line,
+# or the reader's refusal after "message <index>: ". It writes extreme and
+# signed floats, sums of floats that overflow and a point as a list as they
+# are, and an int as the float the reader reads. It refuses a bool or a
+# float subclass as a number, an int or a float as a boolean, a tuple as a
+# point and an int too large for a double.
 ODD_MESSAGES = (
-    odd(),
-    odd(t=-0.0, n=-0.0, b=False, p=Point2(-0.0, 0.0)),
-    odd(t=5e-324, n=-5e-324, p=Point2(5e-324, 2.2250738585072014e-308)),
-    odd(t=1e308, n=1e308, p=Point2(1e308, 1.7976931348623157e308)),
-    odd(n=-1e308, p=Point2(-1e308, -1.7976931348623157e308)),
-    odd(t=1e16, n=1e-7, p=Point2(123456789012345680.0, 0.1)),
-    odd(t=3, n=7),
-    odd(n=-3, p=Point2(1, 2)),
-    odd(n=10**400),
-    odd(t=True, n=False),
-    odd(n=True, p=Point2(True, 0.0)),
-    odd(b=1),
-    odd(b=0.0),
-    odd(p=[1.0, 2.0]),
-    odd(p=(3.0, 4)),
-    odd(t=Meters(0.25), n=Meters(1e300), p=Point2(Meters(-2.5), 1.0)),
+    (odd(), '{"t": 1.0, "n": 2.5, "b": true, "p": [0.5, -0.5]}'),
+    (odd(t=-0.0, n=-0.0, b=False, p=Point2(-0.0, 0.0)), '{"t": -0.0, "n": -0.0, "b": false, "p": [-0.0, 0.0]}'),
+    (odd(t=5e-324, n=-5e-324, p=Point2(5e-324, 2.2250738585072014e-308)),
+     '{"t": 5e-324, "n": -5e-324, "b": true, "p": [5e-324, 2.2250738585072014e-308]}'),
+    (odd(t=1e308, n=1e308, p=Point2(1e308, 1.7976931348623157e308)),
+     '{"t": 1e+308, "n": 1e+308, "b": true, "p": [1e+308, 1.7976931348623157e+308]}'),
+    (odd(n=-1e308, p=Point2(-1e308, -1.7976931348623157e308)),
+     '{"t": 1.0, "n": -1e+308, "b": true, "p": [-1e+308, -1.7976931348623157e+308]}'),
+    (odd(t=1e16, n=1e-7, p=Point2(123456789012345680.0, 0.1)),
+     '{"t": 1e+16, "n": 1e-07, "b": true, "p": [1.2345678901234568e+17, 0.1]}'),
+    (odd(t=3, n=7), '{"t": 3.0, "n": 7.0, "b": true, "p": [0.5, -0.5]}'),
+    (odd(n=-3, p=Point2(1, 2)), '{"t": 1.0, "n": -3.0, "b": true, "p": [1.0, 2.0]}'),
+    (odd(p=[1.0, 2.0]), '{"t": 1.0, "n": 2.5, "b": true, "p": [1.0, 2.0]}'),
+    (odd(p=[1, 2 ** 53 + 1]), '{"t": 1.0, "n": 2.5, "b": true, "p": [1.0, 9007199254740992.0]}'),
+    (odd(n=10**400), "field 'n' must be finite"),
+    (odd(t=True, n=False), "field 't' must be a number"),
+    (odd(n=True, p=Point2(True, 0.0)), "field 'n' must be a number"),
+    (odd(p=Point2(True, 0.0)), "field 'p'[0] must be a number"),
+    (odd(b=1), "field 'b' must be true or false"),
+    (odd(b=0.0), "field 'b' must be true or false"),
+    (odd(p=(3.0, 4)), "field 'p' must be a two-element [x, y] array"),
+    (odd(p=[1.0, 2.0, 3.0]), "field 'p' must be a two-element [x, y] array"),
+    (odd(t=Meters(0.25), n=Meters(1e300), p=Point2(Meters(-2.5), 1.0)), "field 't' must be a number"),
+    (odd(n=Meters(1e300), p=Point2(Meters(-2.5), 1.0)), "field 'n' must be a number"),
+    (odd(p=Point2(1.0, Meters(-2.5))), "field 'p'[1] must be a number"),
 )
 
 
 def test_dump_trace_writes_records_as_the_encoder_does():
-    trace = Trace(ODD_SCHEMA, ODD_MESSAGES)
-    assert dump_trace(trace) == encoder_dump(trace)
-    for message in ODD_MESSAGES:
-        single = Trace(ODD_SCHEMA, (message,))
-        assert dump_trace(single) == encoder_dump(single)
+    """Each message the reader's rule takes is written as json.JSONEncoder
+    writes the values parse_trace reads back; each it refuses raises the
+    reader's text, naming the message."""
+    taken = [message for message, outcome in ODD_MESSAGES if outcome.startswith("{")]
+    lines = [outcome for _, outcome in ODD_MESSAGES if outcome.startswith("{")]
+    # Records are written in the order given, whatever their t.
+    assert dump_trace(Trace(ODD_SCHEMA, tuple(taken))).splitlines()[1:] == lines
+    for message, outcome in ODD_MESSAGES:
+        if outcome in lines:
+            text = dump_trace(Trace(ODD_SCHEMA, (message,)))
+            assert text == encoder_dump(parse_trace(text)) == dump_trace(parse_trace(text))
+            continue
+        with pytest.raises(ValueError) as raised:
+            dump_trace(Trace(ODD_SCHEMA, (*taken, message, *taken)))
+        assert str(raised.value) == f"message {len(taken)}: {outcome}"
     empty = Trace(TraceSchema(()), (TraceMessage(0.5, {}), TraceMessage(2, {})))
-    assert dump_trace(empty) == encoder_dump(empty) == '{}\n{"t": 0.5}\n{"t": 2}\n'
+    assert dump_trace(empty) == encoder_dump(parse_trace(dump_trace(empty))) == '{}\n{"t": 0.5}\n{"t": 2.0}\n'
 
 
 # Schemas the writers refuse: (schema, schema_fault's text). A row of
@@ -639,22 +662,23 @@ def test_writers_refuse_every_schema_the_reader_refuses(case):
         assert str(raised.value) == f"line 1: {text}"
 
 
+# A non-finite value in each field: the message and the reader's refusal.
 NON_FINITE_AT = {
-    "t": lambda bad: odd(t=bad),
-    "n": lambda bad: odd(n=bad),
-    "b": lambda bad: odd(b=bad),
-    "p.x": lambda bad: odd(p=Point2(bad, 0.0)),
-    "p.y": lambda bad: odd(p=Point2(0.0, bad)),
+    "t": (lambda bad: odd(t=bad), "field 't' must be finite"),
+    "n": (lambda bad: odd(n=bad), "field 'n' must be finite"),
+    "b": (lambda bad: odd(b=bad), "field 'b' must be true or false"),
+    "p.x": (lambda bad: odd(p=Point2(bad, 0.0)), "field 'p'[0] must be finite"),
+    "p.y": (lambda bad: odd(p=Point2(0.0, bad)), "field 'p'[1] must be finite"),
 }
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", sorted(NON_FINITE_AT))
 def test_dump_trace_refuses_non_finite_values_in_every_field(field, bad):
-    trace = Trace(ODD_SCHEMA, (odd(), NON_FINITE_AT[field](bad)))
-    for dump in (encoder_dump, dump_trace):
-        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
-            dump(trace)
+    message, text = NON_FINITE_AT[field]
+    with pytest.raises(ValueError) as raised:
+        dump_trace(Trace(ODD_SCHEMA, (odd(), message(bad))))
+    assert str(raised.value) == f"message 1: {text}"
 
 
 @settings(max_examples=60, deadline=None)
