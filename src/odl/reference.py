@@ -27,10 +27,13 @@ name is resolved and each node over constants folded once per call, and
 its tables. The walk holds each message to the reader's rule (names, t,
 each value) with `trace.message_checker`, which writes the fields into the
 dict all Envs share, then checks t's order: the first fault in message
-order is raised, as the engine raises it. Only a notification's target is
-looked up by name, in one name -> timer-table map. Only the timer tables
-that exist run down, and a message at which nothing fired queues its
-notifications in no new object.
+order is raised, as the engine raises it. A message read from a trace of
+the oracle's schema, whose values are of `trace.read_values_type` and
+whose t is a finite float, is written into that dict untested: the reader
+took those values, and they cannot have changed since. Only a
+notification's target is looked up by name, in one name -> timer-table
+map. Only the timer tables that exist run down, and a message at which
+nothing fired queues its notifications in no new object.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import EngineError, EvalError
 from .evaluate import Env, evaluator, non_finite
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
 from .syntax import Frequency, format_expr
-from .trace import Trace, message_checker
+from .trace import Trace, message_checker, read_values_type
 
 # Read once: an enum member is slow to read as a class attribute.
 _FIRST, _ACTION_SUM = Frequency.FIRST, Frequency.ACTION_SUM
@@ -57,7 +60,7 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     n = len(messages)
     names = [fn.name for fn in functions]
     constants = od.constant_map()
-    check = message_checker(checked.schema, EngineError)
+    check, read = message_checker(checked.schema, EngineError), read_values_type(checked.schema)
     fields = dict.fromkeys((*checked.schema.names(), "t"))  # every Env's, updated in place at each message
 
     # First-fired index per function (n: none yet).
@@ -87,7 +90,10 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     previous_t = -inf
     try:
         for i, (t, values) in enumerate(messages):
-            t = check(i, t, values, fields)
+            if type(values) is read and type(t) is float and isfinite(t):
+                fields.update(values)  # read_values_type: the reader's rule took them
+            else:
+                t = check(i, t, values, fields)
             if t < previous_t:
                 raise EngineError(f"message {i}: timestamp {t!r} decreases below {previous_t!r}")
             if i:

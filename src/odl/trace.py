@@ -19,6 +19,13 @@ The writer and the message program splice one rule for messages into
 their loops (`message_fields`), `reference_score` calls it (`message_checker`),
 and what its test refuses goes to the reader's coercers (`_strict_message`).
 
+The reader gives each message's values as an immutable dict of a type that
+its schema's reader alone makes (`read_values_type`). The rule took them
+when they were read, and they cannot change, so the writer, the message
+program and `reference_score` test such values again only when t is not a
+finite float; any other values, copies of read ones included, take the
+full test.
+
 `Point2`, `TraceSchema`, `TraceMessage` and `Trace` are named tuples: they
 iterate, compare equal to a plain tuple of the same fields, and are derived
 with `_replace`, not `dataclasses.replace`.
@@ -30,11 +37,12 @@ import io
 import json
 import re
 import sys
+from collections.abc import Mapping
 from enum import Enum
 from functools import lru_cache
 from math import inf, isfinite
 from operator import itemgetter
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import TraceError
 
@@ -331,14 +339,31 @@ def record_gate(schema: TraceSchema, fields: Mapping[str, str]) -> tuple[dict[st
     return namespace, lines
 
 
+class _ReadValues(dict):
+    """The base of each schema's type of read values: a dict that no call
+    through its own methods makes or changes. Its copies (copy, deepcopy,
+    pickle, dict(values)) are plain dicts."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the values of a message read from a trace are immutable; dict(values) is a plain copy")
+
+    __new__ = __init__ = __setitem__ = __delitem__ = __ior__ = _refuse  # type: ignore[assignment]
+    clear = pop = popitem = setdefault = update = _refuse  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
 # Cached so that reading many traces of one schema compiles one reader.
 @lru_cache(maxsize=16)
-def _record_reader(schema: TraceSchema) -> Callable[[Iterator[tuple[int, str]]], Iterator[TraceMessage]]:
-    """Generate, compile and return the record reader of one schema: a
-    generator of the messages of (line number, line) pairs, through
-    record_gate. Messages and points are built by tuple.__new__, which
-    skips the named tuples' own __new__: the gate has checked each point's
-    length and types."""
+def _record_reader(schema: TraceSchema) -> tuple[Callable[[Iterator[tuple[int, str]]], Iterator[TraceMessage]], type]:
+    """Generate, compile and return the record reader of one schema, a
+    generator of the messages of (line number, line) pairs through
+    record_gate, and the type of their values (read_values_type). Messages
+    and points are built by tuple.__new__, which skips the named tuples'
+    own __new__: the gate has checked each point's length and types."""
     names = schema.names()
     fields = {name: f"x{k}" for k, name in enumerate(names)}
     values = [
@@ -346,7 +371,11 @@ def _record_reader(schema: TraceSchema) -> Callable[[Iterator[tuple[int, str]]],
         for k, (_, kind) in enumerate(schema.fields)
     ]
     namespace, gate = record_gate(schema, fields)
-    namespace.update(_names=names, _new=tuple.__new__, _Point2=Point2, _Message=TraceMessage)
+    read = type("ReadValues", (_ReadValues,), {"__slots__": ()})
+    namespace.update(
+        _names=names, _new=tuple.__new__, _Point2=Point2, _Message=TraceMessage,
+        _Values=read, _empty=dict.__new__, _fill=dict.update,
+    )
     source = "\n".join([
         "def messages(numbered):",
         f"    [{', '.join(f'k{k}' for k in range(len(names)))}] = _names",
@@ -354,11 +383,22 @@ def _record_reader(schema: TraceSchema) -> Callable[[Iterator[tuple[int, str]]],
         "    for lineno, line in numbered:",
         *("        " + line for line in gate),
         "        index, prev_t = index + 1, t",
-        f"        yield _new(_Message, (t, {{{', '.join(values)}}}))",
+        "        values = _empty(_Values)",
+        f"        _fill(values, {{{', '.join(values)}}})",
+        "        yield _new(_Message, (t, values))",
         "",
     ])
     exec(compile(source, "<odl record reader>", "exec"), namespace)
-    return namespace["messages"]  # type: ignore[return-value]
+    return namespace["messages"], read  # type: ignore[return-value]
+
+
+def read_values_type(schema: TraceSchema) -> type:
+    """The type of the values of each message read_trace reads under
+    `schema`, made and cached with its record reader. Only that reader makes
+    one, of values its rule took, and none changes after, so such values
+    with a finite float t need no second test. A reader made again after
+    the cache evicted this one makes another type."""
+    return _record_reader(schema)[1]
 
 
 def _read_schema(numbered: Iterator[tuple[int, str]]) -> TraceSchema:
@@ -417,7 +457,7 @@ def read_trace(source: TraceSource) -> tuple[TraceSchema, Iterator[TraceMessage]
     raised when the iteration reaches it. Diagnostics name the offending
     (1-based) line."""
     schema, numbered = read_trace_lines(source)
-    return schema, _record_reader(schema)(numbered)
+    return schema, _record_reader(schema)[0](numbered)
 
 
 def parse_trace(source: TraceSource) -> Trace:
@@ -435,6 +475,8 @@ def _strict_message(schema: TraceSchema, error: Callable[[str], Exception]) -> C
     fields = tuple((name, _COERCE[kind], f"field '{name}'") for name, kind in schema.fields)
 
     def check(index: int, t: object, values: Mapping[str, object], into: dict) -> tuple[float, dict]:
+        if not isinstance(values, Mapping):
+            raise error(f"message {index}: values must be a mapping, not {type(values).__name__}")
         if values.keys() != keys:
             foreign = [name for name in values if name not in keys]
             if foreign:
@@ -457,19 +499,29 @@ def message_fields(
 ) -> tuple[dict[str, object], list[str]]:
     """The reader's rule for a message, as the namespace and the lines that
     bind each field of `values` (message `index`'s) to its local in `fields`
-    (u<k> if none). A message _TAKEN's tests refuse goes to _strict_message,
-    which raises error or rebinds t, `values` and the locals, converted."""
+    (u<k> if none). Values of read_values_type(schema) with a finite float
+    t are taken as they stand: the reader's rule took them, and they cannot
+    have changed since. Other values are held to _TAKEN's tests, and what
+    those refuse (a non-mapping too) goes to _strict_message, which raises
+    error or rebinds t, `values` and the locals, converted."""
     names = schema.names()
-    namespace = {"_convert": _strict_message(schema, error), "_isfinite": isfinite, "_Point2": Point2}
+    namespace = {
+        "_convert": _strict_message(schema, error), "_isfinite": isfinite, "_Point2": Point2,
+        "_Read": read_values_type(schema),
+    }
     bound = [fields.get(name, f"u{k}") for k, name in enumerate(names)]
     point = "(type({v}) is _Point2 or type({v}) is list)"
-    test = " and ".join([f"len(values) == {len(names)}", *_taken(zip(bound, (k for _, k in schema.fields)), point)])
+    count = f"len(values) == {len(names)}" if names else "values == {}"  # no len() of a non-mapping
+    test = " and ".join([count, *_taken(zip(bound, (k for _, k in schema.fields)), point)])
+    test = f"type(values) is _Read and type(t) is float and _isfinite(t) or {test}"
     lines, convert = [f"taken = {test}"], ["t, values = _convert(index, t, values, {})"]
     if names:
         namespace["_fields"] = itemgetter(*names)
         # Of one name, itemgetter gives a value, not a tuple.
         bind = f"{', '.join(bound)} = _fields(values)"
-        lines = ["try:", f"    {bind}", "except KeyError:", "    taken = False", "else:", f"    taken = {test}"]
+        lines = [
+            "try:", f"    {bind}", "except (KeyError, TypeError):", "    taken = False", "else:", f"    taken = {test}",
+        ]
         convert.append(bind)
     return namespace, [*lines, "if not taken:", *("    " + line for line in convert)]
 

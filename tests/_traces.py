@@ -7,8 +7,8 @@ import json
 import math
 
 from odl import (
-    CheckedOracle, EngineError, EvalError, OdlError, Point2, ScoreReport, Trace, TraceError, check_od, dump_trace,
-    parse_od, parse_trace, reference_score, report_to_json, score_messages, score_trace,
+    CheckedOracle, EngineError, EvalError, OdlError, Point2, ScoreReport, Trace, TraceError, TraceMessage, check_od,
+    dump_trace, parse_od, parse_trace, reference_score, report_to_json, score_messages, score_trace,
 )
 from odl.engine import score_lines
 from odl.trace import LINE_BATCH_BYTES, read_trace_lines
@@ -68,8 +68,9 @@ def trace_faults() -> list[tuple[CheckedOracle, Trace, type[OdlError], str]]:
     a decreasing t, and what only a Trace built without parse_trace can
     hold, messages whose fields are not the schema's (a field the oracle
     does not read counts too) or whose values parse_trace would refuse,
-    alone or after an earlier fault. Within a message, its field names come
-    first, then t, then each field in schema order, then t's order."""
+    alone or after an earlier fault, or values that are not a mapping.
+    Within a message, its field names come first, then t, then each field
+    in schema order, then t's order."""
     trace = parse_trace(ERROR_TRACE)
     first, second, third = trace.messages
     reads_b0 = check_od(parse_od("f = scoring_function(event = b0, frequency = first);"), trace.schema)
@@ -118,6 +119,15 @@ def trace_faults() -> list[tuple[CheckedOracle, Trace, type[OdlError], str]]:
         (reads_b0, built(first, second._replace(values={"z": 0.0, "b0": True}), third), EngineError,
          "message 1: field 'z' is not in the schema"),
         (reads_b0, built(second, first, no_n0), EngineError, "message 1: timestamp 0.0 decreases below 1.0"),
+        # Values that are not a mapping, before t.
+        (reads_all, point._replace(messages=(TraceMessage(0.0, None),)), EngineError,
+         "message 0: values must be a mapping, not NoneType"),
+        (reads_all, point._replace(messages=(TraceMessage(0.0, [("n", 1.0)]),)), EngineError,
+         "message 0: values must be a mapping, not list"),
+        (reads_all, point._replace(messages=(TraceMessage(0.0, "n"),)), EngineError,
+         "message 0: values must be a mapping, not str"),
+        (reads_b0, built(first, second._replace(t="1", values=None), third), EngineError,
+         "message 1: values must be a mapping, not NoneType"),
         (divides, built(first, second._replace(values={"b0": True}), third), EvalError,
          "message 0 (t=0.0), function 'f': division by zero in '1.0 / (n0 - 1.0)'"),
     ]

@@ -45,10 +45,13 @@ from odl import (
     parse_od,
     parse_trace,
     reference_score,
+    report_to_json,
     report_to_text,
     score_trace,
 )
+import odl.reference
 from odl.syntax import BINARY, BUILTINS, UNARY
+from odl.trace import message_checker, read_values_type
 
 
 def test_reference_matches_worked_example():
@@ -419,7 +422,80 @@ def test_dump_trace_refuses_each_message_fault_in_the_scorers_words():
                 dump_trace(bad)
             assert str(raised.value) == text
             rows += 1
-    assert rows == 14
+    assert rows == 18
+
+
+def plain(trace):
+    """The trace with each message's values copied into a plain dict, as if built by hand."""
+    return trace._replace(messages=tuple(message._replace(values=dict(message.values)) for message in trace.messages))
+
+
+def test_values_read_under_another_schema_are_held_to_the_oracles():
+    """Values read under {"x": "boolean"} have that schema's read type, not
+    {"x": "number"}'s: all three scorers refuse them in the reader's words."""
+    number = TraceSchema((("x", Kind.NUMBER),))
+    checked = check_od(parse_od("f = scoring_function(event = x > 0, action = x, frequency = all_sum);"), number)
+    read = parse_trace('{"x": "boolean"}\n{"t": 0, "x": true}\n{"t": 1, "x": false}\n')
+    assert type(read.messages[0].values) is read_values_type(read.schema) is not read_values_type(number)
+    trace = read._replace(schema=number)
+    refused = "EngineError: message 0: field 'x' must be a number"
+    assert scorer_outcomes(checked, trace) == scorer_outcomes(checked, plain(trace)) == [refused] * 3
+
+
+def test_a_read_message_with_its_t_replaced_scores_as_one_built_by_hand():
+    trace = parse_trace(ERROR_TRACE)
+    od = parse_od("f = scoring_function(event = b0, action = n0 + t, frequency = all_sum);")
+    checked = check_od(od, trace.schema)
+    for t, outcome in (
+        (math.nan, "EngineError: message 1: field 't' must be finite"),
+        ("1", "EngineError: message 1: field 't' must be a number"),
+        (1, None),
+    ):
+        first, second, third = trace.messages
+        replaced = trace._replace(messages=(first, second._replace(t=t), third))
+        assert type(replaced.messages[1].values) is read_values_type(trace.schema)
+        outcomes = scorer_outcomes(checked, replaced)
+        assert outcomes == scorer_outcomes(checked, plain(replaced)), t
+        assert outcomes == [outcome or report_to_json(score_trace(checked, trace), include_firings=True)] * 3, t
+
+
+def test_a_trace_whose_reader_was_evicted_still_scores_as_the_reference():
+    """Reading 16 other schemas evicts the trace's reader from its cache:
+    the type its values have is no longer read_values_type's, so every
+    scorer built after that tests them in full, and scores them the same."""
+    trace = parse_trace(ERROR_TRACE)
+    source = "f = scoring_function(event = b0, action = n0, frequency = all_sum);"
+    before = check_od(parse_od(source), trace.schema)
+    report = score_trace(before, trace)
+    assert report == reference_score(before, trace) and report.summary == 1.0
+    read = read_values_type(trace.schema)
+    for k in range(16):
+        parse_trace(f'{{"n{k}": "number"}}\n{{"t": 0, "n{k}": 1}}\n')
+    assert read_values_type(trace.schema) is not read
+    after = check_od(parse_od(source), trace.schema)
+    assert score_trace(before, trace) == score_trace(after, trace) == reference_score(after, trace) == report
+    assert score_trace(after, parse_trace(ERROR_TRACE)) == report
+
+
+def test_reference_tests_no_read_message_again(monkeypatch):
+    """reference_score calls message_checker's function for each message
+    built by hand and for none read from a trace."""
+    calls = []
+
+    def counting(schema, error):
+        check = message_checker(schema, error)
+
+        def counted(*args):
+            calls.append(args[0])
+            return check(*args)
+
+        return counted
+
+    monkeypatch.setattr(odl.reference, "message_checker", counting)
+    trace = parse_trace(ERROR_TRACE)
+    checked = check_od(parse_od("f = scoring_function(event = b0, action = n0, frequency = all_sum);"), trace.schema)
+    assert reference_score(checked, trace) == reference_score(checked, plain(trace))
+    assert calls == [0, 1, 2]
 
 
 _POINT_SCHEMA = TraceSchema((("n", Kind.NUMBER), ("b", Kind.BOOLEAN), ("p", Kind.POINT2)))

@@ -385,13 +385,13 @@ def test_program_is_generated_on_first_scoring_and_kept(monkeypatch):
 # oracle checked against GEN_SCHEMA. A change to how the engine emits code
 # that should not change what it emits keeps every digest.
 GENERATED_SOURCE_SHA256 = {
-    "listing1": "e6b3e3c6af1f5d7d0e9cf60bc4d4d7c34223cba9066db27b8622b7665ea72637",
-    "listing2": "8ac6ef510e5e27f098a2bfb642f23ea654c96315734e6cfe5d9f51f2c25d5dbc",
-    "listing3": "16200549648c983782660973a0ee5c1a2fa7ca4fe6e59c090858bc2201b3db42",
-    "listing4": "760256b09c4dda4798fdfea1540942b8a8bb53bfe8e2bf1f60f9428e37172013",
-    "od1_rubric": "5742e2a975a6e492d78d82e9959cac9a0272bf8c87a9a1ae7f78ef894f829862",
-    "od2_competition": "5bfa41a7ee7652d09818514f3e5ccd7352f0589fa2bbda61033a16b5d71feaa5",
-    "od3_framework": "6f97348673a6b0f78c82f0bafff991b334285ce4fb5b568658edef9c8de3f9c0",
+    "listing1": "cf107523f4aff2e98775f58ee64e0615cc59def7fea958297f089012704645a0",
+    "listing2": "6a75c3e2d3a6e009cf15cdc670493369a10c2404259afa39d749bad74297db77",
+    "listing3": "0fa6c17734c82175003183b2af0acb3afbd8cbbf431eb4e66ecb618bcac513ce",
+    "listing4": "b3772b3728ab9409e95fde4d535597b600736149893834333fa30589581af6ba",
+    "od1_rubric": "ca38d6d8a25918edddccbfb5211e98bf981e9669e7abd8418b922981e4b529ab",
+    "od2_competition": "22a1a57b278d27f2cbcc4aae944542bbee195eefe9110cc7263e7b0704671ab8",
+    "od3_framework": "d088e74ad2cf72c4737067108185e47bab8412dbf61d53a9c877c7d0a5ed1371",
 }
 
 

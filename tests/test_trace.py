@@ -1,8 +1,10 @@
 """Trace model, JSONL parsing, canonical serialization."""
 
+import copy
 import io
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -26,9 +28,11 @@ from odl import (
     TraceSchema,
     check_od,
     dump_trace,
+    parse_od,
     parse_trace,
     read_trace,
     reference_score,
+    score_trace,
     write_trace,
 )
 from odl.cli import main
@@ -39,6 +43,7 @@ from odl.trace import (
     _record_checker,
     _strict_json_object,
     read_trace_lines,
+    read_values_type,
     schema_fault,
 )
 
@@ -506,6 +511,76 @@ def test_canonical_dump_round_trip():
     assert dump_trace(parse_trace(text)) == text
 
 
+KINDS_TRACE = (
+    '{"n": "number", "b": "boolean", "p": "point2"}\n'
+    '{"t": 0, "n": 2, "b": true, "p": [3, 4]}\n'
+    '{"t": 1.5, "n": -1.5, "b": false, "p": [0.5, 0]}\n'
+    '{"t": 2, "n": 7.25, "b": true, "p": [0, -1]}\n'
+)
+KINDS_OD = "f = scoring_function(event = b and n > 1, action = distance(p, point(0, 0)), frequency = all_sum);"
+
+
+def _ior(values):
+    values |= {"n": 0.0}
+
+
+# Every way to change a dict in place, and to make one of the read type.
+MUTATIONS = {
+    "__setitem__": lambda values: values.__setitem__("n", 0.0),
+    "__delitem__": lambda values: values.__delitem__("n"),
+    "|=": _ior,
+    "clear": lambda values: values.clear(),
+    "pop": lambda values: values.pop("n"),
+    "popitem": lambda values: values.popitem(),
+    "setdefault": lambda values: values.setdefault("x", 0.0),
+    "update": lambda values: values.update(n=0.0),
+    "__init__": lambda values: values.__init__({"n": 0.0}),
+    "the type": lambda values: type(values)({"n": "x", "b": True, "p": [0.0, 0.0]}),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_read_values_refuse_every_change(mutation):
+    parsed = parse_trace(KINDS_TRACE).messages
+    schema, streamed = read_trace(io.StringIO(KINDS_TRACE))
+    for message in (*parsed, *streamed):
+        values = message.values
+        assert type(values) is read_values_type(schema)
+        before = dict(values)
+        with pytest.raises(TypeError, match="^the values of a message read from a trace are immutable"):
+            MUTATIONS[mutation](values)
+        assert values == before
+        assert list(values) == ["n", "b", "p"]
+
+
+# Plain copies of read values: each must be a dict that scores as they do.
+COPIES = {
+    "copy.copy": copy.copy,
+    "copy.deepcopy": copy.deepcopy,
+    "pickle": lambda values: pickle.loads(pickle.dumps(values)),
+    "dict(values)": dict,
+    "values.copy()": lambda values: values.copy(),
+}
+
+
+@pytest.mark.parametrize("copies", sorted(COPIES))
+def test_copies_of_read_values_are_plain_dicts_that_score_the_same(copies):
+    trace = parse_trace(KINDS_TRACE)
+    checked = check_od(parse_od(KINDS_OD), trace.schema)
+    report = score_trace(checked, trace)
+    assert report == reference_score(checked, trace)
+    assert report.summary == 5.0 + math.hypot(0.0, -1.0)
+    copied = trace._replace(
+        messages=tuple(message._replace(values=COPIES[copies](message.values)) for message in trace.messages)
+    )
+    assert [type(message.values) for message in copied.messages] == [dict] * 3
+    assert copied == trace
+    assert score_trace(checked, copied) == reference_score(checked, copied) == report
+    assert dump_trace(copied) == dump_trace(trace)
+    assert parse_trace(dump_trace(copied)) == parse_trace(dump_trace(trace)) == trace
+    assert pickle.loads(pickle.dumps(trace)) == trace
+
+
 def test_dump_orders_fields_canonically():
     text = '{"a": "number", "b": "boolean"}\n{"b": true, "a": 1, "t": 0}\n'
     dumped = dump_trace(parse_trace(text))
@@ -711,6 +786,8 @@ FIELD_MISMATCHES = {
     ),
     "none": (ODD_SCHEMA, {}, "message 1: missing field 'n'"),
     "empty_schema": (TraceSchema(()), {"x": 1.0}, "message 1: field 'x' is not in the schema"),
+    "not_a_mapping": (ODD_SCHEMA, None, "message 1: values must be a mapping, not NoneType"),
+    "not_a_mapping_empty_schema": (TraceSchema(()), "", "message 1: values must be a mapping, not str"),
 }
 
 
