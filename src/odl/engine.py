@@ -24,14 +24,15 @@ Each message is processed in three phases:
    independent of declaration order.
 
 `_emit` writes the Python source that does all of this for one checked
-oracle, with its expressions inlined, and the one loop head (`_program`)
-puts it in a function that loops over its input and returns the report.
+oracle, with its expressions inlined, and `_program` puts it in a function
+that loops over its input and returns the report, through the loop head
+that every generated pass over records shares (`trace.record_loop`).
 Two programs are made so, each at its first use, and kept on the
 `CheckedOracle`; they differ only in how a record binds t and the fields:
 
-- `generate_program` binds them from a message held to the trace writer's
-  rule of its fields and values, and keeps the firing log. `score_messages`
-  (and so `score_trace`) is its only caller.
+- `generate_program` binds them from a message held to the reader's rule
+  of its fields and values (`trace.message_fields`), and keeps the firing
+  log. `score_messages` (and so `score_trace`) is its only caller.
 - `generate_line_program` binds them from a numbered line of a trace file
   through the reader's record gate (`trace.record_gate`), so it builds no
   message and keeps no firing log: its memory does not grow with the trace.
@@ -44,14 +45,14 @@ Two programs are made so, each at its first use, and kept on the
 from __future__ import annotations
 
 import json
-from math import inf, isfinite
+from math import isfinite
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import EngineError, EvalError
 from .evaluate import binder, emit_expr, emit_value, non_finite, runtime
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
 from .syntax import Expr, Frequency, Literal, format_expr
-from .trace import Trace, TraceMessage, message_fields, record_gate
+from .trace import Trace, TraceMessage, message_fields, read_values_type, record_gate, record_loop
 
 if TYPE_CHECKING:
     from .checker import CheckedOracle
@@ -225,21 +226,15 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
 
 
 def _program(parts: _Parts, items: str, item: str, bind: list[str]) -> Callable:
-    """The one loop head: compile `program(items)`, which runs parts.init,
-    then for each `item` of `items` runs `bind` (which binds t and each read
-    field's local), the timer run-down, parts.body and parts.apply, and
-    after the loop returns what parts.summary returns."""
+    """`program(items)` through trace.record_loop: parts.init, then for each
+    `item` of `items` `bind` (which binds t and each read field's local),
+    the timer run-down, parts.body and parts.apply, and after the loop what
+    parts.summary returns."""
     # Timers run from 0.0 at the first record, where no time has elapsed.
     rundown = ["if index:", "    dt = t - prev_t", *(f"    {var} -= dt" for var in parts.timers)]
-    loop = [*bind, *(rundown if parts.timers else []), "prev_t = t", *parts.body, *parts.apply, "index += 1"]
-    source = "\n".join([
-        f"def program({items}):", *_indent([*parts.init, "index, prev_t = 0, -_inf"]),
-        f"    for {item} in {items}:", *_indent(loop, 2),
-        *_indent(parts.summary), "",
-    ])
-    parts.namespace["_inf"] = inf
-    exec(compile(source, "<odl oracle>", "exec"), parts.namespace)
-    return parts.namespace["program"]
+    bind = [*bind, *(rundown if parts.timers else [])]
+    return record_loop(parts.namespace, f"program({items})", item, items, parts.init, bind,
+                       [*parts.body, *parts.apply], parts.summary)
 
 
 def generate_program(checked: CheckedOracle) -> Program:
@@ -249,7 +244,7 @@ def generate_program(checked: CheckedOracle) -> Program:
     through trace.message_fields, which raises EngineError for fields or
     values the reader refuses, then refuses a decreasing t."""
     parts = _emit(checked, log=True)
-    namespace, read = message_fields(checked.schema, parts.fields, EngineError)
+    namespace, read = message_fields(checked.schema, parts.fields, EngineError, read_values_type(checked.schema))
     parts.namespace.update(namespace)
     bind = ["t, values = message", *read, "if t < prev_t: raise _regress(index, t, prev_t)"]
     return _program(parts, "messages", "message", bind)

@@ -24,13 +24,15 @@ Each function has one row of state, made before the walk: its position,
 its `Env` (the schema's field names with `t`, the constants and its timer
 table), its closures, built against and called with that `Env`, so each
 name is resolved and each node over constants folded once per call, and
-its tables. The walk holds each message to the reader's rule (names, t,
-each value) with `trace.message_checker`, which writes the fields into the
-dict all Envs share, then checks t's order: the first fault in message
-order is raised, as the engine raises it. A message read from a trace of
-the oracle's schema, whose values are of `trace.read_values_type` and
-whose t is a finite float, is written into that dict untested: the reader
-took those values, and they cannot have changed since. Only a
+its tables. The walk holds each message to the reader's rule (a mapping,
+its names, t, each value) with `trace.message_checker`, the reader's
+coercers themselves, not the engine's generated test, which write the
+fields, converted, into the dict all Envs share; then it checks t's order:
+the first fault in message order is raised, as the engine raises it. A
+message read from a trace of the oracle's schema, whose values are of
+`trace.read_values_type` and whose t is a finite float, is written into
+that dict untested: the reader took those values, and no method of theirs
+changes them. Only a
 notification's target is looked up by name, in one name -> timer-table
 map. Only the timer tables that exist run down, and a message at which
 nothing fired queues its notifications in no new object.
@@ -93,7 +95,7 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
             if type(values) is read and type(t) is float and isfinite(t):
                 fields.update(values)  # read_values_type: the reader's rule took them
             else:
-                t = check(i, t, values, fields)
+                t = check(i, t, values, fields)[0]
             if t < previous_t:
                 raise EngineError(f"message {i}: timestamp {t!r} decreases below {previous_t!r}")
             if i:

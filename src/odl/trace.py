@@ -15,16 +15,20 @@ path, which raises every diagnostic. The reader of one schema
 (`_record_reader`) and the engine's line program run it.
 `write_trace` writes a trace line by line as its messages are taken, once
 `schema_fault`, the reader's schema rule, passes; `dump_trace` joins them.
-The writer and the message program splice one rule for messages into
-their loops (`message_fields`), `reference_score` calls it (`message_checker`),
-and what its test refuses goes to the reader's coercers (`_strict_message`).
+One loop head (`record_loop`) writes and compiles every generated pass over
+records: the reader, the writer and the engine's two programs. The writer
+and the message program splice one rule for messages into their loops
+(`message_fields`): its test takes a plain dict as it stands, and sends any
+other values, and what it refuses, to the reader's coercers
+(`message_checker`), which `reference_score` calls for every message it
+does not take untested.
 
 The reader gives each message's values as an immutable dict of a type that
 its schema's reader alone makes (`read_values_type`). The rule took them
-when they were read, and they cannot change, so the writer, the message
+when they were read, and no method of theirs changes them, so the message
 program and `reference_score` test such values again only when t is not a
-finite float; any other values, copies of read ones included, take the
-full test.
+finite float. The writer, and any other values, copies of read ones
+included, take the full test.
 
 `Point2`, `TraceSchema`, `TraceMessage` and `Trace` are named tuples: they
 iterate, compare equal to a plain tuple of the same fields, and are derived
@@ -288,9 +292,8 @@ def _refused(
 def record_gate(schema: TraceSchema, fields: Mapping[str, str]) -> tuple[dict[str, object], list[str]]:
     """The record rule of one schema as generated source: the namespace it
     needs and the lines of a loop body over `lineno, line` that bind t and
-    each field's local in `fields`, or `continue` for a blank line. The
-    loop keeps `index`, the records before this one, and `prev_t`, the last
-    record's t (-_inf at first).
+    each field's local in `fields`, or `continue` for a blank line. They
+    read `index` and `prev_t` as record_loop keeps them.
 
     One gate takes a line that _scan reads whole as an object of t and the
     schema's fields whose floats (t, numbers, coordinates) have a finite
@@ -304,8 +307,8 @@ def record_gate(schema: TraceSchema, fields: Mapping[str, str]) -> tuple[dict[st
     Point2s, bound through `_fields`, or raises every diagnostic. Field
     names are bound in the namespace; the source holds indices and counts."""
     namespace: dict[str, object] = {
-        "_scan": _scan, "_get": itemgetter("t", *schema.names()), "_isfinite": isfinite, "_inf": inf,
-        "_refused": _refused, "_check": _record_checker(schema),
+        "_scan": _scan, "_get": itemgetter("t", *schema.names()), "_isfinite": isfinite, "_refused": _refused,
+        "_check": _record_checker(schema),
     }
     strict = []
     if fields:
@@ -356,14 +359,38 @@ class _ReadValues(dict):
         return dict, (dict(self),)
 
 
+def record_loop(
+    namespace: dict[str, object], signature: str, item: str, items: str,
+    init: list[str], bind: list[str], body: list[str], after: Iterable[str] = (),
+) -> Callable:
+    """The one loop head of every generated pass over records: write, compile
+    in `namespace` and return `def <signature>:`, which runs `init`, then
+    for each `item` of `items` runs `bind` (which binds t), `prev_t = t`,
+    `body` and `index += 1`, and after the loop runs `after`. So every
+    pass keeps `index`, the records before this one, and `prev_t`, the last
+    record's t (-_inf at first), the same way. The code's file name is
+    `<odl NAME>`, NAME the function's."""
+    name = signature.partition("(")[0]
+    loop = [*bind, "prev_t = t", *body, "index += 1"]
+    source = "\n".join([
+        f"def {signature}:", *("    " + line for line in [*init, "index, prev_t = 0, -_inf"]),
+        f"    for {item} in {items}:", *("        " + line for line in loop),
+        *("    " + line for line in after), "",
+    ])
+    namespace["_inf"] = inf
+    exec(compile(source, f"<odl {name}>", "exec"), namespace)
+    return namespace[name]  # type: ignore[return-value]
+
+
 # Cached so that reading many traces of one schema compiles one reader.
 @lru_cache(maxsize=16)
 def _record_reader(schema: TraceSchema) -> tuple[Callable[[Iterator[tuple[int, str]]], Iterator[TraceMessage]], type]:
     """Generate, compile and return the record reader of one schema, a
     generator of the messages of (line number, line) pairs through
-    record_gate, and the type of their values (read_values_type). Messages
-    and points are built by tuple.__new__, which skips the named tuples'
-    own __new__: the gate has checked each point's length and types."""
+    record_gate in record_loop, and the type of their values
+    (read_values_type). Messages and points are built by tuple.__new__,
+    which skips the named tuples' own __new__: the gate has checked each
+    point's length and types."""
     names = schema.names()
     fields = {name: f"x{k}" for k, name in enumerate(names)}
     values = [
@@ -376,27 +403,17 @@ def _record_reader(schema: TraceSchema) -> tuple[Callable[[Iterator[tuple[int, s
         _names=names, _new=tuple.__new__, _Point2=Point2, _Message=TraceMessage,
         _Values=read, _empty=dict.__new__, _fill=dict.update,
     )
-    source = "\n".join([
-        "def messages(numbered):",
-        f"    [{', '.join(f'k{k}' for k in range(len(names)))}] = _names",
-        "    index, prev_t = 0, -_inf",
-        "    for lineno, line in numbered:",
-        *("        " + line for line in gate),
-        "        index, prev_t = index + 1, t",
-        "        values = _empty(_Values)",
-        f"        _fill(values, {{{', '.join(values)}}})",
-        "        yield _new(_Message, (t, values))",
-        "",
-    ])
-    exec(compile(source, "<odl record reader>", "exec"), namespace)
-    return namespace["messages"], read  # type: ignore[return-value]
+    init = [f"[{', '.join(f'k{k}' for k in range(len(names)))}] = _names"]
+    body = ["values = _empty(_Values)", f"_fill(values, {{{', '.join(values)}}})", "yield _new(_Message, (t, values))"]
+    return record_loop(namespace, "read_records(numbered)", "lineno, line", "numbered", init, gate, body), read
 
 
 def read_values_type(schema: TraceSchema) -> type:
     """The type of the values of each message read_trace reads under
     `schema`, made and cached with its record reader. Only that reader makes
-    one, of values its rule took, and none changes after, so such values
-    with a finite float t need no second test. A reader made again after
+    one, of values its rule took, and no method of theirs changes them, so
+    such values with a finite float t need no second test where
+    message_fields is given this type. A reader made again after
     the cache evicted this one makes another type."""
     return _record_reader(schema)[1]
 
@@ -467,10 +484,15 @@ def parse_trace(source: TraceSource) -> Trace:
     return Trace(schema=schema, messages=tuple(messages))
 
 
-def _strict_message(schema: TraceSchema, error: Callable[[str], Exception]) -> Callable[..., tuple[float, dict]]:
-    """message_checker's rule from the reader's coercers: a function of the
-    same arguments that raises the same error, or converts the fields into
-    `into` as the reader converts them and returns (t, into), t converted."""
+def message_checker(schema: TraceSchema, error: Callable[[str], Exception]) -> Callable[..., tuple[float, dict]]:
+    """The reader's rule for a message, from its coercers: a function of
+    (index, t, values, into) that raises error(f"message {index}: ...") at
+    the first fault (values that are not a mapping, a foreign field, a
+    missing one, t, each field in schema order) in the reader's words, or
+    writes the fields into `into`, each as the reader converts it, and
+    returns (t, into), t converted. reference_score calls it for each
+    message it does not take untested; message_fields' lines call it for
+    each their test refuses."""
     keys = dict.fromkeys(schema.names()).keys()
     fields = tuple((name, _COERCE[kind], f"field '{name}'") for name, kind in schema.fields)
 
@@ -495,25 +517,28 @@ def _strict_message(schema: TraceSchema, error: Callable[[str], Exception]) -> C
 
 
 def message_fields(
-    schema: TraceSchema, fields: Mapping[str, str], error: Callable[[str], Exception]
+    schema: TraceSchema, fields: Mapping[str, str], error: Callable[[str], Exception], read: type | None = None
 ) -> tuple[dict[str, object], list[str]]:
     """The reader's rule for a message, as the namespace and the lines that
     bind each field of `values` (message `index`'s) to its local in `fields`
-    (u<k> if none). Values of read_values_type(schema) with a finite float
-    t are taken as they stand: the reader's rule took them, and they cannot
-    have changed since. Other values are held to _TAKEN's tests, and what
-    those refuse (a non-mapping too) goes to _strict_message, which raises
-    error or rebinds t, `values` and the locals, converted."""
+    (u<k> if none). Values that are a plain dict are held to _TAKEN's tests;
+    any other values (a dict subclass too, which may answer a missing name
+    through __missing__), and what those tests refuse, go to
+    message_checker, which raises error or rebinds t, `values` and the
+    locals, converted.
+    Given `read`, read_values_type(schema), values of that type with a
+    finite float t are taken as they stand: the reader's rule took them,
+    and no method of theirs changes them."""
     names = schema.names()
-    namespace = {
-        "_convert": _strict_message(schema, error), "_isfinite": isfinite, "_Point2": Point2,
-        "_Read": read_values_type(schema),
-    }
+    namespace = {"_convert": message_checker(schema, error), "_isfinite": isfinite, "_Point2": Point2, "_Read": read}
     bound = [fields.get(name, f"u{k}") for k, name in enumerate(names)]
     point = "(type({v}) is _Point2 or type({v}) is list)"
-    count = f"len(values) == {len(names)}" if names else "values == {}"  # no len() of a non-mapping
-    test = " and ".join([count, *_taken(zip(bound, (k for _, k in schema.fields)), point)])
-    test = f"type(values) is _Read and type(t) is float and _isfinite(t) or {test}"
+    test = " and ".join([
+        f"type(values) is dict and len(values) == {len(names)}",
+        *_taken(zip(bound, (k for _, k in schema.fields)), point),
+    ])
+    if read is not None:
+        test = f"type(values) is _Read and type(t) is float and _isfinite(t) or {test}"
     lines, convert = [f"taken = {test}"], ["t, values = _convert(index, t, values, {})"]
     if names:
         namespace["_fields"] = itemgetter(*names)
@@ -526,26 +551,14 @@ def message_fields(
     return namespace, [*lines, "if not taken:", *("    " + line for line in convert)]
 
 
-@lru_cache(maxsize=16)
-def message_checker(schema: TraceSchema, error: Callable[[str], Exception]) -> Callable[..., float]:
-    """message_fields' rule as a function of (index, t, values, into) that
-    raises error(f"message {index}: ...") at the first fault (a foreign field,
-    a missing one, t, each field in schema order) in the reader's words, or
-    writes the fields into `into` and returns t, each as the reader takes it."""
-    namespace, lines = message_fields(schema, {}, error)
-    body = [*lines, "into.update(values)", "return t"]
-    source = "\n".join(["def check(index, t, values, into):", *("    " + line for line in body), ""])
-    exec(compile(source, "<odl message check>", "exec"), namespace)
-    return namespace["check"]  # type: ignore[return-value]
-
-
 # Cached so that dumping many traces of one schema compiles one writer.
 @lru_cache(maxsize=16)
 def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage], Callable[[str], object]], None]:
     """Generate, compile and return the record writer of one schema: a
     function of any iterable of messages and a `write` callable, which it
     calls with each message's line, followed by a line break, as the
-    message is taken. Each message is held to message_fields, refused by a
+    message is taken. Each message is held to message_fields in full, read
+    ones too, so the writer needs no record reader; a fault is a
     ValueError, and its line is one f-string of the exact floats, bools and
     two-float points it binds: what json.JSONEncoder writes of them."""
     names = schema.names()
@@ -564,16 +577,8 @@ def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage], Cal
         else:
             body += f"[{{{var}[0]!r}}, {{{var}[1]!r}}]"
     line = "f" + repr('{{"t": {t!r}' + body + "}}\n")
-    source = "\n".join([
-        "def write_records(messages, write):",
-        "    for index, message in enumerate(messages):",
-        "        t, values = message",
-        *("        " + stmt for stmt in read),
-        f"        write({line})",
-        "",
-    ])
-    exec(compile(source, "<odl record writer>", "exec"), namespace)
-    return namespace["write_records"]  # type: ignore[return-value]
+    bind = ["t, values = message", *read]
+    return record_loop(namespace, "write_records(messages, write)", "message", "messages", [], bind, [f"write({line})"])
 
 
 def write_trace(schema: TraceSchema, messages: Iterable[TraceMessage], write: Callable[[str], object]) -> None:

@@ -61,6 +61,30 @@ ERROR_TRACE = (
 )
 
 
+class NotAMapping:
+    """Values that index, count and iterate as a mapping does, but are not a
+    collections.abc.Mapping."""
+
+    def __init__(self, values: dict):
+        self.values = values
+
+    def __getitem__(self, name):
+        return self.values[name]
+
+    def __len__(self):
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.values)
+
+
+class ZeroDefault(dict):
+    """A dict in which a missing name reads as 0.0."""
+
+    def __missing__(self, name):
+        return 0.0
+
+
 def trace_faults() -> list[tuple[CheckedOracle, Trace, type[OdlError], str]]:
     """Traces built by hand from ERROR_TRACE and from one message of a
     number, a boolean and a point, each with the oracle that scores it and
@@ -83,6 +107,12 @@ def trace_faults() -> list[tuple[CheckedOracle, Trace, type[OdlError], str]]:
         "f = scoring_function(event = b and n > 1, action = 1, frequency = all_sum);"
         "g = scoring_function(event = distance(p, point(0, 0)) > 1, action = 1, frequency = all_sum);"
     ), point.schema)
+
+    number = parse_trace('{"n": "number"}\n{"t": 0, "n": 1}\n')
+    reads_n = check_od(parse_od("f = scoring_function(event = n > 0, action = n, frequency = all_sum);"), number.schema)
+
+    def holding(values):
+        return number._replace(messages=(TraceMessage(0.0, values),))
 
     def built(*messages):
         return trace._replace(messages=messages)
@@ -128,6 +158,14 @@ def trace_faults() -> list[tuple[CheckedOracle, Trace, type[OdlError], str]]:
          "message 0: values must be a mapping, not str"),
         (reads_b0, built(first, second._replace(t="1", values=None), third), EngineError,
          "message 1: values must be a mapping, not NoneType"),
+        # Values that read as a mapping but are not one, good or bad, and a
+        # dict subclass whose missing field reads as 0.0: only a dict is
+        # taken by the message program's test.
+        (reads_n, holding(NotAMapping({"n": 1.0})), EngineError,
+         "message 0: values must be a mapping, not NotAMapping"),
+        (reads_n, holding(NotAMapping({"n": math.nan})), EngineError,
+         "message 0: values must be a mapping, not NotAMapping"),
+        (reads_n, holding(ZeroDefault(z=1.0)), EngineError, "message 0: field 'z' is not in the schema"),
         (divides, built(first, second._replace(values={"b0": True}), third), EvalError,
          "message 0 (t=0.0), function 'f': division by zero in '1.0 / (n0 - 1.0)'"),
     ]

@@ -6,8 +6,9 @@ runs this script again in each interpreter named (a path to its
 executable). Each run prints the sha256 digests of:
 
 - the source the engine generates for each bundled oracle, message program
-  and line program (what `GENERATED_SOURCE_SHA256` and
-  `LINE_SOURCE_SHA256` in test_engine.py pin);
+  and line program, and the source of the generator schema's record reader
+  and record writer (what `GENERATED_SOURCE_SHA256`, `LINE_SOURCE_SHA256`,
+  `READER_SOURCE_SHA256` and `WRITER_SOURCE_SHA256` in test_engine.py pin);
 - the trace of every `GOLDEN_DIGESTS` row of test_scenario.py;
 - the 450 reports of the replication corpus (30 solutions x 5 traces x the
   3 composite oracles of test_acceptance.py), as `report_to_json` writes
@@ -60,7 +61,7 @@ def _stub_pytest() -> None:
 
 class _MonkeyPatch:
     """The part of pytest's monkeypatch fixture that test_engine's
-    generated_source_digests uses."""
+    generated_source_digests and record_source_digests use."""
 
     def setattr(self, target, name, value, raising=True):
         setattr(target, name, value)
@@ -71,7 +72,7 @@ def _digests() -> dict[str, str]:
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(SRC), str(TESTS)]
     _stub_pytest()
-    import odl.engine
+    import odl.trace
     import test_acceptance
     import test_engine
     import test_scenario
@@ -85,7 +86,9 @@ def _digests() -> dict[str, str]:
     for attribute in ("program", "line_program"):
         for name, digest in test_engine.generated_source_digests(_MonkeyPatch(), attribute).items():
             digests[f"source {attribute} {name}"] = digest
-    del odl.engine.compile
+    for name, digest in zip(("reader", "writer"), test_engine.record_source_digests(_MonkeyPatch())):
+        digests[f"source record {name}"] = digest
+    del odl.trace.compile
     for name, seed in sorted(test_scenario.GOLDEN_DIGESTS):
         trace = generate_trace(test_scenario.golden_scenario(name), seed)
         digests[f"golden {name} {seed}"] = test_scenario.sha256(dump_trace(trace))

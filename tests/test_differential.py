@@ -422,7 +422,7 @@ def test_dump_trace_refuses_each_message_fault_in_the_scorers_words():
                 dump_trace(bad)
             assert str(raised.value) == text
             rows += 1
-    assert rows == 18
+    assert rows == 21
 
 
 def plain(trace):

@@ -8,7 +8,7 @@ import math
 import pytest
 
 import odl.checker
-import odl.engine
+import odl.trace
 from _drive import drive, listing_suite
 from odl import (
     BUILTIN_NAMES,
@@ -327,11 +327,12 @@ def test_literal_actions_and_notification_values_are_folded(monkeypatch):
     kept = "const X = 2;\nf = scoring_function(event = collision, action = X * 1, frequency = all_sum);"
     sources = []
 
-    def capture(source, *args):
-        sources.append(source)
-        return builtins.compile(source, *args)
+    def capture(source, filename, *args):
+        if filename == "<odl program>":  # not the record reader of the schema
+            sources.append(source)
+        return builtins.compile(source, filename, *args)
 
-    monkeypatch.setattr(odl.engine, "compile", capture, raising=False)
+    monkeypatch.setattr(odl.trace, "compile", capture, raising=False)
     for source in (folded, kept):
         check_od(parse_od(source), BOOL_SCHEMA).program
     assert ["float(" in source for source in sources] == [False, True]
@@ -385,13 +386,13 @@ def test_program_is_generated_on_first_scoring_and_kept(monkeypatch):
 # oracle checked against GEN_SCHEMA. A change to how the engine emits code
 # that should not change what it emits keeps every digest.
 GENERATED_SOURCE_SHA256 = {
-    "listing1": "cf107523f4aff2e98775f58ee64e0615cc59def7fea958297f089012704645a0",
-    "listing2": "6a75c3e2d3a6e009cf15cdc670493369a10c2404259afa39d749bad74297db77",
-    "listing3": "0fa6c17734c82175003183b2af0acb3afbd8cbbf431eb4e66ecb618bcac513ce",
-    "listing4": "b3772b3728ab9409e95fde4d535597b600736149893834333fa30589581af6ba",
-    "od1_rubric": "ca38d6d8a25918edddccbfb5211e98bf981e9669e7abd8418b922981e4b529ab",
-    "od2_competition": "22a1a57b278d27f2cbcc4aae944542bbee195eefe9110cc7263e7b0704671ab8",
-    "od3_framework": "d088e74ad2cf72c4737067108185e47bab8412dbf61d53a9c877c7d0a5ed1371",
+    "listing1": "122ad71025f08a2d46a7ad92eb9ed94d50a3f6c48e9effd801d56ff9adf6c9a4",
+    "listing2": "eaba86bb26766c7ba75e6d0675b687a671e1de383cd75b55ed37b48e16df71ba",
+    "listing3": "ab02808b84bcb891acd9608ecb12165d5f3f407cf8bb30fe2c98666b279ac834",
+    "listing4": "6a72b0ddc1f2552025a7f7237728ec5a014ab81b6c4299b47423c5bfec98b963",
+    "od1_rubric": "e43e62d3b1489a8e3cacab4edba1559ce6e5e7aaead517e6620ec4612595aae3",
+    "od2_competition": "2bd6eca819876c0af470c0d8e50c93bb94766c073ebebf343016f0f2b59587f9",
+    "od3_framework": "10109854231a22e78a411f71ad57e76cf7c93ab3907dd5949d34d99c5998413a",
 }
 
 
@@ -407,16 +408,42 @@ LINE_SOURCE_SHA256 = {
 }
 
 
-def generated_source_digests(monkeypatch, program):
-    """The sha256 of the source the engine compiles for the attribute
-    `program` of each bundled oracle checked against GEN_SCHEMA."""
+# The sha256 of the Python source of the record reader and the record writer
+# of GEN_SCHEMA, which trace.record_loop writes as it writes both programs.
+READER_SOURCE_SHA256 = "533249e61fbc11d80cb75254dc631056dff92f6c1f0e99c9ab767c2992db5316"
+WRITER_SOURCE_SHA256 = "38c9d3c52b761bd2a8e1e1f1f699301b4531d7f272d7db8f3f1317d3e65ff978"
+
+
+def record_source_digests(monkeypatch):
+    """The sha256 of the source of GEN_SCHEMA's record reader and record
+    writer, each generated afresh, past its cache."""
     sources = []
 
     def capture(source, *args):
         sources.append(source)
         return builtins.compile(source, *args)
 
-    monkeypatch.setattr(odl.engine, "compile", capture, raising=False)
+    monkeypatch.setattr(odl.trace, "compile", capture, raising=False)
+    odl.trace._record_reader.__wrapped__(GEN_SCHEMA)
+    odl.trace._record_writer.__wrapped__(GEN_SCHEMA)
+    return [hashlib.sha256(source.encode()).hexdigest() for source in sources]
+
+
+def test_record_reader_and_writer_sources_are_pinned(monkeypatch):
+    assert record_source_digests(monkeypatch) == [READER_SOURCE_SHA256, WRITER_SOURCE_SHA256]
+
+
+def generated_source_digests(monkeypatch, program):
+    """The sha256 of the source the engine compiles for the attribute
+    `program` of each bundled oracle checked against GEN_SCHEMA."""
+    sources = []
+
+    def capture(source, filename, *args):
+        if filename == "<odl program>":  # not the record reader of the schema
+            sources.append(source)
+        return builtins.compile(source, filename, *args)
+
+    monkeypatch.setattr(odl.trace, "compile", capture, raising=False)
     digests = {}
     for name in BUILTIN_NAMES:
         getattr(check_od(parse_od(load_builtin(name)), GEN_SCHEMA), program)

@@ -41,6 +41,7 @@ from odl.trace import (
     _decoded_batches,
     _numbered_lines,
     _record_checker,
+    _record_reader,
     _strict_json_object,
     read_trace_lines,
     read_values_type,
@@ -579,6 +580,26 @@ def test_copies_of_read_values_are_plain_dicts_that_score_the_same(copies):
     assert dump_trace(copied) == dump_trace(trace)
     assert parse_trace(dump_trace(copied)) == parse_trace(dump_trace(trace)) == trace
     assert pickle.loads(pickle.dumps(trace)) == trace
+
+
+def test_dump_trace_compiles_no_record_reader():
+    # The writer tests every message in full, read or not, so it needs no
+    # read values type and leaves the reader's cache as it was.
+    schema = TraceSchema((("written_only", Kind.NUMBER),))
+    before = _record_reader.cache_info()
+    assert dump_trace(Trace(schema, (TraceMessage(0.0, {"written_only": 1.0}),))) == (
+        '{"written_only": "number"}\n{"t": 0.0, "written_only": 1.0}\n'
+    )
+    assert _record_reader.cache_info() == before
+
+
+def test_dump_trace_tests_read_values_changed_through_dict_itself():
+    # dict.__setitem__ changes read values past their type's refusals. The
+    # writer tests read values in full, so it refuses what that wrote.
+    trace = parse_trace('{"n": "number"}\n{"t": 0, "n": 1}\n')
+    dict.__setitem__(trace.messages[0].values, "n", "x")
+    with pytest.raises(ValueError, match="^message 0: field 'n' must be a number$"):
+        dump_trace(trace)
 
 
 def test_dump_orders_fields_canonically():
