@@ -9,7 +9,9 @@ trace corpora, and compares oracles by Spearman rank correlation.
 Trace values and reports (`Point2`, `TraceSchema`, `TraceMessage`, `Trace`,
 `Firing`, `ScoreReport`) are named tuples: they iterate, compare equal to a
 plain tuple of the same fields, and are derived with `_replace`, not
-`dataclasses.replace`. The scenario and catalog names (`generate_trace`,
+`dataclasses.replace`. The oracle-language tree, `CheckedOracle` and `Env`
+are slotted classes (`syntax.Struct`) that compare equal only within their
+type and are derived with `_replace` too. The scenario and catalog names (`generate_trace`,
 `load_builtin`, ...) are bound on first use, so a process that neither
 generates traces nor reads the bundled assets does not import them.
 """

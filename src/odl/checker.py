@@ -20,7 +20,6 @@ each message or line where they read it: the checker reads no message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
@@ -35,6 +34,7 @@ from .syntax import (
     Ident,
     Literal,
     OracleDefinition,
+    Struct,
     Unary,
     check_shape,
     kind_of_value,
@@ -43,22 +43,28 @@ from .syntax import (
 from .trace import Kind, Trace, TraceMessage, TraceSchema, schema_fault
 
 
-@dataclass(frozen=True)
-class CheckedOracle:
+class CheckedOracle(Struct):
     """An oracle definition validated against a trace schema when it is made
-    (by `dataclasses.replace` too): one check_od refuses raises its CheckError.
+    (by `_replace` too): one check_od refuses raises its CheckError.
 
     `timers` maps each scoring-function name to the timer names some
     notification targets at it (the timers its expressions may read). It
     is checked against a schema only; its programs check the messages.
     """
 
-    od: OracleDefinition
-    schema: TraceSchema
-    timers: Mapping[str, frozenset[str]] = field(init=False)
+    _fields = ("od", "schema", "timers")
+    __slots__ = (*_fields, "__dict__")  # __dict__ keeps the programs cached_property makes
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "timers", _check(self.od, self.schema))
+    def __init__(self, od: OracleDefinition, schema: TraceSchema) -> None:
+        object.__setattr__(self, "od", od)
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "timers", _check(od, schema))
+
+    def _replace(self, **changes: object) -> CheckedOracle:
+        return CheckedOracle(**{"od": self.od, "schema": self.schema, **changes})
+
+    def __reduce__(self) -> tuple:
+        return CheckedOracle, (self.od, self.schema)
 
     @cached_property
     def program(self) -> Program:

@@ -23,16 +23,14 @@ the oracle author (write `abs(a - b) < eps`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from .errors import EvalError
-from .syntax import BINARY, Binary, Call, Expr, Ident, Literal, Unary, check_expr, format_expr
+from .syntax import BINARY, Binary, Call, Expr, Ident, Literal, Struct, Unary, check_expr, format_expr
 from .trace import Point2, Value
 
 
-@dataclass
-class Env:
+class Env(Struct):
     """Bindings visible to one expression evaluation.
 
     `fields` holds the current message's values (including "t"); `timers`
@@ -45,13 +43,26 @@ class Env:
     Env of the schema's field names with "t", the constants and that
     function's timer table, and calls them with that Env, whose `fields`
     dict it updates in place at each message.
+
+    Unlike the other Structs, an Env's fields may be assigned, and it does
+    not hash. Each table not given is a fresh dict.
     """
 
-    fields: Mapping[str, Value] = field(default_factory=dict)
-    constants: Mapping[str, Value] = field(default_factory=dict)
-    timers: Mapping[str, float] = field(default_factory=dict)
-    seq_time: float | None = None
-    scores: Mapping[str, float] = field(default_factory=dict)
+    __slots__ = _fields = ("fields", "constants", "timers", "seq_time", "scores")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self, fields: Mapping[str, Value] | None = None, constants: Mapping[str, Value] | None = None,
+        timers: Mapping[str, float] | None = None, seq_time: float | None = None,
+        scores: Mapping[str, float] | None = None,
+    ) -> None:
+        self.fields = {} if fields is None else fields
+        self.constants = {} if constants is None else constants
+        self.timers = {} if timers is None else timers
+        self.seq_time = seq_time
+        self.scores = {} if scores is None else scores
 
 
 Node = Callable[[Env], Value]

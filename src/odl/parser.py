@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, fields
 from typing import Any, NamedTuple, NoReturn
 
 from .errors import CheckError, ParseError
@@ -307,7 +306,7 @@ _PARAMS = {
     "initial": _parse_signed_number,
     "notifications": _parse_notifications,
 }
-_REQUIRED = [f.name for f in fields(ScoringFunction) if f.name in _PARAMS and f.default is MISSING]
+_REQUIRED = [name for name in ScoringFunction._fields[: -len(ScoringFunction.__init__.__defaults__)] if name in _PARAMS]
 
 
 def _parse_scoring_function(p: _Parser, name_tok: Token) -> ScoringFunction:

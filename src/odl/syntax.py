@@ -12,7 +12,6 @@ printer or an evaluator reads it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
 from enum import Enum
 from math import inf, isfinite
 from typing import Optional, Union
@@ -34,62 +33,130 @@ class Frequency(Enum):
     ALL_SUM = "all_sum"
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: Value
+# Sets a field of a Struct, whose own __setattr__ refuses to.
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Ident:
-    name: str
+class Struct:
+    """The base of the oracle language's tree, of `checker.CheckedOracle`
+    and of `evaluate.Env`: a class with one slot per name of `_fields`,
+    which its own __init__ sets, so that making the class generates no
+    code. As a frozen dataclass does, a value compares equal only to a
+    value of its own type with equal fields, hashes as the tuple of its
+    fields, shows as `Name(field=value, ...)` and refuses assignment and
+    deletion with AttributeError. `_replace`, pickling and copying build a
+    value anew through the constructor, which checks it where it checks."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes: object) -> Struct:
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # a key of UNARY
-    operand: "Expr"
+class Literal(Struct):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Value) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str  # a key of BINARY
-    left: "Expr"
-    right: "Expr"
+class Ident(Struct):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple["Expr", ...]
+class Unary(Struct):
+    __slots__ = _fields = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr) -> None:  # op: a key of UNARY
+        _set(self, "op", op)
+        _set(self, "operand", operand)
+
+
+class Binary(Struct):
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:  # op: a key of BINARY
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class Call(Struct):
+    __slots__ = _fields = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Expr, ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "args", args)
 
 
 Expr = Union[Literal, Ident, Unary, Binary, Call]
 
 
-@dataclass(frozen=True)
-class Notification:
+class Notification(Struct):
     """On firing, set the named timers of the target scoring function."""
 
-    target: str
-    bindings: tuple[tuple[str, Expr], ...]
+    __slots__ = _fields = ("target", "bindings")
+
+    def __init__(self, target: str, bindings: tuple[tuple[str, Expr], ...]) -> None:
+        _set(self, "target", target)
+        _set(self, "bindings", bindings)
 
 
-@dataclass(frozen=True)
-class ScoringFunction:
-    name: str
-    event: Expr
-    frequency: Frequency
-    condition: Optional[Expr] = None
-    action: Optional[Expr] = None  # absent action contributes delta 0
-    notifications: tuple[Notification, ...] = ()
-    initial: float = 0.0
+class ScoringFunction(Struct):
+    __slots__ = _fields = ("name", "event", "frequency", "condition", "action", "notifications", "initial")
+
+    def __init__(
+        self, name: str, event: Expr, frequency: Frequency, condition: Optional[Expr] = None,
+        action: Optional[Expr] = None,  # an absent action contributes delta 0
+        notifications: tuple[Notification, ...] = (), initial: float = 0.0,
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "event", event)
+        _set(self, "frequency", frequency)
+        _set(self, "condition", condition)
+        _set(self, "action", action)
+        _set(self, "notifications", notifications)
+        _set(self, "initial", initial)
 
 
-@dataclass(frozen=True)
-class OracleDefinition:
-    constants: tuple[tuple[str, Value], ...] = ()
-    functions: tuple[ScoringFunction, ...] = ()
-    summary: Optional[Expr] = None  # None means: sum of all function scores
+class OracleDefinition(Struct):
+    __slots__ = _fields = ("constants", "functions", "summary")
+
+    def __init__(
+        self, constants: tuple[tuple[str, Value], ...] = (), functions: tuple[ScoringFunction, ...] = (),
+        summary: Optional[Expr] = None,  # None means: sum of all function scores
+    ) -> None:
+        _set(self, "constants", constants)
+        _set(self, "functions", functions)
+        _set(self, "summary", summary)
 
     def constant_map(self) -> dict[str, Value]:
         return dict(self.constants)
@@ -137,7 +204,7 @@ CONST, SUMMARY, SCORING_FUNCTION, SUM, POINT = "const", "summary", "scoring_func
 BOOLEANS = {"true": True, "false": False}
 KEYWORDS = frozenset(
     {CONST, SUMMARY, SCORING_FUNCTION, SUM, POINT, *BOOLEANS, *(mode.value for mode in Frequency),
-     *(f.name for f in fields(ScoringFunction) if f.name != "name"), *filter(str.isalpha, [*BINARY, *UNARY])}
+     *ScoringFunction._fields[1:], *filter(str.isalpha, [*BINARY, *UNARY])}
 )
 # Names that may appear in expressions but can never be declared.
 RESERVED_NAMES = KEYWORDS | {"t", "seq_time"} | set(BUILTINS)

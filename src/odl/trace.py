@@ -18,10 +18,10 @@ path, which raises every diagnostic. The reader of one schema
 One loop head (`record_loop`) writes and compiles every generated pass over
 records: the reader, the writer and the engine's two programs. The writer
 and the message program splice one rule for messages into their loops
-(`message_fields`): its test takes a plain dict as it stands, and sends any
-other values, and what it refuses, to the reader's coercers
-(`message_checker`), which `reference_score` calls for every message it
-does not take untested.
+(`message_fields`): its test takes a plain dict or read values as they
+stand, and sends any other values, and what it refuses, to the reader's
+coercers (`message_checker`), which `reference_score` calls for every
+message it does not take untested.
 
 The reader gives each message's values as an immutable dict of a type that
 its schema's reader alone makes (`read_values_type`). The rule took them
@@ -521,20 +521,24 @@ def message_fields(
 ) -> tuple[dict[str, object], list[str]]:
     """The reader's rule for a message, as the namespace and the lines that
     bind each field of `values` (message `index`'s) to its local in `fields`
-    (u<k> if none). Values that are a plain dict are held to _TAKEN's tests;
-    any other values (a dict subclass too, which may answer a missing name
-    through __missing__), and what those tests refuse, go to
-    message_checker, which raises error or rebinds t, `values` and the
-    locals, converted.
+    (u<k> if none). Values that are a plain dict or read values (of any
+    schema's read_values_type, which answer no missing name) are held to
+    _TAKEN's tests; any other values (another dict subclass too, which may
+    answer a missing name through __missing__), and what those tests
+    refuse, go to message_checker, which raises error or rebinds t,
+    `values` and the locals, converted.
     Given `read`, read_values_type(schema), values of that type with a
     finite float t are taken as they stand: the reader's rule took them,
     and no method of theirs changes them."""
     names = schema.names()
-    namespace = {"_convert": message_checker(schema, error), "_isfinite": isfinite, "_Point2": Point2, "_Read": read}
+    namespace = {
+        "_convert": message_checker(schema, error), "_isfinite": isfinite, "_Point2": Point2, "_Read": read,
+        "_ReadValues": _ReadValues,
+    }
     bound = [fields.get(name, f"u{k}") for k, name in enumerate(names)]
     point = "(type({v}) is _Point2 or type({v}) is list)"
     test = " and ".join([
-        f"type(values) is dict and len(values) == {len(names)}",
+        f"(type(values) is dict or type(values).__base__ is _ReadValues) and len(values) == {len(names)}",
         *_taken(zip(bound, (k for _, k in schema.fields)), point),
     ])
     if read is not None:

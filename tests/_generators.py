@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import fields, is_dataclass, replace
 
 from odl import (
     Binary,
@@ -33,6 +32,7 @@ from odl import (
     Unary,
     check_od,
 )
+from odl.syntax import Struct
 
 _FIELD_POOL = (
     ("n0", Kind.NUMBER),
@@ -405,12 +405,12 @@ _SLOT_VALUES = (
 
 
 def _slots(value: object, path: tuple = ()):
-    """The path of every slot under `value`: dataclass field names and
-    tuple indices. A Point2 is a leaf."""
+    """The path of every slot under `value`: the names of a tree node's
+    `_fields` and tuple indices. A Point2 is a leaf."""
     yield path
-    if is_dataclass(value) and not isinstance(value, type):
-        for field in fields(value):
-            yield from _slots(getattr(value, field.name), (*path, field.name))
+    if isinstance(value, Struct):
+        for name in value._fields:
+            yield from _slots(getattr(value, name), (*path, name))
     elif type(value) is tuple:
         for index, item in enumerate(value):
             yield from _slots(item, (*path, index))
@@ -427,7 +427,7 @@ def _put(value: object, path: tuple, new: object) -> object:
         return new
     key, rest = path[0], path[1:]
     if isinstance(key, str):
-        return replace(value, **{key: _put(getattr(value, key), rest, new)})
+        return value._replace(**{key: _put(getattr(value, key), rest, new)})
     items = list(value)
     items[key] = _put(items[key], rest, new)
     return tuple(items)

@@ -9,6 +9,8 @@ executable). Each run prints the sha256 digests of:
   and line program, and the source of the generator schema's record reader
   and record writer (what `GENERATED_SOURCE_SHA256`, `LINE_SOURCE_SHA256`,
   `READER_SOURCE_SHA256` and `WRITER_SOURCE_SHA256` in test_engine.py pin);
+- the reprs of the bundled oracles' trees, and the CheckError text of a
+  definition whose event is not an expression node, which embeds its repr;
 - the trace of every `GOLDEN_DIGESTS` row of test_scenario.py;
 - the 450 reports of the replication corpus (30 solutions x 5 traces x the
   3 composite oracles of test_acceptance.py), as `report_to_json` writes
@@ -78,6 +80,7 @@ def _digests() -> dict[str, str]:
     import test_scenario
     from _traces import BATCHED_FILES, line_report, scorer_outcomes, trace_faults
     from odl import (
+        BUILTIN_NAMES, GEN_SCHEMA, CheckError, Frequency, Literal, Notification, OracleDefinition, ScoringFunction,
         TraceError, check_od, dump_trace, generate_trace, load_builtin, load_scenario, parse_od, parse_trace,
         reference_score, report_to_json, score_trace,
     )
@@ -89,6 +92,13 @@ def _digests() -> dict[str, str]:
     for name, digest in zip(("reader", "writer"), test_engine.record_source_digests(_MonkeyPatch())):
         digests[f"source record {name}"] = digest
     del odl.trace.compile
+    reprs = [repr(parse_od(load_builtin(name))) for name in BUILTIN_NAMES]
+    digests["node reprs"] = test_scenario.sha256("\n".join(reprs))
+    event = Notification("g", (("tm", Literal(1.0)),))
+    try:
+        check_od(OracleDefinition(functions=(ScoringFunction("f", event, Frequency.FIRST),)), GEN_SCHEMA)
+    except CheckError as err:
+        digests["CheckError text with a node repr"] = test_scenario.sha256(str(err))
     for name, seed in sorted(test_scenario.GOLDEN_DIGESTS):
         trace = generate_trace(test_scenario.golden_scenario(name), seed)
         digests[f"golden {name} {seed}"] = test_scenario.sha256(dump_trace(trace))

@@ -3,7 +3,6 @@
 import math
 import random
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -400,7 +399,7 @@ CHECK_ERRORS = [
         "event of 'f': unknown operator '%'", id="operands_before_operator",
     ),
     pytest.param(
-        replace(parse_od(load_builtin("listing1")), summary=Binary("%", Ident("speed"), Literal(3.0))), SCHEMA,
+        parse_od(load_builtin("listing1"))._replace(summary=Binary("%", Ident("speed"), Literal(3.0))), SCHEMA,
         "summary: unknown operator '%'", id="operator_before_summary_scope",
     ),
     pytest.param(
@@ -899,7 +898,7 @@ def test_a_checked_oracle_is_checked_when_it_is_made(event, text):
     assert checked == check_od(good, schema)
     assert checked.timers == {"f": frozenset()}
     bad = OracleDefinition(functions=(ScoringFunction("f", event, Frequency.ALL_SUM),))
-    for build in (check_od, CheckedOracle, lambda od, _: replace(checked, od=od)):
+    for build in (check_od, CheckedOracle, lambda od, _: checked._replace(od=od)):
         with pytest.raises(CheckError, match=f"^{re.escape(text)}$"):
             build(bad, schema)
 

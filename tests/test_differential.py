@@ -590,7 +590,7 @@ def test_near_overflow_engine_equals_reference(x, y):
     """Magnitudes near the largest double overflow in actions, scores,
     notification values or the summary; engine and reference fail alike."""
     trace = parse_trace(ERROR_TRACE)
-    od = replace(parse_od(_NEAR_OVERFLOW_OD), constants=(("x", x), ("y", y)))
+    od = parse_od(_NEAR_OVERFLOW_OD)._replace(constants=(("x", x), ("y", y)))
     checked = check_od(od, trace.schema)
     try:
         streaming = score_trace(checked, trace)

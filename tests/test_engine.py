@@ -386,13 +386,13 @@ def test_program_is_generated_on_first_scoring_and_kept(monkeypatch):
 # oracle checked against GEN_SCHEMA. A change to how the engine emits code
 # that should not change what it emits keeps every digest.
 GENERATED_SOURCE_SHA256 = {
-    "listing1": "122ad71025f08a2d46a7ad92eb9ed94d50a3f6c48e9effd801d56ff9adf6c9a4",
-    "listing2": "eaba86bb26766c7ba75e6d0675b687a671e1de383cd75b55ed37b48e16df71ba",
-    "listing3": "ab02808b84bcb891acd9608ecb12165d5f3f407cf8bb30fe2c98666b279ac834",
-    "listing4": "6a72b0ddc1f2552025a7f7237728ec5a014ab81b6c4299b47423c5bfec98b963",
-    "od1_rubric": "e43e62d3b1489a8e3cacab4edba1559ce6e5e7aaead517e6620ec4612595aae3",
-    "od2_competition": "2bd6eca819876c0af470c0d8e50c93bb94766c073ebebf343016f0f2b59587f9",
-    "od3_framework": "10109854231a22e78a411f71ad57e76cf7c93ab3907dd5949d34d99c5998413a",
+    "listing1": "be6946c0c589b0314f9dac51192a08b456c00ca6fdaf028bc9e095f6ec8caa1e",
+    "listing2": "8378d02d8092377fbf3ae36889f3901b42a9afe004ecaaf40762aca2264e3716",
+    "listing3": "06fe1b6736df44832b23c9c9b5de7a9c55dd26986c99b66a5311dcdded4dea6d",
+    "listing4": "472c67d8d242e0bd0f7d8f23f9ad32f7f086880170c87c95f8ee1fa6700f7de9",
+    "od1_rubric": "9f71828a01dea36ad09232414250fd2f023166068c2e8a3143bb030d30ebacf8",
+    "od2_competition": "374d09478465368bd78cd0162a1d185fc0cb5530330c8c9a21b61b2351aa2eef",
+    "od3_framework": "cb3652122b41bfccafdb507a5486cfeaae1a049c6673767da27af1c98395a39c",
 }
 
 
@@ -411,7 +411,7 @@ LINE_SOURCE_SHA256 = {
 # The sha256 of the Python source of the record reader and the record writer
 # of GEN_SCHEMA, which trace.record_loop writes as it writes both programs.
 READER_SOURCE_SHA256 = "533249e61fbc11d80cb75254dc631056dff92f6c1f0e99c9ab767c2992db5316"
-WRITER_SOURCE_SHA256 = "38c9d3c52b761bd2a8e1e1f1f699301b4531d7f272d7db8f3f1317d3e65ff978"
+WRITER_SOURCE_SHA256 = "28f2becd5a24bd400a1c943ac119981840357f6c73aebbbc5ab1dc7c126c8c5f"
 
 
 def record_source_digests(monkeypatch):

@@ -36,6 +36,7 @@ from odl import (
     write_trace,
 )
 from odl.cli import main
+import odl.trace
 from odl.engine import score_lines
 from odl.trace import (
     _decoded_batches,
@@ -43,6 +44,7 @@ from odl.trace import (
     _record_checker,
     _record_reader,
     _strict_json_object,
+    message_checker,
     read_trace_lines,
     read_values_type,
     schema_fault,
@@ -595,11 +597,47 @@ def test_dump_trace_compiles_no_record_reader():
 
 def test_dump_trace_tests_read_values_changed_through_dict_itself():
     # dict.__setitem__ changes read values past their type's refusals. The
-    # writer tests read values in full, so it refuses what that wrote.
+    # writer tests read values in full, so it refuses what that wrote, and
+    # a field swapped for another of the same count of fields.
     trace = parse_trace('{"n": "number"}\n{"t": 0, "n": 1}\n')
     dict.__setitem__(trace.messages[0].values, "n", "x")
     with pytest.raises(ValueError, match="^message 0: field 'n' must be a number$"):
         dump_trace(trace)
+    dict.__delitem__(trace.messages[0].values, "n")
+    dict.__setitem__(trace.messages[0].values, "m", 1.0)
+    with pytest.raises(ValueError, match="^message 0: field 'm' is not in the schema$"):
+        dump_trace(trace)
+
+
+def test_dump_trace_writes_read_values_without_the_coercers(monkeypatch):
+    """Read values, as plain dicts do, take the writer's inline test, so an
+    unchanged read trace calls no coercer of message_checker and is written
+    back as the text it was read from."""
+    calls = []
+
+    def counting(schema, error):
+        check = message_checker(schema, error)
+
+        def counted(*args):
+            calls.append(args[0])
+            return check(*args)
+
+        return counted
+
+    monkeypatch.setattr(odl.trace, "message_checker", counting)
+    # A schema of its own, so that the writer is made with the counting checker.
+    text = (
+        '{"dumped_n": "number", "dumped_b": "boolean", "dumped_p": "point2"}\n'
+        '{"t": 0.0, "dumped_n": 2.0, "dumped_b": true, "dumped_p": [3.0, 4.0]}\n'
+        '{"t": 1.5, "dumped_n": -1.5, "dumped_b": false, "dumped_p": [0.5, -0.0]}\n'
+    )
+    trace = parse_trace(text)
+    assert dump_trace(trace) == text
+    assert calls == []
+    # Values the test refuses, ints here, go to the counting checker, to be converted.
+    ints = TraceMessage(0, {"dumped_n": 2, "dumped_b": True, "dumped_p": [3, 4]})
+    assert dump_trace(trace._replace(messages=(ints, trace.messages[1]))) == text
+    assert calls == [0]
 
 
 def test_dump_orders_fields_canonically():
