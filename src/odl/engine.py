@@ -30,9 +30,11 @@ that every generated pass over records shares (`trace.record_loop`).
 Two programs are made so, each at its first use, and kept on the
 `CheckedOracle`; they differ only in how a record binds t and the fields:
 
-- `generate_program` binds them from a message held to the reader's rule
-  of its fields and values (`trace.message_fields`), and keeps the firing
-  log. `score_messages` (and so `score_trace`) is its only caller.
+- `generate_program` binds them from a message as `reference_score` does
+  (`trace.message_fields`): read values with a finite float t as they
+  stand, any other through the reader's coercers, which raise or convert
+  them. It keeps the firing log. `score_messages` (and so `score_trace`)
+  is its only caller.
 - `generate_line_program` binds them from a numbered line of a trace file
   through the reader's record gate (`trace.record_gate`), so it builds no
   message and keeps no firing log: its memory does not grow with the trace.
@@ -52,7 +54,7 @@ from .errors import EngineError, EvalError
 from .evaluate import binder, emit_expr, emit_value, non_finite, runtime
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
 from .syntax import Expr, Frequency, Literal, format_expr
-from .trace import Trace, TraceMessage, message_fields, read_values_type, record_gate, record_loop
+from .trace import Trace, TraceMessage, message_fields, record_gate, record_loop
 
 if TYPE_CHECKING:
     from .checker import CheckedOracle
@@ -241,12 +243,13 @@ def generate_program(checked: CheckedOracle) -> Program:
     """Generate, compile and return the scoring program of a checked oracle:
     a function of an iterable of messages, pulled one at a time so errors
     come in their order, that keeps the firing log. It binds each message
-    through trace.message_fields, which raises EngineError for fields or
-    values the reader refuses, then refuses a decreasing t."""
+    through trace.message_fields, which takes read values as they stand and
+    sends any other to the reader's coercers, which raise EngineError for
+    fields or values the reader refuses; then it refuses a decreasing t."""
     parts = _emit(checked, log=True)
-    namespace, read = message_fields(checked.schema, parts.fields, EngineError, read_values_type(checked.schema))
+    namespace, fields = message_fields(checked.schema, parts.fields, EngineError)
     parts.namespace.update(namespace)
-    bind = ["t, values = message", *read, "if t < prev_t: raise _regress(index, t, prev_t)"]
+    bind = ["t, values = message", *fields, "if t < prev_t: raise _regress(index, t, prev_t)"]
     return _program(parts, "messages", "message", bind)
 
 

@@ -24,17 +24,16 @@ Each function has one row of state, made before the walk: its position,
 its `Env` (the schema's field names with `t`, the constants and its timer
 table), its closures, built against and called with that `Env`, so each
 name is resolved and each node over constants folded once per call, and
-its tables. The walk holds each message to the reader's rule (a mapping,
-its names, t, each value) with `trace.message_checker`, the reader's
-coercers themselves, not the engine's generated test, which write the
-fields, converted, into the dict all Envs share; then it checks t's order:
-the first fault in message order is raised, as the engine raises it. A
-message read from a trace of the oracle's schema, whose values are of
-`trace.read_values_type` and whose t is a finite float, is written into
-that dict untested: the reader took those values, and no method of theirs
-changes them. Only a
-notification's target is looked up by name, in one name -> timer-table
-map. Only the timer tables that exist run down, and a message at which
+its tables. The walk admits each message as the engine's message program
+does. One read from a trace of the oracle's schema, whose values are of
+`trace.read_values_type` and whose t is a finite float, is written into the
+dict all Envs share untested: the reader took those values, and no method
+of theirs changes them. Any other is held to the reader's rule (a mapping,
+its names, t, each value) by `trace.message_checker`, the reader's
+coercers, which write the fields, converted, into that dict. Then it checks
+t's order: the first fault in message order is raised, as the engine
+raises it. Only a notification's target is looked up by name, in one
+name -> timer-table map. Only the timer tables that exist run down, and a message at which
 nothing fired queues its notifications in no new object.
 """
 

@@ -21,7 +21,7 @@ deliberately independent (braking episodes do not move the speed channel).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
@@ -208,20 +208,12 @@ def validate_scenario(scenario: Scenario) -> None:
 def _tick_range(ep: Episode, tick: float, n: int) -> tuple[int, int]:
     """(lo, hi): the tick indices i < n with start - 1e-9 <= i * tick <=
     end + 1e-9, lo > hi when there are none. i * tick never decreases as i
-    grows, so they form one run; its ends are estimated by division and
-    then moved to where the predicate itself changes."""
-    low, high = ep.start - 1e-9, ep.end + 1e-9
-    lo = max(0, math.ceil(low / tick))
-    while lo > 0 and low <= (lo - 1) * tick:
-        lo -= 1
-    while lo < n and not low <= lo * tick:
-        lo += 1
-    hi = min(n - 1, math.floor(high / tick))
-    while hi + 1 < n and (hi + 1) * tick <= high:
-        hi += 1
-    while hi >= lo and not hi * tick <= high:
-        hi -= 1
-    return lo, hi
+    grows, so they form one run, whose ends bisection finds by that
+    predicate itself."""
+    def key(i: int) -> float:
+        return i * tick
+
+    return bisect_left(range(n), ep.start - 1e-9, key=key), bisect_right(range(n), ep.end + 1e-9, key=key) - 1
 
 
 def _collision_tick(ep: Episode, tick: float, n: int) -> int:

@@ -16,19 +16,19 @@ path, which raises every diagnostic. The reader of one schema
 `write_trace` writes a trace line by line as its messages are taken, once
 `schema_fault`, the reader's schema rule, passes; `dump_trace` joins them.
 One loop head (`record_loop`) writes and compiles every generated pass over
-records: the reader, the writer and the engine's two programs. The writer
-and the message program splice one rule for messages into their loops
-(`message_fields`): its test takes a plain dict or read values as they
-stand, and sends any other values, and what it refuses, to the reader's
-coercers (`message_checker`), which `reference_score` calls for every
-message it does not take untested.
+records: the reader, the writer and the engine's two programs. A message
+built in memory is held to the reader's coercers (`message_checker`),
+which raise the reader's diagnostics or convert its values.
 
 The reader gives each message's values as an immutable dict of a type that
 its schema's reader alone makes (`read_values_type`). The rule took them
-when they were read, and no method of theirs changes them, so the message
-program and `reference_score` test such values again only when t is not a
-finite float. The writer, and any other values, copies of read ones
-included, take the full test.
+when they were read, and no method of theirs changes them, so the engine's
+message program (`message_fields`) and `reference_score` take such values
+with a finite float t as they stand and send any other message to the
+coercers. The writer, whose traffic is mostly messages built in memory
+(`odl gen`'s), holds a plain dict or read values to the rule's generated
+test (`_TAKEN`) and sends any other values, and what it refuses, to the
+coercers.
 
 `Point2`, `TraceSchema`, `TraceMessage` and `Trace` are named tuples: they
 iterate, compare equal to a plain tuple of the same fields, and are derived
@@ -254,16 +254,28 @@ def _record_checker(schema: TraceSchema) -> Callable[[dict, int, int], tuple[flo
 _scan = json.JSONDecoder().scan_once
 
 
-def _numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+# What str.splitlines() splits at.
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _numbered_lines(pieces: Iterable[str]) -> Iterator[tuple[int, str]]:
     """(1-based line number, line) with lines split exactly as str.splitlines()
-    splits the whole text. Files split on fewer characters (a form feed, for
-    one, is a line break to splitlines), so each piece is split again."""
-    lineno = 0
+    splits the whole text that the pieces join to. Files split on fewer
+    characters (a form feed, for one, is a line break to splitlines), so
+    each piece is split again. A piece's last line, unless a break other
+    than "\r" ends it, is carried into the next, which may go on with the
+    line or with the "\n" of a "\r\n"; an empty piece adds nothing."""
+    lineno, carry = 0, ""
     try:
-        for chunk in lines:
-            for line in chunk.splitlines() or ("",):
-                lineno += 1
-                yield lineno, line
+        for piece in pieces:
+            if not piece:
+                continue
+            lines = (carry + piece).splitlines()
+            end = piece[-1]
+            carry = lines.pop() + end if end == "\r" else "" if end in _LINE_BREAKS else lines.pop()
+            yield from enumerate(lines, lineno + 1)
+            lineno += len(lines)
+        yield from enumerate(carry.splitlines(), lineno + 1)
     except UnicodeDecodeError as exc:
         # A batch of _decoded_batches that does not decode is decoded a line
         # at a time, which puts the bad bytes on the line after the last one
@@ -412,9 +424,10 @@ def read_values_type(schema: TraceSchema) -> type:
     """The type of the values of each message read_trace reads under
     `schema`, made and cached with its record reader. Only that reader makes
     one, of values its rule took, and no method of theirs changes them, so
-    such values with a finite float t need no second test where
-    message_fields is given this type. A reader made again after
-    the cache evicted this one makes another type."""
+    such values with a finite float t need no second test: message_fields
+    and reference_score take them as they stand. A reader made again after
+    the cache evicted this one makes another type, whose values both send
+    to message_checker."""
     return _record_reader(schema)[1]
 
 
@@ -453,8 +466,9 @@ def read_trace_lines(source: TraceSource) -> tuple[TraceSchema, Iterator[tuple[i
     bytes, as bytes, a bytearray or a memoryview, or a file whose reads
     return bytes, read and decoded in batches of whole lines; or any other
     iterable of text, such as a text file, taken as it is. Each piece is
-    split again at line breaks, so the lines are those of the whole text's
-    splitlines(). A bad byte raises TraceError
+    split again at line breaks, and a line that runs across pieces is
+    joined, so the lines are those of the whole text's splitlines(),
+    wherever it was cut. A bad byte raises TraceError
     naming the line before it; a text file decodes ahead in blocks, so
     there the bad byte lies somewhere after the line named."""
     if isinstance(source, str):
@@ -490,9 +504,9 @@ def message_checker(schema: TraceSchema, error: Callable[[str], Exception]) -> C
     the first fault (values that are not a mapping, a foreign field, a
     missing one, t, each field in schema order) in the reader's words, or
     writes the fields into `into`, each as the reader converts it, and
-    returns (t, into), t converted. reference_score calls it for each
-    message it does not take untested; message_fields' lines call it for
-    each their test refuses."""
+    returns (t, into), t converted. reference_score and the lines of
+    message_fields call it for each message they do not take untested, the
+    writer for each its generated test refuses."""
     keys = dict.fromkeys(schema.names()).keys()
     fields = tuple((name, _COERCE[kind], f"field '{name}'") for name, kind in schema.fields)
 
@@ -517,42 +531,25 @@ def message_checker(schema: TraceSchema, error: Callable[[str], Exception]) -> C
 
 
 def message_fields(
-    schema: TraceSchema, fields: Mapping[str, str], error: Callable[[str], Exception], read: type | None = None
+    schema: TraceSchema, fields: Mapping[str, str], error: Callable[[str], Exception]
 ) -> tuple[dict[str, object], list[str]]:
     """The reader's rule for a message, as the namespace and the lines that
-    bind each field of `values` (message `index`'s) to its local in `fields`
-    (u<k> if none). Values that are a plain dict or read values (of any
-    schema's read_values_type, which answer no missing name) are held to
-    _TAKEN's tests; any other values (another dict subclass too, which may
-    answer a missing name through __missing__), and what those tests
-    refuse, go to message_checker, which raises error or rebinds t,
-    `values` and the locals, converted.
-    Given `read`, read_values_type(schema), values of that type with a
-    finite float t are taken as they stand: the reader's rule took them,
-    and no method of theirs changes them."""
-    names = schema.names()
-    namespace = {
-        "_convert": message_checker(schema, error), "_isfinite": isfinite, "_Point2": Point2, "_Read": read,
-        "_ReadValues": _ReadValues,
-    }
-    bound = [fields.get(name, f"u{k}") for k, name in enumerate(names)]
-    point = "(type({v}) is _Point2 or type({v}) is list)"
-    test = " and ".join([
-        f"(type(values) is dict or type(values).__base__ is _ReadValues) and len(values) == {len(names)}",
-        *_taken(zip(bound, (k for _, k in schema.fields)), point),
-    ])
-    if read is not None:
-        test = f"type(values) is _Read and type(t) is float and _isfinite(t) or {test}"
-    lines, convert = [f"taken = {test}"], ["t, values = _convert(index, t, values, {})"]
-    if names:
-        namespace["_fields"] = itemgetter(*names)
+    bind each field of `values` (message `index`'s) named in `fields` to
+    its local. Values of read_values_type(schema) with a finite float t are
+    taken as they stand: the reader's rule took them, and no method of
+    theirs changes them. Any other values go to message_checker, which
+    raises error or rebinds t and `values`, converted, as reference_score
+    does."""
+    namespace = {"_convert": message_checker(schema, error), "_isfinite": isfinite, "_Read": read_values_type(schema)}
+    lines = [
+        "if type(values) is not _Read or type(t) is not float or not _isfinite(t):",
+        "    t, values = _convert(index, t, values, {})",
+    ]
+    if fields:
+        namespace["_fields"] = itemgetter(*fields)
         # Of one name, itemgetter gives a value, not a tuple.
-        bind = f"{', '.join(bound)} = _fields(values)"
-        lines = [
-            "try:", f"    {bind}", "except (KeyError, TypeError):", "    taken = False", "else:", f"    taken = {test}",
-        ]
-        convert.append(bind)
-    return namespace, [*lines, "if not taken:", *("    " + line for line in convert)]
+        lines.append(f"{', '.join(fields.values())} = _fields(values)")
+    return namespace, lines
 
 
 # Cached so that dumping many traces of one schema compiles one writer.
@@ -561,14 +558,29 @@ def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage], Cal
     """Generate, compile and return the record writer of one schema: a
     function of any iterable of messages and a `write` callable, which it
     calls with each message's line, followed by a line break, as the
-    message is taken. Each message is held to message_fields in full, read
-    ones too, so the writer needs no record reader; a fault is a
-    ValueError, and its line is one f-string of the exact floats, bools and
+    message is taken. Values that are a plain dict or read values (of any
+    schema's read_values_type, which answer no missing name) take _TAKEN's
+    tests, read ones too, so the writer needs no record reader; any other
+    values (a dict subclass may answer a missing name through __missing__),
+    and what those tests refuse, go to message_checker. A fault is a
+    ValueError, and a line is one f-string of the exact floats, bools and
     two-float points it binds: what json.JSONEncoder writes of them."""
     names = schema.names()
     fields = [f"x{k}" for k in range(len(names))]
-    namespace, read = message_fields(schema, dict(zip(names, fields)), ValueError)
-    namespace["_bool"] = ("false", "true")
+    namespace = {
+        "_convert": message_checker(schema, ValueError), "_isfinite": isfinite, "_Point2": Point2,
+        "_ReadValues": _ReadValues, "_bool": ("false", "true"),
+    }
+    test = " and ".join([
+        f"(type(values) is dict or type(values).__base__ is _ReadValues) and len(values) == {len(names)}",
+        *_taken(zip(fields, (kind for _, kind in schema.fields)), "(type({v}) is _Point2 or type({v}) is list)"),
+    ])
+    check, convert = [f"taken = {test}"], ["t, values = _convert(index, t, values, {})"]
+    if names:
+        namespace["_fields"] = itemgetter(*names)
+        bind = f"{', '.join(fields)} = _fields(values)"
+        check = ["try:", f"    {bind}", "except (KeyError, TypeError):", "    taken = False", "else:", f"    taken = {test}"]
+        convert.append(bind)
     # write_trace has refused every name that is not a name of the language,
     # so none needs an escape, in JSON or in the f-string.
     body = ""
@@ -581,7 +593,7 @@ def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage], Cal
         else:
             body += f"[{{{var}[0]!r}}, {{{var}[1]!r}}]"
     line = "f" + repr('{{"t": {t!r}' + body + "}}\n")
-    bind = ["t, values = message", *read]
+    bind = ["t, values = message", *check, "if not taken:", *("    " + step for step in convert)]
     return record_loop(namespace, "write_records(messages, write)", "message", "messages", [], bind, [f"write({line})"])
 
 

@@ -159,8 +159,8 @@ def trace_faults() -> list[tuple[CheckedOracle, Trace, type[OdlError], str]]:
         (reads_b0, built(first, second._replace(t="1", values=None), third), EngineError,
          "message 1: values must be a mapping, not NoneType"),
         # Values that read as a mapping but are not one, good or bad, and a
-        # dict subclass whose missing field reads as 0.0: only a dict is
-        # taken by the message program's test.
+        # dict subclass whose missing field reads as 0.0: each goes to the
+        # reader's coercers, which refuse it.
         (reads_n, holding(NotAMapping({"n": 1.0})), EngineError,
          "message 0: values must be a mapping, not NotAMapping"),
         (reads_n, holding(NotAMapping({"n": math.nan})), EngineError,

@@ -17,6 +17,10 @@ executable). Each run prints the sha256 digests of:
   them, through `score_trace` with the firing log, through `score_lines`
   and through `reference_score`, which folds constant arithmetic when it
   builds its closures;
+- the reports, with firing logs, of `score_trace` of each bundled oracle
+  on a hand-built copy of an eventful trace, whose integral times are ints
+  and whose points are lists, so that the reader's coercers convert every
+  message;
 - the outcome (report or error text) of `score_messages`, `score_trace`
   and `reference_score` on each hand-built trace of `trace_faults` in
   _traces.py, and of `dump_trace` (its text, or its ValueError text);
@@ -81,8 +85,8 @@ def _digests() -> dict[str, str]:
     from _traces import BATCHED_FILES, line_report, scorer_outcomes, trace_faults
     from odl import (
         BUILTIN_NAMES, GEN_SCHEMA, CheckError, Frequency, Literal, Notification, OracleDefinition, ScoringFunction,
-        TraceError, check_od, dump_trace, generate_trace, load_builtin, load_scenario, parse_od, parse_trace,
-        reference_score, report_to_json, score_trace,
+        Point2, TraceError, TraceMessage, check_od, dump_trace, generate_trace, load_builtin, load_example_scenario,
+        load_scenario, parse_od, parse_trace, reference_score, report_to_json, score_trace,
     )
 
     digests = {}
@@ -115,6 +119,19 @@ def _digests() -> dict[str, str]:
         digests[f"replication score_lines {name}"] = test_scenario.sha256("\n".join(lines))
         references = [report_to_json(reference_score(checked, trace), include_firings=True) for trace in traces]
         digests[f"replication reference_score {name}"] = test_scenario.sha256("\n".join(references))
+    eventful = generate_trace(load_scenario(load_example_scenario("eventful")), 7)
+    hand_built = eventful._replace(messages=tuple(
+        TraceMessage(
+            int(t) if t.is_integer() else t,
+            {name: list(value) if type(value) is Point2 else value for name, value in values.items()},
+        )
+        for t, values in eventful.messages
+    ))
+    reports = [
+        report_to_json(score_trace(check_od(parse_od(load_builtin(name)), GEN_SCHEMA), hand_built), include_firings=True)
+        for name in BUILTIN_NAMES
+    ]
+    digests["hand-built eventful trace, score_trace"] = test_scenario.sha256("\n".join(reports))
     outcomes = [scorer_outcomes(checked, trace) for checked, trace, _, _ in trace_faults()]
     digests["hand-built faults, three scorers"] = test_scenario.sha256(json.dumps(outcomes))
     outcomes = []

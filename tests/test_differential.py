@@ -6,6 +6,7 @@ import random
 import re
 import sys
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -477,9 +478,10 @@ def test_a_trace_whose_reader_was_evicted_still_scores_as_the_reference():
     assert score_trace(after, parse_trace(ERROR_TRACE)) == report
 
 
-def test_reference_tests_no_read_message_again(monkeypatch):
-    """reference_score calls message_checker's function for each message
-    built by hand and for none read from a trace."""
+def _count_checker_calls(monkeypatch, module):
+    """The list into which message_checker's functions, made through
+    `module`'s name for it from now on, append the index of each message
+    they are called for."""
     calls = []
 
     def counting(schema, error):
@@ -491,10 +493,28 @@ def test_reference_tests_no_read_message_again(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(odl.reference, "message_checker", counting)
+    monkeypatch.setattr(module, "message_checker", counting)
+    return calls
+
+
+def test_reference_tests_no_read_message_again(monkeypatch):
+    """reference_score calls message_checker's function for each message
+    built by hand and for none read from a trace."""
+    calls = _count_checker_calls(monkeypatch, odl.reference)
     trace = parse_trace(ERROR_TRACE)
     checked = check_od(parse_od("f = scoring_function(event = b0, action = n0, frequency = all_sum);"), trace.schema)
     assert reference_score(checked, trace) == reference_score(checked, plain(trace))
+    assert calls == [0, 1, 2]
+
+
+def test_message_program_tests_no_read_message_again(monkeypatch):
+    """The message program, as reference_score, calls message_checker's
+    function once for each message built by hand and for none read from a
+    trace of its schema: it has no test of its own."""
+    calls = _count_checker_calls(monkeypatch, odl.trace)
+    trace = parse_trace(ERROR_TRACE)
+    checked = check_od(parse_od("f = scoring_function(event = b0, action = n0, frequency = all_sum);"), trace.schema)
+    assert score_trace(checked, trace) == score_trace(checked, plain(trace)) == reference_score(checked, trace)
     assert calls == [0, 1, 2]
 
 
@@ -550,6 +570,58 @@ def test_no_score_that_a_trace_file_cannot_give(trace):
         assert scorer_outcomes(_READS_ALL, trace) == [f"EngineError: {exc}"] * 3
     else:
         assert scorer_outcomes(_READS_ALL, trace) == scorer_outcomes(_READS_ALL, parse_trace(text))
+
+
+class _Subclass(dict):
+    pass
+
+
+class _ZeroDefault(dict):
+    def __missing__(self, name):
+        return 0.0
+
+
+_READS_T = check_od(parse_od("f = scoring_function(event = t > 0, action = 1, frequency = all_sum);"), _POINT_SCHEMA)
+# What a message's values may be held in, besides a plain dict: dict
+# subclasses (one answering a missing name), a read-only mapping, values
+# read under a schema whose p is a number, and things that are no mapping.
+_CONTAINERS = st.sampled_from([
+    dict, _Subclass, _ZeroDefault, MappingProxyType, lambda values: list(values.items()), lambda values: None,
+    lambda values: "nbp",
+    lambda values: parse_trace('{"n": "number", "b": "boolean", "p": "number"}\n{"t": 0, "n": 1, "b": true, "p": 2}\n')
+    .messages[0].values,
+])
+
+
+@st.composite
+def _hand_built_mappings(draw):
+    """A trace of _hand_built_traces whose messages' values may lack a field,
+    hold a foreign one, or be held in one of _CONTAINERS, each one time in
+    six."""
+    messages = []
+    for t, values in draw(_hand_built_traces()).messages:
+        if not draw(st.integers(0, 5)):
+            del values[draw(st.sampled_from(sorted(values)))]
+        if not draw(st.integers(0, 5)):
+            values[draw(st.sampled_from(["z", "t", 1]))] = 1.0
+        messages.append(TraceMessage(t, draw(_CONTAINERS)(values) if not draw(st.integers(0, 5)) else values))
+    return Trace(_POINT_SCHEMA, tuple(messages))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hand_built_mappings())
+def test_the_writer_refuses_a_hand_built_message_as_the_scorers_do(trace):
+    """The writer's generated test, the only one a message meets outside the
+    reader, refuses a hand-built trace exactly when the scorers' coercers
+    do, in the same words, whether or not the oracle reads the fields."""
+    try:
+        text = dump_trace(trace)
+    except ValueError as exc:
+        for checked in (_READS_ALL, _READS_T):
+            assert scorer_outcomes(checked, trace) == [f"EngineError: {exc}"] * 3
+    else:
+        for checked in (_READS_ALL, _READS_T):
+            assert scorer_outcomes(checked, trace) == scorer_outcomes(checked, parse_trace(text))
 
 
 def test_unreached_errors_raise_in_neither():

@@ -386,13 +386,13 @@ def test_program_is_generated_on_first_scoring_and_kept(monkeypatch):
 # oracle checked against GEN_SCHEMA. A change to how the engine emits code
 # that should not change what it emits keeps every digest.
 GENERATED_SOURCE_SHA256 = {
-    "listing1": "be6946c0c589b0314f9dac51192a08b456c00ca6fdaf028bc9e095f6ec8caa1e",
-    "listing2": "8378d02d8092377fbf3ae36889f3901b42a9afe004ecaaf40762aca2264e3716",
-    "listing3": "06fe1b6736df44832b23c9c9b5de7a9c55dd26986c99b66a5311dcdded4dea6d",
-    "listing4": "472c67d8d242e0bd0f7d8f23f9ad32f7f086880170c87c95f8ee1fa6700f7de9",
-    "od1_rubric": "9f71828a01dea36ad09232414250fd2f023166068c2e8a3143bb030d30ebacf8",
-    "od2_competition": "374d09478465368bd78cd0162a1d185fc0cb5530330c8c9a21b61b2351aa2eef",
-    "od3_framework": "cb3652122b41bfccafdb507a5486cfeaae1a049c6673767da27af1c98395a39c",
+    "listing1": "327dc032d5d03c1e578326fa8e81d9b689a4689168d184a42b118fe315bb71a7",
+    "listing2": "52465563a3b4c9f929db92740e46fa565013d521fe901718082dad5ad3da69e7",
+    "listing3": "504d5d0c2523a9439b20e765a98c9238ee8c16a0a343eab6c95564571e009b44",
+    "listing4": "76f5e06872e05ebabd4863f44bef99c0c481e4d6a5a003e31780c5af7aa26e4c",
+    "od1_rubric": "32ee38c7ea038f543e8d3fd5cab40a39dd9f786715fcc2bfb14cad7bb6f87e77",
+    "od2_competition": "b036d33bccad811c263de53f6ff7d920df8c4e156e0f4a23dcf987c910ad4111",
+    "od3_framework": "cadf3fff3346dc0f0ad762349d432c1db03f575af0e5f060de2b335c7df35bf9",
 }
 
 

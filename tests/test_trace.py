@@ -382,7 +382,7 @@ def test_generated_reader_agrees_with_the_strict_path():
             records.append(_random_record(rng, schema, t))
         schema_line = json.dumps({name: kind.value for name, kind in schema.fields})
         expected = _strict_read(schema, records)
-        got = _read([schema_line, *records])
+        got = _read([line + "\n" for line in (schema_line, *records)])
         assert repr(got) == repr(expected)
         for message in got[0]:  # built by the gate or by the strict path
             assert type(message) is TraceMessage
@@ -399,7 +399,7 @@ def test_read_trace_reads_records_lazily():
     read = []
 
     def lines():
-        for line in (SCHEMA, GOOD, "not json"):
+        for line in (SCHEMA, GOOD + "\n", "not json\n"):
             read.append(line)
             yield line
 
@@ -492,6 +492,34 @@ def test_batched_lines_are_the_lines_decoded_one_at_a_time(case, tmp_path):
     lines, expected = one_at_a_time
     after_schema = next(k for k, (_, line) in enumerate(lines) if line.strip()) + 1
     assert (pairs, error) == (lines[after_schema:], expected)
+
+
+# Every line break of str.splitlines(), and the lines of a trace of SCHEMA's
+# fields: good records, a decreasing t, blank lines and malformed ones.
+_SPLITLINES_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_CUT_LINES = [GOOD, '{"t": 1.5, "x": -2.5, "b": false, "p": [0.5, 1]}', "", " \t", '{"t": 0, "x": ', "not json"]
+
+
+@st.composite
+def _cut_trace_texts(draw):
+    """A trace text, its lines ended by any line break (the last by none,
+    maybe), and the pieces of one cut of it, some of them empty."""
+    lines = [SCHEMA.rstrip("\n"), *draw(st.lists(st.sampled_from(_CUT_LINES), max_size=6))]
+    breaks = st.sampled_from(_SPLITLINES_BREAKS)
+    text = "".join(line + draw(breaks) for line in lines[:-1]) + lines[-1] + draw(st.one_of(breaks, st.just("")))
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=8)))
+    return text, [text[start:end] for start, end in zip([0, *cuts], [*cuts, len(text)])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cut_trace_texts())
+def test_any_cut_of_a_trace_text_reads_as_the_whole_text(cut):
+    """read_trace_lines over an iterable of text reads the lines of the whole
+    text's splitlines(), wherever it was cut: a line that runs across pieces,
+    a "\r\n" split between two, and an empty piece change nothing."""
+    text, pieces = cut
+    assert list(_numbered_lines(pieces)) == list(enumerate(text.splitlines(), 1))
+    assert _trace_outcome(parse_trace, pieces) == _trace_outcome(parse_trace, text)
 
 
 def test_duration_examples():
