@@ -78,7 +78,7 @@ class CheckedOracle(Struct):
         """The scoring function of numbered trace lines, without the firing
         log, made by `engine.generate_line_program` on first use and kept:
         `program`'s scoring, with each record bound through the trace
-        reader's gate. Only `engine.score_lines` calls it."""
+        reader's gate. Only `engine.score_lines` without `log` calls it."""
         return generate_line_program(self)
 
     def _messages_of(self, trace: Trace) -> tuple[TraceMessage, ...]:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import IO, ContextManager
 
 from .checker import CheckedOracle, check_od
-from .engine import report_to_json, report_to_text, score_lines, score_messages
+from .engine import report_to_json, report_to_text, score_lines
 from .errors import AnalysisError, CheckError, EvalError, OdlError, TraceError
 from .parser import parse_od
 from .rank import (
@@ -29,7 +29,7 @@ from .rank import (
     write_ranks_csv,
     write_scores_csv,
 )
-from .trace import TraceSchema, read_trace, read_trace_lines, write_trace
+from .trace import TraceSchema, read_trace_lines, write_trace
 
 
 def _read_input(path: str) -> str:
@@ -83,12 +83,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     od = parse_od(_read_input(args.od))
     with open(args.trace, "rb") as file:
-        if args.log_firings:
-            schema, messages = read_trace(file)
-            report = score_messages(check_od(od, schema), messages)
-        else:
-            schema, lines = read_trace_lines(file)
-            report = score_lines(check_od(od, schema), lines)
+        schema, lines = read_trace_lines(file)
+        report = score_lines(check_od(od, schema), lines, log=args.log_firings)
     if args.report == "machine":
         text = report_to_json(report, include_firings=args.log_firings) + "\n"
     else:

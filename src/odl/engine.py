@@ -34,12 +34,12 @@ Two programs are made so, each at its first use, and kept on the
   (`trace.message_fields`): read values with a finite float t as they
   stand, any other through the reader's coercers, which raise or convert
   them. It keeps the firing log. `score_messages` (and so `score_trace`)
-  is its only caller.
+  is its only caller; no CLI command runs it.
 - `generate_line_program` binds them from a numbered line of a trace file
   through the reader's record gate (`trace.record_gate`), so it builds no
   message and keeps no firing log: its memory does not grow with the trace.
-  `score_lines`, which `odl score` and `odl batch` call, is its only
-  caller.
+  `score_lines`, which every CLI scoring runs, is its only caller; with
+  `log` it compiles one that keeps the log, for that call.
 
 `reference.reference_score` implements the same semantics independently.
 """
@@ -253,18 +253,19 @@ def generate_program(checked: CheckedOracle) -> Program:
     return _program(parts, "messages", "message", bind)
 
 
-def generate_line_program(checked: CheckedOracle) -> LineProgram:
+def generate_line_program(checked: CheckedOracle, log: bool = False) -> LineProgram:
     """Generate, compile and return the line program of a checked oracle:
-    generate_program's scoring, without the firing log, over the (line
-    number, line) pairs of the records of a trace of its schema.
+    generate_program's scoring, with the firing log if `log` is set, over
+    the (line number, line) pairs of the records of a trace of its schema.
 
     Each line goes through trace.record_gate, which checks every field,
     refuses a decreasing t and binds the fields the oracle reads (a point
     as the gate's two-float list, which `distance` reads as it reads a
-    Point2). So no message is built, memory does not grow with the trace,
-    and a line the gate refuses raises the reader's diagnostic at its place.
+    Point2). So no message is built, memory grows with the trace only by
+    the firing log, and a line the gate refuses raises the reader's
+    diagnostic at its place.
     """
-    parts = _emit(checked, log=False)
+    parts = _emit(checked, log)
     namespace, gate = record_gate(checked.schema, parts.fields)
     parts.namespace.update(namespace)
     return _program(parts, "numbered", "lineno, line", gate)
@@ -282,12 +283,13 @@ def score_messages(checked: CheckedOracle, messages: Iterable[TraceMessage]) -> 
     return checked.program(messages)
 
 
-def score_lines(checked: CheckedOracle, numbered: Iterable[tuple[int, str]]) -> ScoreReport:
+def score_lines(checked: CheckedOracle, numbered: Iterable[tuple[int, str]], log: bool = False) -> ScoreReport:
     """Score the (line number, line) pairs of the records of a trace of the
     schema `checked` was checked against, such as read_trace_lines returns,
     by running its line program (compiled at the first call). Memory does
-    not grow with the trace: the report has no firing log."""
-    return checked.line_program(numbered)
+    not grow with the trace: the report has no firing log, unless `log`
+    compiles a program that keeps it, for this call alone."""
+    return (generate_line_program(checked, log=True) if log else checked.line_program)(numbered)
 
 
 def score_trace(checked: CheckedOracle, trace: Trace) -> ScoreReport:

@@ -8,11 +8,12 @@ Seeded jitter is bounded so it can never cross an oracle threshold on its
 own; scores are therefore predictable from the scenario alone, and identical
 (scenario, seed) pairs yield byte-identical trace files.
 
-validate_scenario runs the rules that place episodes on samples: an interval
-episode must hold a tick by _tick_range's exact test, and each collision
-lands on its nearest tick (_collision_tick), no two on one. The first
-declared episode of a kind holds a tick it shares with a later one
+validate_scenario runs the rules that place episodes on samples (_place):
+an interval episode must hold a tick by _tick_range's exact test, and each
+collision lands on its nearest tick (_collision_tick), no two on one. The
+first declared episode of a kind holds a tick it shares with a later one
 (_active_runs), and an episode left with no tick of its own is refused.
+generate_messages places each episode once, by the same pass.
 
 This is a property-episode generator, not a vehicle model: the channels are
 deliberately independent (braking episodes do not move the speed channel).
@@ -125,14 +126,21 @@ def _numbers(scenario: Scenario) -> Iterator[tuple[str, float]]:
             yield name, number
 
 
-def _sample_count(scenario: Scenario) -> int:
-    return int(math.floor(scenario.duration / scenario.tick + 1e-9)) + 1
+# (lo, hi, episode) tick spans by episode kind: _tick_range's, or _active_runs'.
+_Runs = dict[str, list[tuple[int, int, Episode]]]
 
 
 def validate_scenario(scenario: Scenario) -> None:
     """Raise ScenarioError unless every number is finite, the trace has at
     most MAX_SAMPLES samples, and the constants and episodes are
     consistent (see the README's scenario section)."""
+    _place(scenario)
+
+
+def _place(scenario: Scenario) -> tuple[int, _Runs, dict[int, float]]:
+    """validate_scenario's checks, in their order, and what they place: the
+    sample count, each interval kind's runs, and each collision's tick
+    (mapped to the collision's start)."""
     for what, value in _numbers(scenario):
         if not math.isfinite(value):
             raise ScenarioError(f"{what} must be finite")
@@ -142,7 +150,7 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ScenarioError("duration must be a non-negative number of seconds")
     if not math.isfinite(scenario.duration / scenario.tick):
         raise ScenarioError("duration / tick overflows: too many samples")
-    if (n := _sample_count(scenario)) > MAX_SAMPLES:
+    if (n := int(math.floor(scenario.duration / scenario.tick + 1e-9)) + 1) > MAX_SAMPLES:
         raise ScenarioError(f"duration / tick gives more than {MAX_SAMPLES} samples")
     start, end = scenario.route_start, scenario.route_end
     if not (math.isfinite(end.x - start.x) and math.isfinite(end.y - start.y)):
@@ -152,6 +160,7 @@ def validate_scenario(scenario: Scenario) -> None:
     if _dist(scenario.route_start, scenario.destination) < _STANDOFF:
         raise ScenarioError(f"route start must lie at least {_STANDOFF} m from the destination")
     landed: dict[int, float] = {}
+    ranges: _Runs = {kind: [] for kind in EPISODE_KINDS}
     for ep in scenario.episodes:
         if ep.kind not in EPISODE_KINDS:
             raise ScenarioError(f"unknown episode kind '{ep.kind}'")
@@ -172,6 +181,7 @@ def validate_scenario(scenario: Scenario) -> None:
             if lo > hi:
                 raise ScenarioError(f"{ep.kind} episode [{ep.start}, {ep.end}] contains no sample tick "
                                     f"(tick = {scenario.tick})")
+            ranges[ep.kind].append((lo, hi, ep))
         params = _params(scenario, ep)
         if ep.kind == "speeding" and params["peak_speed"] <= scenario.speed_limit:
             raise ScenarioError("speeding episode peak_speed must exceed the speed limit")
@@ -186,15 +196,14 @@ def validate_scenario(scenario: Scenario) -> None:
             if cur.start < prev.end:
                 raise ScenarioError(f"{kind} episodes [{prev.start}, {prev.end}] and [{cur.start}, {cur.end}] overlap")
     # An interval episode must keep a tick under the generator's placement.
+    runs: _Runs = {}
     for kind in _INTERVAL_KINDS:
-        episodes = _episodes_of(scenario, kind)
-        runs = _active_runs(episodes, scenario.tick, n)
-        owners = {id(ep) for _, _, ep in runs}
-        for ep in episodes:
+        runs[kind] = _active_runs(ranges[kind])
+        owners = {id(ep) for _, _, ep in runs[kind]}
+        for lo, hi, ep in ranges[kind]:
             if id(ep) not in owners:
-                lo, hi = _tick_range(ep, scenario.tick, n)
                 held = list(dict.fromkeys(
-                    f"[{h.start}, {h.end}]" for h_lo, h_hi, h in runs if h_lo <= hi and lo <= h_hi
+                    f"[{h.start}, {h.end}]" for h_lo, h_hi, h in runs[kind] if h_lo <= hi and lo <= h_hi
                 ))
                 raise ScenarioError(
                     f"{kind} episode [{ep.start}, {ep.end}] never reaches the trace: the earlier-declared "
@@ -203,6 +212,7 @@ def validate_scenario(scenario: Scenario) -> None:
                 )
     if _episodes_of(scenario, "arrival") and _dist(scenario.route_end, scenario.destination) > _ARRIVAL_CLEARANCE:
         raise ScenarioError(f"arrival episodes require the route end within {_ARRIVAL_CLEARANCE} m of the destination")
+    return n, runs, landed
 
 
 def _tick_range(ep: Episode, tick: float, n: int) -> tuple[int, int]:
@@ -221,14 +231,14 @@ def _collision_tick(ep: Episode, tick: float, n: int) -> int:
     return min(n - 1, max(0, int(math.floor(ep.start / tick + 0.5))))
 
 
-def _active_runs(episodes: list[Episode], tick: float, n: int) -> list[tuple[int, int, Episode]]:
-    """Disjoint (lo, hi, episode) runs, ordered by lo: tick index i < n lies
-    in a run of the first of `episodes` (declaration order) whose
-    _tick_range holds i, and in none if there is no such episode. An episode keeps the part of its ticks that no episode
+def _active_runs(spans: Iterable[tuple[int, int, Episode]]) -> list[tuple[int, int, Episode]]:
+    """Disjoint (lo, hi, episode) runs, ordered by lo: tick index i lies in
+    a run of the first of the (lo, hi, episode) `spans` (declaration order,
+    each episode's _tick_range) whose span holds i, and in none if there is
+    no such span. An episode keeps the part of its ticks that no episode
     declared before it holds, so the first-declared wins a shared tick."""
     runs: list[tuple[int, int, Episode]] = []
-    for ep in episodes:
-        lo, hi = _tick_range(ep, tick, n)
+    for lo, hi, ep in spans:
         # From the first run that ends at or after lo: each run that starts
         # at or before hi holds ticks this episode loses.
         k = bisect_left(runs, lo, key=itemgetter(1))
@@ -287,24 +297,17 @@ def generate_messages(scenario: Scenario, seed: int) -> Iterator[TraceMessage]:
     with the sample count. The scenario is validated now, and
     ScenarioError raised for one validate_scenario refuses, before any
     message is asked for."""
-    validate_scenario(scenario)
-    return _messages(scenario, seed)
+    return _messages(scenario, seed, *_place(scenario))
 
 
-def _messages(scenario: Scenario, seed: int) -> Iterator[TraceMessage]:
+def _messages(
+    scenario: Scenario, seed: int, n: int, runs: _Runs, collision_ticks: Mapping[int, float]
+) -> Iterator[TraceMessage]:
     tick, duration = scenario.tick, scenario.duration
-    n = _sample_count(scenario)
     speeding, lane, decel = (
-        _by_tick(
-            [
-                (lo, hi, _params(scenario, ep)[param])
-                for lo, hi, ep in _active_runs(_episodes_of(scenario, kind), tick, n)
-            ],
-            n,
-        )
+        _by_tick([(lo, hi, _params(scenario, ep)[param]) for lo, hi, ep in runs[kind]], n)
         for kind, param in zip(_INTERVAL_KINDS, ("peak_speed", "offset", "rate"))
     )
-    collision_ticks = {_collision_tick(ep, tick, n) for ep in _episodes_of(scenario, "collision")}
     arrivals = _episodes_of(scenario, "arrival")
     arrival_start = min(ep.start for ep in arrivals) if arrivals else None
     cap = None if arrivals else _standoff_progress(scenario)

@@ -12,7 +12,8 @@ a lazy iterator of checked messages, and `parse_trace` collects that into
 a `Trace`. The value rule is stated once, per kind (`_TAKEN`). The record
 gate (`record_gate`) takes a canonical line; any other takes the strict
 path, which raises every diagnostic. The reader of one schema
-(`_record_reader`) and the engine's line program run it.
+(`_record_reader`) and the engine's line program run it; the CLI runs
+only the line program, so the reader serves only the library.
 `write_trace` writes a trace line by line as its messages are taken, once
 `schema_fault`, the reader's schema rule, passes; `dump_trace` joins them.
 One loop head (`record_loop`) writes and compiles every generated pass over

@@ -43,12 +43,13 @@ def encoder_dump(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def line_report(checked: CheckedOracle, trace: Trace) -> ScoreReport:
+def line_report(checked: CheckedOracle, trace: Trace, log: bool = False) -> ScoreReport:
     """The line program's report on the text of dump_trace(trace), read as
-    `odl score` reads a trace file: read_trace_lines, then score_lines."""
+    `odl score` reads a trace file: read_trace_lines, then score_lines,
+    with the firing log if `log` is set (`odl score --log-firings`)."""
     schema, lines = read_trace_lines(io.BytesIO(dump_trace(trace).encode()))
     assert schema == checked.schema
-    return score_lines(checked, lines)
+    return score_lines(checked, lines, log=log)
 
 
 # A trace of three messages whose evaluation can fail: n0 is 0 from message 1

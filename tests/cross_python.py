@@ -9,14 +9,16 @@ executable). Each run prints the sha256 digests of:
   and line program, and the source of the generator schema's record reader
   and record writer (what `GENERATED_SOURCE_SHA256`, `LINE_SOURCE_SHA256`,
   `READER_SOURCE_SHA256` and `WRITER_SOURCE_SHA256` in test_engine.py pin);
+- the source of each bundled oracle's line program with the firing log,
+  which `odl score --log-firings` compiles;
 - the reprs of the bundled oracles' trees, and the CheckError text of a
   definition whose event is not an expression node, which embeds its repr;
 - the trace of every `GOLDEN_DIGESTS` row of test_scenario.py;
 - the 450 reports of the replication corpus (30 solutions x 5 traces x the
   3 composite oracles of test_acceptance.py), as `report_to_json` writes
   them, through `score_trace` with the firing log, through `score_lines`
-  and through `reference_score`, which folds constant arithmetic when it
-  builds its closures;
+  without it and with it, and through `reference_score`, which folds
+  constant arithmetic when it builds its closures;
 - the reports, with firing logs, of `score_trace` of each bundled oracle
   on a hand-built copy of an eventful trace, whose integral times are ints
   and whose points are lists, so that the reader's coercers convert every
@@ -40,6 +42,7 @@ not collect it.
 
 from __future__ import annotations
 
+import builtins
 import io
 import json
 import subprocess
@@ -79,6 +82,7 @@ def _digests() -> dict[str, str]:
     sys.path[:0] = [str(SRC), str(TESTS)]
     _stub_pytest()
     import odl.trace
+    from odl.engine import generate_line_program
     import test_acceptance
     import test_engine
     import test_scenario
@@ -95,6 +99,11 @@ def _digests() -> dict[str, str]:
             digests[f"source {attribute} {name}"] = digest
     for name, digest in zip(("reader", "writer"), test_engine.record_source_digests(_MonkeyPatch())):
         digests[f"source record {name}"] = digest
+    sources = []
+    odl.trace.compile = lambda source, *args: sources.append(source) or builtins.compile(source, *args)
+    for name in BUILTIN_NAMES:
+        generate_line_program(check_od(parse_od(load_builtin(name)), GEN_SCHEMA), log=True)
+        digests[f"source logged line_program {name}"] = test_scenario.sha256(sources.pop())
     del odl.trace.compile
     reprs = [repr(parse_od(load_builtin(name))) for name in BUILTIN_NAMES]
     digests["node reprs"] = test_scenario.sha256("\n".join(reprs))
@@ -117,6 +126,8 @@ def _digests() -> dict[str, str]:
         lines = [report_to_json(line_report(checked, trace)) for trace in traces]
         digests[f"replication score_trace {name}"] = test_scenario.sha256("\n".join(messages))
         digests[f"replication score_lines {name}"] = test_scenario.sha256("\n".join(lines))
+        logged = [report_to_json(line_report(checked, trace, log=True), include_firings=True) for trace in traces]
+        digests[f"replication score_lines log {name}"] = test_scenario.sha256("\n".join(logged))
         references = [report_to_json(reference_score(checked, trace), include_firings=True) for trace in traces]
         digests[f"replication reference_score {name}"] = test_scenario.sha256("\n".join(references))
     eventful = generate_trace(load_scenario(load_example_scenario("eventful")), 7)

@@ -103,6 +103,7 @@ def test_criterion_3_and_4_differential_with_permutations():
             batch = reference_score(checked, trace)
             assert streaming == batch, i
             assert line_report(checked, trace) == batch._replace(firings=()), i
+            assert line_report(checked, trace, log=True) == batch, i
 
             # criterion 4: declaration-order permutation
             functions = list(od.functions)

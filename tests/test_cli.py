@@ -287,6 +287,25 @@ def test_batch_generates_one_record_reader_per_schema(workspace, monkeypatch):
     assert (info.misses, info.hits) == (0, 0)
 
 
+def test_score_log_firings_builds_no_message(workspace, monkeypatch, capsys):
+    # --log-firings runs the line program compiled with the firing log: no
+    # message program and no record reader. A firing names its record's
+    # index, which blank lines do not advance.
+    calls = counting_generate_program(monkeypatch)
+    trace_path = workspace / "speedy.jsonl"
+    trace = dump_trace(drive([{"t": 0.0}, {"t": 0.5, "speed": 30.0}, {"t": 1.0, "speed": 30.0}]))
+    trace_path.write_bytes(trace.replace("\n", "\r\n\r\n").encode())
+    odl.trace._record_reader.cache_clear()
+    args = ["score", "--od", str(workspace / "listing1.odl"), "--trace", str(trace_path), "--log-firings"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (
+        "speeding: -2.0\nsummary: -2.0\nfirings (2):\n  [1] speeding delta=-1.0\n  [2] speeding delta=-1.0\n"
+    )
+    assert calls == []
+    info = odl.trace._record_reader.cache_info()
+    assert (info.misses, info.hits) == (0, 0)
+
+
 def test_batch_names_a_file_without_the_separator_by_its_stem(workspace, capsys):
     # <solution>__<trace>.jsonl; a stem without "__" is both.
     (workspace / "solo.jsonl").write_text(dump_trace(drive([{"t": 0.0, "speed": 30.0}])))

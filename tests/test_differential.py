@@ -196,6 +196,7 @@ def test_streaming_equals_reference():
         reference = reference_score(checked, trace)
         assert report == reference, i
         assert line_report(checked, trace) == reference._replace(firings=()), i
+        assert line_report(checked, trace, log=True) == reference, i
         if od.summary is None:
             # the default summary is the plain left-fold sum, exactly
             acc = 0.0
@@ -331,6 +332,24 @@ def test_long_eventful_trace_all_bundled_oracles():
         assert report == reference_score(checked, trace), name
 
 
+@pytest.mark.parametrize("tick", [0.2, 0.1])
+@pytest.mark.parametrize("name", ["eventful", "nominal"])
+def test_a_time_shift_changes_no_score(name, tick):
+    """A metamorphic relation (Chen, Cheung and Yiu, HKUST-CS98-01, 1998):
+    adding one constant to every t changes no bundled oracle's report,
+    firing log included, under score_trace, reference_score and the logged
+    line program over the shifted trace's text."""
+    trace = generate_trace(replace(load_scenario(load_example_scenario(name)), tick=tick), seed=7)
+    for oracle in BUILTIN_NAMES:
+        checked = check_od(parse_od(load_builtin(oracle)), trace.schema)
+        expected = score_trace(checked, trace)
+        for shift in (1.0, 1e3, 1e6, 1e9, 1e12):
+            shifted = trace._replace(messages=tuple(TraceMessage(t + shift, values) for t, values in trace.messages))
+            assert score_trace(checked, shifted) == expected, (oracle, shift)
+            assert reference_score(checked, shifted) == expected, (oracle, shift)
+            assert line_report(checked, shifted, log=True) == expected, (oracle, shift)
+
+
 _ERROR_CASES = [
     (
         "f = scoring_function(event = b0, action = 1 / n0, frequency = all_sum);",
@@ -390,7 +409,9 @@ def test_evaluation_errors_identical_in_engine_and_reference():
             reference_score(checked, trace)
         with pytest.raises(EvalError) as lines:
             line_report(checked, trace)
-        assert str(streaming.value) == str(batch.value) == str(lines.value), source
+        with pytest.raises(EvalError) as logged:
+            line_report(checked, trace, log=True)
+        assert str(streaming.value) == str(batch.value) == str(lines.value) == str(logged.value), source
 
 
 def test_trace_errors_identical_in_engine_and_reference():
@@ -410,6 +431,8 @@ def test_trace_errors_identical_in_engine_and_reference():
         parse_trace(dump_trace(backwards))
     with pytest.raises(TraceError, match=f"^{re.escape(text)}$"):
         line_report(checked, backwards)
+    with pytest.raises(TraceError, match=f"^{re.escape(text)}$"):
+        line_report(checked, backwards, log=True)
 
 
 def test_dump_trace_refuses_each_message_fault_in_the_scorers_words():

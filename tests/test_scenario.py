@@ -115,7 +115,7 @@ def random_scenario(rng):
 
 
 def assert_table_equals_scan(episodes, tick, n):
-    table = list(_by_tick(_active_runs(episodes, tick, n), n))
+    table = list(_by_tick(_active_runs([(*_tick_range(ep, tick, n), ep) for ep in episodes]), n))
     assert len(table) == n
     assert all(got is linear_active(episodes, i * tick) for i, got in enumerate(table))
 
@@ -184,7 +184,7 @@ def shadowed(scenario):
     lost = []
     for kind in ("speeding", "lane_departure", "deceleration"):
         episodes = [ep for ep in scenario.episodes if ep.kind == kind]
-        owners = {id(ep) for _, _, ep in _active_runs(episodes, scenario.tick, n)}
+        owners = {id(ep) for _, _, ep in _active_runs([(*_tick_range(ep, scenario.tick, n), ep) for ep in episodes])}
         lost += [ep for ep in episodes if id(ep) not in owners]
     return lost
 
