@@ -7,7 +7,9 @@ Point values are two-element [x, y] arrays. All numbers must be finite.
 
 `read_trace_lines` is the one way into a trace: it takes the text, its
 bytes, a binary file or any iterable of text, and gives the schema and
-the numbered lines after it. `read_trace` adds the schema's record reader,
+the numbered lines after it, splitting one slice of the text or one batch
+of the bytes at a time, so that it never holds every line of a trace.
+`read_trace` adds the schema's record reader,
 a lazy iterator of checked messages, and `parse_trace` collects that into
 a `Trace`. The value rule is stated once, per kind (`_TAKEN`). The record
 gate (`record_gate`) takes a canonical line; any other takes the strict
@@ -262,21 +264,35 @@ _LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 def _numbered_lines(pieces: Iterable[str]) -> Iterator[tuple[int, str]]:
     """(1-based line number, line) with lines split exactly as str.splitlines()
     splits the whole text that the pieces join to. Files split on fewer
-    characters (a form feed, for one, is a line break to splitlines), so
-    each piece is split again. A piece's last line, unless a break other
-    than "\r" ends it, is carried into the next, which may go on with the
-    line or with the "\n" of a "\r\n"; an empty piece adds nothing."""
-    lineno, carry = 0, ""
+    characters (a form feed, for one, is a line break to splitlines), and a
+    slice of a text ends anywhere, so each piece is split again. A piece's
+    last line, unless a break other than "\r" ends it, is held for the next,
+    which may go on with the line or with the "\n" of a "\r\n"; an empty
+    piece adds nothing. The parts of a held line are joined once, when it
+    ends, so a line cut across many pieces costs its length, not its length
+    times theirs."""
+    lineno, held, cr = 0, [], False
     try:
         for piece in pieces:
             if not piece:
                 continue
-            lines = (carry + piece).splitlines()
+            # A "\r" that ended the held line is put back, so that a "\n" after
+            # it is no line of its own; either way the first line is "".
+            lines = ("\r" + piece if cr else piece).splitlines()
             end = piece[-1]
-            carry = lines.pop() + end if end == "\r" else "" if end in _LINE_BREAKS else lines.pop()
-            yield from enumerate(lines, lineno + 1)
-            lineno += len(lines)
-        yield from enumerate(carry.splitlines(), lineno + 1)
+            cr = end == "\r"
+            last = lines.pop() if cr or end not in _LINE_BREAKS else None
+            if lines:
+                if held:
+                    held.append(lines[0])
+                    lines[0] = "".join(held)
+                    held = []
+                yield from enumerate(lines, lineno + 1)
+                lineno += len(lines)
+            if last is not None:
+                held.append(last)
+        if held:
+            yield lineno + 1, "".join(held)
     except UnicodeDecodeError as exc:
         # A batch of _decoded_batches that does not decode is decoded a line
         # at a time, which puts the bad bytes on the line after the last one
@@ -441,7 +457,8 @@ def _read_schema(numbered: Iterator[tuple[int, str]]) -> TraceSchema:
     raise TraceError("empty trace file: missing schema line")
 
 
-# Bytes of whole lines that read_trace_lines reads and decodes at a time.
+# Bytes of whole lines that read_trace_lines reads and decodes at a time
+# from bytes or a binary file, and characters of a text that it splits at a time.
 LINE_BATCH_BYTES = 16 * 1024
 
 
@@ -463,17 +480,20 @@ TraceSource = Union[str, bytes, bytearray, memoryview, IO[bytes], Iterable[str]]
 
 def read_trace_lines(source: TraceSource) -> tuple[TraceSchema, Iterator[tuple[int, str]]]:
     """The schema of a trace and the (line number, line) pairs of the lines
-    after it, for a program that runs record_gate. `source` is the text; its
-    bytes, as bytes, a bytearray or a memoryview, or a file whose reads
-    return bytes, read and decoded in batches of whole lines; or any other
-    iterable of text, such as a text file, taken as it is. Each piece is
-    split again at line breaks, and a line that runs across pieces is
-    joined, so the lines are those of the whole text's splitlines(),
-    wherever it was cut. A bad byte raises TraceError
-    naming the line before it; a text file decodes ahead in blocks, so
-    there the bad byte lies somewhere after the line named."""
+    after it, for a program that runs record_gate. `source` is the text,
+    split in slices of LINE_BATCH_BYTES characters; its bytes, as bytes, a
+    bytearray or a memoryview, or a file whose reads return bytes, read and
+    decoded in batches of whole lines; or any other iterable of text, such
+    as a text file, taken as it is. Each piece is split again at line
+    breaks, and a line that runs across pieces is joined, so the lines are
+    those of the whole text's splitlines(), wherever it was cut, and only
+    one piece's lines are held at a time. io.BytesIO shares a bytes source
+    but copies a bytearray or a memoryview once. A bad byte raises
+    TraceError naming the line before it; a text file decodes ahead in
+    blocks, so there the bad byte lies somewhere after the line named."""
     if isinstance(source, str):
-        source = (source,)
+        text, size = source, LINE_BATCH_BYTES
+        source = (text[start : start + size] for start in range(0, len(text), size))
     elif isinstance(source, (bytes, bytearray, memoryview)):
         source = _decoded_batches(io.BytesIO(source))
     elif hasattr(source, "read") and isinstance(source.read(0), bytes):

@@ -7,8 +7,9 @@ import json
 import math
 
 from odl import (
-    CheckedOracle, EngineError, EvalError, OdlError, Point2, ScoreReport, Trace, TraceError, TraceMessage, check_od,
-    dump_trace, parse_od, parse_trace, reference_score, report_to_json, score_messages, score_trace,
+    BUILTIN_NAMES, CheckedOracle, EngineError, EvalError, OdlError, Point2, ScoreReport, Trace, TraceError,
+    TraceMessage, check_od, dump_trace, load_builtin, parse_od, parse_trace, reference_score, report_to_json,
+    score_messages, score_trace,
 )
 from odl.engine import score_lines
 from odl.trace import LINE_BATCH_BYTES, read_trace_lines
@@ -50,6 +51,27 @@ def line_report(checked: CheckedOracle, trace: Trace, log: bool = False) -> Scor
     schema, lines = read_trace_lines(io.BytesIO(dump_trace(trace).encode()))
     assert schema == checked.schema
     return score_lines(checked, lines, log=log)
+
+
+def time_shift_changes(trace: Trace, shifts: list[float]) -> dict[float, dict[str, list[str]]]:
+    """For each shift, the bundled oracles whose report, firing log included,
+    on `trace` with the shift added to every t differs from score_trace's
+    report on `trace`, under each of score_trace, reference_score and the
+    logged line program over the shifted trace's text."""
+    scorers = {
+        "score_trace": score_trace, "reference_score": reference_score,
+        "line program": lambda checked, trace: line_report(checked, trace, log=True),
+    }
+    changes = {shift: {scorer: [] for scorer in scorers} for shift in shifts}
+    for oracle in BUILTIN_NAMES:
+        checked = check_od(parse_od(load_builtin(oracle)), trace.schema)
+        expected = score_trace(checked, trace)
+        for shift in shifts:
+            shifted = trace._replace(messages=tuple(TraceMessage(t + shift, values) for t, values in trace.messages))
+            for scorer, score in scorers.items():
+                if score(checked, shifted) != expected:
+                    changes[shift][scorer].append(oracle)
+    return changes
 
 
 # A trace of three messages whose evaluation can fail: n0 is 0 from message 1

@@ -28,6 +28,10 @@ executable). Each run prints the sha256 digests of:
   _traces.py, and of `dump_trace` (its text, or its ValueError text);
 - the scores files and correlation matrix that criterion 7 builds through
   the CLI;
+- the bundled oracles whose reports on `eventful` at ticks 0.2 and 0.1 a
+  shift of every t by 10^13 to 10^17 s changes, under each of the three
+  scorers of `time_shift_changes` in _traces.py, so that the shift at
+  which float rounding first changes a report is the same everywhere;
 - the outcome (schema and message count, or TraceError text) of
   `parse_trace` of each `BATCHED_FILES` row of _traces.py as bytes, a
   bytearray, a memoryview, a BytesIO, a binary file, a text file and,
@@ -49,6 +53,7 @@ import subprocess
 import sys
 import tempfile
 import types
+from dataclasses import replace
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -86,7 +91,7 @@ def _digests() -> dict[str, str]:
     import test_acceptance
     import test_engine
     import test_scenario
-    from _traces import BATCHED_FILES, line_report, scorer_outcomes, trace_faults
+    from _traces import BATCHED_FILES, line_report, scorer_outcomes, time_shift_changes, trace_faults
     from odl import (
         BUILTIN_NAMES, GEN_SCHEMA, CheckError, Frequency, Literal, Notification, OracleDefinition, ScoringFunction,
         Point2, TraceError, TraceMessage, check_od, dump_trace, generate_trace, load_builtin, load_example_scenario,
@@ -152,6 +157,10 @@ def _digests() -> dict[str, str]:
         except ValueError as err:
             outcomes.append(f"ValueError: {err}")
     digests["hand-built faults, dump_trace"] = test_scenario.sha256(json.dumps(outcomes))
+    for tick in (0.2, 0.1):
+        trace = generate_trace(replace(load_scenario(load_example_scenario("eventful")), tick=tick), 7)
+        changes = time_shift_changes(trace, [1e13, 1e14, 1e15, 1e16, 1e17])
+        digests[f"time shift changes eventful {tick}"] = test_scenario.sha256(json.dumps(changes))
 
     with tempfile.TemporaryDirectory() as work:
         matrix, scores = test_acceptance._replicate(Path(work))

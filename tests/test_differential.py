@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _generators import gen_checkable_od, gen_schema, gen_trace
-from _traces import ERROR_TRACE, concat_traces, line_report, scorer_outcomes, trace_faults
+from _traces import ERROR_TRACE, concat_traces, line_report, scorer_outcomes, time_shift_changes, trace_faults
 from odl import (
     BUILTIN_NAMES,
     Binary,
@@ -336,18 +336,40 @@ def test_long_eventful_trace_all_bundled_oracles():
 @pytest.mark.parametrize("name", ["eventful", "nominal"])
 def test_a_time_shift_changes_no_score(name, tick):
     """A metamorphic relation (Chen, Cheung and Yiu, HKUST-CS98-01, 1998):
-    adding one constant to every t changes no bundled oracle's report,
-    firing log included, under score_trace, reference_score and the logged
-    line program over the shifted trace's text."""
+    adding one constant, up to 10^15 s, to every t changes no bundled
+    oracle's report, firing log included, under score_trace,
+    reference_score and the logged line program over the shifted trace's
+    text."""
     trace = generate_trace(replace(load_scenario(load_example_scenario(name)), tick=tick), seed=7)
-    for oracle in BUILTIN_NAMES:
-        checked = check_od(parse_od(load_builtin(oracle)), trace.schema)
-        expected = score_trace(checked, trace)
-        for shift in (1.0, 1e3, 1e6, 1e9, 1e12):
-            shifted = trace._replace(messages=tuple(TraceMessage(t + shift, values) for t, values in trace.messages))
-            assert score_trace(checked, shifted) == expected, (oracle, shift)
-            assert reference_score(checked, shifted) == expected, (oracle, shift)
-            assert line_report(checked, shifted, log=True) == expected, (oracle, shift)
+    shifts = [1.0, 1e3, 1e6, 1e9, 1e12, 1e13, 1e14, 1e15]
+    unchanged = {"score_trace": [], "reference_score": [], "line program": []}
+    assert time_shift_changes(trace, shifts) == dict.fromkeys(shifts, unchanged)
+
+
+# The bundled oracles whose report on `eventful` a time shift changes, by
+# shift: none at 10^15 s, where adjacent doubles are 0.125 s apart; the two
+# with a 0.5 s timer (expiration) at 10^16 s, 2 s apart; and the three with
+# a condition seq_time > 3 too at 10^17 s, 16 s apart.
+TIME_SHIFT_BREAKS = {
+    1e15: [],
+    1e16: ["listing4", "od3_framework"],
+    1e17: ["listing3", "listing4", "od1_rubric", "od2_competition", "od3_framework"],
+}
+
+
+@pytest.mark.parametrize("tick", [0.2, 0.1])
+def test_float_rounding_breaks_a_time_shift_from_1e16_seconds(tick):
+    """Where float rounding first breaks the time shift: once the doubles
+    near the shifted t are further apart than a timer's span or a seq_time
+    threshold, that oracle's report changes, alike under all three
+    scorers."""
+    assert [math.ulp(shift) for shift in TIME_SHIFT_BREAKS] == [0.125, 2.0, 16.0]
+    trace = generate_trace(replace(load_scenario(load_example_scenario("eventful")), tick=tick), seed=7)
+    changes = time_shift_changes(trace, list(TIME_SHIFT_BREAKS))
+    assert changes == {
+        shift: dict.fromkeys(["score_trace", "reference_score", "line program"], oracles)
+        for shift, oracles in TIME_SHIFT_BREAKS.items()
+    }
 
 
 _ERROR_CASES = [

@@ -1,11 +1,13 @@
 """Trace model, JSONL parsing, canonical serialization."""
 
 import copy
+import dataclasses
 import io
 import json
 import math
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,9 @@ from odl import (
     TraceSchema,
     check_od,
     dump_trace,
+    generate_trace,
+    load_example_scenario,
+    load_scenario,
     parse_od,
     parse_trace,
     read_trace,
@@ -520,6 +525,48 @@ def test_any_cut_of_a_trace_text_reads_as_the_whole_text(cut):
     text, pieces = cut
     assert list(_numbered_lines(pieces)) == list(enumerate(text.splitlines(), 1))
     assert _trace_outcome(parse_trace, pieces) == _trace_outcome(parse_trace, text)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 7])
+def test_a_text_split_in_slices_reads_as_its_bytes(batch, monkeypatch):
+    r"""A str is split LINE_BATCH_BYTES characters at a time, as the module
+    holds it when read_trace_lines is called. Slices that end inside a line
+    longer than a slice, between the "\r" and "\n" of a "\r\n", or after a
+    "\u2028" or a "\x85" give the lines of the whole text's splitlines(),
+    and parse_trace gives what it gives of the text's bytes."""
+    monkeypatch.setattr(odl.trace, "LINE_BATCH_BYTES", batch)
+    decoded = {case: data.decode() for case, data in BATCHED_FILES.items() if "bad byte" not in case}
+    assert len(decoded) == 4
+    assert any(len(line) > batch for text in decoded.values() for line in text.splitlines())
+    assert all(any(brk in text for text in decoded.values()) for brk in ("\r\n", "\u2028", "\x85"))
+    for case, text in decoded.items():
+        lines = list(enumerate(text.splitlines(), 1))
+        after_schema = next(k for k, (_, line) in enumerate(lines) if line.strip()) + 1
+        _, numbered = read_trace_lines(text)
+        assert list(numbered) == lines[after_schema:], case
+        assert _trace_outcome(parse_trace, text) == _trace_outcome(parse_trace, BATCHED_FILES[case]), case
+
+
+@pytest.mark.parametrize("duration, records", [(60.0, 3001), (240.0, 12001)])
+def test_parse_trace_of_a_text_holds_one_slice_of_lines(duration, records):
+    """parse_trace(text) holds the text, one slice's lines and the messages:
+    what it allocates beyond the Trace it returns stays under 128 KiB
+    whatever the trace's length, where a list of every line of the text
+    took ~690 KB at 3,001 records and ~2.7 MB at 12,001."""
+    scenario = dataclasses.replace(load_scenario(load_example_scenario("eventful")), duration=duration, tick=0.02)
+    text = dump_trace(generate_trace(scenario, seed=7))
+    parse_trace(text)  # compiles the schema's record reader
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        parsed = parse_trace(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(parsed.messages) == records
+    assert peak - held < 128 * 1024
 
 
 def test_duration_examples():
