@@ -6,7 +6,9 @@ Each message is processed in three phases:
    since the previous message (0 for the first message); timers may go
    negative.
 2. Evaluation, in declaration order. Each function's event is evaluated
-   over the message fields, constants, and its own timers. While the event
+   over the message fields, constants, and its own timers; none of these
+   changes before phase 3, so an event that several functions repeat is
+   evaluated once, by the first of them, and raises there. While the event
    holds, consecutive messages form a maximal sequence; `seq_time` is the
    time elapsed since the sequence opened. The condition (if any) gates
    firing. Firing cadence by frequency mode:
@@ -112,7 +114,15 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
     log appended to `firings` when `log` is set. Scores, sequence flags and
     timers live in locals, and each function's firing rule is specialised
     to its frequency mode. A notification waits in locals of its notifier
-    and is written into the target's timer after the record."""
+    and is written into the target's timer after the record.
+
+    A repeated test is evaluated once per record. Expressions bind each
+    non-float value once, so equal tests are equal text; when a function's
+    event text repeats an earlier function's, the earlier one assigns it to
+    the local `eK` (K its index) in its `if` and the later ones test `eK`.
+    The first occurrence keeps its text and its values' names, so an
+    oracle that repeats no event and reads each non-float value once has
+    the source it would have with nothing shared."""
     od, timers = checked.od, checked.timers
     namespace = runtime()
     namespace.update(
@@ -121,6 +131,16 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
         _ScoreReport=ScoreReport,
     )
     bind = binder(namespace)
+    bound: dict[tuple[type, str], str] = {}
+
+    def bind_once(value: object) -> str:
+        # Expressions bind each value (a constant, a literal, a division's
+        # error text) once, so that equal tests are equal text.
+        key = (type(value), repr(value))
+        if key not in bound:
+            bound[key] = bind(value)
+        return bound[key]
+
     constants = od.constant_map()
     fields: dict[str, str] = {}  # field name -> local variable
     timer_vars = {
@@ -135,10 +155,10 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
             if name in own:
                 return own[name]
             if name in constants:
-                return emit_value(constants[name], bind)
+                return emit_value(constants[name], bind_once)
             return fields.setdefault(name, f"x{len(fields)}")
 
-        return emit_expr(expr, resolve, bind)
+        return emit_expr(expr, resolve, bind_once)
 
     def assign_finite(var: str, expr: Expr, own: Mapping[str, str], what: str) -> list[str]:
         # A finite float literal is its own value: no conversion, no check.
@@ -152,10 +172,18 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
     init: list[str] = ["firings = []"] if log else []
     body: list[str] = []
     apply: list[str] = []
+    # An event's text -> the local its first function assigns it to and the
+    # index of that function's `if` line in body.
+    shared: dict[str, tuple[str, int]] = {}
     for k, fn in enumerate(od.functions):
         name = bind(fn.name)
         own = {"t": "t", "seq_time": f"(t - st{k})", **timer_vars[fn.name]}
-        event = emit(fn.event, own)
+        event = test = emit(fn.event, own)
+        if event in shared:
+            test, at = shared[event]
+            body[at] = f"    if ({test} := {event}):"
+        elif not event.isidentifier():  # a local or a bound value: nothing to save
+            shared[event] = (f"e{k}", len(body) + 1)
         read: set[str] = set()
         condition = None if fn.condition is None else emit(fn.condition, own, read)
         per_sequence = fn.frequency is Frequency.ACTION_SUM and condition is not None
@@ -201,7 +229,7 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
             fire = [f"if not q{k}:", *_indent(opened), *fire]
         body += [
             "try:",
-            f"    if {event}:",
+            f"    if {test}:",
             *_indent(fire, 2),
             *(["    else:", f"        q{k} = False"] if sequence else []),
             "except _EvalError as exc:",

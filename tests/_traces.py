@@ -7,9 +7,9 @@ import json
 import math
 
 from odl import (
-    BUILTIN_NAMES, CheckedOracle, EngineError, EvalError, OdlError, Point2, ScoreReport, Trace, TraceError,
-    TraceMessage, check_od, dump_trace, load_builtin, parse_od, parse_trace, reference_score, report_to_json,
-    score_messages, score_trace,
+    BUILTIN_NAMES, CheckedOracle, EngineError, EvalError, Frequency, OdlError, OracleDefinition, Point2,
+    ScoreReport, ScoringFunction, Trace, TraceError, TraceMessage, check_od, dump_trace, format_od, load_builtin,
+    parse_od, parse_trace, reference_score, report_to_json, score_messages, score_trace,
 )
 from odl.engine import score_lines
 from odl.trace import LINE_BATCH_BYTES, read_trace_lines
@@ -51,6 +51,33 @@ def line_report(checked: CheckedOracle, trace: Trace, log: bool = False) -> Scor
     schema, lines = read_trace_lines(io.BytesIO(dump_trace(trace).encode()))
     assert schema == checked.schema
     return score_lines(checked, lines, log=log)
+
+
+def merged_builtins() -> OracleDefinition:
+    """Every bundled scoring function in one definition, summary = sum, in
+    the order of BUILTIN_NAMES: the oracle the benchmark's `long_score`
+    scores with. The bundled oracles share constant names only where they
+    agree on the value, and no two declare the same function."""
+    constants: dict[str, object] = {}
+    functions: list[ScoringFunction] = []
+    for name in BUILTIN_NAMES:
+        od = parse_od(load_builtin(name))
+        for key, value in od.constants:
+            assert constants.setdefault(key, value) == value, key
+        functions.extend(od.functions)
+    assert len({fn.name for fn in functions}) == len(functions)
+    return parse_od(format_od(OracleDefinition(constants=tuple(constants.items()), functions=tuple(functions))))
+
+
+def firing_unit(fn: ScoringFunction) -> str:
+    """How often `fn` can fire, from its frequency and condition alone:
+    "per trace" (first), "per sequence" (action_sum with a condition) or
+    "per message" (action_sum without one, and all_sum)."""
+    if fn.frequency is Frequency.FIRST:
+        return "per trace"
+    if fn.frequency is Frequency.ACTION_SUM and fn.condition is not None:
+        return "per sequence"
+    return "per message"
 
 
 def time_shift_changes(trace: Trace, shifts: list[float]) -> dict[float, dict[str, list[str]]]:

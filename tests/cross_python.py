@@ -11,6 +11,10 @@ executable). Each run prints the sha256 digests of:
   `READER_SOURCE_SHA256` and `WRITER_SOURCE_SHA256` in test_engine.py pin);
 - the source of each bundled oracle's line program with the firing log,
   which `odl score --log-firings` compiles;
+- the line program's source of the 17 bundled functions merged into one
+  oracle (`merged_builtins` in _traces.py), which tests each repeated event
+  once per record, and its report, with the firing log, on `eventful`
+  (seed 7, tick 0.02);
 - the reprs of the bundled oracles' trees, and the CheckError text of a
   definition whose event is not an expression node, which embeds its repr;
 - the trace of every `GOLDEN_DIGESTS` row of test_scenario.py;
@@ -91,7 +95,9 @@ def _digests() -> dict[str, str]:
     import test_acceptance
     import test_engine
     import test_scenario
-    from _traces import BATCHED_FILES, line_report, scorer_outcomes, time_shift_changes, trace_faults
+    from _traces import (
+        BATCHED_FILES, line_report, merged_builtins, scorer_outcomes, time_shift_changes, trace_faults,
+    )
     from odl import (
         BUILTIN_NAMES, GEN_SCHEMA, CheckError, Frequency, Literal, Notification, OracleDefinition, ScoringFunction,
         Point2, TraceError, TraceMessage, check_od, dump_trace, generate_trace, load_builtin, load_example_scenario,
@@ -109,7 +115,13 @@ def _digests() -> dict[str, str]:
     for name in BUILTIN_NAMES:
         generate_line_program(check_od(parse_od(load_builtin(name)), GEN_SCHEMA), log=True)
         digests[f"source logged line_program {name}"] = test_scenario.sha256(sources.pop())
+    merged = check_od(merged_builtins(), GEN_SCHEMA)
+    merged.line_program
+    digests["source line_program merged bundled oracle"] = test_scenario.sha256(sources.pop())
     del odl.trace.compile
+    trace = generate_trace(replace(load_scenario(load_example_scenario("eventful")), tick=0.02), 7)
+    report = report_to_json(line_report(merged, trace, log=True), include_firings=True)
+    digests["merged bundled oracle, logged line program on eventful 0.02"] = test_scenario.sha256(report)
     reprs = [repr(parse_od(load_builtin(name))) for name in BUILTIN_NAMES]
     digests["node reprs"] = test_scenario.sha256("\n".join(reprs))
     event = Notification("g", (("tm", Literal(1.0)),))

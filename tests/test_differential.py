@@ -27,8 +27,10 @@ from odl import (
     Ident,
     Kind,
     Literal,
+    OdlError,
     OracleDefinition,
     Point2,
+    ScoreReport,
     ScoringFunction,
     Trace,
     TraceError,
@@ -203,6 +205,66 @@ def test_streaming_equals_reference():
             for _, score in report.scores:
                 acc += score
             assert report.summary == acc
+
+
+def _three_programs_and_reference(checked, trace):
+    """The outcomes of score_trace (the message program), of the logged line
+    program, of reference_score and of the line program on one trace: a
+    report, or the class and text of the OdlError raised."""
+    outcomes = []
+    for score in (score_trace, lambda c, t: line_report(c, t, log=True), reference_score, line_report):
+        try:
+            outcomes.append(score(checked, trace))
+        except OdlError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
+
+
+def _shares(checked):
+    """How many events the line program assigns to a local for later functions."""
+    return sum(bool(re.fullmatch(r"e\d+", name)) for name in checked.line_program.__code__.co_varnames)
+
+
+def test_a_repeated_event_scores_as_the_reference():
+    """Later functions copy earlier functions' timer-free events, which the
+    programs evaluate once per record: each oracle still scores as the
+    reference, whose closures evaluate every copy."""
+    sharing = 0
+    for i in range(300):
+        rng = random.Random(27_000 + i)
+        schema = gen_schema(rng)
+        od = gen_checkable_od(rng, schema)
+        functions = list(od.functions)
+        for fn in od.functions:
+            if rng.random() < 0.7 and not re.search(r"\btm\d", format_expr(fn.event)):
+                # The copy is no timer's target, so it keeps a condition only if that reads none.
+                reads_timer = fn.condition is not None and re.search(r"\btm\d", format_expr(fn.condition))
+                copy = fn._replace(
+                    name=f"{fn.name}_again", frequency=rng.choice(list(Frequency)), notifications=(),
+                    condition=None if reads_timer else fn.condition,
+                )
+                functions.insert(rng.randint(functions.index(fn) + 1, len(functions)), copy)
+        checked = check_od(od._replace(functions=tuple(functions)), schema)
+        message, logged, reference, lines = _three_programs_and_reference(checked, gen_trace(rng, schema))
+        assert message == logged == reference, i
+        if isinstance(reference, ScoreReport):
+            reference = reference._replace(firings=())  # the line program keeps no log
+        assert lines == reference, i
+        sharing += _shares(checked) > 1
+    assert sharing >= 100  # oracles in which two different events are shared
+
+
+def test_a_shared_event_that_divides_by_zero_raises_in_its_first_function():
+    trace = parse_trace(ERROR_TRACE)
+    checked = check_od(parse_od(
+        "f = scoring_function(event = not b0, action = 1, frequency = all_sum);"
+        "g = scoring_function(event = 1 / n0 > 0.5, action = 1, frequency = all_sum);"
+        "h = scoring_function(event = not b0, frequency = first);"
+        "k = scoring_function(event = 1 / n0 > 0.5, action = 2, frequency = first);"
+    ), trace.schema)
+    assert _shares(checked) == 2
+    error = "EvalError: message 1 (t=1.0), function 'g': division by zero in '1.0 / n0'"
+    assert _three_programs_and_reference(checked, trace) == [error] * 4
 
 
 def test_empty_trace_equals_initial_state():

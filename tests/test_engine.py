@@ -4,27 +4,35 @@ import builtins
 import hashlib
 import json
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
 import odl.checker
 import odl.trace
 from _drive import drive, listing_suite
+from _traces import firing_unit, line_report, merged_builtins
 from odl import (
     BUILTIN_NAMES,
     EngineError,
     EvalError,
     GEN_SCHEMA,
     Kind,
+    Point2,
     ScoreReport,
     Trace,
     TraceError,
     TraceMessage,
     TraceSchema,
     check_od,
+    generate_trace,
     load_builtin,
+    load_example_scenario,
+    load_scenario,
     parse_od,
     parse_trace,
+    reference_score,
     report_to_json,
     report_to_text,
     score_messages,
@@ -351,6 +359,45 @@ def test_line_program_passes_a_read_point_to_distance_as_the_gates_list():
     line_code = check_od(parse_od(load_builtin("listing2")), GEN_SCHEMA).line_program.__code__
     assert "_dist" in line_code.co_names
     assert "_Point2" not in line_code.co_names
+
+
+def test_the_merged_bundled_oracle_tests_each_repeated_event_once(monkeypatch):
+    """The 17 bundled functions in one oracle test 7 distinct events, 4 of
+    them `distance(position, DESTINATION) < 12`: the line program calls
+    distance once per record, binds DESTINATION once, and every program
+    scores as the reference."""
+    sources = []
+
+    def capture(source, filename, *args):
+        sources.append(source)
+        return builtins.compile(source, filename, *args)
+
+    monkeypatch.setattr(odl.trace, "compile", capture, raising=False)
+    checked = check_od(merged_builtins(), GEN_SCHEMA)
+    program = checked.line_program
+    [source] = sources
+    assert source.count("_dist(") == 1
+    [destination] = [name for name, value in program.__globals__.items() if value == Point2(1000.0, 0.0)]
+    assert len(re.findall(rf"\b{destination}\b", source)) == 1
+    trace = generate_trace(replace(load_scenario(load_example_scenario("eventful")), tick=0.02), 7)
+    reference = reference_score(checked, trace)
+    assert score_trace(checked, trace) == reference
+    assert line_report(checked, trace, log=True) == reference
+    assert line_report(checked, trace) == reference._replace(firings=())
+
+
+def test_firing_unit_of_each_bundled_function():
+    units = {}
+    for fn in merged_builtins().functions:
+        units.setdefault(firing_unit(fn), []).append(fn.name)
+    assert units == {
+        "per message": [
+            "speeding", "collisions", "deceleration", "speed_compliance", "collision_free", "driving_budget",
+            "collision_count", "mitigated_collisions", "braking",
+        ],
+        "per trace": ["arrival_test", "reaches_goal", "route_completion", "ever_speeding", "goal_reached"],
+        "per sequence": ["lane_keep", "lane_discipline", "lane_infraction"],
+    }
 
 
 def counting_generate_program(monkeypatch, name="generate_program"):
