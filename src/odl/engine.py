@@ -116,13 +116,10 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
     to its frequency mode. A notification waits in locals of its notifier
     and is written into the target's timer after the record.
 
-    A repeated test is evaluated once per record. Expressions bind each
-    non-float value once, so equal tests are equal text; when a function's
-    event text repeats an earlier function's, the earlier one assigns it to
-    the local `eK` (K its index) in its `if` and the later ones test `eK`.
-    The first occurrence keeps its text and its values' names, so an
-    oracle that repeats no event and reads each non-float value once has
-    the source it would have with nothing shared."""
+    A repeated test is evaluated once per record: `binder` binds each value
+    once, so equal tests are equal text, and when a function's event text
+    repeats an earlier function's, the earlier one assigns it to the local
+    `eK` (K its index) in its `if` and the later ones test `eK`."""
     od, timers = checked.od, checked.timers
     namespace = runtime()
     namespace.update(
@@ -131,16 +128,6 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
         _ScoreReport=ScoreReport,
     )
     bind = binder(namespace)
-    bound: dict[tuple[type, str], str] = {}
-
-    def bind_once(value: object) -> str:
-        # Expressions bind each value (a constant, a literal, a division's
-        # error text) once, so that equal tests are equal text.
-        key = (type(value), repr(value))
-        if key not in bound:
-            bound[key] = bind(value)
-        return bound[key]
-
     constants = od.constant_map()
     fields: dict[str, str] = {}  # field name -> local variable
     timer_vars = {
@@ -155,10 +142,10 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
             if name in own:
                 return own[name]
             if name in constants:
-                return emit_value(constants[name], bind_once)
+                return emit_value(constants[name], bind)
             return fields.setdefault(name, f"x{len(fields)}")
 
-        return emit_expr(expr, resolve, bind_once)
+        return emit_expr(expr, resolve, bind)
 
     def assign_finite(var: str, expr: Expr, own: Mapping[str, str], what: str) -> list[str]:
         # A finite float literal is its own value: no conversion, no check.

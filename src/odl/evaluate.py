@@ -1,13 +1,13 @@
 """Expression evaluation: two evaluators of one semantics.
 
 `evaluator(expr, env)` builds, once per expression, one closure per node,
-which evaluates over an `Env`; arithmetic and comparison are the `operator`
-functions of `syntax.BINARY`. It resolves each name when it builds, against
-the Env it is given, and folds each node whose operands are all values into
-its value, computed once, then, by the closure that would compute it at
-each call. The batch reference builds its closures once per call and
+each a function of no argument that reads the tables of `env`; arithmetic
+and comparison are the `operator` functions of `syntax.BINARY`. It resolves
+each name when it builds and folds each node whose operands are all values
+into its value, computed once, then, by the closure that would compute it
+at each call. The batch reference builds its closures once per call and
 evaluates with them alone; `eval_expr(expr, env)` is
-`evaluator(expr, env)(env)`. `emit_expr` writes a checked expression as Python
+`evaluator(expr, env)()`. `emit_expr` writes a checked expression as Python
 source; the streaming engine runs only such code, spliced into the two
 programs generated per oracle (`engine.generate_program` over messages,
 `engine.generate_line_program` over trace lines). The differential suite
@@ -37,13 +37,9 @@ class Env(Struct):
     `fields` holds the current message's values (including "t"); `timers`
     the evaluating function's timers; `seq_time` is bound only while a
     condition is evaluated; `scores` only while the summary is evaluated.
-    `evaluator` resolves each name against the Env it builds with: only the
-    keys of its tables count, and a constant's value. An Env a closure is
-    called with must bind each name the closure reads in the table it was
-    resolved to. The reference builds each function's closures against an
-    Env of the schema's field names with "t", the constants and that
-    function's timer table, and calls them with that Env, whose `fields`
-    dict it updates in place at each message.
+    `evaluator` resolves each name when it builds, by the keys of the
+    tables and a constant's value; its closures read the tables, updated
+    in place, and `seq_time` as it stands when they are called.
 
     Unlike the other Structs, an Env's fields may be assigned, and it does
     not hash. Each table not given is a fresh dict.
@@ -66,7 +62,7 @@ class Env(Struct):
         self.scores = {} if scores is None else scores
 
 
-Node = Callable[[Env], Value]
+Node = Callable[[], Value]
 
 
 def non_finite(what: str, value: float) -> EvalError:
@@ -78,20 +74,20 @@ def non_finite(what: str, value: float) -> EvalError:
     return EvalError(f"{what} is non-finite ({value!r})")
 
 
-def evaluator(expr: Expr, env: Env) -> Callable[[Env], Value]:
-    """`expr`, a tree check_expr takes, as a function of an `Env`, built
-    from one closure per node against `env`.
+def evaluator(expr: Expr, env: Env) -> Node:
+    """`expr`, a tree check_expr takes, as a function of no argument, built
+    from one closure per node over `env`.
 
-    The name `seq_time` reads the called Env's `seq_time`. Any other name
-    is resolved now, to the first of a field, a constant, a timer and a
-    score of `env` that has it; its closure reads that one table of the
-    called Env, and a constant becomes its value. A literal is a value. A
-    node whose operands are all values is folded: evaluated once, now, into
-    a value. A node whose evaluation raises (an EvalError, as `1 / 0` or an
-    unknown function does) stays a closure, and each fault is raised by the
-    closure that meets it, when it is called: an unbound identifier,
-    seq_time outside a condition, an unknown function (after its arguments,
-    left to right) and division by zero (after both operands)."""
+    The name `seq_time` reads `env.seq_time`. Any other name is resolved
+    now, to the first of a field, a constant, a timer and a score of `env`
+    that has it; its closure reads that one table, and a constant becomes
+    its value. A literal is a value. A node whose operands are all values
+    is folded: evaluated once, now, into a value. A node whose evaluation
+    raises (an EvalError, as `1 / 0` or an unknown function does) stays a
+    closure, and each fault is raised by the closure that meets it, when
+    it is called: an unbound identifier, seq_time outside a condition, an
+    unknown function (after its arguments, left to right) and division by
+    zero (after both operands)."""
     return _node(*_build(expr, env))
 
 
@@ -122,20 +118,20 @@ def _build(expr: Expr, env: Env) -> tuple[Node | None, Value]:
             # An operand against a value, as in `speed > MAX_SPEED`: one
             # closure, not two, and a field read in it, not in a third.
             if type(expr.left) is Ident and expr.left.name != "seq_time" and expr.left.name in env.fields:
-                name = expr.left.name
-                return (lambda env: apply(env.fields[name], rvalue)), None
-            return (lambda env: apply(left(env), rvalue)), None
+                name, fields = expr.left.name, env.fields
+                return (lambda: apply(fields[name], rvalue)), None
+            return (lambda: apply(left(), rvalue)), None
         left, right = _node(left, lvalue), _node(right, rvalue)
         if apply is not None:
-            return _fold(lambda env: apply(left(env), right(env)), values)
+            return _fold(lambda: apply(left(), right()), values)
         if expr.op == "and":
-            return _fold(lambda env: bool(left(env)) and bool(right(env)), values)
+            return _fold(lambda: bool(left()) and bool(right()), values)
         if expr.op == "or":
-            return _fold(lambda env: bool(left(env)) or bool(right(env)), values)
+            return _fold(lambda: bool(left()) or bool(right()), values)
         error = f"division by zero in '{format_expr(expr)}'"
 
-        def divide(env: Env) -> Value:
-            dividend, divisor = left(env), right(env)
+        def divide() -> Value:
+            dividend, divisor = left(), right()
             if divisor == 0:
                 raise EvalError(error)
             return dividend / divisor
@@ -149,13 +145,13 @@ def _build(expr: Expr, env: Env) -> tuple[Node | None, Value]:
         if function is not None and len(args) == 2:  # distance, or min or max of two: no comprehension
             first, second = args
 
-            def call(env: Env) -> Value:
-                return function([first(env), second(env)])
+            def call() -> Value:
+                return function([first(), second()])
 
         else:
 
-            def call(env: Env) -> Value:
-                values = [arg(env) for arg in args]
+            def call() -> Value:
+                values = [arg() for arg in args]
                 if function is None:
                     raise EvalError(f"unknown function '{name}'")
                 return function(values)
@@ -164,36 +160,37 @@ def _build(expr: Expr, env: Env) -> tuple[Node | None, Value]:
     node, value = _build(expr.operand, env)  # a Unary: "not" or "-"
     operand = _node(node, value)
     if expr.op == "not":
-        return _fold(lambda env: not operand(env), node is None)
-    return _fold(lambda env: -operand(env), node is None)
+        return _fold(lambda: not operand(), node is None)
+    return _fold(lambda: -operand(), node is None)
 
 
 def _resolve(name: str, env: Env) -> tuple[Node | None, Value]:
     if name == "seq_time":
 
-        def seq_time(env: Env) -> Value:
+        def seq_time() -> Value:
             if env.seq_time is None:
                 raise EvalError("seq_time is not bound outside a condition")
             return env.seq_time
 
         return seq_time, None
-    if name in env.fields:
-        return (lambda env: env.fields[name]), None
+    fields, timers, scores = env.fields, env.timers, env.scores
+    if name in fields:
+        return (lambda: fields[name]), None
     if name in env.constants:
         return None, env.constants[name]
-    if name in env.timers:
-        return (lambda env: env.timers[name]), None
-    if name in env.scores:
-        return (lambda env: env.scores[name]), None
+    if name in timers:
+        return (lambda: timers[name]), None
+    if name in scores:
+        return (lambda: scores[name]), None
 
-    def unbound(env: Env) -> Value:
+    def unbound() -> Value:
         raise EvalError(f"unbound identifier '{name}'")
 
     return unbound, None
 
 
 def _node(node: Node | None, value: Value) -> Node:
-    return (lambda env: value) if node is None else node
+    return (lambda: value) if node is None else node
 
 
 def _fold(node: Node, values: bool) -> tuple[Node | None, Value]:
@@ -202,19 +199,18 @@ def _fold(node: Node, values: bool) -> tuple[Node | None, Value]:
     only when it is called, as it is at each call without folding."""
     if values:
         try:
-            return None, node(Env())
+            return None, node()
         except Exception:  # an EvalError, or in a tree of unchecked kinds a TypeError
             pass
     return node, None
 
 
 def eval_expr(expr: Expr, env: Env) -> Value:
-    """Evaluate `expr` over `env`: `evaluator(expr, env)(env)`, names
-    resolved and constant nodes folded against `env` itself, after
+    """Evaluate `expr` over `env`: `evaluator(expr, env)()`, after
     check_expr has refused a malformed tree with check_od's text,
     unlocated."""
     check_expr(expr)
-    return evaluator(expr, env)(env)
+    return evaluator(expr, env)()
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +235,14 @@ def runtime() -> dict[str, Any]:
 
 
 def binder(namespace: dict[str, Any]) -> Callable[[Any], str]:
-    """bind(value) stores value in namespace under a fresh name and returns
-    that name, for use in generated source."""
+    """bind(value) returns a name under which namespace holds value, for use
+    in generated source: the name it gave a value of equal type and repr,
+    else a fresh one. So each value is bound once, and equal expressions
+    are equal text."""
+    names: dict[tuple[type, str], str] = {}
 
     def bind(value: Any) -> str:
-        name = f"_v{len(namespace)}"
+        name = names.setdefault((type(value), repr(value)), f"_v{len(namespace)}")
         namespace[name] = value
         return name
 

@@ -22,18 +22,18 @@ engine, it reads only a `CheckedOracle`, which check_od's checks took.
 
 Each function has one row of state, made before the walk: its position,
 its `Env` (the schema's field names with `t`, the constants and its timer
-table), its closures, built against and called with that `Env`, so each
-name is resolved and each node over constants folded once per call, and
-its tables. The walk admits each message as the engine's message program
-does. One read from a trace of the oracle's schema, whose values are of
-`trace.read_values_type` and whose t is a finite float, is written into the
-dict all Envs share untested: the reader took those values, and no method
-of theirs changes them. Any other is held to the reader's rule (a mapping,
-its names, t, each value) by `trace.message_checker`, the reader's
-coercers, which write the fields, converted, into that dict. Then it checks
-t's order: the first fault in message order is raised, as the engine
-raises it. Only a notification's target is looked up by name, in one
-name -> timer-table map. Only the timer tables that exist run down, and a message at which
+table), its closures, built over that `Env`, so each name is resolved and
+each node over constants folded once per call, and its tables. The walk
+admits each message as the engine's message program does. One read from a
+trace of the oracle's schema, whose values are of `trace.read_values_type`
+and whose t is a finite float, is written into the dict all Envs share
+untested: the reader took those values, and no method of theirs changes
+them. Any other is held to the reader's rule (a mapping, its names, t,
+each value) by `trace.message_checker`, the reader's coercers, which write
+the fields, converted, into that dict. Then it checks t's order: the first
+fault in message order is raised, as the engine raises it. Only a
+notification's target is looked up by name, in one name -> timer-table
+map. Only the timer tables that exist run down, and a message at which
 nothing fired queues its notifications in no new object.
 """
 
@@ -106,14 +106,14 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
             fields["t"] = t
             queued: tuple[tuple[str, str, float], ...] = ()
             for pos, fn, env, event, condition, action, bindings, event_true, seq_start, in_seq in rows:
-                if not event(env):
+                if not event():
                     continue
                 event_true[i] = True
                 start = seq_start[i - 1] if i and event_true[i - 1] else i
                 seq_start[i] = start
                 if condition is not None:
                     env.seq_time = t - messages[start].t
-                    cond_ok = bool(condition(env))
+                    cond_ok = bool(condition())
                     env.seq_time = None
                     if not cond_ok:
                         continue
@@ -129,7 +129,7 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
                 in_seq.setdefault(start, i)
                 delta = 0.0
                 if action is not None:
-                    delta = float(action(env))
+                    delta = float(action())
                     if not isfinite(delta):
                         raise non_finite(f"action '{format_expr(fn.action)}'", delta)
                 totals[pos] += delta
@@ -137,7 +137,7 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
                     raise non_finite("score", totals[pos])
                 dispatched = []
                 for target, timer, binding in bindings:
-                    value = float(binding(env))
+                    value = float(binding())
                     if not isfinite(value):
                         raise non_finite(f"notification value for '{target}.{timer}'", value)
                     dispatched.append((target, timer, value))
@@ -157,7 +157,7 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
     else:
         scope = Env(constants=constants, scores=dict(scores))
         try:
-            summary = float(evaluator(od.summary, scope)(scope))
+            summary = float(evaluator(od.summary, scope)())
         except EvalError as exc:
             raise EvalError(f"summary: {exc}") from exc
     if not isfinite(summary):

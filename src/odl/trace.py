@@ -538,8 +538,10 @@ def message_checker(schema: TraceSchema, error: Callable[[str], Exception]) -> C
             foreign = [name for name in values if name not in keys]
             if foreign:
                 raise error(f"message {index}: field '{foreign[0]}' is not in the schema")
-            missing = next(name for name in keys if name not in values)
-            raise error(f"message {index}: missing field '{missing}'")
+            missing = [name for name in keys if name not in values]
+            if missing:
+                raise error(f"message {index}: missing field '{missing[0]}'")
+            # Else the names match, though keys() gave them as no set (a list, say).
         try:
             t = _as_finite_number(t, "field 't'", None)
             for name, coerce, where in fields:

@@ -53,6 +53,14 @@ def line_report(checked: CheckedOracle, trace: Trace, log: bool = False) -> Scor
     return score_lines(checked, lines, log=log)
 
 
+# The three scorers of a trace: the message program, the reference, and the
+# logged line program over the trace's text.
+SCORERS = {
+    "score_trace": score_trace, "reference_score": reference_score,
+    "line program": lambda checked, trace: line_report(checked, trace, log=True),
+}
+
+
 def merged_builtins() -> OracleDefinition:
     """Every bundled scoring function in one definition, summary = sum, in
     the order of BUILTIN_NAMES: the oracle the benchmark's `long_score`
@@ -84,18 +92,14 @@ def time_shift_changes(trace: Trace, shifts: list[float]) -> dict[float, dict[st
     """For each shift, the bundled oracles whose report, firing log included,
     on `trace` with the shift added to every t differs from score_trace's
     report on `trace`, under each of score_trace, reference_score and the
-    logged line program over the shifted trace's text."""
-    scorers = {
-        "score_trace": score_trace, "reference_score": reference_score,
-        "line program": lambda checked, trace: line_report(checked, trace, log=True),
-    }
-    changes = {shift: {scorer: [] for scorer in scorers} for shift in shifts}
+    logged line program over the shifted trace's text (SCORERS)."""
+    changes = {shift: {scorer: [] for scorer in SCORERS} for shift in shifts}
     for oracle in BUILTIN_NAMES:
         checked = check_od(parse_od(load_builtin(oracle)), trace.schema)
         expected = score_trace(checked, trace)
         for shift in shifts:
             shifted = trace._replace(messages=tuple(TraceMessage(t + shift, values) for t, values in trace.messages))
-            for scorer, score in scorers.items():
+            for scorer, score in SCORERS.items():
                 if score(checked, shifted) != expected:
                     changes[shift][scorer].append(oracle)
     return changes

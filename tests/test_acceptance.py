@@ -23,9 +23,13 @@ from odl import (
     check_od,
     correlation_matrix,
     format_od,
+    generate_trace,
     load_builtin,
+    load_scenario,
+    mean_scores,
     parse_od,
     parse_trace,
+    rank_solutions,
     read_scores_csv,
     reference_score,
     score_trace,
@@ -267,6 +271,58 @@ def test_criterion_7_scaled_ranking_replication(tmp_path):
         matrix_again, scores_again = _replicate(run_b)
         assert matrix_again == matrix_text
         assert scores_again == scores_texts
+
+
+# Tick assignments for criterion 7's solutions, each a function of a
+# solution's index: mixed ticks stand for simulators that sample at
+# different rates.
+TICK_MIXES = {
+    "all 0.2": lambda i: 0.2,
+    "all 0.1": lambda i: 0.1,
+    "even solutions 0.2, odd 0.1": lambda i: 0.1 if i % 2 else 0.2,
+    "even 0.2, odd 0.05": lambda i: 0.05 if i % 2 else 0.2,
+    "solutions 0-14 at 0.1, the rest 0.2": lambda i: 0.1 if i < 15 else 0.2,
+}
+
+
+def _ranked_corpus(ticks) -> list[dict[str, float]]:
+    """The ranks of criterion 7's 30 solutions by each composite oracle, with
+    solution i sampled at ticks(i), through library calls alone."""
+    checked = [check_od(parse_od(load_builtin(name)), GEN_SCHEMA) for name in _REPLICATION_ODS]
+    tables = [{} for _ in checked]
+    for i in range(30):
+        scenario = load_scenario(json.dumps({**_solution_scenario(i), "tick": ticks(i)}))
+        for j in range(5):
+            trace = generate_trace(scenario, seed=1000 + i * 10 + j)
+            for table, oracle in zip(tables, checked):
+                table.setdefault(f"sol{i:02d}", []).append(score_trace(oracle, trace).summary)
+    return [rank_solutions(mean_scores(table)) for table in tables]
+
+
+def test_criterion_9_mixed_ticks():
+    """Criterion 7's corpus scored in process under each of TICK_MIXES. With
+    one tick for every solution, the rank correlations are criterion 7's.
+    With mixed ticks, od2's and od3's rankings stay those at 0.2, and od1's
+    moves: od1_rubric's speed_compliance charges a point per speeding
+    message, so a solution sampled more often is charged more."""
+    with criterion(9, "mixed ticks", 30.0):
+        ranked = {label: _ranked_corpus(ticks) for label, ticks in TICK_MIXES.items()}
+        at_02 = ranked["all 0.2"]
+        print("ticks | rho(od1, od2) rho(od1, od3) rho(od2, od3) | od1 od2 od3 vs. their ranking at 0.2")
+        table = {}
+        for label, ranks in ranked.items():
+            pairs = [spearman(ranks[a], ranks[b]) for a, b in ((0, 1), (0, 2), (1, 2))]
+            own = [spearman(now, then) for now, then in zip(ranks, at_02)]
+            table[label] = [round(rho, 3) for rho in (*pairs, *own)]
+            print(f"{label} | {' '.join(f'{rho:.3f}' for rho in pairs)} | {' '.join(f'{rho:.3f}' for rho in own)}")
+            assert ranks[1:] == at_02[1:], label
+        assert table == {
+            "all 0.2": [0.178, 0.178, 0.576, 1.0, 1.0, 1.0],
+            "all 0.1": [0.178, 0.178, 0.576, 1.0, 1.0, 1.0],
+            "even solutions 0.2, odd 0.1": [0.127, 0.197, 0.576, 0.973, 1.0, 1.0],
+            "even 0.2, odd 0.05": [0.127, 0.197, 0.576, 0.872, 1.0, 1.0],
+            "solutions 0-14 at 0.1, the rest 0.2": [0.077, 0.198, 0.576, 0.969, 1.0, 1.0],
+        }
 
 
 def test_criterion_8_property_invariants():

@@ -13,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _generators import gen_checkable_od, gen_schema, gen_trace
-from _traces import ERROR_TRACE, concat_traces, line_report, scorer_outcomes, time_shift_changes, trace_faults
+from _traces import (
+    ERROR_TRACE, SCORERS, concat_traces, firing_unit, line_report, merged_builtins, scorer_outcomes,
+    time_shift_changes, trace_faults,
+)
 from odl import (
     BUILTIN_NAMES,
     Binary,
@@ -408,6 +411,48 @@ def test_a_time_shift_changes_no_score(name, tick):
     assert time_shift_changes(trace, shifts) == dict.fromkeys(shifts, unchanged)
 
 
+# By tick: the samples of `eventful`'s 5-9 s speeding episode, and the firings
+# of the notify-only functions `deceleration` (listing4) and `braking` (od3).
+# Every episode bound of the scenario lies on each tick's grid.
+RESAMPLED = {0.2: (21, 4), 0.1: (41, 8), 0.05: (81, 16)}
+
+
+def _scores_and_firings(trace):
+    """{scorer: {function: (score, firings)}} of every bundled function on
+    `trace`, under each of SCORERS."""
+    tables = {scorer: {} for scorer in SCORERS}
+    for oracle in BUILTIN_NAMES:
+        checked = check_od(parse_od(load_builtin(oracle)), trace.schema)
+        for scorer, score in SCORERS.items():
+            report = score(checked, trace)
+            fired = [firing.function for firing in report.firings]
+            tables[scorer].update((name, (value, fired.count(name))) for name, value in report.scores)
+    return tables
+
+
+@pytest.mark.parametrize("name", ["eventful", "nominal"])
+def test_resampling_changes_only_the_rate_bound_scores(name):
+    """A metamorphic relation: sampling a scenario (seed 7) at tick 0.1 or
+    0.05 instead of 0.2 keeps the score and the firings of every function
+    that fires per trace or per sequence (firing_unit). Of those that fire
+    per message, only listing1's `speeding` and od1_rubric's
+    `speed_compliance` change: each is minus the samples of `eventful`'s
+    speeding episode, -21, -41 and -81. The notify-only `deceleration` and
+    `braking` keep their score of 0 and fire 4, 8 and 16 times. Alike under
+    all three scorers. (At tick 0.02: -201 and 40 firings.)"""
+    scenario = load_scenario(load_example_scenario(name))
+    units = {fn.name: firing_unit(fn) for fn in merged_builtins().functions}
+    rate_bound = ["speeding", "speed_compliance", "deceleration", "braking"]
+    assert {units[fn] for fn in rate_bound} == {"per message"}
+    at_02 = _scores_and_firings(generate_trace(replace(scenario, tick=0.2), seed=7))
+    for tick, (samples, notified) in RESAMPLED.items():
+        expected = dict(at_02["score_trace"])
+        if name == "eventful":
+            expected.update(zip(rate_bound, [(-samples, samples)] * 2 + [(0.0, notified)] * 2))
+        got = _scores_and_firings(generate_trace(replace(scenario, tick=tick), seed=7))
+        assert got == dict.fromkeys(got, expected), tick
+
+
 # The bundled oracles whose report on `eventful` a time shift changes, by
 # shift: none at 10^15 s, where adjacent doubles are 0.125 s apart; the two
 # with a 0.5 s timer (expiration) at 10^16 s, 2 s apart; and the three with
@@ -729,6 +774,36 @@ def test_the_writer_refuses_a_hand_built_message_as_the_scorers_do(trace):
     else:
         for checked in (_READS_ALL, _READS_T):
             assert scorer_outcomes(checked, trace) == scorer_outcomes(checked, parse_trace(text))
+
+
+class _ListedKeys(dict):
+    """A dict whose keys() is a list of its names: equal to no set of them."""
+
+    def keys(self):
+        return list(dict.keys(self))
+
+
+def _dumped(trace):
+    try:
+        return dump_trace(trace)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_values_whose_keys_are_a_list_are_taken_as_a_plain_dict():
+    """score_messages, score_trace, reference_score and dump_trace treat
+    values whose keys() is a list naming exactly the schema's fields as they
+    treat a plain dict of them, good values or bad."""
+    rows = [{"n": 2, "b": True, "p": [3, 4]}, {"n": 1.5, "b": False, "p": Point2(0.0, 2.0)}]
+    for bad in ({}, {"n": math.nan}, {"p": "ab"}, {"z": 1.0}):
+        trace = Trace(_POINT_SCHEMA, tuple(TraceMessage(float(k), {**row, **bad}) for k, row in enumerate(rows)))
+        listed = trace._replace(messages=tuple(message._replace(values=_ListedKeys(message.values))
+                                               for message in trace.messages))
+        for checked in (_READS_ALL, _READS_T):
+            outcomes = scorer_outcomes(checked, listed)
+            assert outcomes == scorer_outcomes(checked, trace), bad
+            assert [outcome.startswith("{") for outcome in outcomes] == [not bad] * 3, bad
+        assert _dumped(listed) == _dumped(trace), bad
 
 
 def test_unreached_errors_raise_in_neither():

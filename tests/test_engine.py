@@ -38,6 +38,7 @@ from odl import (
     score_messages,
     score_trace,
 )
+from odl.engine import generate_line_program
 
 BOOL_SCHEMA = TraceSchema((("collision", Kind.BOOLEAN),))
 
@@ -386,6 +387,18 @@ def test_the_merged_bundled_oracle_tests_each_repeated_event_once(monkeypatch):
     assert line_report(checked, trace) == reference._replace(firings=())
 
 
+def test_each_value_is_bound_once():
+    """The message program, the line program and the logged line program of
+    each bundled oracle and of the merged one bind each value once: the
+    `_v` names of a program's namespace hold values of pairwise distinct
+    type and repr."""
+    for od in [*(parse_od(load_builtin(name)) for name in BUILTIN_NAMES), merged_builtins()]:
+        checked = check_od(od, GEN_SCHEMA)
+        for program in (checked.program, checked.line_program, generate_line_program(checked, log=True)):
+            bound = [(type(value), repr(value)) for name, value in program.__globals__.items() if name.startswith("_v")]
+            assert bound and len(set(bound)) == len(bound), (od.functions[0].name, bound)
+
+
 def test_firing_unit_of_each_bundled_function():
     units = {}
     for fn in merged_builtins().functions:
@@ -433,25 +446,25 @@ def test_program_is_generated_on_first_scoring_and_kept(monkeypatch):
 # oracle checked against GEN_SCHEMA. A change to how the engine emits code
 # that should not change what it emits keeps every digest.
 GENERATED_SOURCE_SHA256 = {
-    "listing1": "327dc032d5d03c1e578326fa8e81d9b689a4689168d184a42b118fe315bb71a7",
-    "listing2": "52465563a3b4c9f929db92740e46fa565013d521fe901718082dad5ad3da69e7",
-    "listing3": "504d5d0c2523a9439b20e765a98c9238ee8c16a0a343eab6c95564571e009b44",
-    "listing4": "76f5e06872e05ebabd4863f44bef99c0c481e4d6a5a003e31780c5af7aa26e4c",
-    "od1_rubric": "32ee38c7ea038f543e8d3fd5cab40a39dd9f786715fcc2bfb14cad7bb6f87e77",
-    "od2_competition": "b036d33bccad811c263de53f6ff7d920df8c4e156e0f4a23dcf987c910ad4111",
-    "od3_framework": "cadf3fff3346dc0f0ad762349d432c1db03f575af0e5f060de2b335c7df35bf9",
+    "listing1": "83bafd92cc385a885c3448670d1cde4b4de9c7df8586d4685751f6d5c0477a2b",
+    "listing2": "aa95ab0ed742a9ddd60a40e2e2e5897e31c63b11f26d5656a7a985fb2874f6f6",
+    "listing3": "ae48aa054ee5f39cb4af24949f20ec7039d8997e419394d90dfd711ed42f1d11",
+    "listing4": "c8daa663dda9c8813fc8de1139c23d02b77fd72a4ad98e3f799159e6054ce410",
+    "od1_rubric": "d76762b207b5464717b3edadb34db27f49f6aab8285998490cf97079db044d80",
+    "od2_competition": "40da29df24a638b7a56c4ed2eb2c8199089748baac19fb5ebd92822ada775d92",
+    "od3_framework": "b57b86dcf9594a3ea5d1a7dfc5278f7a4f2f47a18617366291d460ec45b6ae67",
 }
 
 
 # The same for the line program (generate_line_program), which the CLI runs.
 LINE_SOURCE_SHA256 = {
-    "listing1": "c0ef6bdab84e5a1a84f0fc16e6346e748bffafc58462899fa0e64ce3efdd3021",
-    "listing2": "b470737b990c840a00bb3b386237547fb9180070d72c9c5b38f31d3003558bcf",
-    "listing3": "cc83e5dc8146dd81edfa9fc183084cd10548673dc27fa7851dc9002ea8efc0ca",
-    "listing4": "cdab3011db350f95c63e71b770999860ca7c8c02027c50569a2c7fa4607c7f74",
-    "od1_rubric": "c3fa57a5b74255e1737b67f5a68cd560e47bb15d5fc3ef855e422dc9c19bc320",
-    "od2_competition": "b8c18908313989b79a1420abd72238227010e58929196c73faaf2ebbd392c65d",
-    "od3_framework": "ac57e5dd3a0a2758b456bed34db3b0e8922a39c2ae9b0e9997c8ba956a9a5753",
+    "listing1": "6316c4c1919e403e1ab589bb1fd2b10b6bea236f8c2d4576c25a5c5ead0c6550",
+    "listing2": "16ee4174cdf3dd2babcbd8cd4b5b507f82da7f48546850932ba8ad96f8baa368",
+    "listing3": "dff17c5f55f58873c77cc2578f3ee8f8235df4eabd0ac2176e479be31ca8027b",
+    "listing4": "eac5298f5594d40569f3d02ce15094466750869634500317810289b462a7764e",
+    "od1_rubric": "d2219cb041dad5c2ae5a4410e1176f5103c568220d6dc56b9292911c0ef85920",
+    "od2_competition": "d43578952bdfdb58e894e3b556252c529afc2eccac050ce6226ade1609511851",
+    "od3_framework": "a1cbf3f4d2e134fa9ee1afc3fbfe9379d6cf9987402d5c577c20363c0d7ed0da",
 }
 
 

@@ -257,10 +257,12 @@ def test_names_resolve_to_field_then_constant_then_timer_then_score():
     with pytest.raises(EvalError, match=r"^unbound identifier 'e'$"):
         eval_expr(Ident("e"), env)
     # evaluator resolves in that order when it builds: the field `a` is read
-    # from the Env the closure is called with, the constant `b` folded in.
+    # from the Env's fields when the closure is called, the constant `b`
+    # folded in.
     closure = evaluator(expr("a * b"), env)
-    assert closure(env) == 20.0
-    assert closure(Env(fields={"a": 3.0})) == 60.0
+    assert closure() == 20.0
+    env.fields["a"] = 3.0
+    assert closure() == 60.0
 
 
 def test_and_or_return_booleans_for_numeric_operands():
@@ -349,7 +351,7 @@ def test_compiled_errors_stay_lazy_and_match_tree_walk():
     # evaluation fails stays a closure, which raises when it is called.
     built = evaluator(expr("1 / 0"), Env())
     with pytest.raises(EvalError, match=r"^division by zero in '1\.0 / 0\.0'$"):
-        built(Env())
+        built()
     # So is a node over values of the wrong kinds, which eval_expr, running
     # only check_expr, may be given.
     assert eval_expr(bool_expr("false and (point(0, 0) < 1)"), Env()) is False
