@@ -26,9 +26,11 @@ Each message is processed in three phases:
    independent of declaration order.
 
 `_emit` writes the Python source that does all of this for one checked
-oracle, with its expressions inlined, and `_program` puts it in a function
-that loops over its input and returns the report, through the loop head
-that every generated pass over records shares (`trace.record_loop`).
+oracle, with its expressions inlined and a record's functions under one
+error handler, which names the one that raised by the index it set last,
+and `_program` puts it in a function that loops over its input and returns
+the report, through the loop head that every generated pass over records
+shares (`trace.record_loop`).
 Two programs are made so, each at its first use, and kept on the
 `CheckedOracle`; they differ only in how a record binds t and the fields:
 
@@ -88,10 +90,6 @@ Program = Callable[[Iterable[TraceMessage]], ScoreReport]
 LineProgram = Callable[[Iterable[tuple[int, str]]], ScoreReport]
 
 
-def _failed(index: int, t: float, function: str, exc: EvalError) -> EvalError:
-    return EvalError(f"message {index} (t={t!r}), function '{function}': {exc}")
-
-
 def _regress(index: int, t: float, prev: float) -> EngineError:
     return EngineError(f"message {index}: timestamp {t!r} decreases below {prev!r}")
 
@@ -119,12 +117,14 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
     A repeated test is evaluated once per record: `binder` binds each value
     once, so equal tests are equal text, and when a function's event text
     repeats an earlier function's, the earlier one assigns it to the local
-    `eK` (K its index) in its `if` and the later ones test `eK`."""
+    `eK` (K its index) in its `if` and the later ones test `eK`. Each
+    function's block begins `fn = K`, and one `except _EvalError` after
+    them all names the function at `fn` in a bound tuple of the names."""
     od, timers = checked.od, checked.timers
     namespace = runtime()
     namespace.update(
         _EvalError=EvalError, _Firing=Firing, _isfinite=isfinite,
-        _non_finite=non_finite, _failed=_failed, _regress=_regress,
+        _non_finite=non_finite, _regress=_regress,
         _ScoreReport=ScoreReport,
     )
     bind = binder(namespace)
@@ -163,12 +163,11 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
     # index of that function's `if` line in body.
     shared: dict[str, tuple[str, int]] = {}
     for k, fn in enumerate(od.functions):
-        name = bind(fn.name)
         own = {"t": "t", "seq_time": f"(t - st{k})", **timer_vars[fn.name]}
         event = test = emit(fn.event, own)
         if event in shared:
             test, at = shared[event]
-            body[at] = f"    if ({test} := {event}):"
+            body[at] = f"if ({test} := {event}):"
         elif not event.isidentifier():  # a local or a bound value: nothing to save
             shared[event] = (f"e{k}", len(body) + 1)
         read: set[str] = set()
@@ -202,7 +201,7 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
             init.append(f"w{k} = False")
             apply += [f"if w{k}:", f"    w{k} = False", *writes]
         if log:
-            fire.append(f"firings.append(_Firing(index, {name}, d, ({''.join(dispatched)})))")
+            fire.append(f"firings.append(_Firing(index, {bind(fn.name)}, d, ({''.join(dispatched)})))")
 
         tests = [] if condition is None else [condition]
         if once:
@@ -214,14 +213,14 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
             init.append(f"q{k} = False")
             opened = [f"q{k} = True", f"st{k} = t", *([f"f{k} = False"] if per_sequence else [])]
             fire = [f"if not q{k}:", *_indent(opened), *fire]
-        body += [
-            "try:",
-            f"    if {test}:",
-            *_indent(fire, 2),
-            *(["    else:", f"        q{k} = False"] if sequence else []),
-            "except _EvalError as exc:",
-            f"    raise _failed(index, t, {name}, exc) from exc",
-        ]
+        body += [f"fn = {k}", f"if {test}:", *_indent(fire), *(["else:", f"    q{k} = False"] if sequence else [])]
+    names = bind(tuple(fn.name for fn in od.functions))
+    body = [
+        "try:",
+        *_indent(body),
+        "except _EvalError as exc:",
+        f"    raise _EvalError(f\"message {{index}} (t={{t!r}}), function '{{{names}[fn]}}': {{exc}}\") from exc",
+    ]
 
     if od.summary is None:
         summary = ["total = 0.0", *(f"total += s{k}" for k in range(len(od.functions)))]
@@ -286,8 +285,8 @@ def generate_line_program(checked: CheckedOracle, log: bool = False) -> LineProg
     return _program(parts, "numbered", "lineno, line", gate)
 
 
-def _indent(lines: list[str], levels: int = 1) -> list[str]:
-    return ["    " * levels + line for line in lines]
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
 
 
 def score_messages(checked: CheckedOracle, messages: Iterable[TraceMessage]) -> ScoreReport:

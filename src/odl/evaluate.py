@@ -214,7 +214,7 @@ def eval_expr(expr: Expr, env: Env) -> Value:
 
 
 # ---------------------------------------------------------------------------
-# Code generation: expressions as Python source, for `engine.generate_program`.
+# Code generation: expressions as Python source, for engine._emit's three programs.
 #
 # Only variable names of the generator's choosing, indices, repr() of finite
 # floats and the keys of syntax.BINARY, UNARY and BUILTINS are spliced into

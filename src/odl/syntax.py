@@ -419,7 +419,7 @@ def _format_function(fn: ScoringFunction) -> str:
     slots = (("event", fn.event), ("condition", fn.condition), ("action", fn.action))
     params = [f"{slot} = {_format_expr(expr)}" for slot, expr in slots if expr is not None]
     params.append(f"frequency = {fn.frequency.value}")
-    if fn.initial != 0.0:
+    if format_number(fn.initial) != "0.0":  # -0.0 too, which scores as itself
         params.append(f"initial = {format_number(fn.initial)}")
     if fn.notifications:
         notifs = ", ".join(_format_notification(n) for n in fn.notifications)

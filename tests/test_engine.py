@@ -399,6 +399,30 @@ def test_each_value_is_bound_once():
             assert bound and len(set(bound)) == len(bound), (od.functions[0].name, bound)
 
 
+def test_each_program_has_one_error_handler_per_record(monkeypatch):
+    """The message program, the line program and the logged line program of
+    each bundled oracle and of the merged one run all the functions of a
+    record under one `except _EvalError`, which names the function from the
+    local `fn`, and the summary, when there is one, under one more."""
+    sources = []
+
+    def capture(source, filename, *args):
+        if filename == "<odl program>":  # not the record reader of the schema
+            sources.append(source)
+        return builtins.compile(source, filename, *args)
+
+    monkeypatch.setattr(odl.trace, "compile", capture, raising=False)
+    for od in [*(parse_od(load_builtin(name)) for name in BUILTIN_NAMES), merged_builtins()]:
+        checked = check_od(od, GEN_SCHEMA)
+        programs = (checked.program, checked.line_program, generate_line_program(checked, log=True))
+        assert len(sources) == len(programs)
+        for source in sources:
+            # The loop's body is indented by 8 spaces, the code after it by 4.
+            handlers = [len(line) - len(line.lstrip()) for line in source.splitlines() if "except _EvalError" in line]
+            assert handlers == [8, *([4] if od.summary is not None else [])], (od.functions[0].name, source)
+        sources.clear()
+
+
 def test_firing_unit_of_each_bundled_function():
     units = {}
     for fn in merged_builtins().functions:
@@ -446,25 +470,25 @@ def test_program_is_generated_on_first_scoring_and_kept(monkeypatch):
 # oracle checked against GEN_SCHEMA. A change to how the engine emits code
 # that should not change what it emits keeps every digest.
 GENERATED_SOURCE_SHA256 = {
-    "listing1": "83bafd92cc385a885c3448670d1cde4b4de9c7df8586d4685751f6d5c0477a2b",
-    "listing2": "aa95ab0ed742a9ddd60a40e2e2e5897e31c63b11f26d5656a7a985fb2874f6f6",
-    "listing3": "ae48aa054ee5f39cb4af24949f20ec7039d8997e419394d90dfd711ed42f1d11",
-    "listing4": "c8daa663dda9c8813fc8de1139c23d02b77fd72a4ad98e3f799159e6054ce410",
-    "od1_rubric": "d76762b207b5464717b3edadb34db27f49f6aab8285998490cf97079db044d80",
-    "od2_competition": "40da29df24a638b7a56c4ed2eb2c8199089748baac19fb5ebd92822ada775d92",
-    "od3_framework": "b57b86dcf9594a3ea5d1a7dfc5278f7a4f2f47a18617366291d460ec45b6ae67",
+    "listing1": "d42f966f8ac0128874567b9be206435eb8b9740164555e7264ffc821dca686e2",
+    "listing2": "14483beda555e1a120b9710dd901858d9ea96c6201ebeadf0e631ab6a05090f6",
+    "listing3": "f8a4b71a9bdd4379c278a6c1984939f4eabf74cfb9067bf19c22a1696aa2be96",
+    "listing4": "93515b28ee81f8206fb8f7c02001422029ee58f035f6aa914a6ded3c549a2e2b",
+    "od1_rubric": "dc8465f9b11d778074f363c0f812687dc9fe25ac6be5d1f005b56152403acec7",
+    "od2_competition": "b655a0a34dd2462c711b714a9d8136e65091f1cf32ffedd046740c11090c03f4",
+    "od3_framework": "68238e55566927146e2e5b42dd59da29bbfd9789f8933d9a3a22a5e28e92b980",
 }
 
 
 # The same for the line program (generate_line_program), which the CLI runs.
 LINE_SOURCE_SHA256 = {
-    "listing1": "6316c4c1919e403e1ab589bb1fd2b10b6bea236f8c2d4576c25a5c5ead0c6550",
-    "listing2": "16ee4174cdf3dd2babcbd8cd4b5b507f82da7f48546850932ba8ad96f8baa368",
-    "listing3": "dff17c5f55f58873c77cc2578f3ee8f8235df4eabd0ac2176e479be31ca8027b",
-    "listing4": "eac5298f5594d40569f3d02ce15094466750869634500317810289b462a7764e",
-    "od1_rubric": "d2219cb041dad5c2ae5a4410e1176f5103c568220d6dc56b9292911c0ef85920",
-    "od2_competition": "d43578952bdfdb58e894e3b556252c529afc2eccac050ce6226ade1609511851",
-    "od3_framework": "a1cbf3f4d2e134fa9ee1afc3fbfe9379d6cf9987402d5c577c20363c0d7ed0da",
+    "listing1": "0cab164e8b73596d065e4bb44a8878a97a8b693a11bb02a751fd8f71200efbfe",
+    "listing2": "a443696b9954e7be2b65317417a8a318517df7c474ce6c1c2a08c66116524645",
+    "listing3": "b26c34490792d8562282cd5fa166561744e2e38e5fb874e5f818d3e58c052f90",
+    "listing4": "efb6ac30141b6564913385b99b1107c5c3c4d54af725119054ca4514f5561ce2",
+    "od1_rubric": "813623464711bd9369d3dd06e489d5b4a45e4d56676c573a491bb6e9aa14e996",
+    "od2_competition": "eb91bea236688ead07e2cb3db6544fdb980dc46a89583e01a688a02c3665d7e3",
+    "od3_framework": "4b7327550d232e87ebf5da4ded0e6e893adb00363dede255665d8ce640a99efe",
 }
 
 

@@ -30,6 +30,7 @@ from odl import (
     parse_od,
     parse_trace,
     reference_score,
+    report_to_text,
     score_trace,
 )
 from odl.cli import main
@@ -335,6 +336,18 @@ def test_format_negated_literal_keeps_structure():
     )
     od = OracleDefinition(functions=(fn,))
     assert parse_od(format_od(od)) == od
+
+
+def test_format_keeps_a_negative_zero_initial_score():
+    # -0.0 == 0.0, so the definitions compare equal either way: the round
+    # trip must also report what the original reports.
+    od = parse_od("f = scoring_function(event = speed > 100, frequency = first, initial = -0.0);")
+    round_tripped = parse_od(format_od(od))
+    assert round_tripped == od
+    trace = parse_trace('{"speed": "number"}\n{"t": 0, "speed": 2}\n')
+    for score in (score_trace, reference_score):
+        reports = [report_to_text(score(check_od(each, trace.schema), trace)) for each in (od, round_tripped)]
+        assert reports == ["f: -0.0\nsummary: 0.0\n"] * 2
 
 
 def test_formatter_keeps_the_nesting_limit_on_hand_built_trees():
