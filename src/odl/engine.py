@@ -27,9 +27,11 @@ Each message is processed in three phases:
 
 `_emit` writes the Python source that does all of this for one checked
 oracle, with its expressions inlined and a record's functions under one
-error handler, which names the one that raised by the index it set last,
-and `_program` puts it in a function that loops over its input and returns
-the report, through the loop head that every generated pass over records
+error handler, which names the one that raised by the index it set last.
+The function names are bound once, as one tuple: the handler and the
+firing log index it, and the report zips it with the scores. `_program`
+puts the source in a function that loops over its input and returns the
+report, through the loop head that every generated pass over records
 shares (`trace.record_loop`).
 Two programs are made so, each at its first use, and kept on the
 `CheckedOracle`; they differ only in how a record binds t and the fields:
@@ -119,7 +121,10 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
     repeats an earlier function's, the earlier one assigns it to the local
     `eK` (K its index) in its `if` and the later ones test `eK`. Each
     function's block begins `fn = K`, and one `except _EvalError` after
-    them all names the function at `fn` in a bound tuple of the names."""
+    them all names the function at `fn` in the tuple of the names. That
+    tuple is the one binding of the names: a firing or a notification
+    names a function by its index in it, and the report zips it with the
+    scores."""
     od, timers = checked.od, checked.timers
     namespace = runtime()
     namespace.update(
@@ -156,6 +161,8 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
             f"if not _isfinite({var}): raise _non_finite({bind(what)}, {var})",
         ]
 
+    scores = {fn.name: f"s{k}" for k, fn in enumerate(od.functions)}
+    names = bind(tuple(scores))  # the one binding of the function names
     init: list[str] = ["firings = []"] if log else []
     body: list[str] = []
     apply: list[str] = []
@@ -194,14 +201,14 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
                 fire += assign_finite(
                     var, value, own, f"notification value for '{notification.target}.{timer}'"
                 )
-                dispatched.append(f"({bind(notification.target)}, {bind(timer)}, {var}), ")
+                dispatched.append(f"({names}[{list(scores).index(notification.target)}], {bind(timer)}, {var}), ")
                 writes.append(f"    {timer_vars[notification.target][timer]} = {var}")
         if dispatched:
             fire.append(f"w{k} = True")
             init.append(f"w{k} = False")
             apply += [f"if w{k}:", f"    w{k} = False", *writes]
         if log:
-            fire.append(f"firings.append(_Firing(index, {bind(fn.name)}, d, ({''.join(dispatched)})))")
+            fire.append(f"firings.append(_Firing(index, {names}[{k}], d, ({''.join(dispatched)})))")
 
         tests = [] if condition is None else [condition]
         if once:
@@ -214,7 +221,6 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
             opened = [f"q{k} = True", f"st{k} = t", *([f"f{k} = False"] if per_sequence else [])]
             fire = [f"if not q{k}:", *_indent(opened), *fire]
         body += [f"fn = {k}", f"if {test}:", *_indent(fire), *(["else:", f"    q{k} = False"] if sequence else [])]
-    names = bind(tuple(fn.name for fn in od.functions))
     body = [
         "try:",
         *_indent(body),
@@ -225,17 +231,15 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
     if od.summary is None:
         summary = ["total = 0.0", *(f"total += s{k}" for k in range(len(od.functions)))]
     else:
-        scores = {fn.name: f"s{k}" for k, fn in enumerate(od.functions)}
         summary = [
             "try:",
             f"    total = float({emit(od.summary, scores)})",
             "except _EvalError as exc:",
             "    raise _EvalError(f'summary: {exc}') from exc",
         ]
-    pairs = "".join(f"({bind(fn.name)}, s{k}), " for k, fn in enumerate(od.functions))
     summary += [
         "if not _isfinite(total): raise _non_finite('summary', total)",
-        f"return _ScoreReport(({pairs}), total{', tuple(firings)' if log else ''})",
+        f"return _ScoreReport(tuple(zip({names}, ({', '.join(scores.values())},))), total{', tuple(firings)' if log else ''})",
     ]
     timer_list = [var for group in timer_vars.values() for var in group.values()]
     return _Parts(namespace, init, body, apply, summary, fields, timer_list)

@@ -8,9 +8,10 @@ into its value, computed once, then, by the closure that would compute it
 at each call. The batch reference builds its closures once per call and
 evaluates with them alone; `eval_expr(expr, env)` is
 `evaluator(expr, env)()`. `emit_expr` writes a checked expression as Python
-source; the streaming engine runs only such code, spliced into the two
-programs generated per oracle (`engine.generate_program` over messages,
-`engine.generate_line_program` over trace lines). The differential suite
+source; the streaming engine runs only such code, spliced into the three
+programs `engine._emit` writes per oracle (`engine.generate_program` over
+messages, `engine.generate_line_program` over trace lines, without and
+with the firing log). The differential suite
 compares the two evaluators. Both read only trees check_expr takes:
 `eval_expr` runs it first, and `generate_program` and the reference read
 the trees of a `CheckedOracle`, which check_od's checks took.

@@ -123,10 +123,19 @@ class Trace(NamedTuple):
 
 def json_object(text: str, what: str, error: Callable[[str], Exception], **hooks) -> dict:
     """json.loads(text, **hooks) restricted to objects. Each way the decoder
-    fails, and a value that is not an object, raises error(message) with a
-    message that names `what`."""
+    fails, a key repeated in any object, and a value that is not an object
+    raise error(message) with a message that names `what`."""
+
+    def distinct(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"duplicate {what} field '{key}'")
+            obj[key] = value
+        return obj
+
     try:
-        obj = json.loads(text, **hooks)
+        obj = json.loads(text, object_pairs_hook=distinct, **hooks)
     except json.JSONDecodeError as exc:
         raise error(f"malformed {what}: {exc.msg}") from exc
     except ValueError:
@@ -143,22 +152,13 @@ def json_object(text: str, what: str, error: Callable[[str], Exception], **hooks
 
 
 def _strict_json_object(line: str, lineno: int, what: str) -> dict:
-    """json_object for one trace line, rejecting duplicate keys and NaN/Infinity."""
-
-    def no_duplicates(pairs):
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise TraceError(f"duplicate {what} field '{key}'", line=lineno)
-            obj[key] = value
-        return obj
+    """json_object for one trace line, rejecting NaN/Infinity."""
 
     def reject_constant(text):
         raise TraceError(f"non-finite number {text} is not admitted", line=lineno)
 
     return json_object(
-        line, what, lambda message: TraceError(message, line=lineno),
-        object_pairs_hook=no_duplicates, parse_constant=reject_constant,
+        line, what, lambda message: TraceError(message, line=lineno), parse_constant=reject_constant,
     )
 
 

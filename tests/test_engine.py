@@ -399,6 +399,24 @@ def test_each_value_is_bound_once():
             assert bound and len(set(bound)) == len(bound), (od.functions[0].name, bound)
 
 
+def test_each_function_name_is_bound_once_in_the_tuple_of_names():
+    """The message program, the line program and the logged line program of
+    each bundled oracle and of the merged one bind the function names once:
+    one `_v` value holds names, and it is the tuple of all of them, which the
+    report, the firing log and the error handler index."""
+    for od in [*(parse_od(load_builtin(name)) for name in BUILTIN_NAMES), merged_builtins()]:
+        checked = check_od(od, GEN_SCHEMA)
+        names = tuple(fn.name for fn in od.functions)
+        for program in (checked.program, checked.line_program, generate_line_program(checked, log=True)):
+            bound = [value for name, value in program.__globals__.items() if name.startswith("_v")]
+            holding = [
+                value for value in bound
+                if (type(value) is str and value in names)
+                or (type(value) is tuple and any(name in value for name in names))
+            ]
+            assert holding == [names], (names[0], bound)
+
+
 def test_each_program_has_one_error_handler_per_record(monkeypatch):
     """The message program, the line program and the logged line program of
     each bundled oracle and of the merged one run all the functions of a
@@ -470,25 +488,25 @@ def test_program_is_generated_on_first_scoring_and_kept(monkeypatch):
 # oracle checked against GEN_SCHEMA. A change to how the engine emits code
 # that should not change what it emits keeps every digest.
 GENERATED_SOURCE_SHA256 = {
-    "listing1": "d42f966f8ac0128874567b9be206435eb8b9740164555e7264ffc821dca686e2",
-    "listing2": "14483beda555e1a120b9710dd901858d9ea96c6201ebeadf0e631ab6a05090f6",
-    "listing3": "f8a4b71a9bdd4379c278a6c1984939f4eabf74cfb9067bf19c22a1696aa2be96",
-    "listing4": "93515b28ee81f8206fb8f7c02001422029ee58f035f6aa914a6ded3c549a2e2b",
-    "od1_rubric": "dc8465f9b11d778074f363c0f812687dc9fe25ac6be5d1f005b56152403acec7",
-    "od2_competition": "b655a0a34dd2462c711b714a9d8136e65091f1cf32ffedd046740c11090c03f4",
-    "od3_framework": "68238e55566927146e2e5b42dd59da29bbfd9789f8933d9a3a22a5e28e92b980",
+    "listing1": "3074f3a085f33917aad8fc2fbaea04dd513d23d06d1ab02f4a6d426c3a1816de",
+    "listing2": "546adb1d832e0bbbc45cedd9032e911d804fac2cd98c2f7ee012af80fa8967dc",
+    "listing3": "67d72c592b3e8d6d7e3825c981be3e7d1635a3392fc9e546a3b3b0b8946640df",
+    "listing4": "aefbacf2b8861a759d22fa3417243b0ff3ac571f6e5e86bc45004993910f77c1",
+    "od1_rubric": "5395a2f0eb753c843f3cb488d1fad92b390487e0f0c8a5522fc3bfb68ae01266",
+    "od2_competition": "241f218a5d6451f5a4ca156178332c5a15e96b5d8fcf1849122836ce70982f53",
+    "od3_framework": "dffa716083d35bd672b733550fccf7271e3594549d21865b9d7fab4c53794899",
 }
 
 
 # The same for the line program (generate_line_program), which the CLI runs.
 LINE_SOURCE_SHA256 = {
-    "listing1": "0cab164e8b73596d065e4bb44a8878a97a8b693a11bb02a751fd8f71200efbfe",
-    "listing2": "a443696b9954e7be2b65317417a8a318517df7c474ce6c1c2a08c66116524645",
-    "listing3": "b26c34490792d8562282cd5fa166561744e2e38e5fb874e5f818d3e58c052f90",
-    "listing4": "efb6ac30141b6564913385b99b1107c5c3c4d54af725119054ca4514f5561ce2",
-    "od1_rubric": "813623464711bd9369d3dd06e489d5b4a45e4d56676c573a491bb6e9aa14e996",
-    "od2_competition": "eb91bea236688ead07e2cb3db6544fdb980dc46a89583e01a688a02c3665d7e3",
-    "od3_framework": "4b7327550d232e87ebf5da4ded0e6e893adb00363dede255665d8ce640a99efe",
+    "listing1": "fb0b51466a37b83d1b620e95870087f1f802a95d3af5ca2524657b110aa4aab0",
+    "listing2": "21a185a165c82d863df71a2b628607d7ca6d799f3ed084942e1468b31fa705b1",
+    "listing3": "bc96c9a5ac795ad6545dc598f959bd3185a78892bdcd8d2509efa6aac6c66572",
+    "listing4": "b92359e52bdb1cc42df4a606b0e8f1a0cd03daf5e4bda79518d58ae8d6025733",
+    "od1_rubric": "b5bd08a66266db598263c5c6488a4382fafab4234aa1477bc07638f4b6d57a55",
+    "od2_competition": "92fe6144c08e9844f903f8bb373f1993826e90fe0d17bf33a7cb85584f7f5777",
+    "od3_framework": "62a9f65f8e87e26bfa6ff99c4fbd304bc46b97e59b948c00394a2acde87fc255",
 }
 
 

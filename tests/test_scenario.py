@@ -455,6 +455,25 @@ HOSTILE_SCENARIOS = {
         '{"duration": 4, "tick": 1, "episodes": [{"kind": "speeding", "start": 1, "end": 2, "params": []}]}',
         "episode 0 params must be an object",
     ),
+    # A key repeated at each level: a plain JSON decode keeps the last value,
+    # so the first file would give a trace with no collision.
+    "repeated_key_at_the_top_level": (
+        '{"duration": 40, "tick": 0.2, "episodes": [{"kind": "collision", "start": 5}], "episodes": []}',
+        "duplicate scenario file field 'episodes'",
+    ),
+    "repeated_key_in_constants": (
+        '{"duration": 4, "tick": 1, "constants": {"speed_limit": 20, "speed_limit": 30}}',
+        "duplicate scenario file field 'speed_limit'",
+    ),
+    "repeated_key_in_an_episode": (
+        '{"duration": 4, "tick": 1, "episodes": [{"kind": "collision", "start": 1, "start": 3}]}',
+        "duplicate scenario file field 'start'",
+    ),
+    "repeated_key_in_params": (
+        '{"duration": 4, "tick": 1, "episodes": [{"kind": "speeding", "start": 1, "end": 2,'
+        ' "params": {"peak_speed": 26, "peak_speed": 30}}]}',
+        "duplicate scenario file field 'peak_speed'",
+    ),
 }
 
 
