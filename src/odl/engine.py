@@ -25,25 +25,26 @@ Each message is processed in three phases:
    is visible from the next message onward, which makes the result
    independent of declaration order.
 
-`_emit` writes the Python source that does all of this for one checked
-oracle, with its expressions inlined and a record's functions under one
-error handler, which names the one that raised by the index it set last.
-The function names are bound once, as one tuple: the handler and the
-firing log index it, and the report zips it with the scores. `_program`
-puts the source in a function that loops over its input and returns the
-report, through the loop head that every generated pass over records
-shares (`trace.record_loop`).
-Two programs are made so, each at its first use, and kept on the
-`CheckedOracle`; they differ only in how a record binds t and the fields:
+One builder (`_build`) writes and compiles the Python source that does all
+of this for one checked oracle, with its expressions inlined and a
+record's functions under one error handler, which names the one that
+raised by the index it set last. The function names are bound once, as
+one tuple: the handler and the firing log index it, and the report zips
+it with the scores. A program binds once each value it reads, and no
+other. Its loop is the one every generated pass over records shares
+(`trace.record_loop`), and a record binding from trace states how each
+record binds t and the fields, whole: what it takes, what it refuses, and
+a decreasing t. Two programs are made so, each at its first use, and kept
+on the `CheckedOracle`:
 
-- `generate_program` binds them from a message as `reference_score` does
+- `generate_program` binds a message as `reference_score` does
   (`trace.message_fields`): read values with a finite float t as they
   stand, any other through the reader's coercers, which raise or convert
   them. It keeps the firing log. `score_messages` (and so `score_trace`)
   is its only caller; no CLI command runs it.
-- `generate_line_program` binds them from a numbered line of a trace file
-  through the reader's record gate (`trace.record_gate`), so it builds no
-  message and keeps no firing log: its memory does not grow with the trace.
+- `generate_line_program` binds a numbered line of a trace file through
+  the reader's record gate (`trace.record_gate`), so it builds no message
+  and keeps no firing log: its memory does not grow with the trace.
   `score_lines`, which every CLI scoring runs, is its only caller; with
   `log` it compiles one that keeps the log, for that call.
 
@@ -60,7 +61,7 @@ from .errors import EngineError, EvalError
 from .evaluate import binder, emit_expr, emit_value, non_finite, runtime
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
 from .syntax import Expr, Frequency, Literal, format_expr
-from .trace import Trace, TraceMessage, message_fields, record_gate, record_loop
+from .trace import Trace, TraceMessage, TraceSchema, message_fields, record_gate, record_loop
 
 if TYPE_CHECKING:
     from .checker import CheckedOracle
@@ -92,29 +93,18 @@ Program = Callable[[Iterable[TraceMessage]], ScoreReport]
 LineProgram = Callable[[Iterable[tuple[int, str]]], ScoreReport]
 
 
-def _regress(index: int, t: float, prev: float) -> EngineError:
-    return EngineError(f"message {index}: timestamp {t!r} decreases below {prev!r}")
-
-
-class _Parts(NamedTuple):
-    """What _emit generates for one oracle, for _program to assemble."""
-
-    namespace: dict[str, object]  # the names the lines read
-    init: list[str]  # before the loop
-    body: list[str]  # per record, after t and the fields are bound
-    apply: list[str]  # per record, after every function ran
-    summary: list[str]  # after the loop; returns the ScoreReport
-    fields: dict[str, str]  # each field the oracle reads -> its local
-    timers: list[str]  # every timer's local
-
-
-def _emit(checked: CheckedOracle, log: bool) -> _Parts:
-    """The lines of one checked oracle's scoring, which read t, `index` (the
-    record's) and each field's local as the head binds them, with a firing
-    log appended to `firings` when `log` is set. Scores, sequence flags and
-    timers live in locals, and each function's firing rule is specialised
-    to its frequency mode. A notification waits in locals of its notifier
-    and is written into the target's timer after the record.
+def _build(checked: CheckedOracle, log: bool, items: str, item: str,
+           binding: Callable[[TraceSchema, dict[str, str]], tuple[dict[str, object], list[str]]]) -> Callable:
+    """Generate and compile `program(items)`, one checked oracle's scoring
+    over each `item` of `items`, with a firing log appended to `firings`
+    when `log` is set. `binding(schema, fields)` gives the namespace and the
+    lines that bind t and each field the oracle read to its local in
+    `fields`, and refuse what the record rule refuses, a decreasing t too;
+    then the timers run down, and trace.record_loop writes the loop.
+    Scores, sequence flags and timers live in locals, and each function's
+    firing rule is specialised to its frequency mode. A notification waits
+    in locals of its notifier and is written into the target's timer after
+    the record.
 
     A repeated test is evaluated once per record: `binder` binds each value
     once, so equal tests are equal text, and when a function's event text
@@ -124,13 +114,13 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
     them all names the function at `fn` in the tuple of the names. That
     tuple is the one binding of the names: a firing or a notification
     names a function by its index in it, and the report zips it with the
-    scores."""
+    scores. A value only the firing log reads, a notified timer's name, is
+    bound only with the log."""
     od, timers = checked.od, checked.timers
     namespace = runtime()
     namespace.update(
         _EvalError=EvalError, _Firing=Firing, _isfinite=isfinite,
-        _non_finite=non_finite, _regress=_regress,
-        _ScoreReport=ScoreReport,
+        _non_finite=non_finite, _ScoreReport=ScoreReport,
     )
     bind = binder(namespace)
     constants = od.constant_map()
@@ -197,13 +187,14 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
         dispatched, writes = [], []
         for notification in fn.notifications:
             for timer, value in notification.bindings:
-                var = f"n{k}_{len(dispatched)}"
+                var = f"n{k}_{len(writes)}"
                 fire += assign_finite(
                     var, value, own, f"notification value for '{notification.target}.{timer}'"
                 )
-                dispatched.append(f"({names}[{list(scores).index(notification.target)}], {bind(timer)}, {var}), ")
                 writes.append(f"    {timer_vars[notification.target][timer]} = {var}")
-        if dispatched:
+                if log:
+                    dispatched.append(f"({names}[{list(scores).index(notification.target)}], {bind(timer)}, {var}), ")
+        if writes:
             fire.append(f"w{k} = True")
             init.append(f"w{k} = False")
             apply += [f"if w{k}:", f"    w{k} = False", *writes]
@@ -226,6 +217,7 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
         *_indent(body),
         "except _EvalError as exc:",
         f"    raise _EvalError(f\"message {{index}} (t={{t!r}}), function '{{{names}[fn]}}': {{exc}}\") from exc",
+        *apply,
     ]
 
     if od.summary is None:
@@ -241,34 +233,23 @@ def _emit(checked: CheckedOracle, log: bool) -> _Parts:
         "if not _isfinite(total): raise _non_finite('summary', total)",
         f"return _ScoreReport(tuple(zip({names}, ({', '.join(scores.values())},))), total{', tuple(firings)' if log else ''})",
     ]
-    timer_list = [var for group in timer_vars.values() for var in group.values()]
-    return _Parts(namespace, init, body, apply, summary, fields, timer_list)
-
-
-def _program(parts: _Parts, items: str, item: str, bind: list[str]) -> Callable:
-    """`program(items)` through trace.record_loop: parts.init, then for each
-    `item` of `items` `bind` (which binds t and each read field's local),
-    the timer run-down, parts.body and parts.apply, and after the loop what
-    parts.summary returns."""
+    bound, bound_lines = binding(checked.schema, fields)
+    namespace.update(bound)
     # Timers run from 0.0 at the first record, where no time has elapsed.
-    rundown = ["if index:", "    dt = t - prev_t", *(f"    {var} -= dt" for var in parts.timers)]
-    bind = [*bind, *(rundown if parts.timers else [])]
-    return record_loop(parts.namespace, f"program({items})", item, items, parts.init, bind,
-                       [*parts.body, *parts.apply], parts.summary)
+    rundown = [f"    {var} -= dt" for group in timer_vars.values() for var in group.values()]
+    if rundown:
+        bound_lines = [*bound_lines, "if index:", "    dt = t - prev_t", *rundown]
+    return record_loop(namespace, f"program({items})", item, items, init, bound_lines, body, summary)
 
 
 def generate_program(checked: CheckedOracle) -> Program:
     """Generate, compile and return the scoring program of a checked oracle:
     a function of an iterable of messages, pulled one at a time so errors
     come in their order, that keeps the firing log. It binds each message
-    through trace.message_fields, which takes read values as they stand and
+    through trace.message_fields, which takes read values as they stand,
     sends any other to the reader's coercers, which raise EngineError for
-    fields or values the reader refuses; then it refuses a decreasing t."""
-    parts = _emit(checked, log=True)
-    namespace, fields = message_fields(checked.schema, parts.fields, EngineError)
-    parts.namespace.update(namespace)
-    bind = ["t, values = message", *fields, "if t < prev_t: raise _regress(index, t, prev_t)"]
-    return _program(parts, "messages", "message", bind)
+    fields or values the reader refuses, and refuses a decreasing t."""
+    return _build(checked, True, "messages", "message", lambda schema, fields: message_fields(schema, fields, EngineError))
 
 
 def generate_line_program(checked: CheckedOracle, log: bool = False) -> LineProgram:
@@ -283,10 +264,7 @@ def generate_line_program(checked: CheckedOracle, log: bool = False) -> LineProg
     the firing log, and a line the gate refuses raises the reader's
     diagnostic at its place.
     """
-    parts = _emit(checked, log)
-    namespace, gate = record_gate(checked.schema, parts.fields)
-    parts.namespace.update(namespace)
-    return _program(parts, "numbered", "lineno, line", gate)
+    return _build(checked, log, "numbered", "lineno, line", record_gate)
 
 
 def _indent(lines: list[str]) -> list[str]:

@@ -9,7 +9,7 @@ at each call. The batch reference builds its closures once per call and
 evaluates with them alone; `eval_expr(expr, env)` is
 `evaluator(expr, env)()`. `emit_expr` writes a checked expression as Python
 source; the streaming engine runs only such code, spliced into the three
-programs `engine._emit` writes per oracle (`engine.generate_program` over
+programs its one builder writes per oracle (`engine.generate_program` over
 messages, `engine.generate_line_program` over trace lines, without and
 with the firing log). The differential suite
 compares the two evaluators. Both read only trees check_expr takes:
@@ -215,7 +215,7 @@ def eval_expr(expr: Expr, env: Env) -> Value:
 
 
 # ---------------------------------------------------------------------------
-# Code generation: expressions as Python source, for engine._emit's three programs.
+# Code generation: expressions as Python source, for the engine's three programs.
 #
 # Only variable names of the generator's choosing, indices, repr() of finite
 # floats and the keys of syntax.BINARY, UNARY and BUILTINS are spliced into
@@ -238,12 +238,13 @@ def runtime() -> dict[str, Any]:
 def binder(namespace: dict[str, Any]) -> Callable[[Any], str]:
     """bind(value) returns a name under which namespace holds value, for use
     in generated source: the name it gave a value of equal type and repr,
-    else a fresh one. So each value is bound once, and equal expressions
-    are equal text."""
+    else a fresh one, `_v<N>` for the N values bound before it. So each
+    value is bound once, equal expressions are equal text, and a name does
+    not depend on the other names in the namespace."""
     names: dict[tuple[type, str], str] = {}
 
     def bind(value: Any) -> str:
-        name = names.setdefault((type(value), repr(value)), f"_v{len(namespace)}")
+        name = names.setdefault((type(value), repr(value)), f"_v{len(names)}")
         namespace[name] = value
         return name
 

@@ -26,12 +26,14 @@ which raise the reader's diagnostics or convert its values.
 The reader gives each message's values as an immutable dict of a type that
 its schema's reader alone makes (`read_values_type`). The rule took them
 when they were read, and no method of theirs changes them, so the engine's
-message program (`message_fields`) and `reference_score` take such values
-with a finite float t as they stand and send any other message to the
-coercers. The writer, whose traffic is mostly messages built in memory
-(`odl gen`'s), holds a plain dict or read values to the rule's generated
-test (`_TAKEN`) and sends any other values, and what it refuses, to the
-coercers.
+message program and `reference_score` take such values with a finite float
+t as they stand and send any other message to the coercers. The message
+program's binding (`message_fields`) states that rule whole: it binds the
+message, takes or converts it, and refuses a decreasing t, as the record
+gate does for a line. The writer, whose traffic is mostly messages built
+in memory (`odl gen`'s), holds a plain dict or read values to the rule's
+generated test (`_TAKEN`) and sends any other values, and what it refuses,
+to the coercers.
 
 `Point2`, `TraceSchema`, `TraceMessage` and `Trace` are named tuples: they
 iterate, compare equal to a plain tuple of the same fields, and are derived
@@ -556,15 +558,18 @@ def message_checker(schema: TraceSchema, error: Callable[[str], Exception]) -> C
 def message_fields(
     schema: TraceSchema, fields: Mapping[str, str], error: Callable[[str], Exception]
 ) -> tuple[dict[str, object], list[str]]:
-    """The reader's rule for a message, as the namespace and the lines that
-    bind each field of `values` (message `index`'s) named in `fields` to
-    its local. Values of read_values_type(schema) with a finite float t are
-    taken as they stand: the reader's rule took them, and no method of
-    theirs changes them. Any other values go to message_checker, which
-    raises error or rebinds t and `values`, converted, as reference_score
-    does."""
-    namespace = {"_convert": message_checker(schema, error), "_isfinite": isfinite, "_Read": read_values_type(schema)}
+    """The reader's rule for a message, as the namespace and the lines of a
+    loop body over `message` (message `index`) that bind t, `values` and
+    each field named in `fields` to its local, then raise error if t
+    decreases below `prev_t`, which record_loop keeps. Values of
+    read_values_type(schema) with a finite float t are taken as they
+    stand: the reader's rule took them, and no method of theirs changes
+    them. Any other values go to message_checker, which raises error or
+    rebinds t and `values`, converted, as reference_score does."""
+    namespace = {"_convert": message_checker(schema, error), "_error": error, "_isfinite": isfinite,
+                 "_Read": read_values_type(schema)}
     lines = [
+        "t, values = message",
         "if type(values) is not _Read or type(t) is not float or not _isfinite(t):",
         "    t, values = _convert(index, t, values, {})",
     ]
@@ -572,6 +577,7 @@ def message_fields(
         namespace["_fields"] = itemgetter(*fields)
         # Of one name, itemgetter gives a value, not a tuple.
         lines.append(f"{', '.join(fields.values())} = _fields(values)")
+    lines.append('if t < prev_t: raise _error(f"message {index}: timestamp {t!r} decreases below {prev_t!r}")')
     return namespace, lines
 
 

@@ -387,16 +387,19 @@ def test_the_merged_bundled_oracle_tests_each_repeated_event_once(monkeypatch):
     assert line_report(checked, trace) == reference._replace(firings=())
 
 
-def test_each_value_is_bound_once():
+def test_each_value_is_bound_once_and_read():
     """The message program, the line program and the logged line program of
-    each bundled oracle and of the merged one bind each value once: the
-    `_v` names of a program's namespace hold values of pairwise distinct
-    type and repr."""
+    each bundled oracle and of the merged one bind each value once, and
+    only a value they read: the `_v` names of a program's namespace hold
+    values of pairwise distinct type and repr, and the program's code reads
+    each of them."""
     for od in [*(parse_od(load_builtin(name)) for name in BUILTIN_NAMES), merged_builtins()]:
         checked = check_od(od, GEN_SCHEMA)
         for program in (checked.program, checked.line_program, generate_line_program(checked, log=True)):
             bound = [(type(value), repr(value)) for name, value in program.__globals__.items() if name.startswith("_v")]
             assert bound and len(set(bound)) == len(bound), (od.functions[0].name, bound)
+            unread = [name for name in program.__globals__ if name.startswith("_v") and name not in program.__code__.co_names]
+            assert unread == [], (od.functions[0].name, unread)
 
 
 def test_each_function_name_is_bound_once_in_the_tuple_of_names():
@@ -488,25 +491,25 @@ def test_program_is_generated_on_first_scoring_and_kept(monkeypatch):
 # oracle checked against GEN_SCHEMA. A change to how the engine emits code
 # that should not change what it emits keeps every digest.
 GENERATED_SOURCE_SHA256 = {
-    "listing1": "3074f3a085f33917aad8fc2fbaea04dd513d23d06d1ab02f4a6d426c3a1816de",
-    "listing2": "546adb1d832e0bbbc45cedd9032e911d804fac2cd98c2f7ee012af80fa8967dc",
-    "listing3": "67d72c592b3e8d6d7e3825c981be3e7d1635a3392fc9e546a3b3b0b8946640df",
-    "listing4": "aefbacf2b8861a759d22fa3417243b0ff3ac571f6e5e86bc45004993910f77c1",
-    "od1_rubric": "5395a2f0eb753c843f3cb488d1fad92b390487e0f0c8a5522fc3bfb68ae01266",
-    "od2_competition": "241f218a5d6451f5a4ca156178332c5a15e96b5d8fcf1849122836ce70982f53",
-    "od3_framework": "dffa716083d35bd672b733550fccf7271e3594549d21865b9d7fab4c53794899",
+    "listing1": "7ea72914870542bea92376a8d94eb91246779deea757bf820fe7698bbbaa2276",
+    "listing2": "b7934b092d1016737f47e014d12a6fd1b6c07abf6ffb633b76deed116e38a53e",
+    "listing3": "2598fcd101000fe495d7c41162f711f6a4889a350154a163df026adcd66ffaa9",
+    "listing4": "628e457d794eaa8e47aa9f5777a24fa647e441c5ba5c69e69fab8ed7f8c3a634",
+    "od1_rubric": "ce973c1dba7f2f6d19758e9235d5cde0474ed5ffef9dd598e95dcdd007c3d192",
+    "od2_competition": "8a780fb237c37653f5220f2da2713a12e7d3f0ec8aec0b81e70cf43b004b062d",
+    "od3_framework": "5898bbfac430e14057299d05a26fb098050b9fda1c389e1ce64749e4b7d59726",
 }
 
 
 # The same for the line program (generate_line_program), which the CLI runs.
 LINE_SOURCE_SHA256 = {
-    "listing1": "fb0b51466a37b83d1b620e95870087f1f802a95d3af5ca2524657b110aa4aab0",
-    "listing2": "21a185a165c82d863df71a2b628607d7ca6d799f3ed084942e1468b31fa705b1",
-    "listing3": "bc96c9a5ac795ad6545dc598f959bd3185a78892bdcd8d2509efa6aac6c66572",
-    "listing4": "b92359e52bdb1cc42df4a606b0e8f1a0cd03daf5e4bda79518d58ae8d6025733",
-    "od1_rubric": "b5bd08a66266db598263c5c6488a4382fafab4234aa1477bc07638f4b6d57a55",
-    "od2_competition": "92fe6144c08e9844f903f8bb373f1993826e90fe0d17bf33a7cb85584f7f5777",
-    "od3_framework": "62a9f65f8e87e26bfa6ff99c4fbd304bc46b97e59b948c00394a2acde87fc255",
+    "listing1": "b9112200d59ed1d55aabbf08a1126b26df0e43cfc6d28d91ab6f371b6dbd1dcd",
+    "listing2": "3ac0a0acf4419da6bd7d2892a26d33fa6c8253bf1431f349c4b10780dcef934b",
+    "listing3": "66b3d4f8c8be266addaec590ecb7bf302f77d5aedfd5779390587f51f7a2507c",
+    "listing4": "d83de6eb22e0ad455f319fe54211be331821c4ca42466dab882e3730e92f8951",
+    "od1_rubric": "c5f9d1519d07faf990c8109218f1666f06f24c30d4fe15be9265af9b18467c05",
+    "od2_competition": "5293269724818f2683864adba0d1e48bee7a478eaeb6bd0b064e17d8daacb5a9",
+    "od3_framework": "e8b682f3701c527d0c3511ac33345c8b8fa8b7e5ce784f6cf8f05da3cd00c6d0",
 }
 
 
