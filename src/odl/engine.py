@@ -58,7 +58,7 @@ from math import isfinite
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import EngineError, EvalError
-from .evaluate import binder, emit_expr, emit_value, non_finite, runtime
+from .evaluate import binder, emit_expr, emit_value, non_finite
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
 from .syntax import Expr, Frequency, Literal, format_expr
 from .trace import Trace, TraceMessage, TraceSchema, message_fields, record_gate, record_loop
@@ -117,11 +117,7 @@ def _build(checked: CheckedOracle, log: bool, items: str, item: str,
     scores. A value only the firing log reads, a notified timer's name, is
     bound only with the log."""
     od, timers = checked.od, checked.timers
-    namespace = runtime()
-    namespace.update(
-        _EvalError=EvalError, _Firing=Firing, _isfinite=isfinite,
-        _non_finite=non_finite, _ScoreReport=ScoreReport,
-    )
+    namespace = {"_EvalError": EvalError, "_isfinite": isfinite, "_non_finite": non_finite, "_ScoreReport": ScoreReport}
     bind = binder(namespace)
     constants = od.constant_map()
     fields: dict[str, str] = {}  # field name -> local variable
@@ -199,7 +195,7 @@ def _build(checked: CheckedOracle, log: bool, items: str, item: str,
             init.append(f"w{k} = False")
             apply += [f"if w{k}:", f"    w{k} = False", *writes]
         if log:
-            fire.append(f"firings.append(_Firing(index, {names}[{k}], d, ({''.join(dispatched)})))")
+            fire.append(f"firings.append({bind(Firing, '_Firing')}(index, {names}[{k}], d, ({''.join(dispatched)})))")
 
         tests = [] if condition is None else [condition]
         if once:

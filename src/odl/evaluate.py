@@ -230,34 +230,32 @@ def _divide(dividend: float, divisor: float, error: str) -> float:
     return dividend / divisor
 
 
-def runtime() -> dict[str, Any]:
-    """A fresh exec namespace with the helpers generated code calls."""
-    return {"_divide": _divide, "_dist": math.dist}
-
-
-def binder(namespace: dict[str, Any]) -> Callable[[Any], str]:
+def binder(namespace: dict[str, Any]) -> Callable[..., str]:
     """bind(value) returns a name under which namespace holds value, for use
     in generated source: the name it gave a value of equal type and repr,
     else a fresh one, `_v<N>` for the N values bound before it. So each
     value is bound once, equal expressions are equal text, and a name does
-    not depend on the other names in the namespace."""
+    not depend on the other names in the namespace. bind(helper, name)
+    holds a helper under its own fixed name, as the source that calls it is
+    written, so a namespace holds only the helpers its source reads."""
     names: dict[tuple[type, str], str] = {}
 
-    def bind(value: Any) -> str:
-        name = names.setdefault((type(value), repr(value)), f"_v{len(names)}")
+    def bind(value: Any, name: str | None = None) -> str:
+        if name is None:
+            name = names.setdefault((type(value), repr(value)), f"_v{len(names)}")
         namespace[name] = value
         return name
 
     return bind
 
 
-def emit_value(value: Value, bind: Callable[[Any], str]) -> str:
+def emit_value(value: Value, bind: Callable[..., str]) -> str:
     if type(value) is float and math.isfinite(value):
         return repr(value)
     return bind(value)
 
 
-def emit_expr(expr: Expr, resolve: Callable[[str], str], bind: Callable[[Any], str]) -> str:
+def emit_expr(expr: Expr, resolve: Callable[[str], str], bind: Callable[..., str]) -> str:
     """Python source that evaluates a checked expression as `evaluator`'s
     closure does: same value and type, operands left to right, `and`/`or`
     short-circuit, the same division-by-zero error. `resolve(name)` gives
@@ -281,9 +279,9 @@ def emit_expr(expr: Expr, resolve: Callable[[str], str], bind: Callable[[Any], s
             left, right = emit(e.left), emit(e.right)
             if e.op == "/":
                 error = bind(f"division by zero in '{format_expr(e)}'")
-                return f"_divide({left}, {right}, {error})"
+                return f"{bind(_divide, '_divide')}({left}, {right}, {error})"
             return f"({left} {e.op} {right})"
-        name = "_dist" if e.name == "distance" else e.name  # a Call of a built-in
+        name = bind(math.dist, "_dist") if e.name == "distance" else e.name  # a Call of a built-in
         return f"{name}({', '.join(emit(arg) for arg in e.args)})"
 
     return emit(expr)

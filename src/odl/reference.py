@@ -2,29 +2,38 @@
 oracle for the streaming engine.
 
 Instead of incremental per-function flags and generated code, this walks
-the trace by index, evaluates every expression with the closure that
-`evaluate.evaluator` builds for it once per call, materializes per-function
-tables (event truth, sequence start, first-fired index per trace and per
-sequence start), and decides each firing declaratively from those tables:
+the trace once, by index, and evaluates every expression with the closure
+that `evaluate.evaluator` builds for it once per call. Each function keeps
+a few facts, and no table indexed by message:
 
-  - first:                fire at i iff condition holds and no index fired yet.
-  - action_sum, no cond:  fire at every event-true index.
-  - action_sum with cond: fire at i iff condition holds and no index of the
-                          maximal sequence starting at seq_start[i] fired yet.
-  - all_sum:              fire wherever event and condition hold.
+  - opened:   the index of the message that opened its current sequence
+              (None when the event did not hold at the previous message),
+              and that message's t, from which seq_time is measured;
+  - fired_in: the opening index of the sequence in which it last fired
+              (None if it has never fired).
 
-Timer replay and notification dispatch still advance with the index walk
-(event truth at i may depend on notifications fired at indices < i, so a
-fully separate pass cannot exist), but the firing log is only assembled
-afterwards from the materialized firing rows. The summary is a closure
-too, so the engine and the reference share no evaluation code. Like the
-engine, it reads only a `CheckedOracle`, which check_od's checks took.
+Where its event and condition hold, a function fires by its mode:
+
+  - first:                iff fired_in is None.
+  - action_sum with cond: iff fired_in != opened: once per sequence.
+  - otherwise:            always.
+
+The engine resets a flag when a sequence opens; the reference names the
+sequence by its opening index, so the two share no firing code, and no
+rule compares two indices by order. Each firing joins the log when it
+happens. Its notifications set their timers after the message (event
+truth at i may depend on notifications fired at indices < i, so a fully
+separate pass cannot exist). The summary is a closure too, so the engine
+and the reference share no evaluation code. Like the engine, it reads only
+a `CheckedOracle`, which check_od's checks took.
 
 Each function has one row of state, made before the walk: its position,
 its `Env` (the schema's field names with `t`, the constants and its timer
-table), its closures, built over that `Env`, so each name is resolved and
-each node over constants folded once per call, and its tables. The walk
-admits each message as the engine's message program does. One read from a
+table), and its closures, built over that `Env`, so each name is resolved
+and each node over constants folded once per call. The walk pulls each
+message once, so the messages may be any iterable, a one-shot iterator
+too, and memory grows with the trace only by the firing log. It admits
+each message as the engine's message program does. One read from a
 trace of the oracle's schema, whose values are of `trace.read_values_type`
 and whose t is a finite float, is written into the dict all Envs share
 untested: the reader took those values, and no method of theirs changes
@@ -54,27 +63,29 @@ _FIRST, _ACTION_SUM = Frequency.FIRST, Frequency.ACTION_SUM
 
 
 def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
-    """Score a trace by table materialization; equals score_trace exactly."""
+    """Score a trace in one walk over a few facts per function; equals score_trace exactly."""
     messages = checked._messages_of(trace)
     od = checked.od
     functions = od.functions
-    n = len(messages)
     names = [fn.name for fn in functions]
     constants = od.constant_map()
     check, read = message_checker(checked.schema, EngineError), read_values_type(checked.schema)
     fields = dict.fromkeys((*checked.schema.names(), "t"))  # every Env's, updated in place at each message
 
-    # First-fired index per function (n: none yet).
-    first_fired = [n] * len(functions)
-    # (index, fn position, delta, notifications) in dispatch order.
-    firing_rows: list[tuple[int, int, float, tuple[tuple[str, str, float], ...]]] = []
+    # Each function's facts, by position: the index (None while the event
+    # does not hold) and t of the message that opened its current sequence,
+    # and the opening index of the sequence in which it last fired (None if
+    # it never fired).
+    opened: list[int | None] = [None] * len(functions)
+    opened_t = [0.0] * len(functions)
+    fired_in: list[int | None] = [None] * len(functions)
+    firings: list[Firing] = []
     totals = [fn.initial for fn in functions]
     timers = [{timer: 0.0 for timer in sorted(checked.timers[name])} for name in names]
     timers_of = dict(zip(names, timers))
     running = [table for table in timers if table]
-    # One row per function: its position, the Env of its closures, its
-    # closures (None for an absent one), and its event-truth, sequence-start
-    # and first-fired-per-sequence-start tables (absent: none fired yet).
+    # One row per function: its position, the Env of its closures, and its
+    # closures (None for an absent one).
     rows = []
     for pos, fn in enumerate(functions):
         env = Env(fields=fields, constants=constants, timers=timers[pos])
@@ -86,7 +97,7 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
             for notif in fn.notifications
             for timer, value in notif.bindings
         ]
-        rows.append((pos, fn, env, event, condition, action, bindings, [False] * n, [0] * n, {}))
+        rows.append((pos, fn, env, event, condition, action, bindings))
 
     previous_t = -inf
     try:
@@ -105,28 +116,27 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
             previous_t = t
             fields["t"] = t
             queued: tuple[tuple[str, str, float], ...] = ()
-            for pos, fn, env, event, condition, action, bindings, event_true, seq_start, in_seq in rows:
+            for pos, fn, env, event, condition, action, bindings in rows:
                 if not event():
+                    opened[pos] = None
                     continue
-                event_true[i] = True
-                start = seq_start[i - 1] if i and event_true[i - 1] else i
-                seq_start[i] = start
+                if opened[pos] is None:
+                    opened[pos], opened_t[pos] = i, t
                 if condition is not None:
-                    env.seq_time = t - messages[start].t
+                    env.seq_time = t - opened_t[pos]
                     cond_ok = bool(condition())
                     env.seq_time = None
                     if not cond_ok:
                         continue
                 if fn.frequency is _FIRST:
-                    fire = first_fired[pos] > i
+                    fire = fired_in[pos] is None
                 elif fn.frequency is _ACTION_SUM and condition is not None:
-                    fire = in_seq.get(start, n) > i
+                    fire = fired_in[pos] != opened[pos]
                 else:
                     fire = True
                 if not fire:
                     continue
-                first_fired[pos] = min(first_fired[pos], i)
-                in_seq.setdefault(start, i)
+                fired_in[pos] = opened[pos]
                 delta = 0.0
                 if action is not None:
                     delta = float(action())
@@ -143,7 +153,7 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
                     dispatched.append((target, timer, value))
                 notifications = tuple(dispatched)
                 queued += notifications
-                firing_rows.append((i, pos, delta, notifications))
+                firings.append(Firing(i, fn.name, delta, notifications))
             for target, timer, value in queued:
                 timers_of[target][timer] = value
     except EvalError as exc:
@@ -162,11 +172,4 @@ def reference_score(checked: CheckedOracle, trace: Trace) -> ScoreReport:
             raise EvalError(f"summary: {exc}") from exc
     if not isfinite(summary):
         raise non_finite("summary", summary)
-    return ScoreReport(
-        scores=scores,
-        summary=summary,
-        firings=tuple(
-            Firing(index, names[pos], delta, dispatched)
-            for index, pos, delta, dispatched in firing_rows
-        ),
-    )
+    return ScoreReport(scores=scores, summary=summary, firings=tuple(firings))

@@ -431,9 +431,10 @@ def _record_reader(schema: TraceSchema) -> tuple[Callable[[Iterator[tuple[int, s
     namespace, gate = record_gate(schema, fields)
     read = type("ReadValues", (_ReadValues,), {"__slots__": ()})
     namespace.update(
-        _names=names, _new=tuple.__new__, _Point2=Point2, _Message=TraceMessage,
-        _Values=read, _empty=dict.__new__, _fill=dict.update,
+        _names=names, _new=tuple.__new__, _Message=TraceMessage, _Values=read, _empty=dict.__new__, _fill=dict.update,
     )
+    if Kind.POINT2 in schema.as_dict().values():
+        namespace["_Point2"] = Point2  # read where a point's value is made
     init = [f"[{', '.join(f'k{k}' for k in range(len(names)))}] = _names"]
     body = ["values = _empty(_Values)", f"_fill(values, {{{', '.join(values)}}})", "yield _new(_Message, (t, values))"]
     return record_loop(namespace, "read_records(numbered)", "lineno, line", "numbered", init, gate, body), read
@@ -596,10 +597,7 @@ def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage], Cal
     two-float points it binds: what json.JSONEncoder writes of them."""
     names = schema.names()
     fields = [f"x{k}" for k in range(len(names))]
-    namespace = {
-        "_convert": message_checker(schema, ValueError), "_isfinite": isfinite, "_Point2": Point2,
-        "_ReadValues": _ReadValues, "_bool": ("false", "true"),
-    }
+    namespace = {"_convert": message_checker(schema, ValueError), "_isfinite": isfinite, "_ReadValues": _ReadValues}
     test = " and ".join([
         f"(type(values) is dict or type(values).__base__ is _ReadValues) and len(values) == {len(names)}",
         *_taken(zip(fields, (kind for _, kind in schema.fields)), "(type({v}) is _Point2 or type({v}) is list)"),
@@ -618,8 +616,10 @@ def _record_writer(schema: TraceSchema) -> Callable[[Iterable[TraceMessage], Cal
         if kind is Kind.NUMBER:
             body += f"{{{var}!r}}"
         elif kind is Kind.BOOLEAN:
+            namespace["_bool"] = ("false", "true")
             body += f"{{_bool[{var}]}}"
         else:
+            namespace["_Point2"] = Point2  # read by _TAKEN's test of a point
             body += f"[{{{var}[0]!r}}, {{{var}[1]!r}}]"
     line = "f" + repr('{{"t": {t!r}' + body + "}}\n")
     bind = ["t, values = message", *check, "if not taken:", *("    " + step for step in convert)]

@@ -23,10 +23,10 @@ executable). Each run prints the sha256 digests of:
   them, through `score_trace` with the firing log, through `score_lines`
   without it and with it, and through `reference_score`, which folds
   constant arithmetic when it builds its closures;
-- the reports, with firing logs, of `score_trace` of each bundled oracle
-  on a hand-built copy of an eventful trace, whose integral times are ints
-  and whose points are lists, so that the reader's coercers convert every
-  message;
+- the reports, with firing logs, of `score_trace` and of `reference_score`
+  of each bundled oracle on a hand-built copy of an eventful trace, whose
+  integral times are ints and whose points are lists, so that the reader's
+  coercers convert every message;
 - the outcome (report or error text) of `score_messages`, `score_trace`
   and `reference_score` on each hand-built trace of `trace_faults` in
   _traces.py, and of `dump_trace` (its text, or its ValueError text);
@@ -155,11 +155,12 @@ def _digests() -> dict[str, str]:
         )
         for t, values in eventful.messages
     ))
-    reports = [
-        report_to_json(score_trace(check_od(parse_od(load_builtin(name)), GEN_SCHEMA), hand_built), include_firings=True)
-        for name in BUILTIN_NAMES
-    ]
-    digests["hand-built eventful trace, score_trace"] = test_scenario.sha256("\n".join(reports))
+    for score in (score_trace, reference_score):
+        reports = [
+            report_to_json(score(check_od(parse_od(load_builtin(name)), GEN_SCHEMA), hand_built), include_firings=True)
+            for name in BUILTIN_NAMES
+        ]
+        digests[f"hand-built eventful trace, {score.__name__}"] = test_scenario.sha256("\n".join(reports))
     outcomes = [scorer_outcomes(checked, trace) for checked, trace, _, _ in trace_faults()]
     digests["hand-built faults, three scorers"] = test_scenario.sha256(json.dumps(outcomes))
     outcomes = []

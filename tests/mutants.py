@@ -60,7 +60,7 @@ MUTANTS = [
            '"if index:"', '"if True:"',
            ("test_differential.py",)),
     Mutant("firing_log_names_the_first_function", "engine.py",
-           "firings.append(_Firing(index, {names}[{k}], d,", "firings.append(_Firing(index, {names}[0], d,",
+           "(index, {names}[{k}], d, (", "(index, {names}[0], d, (",
            ("test_differential.py",)),
     Mutant("fn_set_after_the_if", "engine.py",
            'body += [f"fn = {k}", f"if {test}:", *_indent(fire), *(["else:", f"    q{k} = False"] if sequence else [])]',
@@ -81,6 +81,9 @@ MUTANTS = [
     Mutant("seq_time_reversed", "engine.py",
            '"seq_time": f"(t - st{k})"', '"seq_time": f"(st{k} - t)"',
            ("test_differential.py",)),
+    Mutant("firing_writes_the_timer_in_its_own_block", "engine.py",
+           'fire.append(f"w{k} = True")', 'fire += [f"w{k} = True", *(write.strip() for write in writes)]',
+           ("test_differential.py",)),
     # Each record binding and the loop head that every pass shares.
     Mutant("record_loop_keeps_no_prev_t", "trace.py",
            'loop = [*bind, "prev_t = t", *body, "index += 1"]', 'loop = [*bind, *body, "index += 1"]',
@@ -96,8 +99,24 @@ MUTANTS = [
            "(type(values) is dict or type(values).__base__ is _ReadValues)", "isinstance(values, dict)",
            ("test_differential.py",)),
     # The reference, which the differential suite holds the engine to.
-    Mutant("reference_first_fires_at_the_next_message_again", "reference.py",
-           "fire = first_fired[pos] > i", "fire = first_fired[pos] >= i - 1",
+    Mutant("reference_first_never_counts_as_fired", "reference.py",
+           "fire = fired_in[pos] is None", "fire = True",
+           ("test_differential.py",)),
+    Mutant("reference_sequence_comparison_always_false", "reference.py",
+           "fire = fired_in[pos] != opened[pos]", "fire = False",
+           ("test_differential.py",)),
+    Mutant("reference_sequences_never_close", "reference.py",
+           "opened[pos] = None", "pass",
+           ("test_differential.py",)),
+    Mutant("reference_sequence_reopens_at_every_message", "reference.py",
+           "if opened[pos] is None:", "if True:",
+           ("test_differential.py",)),
+    Mutant("reference_seq_time_fixed_at_0", "reference.py",
+           "env.seq_time = t - opened_t[pos]", "env.seq_time = 0.0",
+           ("test_differential.py",)),
+    Mutant("reference_applies_a_notification_at_once", "reference.py",
+           "dispatched.append((target, timer, value))",
+           "dispatched.append((target, timer, value)); timers_of[target][timer] = value",
            ("test_differential.py",)),
     Mutant("reference_refuses_an_equal_t", "reference.py",
            "if t < previous_t:", "if t <= previous_t:",

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from types import MappingProxyType
 
@@ -395,6 +396,46 @@ def test_long_eventful_trace_all_bundled_oracles():
         report = score_trace(checked, trace)
         assert report.firings, name
         assert report == reference_score(checked, trace), name
+
+
+def test_the_reference_scores_a_trace_whose_messages_are_a_one_shot_iterator():
+    """reference_score pulls each message once, as score_trace does: a Trace
+    whose messages are an iterator scores as the same trace as a tuple."""
+    trace = generate_trace(load_scenario(load_example_scenario("eventful")), 7)
+    for name in BUILTIN_NAMES:
+        checked = check_od(parse_od(load_builtin(name)), trace.schema)
+        once = trace._replace(messages=iter(trace.messages))
+        assert reference_score(checked, once) == score_trace(checked, trace), name
+
+
+@pytest.mark.parametrize("name", ["od3_framework", "listing1"])
+def test_the_reference_holds_nothing_that_grows_with_the_trace(name):
+    """reference_score keeps a few facts per function and the firing log:
+    on eventful at tick 0.02, stretched from 60 s (3,001 messages) to 240 s
+    (12,001), which adds no firing, the peak that one call allocates grows
+    by under 4 KiB. Tables of one entry per message took 249 KB and 952 KB
+    (od3_framework), 74.5 KB and 215 KB (listing1)."""
+    peaks, firings = [], []
+    for duration in (60.0, 240.0):
+        scenario = replace(load_scenario(load_example_scenario("eventful")), duration=duration, tick=0.02)
+        trace = generate_trace(scenario, seed=7)
+        checked = check_od(parse_od(load_builtin(name)), trace.schema)
+        reference_score(checked, trace)  # builds what is cached once: the schema's record reader
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            report = reference_score(checked, trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(trace.messages) == 1 + 50 * duration
+        peaks.append(peak - held)
+        firings.append(report.firings)
+    assert firings[0] and firings[0] == firings[1]
+    assert peaks[1] - peaks[0] < 4 * 1024, peaks
 
 
 @pytest.mark.parametrize("tick", [0.2, 0.1])

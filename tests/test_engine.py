@@ -392,7 +392,11 @@ def test_each_value_is_bound_once_and_read():
     each bundled oracle and of the merged one bind each value once, and
     only a value they read: the `_v` names of a program's namespace hold
     values of pairwise distinct type and repr, and the program's code reads
-    each of them."""
+    each of them. Every generated pass holds only what its code reads: each
+    global of these programs, and of the record reader and writer of
+    GEN_SCHEMA and of schemas of one number, one boolean and no field, but
+    `__builtins__` and the pass's own name, is one of its code's names."""
+    programs = []
     for od in [*(parse_od(load_builtin(name)) for name in BUILTIN_NAMES), merged_builtins()]:
         checked = check_od(od, GEN_SCHEMA)
         for program in (checked.program, checked.line_program, generate_line_program(checked, log=True)):
@@ -400,6 +404,13 @@ def test_each_value_is_bound_once_and_read():
             assert bound and len(set(bound)) == len(bound), (od.functions[0].name, bound)
             unread = [name for name in program.__globals__ if name.startswith("_v") and name not in program.__code__.co_names]
             assert unread == [], (od.functions[0].name, unread)
+            programs.append((od.functions[0].name, program))
+    for schema in (GEN_SCHEMA, TraceSchema((("n", Kind.NUMBER),)), BOOL_SCHEMA, TraceSchema(())):
+        programs += [(schema, odl.trace._record_reader.__wrapped__(schema)[0]),
+                     (schema, odl.trace._record_writer.__wrapped__(schema))]
+    for what, program in programs:
+        held = set(program.__globals__) - {"__builtins__", program.__name__}
+        assert sorted(held - set(program.__code__.co_names)) == [], (what, program.__name__)
 
 
 def test_each_function_name_is_bound_once_in_the_tuple_of_names():

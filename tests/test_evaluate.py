@@ -32,7 +32,7 @@ from odl import (
     format_expr,
     parse_od,
 )
-from odl.evaluate import binder, emit_expr, emit_value, evaluator, runtime
+from odl.evaluate import binder, emit_expr, emit_value, evaluator
 from odl.syntax import MAX_NESTING
 
 
@@ -41,7 +41,7 @@ def compile_expr(expr, fields, constants, timers=()):
     that returns what `eval_expr` returns in the matching `Env`. It is
     built by `emit_expr`, as the scoring program is, so the emitter can be
     compared with `evaluator`'s closures one expression at a time."""
-    namespace = runtime()
+    namespace = {}
     bind = binder(namespace)
 
     def resolve(name):
