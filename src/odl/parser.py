@@ -71,18 +71,14 @@ _FREQUENCIES = {f.value: f for f in Frequency}
 class Token(NamedTuple):
     kind: str  # "IDENT", "NUMBER", "EOF", or the punctuation itself
     text: str
-    line: int
-    column: int
-    value: float = 0.0  # set for NUMBER tokens
+    start: int  # the offset of its first character in the source
 
 
 # The grammar is ASCII: \d, \w or IGNORECASE would also accept 'é', '²' or '٣'.
 _TOKEN_RE = re.compile(
     rf"""
-      (?P<space> [ \t\r]+ )
-    | (?P<newline> \n )
+      (?P<skip> (?: [ \t\r\n] | \#[^\n]*\n )+ )
     | (?: \#[^\n]* )? (?P<EOF> \Z )  # a comment that ends the input puts EOF at its '#'
-    | (?P<comment> \#[^\n]* )
     | (?P<IDENT> {NAME_RE.pattern} )
     | (?P<NUMBER> [0-9]+ (?: \.[0-9]+ )? (?: [eE][+-]?[0-9]+ )? )
     | (?P<punctuation> [<>=!]= | [()\[\],;=+\-*/<>] )
@@ -91,33 +87,31 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _located(source: str, message: str, start: int) -> ParseError:
+    """A ParseError of `message` at offset `start` of `source`, by line and column."""
+    return ParseError(message, source.count("\n", 0, start) + 1, start - source.rfind("\n", 0, start))
+
+
 def _lex(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, line_start, pos = 1, 0, 0
-    kind: str | None = None
+    pos, kind = 0, ""
     while kind != "EOF":
-        column = pos - line_start + 1
         m = _TOKEN_RE.match(source, pos)
         if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, column)
-        kind, text, pos = m.lastgroup, m.group(m.lastgroup), m.end()
-        if kind == "newline":
-            line, line_start = line + 1, pos
-        elif kind == "punctuation":
-            tokens.append(Token(text, text, line, column))
-        elif kind == "NUMBER":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ParseError(f"number literal {text} is out of range", line, column)
-            tokens.append(Token(kind, text, line, column, value))
-        elif kind in ("IDENT", "EOF"):
-            tokens.append(Token(kind, text, line, column))
+            raise _located(source, f"unexpected character {source[pos]!r}", pos)
+        kind, text = m.lastgroup, m.group(m.lastgroup)
+        if kind == "NUMBER" and not math.isfinite(float(text)):
+            raise _located(source, f"number literal {text} is out of range", pos)
+        if kind != "skip":
+            tokens.append(Token(text if kind == "punctuation" else kind, text, pos))
+        pos = m.end()
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+    def __init__(self, source: str):
+        self._source = source
+        self._tokens = _lex(source)
         self._pos = 0
         self._open = 0  # parentheses open in the current expression
         # Operators and calls on the longest path of each such node, by id;
@@ -156,8 +150,7 @@ class _Parser:
         return self.advance()
 
     def fail(self, message: str, tok: Token | None = None) -> NoReturn:
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        raise _located(self._source, message, (tok or self.peek()).start)
 
 
 def _node(p: _Parser, expr: Expr, tok: Token, *children: Expr) -> Expr:
@@ -185,7 +178,7 @@ def _parse_expr(p: _Parser, min_prec: int = 1) -> Expr:
     # A minus fused directly onto a number is a negative literal.
     if prefixes and prefixes[-1].kind == "-" and p.peek().kind == "NUMBER":
         prefixes.pop()
-        expr: Expr = Literal(-p.advance().value)
+        expr: Expr = Literal(-float(p.advance().text))
     else:
         expr = _parse_primary(p)
     for tok in reversed(prefixes):
@@ -232,8 +225,8 @@ def _parse_primary(p: _Parser) -> Expr:
 
 def _parse_signed_number(p: _Parser) -> float:
     negative = p.match("-")
-    tok = p.expect("NUMBER", "number")
-    return -tok.value if negative else tok.value
+    value = float(p.expect("NUMBER", "number").text)
+    return -value if negative else value
 
 
 def _parse_literal(p: _Parser) -> Value:
@@ -341,7 +334,7 @@ def parse_od(source: str) -> OracleDefinition:
     Declaration order is preserved; constants and scoring functions share one
     namespace and duplicates are rejected here.
     """
-    p = _Parser(_lex(source))
+    p = _Parser(source)
     constants: list[tuple[str, Value]] = []
     functions: list[ScoringFunction] = []
     summary: Expr | None = None

@@ -196,9 +196,10 @@ def _as_point(value: object, where: str, lineno: int) -> Point2:
 _COERCE = {Kind.NUMBER: _as_finite_number, Kind.BOOLEAN: _as_boolean, Kind.POINT2: _as_point}
 
 # The reader's value rule as source, per kind: the test that a local `{v}`
-# holds a value taken as it stands, and its floats, whose sum must be finite
-# (t is a number); `{array}` tests a point's container. A value refused goes
-# to its kind's coercer in _COERCE, to be converted or refused.
+# holds a value taken as it stands, and its floats, whose sums (_taken's)
+# must be finite (t is a number); `{array}` tests a point's container. A
+# value refused goes to its kind's coercer in _COERCE, to be converted or
+# refused.
 _TAKEN = {
     Kind.NUMBER: ("type({v}) is float", ("{v}",)),
     Kind.BOOLEAN: ("({v} is True or {v} is False)", ()),
@@ -207,13 +208,15 @@ _TAKEN = {
 
 
 def _taken(fields: Iterable[tuple[str, Kind]], array: str) -> list[str]:
-    """_TAKEN's tests of t and each (local, kind) of `fields`, then `_isfinite` of their floats' sum."""
+    """_TAKEN's tests of t and each (local, kind) of `fields`, then `_isfinite`
+    of their floats' sum, one test per 64 floats: the compiler recurses once
+    per `+` of a sum, so one sum of thousands would raise RecursionError."""
     tests, floats = [], []
     for var, kind in (("t", Kind.NUMBER), *fields):
         test, summands = _TAKEN[kind]
         tests.append(test.format(v=var, array=array.format(v=var)))
         floats += [summand.format(v=var) for summand in summands]
-    return [*tests, f"_isfinite({' + '.join(floats)})"]
+    return [*tests, *(f"_isfinite({' + '.join(floats[k:k + 64])})" for k in range(0, len(floats), 64))]
 
 
 _KINDS = {kind.value: kind for kind in Kind}
@@ -327,15 +330,15 @@ def record_gate(schema: TraceSchema, fields: Mapping[str, str]) -> tuple[dict[st
     read `index` and `prev_t` as record_loop keeps them.
 
     One gate takes a line that _scan reads whole as an object of t and the
-    schema's fields whose floats (t, numbers, coordinates) have a finite
-    sum, whose booleans are True or False and whose t does not decrease. It
-    binds t and each field in schema order to its local (u<k> if it has
-    none): a float, a bool, or a point as a two-float list. Such a record
-    has no string values, so its only quote characters are two per key
-    plus any in values that a repeated key overwrote: the quote count is
-    2 * len(obj) exactly when no key repeats. Every other line goes to
-    _refused, the strict path, which gives (t, values) with points as
-    Point2s, bound through `_fields`, or raises every diagnostic. Field
+    schema's fields whose floats (t, numbers, coordinates) have finite
+    sums, 64 at a time, whose booleans are True or False and whose t does
+    not decrease. It binds t and each field in schema order to its local
+    (u<k> if it has none): a float, a bool, or a point as a two-float list.
+    Such a record has no string values, so its only quote characters are
+    two per key plus any in values that a repeated key overwrote: the quote
+    count is 2 * len(obj) exactly when no key repeats. Every other line
+    goes to _refused, the strict path, which gives (t, values) with points
+    as Point2s, bound through `_fields`, or raises every diagnostic. Field
     names are bound in the namespace; the source holds indices and counts."""
     namespace: dict[str, object] = {
         "_scan": _scan, "_get": itemgetter("t", *schema.names()), "_isfinite": isfinite, "_refused": _refused,

@@ -7,9 +7,9 @@ import json
 import math
 
 from odl import (
-    BUILTIN_NAMES, CheckedOracle, EngineError, EvalError, Frequency, OdlError, OracleDefinition, Point2,
-    ScoreReport, ScoringFunction, Trace, TraceError, TraceMessage, check_od, dump_trace, format_od, load_builtin,
-    parse_od, parse_trace, reference_score, report_to_json, score_messages, score_trace,
+    BUILTIN_NAMES, CheckedOracle, EngineError, EvalError, Frequency, Kind, OdlError, OracleDefinition, Point2,
+    ScoreReport, ScoringFunction, Trace, TraceError, TraceMessage, TraceSchema, check_od, dump_trace, format_od,
+    load_builtin, parse_od, parse_trace, reference_score, report_to_json, score_messages, score_trace,
 )
 from odl.engine import score_lines
 from odl.trace import LINE_BATCH_BYTES, read_trace_lines
@@ -75,6 +75,26 @@ def merged_builtins() -> OracleDefinition:
         functions.extend(od.functions)
     assert len({fn.name for fn in functions}) == len(functions)
     return parse_od(format_od(OracleDefinition(constants=tuple(constants.items()), functions=tuple(functions))))
+
+
+# An oracle over wide_trace's last number, last point and boolean.
+WIDE_OD = "f = scoring_function(event = b, action = x3499 + distance(p499, point(0, 0)), frequency = all_sum);"
+
+
+def wide_trace() -> Trace:
+    """Three messages of 3,500 number fields (x<k>), 500 point fields (p<k>)
+    and a boolean b: 4,501 floats a record with t, past the width at which
+    one sum of them no longer compiles on CPython 3.10 to 3.12."""
+    schema = TraceSchema(tuple(
+        [(f"x{k}", Kind.NUMBER) for k in range(3500)] + [(f"p{k}", Kind.POINT2) for k in range(500)]
+        + [("b", Kind.BOOLEAN)]
+    ))
+    messages = []
+    for t in range(3):
+        values = {f"x{k}": k * 0.5 + t for k in range(3500)}
+        values.update({f"p{k}": Point2(float(k + t), -k / 4) for k in range(500)})
+        messages.append(TraceMessage(float(t), {**values, "b": t != 1}))
+    return Trace(schema, tuple(messages))
 
 
 def firing_unit(fn: ScoringFunction) -> str:

@@ -27,6 +27,11 @@ executable). Each run prints the sha256 digests of:
   of each bundled oracle on a hand-built copy of an eventful trace, whose
   integral times are ints and whose points are lists, so that the reader's
   coercers convert every message;
+- the text `dump_trace` writes of `wide_trace` in _traces.py (4,501
+  floats a record), whether `parse_trace` reads it back equal, and the
+  reports of `score_messages`, `score_trace`, `reference_score` and the
+  logged line program on it: on CPython 3.10 to 3.12 one sum of a record's
+  floats in the generated finiteness test would not compile;
 - the outcome (report or error text) of `score_messages`, `score_trace`
   and `reference_score` on each hand-built trace of `trace_faults` in
   _traces.py, and of `dump_trace` (its text, or its ValueError text);
@@ -96,7 +101,8 @@ def _digests() -> dict[str, str]:
     import test_engine
     import test_scenario
     from _traces import (
-        BATCHED_FILES, line_report, merged_builtins, scorer_outcomes, time_shift_changes, trace_faults,
+        BATCHED_FILES, WIDE_OD, line_report, merged_builtins, scorer_outcomes, time_shift_changes, trace_faults,
+        wide_trace,
     )
     from odl import (
         BUILTIN_NAMES, GEN_SCHEMA, CheckError, Frequency, Literal, Notification, OracleDefinition, ScoringFunction,
@@ -161,6 +167,11 @@ def _digests() -> dict[str, str]:
             for name in BUILTIN_NAMES
         ]
         digests[f"hand-built eventful trace, {score.__name__}"] = test_scenario.sha256("\n".join(reports))
+    wide = wide_trace()
+    checked, text = check_od(parse_od(WIDE_OD), wide.schema), dump_trace(wide)
+    outcomes = [text, parse_trace(text) == wide, *scorer_outcomes(checked, wide),
+                report_to_json(line_report(checked, wide, log=True), include_firings=True)]
+    digests["wide trace, dump_trace, parse_trace and four scorers"] = test_scenario.sha256(json.dumps(outcomes))
     outcomes = [scorer_outcomes(checked, trace) for checked, trace, _, _ in trace_faults()]
     digests["hand-built faults, three scorers"] = test_scenario.sha256(json.dumps(outcomes))
     outcomes = []

@@ -98,6 +98,29 @@ MUTANTS = [
     Mutant("writer_takes_any_dict", "trace.py",
            "(type(values) is dict or type(values).__base__ is _ReadValues)", "isinstance(values, dict)",
            ("test_differential.py",)),
+    Mutant("finiteness_tested_in_one_sum", "trace.py",
+           "' + '.join(floats[k:k + 64])})\" for k in range(0, len(floats), 64)",
+           "' + '.join(floats)})\" for k in range(1)",
+           ("test_cli.py",)),
+    Mutant("finiteness_tested_in_the_first_64_floats_only", "trace.py",
+           "for k in range(0, len(floats), 64)", "for k in range(0, 64, 64)",
+           ("test_cli.py",)),
+    # The oracle-language lexer and the location of a ParseError.
+    Mutant("parse_error_column_off_by_one", "parser.py",
+           'start - source.rfind("\\n", 0, start)', 'start + 1 - source.rfind("\\n", 0, start)',
+           ("test_parser.py",)),
+    Mutant("parse_error_lines_counted_from_0", "parser.py",
+           'source.count("\\n", 0, start) + 1', 'source.count("\\n", 0, start)',
+           ("test_parser.py",)),
+    Mutant("comment_ending_the_input_is_skipped", "parser.py",
+           "\\#[^\\n]*\\n )+", "\\#[^\\n]*\\n? )+",
+           ("test_parser.py",)),
+    Mutant("number_out_of_range_is_read", "parser.py",
+           'if kind == "NUMBER" and not math.isfinite(float(text)):', "if False:",
+           ("test_parser.py",)),
+    Mutant("fused_minus_dropped", "parser.py",
+           "Literal(-float(p.advance().text))", "Literal(float(p.advance().text))",
+           ("test_parser.py",)),
     # The reference, which the differential suite holds the engine to.
     Mutant("reference_first_never_counts_as_fired", "reference.py",
            "fire = fired_in[pos] is None", "fire = True",

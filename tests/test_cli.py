@@ -10,11 +10,15 @@ import pytest
 
 import odl.engine
 import odl.trace
-from odl import GEN_SCHEMA, check_od, dump_trace, load_builtin, load_example_scenario
+from odl import (
+    GEN_SCHEMA, Point2, TraceError, check_od, dump_trace, load_builtin, load_example_scenario, parse_od, parse_trace,
+    reference_score,
+)
 from odl import cli
 from odl.cli import main
 from _drive import drive, listing_suite
 from _generators import NESTED_SHAPES, nested_od
+from _traces import WIDE_OD, wide_trace
 from test_engine import counting_generate_program
 from odl.parser import MAX_NESTING
 from odl.trace import record_gate
@@ -552,3 +556,26 @@ def test_scoring_memory_does_not_grow_with_the_trace(tmp_path, command):
     # A firing log would cost ~130 B a firing, ~11 MiB between the two.
     small, large = score_peak_kb(tmp_path, command, 10_000), score_peak_kb(tmp_path, command, 100_000)
     assert large - small < 2 * 1024, (small, large)
+
+
+def test_a_wide_schema_is_read_written_and_scored(tmp_path, capsys):
+    """A record of 4,501 floats round-trips and scores: one sum of them
+    would recurse past the compiler's limit. A non-finite float after the
+    first 64 is refused on the way in and on the way out."""
+    trace = wide_trace()
+    text = dump_trace(trace)
+    assert parse_trace(text) == trace
+    with pytest.raises(TraceError, match="^line 2: non-finite number Infinity is not admitted$"):
+        parse_trace(text.replace('"p499": [499.0, ', '"p499": [Infinity, ', 1))
+    first = trace.messages[0]
+    hand_built = trace._replace(messages=(first._replace(values={**first.values, "p499": Point2(float("inf"), 0.0)}),))
+    with pytest.raises(ValueError, match=r"^message 0: field 'p499'\[0\] must be finite$"):
+        dump_trace(hand_built)
+    summary = reference_score(check_od(parse_od(WIDE_OD), trace.schema), trace).summary
+    od, path = tmp_path / "wide.odl", tmp_path / "wide__run.jsonl"
+    od.write_text(WIDE_OD)
+    path.write_text(text)
+    assert main(["score", "--od", str(od), "--trace", str(path), "--report", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"] == summary
+    assert main(["batch", "--od", str(od), "--traces", str(tmp_path / "*__*.jsonl")]) == 0
+    assert capsys.readouterr().out == f"solution,trace,score\nwide,run,{summary!r}\n"

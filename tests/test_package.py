@@ -132,8 +132,8 @@ VALUE_TYPES = {
         "<Kind.NUMBER: 'number'>),)), timers={'f': frozenset()})", "od", False,
     ),
     "Token": (
-        lambda: Token("NUMBER", "2", 1, 5, 2.0), Token("NUMBER", "2", 1, 6, 2.0),
-        "Token(kind='NUMBER', text='2', line=1, column=5, value=2.0)", "column", True,
+        lambda: Token("NUMBER", "2", 4), Token("NUMBER", "2", 5),
+        "Token(kind='NUMBER', text='2', start=4)", "start", True,
     ),
 }
 

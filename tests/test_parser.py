@@ -259,7 +259,9 @@ def _event_f(event):
 
 # Token edge cases: a number needs a digit after '.' and after 'e[+-]' to
 # take them in; tab and '\r' are one column each; a comment runs to the end
-# of its line, and at the end of input the EOF token sits at its '#'.
+# of its line, and at the end of input the EOF token sits at its '#'. A
+# number out of range is refused as the source is read, like an unexpected
+# character, so before a syntax error that comes earlier in the source.
 LEXER_EDGES = [
     ("const A = 1.;", "1:12: unexpected character '.'"),
     ("const A = 1.x;", "1:12: unexpected character '.'"),
@@ -282,6 +284,9 @@ LEXER_EDGES = [
     ("f = scoring_function(event = a>=-1, frequency = first);", _event_f(Binary(">=", Ident("a"), Literal(-1.0)))),
     ("f = scoring_function(event = a_1==_b9, frequency = first);", _event_f(Binary("==", Ident("a_1"), Ident("_b9")))),
     ("f = scoring_function(event = a =< b, frequency = first);", "1:32: expected ')' closing scoring_function, found '='"),
+    ("const A = x;\nf = scoring_function(event = t > -1e999, frequency = first);",
+     "2:35: number literal 1e999 is out of range"),
+    ("const A = 1 @ 1e999;", "1:13: unexpected character '@'"),
 ]
 
 
