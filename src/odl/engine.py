@@ -32,10 +32,10 @@ raised by the index it set last. The function names are bound once, as
 one tuple: the handler and the firing log index it, and the report zips
 it with the scores. A program binds once each value it reads, and no
 other. Its loop is the one every generated pass over records shares
-(`trace.record_loop`), and a record binding from trace states how each
-record binds t and the fields, whole: what it takes, what it refuses, and
-a decreasing t. Two programs are made so, each at its first use, and kept
-on the `CheckedOracle`:
+(`trace.record_loop`), and a record binding from trace names the loop's
+records and states how each binds t and the fields, whole: what it takes,
+what it refuses, and a decreasing t. Two programs are made so, each at its
+first use, and kept on the `CheckedOracle`:
 
 - `generate_program` binds a message as `reference_score` does
   (`trace.message_fields`): read values with a finite float t as they
@@ -57,7 +57,7 @@ import json
 from math import isfinite
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
-from .errors import EngineError, EvalError
+from .errors import EvalError
 from .evaluate import binder, emit_expr, emit_value, non_finite
 from .evaluate import eval_expr  # noqa: F401  (unused: bench/probe.py counts calls through this name)
 from .syntax import Expr, Frequency, Literal, format_expr
@@ -93,14 +93,14 @@ Program = Callable[[Iterable[TraceMessage]], ScoreReport]
 LineProgram = Callable[[Iterable[tuple[int, str]]], ScoreReport]
 
 
-def _build(checked: CheckedOracle, log: bool, items: str, item: str,
-           binding: Callable[[TraceSchema, dict[str, str]], tuple[dict[str, object], list[str]]]) -> Callable:
+def _build(checked: CheckedOracle, log: bool,
+           binding: Callable[[TraceSchema, dict[str, str]], tuple[str, str, dict[str, object], list[str]]]) -> Callable:
     """Generate and compile `program(items)`, one checked oracle's scoring
     over each `item` of `items`, with a firing log appended to `firings`
-    when `log` is set. `binding(schema, fields)` gives the namespace and the
-    lines that bind t and each field the oracle read to its local in
-    `fields`, and refuse what the record rule refuses, a decreasing t too;
-    then the timers run down, and trace.record_loop writes the loop.
+    when `log` is set. The record binding `binding(schema, fields)` gives
+    `items`, `item`, a namespace and lines that bind t and each field read
+    to its local in `fields`, refusing what the record rule refuses, a
+    decreasing t too; trace.record_loop writes the loop around them.
     Scores, sequence flags and timers live in locals, and each function's
     firing rule is specialised to its frequency mode. A notification waits
     in locals of its notifier and is written into the target's timer after
@@ -229,7 +229,7 @@ def _build(checked: CheckedOracle, log: bool, items: str, item: str,
         "if not _isfinite(total): raise _non_finite('summary', total)",
         f"return _ScoreReport(tuple(zip({names}, ({', '.join(scores.values())},))), total{', tuple(firings)' if log else ''})",
     ]
-    bound, bound_lines = binding(checked.schema, fields)
+    items, item, bound, bound_lines = binding(checked.schema, fields)
     namespace.update(bound)
     # Timers run from 0.0 at the first record, where no time has elapsed.
     rundown = [f"    {var} -= dt" for group in timer_vars.values() for var in group.values()]
@@ -245,7 +245,7 @@ def generate_program(checked: CheckedOracle) -> Program:
     through trace.message_fields, which takes read values as they stand,
     sends any other to the reader's coercers, which raise EngineError for
     fields or values the reader refuses, and refuses a decreasing t."""
-    return _build(checked, True, "messages", "message", lambda schema, fields: message_fields(schema, fields, EngineError))
+    return _build(checked, True, message_fields)
 
 
 def generate_line_program(checked: CheckedOracle, log: bool = False) -> LineProgram:
@@ -260,7 +260,7 @@ def generate_line_program(checked: CheckedOracle, log: bool = False) -> LineProg
     the firing log, and a line the gate refuses raises the reader's
     diagnostic at its place.
     """
-    return _build(checked, log, "numbered", "lineno, line", record_gate)
+    return _build(checked, log, record_gate)
 
 
 def _indent(lines: list[str]) -> list[str]:

@@ -53,7 +53,7 @@ from math import inf, isfinite
 from operator import itemgetter
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Union
 
-from .errors import TraceError
+from .errors import EngineError, TraceError
 
 
 class Kind(Enum):
@@ -323,11 +323,11 @@ def _refused(
     return record
 
 
-def record_gate(schema: TraceSchema, fields: Mapping[str, str]) -> tuple[dict[str, object], list[str]]:
-    """The record rule of one schema as generated source: the namespace it
-    needs and the lines of a loop body over `lineno, line` that bind t and
-    each field's local in `fields`, or `continue` for a blank line. They
-    read `index` and `prev_t` as record_loop keeps them.
+def record_gate(schema: TraceSchema, fields: Mapping[str, str]) -> tuple[str, str, dict[str, object], list[str]]:
+    """The record rule of one schema as a record binding: the loop it reads
+    (`numbered`, of items `lineno, line`), its namespace, and the lines of
+    that loop's body that bind t and each field's local in `fields`, or
+    `continue` for a blank line, with `index` and `prev_t` of record_loop.
 
     One gate takes a line that _scan reads whole as an object of t and the
     schema's fields whose floats (t, numbers, coordinates) have finite
@@ -373,7 +373,7 @@ def record_gate(schema: TraceSchema, fields: Mapping[str, str]) -> tuple[dict[st
         "    t, values = record",
         *strict,
     ]
-    return namespace, lines
+    return "numbered", "lineno, line", namespace, lines
 
 
 class _ReadValues(dict):
@@ -431,7 +431,7 @@ def _record_reader(schema: TraceSchema) -> tuple[Callable[[Iterator[tuple[int, s
         f"k{k}: {f'_new(_Point2, x{k})' if kind is Kind.POINT2 else f'x{k}'}"
         for k, (_, kind) in enumerate(schema.fields)
     ]
-    namespace, gate = record_gate(schema, fields)
+    items, item, namespace, gate = record_gate(schema, fields)
     read = type("ReadValues", (_ReadValues,), {"__slots__": ()})
     namespace.update(
         _names=names, _new=tuple.__new__, _Message=TraceMessage, _Values=read, _empty=dict.__new__, _fill=dict.update,
@@ -440,7 +440,7 @@ def _record_reader(schema: TraceSchema) -> tuple[Callable[[Iterator[tuple[int, s
         namespace["_Point2"] = Point2  # read where a point's value is made
     init = [f"[{', '.join(f'k{k}' for k in range(len(names)))}] = _names"]
     body = ["values = _empty(_Values)", f"_fill(values, {{{', '.join(values)}}})", "yield _new(_Message, (t, values))"]
-    return record_loop(namespace, "read_records(numbered)", "lineno, line", "numbered", init, gate, body), read
+    return record_loop(namespace, f"read_records({items})", item, items, init, gate, body), read
 
 
 def read_values_type(schema: TraceSchema) -> type:
@@ -559,18 +559,16 @@ def message_checker(schema: TraceSchema, error: Callable[[str], Exception]) -> C
     return check
 
 
-def message_fields(
-    schema: TraceSchema, fields: Mapping[str, str], error: Callable[[str], Exception]
-) -> tuple[dict[str, object], list[str]]:
-    """The reader's rule for a message, as the namespace and the lines of a
-    loop body over `message` (message `index`) that bind t, `values` and
-    each field named in `fields` to its local, then raise error if t
-    decreases below `prev_t`, which record_loop keeps. Values of
-    read_values_type(schema) with a finite float t are taken as they
-    stand: the reader's rule took them, and no method of theirs changes
-    them. Any other values go to message_checker, which raises error or
-    rebinds t and `values`, converted, as reference_score does."""
-    namespace = {"_convert": message_checker(schema, error), "_error": error, "_isfinite": isfinite,
+def message_fields(schema: TraceSchema, fields: Mapping[str, str]) -> tuple[str, str, dict[str, object], list[str]]:
+    """The reader's rule for a message as a record binding: the loop it
+    reads (`messages`, of items `message`), its namespace, and the lines of
+    that loop's body that bind t, `values` and each field named in `fields`
+    to its local, then raise EngineError if t decreases below record_loop's
+    `prev_t`. Values of read_values_type(schema) with a finite float t are
+    taken as they stand: the reader's rule took them, and no method of
+    theirs changes them. Others go to message_checker, which raises
+    EngineError or rebinds t and `values`, converted, as in reference_score."""
+    namespace = {"_convert": message_checker(schema, EngineError), "_error": EngineError, "_isfinite": isfinite,
                  "_Read": read_values_type(schema)}
     lines = [
         "t, values = message",
@@ -582,7 +580,7 @@ def message_fields(
         # Of one name, itemgetter gives a value, not a tuple.
         lines.append(f"{', '.join(fields.values())} = _fields(values)")
     lines.append('if t < prev_t: raise _error(f"message {index}: timestamp {t!r} decreases below {prev_t!r}")')
-    return namespace, lines
+    return "messages", "message", namespace, lines
 
 
 # Cached so that dumping many traces of one schema compiles one writer.

@@ -95,6 +95,12 @@ MUTANTS = [
            """    lines.append('if t < prev_t: raise _error(f"message {index}: timestamp {t!r} decreases below {prev_t!r}")')\n""",
            "",
            ("test_engine.py",)),
+    Mutant("record_gate_names_its_loop_line_lineno", "trace.py",
+           'return "numbered", "lineno, line", namespace, lines', 'return "numbered", "line, lineno", namespace, lines',
+           ("test_engine.py", "test_trace.py")),
+    Mutant("message_binding_raises_value_error", "trace.py",
+           '"_error": EngineError,', '"_error": ValueError,',
+           ("test_engine.py", "test_trace.py")),
     Mutant("writer_takes_any_dict", "trace.py",
            "(type(values) is dict or type(values).__base__ is _ReadValues)", "isinstance(values, dict)",
            ("test_differential.py",)),

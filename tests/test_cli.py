@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -345,6 +346,35 @@ def test_rank_and_compare_pipeline(workspace, capsys):
     reversed_ranks.write_text("solution,rank\nalice,2.0\ncarol,1.0\nbob,0.0\n")
     assert main(["compare", str(ranks), str(reversed_ranks)]) == 0
     assert capsys.readouterr().out.strip() == "-1.0"
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
+def test_readme_pipeline_runs_as_written(tmp_path):
+    """README's pipeline block, run verbatim by `bash -eu` with `odl` this
+    tree's CLI, over a nominal trace, an eventful one and an eventful one
+    without its collision, under the three bundled composites. They score
+    0/100/0, -18/97/-30 and -17/122/-5 under od1/od2/od3, so no ranking has
+    zero variance and the matrix is the pipeline's own."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A full comparison pipeline:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    eventful = json.loads(load_example_scenario("eventful"))
+    calm = {**eventful, "episodes": [e for e in eventful["episodes"] if e["kind"] != "collision"]}
+    for i, scenario in enumerate([load_example_scenario("nominal"), json.dumps(eventful), json.dumps(calm)]):
+        (tmp_path / f"scenario{i}.json").write_text(scenario)
+    for i, name in enumerate(["od1_rubric", "od2_competition", "od3_framework"], 1):
+        (tmp_path / f"od{i}.odl").write_text(load_builtin(name))
+    src = str(Path(odl.engine.__file__).parents[1])
+    env = {**os.environ, "PYTHON": sys.executable,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(["bash", "-eu", "-c", 'odl() { "$PYTHON" -m odl "$@"; }\n' + block],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        "od,od1,od2,od3\n"
+        "od1,1.0,0.4999999999999999,1.0\n"
+        "od2,0.4999999999999999,1.0,0.4999999999999999\n"
+        "od3,1.0,0.4999999999999999,1.0\n"
+    )
 
 
 def test_compare_matrix_output(workspace, capsys):

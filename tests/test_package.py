@@ -284,6 +284,21 @@ def test_the_benchmark_probe_runs_traced(tmp_path):
     assert {"ready", "peak_kb", "counts", "spans"} <= set(json.loads(record.read_text(encoding="utf-8")))
 
 
+def test_an_install_carries_every_asset_and_the_console_script():
+    """Every file under src/odl/assets matches a package-data glob of
+    pyproject.toml, so an installed odl has it, and the `odl` script is the
+    CLI's entry point."""
+    tomllib = pytest.importorskip("tomllib")  # 3.11 on
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    package = root / "src" / "odl"
+    assets = {path for path in (package / "assets").rglob("*") if path.is_file()}
+    shipped = {path for glob in project["tool"]["setuptools"]["package-data"]["odl"] for path in package.glob(glob)}
+    assert assets and sorted(map(str, assets - shipped)) == []
+    assert project["project"]["scripts"] == {"odl": "odl.cli:run"}
+    assert callable(odl.cli.run)
+
+
 @pytest.mark.parametrize("path", sorted(Path(odl.__file__).parent.glob("*.py")), ids=lambda path: path.name)
 def test_every_imported_name_is_read(path):
     """No module imports a name it never reads, leaving out `__future__`
