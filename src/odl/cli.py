@@ -125,7 +125,12 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    vectors = [read_ranks_csv(_read_input(path)) for path in args.ranks_paths]
+    vectors = []
+    for path in args.ranks_paths:
+        try:
+            vectors.append(read_ranks_csv(_read_input(path)))
+        except AnalysisError as exc:  # one of several files: say which (a UTF-8 error names it already)
+            raise AnalysisError(f"{path}: {exc}") from exc
     if len(vectors) == 2:
         _emit(f"{spearman(vectors[0], vectors[1])!r}\n", args.out)
         return 0

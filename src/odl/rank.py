@@ -2,7 +2,8 @@
 
 Higher score means better and gets the numerically smaller rank; the best
 rank is 0. Ties receive the average of the ranks they span, and correlation
-is tie-correct Pearson computed on the rank vectors.
+is tie-correct Pearson computed on the rank vectors. Means and coefficients
+are computed exactly, on integers, and rounded once to the nearest float.
 """
 
 from __future__ import annotations
@@ -19,20 +20,28 @@ ScoreTable = Mapping[str, Sequence[float]]
 RankVector = Mapping[str, float]
 
 
+def _integers(pairs: Iterable[tuple[str, float]], kind: str) -> tuple[list[int], int]:
+    """Each value of (solution, value) pairs times their common denominator,
+    an exact integer, and that denominator. A NaN or infinity is an error."""
+    ratios = []
+    for solution, value in pairs:
+        if not math.isfinite(value):
+            raise AnalysisError(f"solution '{solution}' has non-finite {kind} {value!r}")
+        ratios.append(value.as_integer_ratio())
+    scale = math.lcm(*(denominator for _, denominator in ratios))
+    return [numerator * (scale // denominator) for numerator, denominator in ratios], scale
+
+
 def mean_scores(table: ScoreTable) -> dict[str, float]:
-    """Arithmetic mean score per solution id."""
+    """Arithmetic mean score per solution id, correctly rounded (int / int rounds once)."""
     if not table:
         raise AnalysisError("score table is empty")
     means = {}
     for solution, scores in table.items():
         if not scores:
             raise AnalysisError(f"solution '{solution}' has no scores")
-        try:
-            # statistics.fmean, which would import statistics, fractions and
-            # decimal into every process.
-            means[solution] = math.fsum(scores) / len(scores)
-        except OverflowError:
-            raise AnalysisError(f"solution '{solution}': mean score overflows") from None
+        numerators, scale = _integers(((solution, score) for score in scores), "score")
+        means[solution] = sum(numerators) / (scale * len(scores))
     return means
 
 
@@ -41,9 +50,7 @@ def rank_solutions(scores: Mapping[str, float]) -> dict[str, float]:
     average of the ranks they span, so ranks always sum to n(n-1)/2."""
     if not scores:
         raise AnalysisError("no solutions to rank")
-    for solution, score in sorted(scores.items()):
-        if not math.isfinite(score):
-            raise AnalysisError(f"solution '{solution}' has non-finite score {score!r}")
+    _integers(sorted(scores.items()), "score")  # refuses a NaN or an infinity
     ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     ranks: dict[str, float] = {}
     i = 0
@@ -61,9 +68,9 @@ def rank_solutions(scores: Mapping[str, float]) -> dict[str, float]:
 
 def spearman(a: RankVector, b: RankVector) -> float:
     """Tie-correct Spearman coefficient: Pearson correlation of the two rank
-    vectors. Equals 1 - 6*sum(d^2)/(n(n^2-1)) when neither vector has ties.
-    A NaN or infinite rank is an AnalysisError, not a coefficient, and so
-    is a mean, variance or covariance of finite ranks that overflows.
+    vectors, the float nearest its exact value. Equals 1 - 6*sum(d^2)/(n(n^2-1))
+    when neither vector has ties. A NaN or infinite rank is an AnalysisError,
+    not a coefficient, and so is a vector whose ranks are all equal.
     """
     if set(a) != set(b):
         raise AnalysisError("rank vectors cover different solution ids")
@@ -71,36 +78,23 @@ def spearman(a: RankVector, b: RankVector) -> float:
     if n < 2:
         raise AnalysisError("need at least two solutions to correlate")
     ids = sorted(a)
-    for vector in (a, b):
-        for solution in ids:
-            if not math.isfinite(vector[solution]):
-                raise AnalysisError(f"solution '{solution}' has non-finite rank {vector[solution]!r}")
-    xs = [a[i] for i in ids]
-    ys = [b[i] for i in ids]
-    overflow = AnalysisError("ranks too large to correlate: their mean, variance or covariance overflows")
-    try:
-        # fsum and ** raise OverflowError; a difference or a sum turns infinite.
-        mean_x = math.fsum(xs) / n
-        mean_y = math.fsum(ys) / n
-        var_x = sum((x - mean_x) ** 2 for x in xs)
-        var_y = sum((y - mean_y) ** 2 for y in ys)
-    except OverflowError:
-        raise overflow from None
-    if var_x == 0.0 or var_y == 0.0:
+    # Over each vector's common denominator, which rho ignores: n^2 times the variances and the covariance.
+    xs, ys = (_integers(((i, vector[i]) for i in ids), "rank")[0] for vector in (a, b))
+    sum_x, sum_y = sum(xs), sum(ys)
+    var_x = n * sum(x * x for x in xs) - sum_x * sum_x
+    var_y = n * sum(y * y for y in ys) - sum_y * sum_y
+    if var_x == 0 or var_y == 0:
         raise AnalysisError("rank vector has zero variance; ranking is meaningless")
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    if not (math.isfinite(var_x) and math.isfinite(var_y) and math.isfinite(cov)):
-        raise overflow
-    # Ranks are small dyadic rationals, so identical or exactly reversed
-    # rankings make cov equal +/-variance exactly; return the exact result
-    # rather than rounding through sqrt.
-    if var_x == var_y:
-        if cov == var_x:
-            return 1.0
-        if cov == -var_x:
-            return -1.0
-    rho = cov / (math.sqrt(var_x) * math.sqrt(var_y))
-    return max(-1.0, min(1.0, rho))
+    cov = n * sum(x * y for x, y in zip(xs, ys)) - sum_x * sum_y
+    # q = floor(|rho| * 2^shift) >= 2^55, and a sticky bit below q marks an
+    # inexact root, so int / int rounds once, as the exact |rho| would.
+    square, product = cov * cov, var_x * var_y
+    shift = 56 + (product.bit_length() - square.bit_length()) // 2
+    square <<= 2 * shift
+    q = math.isqrt(square // product)
+    sticky = q * q * product != square
+    rho = (2 * q + sticky) / (2 << shift)
+    return -rho if cov < 0 else rho
 
 
 def correlation_matrix(tables: Sequence[ScoreTable]) -> list[list[float]]:

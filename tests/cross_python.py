@@ -37,6 +37,9 @@ executable). Each run prints the sha256 digests of:
   _traces.py, and of `dump_trace` (its text, or its ValueError text);
 - the scores files and correlation matrix that criterion 7 builds through
   the CLI;
+- `mean_scores` and `spearman` of the seeded hard vectors of _spearman.py
+  (ties, subnormals, magnitudes near the float limit), which are computed
+  on integers and rounded once;
 - the bundled oracles whose reports on `eventful` at ticks 0.2 and 0.1 a
   shift of every t by 10^13 to 10^17 s changes, under each of the three
   scorers of `time_shift_changes` in _traces.py, so that the shift at
@@ -100,6 +103,7 @@ def _digests() -> dict[str, str]:
     import test_acceptance
     import test_engine
     import test_scenario
+    from _spearman import HUGE_RANKS, SUBNORMAL_RANKS, hard_pairs, hard_tables
     from _traces import (
         BATCHED_FILES, WIDE_OD, line_report, merged_builtins, scorer_outcomes, time_shift_changes, trace_faults,
         wide_trace,
@@ -107,7 +111,7 @@ def _digests() -> dict[str, str]:
     from odl import (
         BUILTIN_NAMES, GEN_SCHEMA, CheckError, Frequency, Literal, Notification, OracleDefinition, ScoringFunction,
         Point2, TraceError, TraceMessage, check_od, dump_trace, generate_trace, load_builtin, load_example_scenario,
-        load_scenario, parse_od, parse_trace, reference_score, report_to_json, score_trace,
+        load_scenario, mean_scores, parse_od, parse_trace, reference_score, report_to_json, score_trace, spearman,
     )
 
     digests = {}
@@ -191,6 +195,11 @@ def _digests() -> dict[str, str]:
     digests["criterion 7 matrix"] = test_scenario.sha256(matrix)
     for name, text in zip(test_acceptance._REPLICATION_ODS, scores):
         digests[f"criterion 7 scores {name}"] = test_scenario.sha256(text)
+    means = [mean_scores({"A": scores})["A"].hex() for scores in hard_tables(1, 1000)]
+    digests["means of hard scores"] = test_scenario.sha256(" ".join(means))
+    good = {"a": 0.0, "b": 1.0, "c": 2.0}
+    pairs = [*hard_pairs(2, 600), *((big, good) for big in [*HUGE_RANKS, SUBNORMAL_RANKS])]
+    digests["spearman of hard vectors"] = test_scenario.sha256(" ".join(spearman(a, b).hex() for a, b in pairs))
 
     outcomes = []
     with tempfile.TemporaryDirectory() as work:

@@ -150,6 +150,19 @@ MUTANTS = [
     Mutant("reference_refuses_an_equal_t", "reference.py",
            "if t < previous_t:", "if t <= previous_t:",
            ("test_differential.py",)),
+    # Exact means and coefficients, rounded once.
+    Mutant("rho_drops_the_sticky_bit", "rank.py",
+           "rho = (2 * q + sticky) / (2 << shift)", "rho = 2 * q / (2 << shift)",
+           ("test_rank.py",)),
+    Mutant("rho_keeps_two_guard_bits", "rank.py",
+           "shift = 56 + (", "shift = 2 + (",
+           ("test_acceptance.py",)),
+    Mutant("rho_drops_its_sign", "rank.py",
+           "return -rho if cov < 0 else rho", "return rho",
+           ("test_acceptance.py",)),
+    Mutant("mean_divided_by_the_scale_alone", "rank.py",
+           "sum(numerators) / (scale * len(scores))", "sum(numerators) / scale",
+           ("test_rank.py",)),
 ]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", ".bench_work")

@@ -142,15 +142,15 @@ def test_criterion_5_round_trip():
 
 
 def test_criterion_6_spearman_correctness():
-    """Exact +/-1 cases, the 0.8 worked example, and Pearson-on-ranks vs the
-    closed form on 100 random tie-free vectors."""
+    """Exact +/-1 cases, the 0.8 worked example, and Pearson-on-ranks equal
+    to the correctly rounded closed form on 100 random tie-free vectors."""
     with criterion(6, "spearman correctness", 5.0):
         a = {"A": 0.0, "B": 1.0, "C": 2.0}
         assert spearman(a, dict(a)) == 1.0
         assert spearman(a, {"A": 2.0, "B": 1.0, "C": 0.0}) == -1.0
         x = {f"s{i}": float(r) for i, r in enumerate((0, 1, 2, 3))}
         y = {f"s{i}": float(r) for i, r in enumerate((0, 2, 1, 3))}
-        assert abs(spearman(x, y) - 0.8) < 1e-12
+        assert spearman(x, y) == 0.8
         for i in range(100):
             rng = random.Random(400_000 + i)
             n = rng.randint(2, 50)
@@ -160,7 +160,7 @@ def test_criterion_6_spearman_correctness():
             rng.shuffle(ys)
             va = {f"s{j}": float(xs[j]) for j in range(n)}
             vb = {f"s{j}": float(ys[j]) for j in range(n)}
-            assert abs(spearman(va, vb) - spearman_closed_form(va, vb)) < 1e-12, i
+            assert spearman(va, vb) == spearman_closed_form(va, vb), i
 
 
 def _solution_scenario(index: int) -> dict:

@@ -371,9 +371,9 @@ def test_readme_pipeline_runs_as_written(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == (
         "od,od1,od2,od3\n"
-        "od1,1.0,0.4999999999999999,1.0\n"
-        "od2,0.4999999999999999,1.0,0.4999999999999999\n"
-        "od3,1.0,0.4999999999999999,1.0\n"
+        "od1,1.0,0.5,1.0\n"
+        "od2,0.5,1.0,0.5\n"
+        "od3,1.0,0.5,1.0\n"
     )
 
 
@@ -401,14 +401,26 @@ def test_compare_zero_variance_exits_1(workspace, capsys):
     assert "zero variance" in capsys.readouterr().err
 
 
-def test_compare_rank_overflow_exits_1(workspace, capsys):
+def test_compare_of_huge_ranks_prints_the_rounded_coefficient(workspace, capsys):
+    # Their float squares overflow; the exact coefficient is -sqrt(3)/2.
     big, small = workspace / "big.csv", workspace / "small.csv"
     big.write_text("solution,rank\na,1e200\nb,0.0\nc,1.0\n")
     small.write_text("solution,rank\na,0.0\nb,1.0\nc,2.0\n")
-    assert main(["compare", str(big), str(small)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: ranks too large to correlate: their mean, variance or covariance overflows\n"
+    assert main(["compare", str(big), str(small)]) == 0
+    assert capsys.readouterr() == ("-0.8660254037844386\n", "")
+
+
+def test_compare_read_errors_name_their_file(workspace, capsys):
+    good, bad, binary = workspace / "good.csv", workspace / "bad.csv", workspace / "binary.csv"
+    good.write_text("solution,rank\na,0.0\nb,1.0\n")
+    bad.write_text("solution,rank\na,0.0\nb,x\n")
+    binary.write_bytes(b"solution,rank\na,\xff\n")
+    assert main(["compare", str(good), str(good), str(bad)]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: ranks row 3: bad rank 'x'\n")
+    # A file that is not UTF-8 is named once.
+    assert main(["compare", str(good), str(binary)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {binary}: file is not valid UTF-8: ") and err.count(str(binary)) == 1
 
 
 def test_gen_deterministic_and_scoreable(workspace, capsys):

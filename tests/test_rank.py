@@ -3,13 +3,20 @@
 import csv
 import math
 import random
-import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _spearman import spearman_closed_form
+from _spearman import (
+    HUGE_RANKS,
+    SUBNORMAL_RANKS,
+    hard_pairs,
+    hard_tables,
+    is_nearest_mean,
+    is_nearest_rho,
+    spearman_closed_form,
+)
 from odl import (
     AnalysisError,
     correlation_matrix,
@@ -55,25 +62,24 @@ def test_nothing_to_rank_or_correlate_is_an_analysis_error():
         correlation_matrix([])
 
 
-def test_mean_score_overflow_is_an_analysis_error():
-    with pytest.raises(AnalysisError, match="solution 'A': mean score overflows"):
-        mean_scores({"A": [1e308, 1e308]})
+def test_mean_of_huge_scores_is_correctly_rounded():
+    # Their float sum overflows; their mean does not.
+    assert mean_scores({"A": [1e308, 1e308]}) == {"A": 1e308}
+    assert mean_scores({"A": [1.7e308, 1.7e308, -1.7e308]}) == {"A": 1.7e308 / 3}
+    assert mean_scores({"A": [5e-324, 5e-324, 5e-324]}) == {"A": 5e-324}
 
 
-def _spearman_by_fmean(a, b):
-    """spearman as it was written with statistics.fmean, checks left out."""
-    ids = sorted(a)
-    xs, ys = [a[i] for i in ids], [b[i] for i in ids]
-    mean_x, mean_y = statistics.fmean(xs), statistics.fmean(ys)
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    if var_x == var_y and cov in (var_x, -var_x):
-        return cov / var_x
-    return max(-1.0, min(1.0, cov / (math.sqrt(var_x) * math.sqrt(var_y))))
+def test_mean_scores_rejects_non_finite_scores():
+    # inf and -inf once made fsum raise a ValueError, a traceback in `odl rank`.
+    for scores in ([math.inf, -math.inf], [1.0, math.nan], [-math.inf]):
+        with pytest.raises(AnalysisError, match=r"^solution 'A' has non-finite score"):
+            mean_scores({"A": scores})
 
 
-def test_means_are_bit_identical_to_statistics_fmean():
+def test_means_and_coefficients_are_correctly_rounded():
+    """Every mean is the float nearest the exact mean, and every coefficient
+    the float nearest the exact Pearson coefficient, both computed with
+    Fraction (`_spearman.is_nearest`)."""
     rng = random.Random(90210)
 
     def score():
@@ -82,28 +88,31 @@ def test_means_are_bit_identical_to_statistics_fmean():
             rng.uniform(-1e307, 1e307), rng.choice((-1.7e308, 1.7e308)), rng.uniform(-1e-300, 1e-300),
         ))
 
-    overflows = correlations = 0
+    correlations = 0
     for _ in range(400):
         ids = [f"s{k}" for k in range(rng.randint(2, 12))]
         tables = [{s: [score() for _ in range(rng.randint(1, 6))] for s in ids} for _ in range(2)]
-        try:
-            expected = [{s: statistics.fmean(v) for s, v in table.items()} for table in tables]
-        except OverflowError:
-            overflows += 1
-            with pytest.raises(AnalysisError, match="mean score overflows"):
-                [mean_scores(table) for table in tables]
-            continue
         means = [mean_scores(table) for table in tables]
-        assert [{s: m.hex() for s, m in ms.items()} for ms in means] == [
-            {s: m.hex() for s, m in ms.items()} for ms in expected
-        ]
+        for table, ms in zip(tables, means):
+            for s in ids:
+                assert is_nearest_mean(ms[s], table[s]), table[s]
         # Rank vectors, and plain floats as ranks, which spearman also takes.
         floats = [{s: rng.choice((rng.uniform(-1e3, 1e3), 0.5)) for s in ids} for _ in range(2)]
         for a, b in ((rank_solutions(means[0]), rank_solutions(means[1])), floats):
             if len(set(a.values())) > 1 and len(set(b.values())) > 1:
                 correlations += 1
-                assert spearman(a, b).hex() == _spearman_by_fmean(a, b).hex()
-    assert overflows > 20 and correlations > 300
+                assert is_nearest_rho(spearman(a, b), a, b), (a, b)
+    assert correlations > 300
+
+
+def test_means_and_coefficients_of_hard_vectors_are_correctly_rounded():
+    # Ties, subnormals and magnitudes near the float limit.
+    for scores in hard_tables(1, 1000):
+        assert is_nearest_mean(mean_scores({"A": scores})["A"], scores), scores
+    for a, b in hard_pairs(2, 600):
+        rho = spearman(a, b)
+        assert is_nearest_rho(rho, a, b), (a, b)
+        assert spearman(b, a) == rho
 
 
 def test_spearman_examples():
@@ -112,7 +121,7 @@ def test_spearman_examples():
     assert spearman(a, {"A": 2.0, "B": 1.0, "C": 0.0}) == -1.0
     x = {"s0": 0.0, "s1": 1.0, "s2": 2.0, "s3": 3.0}
     y = {"s0": 0.0, "s1": 2.0, "s2": 1.0, "s3": 3.0}
-    assert abs(spearman(x, y) - 0.8) < 1e-12
+    assert spearman(x, y) == 0.8
 
 
 def test_spearman_errors():
@@ -134,20 +143,19 @@ def test_spearman_rejects_non_finite_ranks():
                 spearman(*pair)
 
 
-@pytest.mark.parametrize(
-    "big",
-    [
-        {"a": 1e200, "b": 0.0, "c": 1.0},  # a square overflows in **
-        {"a": 1.2e154, "b": -1.2e154, "c": 0.0},  # finite squares, infinite sum
-        {"a": 1.7e308, "b": 1.7e308, "c": 1.0},  # the mean overflows in fsum
-        {"a": 1.7e308, "b": -1.7e308, "c": -1.7e308},  # a deviation overflows
-    ],
-)
-def test_spearman_overflow_of_finite_ranks_is_an_analysis_error(big):
+@pytest.mark.parametrize("big", HUGE_RANKS)
+def test_spearman_of_huge_finite_ranks_is_correctly_rounded(big):
+    # Their float arithmetic overflows (see HUGE_RANKS).
     good = {"a": 0.0, "b": 1.0, "c": 2.0}
-    for pair in ((big, good), (good, big)):
-        with pytest.raises(AnalysisError, match="ranks too large to correlate"):
-            spearman(*pair)
+    assert is_nearest_rho(spearman(big, good), big, good)
+    assert spearman(good, big) == spearman(big, good)
+
+
+def test_spearman_of_distinct_subnormal_ranks():
+    # Their float deviations and squares vanish, which once read as zero variance.
+    good = {"a": 0.0, "b": 1.0, "c": 2.0}
+    assert spearman(SUBNORMAL_RANKS, good) == -0.8658113325434346
+    assert is_nearest_rho(spearman(SUBNORMAL_RANKS, good), SUBNORMAL_RANKS, good)
 
 
 def test_spearman_reversal_exact_with_ties():
@@ -260,7 +268,7 @@ def test_closed_form_agrees_on_tie_free_vectors(n, seed):
     b = {ids[i]: float(ys[i]) for i in range(n)}
     if all(xs[i] == ys[i] for i in range(n)):
         assert spearman(a, b) == 1.0
-    assert abs(spearman(a, b) - spearman_closed_form(a, b)) < 1e-12
+    assert spearman(a, b) == spearman_closed_form(a, b)
     assert spearman(a, b) == spearman(b, a)
 
 
@@ -340,5 +348,5 @@ def test_multi_fault_ranks_files_report_the_first_fault(case, tmp_path, capsys):
     bad.write_text(text)
     assert main(["compare", str(good), str(bad)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {bad}: {message}\n"
     assert captured.out == ""
